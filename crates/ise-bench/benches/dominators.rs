@@ -1,16 +1,16 @@
 //! Criterion benchmark backing the dominator-engine study (E5 in DESIGN.md): §5.4 of
 //! the paper reports that at least 70 % of the enumeration time is spent computing
-//! dominators, so the speed of the Lengauer–Tarjan implementation matters. This
-//! benchmark compares it against the iterative (Cooper–Harvey–Kennedy) algorithm on
-//! graphs of increasing size, plus the generalized-dominator enumeration used by the
-//! basic algorithm.
+//! dominators. This benchmark compares the one-pass DAG algorithm the engine uses
+//! against Lengauer–Tarjan on whole graphs of increasing size, times one cone
+//! completion query per size (the engine's per-`PICK-INPUTS` dominator run), and
+//! times the generalized-dominator enumeration used by the basic algorithm.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ise_dominators::multi::enumerate_generalized_dominators;
-use ise_dominators::{iterative_dominators, lengauer_tarjan, Forward};
-use ise_graph::RootedDfg;
+use ise_dominators::{dag_dominators, lengauer_tarjan, ConeDominators, Forward, TopoOrder};
+use ise_graph::{NodeId, Reachability, RootedDfg};
 use ise_workloads::random_dag::{random_dag, RandomDagConfig};
 
 fn bench_single_vertex(c: &mut Criterion) {
@@ -20,14 +20,47 @@ fn bench_single_vertex(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(4));
     for size in [100usize, 400, 1000] {
         let rooted = RootedDfg::new(random_dag(&RandomDagConfig::new(size), size as u64));
+        let order = TopoOrder::forward(&rooted);
         group.bench_with_input(
             BenchmarkId::new("lengauer_tarjan", size),
             &rooted,
             |b, rooted| b.iter(|| lengauer_tarjan(&Forward(rooted))),
         );
-        group.bench_with_input(BenchmarkId::new("iterative", size), &rooted, |b, rooted| {
-            b.iter(|| iterative_dominators(&Forward(rooted)))
+        group.bench_with_input(BenchmarkId::new("dag_pass", size), &rooted, |b, rooted| {
+            b.iter(|| dag_dominators(&Forward(rooted), &order))
         });
+
+        // One completion query as the engine issues it: the last original vertex as
+        // the output, its first original operand as the seed.
+        let reach = Reachability::compute(&rooted);
+        let target = NodeId::from_index(rooted.original_len() - 1);
+        let mut seed = rooted.node_set();
+        if let Some(&p) = rooted.preds(target).iter().find(|&&p| p != rooted.source()) {
+            seed.insert(p);
+        }
+        let mut excluded = rooted.node_set();
+        excluded.insert(rooted.source());
+        excluded.insert(rooted.sink());
+        let mut ws = ConeDominators::new();
+        let mut out = Vec::new();
+        group.bench_with_input(
+            BenchmarkId::new("cone_completions", size),
+            &rooted,
+            |b, rooted| {
+                b.iter(|| {
+                    ws.completions(
+                        &Forward(rooted),
+                        &order,
+                        reach.ancestors(target),
+                        &seed,
+                        target,
+                        &excluded,
+                        &mut out,
+                    );
+                    out.len()
+                })
+            },
+        );
     }
     group.finish();
 }
@@ -39,7 +72,7 @@ fn bench_generalized(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(4));
     for size in [40usize, 80] {
         let rooted = RootedDfg::new(random_dag(&RandomDagConfig::new(size), 3));
-        let target = ise_graph::NodeId::from_index(rooted.original_len() - 1);
+        let target = NodeId::from_index(rooted.original_len() - 1);
         let mut excluded = rooted.node_set();
         excluded.insert(rooted.source());
         excluded.insert(rooted.sink());

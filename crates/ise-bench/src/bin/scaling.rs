@@ -8,21 +8,38 @@
 //!
 //! Options (key=value): `max_size` (default 200; sizes are 50..=max_size doubling),
 //! `seed`, `memory_ratio_pct` (default 15), `out` (default `BENCH_scaling.json`;
-//! `out=-` disables the JSON artifact).
+//! `out=-` disables the JSON artifact), `expect` (a previously written artifact: the
+//! run exits non-zero unless every emitted row's cut, search-node, dominator-run and
+//! candidate counts equal those of the row with the same `(nodes, nin, nout)` there —
+//! the gate that a change to the engine's data structures left its search unchanged).
 
 use std::collections::HashMap;
+use std::process::ExitCode;
 
 use ise_bench::json::Json;
 use ise_bench::{timed, Options};
 use ise_enum::{incremental_cuts, Constraints, EngineOptions, EnumContext, PruningConfig};
 use ise_workloads::random_dag::{random_dag, RandomDagConfig};
 
-fn main() {
+/// The per-row counts `expect=` compares; wall time is deliberately not among them.
+const COUNT_FIELDS: [&str; 4] = [
+    "cuts",
+    "search_nodes",
+    "dominator_runs",
+    "candidates_checked",
+];
+
+fn main() -> ExitCode {
     let opts = Options::from_env();
     let max_size = opts.usize("max_size", 200);
     let seed = opts.u64("seed", 42);
     let memory_ratio = opts.usize("memory_ratio_pct", 15) as f64 / 100.0;
     let out_path = opts.string("out", "BENCH_scaling.json");
+    let expect_path = opts.string("expect", "");
+    // Read the expectation before running, so a bad path fails fast and `out` may
+    // overwrite the same file.
+    let expected = (!expect_path.is_empty())
+        .then(|| expected_rows(&expect_path, seed, (memory_ratio * 100.0).round() as u64));
 
     let mut sizes = Vec::new();
     let mut n = 50usize;
@@ -90,6 +107,30 @@ fn main() {
         }
     }
 
+    // Compare before the artifact consumes the rows; the artifact is written either
+    // way, so a mismatching run can be inspected.
+    let mismatches = expected.as_ref().map(|expected| {
+        let mut mismatches = 0usize;
+        for row in &rows {
+            let key = row_key(row);
+            let got = row_counts(row);
+            match expected.get(&key) {
+                Some(want) if *want == got => {}
+                Some(want) => {
+                    mismatches += 1;
+                    eprintln!(
+                        "row {key:?}: counts {got:?}, {expect_path} has {want:?} ({COUNT_FIELDS:?})"
+                    );
+                }
+                None => {
+                    mismatches += 1;
+                    eprintln!("row {key:?}: no such row in {expect_path}");
+                }
+            }
+        }
+        (mismatches, rows.len())
+    });
+
     if out_path != "-" {
         let doc = Json::object([
             ("schema", Json::str("ise-bench/scaling/v2")),
@@ -113,4 +154,67 @@ fn main() {
             .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
         eprintln!("wrote {out_path} (engine {total_engine:.3}s)");
     }
+
+    match mismatches {
+        Some((0, total)) => eprintln!("all {total} rows match the counts in {expect_path}"),
+        Some((mismatches, total)) => {
+            eprintln!("{mismatches} of {total} rows differ from {expect_path}");
+            return ExitCode::FAILURE;
+        }
+        None => {}
+    }
+    ExitCode::SUCCESS
+}
+
+/// The `(nodes, nin, nout)` key of an artifact row.
+fn row_key(row: &Json) -> (u64, u64, u64) {
+    let field = |name| {
+        row.get(name)
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("scaling row without `{name}`"))
+    };
+    (field("nodes"), field("nin"), field("nout"))
+}
+
+/// The [`COUNT_FIELDS`] of an artifact row, in order.
+fn row_counts(row: &Json) -> [u64; 4] {
+    COUNT_FIELDS.map(|name| {
+        row.get(name)
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("scaling row without `{name}`"))
+    })
+}
+
+/// Loads the rows of the artifact at `path`, keyed by `(nodes, nin, nout)`.
+///
+/// # Panics
+///
+/// Panics if the file is unreadable, is not a v2 scaling artifact, or was produced
+/// with a different seed or memory ratio (its counts would not be comparable).
+fn expected_rows(
+    path: &str,
+    seed: u64,
+    memory_ratio_pct: u64,
+) -> HashMap<(u64, u64, u64), [u64; 4]> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{path} is not JSON: {e}"));
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_str),
+        Some("ise-bench/scaling/v2"),
+        "{path} is not a v2 scaling artifact"
+    );
+    assert_eq!(
+        (
+            doc.get("seed").and_then(Json::as_u64),
+            doc.get("memory_ratio_pct").and_then(Json::as_u64),
+        ),
+        (Some(seed), Some(memory_ratio_pct)),
+        "{path} was produced with a different seed or memory ratio"
+    );
+    doc.get("rows")
+        .and_then(Json::as_array)
+        .unwrap_or_else(|| panic!("{path} has no rows"))
+        .iter()
+        .map(|row| (row_key(row), row_counts(row)))
+        .collect()
 }

@@ -230,7 +230,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
 /// Default per-block search budget, in search nodes (`--budget 0` lifts it).
 ///
 /// The enumeration is polynomial but of high degree (`O(n^(Nin+Nout+1))`): the
-/// committed `BENCH_scaling.json` measures ~1.2e8 search nodes (two minutes) for one
+/// committed `BENCH_scaling.json` measures ~7e7 search nodes (about 15 seconds) for one
 /// 208-vertex block at the paper's standard `Nin=4, Nout=2`. A batch driver pointed
 /// at an arbitrary corpus must not stall on one adversarial block, so runs are
 /// budgeted by default — one million search nodes keeps every committed corpus block

@@ -3,19 +3,20 @@
 //! This crate provides the dominator machinery required by the polynomial-time convex
 //! subgraph enumeration of Bonzini & Pozzi (DATE 2007):
 //!
+//! * [`dag_dominators`] and [`ConeDominators`] — the engine's dominators. Data-flow
+//!   graphs are acyclic, so one Cooper–Harvey–Kennedy pass over a [`TopoOrder`] is
+//!   exact. `dag_dominators` builds the dominator and postdominator trees of a block;
+//!   `ConeDominators` answers the incremental enumeration's per-`PICK-INPUTS` query
+//!   (the Dubrova completions of a seed, §5.2) over the output's ancestor cone only,
+//!   with no per-run allocation;
 //! * [`lengauer_tarjan`] — the `O(e log n)` Lengauer–Tarjan algorithm (simple variant
 //!   with path compression, §5.4 of the paper) over any [`FlowGraph`], optionally with a
-//!   set of *removed* vertices so that it can run on the reduced graphs required by the
-//!   multiple-vertex dominator construction;
-//! * [`LtWorkspace`] — reusable scratch memory for repeated Lengauer–Tarjan runs over
-//!   the same graph, so the per-candidate runs of the incremental enumeration perform
-//!   no allocations;
-//! * [`iterative_dominators`] — the Cooper–Harvey–Kennedy iterative algorithm, used as a
-//!   cross-checking oracle and as an ablation alternative;
+//!   set of *removed* vertices. It is the independent oracle the DAG pass is tested
+//!   against, and it drives the reference enumeration in [`multi`];
 //! * [`DominatorTree`] — immediate dominators plus constant-time `dominates` ancestry
 //!   queries (§5.4: "Ancestor queries … can be performed in constant time");
-//! * [`postdominators`] — dominators of the reverse graph, rooted at the artificial
-//!   sink;
+//! * [`dominators`] / [`postdominators`] — the trees of an augmented data-flow graph,
+//!   rooted at the artificial source and sink;
 //! * [`multi`] — generalized (multiple-vertex) dominators in the sense of Gupta and
 //!   Dubrova et al.: verification of the two defining conditions and polynomial
 //!   enumeration of all dominator sets up to a given cardinality.
@@ -24,7 +25,7 @@
 //!
 //! ```
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! use ise_dominators::{dominators, postdominators, Forward};
+//! use ise_dominators::{dominators, postdominators};
 //! use ise_graph::{DfgBuilder, Operation, RootedDfg};
 //!
 //! let mut b = DfgBuilder::new("bb");
@@ -33,7 +34,7 @@
 //! let y = b.node(Operation::Add, &[x, a]);
 //! let rooted = RootedDfg::new(b.build()?);
 //!
-//! let dom = dominators(&Forward(&rooted));
+//! let dom = dominators(&rooted);
 //! assert!(dom.dominates(a, y));
 //! let pdom = postdominators(&rooted);
 //! assert!(pdom.dominates(y, a));
@@ -44,46 +45,44 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod dag;
 mod flow;
-mod iterative;
 mod lt;
 pub mod multi;
 mod tree;
 
+pub use dag::{dag_dominators, ConeDominators, TopoOrder};
 pub use flow::{FlowGraph, Forward, Reverse};
-pub use iterative::iterative_dominators;
-pub use lt::{lengauer_tarjan, lengauer_tarjan_reduced, LtWorkspace};
+pub use lt::{lengauer_tarjan, lengauer_tarjan_reduced};
 pub use tree::DominatorTree;
 
 use ise_graph::RootedDfg;
 
-/// Computes the dominator tree of a rooted flow graph using Lengauer–Tarjan.
-///
-/// This is a convenience wrapper over [`lengauer_tarjan`]. For the augmented data-flow
-/// graph of a basic block use `dominators(&Forward(&rooted))`.
+/// Computes the dominator tree of the augmented data-flow graph (rooted at the
+/// artificial source) with the one-pass DAG algorithm.
 ///
 /// # Example
 ///
 /// ```
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use ise_dominators::{dominators, Forward};
+/// use ise_dominators::dominators;
 /// use ise_graph::{DfgBuilder, Operation, RootedDfg};
 ///
 /// let mut b = DfgBuilder::new("bb");
 /// let a = b.input("a");
 /// let x = b.node(Operation::Not, &[a]);
 /// let rooted = RootedDfg::new(b.build()?);
-/// let dom = dominators(&Forward(&rooted));
+/// let dom = dominators(&rooted);
 /// assert_eq!(dom.idom(x), Some(a));
 /// # Ok(())
 /// # }
 /// ```
-pub fn dominators<G: FlowGraph>(graph: &G) -> DominatorTree {
-    lengauer_tarjan(graph)
+pub fn dominators(graph: &RootedDfg) -> DominatorTree {
+    dag_dominators(&Forward(graph), &TopoOrder::forward(graph))
 }
 
 /// Computes the postdominator tree of the augmented data-flow graph (dominators of the
-/// reverse graph, rooted at the artificial sink).
+/// reverse graph, rooted at the artificial sink) with the one-pass DAG algorithm.
 ///
 /// # Example
 ///
@@ -103,5 +102,5 @@ pub fn dominators<G: FlowGraph>(graph: &G) -> DominatorTree {
 /// # }
 /// ```
 pub fn postdominators(graph: &RootedDfg) -> DominatorTree {
-    lengauer_tarjan(&Reverse(graph))
+    dag_dominators(&Reverse(graph), &TopoOrder::reverse(graph))
 }

@@ -7,6 +7,11 @@
 //! path compression and the bucket processing are all iterative, and the algorithm can
 //! run on a *reduced* graph (a subset of vertices removed) as required by the
 //! multiple-vertex dominator construction of Dubrova et al. (§5.2).
+//!
+//! The enumeration engine itself runs the one-pass DAG algorithm of [`crate::dag`],
+//! which exploits acyclicity; Lengauer–Tarjan makes no such assumption, which is what
+//! makes it the independent oracle every DAG-pass test compares against. It also
+//! drives the reference enumeration [`crate::multi::enumerate_generalized_dominators`].
 
 use ise_graph::{DenseNodeSet, NodeId};
 
@@ -15,40 +20,13 @@ use crate::tree::DominatorTree;
 
 const UNDEF: u32 = u32::MAX;
 
-/// Reusable scratch memory for [`lengauer_tarjan_reduced`]-style runs.
-///
-/// The incremental enumeration of the paper invokes Lengauer–Tarjan once per
-/// `PICK-INPUTS` step — thousands of times per basic block — and §5.4 attributes most of
-/// the run time to those invocations. A `LtWorkspace` keeps every per-run vector
-/// (DFS numbering, semidominators, path-compression forest, buckets, immediate
-/// dominators) alive between runs, so repeated runs over the same graph perform no
-/// allocations at all. After [`LtWorkspace::run_reduced`] the immediate dominators can
-/// be read back directly ([`LtWorkspace::idom`], [`LtWorkspace::is_reachable`]) without
-/// materializing a [`DominatorTree`], which is what makes per-candidate dominator
-/// queries cheap.
-///
-/// # Example
-///
-/// ```
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use ise_dominators::{Forward, LtWorkspace};
-/// use ise_graph::{DfgBuilder, Operation, RootedDfg};
-///
-/// let mut b = DfgBuilder::new("bb");
-/// let a = b.input("a");
-/// let x = b.node(Operation::Not, &[a]);
-/// let rooted = RootedDfg::new(b.build()?);
-/// let empty = rooted.node_set();
-///
-/// let mut ws = LtWorkspace::new();
-/// ws.run_reduced(&Forward(&rooted), &empty);
-/// assert_eq!(ws.idom(x), Some(a));
-/// assert!(ws.is_reachable(x));
-/// # Ok(())
-/// # }
-/// ```
+/// Reusable scratch memory for repeated Lengauer–Tarjan runs over the same graph: every
+/// per-run vector (DFS numbering, semidominators, path-compression forest, buckets,
+/// immediate dominators) stays alive between runs, and the immediate dominators can be
+/// read back directly ([`LtWorkspace::idom`], [`LtWorkspace::is_reachable`]) without
+/// materializing a [`DominatorTree`].
 #[derive(Clone, Debug, Default)]
-pub struct LtWorkspace {
+pub(crate) struct LtWorkspace {
     dfnum: Vec<u32>,
     parent: Vec<Option<NodeId>>,
     vertex: Vec<NodeId>,
@@ -63,7 +41,7 @@ pub struct LtWorkspace {
 
 impl LtWorkspace {
     /// Creates an empty workspace; buffers are sized lazily on the first run.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -96,7 +74,7 @@ impl LtWorkspace {
     ///
     /// Panics if the root itself is in `removed`, or if `removed` was sized for a
     /// different graph.
-    pub fn run_reduced<G: FlowGraph>(&mut self, graph: &G, removed: &DenseNodeSet) {
+    pub(crate) fn run_reduced<G: FlowGraph>(&mut self, graph: &G, removed: &DenseNodeSet) {
         let n = graph.num_nodes();
         let root = graph.root();
         assert_eq!(
@@ -194,7 +172,7 @@ impl LtWorkspace {
     ///
     /// Panics if `node` is out of range for the last run's graph.
     #[inline]
-    pub fn idom(&self, node: NodeId) -> Option<NodeId> {
+    pub(crate) fn idom(&self, node: NodeId) -> Option<NodeId> {
         self.idom[node.index()]
     }
 
@@ -204,22 +182,8 @@ impl LtWorkspace {
     ///
     /// Panics if `node` is out of range for the last run's graph.
     #[inline]
-    pub fn is_reachable(&self, node: NodeId) -> bool {
+    pub(crate) fn is_reachable(&self, node: NodeId) -> bool {
         self.dfnum[node.index()] != UNDEF
-    }
-
-    /// Builds a full [`DominatorTree`] (with constant-time ancestry queries) from the
-    /// last run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workspace has never run.
-    pub fn to_tree(&self) -> DominatorTree {
-        let root = *self
-            .vertex
-            .first()
-            .expect("the workspace has completed at least one run");
-        DominatorTree::from_idoms(root, self.idom.clone())
     }
 }
 
@@ -304,8 +268,7 @@ pub fn lengauer_tarjan_reduced<G: FlowGraph>(graph: &G, removed: &DenseNodeSet) 
 mod tests {
     use super::*;
     use crate::flow::{Forward, Reverse};
-    use crate::iterative::iterative_dominators_reduced;
-    use ise_graph::{Dfg, DfgBuilder, Operation, RootedDfg};
+    use ise_graph::{DfgBuilder, Operation, RootedDfg};
 
     fn n(i: usize) -> NodeId {
         NodeId::from_index(i)
@@ -429,7 +392,6 @@ mod tests {
                     "victim {victim}, node {v}"
                 );
             }
-            assert_eq!(ws.to_tree().idom(n(3)), fresh.idom(n(3)));
         }
     }
 
@@ -443,103 +405,5 @@ mod tests {
         let mut removed = r.node_set();
         removed.insert(r.source());
         let _ = lengauer_tarjan_reduced(&Forward(&r), &removed);
-    }
-
-    /// Cross-check Lengauer–Tarjan against the iterative algorithm on a batch of
-    /// pseudo-random DAGs.
-    #[test]
-    fn matches_iterative_algorithm_on_random_dags() {
-        let mut state = 0x1234_5678_u64;
-        let mut next = move || {
-            // xorshift64
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for case in 0..60 {
-            let n = 3 + (next() % 40) as usize;
-            let mut ops = vec![Operation::Input];
-            let mut edges = Vec::new();
-            for i in 1..n {
-                ops.push(if next() % 7 == 0 {
-                    Operation::Load
-                } else {
-                    Operation::Add
-                });
-                // Every node gets 1..=3 predecessors among earlier nodes.
-                let npreds = 1 + (next() % 3) as usize;
-                for _ in 0..npreds {
-                    let p = (next() % i as u64) as usize;
-                    edges.push((n_of(p), n_of(i)));
-                }
-            }
-            let dfg = Dfg::from_edges(format!("rand{case}"), ops, edges, [], []).unwrap();
-            let rooted = RootedDfg::new(dfg);
-            let empty = rooted.node_set();
-
-            for direction in 0..2 {
-                let (lt, it) = if direction == 0 {
-                    (
-                        lengauer_tarjan(&Forward(&rooted)),
-                        iterative_dominators_reduced(&Forward(&rooted), &empty),
-                    )
-                } else {
-                    (
-                        lengauer_tarjan(&Reverse(&rooted)),
-                        iterative_dominators_reduced(&Reverse(&rooted), &empty),
-                    )
-                };
-                for v in rooted.node_ids() {
-                    assert_eq!(
-                        lt.idom(v),
-                        it.idom(v),
-                        "case {case}, direction {direction}, node {v}"
-                    );
-                }
-            }
-        }
-    }
-
-    fn n_of(i: usize) -> NodeId {
-        NodeId::from_index(i)
-    }
-
-    #[test]
-    fn reduced_cross_check_on_random_dags() {
-        let mut state = 0x9e37_79b9_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for case in 0..40 {
-            let n = 4 + (next() % 30) as usize;
-            let mut ops = vec![Operation::Input];
-            let mut edges = Vec::new();
-            for i in 1..n {
-                ops.push(Operation::Add);
-                let npreds = 1 + (next() % 2) as usize;
-                for _ in 0..npreds {
-                    let p = (next() % i as u64) as usize;
-                    edges.push((n_of(p), n_of(i)));
-                }
-            }
-            let dfg = Dfg::from_edges(format!("redrand{case}"), ops, edges, [], []).unwrap();
-            let rooted = RootedDfg::new(dfg);
-            let mut removed = rooted.node_set();
-            // Remove roughly a quarter of the original vertices.
-            for v in rooted.original_node_ids() {
-                if next() % 4 == 0 {
-                    removed.insert(v);
-                }
-            }
-            let lt = lengauer_tarjan_reduced(&Forward(&rooted), &removed);
-            let it = iterative_dominators_reduced(&Forward(&rooted), &removed);
-            for v in rooted.node_ids() {
-                assert_eq!(lt.idom(v), it.idom(v), "case {case}, node {v}");
-            }
-        }
     }
 }

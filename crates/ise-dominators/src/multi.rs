@@ -13,12 +13,11 @@
 //!
 //! * [`is_generalized_dominator`] — a direct check of the two conditions, used as the
 //!   specification in tests and to filter candidate sets;
-//! * [`dominator_completions_in`] — the Dubrova-style primitive: given a seed set, the
-//!   vertices `u` such that `seed ∪ {u}` satisfies condition 1 for a target (computed as
-//!   the single-vertex dominators of the target in the graph with the seed removed);
 //! * [`enumerate_generalized_dominators`] — polynomial enumeration of every generalized
 //!   dominator of a vertex up to a given cardinality, `O(n^(k-1))` invocations of
-//!   Lengauer–Tarjan.
+//!   Lengauer–Tarjan. It is the reference the `basic` enumerator is built on; the
+//!   incremental engine computes the same Dubrova completions with
+//!   [`crate::ConeDominators`] instead.
 
 use std::collections::HashSet;
 
@@ -78,57 +77,6 @@ pub fn is_generalized_dominator<G: FlowGraph>(graph: &G, set: &[NodeId], target:
         }
     }
     true
-}
-
-/// The vertices `u` such that `seed ∪ {u}` satisfies condition 1 of the
-/// generalized-dominator definition for `target`: removing the seed from the graph and
-/// computing the single-vertex dominators of `target` in the reduced graph (the
-/// construction of Dubrova et al. used by the incremental algorithm of §5.2).
-///
-/// The completions are written to `out` (cleared first), skipping vertices in
-/// `excluded` (typically the artificial source and sink); if the seed alone already
-/// blocks every path from the root to `target`, `out` stays empty. The
-/// Lengauer–Tarjan run reuses `ws`, and no [`crate::DominatorTree`] is materialized —
-/// the strict dominators of `target` are read straight off the workspace's
-/// immediate-dominator chain — so a hot caller (the incremental enumeration performs
-/// one call per `PICK-INPUTS` step) allocates nothing once both buffers are warm.
-///
-/// # Panics
-///
-/// Panics if `seed` contains the root or is sized for a different graph.
-pub fn dominator_completions_in<G: FlowGraph>(
-    ws: &mut LtWorkspace,
-    graph: &G,
-    seed: &DenseNodeSet,
-    target: NodeId,
-    excluded: &DenseNodeSet,
-    out: &mut Vec<NodeId>,
-) {
-    out.clear();
-    ws.run_reduced(graph, seed);
-    push_filtered_dominator_chain(ws, target, seed, excluded, out);
-}
-
-/// Appends the strict dominators of `target` from the workspace's last run to `out`,
-/// skipping members of `seed` and `excluded`. Shared by the completions primitives and
-/// the generalized-dominator enumeration.
-fn push_filtered_dominator_chain(
-    ws: &LtWorkspace,
-    target: NodeId,
-    seed: &DenseNodeSet,
-    excluded: &DenseNodeSet,
-    out: &mut Vec<NodeId>,
-) {
-    if !ws.is_reachable(target) {
-        return;
-    }
-    let mut v = target;
-    while let Some(d) = ws.idom(v) {
-        if !excluded.contains(d) && !seed.contains(d) {
-            out.push(d);
-        }
-        v = d;
-    }
 }
 
 /// Enumerates every generalized dominator of `target` with at most `max_size` vertices,
@@ -242,13 +190,13 @@ impl<G: FlowGraph> GenDomSearch<'_, G> {
             // the recursive calls overwrite the workspace. The buffer comes from the
             // per-depth pool, so steady-state recursion performs no allocations.
             let mut completions = self.chain_pool.pop().unwrap_or_default();
-            push_filtered_dominator_chain(
-                &self.ws,
-                self.target,
-                &self.seed_set,
-                self.excluded,
-                &mut completions,
-            );
+            let mut v = self.target;
+            while let Some(d) = self.ws.idom(v) {
+                if !self.excluded.contains(d) && !self.seed_set.contains(d) {
+                    completions.push(d);
+                }
+                v = d;
+            }
             for &d in &completions {
                 let mut candidate = self.seed.clone();
                 candidate.push(d);
@@ -390,84 +338,6 @@ mod tests {
         // {A, B} dominates X; N is redundant on every path (all X-paths through N also
         // pass A or B).
         assert!(!is_generalized_dominator(&g, &[a, b, n], x));
-    }
-
-    /// The completions of `seed` for `target` from a fresh workspace and buffer,
-    /// sorted.
-    fn fresh_completions<G: FlowGraph>(
-        graph: &G,
-        seed: &DenseNodeSet,
-        target: NodeId,
-        excluded: &DenseNodeSet,
-    ) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        dominator_completions_in(
-            &mut LtWorkspace::new(),
-            graph,
-            seed,
-            target,
-            excluded,
-            &mut out,
-        );
-        out.sort_unstable();
-        out
-    }
-
-    #[test]
-    fn completions_extend_a_seed_to_a_dominating_set() {
-        let (r, [a, b, _c, n, x, _y]) = figure1();
-        let g = Forward(&r);
-        let excluded = excluded_for(&r);
-
-        // Empty seed: single-vertex dominators of X are only the artificial source,
-        // which is excluded.
-        let empty = r.node_set();
-        assert!(fresh_completions(&g, &empty, x, &excluded).is_empty());
-
-        // Seed {B}: in the reduced graph X is reached only through A -> N, so both A
-        // and N complete the seed.
-        let mut seed = r.node_set();
-        seed.insert(b);
-        assert_eq!(fresh_completions(&g, &seed, x, &excluded), vec![a, n]);
-    }
-
-    #[test]
-    fn reused_workspace_and_buffer_match_fresh_ones() {
-        let (r, [a, b, _c, n, x, y]) = figure1();
-        let g = Forward(&r);
-        let excluded = excluded_for(&r);
-        let mut ws = LtWorkspace::new();
-        let mut out = vec![NodeId::new(99)]; // stale content must be cleared
-        for target in [x, y, n] {
-            for seed_member in [Some(b), Some(a), None] {
-                let mut seed = r.node_set();
-                if let Some(s) = seed_member {
-                    if s == target {
-                        continue;
-                    }
-                    seed.insert(s);
-                }
-                dominator_completions_in(&mut ws, &g, &seed, target, &excluded, &mut out);
-                let mut got = out.clone();
-                got.sort_unstable();
-                assert_eq!(
-                    got,
-                    fresh_completions(&g, &seed, target, &excluded),
-                    "target {target}, seed {seed_member:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn completions_empty_when_seed_blocks_all_paths() {
-        let (r, [a, b, _, _, x, _]) = figure1();
-        let g = Forward(&r);
-        let excluded = excluded_for(&r);
-        let mut seed = r.node_set();
-        seed.insert(a);
-        seed.insert(b);
-        assert!(fresh_completions(&g, &seed, x, &excluded).is_empty());
     }
 
     #[test]

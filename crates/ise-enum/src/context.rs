@@ -1,13 +1,17 @@
 //! Shared precomputed analysis context for the enumeration algorithms.
 
-use ise_dominators::{dominators, postdominators, DominatorTree, Forward};
+use ise_dominators::{
+    dag_dominators, postdominators, ConeDominators, DominatorTree, Forward, TopoOrder,
+};
 use ise_graph::{DenseNodeSet, Dfg, NodeId, Reachability, RootedDfg};
 
 /// Precomputed analyses shared by every enumeration algorithm (§5.4 of the paper):
 /// the augmented graph, pairwise reachability with forbidden-path information, the
-/// dominator and postdominator trees, and operation depths.
+/// topological rank of every vertex, the dominator and postdominator trees, and
+/// operation depths.
 ///
-/// Building the context costs `O(n·e/64 + e log n)` and is done once per basic block;
+/// Building the context costs `O(n·e/64)` for reachability plus one DAG dominator
+/// pass per direction, and is done once per basic block;
 /// all algorithms (`basic`, `incremental`, `baseline`, `exhaustive`) then borrow it.
 ///
 /// # Example
@@ -30,6 +34,9 @@ use ise_graph::{DenseNodeSet, Dfg, NodeId, Reachability, RootedDfg};
 pub struct EnumContext {
     rooted: RootedDfg,
     reach: Reachability,
+    /// The augmented graph's topological order and ranks, the index space of every
+    /// dominator pass.
+    topo: TopoOrder,
     dom: DominatorTree,
     postdom: DominatorTree,
     /// Vertices that may never be members of a dominator seed or input set: the
@@ -51,7 +58,10 @@ impl EnumContext {
     /// Builds the context from an already augmented graph.
     pub fn from_rooted(rooted: RootedDfg) -> Self {
         let reach = Reachability::compute(&rooted);
-        let dom = dominators(&Forward(&rooted));
+        // One DAG pass per direction: the kept topological order for dominators, its
+        // reverse for postdominators.
+        let topo = TopoOrder::forward(&rooted);
+        let dom = dag_dominators(&Forward(&rooted), &topo);
         let postdom = postdominators(&rooted);
 
         let mut artificial = rooted.node_set();
@@ -73,6 +83,7 @@ impl EnumContext {
         EnumContext {
             rooted,
             reach,
+            topo,
             dom,
             postdom,
             artificial,
@@ -138,13 +149,42 @@ impl EnumContext {
         self.depth[node.index()]
     }
 
+    /// The Dubrova completions of `seed` for `target` (§5.2), nearest first: the
+    /// original vertices `w` such that `seed ∪ {w}` blocks every source path to
+    /// `target`. One DAG dominator pass over `target`'s ancestor cone with the seed
+    /// removed, in the caller's reusable workspace; `out` is cleared first and stays
+    /// empty when the seed alone already cuts `target` off (or contains it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seed` was sized for a different graph or contains the source.
+    pub fn dominator_completions_in(
+        &self,
+        ws: &mut ConeDominators,
+        seed: &DenseNodeSet,
+        target: NodeId,
+        out: &mut Vec<NodeId>,
+    ) {
+        ws.completions(
+            &Forward(&self.rooted),
+            &self.topo,
+            self.reach.ancestors(target),
+            seed,
+            target,
+            &self.artificial,
+            out,
+        );
+    }
+
     /// Whether every path from the artificial source to `target` passes through a
     /// member of `set` (condition 1 of the generalized-dominator definition).
     ///
     /// An empty `set` dominates nothing (the source itself is never in `set`). The
-    /// DFS runs in caller-provided scratch, because the enumeration engine calls this
-    /// once per seed candidate: `visited` must have the capacity of the augmented
-    /// graph, and both buffers are cleared on entry.
+    /// search walks predecessors backwards from `target`, never entering `set`, so it
+    /// visits at most `target`'s ancestor cone; reaching the source exhibits a path
+    /// that avoids the set. It runs in caller-provided scratch, because the
+    /// enumeration engine calls this once per seed candidate: `visited` must have the
+    /// capacity of the augmented graph, and both buffers are cleared on entry.
     ///
     /// # Panics
     ///
@@ -159,23 +199,21 @@ impl EnumContext {
         if set.is_empty() {
             return false;
         }
-        let source = self.rooted.source();
         if set.contains(target) {
             return true;
         }
-        // DFS from the source that never enters `set`; if it reaches `target`, some
-        // path avoids the set.
+        let source = self.rooted.source();
         visited.clear();
-        visited.insert(source);
+        visited.insert(target);
         stack.clear();
-        stack.push(source);
+        stack.push(target);
         while let Some(v) = stack.pop() {
-            for &s in self.rooted.succs(v) {
-                if s == target {
+            for &p in self.rooted.preds(v) {
+                if p == source {
                     return false;
                 }
-                if !set.contains(s) && visited.insert(s) {
-                    stack.push(s);
+                if !set.contains(p) && visited.insert(p) {
+                    stack.push(p);
                 }
             }
         }
@@ -260,6 +298,32 @@ mod tests {
         assert!(dominates(&[n], x));
         assert!(!dominates(&[], x));
         assert!(dominates(&[n], n), "a set dominates its own members");
+        assert!(!dominates(&[b], a), "a root hangs off the source directly");
+        assert!(!dominates(&[x], n), "descendants never block a vertex");
+    }
+
+    #[test]
+    fn completions_are_the_reduced_dominator_chain_nearest_first() {
+        let (ctx, [a, b, n, x, st]) = sample();
+        let mut ws = ConeDominators::new();
+        let mut out = vec![st]; // stale content must be cleared
+        let set = |nodes: &[NodeId]| {
+            DenseNodeSet::from_nodes(ctx.rooted().num_nodes(), nodes.iter().copied())
+        };
+        // Empty seed: n joins both inputs, so only the (excluded) source dominates it;
+        // st is dominated by x, then n.
+        ctx.dominator_completions_in(&mut ws, &set(&[]), n, &mut out);
+        assert!(out.is_empty(), "the source is excluded");
+        ctx.dominator_completions_in(&mut ws, &set(&[]), st, &mut out);
+        assert_eq!(out, vec![x, n], "nearest first");
+        // Seed {a}: every remaining path to x runs b -> n -> x.
+        ctx.dominator_completions_in(&mut ws, &set(&[a]), x, &mut out);
+        assert_eq!(out, vec![n, b]);
+        // Seed {a, b} cuts x off; a target inside the seed has no completions.
+        ctx.dominator_completions_in(&mut ws, &set(&[a, b]), x, &mut out);
+        assert!(out.is_empty());
+        ctx.dominator_completions_in(&mut ws, &set(&[n]), n, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -7,22 +7,22 @@
 //!   (vertices not related by postdominance to an already chosen output);
 //! * `PICK-INPUTS` grows the input set for the current output: the Dubrova-style
 //!   *completions* (single-vertex dominators of the output in the graph reduced by the
-//!   current seed, each of which closes a multiple-vertex dominator) come from a
-//!   Lengauer–Tarjan run on the reduced graph, and the seed itself grows over the
-//!   output's ancestors;
+//!   current seed, each of which closes a multiple-vertex dominator) come from one DAG
+//!   dominator pass over the output's ancestor cone with the seed removed, and the seed
+//!   itself grows over the output's ancestors;
 //! * `CHECK-CUT` validates the cut identified by the chosen inputs and outputs
 //!   (Theorems 2/3) and recurses into `PICK-OUTPUT` if more outputs may be added.
 //!
 //! The cut body `S` is maintained *incrementally* through the engine's `push`/`pop`
 //! transactions, as prescribed by §5.2: choosing an output extends `S`, choosing an
 //! input retracts the vertices it cuts off, and backtracking replays the undo trail
-//! (DESIGN.md records the history). The Lengauer–Tarjan runs behind the completions
-//! reuse one [`LtWorkspace`], so the hot path performs no per-candidate allocations.
+//! (DESIGN.md records the history). The cone passes behind the completions reuse one
+//! epoch-stamped [`ConeDominators`] workspace, so the hot path performs no
+//! per-candidate allocations.
 
 use std::ops::Range;
 
-use ise_dominators::multi::dominator_completions_in;
-use ise_dominators::{Forward, LtWorkspace};
+use ise_dominators::ConeDominators;
 use ise_graph::NodeId;
 use ise_obs::Recorder;
 
@@ -81,12 +81,12 @@ pub fn incremental_cuts(
 /// The Figure 3 search as an [`Enumerator`] over the shared engine.
 ///
 /// Owns only the algorithm-specific pieces: the pruning configuration, the reusable
-/// Lengauer–Tarjan workspace behind the dominator completions, and a pool of
+/// cone-dominator workspace behind the dominator completions, and a pool of
 /// completion buffers (one per active recursion depth).
 pub struct IncrementalEnumerator<'a> {
     ctx: &'a EnumContext,
     pruning: &'a PruningConfig,
-    lt: LtWorkspace,
+    cone: ConeDominators,
     completion_pool: Vec<Vec<NodeId>>,
     /// When set, the *top-level* `PICK-OUTPUT` (no outputs chosen yet) only considers
     /// `ctx.candidate_outputs()[range]` as the first output; deeper levels are
@@ -137,7 +137,7 @@ impl<'a> IncrementalEnumerator<'a> {
         IncrementalEnumerator {
             ctx,
             pruning,
-            lt: LtWorkspace::new(),
+            cone: ConeDominators::new(),
             completion_pool: Vec::new(),
             root_range: None,
             split_threshold: None,
@@ -293,12 +293,12 @@ impl<'a> IncrementalEnumerator<'a> {
         }
     }
 
-    /// `PICK-INPUTS` of Figure 3: completions via Lengauer–Tarjan on the reduced graph,
-    /// then seed growth over the output's ancestors.
+    /// `PICK-INPUTS` of Figure 3: completions via a dominator pass over the output's
+    /// ancestor cone with the seed removed, then seed growth over those ancestors.
     ///
     /// `min_seed_index` enforces an increasing-id order on the seed vertices added for
     /// the current output, so that every unordered seed set is explored exactly once
-    /// (the completing vertex found by Lengauer–Tarjan is exempt from the ordering, as
+    /// (the completing vertex found by the dominator pass is exempt from the ordering, as
     /// in Dubrova's construction, so no dominator set is missed).
     fn pick_inputs(
         &mut self,
@@ -355,17 +355,10 @@ impl<'a> IncrementalEnumerator<'a> {
 
         // Completions: vertices w such that I ∪ {w} dominates the output, found as the
         // single-vertex dominators of the output in the graph with I removed. The
-        // Lengauer–Tarjan workspace and the completion buffer are both reused.
+        // cone workspace and the completion buffer are both reused.
         let mut completions = self.completion_pool.pop().unwrap_or_default();
         let dphase = state.phase_enter(phase::DOMINATORS);
-        dominator_completions_in(
-            &mut self.lt,
-            &Forward(ctx.rooted()),
-            state.input_set(),
-            output,
-            ctx.artificial(),
-            &mut completions,
-        );
+        ctx.dominator_completions_in(&mut self.cone, state.input_set(), output, &mut completions);
         state.phase_restore(dphase);
         let k = completions.len();
         for (d, &w) in completions.iter().enumerate() {

@@ -18,7 +18,8 @@ use std::time::Instant;
 pub(crate) mod phase {
     /// Generic search driving (the residue not covered by a specific phase).
     pub const SEARCH: u8 = 0;
-    /// Dominator computations: Lengauer–Tarjan completions and set-dominance DFS.
+    /// Dominator computations: the cone completions pass and the backward
+    /// set-dominance walk.
     pub const DOMINATORS: u8 = 1;
     /// `PICK-OUTPUT` of Figure 3 (admissibility and output prunings).
     pub const PICK_OUTPUT: u8 = 2;

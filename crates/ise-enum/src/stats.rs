@@ -41,7 +41,9 @@ pub struct EnumStats {
     pub rejected_disconnected: usize,
     /// Candidate cuts rejected by the depth limit.
     pub rejected_depth: usize,
-    /// Dominator-tree computations performed (Lengauer–Tarjan invocations).
+    /// Dominator computations performed: one per `PICK-INPUTS` step of the incremental
+    /// algorithm (a cone pass), one per generalized-dominator enumeration in the basic
+    /// algorithm.
     pub dominator_runs: usize,
     /// Output choices skipped by the output–output pruning.
     pub pruned_output_output: usize,

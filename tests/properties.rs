@@ -7,7 +7,10 @@ use proptest::prelude::*;
 
 use ise_canon::{canonicalize_cuts, canonicalize_cuts_memo, CanonMemo, GroupConfig};
 use ise_dominators::multi::is_generalized_dominator;
-use ise_dominators::{dominators, iterative_dominators, Forward, Reverse};
+use ise_dominators::{
+    dominators, lengauer_tarjan, lengauer_tarjan_reduced, postdominators, ConeDominators, Forward,
+    Reverse,
+};
 use ise_enum::{
     cone, exhaustive_cuts, incremental_cuts, Constraints, Cut, CutKey, EngineOptions, EnumContext,
     Enumeration, PruningConfig,
@@ -16,6 +19,7 @@ use ise_graph::{DenseNodeSet, Dfg, NodeId, Operation, Reachability, RootedDfg};
 use ise_workloads::expr::compile_block;
 use ise_workloads::mibench_like::{generate_block, MiBenchLikeConfig};
 use ise_workloads::random_dag::{random_dag, RandomDagConfig};
+use ise_workloads::skewed_dag::{skewed_dag, SkewedDagConfig};
 use ise_workloads::tree::{TreeDfgBuilder, TreeOrientation};
 
 /// Decodes one of the 64 pruning configurations from a 6-bit mask, one bit per §5.3
@@ -132,6 +136,162 @@ fn memoized_coding_matches_plain_on_every_workload_family() {
         stats.labeler_runs,
     );
     assert!(stats.raw_hits > 0, "the warm sweeps must hit the memo");
+}
+
+/// The parent revision's set-dominance test, kept as the oracle for the backward walk:
+/// a DFS forward from the source that never enters `set` and fails as soon as it
+/// steps onto `target`.
+fn forward_set_dominates(rooted: &RootedDfg, set: &DenseNodeSet, target: NodeId) -> bool {
+    if set.is_empty() {
+        return false;
+    }
+    if set.contains(target) {
+        return true;
+    }
+    let mut visited = rooted.node_set();
+    visited.insert(rooted.source());
+    let mut stack = vec![rooted.source()];
+    while let Some(v) = stack.pop() {
+        for &s in rooted.succs(v) {
+            if s == target {
+                return false;
+            }
+            if !set.contains(s) && visited.insert(s) {
+                stack.push(s);
+            }
+        }
+    }
+    true
+}
+
+/// Checks every dominator query the engine answers with the DAG pass against an
+/// independent oracle on one graph:
+///
+/// * the context's dominator and postdominator trees equal `lengauer_tarjan`'s;
+/// * for each seed set × every target (artificial vertices and seed members
+///   included), the cone completions equal the Lengauer–Tarjan chain of the reduced
+///   graph element by element, order included;
+/// * `set_dominates_in` (a backward walk) equals the forward-from-source DFS.
+///
+/// Returns how many (seed, target) pairs the seed cut off, hit inside the seed, and
+/// took at a root target, so callers can assert those edge cases were exercised.
+fn check_dag_dominators(ctx: &EnumContext, seeds: &[Vec<NodeId>]) -> [usize; 3] {
+    let rooted = ctx.rooted();
+    let name = rooted.dfg().name();
+    let lt = lengauer_tarjan(&Forward(rooted));
+    let ltp = lengauer_tarjan(&Reverse(rooted));
+    for v in rooted.node_ids() {
+        assert_eq!(
+            ctx.dominator_tree().idom(v),
+            lt.idom(v),
+            "`{name}` idom({v})"
+        );
+        assert_eq!(
+            ctx.postdominator_tree().idom(v),
+            ltp.idom(v),
+            "`{name}` ipdom({v})"
+        );
+    }
+    let mut ws = ConeDominators::new();
+    let mut completions = Vec::new();
+    let mut visited = rooted.node_set();
+    let mut stack = Vec::new();
+    let mut seen = [0usize; 3];
+    for seed in seeds {
+        let set = DenseNodeSet::from_nodes(rooted.num_nodes(), seed.iter().copied());
+        let reduced = lengauer_tarjan_reduced(&Forward(rooted), &set);
+        for target in rooted.node_ids() {
+            ctx.dominator_completions_in(&mut ws, &set, target, &mut completions);
+            let chain: Vec<NodeId> = reduced
+                .strict_dominators(target)
+                .filter(|&d| !ctx.artificial().contains(d))
+                .collect();
+            assert_eq!(completions, chain, "`{name}` seed {seed:?} target {target}");
+            assert_eq!(
+                ctx.set_dominates_in(&set, target, &mut visited, &mut stack),
+                forward_set_dominates(rooted, &set, target),
+                "`{name}` seed {seed:?} target {target}"
+            );
+            if set.contains(target) {
+                seen[1] += 1;
+            } else if !reduced.is_reachable(target) {
+                seen[0] += 1;
+            }
+            if rooted.preds(target) == [rooted.source()] {
+                seen[2] += 1;
+            }
+        }
+    }
+    seen
+}
+
+/// Seed sets for [`check_dag_dominators`]: the empty seed, every single original
+/// vertex's predecessor row (which cuts that vertex off unless it is a root), and
+/// `random` pseudo-random subsets of the original vertices.
+fn seed_sets(rooted: &RootedDfg, random: usize, mut state: u64) -> Vec<Vec<NodeId>> {
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut seeds = vec![Vec::new()];
+    for v in rooted.original_node_ids() {
+        let preds: Vec<NodeId> = rooted
+            .preds(v)
+            .iter()
+            .copied()
+            .filter(|&p| !rooted.is_artificial(p))
+            .collect();
+        if !preds.is_empty() {
+            seeds.push(preds);
+        }
+    }
+    for _ in 0..random {
+        let density = 2 + next() % 6;
+        let seed = rooted
+            .original_node_ids()
+            .filter(|_| next() % density == 0)
+            .collect();
+        seeds.push(seed);
+    }
+    seeds
+}
+
+/// The DAG dominator pass (whole-graph trees, cone completions, backward set
+/// dominance) agrees with its oracles on every workload family the repository
+/// generates, for many seed sets × every target — including targets the seed cuts
+/// off, root targets whose only predecessor is the source, and targets inside the
+/// seed.
+#[test]
+fn dag_dominators_match_their_oracles_on_every_workload_family() {
+    let graphs = vec![
+        TreeDfgBuilder::new(3).build(),
+        TreeDfgBuilder::new(3)
+            .with_orientation(TreeOrientation::FanIn)
+            .build(),
+        random_dag(&RandomDagConfig::new(40).with_memory_ratio(0.15), 5),
+        generate_block(&MiBenchLikeConfig::new(48), 9).expect("mibench-like block builds"),
+        skewed_dag(&SkewedDagConfig::new(12, 4), 3),
+        compile_block(
+            "sad",
+            "d = a - b; m = d >> 31; abs = (d ^ m) - m; acc2 = acc + abs; out acc2;",
+        )
+        .expect("snippet compiles"),
+    ];
+    let mut seen = [0usize; 3];
+    for (i, dfg) in graphs.into_iter().enumerate() {
+        let ctx = EnumContext::new(dfg);
+        let seeds = seed_sets(ctx.rooted(), 12, 0x5eed_0000 + i as u64);
+        let counts = check_dag_dominators(&ctx, &seeds);
+        for (total, c) in seen.iter_mut().zip(counts) {
+            *total += c;
+        }
+    }
+    assert!(
+        seen.iter().all(|&c| c > 0),
+        "edge cases not exercised: {seen:?}"
+    );
 }
 
 /// Strategy: a small random DAG described as, for each non-root node, a list of
@@ -266,21 +426,31 @@ proptest! {
         prop_assert!(memo.stats().labeler_runs <= cuts.len() as u64);
     }
 
-    /// Lengauer–Tarjan and the iterative algorithm agree on dominators and
+    /// Lengauer–Tarjan and the one-pass DAG algorithm agree on dominators and
     /// postdominators.
     #[test]
     fn dominator_engines_agree(dfg in small_dag_strategy()) {
         let rooted = RootedDfg::new(dfg);
-        let lt = dominators(&Forward(&rooted));
-        let it = iterative_dominators(&Forward(&rooted));
+        let lt = lengauer_tarjan(&Forward(&rooted));
+        let dag = dominators(&rooted);
         for v in rooted.node_ids() {
-            prop_assert_eq!(lt.idom(v), it.idom(v));
+            prop_assert_eq!(lt.idom(v), dag.idom(v));
         }
-        let ltp = dominators(&Reverse(&rooted));
-        let itp = iterative_dominators(&Reverse(&rooted));
+        let ltp = lengauer_tarjan(&Reverse(&rooted));
+        let dagp = postdominators(&rooted);
         for v in rooted.node_ids() {
-            prop_assert_eq!(ltp.idom(v), itp.idom(v));
+            prop_assert_eq!(ltp.idom(v), dagp.idom(v));
         }
+    }
+
+    /// On random DAGs, the cone completions and the backward set-dominance walk agree
+    /// with their Lengauer–Tarjan and forward-DFS oracles for random seeds × every
+    /// target.
+    #[test]
+    fn cone_dominators_match_their_oracles(dfg in small_dag_strategy(), state in 1u64..u64::MAX) {
+        let ctx = EnumContext::new(dfg);
+        let seeds = seed_sets(ctx.rooted(), 6, state);
+        check_dag_dominators(&ctx, &seeds);
     }
 
     /// The reachability matrix agrees with a straightforward DFS, and dominance implies
@@ -289,7 +459,7 @@ proptest! {
     fn reachability_is_consistent(dfg in small_dag_strategy()) {
         let rooted = RootedDfg::new(dfg);
         let reach = Reachability::compute(&rooted);
-        let dom = dominators(&Forward(&rooted));
+        let dom = dominators(&rooted);
         for v in rooted.node_ids() {
             // DFS from v.
             let mut visited = rooted.node_set();
