@@ -1,0 +1,161 @@
+//! Corpus ingest throughput (DESIGN.md §5.1): how long `load_corpus_path` takes to
+//! read, parse and validate a directory of many small blocks, at several corpus
+//! sizes.
+//!
+//! A real ISE corpus is thousands of basic blocks, most of them small, so ingest
+//! must stay linear in the block count: each size generates MiBench-like blocks of
+//! 12 to 32 vertices (`ise_workloads::mibench_like::generate_block`) split across
+//! 8 `.dfg` files in a scratch directory, loads the directory 5 times and
+//! reports the median load time and blocks per second. Full mode measures 1k,
+//! 4k, 16k and 64k blocks and exits non-zero unless the largest size loads at
+//! least half as many blocks per second as the smallest — a quadratic name check
+//! fails that by orders of magnitude. `test=1` (the CI smoke) measures only 1k
+//! and 4k blocks and skips the assertion.
+//!
+//! Options (key=value): `test` (default 0), `out` (default `BENCH_corpus.json`;
+//! `out=-` disables the artifact).
+
+use std::path::{Path, PathBuf};
+
+use ise_bench::json::Json;
+use ise_bench::{bench_meta, timed, Options};
+use ise_corpus::{load_corpus_path, write_corpus, CorpusBlock};
+use ise_workloads::mibench_like::{generate_block, MiBenchLikeConfig};
+
+/// Smallest and largest generated block, in vertices.
+const MIN_VERTICES: usize = 12;
+const MAX_VERTICES: usize = 32;
+
+/// Files each corpus is split across.
+const FILES: usize = 8;
+
+/// Seed of the generated blocks.
+const SEED: u64 = 1;
+
+/// Loads timed per size; the median is reported.
+const REPS: usize = 5;
+
+/// Block counts measured in full mode and by the `test=1` smoke.
+const FULL_SIZES: &[usize] = &[1000, 4000, 16000, 64000];
+const SMOKE_SIZES: &[usize] = &[1000, 4000];
+
+/// Largest-size throughput, as a share of the smallest size's, below which full
+/// mode fails.
+const MIN_THROUGHPUT_RATIO: f64 = 0.5;
+
+/// SplitMix64: a seeded, stateless mix for per-block sizes.
+fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// Writes `count` blocks across [`FILES`] files under `dir`; returns the bytes
+/// written. Block `i`'s generator seed embeds `i`, so block names are unique.
+fn write_blocks(dir: &Path, count: usize) -> u64 {
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {dir:?}: {e}"));
+    let per_file = count.div_ceil(FILES).max(1);
+    let mut bytes = 0;
+    for (f, start) in (0..count).step_by(per_file).enumerate() {
+        let part: Vec<CorpusBlock> = (start..count.min(start + per_file))
+            .map(|i| {
+                let span = (MAX_VERTICES - MIN_VERTICES + 1) as u64;
+                let size = MIN_VERTICES + (mix(SEED ^ i as u64) % span) as usize;
+                let dfg = generate_block(&MiBenchLikeConfig::new(size), (SEED << 32) | i as u64)
+                    .expect("the MiBench-like generator always yields a valid block");
+                CorpusBlock {
+                    dfg,
+                    meta: Vec::new(),
+                }
+            })
+            .collect();
+        let text = write_corpus(&part);
+        bytes += text.len() as u64;
+        let path = dir.join(format!("part-{f:02}.dfg"));
+        std::fs::write(&path, text).unwrap_or_else(|e| panic!("cannot write {path:?}: {e}"));
+    }
+    bytes
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    let mid = samples.len() / 2;
+    if samples.len() % 2 == 0 {
+        (samples[mid - 1] + samples[mid]) / 2.0
+    } else {
+        samples[mid]
+    }
+}
+
+fn main() {
+    let opts = Options::from_env();
+    let smoke = opts.usize("test", 0) != 0;
+    let sizes = if smoke { SMOKE_SIZES } else { FULL_SIZES };
+    let out_path = opts.string("out", "BENCH_corpus.json");
+
+    println!("blocks,files,bytes,median_load_s,blocks_per_s");
+    let mut rows = Vec::new();
+    let mut throughputs = Vec::new();
+    for &count in sizes {
+        let dir: PathBuf = std::env::temp_dir().join(format!(
+            "ise-bench-corpus-load-{}-{count}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let bytes = write_blocks(&dir, count);
+        let samples: Vec<f64> = (0..REPS)
+            .map(|_| {
+                let (blocks, elapsed) =
+                    timed(|| load_corpus_path(&dir).expect("the generated corpus loads"));
+                assert_eq!(blocks.len(), count, "every generated block loads");
+                elapsed.as_secs_f64()
+            })
+            .collect();
+        std::fs::remove_dir_all(&dir).unwrap_or_else(|e| panic!("cannot remove {dir:?}: {e}"));
+        let load_s = median(samples);
+        let blocks_per_s = count as f64 / load_s.max(f64::MIN_POSITIVE);
+        println!("{count},{FILES},{bytes},{load_s:.6},{blocks_per_s:.0}");
+        throughputs.push(blocks_per_s);
+        rows.push(Json::object([
+            ("blocks", Json::uint(count)),
+            ("files", Json::uint(FILES)),
+            ("bytes", Json::UInt(bytes)),
+            ("median_load_seconds", Json::num(load_s)),
+            ("blocks_per_second", Json::num(blocks_per_s)),
+        ]));
+    }
+    let ratio = throughputs[throughputs.len() - 1] / throughputs[0];
+    println!(
+        "# blocks/s at {} blocks = {ratio:.3} x blocks/s at {} blocks (floor {MIN_THROUGHPUT_RATIO})",
+        sizes[sizes.len() - 1],
+        sizes[0]
+    );
+
+    if out_path != "-" {
+        let doc = Json::object([
+            ("schema", Json::str("ise-bench/corpus-load/v1")),
+            ("meta", bench_meta("disabled")),
+            ("seed", Json::UInt(SEED)),
+            ("reps", Json::uint(REPS)),
+            ("min_vertices", Json::uint(MIN_VERTICES)),
+            ("max_vertices", Json::uint(MAX_VERTICES)),
+            ("rows", Json::Array(rows)),
+            ("throughput_ratio", Json::num(ratio)),
+            ("smoke", Json::bool(smoke)),
+        ]);
+        std::fs::write(&out_path, doc.render() + "\n")
+            .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+        eprintln!("wrote {out_path}");
+    }
+
+    if !smoke {
+        assert!(
+            ratio >= MIN_THROUGHPUT_RATIO,
+            "corpus ingest is not linear: blocks/s at {} blocks is {ratio:.3} x that at {} \
+             blocks (floor {MIN_THROUGHPUT_RATIO})",
+            sizes[sizes.len() - 1],
+            sizes[0]
+        );
+    }
+}

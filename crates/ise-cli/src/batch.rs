@@ -150,7 +150,11 @@ struct BlockPlan {
 
 /// In-flight state of one block; the worker retiring the last task merges.
 struct BlockSlot {
+    /// The context a fanned-out block's tasks share; it lives until the batch
+    /// returns. A whole-block item builds its own and drops it once the block is
+    /// finalized, leaving this empty.
     ctx: OnceLock<EnumContext>,
+    /// When a fanned-out block's first task started.
     started: OnceLock<Instant>,
     /// Tasks queued or running for this block — static tasks up front, plus every
     /// spawned child (registered before its parent retires).
@@ -306,20 +310,35 @@ fn run_item(
     worker: usize,
     rec: Option<&dyn Recorder>,
 ) {
-    let started = *slot.started.get_or_init(Instant::now);
-    let ctx = slot.ctx.get_or_init(|| EnumContext::new(block.dfg.clone()));
     let Some(spec) = spec else {
-        // Whole-block item: run the serial engine directly, no merge needed.
+        // Whole-block item: run the serial engine directly, no merge needed. The
+        // context lives only until the block is finalized, so a sweep of many small
+        // blocks holds one context per busy worker, not one per block.
+        let started = Instant::now();
+        let ctx = EnumContext::new(block.dfg.clone());
         let enumeration = incremental_cuts(
-            ctx,
+            &ctx,
             &config.constraints,
             &config.pruning,
             &plan.options,
             rec,
         );
-        finalize(block, block_idx, 1, slot, config, enumeration, started, rec);
+        finalize(
+            block,
+            block_idx,
+            1,
+            &ctx,
+            slot,
+            config,
+            enumeration,
+            started,
+            rec,
+        );
         return;
     };
+    // Fanned-out tasks share the block's context until its merge.
+    let started = *slot.started.get_or_init(Instant::now);
+    let ctx = slot.ctx.get_or_init(|| EnumContext::new(block.dfg.clone()));
     let (output, children) = run_task(
         ctx,
         &config.constraints,
@@ -354,6 +373,7 @@ fn run_item(
             block,
             block_idx,
             tasks,
+            ctx,
             slot,
             config,
             enumeration,
@@ -368,13 +388,13 @@ fn finalize(
     block: &CorpusBlock,
     index: usize,
     tasks: usize,
+    ctx: &EnumContext,
     slot: &BlockSlot,
     config: &BatchConfig,
     enumeration: Enumeration,
     started: Instant,
     rec: Option<&dyn Recorder>,
 ) {
-    let ctx = slot.ctx.get().expect("context built before finalize");
     let selection = config.select.as_ref().map(|sel| {
         select_ises(
             ctx,

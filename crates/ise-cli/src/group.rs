@@ -25,7 +25,8 @@ use ise_enum::{Cut, EnumContext};
 /// Builds the pattern index over the batch outcomes.
 ///
 /// Canonicalization runs on up to `threads` workers (one block per task; the
-/// per-block context is rebuilt for merit estimation); the merge into the index is
+/// per-block context is rebuilt for merit estimation and dropped once the block is
+/// coded, so at most one context per worker is alive); the merge into the index is
 /// sequential in block order, so the result is identical for every thread count.
 /// Block profile weights come from the `weight` meta key
 /// ([`CorpusBlock::weight`]).

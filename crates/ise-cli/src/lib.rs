@@ -388,10 +388,10 @@ fn run_batch_command(args: &[String], select: bool) -> Result<(), CliError> {
         None
     };
 
-    let blocks = load_blocks(&common.corpus, &flags)?;
-    let config = common.batch_config(selection);
     let trace_out = flags.get("trace-out").map(str::to_string);
     let registry = obs::registry_for(trace_out.as_deref(), flags.bool("progress", false)?);
+    let blocks = load_blocks(&common.corpus, &flags, recorder(&registry))?;
+    let config = common.batch_config(selection);
     let start = Instant::now();
     let heartbeat = obs::Heartbeat::start(registry.clone(), flags.bool("progress", false)?);
     let outcomes = run_batch_obs(&blocks, &config, recorder(&registry));
@@ -468,10 +468,10 @@ fn run_group_command(args: &[String]) -> Result<(), CliError> {
         ));
     }
 
-    let blocks = load_blocks(&common.corpus, &flags)?;
-    let config = common.batch_config(None);
     let trace_out = flags.get("trace-out").map(str::to_string);
     let registry = obs::registry_for(trace_out.as_deref(), flags.bool("progress", false)?);
+    let blocks = load_blocks(&common.corpus, &flags, recorder(&registry))?;
+    let config = common.batch_config(None);
     if let (Some(memo), Some(registry)) = (memo.as_mut(), &registry) {
         memo.set_recorder(registry.as_ref());
     }
@@ -570,7 +570,7 @@ fn run_report_command(args: &[String]) -> Result<(), CliError> {
             }
         }
     }
-    let blocks = load_blocks(&corpus, &flags)?;
+    let blocks = load_blocks(&corpus, &flags, None)?;
     if let Some(name) = flags.get("dot") {
         return run_dot_report(&flags, &blocks, name);
     }
@@ -623,8 +623,21 @@ fn run_dot_report(
     emit(&flags.string("out", "-"), &dot.render(&block.dfg))
 }
 
-fn load_blocks(corpus: &str, flags: &Flags) -> Result<Vec<ise_corpus::CorpusBlock>, CliError> {
-    let mut blocks = load_corpus_path(corpus)?;
+/// Loads the corpus (and applies `--limit`) inside a `corpus`/`load` span.
+fn load_blocks(
+    corpus: &str,
+    flags: &Flags,
+    rec: Option<&dyn ise_obs::Recorder>,
+) -> Result<Vec<ise_corpus::CorpusBlock>, CliError> {
+    let span = match rec {
+        Some(rec) => rec.span_begin("corpus", "load"),
+        None => ise_obs::SpanToken::NONE,
+    };
+    let loaded = load_corpus_path(corpus);
+    if let Some(rec) = rec {
+        rec.span_end(span);
+    }
+    let mut blocks = loaded?;
     if flags.get("limit").is_some() {
         let limit = flags.usize("limit", blocks.len())?;
         blocks.truncate(limit);

@@ -472,3 +472,33 @@ fn over_long_line_gets_an_in_band_error_and_the_daemon_keeps_serving() {
     assert_eq!(server_counter(&stats, "connection_errors"), 0, "{stats}");
     daemon.shutdown();
 }
+
+/// Regression for parse-time CPU exhaustion: an inline request of ~40000 tiny
+/// blocks (well under the request cap) whose last block repeats the first name is
+/// rejected in-band with the line of the repeat, and the daemon then answers a
+/// second client. Block-name checks are hash lookups, so the parse is linear; a
+/// scan over the blocks seen so far would hold a worker for minutes.
+#[test]
+fn many_block_inline_request_with_a_late_duplicate_is_rejected_by_line() {
+    const BLOCKS: usize = 40_000;
+    let mut text = String::new();
+    for i in 0..BLOCKS - 1 {
+        text.push_str(&format!("dfg b{i}\nnode 0 in\nend\n"));
+    }
+    text.push_str("dfg b0\nnode 0 in\nend\n");
+    let line = request("enumerate", &text, "\"budget\":5000");
+    assert!(line.len() < MAX_REQUEST_BYTES, "{} bytes", line.len());
+
+    let daemon = Daemon::spawn(&[]);
+    let response = daemon.roundtrip(&line);
+    assert!(response.starts_with("{\"ok\":false"), "{response}");
+    let repeat_line = 3 * (BLOCKS - 1) + 1;
+    assert!(
+        response.contains(&format!("line {repeat_line}: duplicate block name `b0`")),
+        "{response}"
+    );
+
+    let ok = daemon.roundtrip(&request("enumerate", &tiny_block(10), "\"budget\":5000"));
+    assert!(ok.starts_with("{\"ok\":true"), "{ok}");
+    daemon.shutdown();
+}

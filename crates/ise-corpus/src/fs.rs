@@ -1,5 +1,6 @@
 //! Filesystem loading and validation of corpora.
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -118,9 +119,10 @@ pub fn load_corpus_path(path: impl AsRef<Path>) -> Result<Vec<CorpusBlock>, Corp
     }
 
     let mut blocks: Vec<CorpusBlock> = Vec::new();
-    let mut origins: Vec<PathBuf> = Vec::new();
-    for file in files {
-        let text = std::fs::read_to_string(&file).map_err(|source| CorpusError::Io {
+    // Each block name, mapped to the index in `files` of the file defining it.
+    let mut first_file: HashMap<String, usize> = HashMap::new();
+    for (index, file) in files.iter().enumerate() {
+        let text = std::fs::read_to_string(file).map_err(|source| CorpusError::Io {
             path: file.clone(),
             source,
         })?;
@@ -131,16 +133,17 @@ pub fn load_corpus_path(path: impl AsRef<Path>) -> Result<Vec<CorpusBlock>, Corp
         // The parser rejects duplicate names within one file; enforce the same
         // invariant across the files of a directory, so block names key the corpus.
         for block in parsed {
-            if let Some(at) = blocks.iter().position(|b| b.dfg.name() == block.dfg.name()) {
+            let name = block.dfg.name();
+            if let Some(&first) = first_file.get(name) {
                 return Err(CorpusError::DuplicateBlock {
-                    line: header_line(&text, block.dfg.name()),
-                    path: file,
-                    name: block.dfg.name().to_string(),
-                    first_path: origins[at].clone(),
+                    line: header_line(&text, name),
+                    path: file.clone(),
+                    name: name.to_string(),
+                    first_path: files[first].clone(),
                 });
             }
+            first_file.insert(name.to_string(), index);
             blocks.push(block);
-            origins.push(file.clone());
         }
     }
     if blocks.is_empty() {

@@ -1,5 +1,6 @@
 //! The `.dfg` parser.
 
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -126,6 +127,9 @@ struct OpenBlock {
 /// ```
 pub fn parse_corpus(text: &str) -> Result<Vec<CorpusBlock>, ParseError> {
     let mut blocks: Vec<CorpusBlock> = Vec::new();
+    // Names opened so far, as slices of `text`: a hash lookup per header keeps
+    // inputs of many small blocks linear (a request body is outside input).
+    let mut names: HashSet<&str> = HashSet::new();
     let mut open: Option<OpenBlock> = None;
 
     for (index, raw) in text.lines().enumerate() {
@@ -148,7 +152,7 @@ pub fn parse_corpus(text: &str) -> Result<Vec<CorpusBlock>, ParseError> {
             if !rest.is_empty() {
                 return err(ParseErrorKind::TrailingInput(rest.to_string()));
             }
-            if blocks.iter().any(|b| b.dfg.name() == name) {
+            if !names.insert(name) {
                 return err(ParseErrorKind::DuplicateBlockName(name.to_string()));
             }
             open = Some(OpenBlock {
