@@ -44,24 +44,24 @@ fn bench_grouping(c: &mut Criterion) {
         b.iter(|| incremental_cuts(&contexts[0], &constraints, &pruning, &options, None))
     });
     group.bench_function("canonicalize_cuts", |b| {
-        b.iter(|| canonicalize_cuts(&contexts[0], &cut_lists[0], &group_config))
+        b.iter(|| canonicalize_cuts(contexts[0].dfg(), &cut_lists[0], &group_config))
     });
     group.bench_function("canonicalize_cuts_memo_cold", |b| {
         b.iter(|| {
             let memo = CanonMemo::new();
-            canonicalize_cuts_memo(&contexts[0], &cut_lists[0], &group_config, &memo)
+            canonicalize_cuts_memo(contexts[0].dfg(), &cut_lists[0], &group_config, &memo)
         })
     });
     let warm = CanonMemo::new();
-    canonicalize_cuts_memo(&contexts[0], &cut_lists[0], &group_config, &warm);
+    canonicalize_cuts_memo(contexts[0].dfg(), &cut_lists[0], &group_config, &warm);
     group.bench_function("canonicalize_cuts_memo_warm", |b| {
-        b.iter(|| canonicalize_cuts_memo(&contexts[0], &cut_lists[0], &group_config, &warm))
+        b.iter(|| canonicalize_cuts_memo(contexts[0].dfg(), &cut_lists[0], &group_config, &warm))
     });
     group.bench_function("group_and_select_global", |b| {
         b.iter(|| {
             let mut index = PatternIndex::new(group_config.clone());
             for (ctx, cuts) in contexts.iter().zip(&cut_lists) {
-                index.add_block(ctx, cuts, 1.0);
+                index.add_block(ctx.dfg(), cuts, 1.0);
             }
             let views: Vec<&[Cut]> = cut_lists.iter().map(Vec::as_slice).collect();
             select_ises_global(&index, &views, 0)

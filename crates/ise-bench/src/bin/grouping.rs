@@ -83,9 +83,9 @@ fn main() {
         let (enumeration, enum_elapsed) =
             timed(|| incremental_cuts(&ctx, &constraints, &pruning, &options, None));
         let (coded, canon_elapsed) =
-            timed(|| canonicalize_cuts(&ctx, &enumeration.cuts, &group_config));
+            timed(|| canonicalize_cuts(&block.dfg, &enumeration.cuts, &group_config));
         let (coded_memo, memo_elapsed) =
-            timed(|| canonicalize_cuts_memo(&ctx, &enumeration.cuts, &group_config, &memo));
+            timed(|| canonicalize_cuts_memo(&block.dfg, &enumeration.cuts, &group_config, &memo));
         assert_eq!(
             coded,
             coded_memo,
@@ -93,7 +93,7 @@ fn main() {
             block.dfg.name()
         );
         let selection = select_ises(
-            &ctx,
+            &block.dfg,
             &enumeration.cuts,
             &LatencyModel::default(),
             nin,
@@ -148,7 +148,7 @@ fn main() {
         contexts
             .iter()
             .zip(&cut_lists)
-            .map(|(ctx, cuts)| canonicalize_cuts_memo(ctx, cuts, &group_config, &memo))
+            .map(|(ctx, cuts)| canonicalize_cuts_memo(ctx.dfg(), cuts, &group_config, &memo))
             .collect::<Vec<_>>()
     });
     assert_eq!(

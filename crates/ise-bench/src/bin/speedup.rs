@@ -40,7 +40,7 @@ fn main() {
         let ctx = EnumContext::new(block.dfg.clone());
         let (result, elapsed) =
             timed(|| incremental_cuts(&ctx, &constraints, &PruningConfig::all(), &options, None));
-        let selection = select_ises(&ctx, &result.cuts, &model, nin, nout, instructions);
+        let selection = select_ises(ctx.dfg(), &result.cuts, &model, nin, nout, instructions);
         let speedup = selection.block_speedup();
         best_speedup = best_speedup.max(speedup);
         total_selected += selection.chosen.len();

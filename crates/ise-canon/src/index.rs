@@ -2,8 +2,8 @@
 
 use std::collections::HashMap;
 
-use ise_enum::{estimate_merit, Cut, EnumContext};
-use ise_graph::{LatencyModel, RawEncoder};
+use ise_enum::{estimate_merit, Cut};
+use ise_graph::{Dfg, LatencyModel, RawEncoder};
 
 use crate::canon::CanonicalCode;
 use crate::memo::{merit_key, CanonMemo};
@@ -69,15 +69,16 @@ pub struct CodedCut {
     pub saved_cycles: u32,
 }
 
-/// Canonicalizes every cut of one block under `config`.
+/// Canonicalizes every cut of one block, `dfg`, under `config`.
 ///
-/// Pure per-block work — safe to run on worker threads; feed the results to
+/// Coding reads only the block's graph, never an `EnumContext`. Pure per-block
+/// work — safe to run on worker threads; feed the results to
 /// [`PatternIndex::add_coded_block`] in block order for deterministic grouping.
-pub fn canonicalize_cuts(ctx: &EnumContext, cuts: &[Cut], config: &GroupConfig) -> Vec<CodedCut> {
+pub fn canonicalize_cuts(dfg: &Dfg, cuts: &[Cut], config: &GroupConfig) -> Vec<CodedCut> {
     cuts.iter()
         .map(|cut| {
-            let graph = cut.interface_graph(ctx);
-            let merit = estimate_merit(ctx, cut, &config.model, config.ports_in, config.ports_out);
+            let graph = cut.interface_graph(dfg);
+            let merit = estimate_merit(dfg, cut, &config.model, config.ports_in, config.ports_out);
             CodedCut {
                 code: CanonicalCode::of(&graph),
                 size: cut.len(),
@@ -107,12 +108,11 @@ pub fn canonicalize_cuts(ctx: &EnumContext, cuts: &[Cut], config: &GroupConfig) 
 /// internal wiring and interface counts, so the cached value is bit-identical to
 /// a recomputation — determinism, not just accuracy.
 pub fn canonicalize_cuts_memo(
-    ctx: &EnumContext,
+    dfg: &Dfg,
     cuts: &[Cut],
     config: &GroupConfig,
     memo: &CanonMemo,
 ) -> Vec<CodedCut> {
-    let dfg = ctx.dfg();
     let mut encoder = RawEncoder::new(dfg);
     let mut raw: Vec<u32> = Vec::new();
     let cache_merit = config.model == LatencyModel::default();
@@ -125,7 +125,7 @@ pub fn canonicalize_cuts_memo(
                     Some(saved) => saved,
                     None => {
                         let merit = estimate_merit(
-                            ctx,
+                            dfg,
                             cut,
                             &config.model,
                             config.ports_in,
@@ -146,13 +146,13 @@ pub fn canonicalize_cuts_memo(
                     saved_cycles,
                 };
             }
-            let graph = cut.interface_graph(ctx);
+            let graph = cut.interface_graph(dfg);
             debug_assert_eq!(
                 graph.raw_encoding(),
                 raw,
                 "RawEncoder must agree with InterfaceGraph::extract"
             );
-            let merit = estimate_merit(ctx, cut, &config.model, config.ports_in, config.ports_out);
+            let merit = estimate_merit(dfg, cut, &config.model, config.ports_in, config.ports_out);
             let code = CanonicalCode::of(&graph);
             let ops = graph.ops_summary();
             // Under a non-default model the code and ops still memoize, but the
@@ -246,7 +246,7 @@ impl PatternEntry {
 ///
 /// ```
 /// use ise_canon::{GroupConfig, PatternIndex};
-/// use ise_enum::{enumerate_cuts, Constraints, EnumContext};
+/// use ise_enum::{enumerate_cuts, Constraints};
 /// use ise_graph::{DfgBuilder, Operation};
 ///
 /// // Two blocks, each containing the same a*b+c datapath.
@@ -261,8 +261,7 @@ impl PatternEntry {
 ///     b.mark_output(s);
 ///     let dfg = b.build().unwrap();
 ///     let cuts = enumerate_cuts(&dfg, &Constraints::new(3, 1).unwrap()).unwrap();
-///     let ctx = EnumContext::new(dfg);
-///     index.add_block(&ctx, &cuts.cuts, 1.0);
+///     index.add_block(&dfg, &cuts.cuts, 1.0);
 /// }
 /// let mac = index
 ///     .entries()
@@ -300,8 +299,8 @@ impl PatternIndex {
 
     /// Canonicalizes and records every cut of the next block; returns the block's
     /// index. `weight` is the block's profile weight (1.0 without a profile).
-    pub fn add_block(&mut self, ctx: &EnumContext, cuts: &[Cut], weight: f64) -> usize {
-        let coded = canonicalize_cuts(ctx, cuts, &self.config);
+    pub fn add_block(&mut self, dfg: &Dfg, cuts: &[Cut], weight: f64) -> usize {
+        let coded = canonicalize_cuts(dfg, cuts, &self.config);
         self.add_coded_block(coded, weight)
     }
 
@@ -444,7 +443,7 @@ mod tests {
     use ise_graph::{DfgBuilder, Operation};
 
     /// A block holding `copies` MAC datapaths plus one unique xor-shift tail.
-    fn mac_block(name: &str, copies: usize) -> (EnumContext, Vec<Cut>) {
+    fn mac_block(name: &str, copies: usize) -> (Dfg, Vec<Cut>) {
         let mut b = DfgBuilder::new(name);
         for i in 0..copies {
             let a = b.input(format!("a{i}"));
@@ -460,16 +459,16 @@ mod tests {
         b.mark_output(r);
         let dfg = b.build().unwrap();
         let cuts = enumerate_cuts(&dfg, &Constraints::new(3, 1).unwrap()).unwrap();
-        (EnumContext::new(dfg), cuts.cuts)
+        (dfg, cuts.cuts)
     }
 
     #[test]
     fn recurring_patterns_group_within_and_across_blocks() {
         let mut index = PatternIndex::new(GroupConfig::new(2, 1));
-        let (ctx, cuts) = mac_block("two-macs", 2);
-        index.add_block(&ctx, &cuts, 1.0);
-        let (ctx, cuts) = mac_block("one-mac", 1);
-        index.add_block(&ctx, &cuts, 3.0);
+        let (dfg, cuts) = mac_block("two-macs", 2);
+        index.add_block(&dfg, &cuts, 1.0);
+        let (dfg, cuts) = mac_block("one-mac", 1);
+        index.add_block(&dfg, &cuts, 3.0);
 
         let mac = index
             .entries()
@@ -511,14 +510,14 @@ mod tests {
         let blocks = [mac_block("a", 2), mac_block("b", 1), mac_block("c", 3)];
         let config = GroupConfig::new(2, 1);
         let mut direct = PatternIndex::new(config.clone());
-        for (ctx, cuts) in &blocks {
-            direct.add_block(ctx, cuts, 1.0);
+        for (dfg, cuts) in &blocks {
+            direct.add_block(dfg, cuts, 1.0);
         }
         // Canonicalize "on workers" (out of order), merge in block order.
         let mut coded: Vec<Vec<CodedCut>> = blocks
             .iter()
             .rev()
-            .map(|(ctx, cuts)| canonicalize_cuts(ctx, cuts, &config))
+            .map(|(dfg, cuts)| canonicalize_cuts(dfg, cuts, &config))
             .collect();
         coded.reverse();
         let mut merged = PatternIndex::new(config);
@@ -536,8 +535,8 @@ mod tests {
     fn build_index(blocks: &[(usize, f64)]) -> PatternIndex {
         let mut index = PatternIndex::new(GroupConfig::new(2, 1));
         for (i, &(copies, weight)) in blocks.iter().enumerate() {
-            let (ctx, cuts) = mac_block(&format!("b{i}"), copies);
-            index.add_block(&ctx, &cuts, weight);
+            let (dfg, cuts) = mac_block(&format!("b{i}"), copies);
+            index.add_block(&dfg, &cuts, weight);
         }
         index
     }
@@ -584,8 +583,8 @@ mod tests {
             let mut fresh = PatternIndex::new(GroupConfig::new(2, 1));
             for (i, &(copies, weight)) in remaining.iter().enumerate() {
                 let orig = if i < victim { i } else { i + 1 };
-                let (ctx, cuts) = mac_block(&format!("b{orig}"), copies);
-                fresh.add_block(&ctx, &cuts, weight);
+                let (dfg, cuts) = mac_block(&format!("b{orig}"), copies);
+                fresh.add_block(&dfg, &cuts, weight);
             }
             assert_index_eq(&incremental, &fresh);
         }
@@ -594,8 +593,8 @@ mod tests {
     #[test]
     fn remove_block_drops_patterns_unique_to_it_and_readd_restores() {
         let mut index = PatternIndex::new(GroupConfig::new(2, 1));
-        let (ctx, cuts) = mac_block("macs", 1);
-        index.add_block(&ctx, &cuts, 1.0);
+        let (dfg, cuts) = mac_block("macs", 1);
+        index.add_block(&dfg, &cuts, 1.0);
         // A block with a sub/and tail that appears nowhere else.
         let mut b = DfgBuilder::new("odd");
         let p = b.input("p");
@@ -605,10 +604,9 @@ mod tests {
         b.mark_output(t);
         let dfg = b.build().unwrap();
         let cuts2 = enumerate_cuts(&dfg, &Constraints::new(3, 1).unwrap()).unwrap();
-        let ctx2 = EnumContext::new(dfg);
 
         let before = index.clone();
-        let block = index.add_block(&ctx2, &cuts2.cuts, 2.0);
+        let block = index.add_block(&dfg, &cuts2.cuts, 2.0);
         assert!(
             index.len() > before.len(),
             "the odd block adds new patterns"
@@ -617,8 +615,8 @@ mod tests {
         assert_index_eq(&index, &before);
         // Re-adding after removal reproduces the two-block index exactly.
         let mut twice = before.clone();
-        twice.add_block(&ctx2, &cuts2.cuts, 2.0);
-        index.add_block(&ctx2, &cuts2.cuts, 2.0);
+        twice.add_block(&dfg, &cuts2.cuts, 2.0);
+        index.add_block(&dfg, &cuts2.cuts, 2.0);
         assert_index_eq(&index, &twice);
     }
 
@@ -641,8 +639,8 @@ mod tests {
     #[test]
     fn ranking_is_by_weighted_potential_then_first_seen() {
         let mut index = PatternIndex::new(GroupConfig::new(2, 1));
-        let (ctx, cuts) = mac_block("heavy", 3);
-        index.add_block(&ctx, &cuts, 10.0);
+        let (dfg, cuts) = mac_block("heavy", 3);
+        index.add_block(&dfg, &cuts, 10.0);
         let ranked = index.ranked();
         assert_eq!(ranked.len(), index.len());
         let potentials: Vec<f64> = ranked

@@ -26,7 +26,7 @@
 //!
 //! ```
 //! use ise_canon::{CanonicalCode, GroupConfig, PatternIndex};
-//! use ise_enum::{enumerate_cuts, Constraints, EnumContext};
+//! use ise_enum::{enumerate_cuts, Constraints};
 //! use ise_graph::{DfgBuilder, Operation};
 //!
 //! // The same multiply–accumulate appears in two blocks; the index groups it.
@@ -41,8 +41,7 @@
 //!     b.mark_output(s);
 //!     let dfg = b.build().unwrap();
 //!     let cuts = enumerate_cuts(&dfg, &Constraints::new(3, 1).unwrap()).unwrap();
-//!     let ctx = EnumContext::new(dfg);
-//!     index.add_block(&ctx, &cuts.cuts, 1.0);
+//!     index.add_block(&dfg, &cuts.cuts, 1.0);
 //! }
 //! assert!(index
 //!     .entries()

@@ -111,7 +111,7 @@ pub(crate) struct MemoHit {
 ///
 /// ```
 /// use ise_canon::{CanonMemo, canonicalize_cuts_memo, GroupConfig};
-/// use ise_enum::{enumerate_cuts, Constraints, EnumContext};
+/// use ise_enum::{enumerate_cuts, Constraints};
 /// use ise_graph::{DfgBuilder, Operation};
 ///
 /// let mut b = DfgBuilder::new("twice");
@@ -123,10 +123,9 @@ pub(crate) struct MemoHit {
 /// }
 /// let dfg = b.build().unwrap();
 /// let cuts = enumerate_cuts(&dfg, &Constraints::new(2, 1).unwrap()).unwrap();
-/// let ctx = EnumContext::new(dfg);
 ///
 /// let memo = CanonMemo::new();
-/// let coded = canonicalize_cuts_memo(&ctx, &cuts.cuts, &GroupConfig::default(), &memo);
+/// let coded = canonicalize_cuts_memo(&dfg, &cuts.cuts, &GroupConfig::default(), &memo);
 /// assert_eq!(coded[0].code, coded[1].code, "the two adds are one pattern");
 /// let stats = memo.stats();
 /// assert!(stats.raw_hits >= 1, "the second add hits the memo");
@@ -304,11 +303,12 @@ impl CanonMemo {
 mod tests {
     use super::*;
     use crate::index::{canonicalize_cuts, canonicalize_cuts_memo, GroupConfig};
-    use ise_enum::{enumerate_cuts, Constraints, EnumContext};
+    use ise_enum::{enumerate_cuts, Constraints};
+    use ise_graph::Dfg;
     use ise_graph::{DfgBuilder, Operation};
 
     /// A block holding `macs` MAC datapaths plus one unique xor-shift tail.
-    fn block(name: &str, macs: usize) -> (EnumContext, Vec<ise_enum::Cut>) {
+    fn block(name: &str, macs: usize) -> (Dfg, Vec<ise_enum::Cut>) {
         let mut b = DfgBuilder::new(name);
         for i in 0..macs {
             let a = b.input(format!("a{i}"));
@@ -324,7 +324,7 @@ mod tests {
         b.mark_output(r);
         let dfg = b.build().unwrap();
         let cuts = enumerate_cuts(&dfg, &Constraints::new(3, 1).unwrap()).unwrap();
-        (EnumContext::new(dfg), cuts.cuts)
+        (dfg, cuts.cuts)
     }
 
     #[test]
@@ -332,9 +332,9 @@ mod tests {
         let config = GroupConfig::new(3, 1);
         let memo = CanonMemo::new();
         for (name, macs) in [("a", 2), ("b", 1), ("c", 2)] {
-            let (ctx, cuts) = block(name, macs);
-            let plain = canonicalize_cuts(&ctx, &cuts, &config);
-            let memoized = canonicalize_cuts_memo(&ctx, &cuts, &config, &memo);
+            let (dfg, cuts) = block(name, macs);
+            let plain = canonicalize_cuts(&dfg, &cuts, &config);
+            let memoized = canonicalize_cuts_memo(&dfg, &cuts, &config, &memo);
             assert_eq!(plain.len(), memoized.len());
             for (p, m) in plain.iter().zip(&memoized) {
                 assert_eq!(p.code, m.code);
@@ -364,10 +364,10 @@ mod tests {
     fn second_sweep_never_runs_the_labeler() {
         let config = GroupConfig::new(3, 1);
         let memo = CanonMemo::with_shards(4);
-        let (ctx, cuts) = block("warm", 2);
-        let cold = canonicalize_cuts_memo(&ctx, &cuts, &config, &memo);
+        let (dfg, cuts) = block("warm", 2);
+        let cold = canonicalize_cuts_memo(&dfg, &cuts, &config, &memo);
         let runs_after_cold = memo.stats().labeler_runs;
-        let warm = canonicalize_cuts_memo(&ctx, &cuts, &config, &memo);
+        let warm = canonicalize_cuts_memo(&dfg, &cuts, &config, &memo);
         let stats = memo.stats();
         assert_eq!(stats.labeler_runs, runs_after_cold, "everything was cached");
         assert_eq!(
@@ -388,9 +388,9 @@ mod tests {
         // confirmation (and the collision accounting).
         let config = GroupConfig::new(3, 1);
         let memo = CanonMemo::with_fingerprinter(2, |_| 0x42);
-        let (ctx, cuts) = block("collide", 1);
-        let memoized = canonicalize_cuts_memo(&ctx, &cuts, &config, &memo);
-        let plain = canonicalize_cuts(&ctx, &cuts, &config);
+        let (dfg, cuts) = block("collide", 1);
+        let memoized = canonicalize_cuts_memo(&dfg, &cuts, &config, &memo);
+        let plain = canonicalize_cuts(&dfg, &cuts, &config);
         for (p, m) in plain.iter().zip(&memoized) {
             assert_eq!(p.code, m.code, "collisions must not corrupt codes");
         }
@@ -409,15 +409,15 @@ mod tests {
 
     #[test]
     fn merit_is_cached_per_port_configuration() {
-        let (ctx, cuts) = block("ports", 1);
+        let (dfg, cuts) = block("ports", 1);
         let memo = CanonMemo::new();
-        let wide = canonicalize_cuts_memo(&ctx, &cuts, &GroupConfig::new(3, 1), &memo);
+        let wide = canonicalize_cuts_memo(&dfg, &cuts, &GroupConfig::new(3, 1), &memo);
         let runs = memo.stats().labeler_runs;
         // Different ports: codes hit the memo (no new labeler runs), merits are
         // recomputed for the new configuration — and match a cold run exactly.
-        let narrow = canonicalize_cuts_memo(&ctx, &cuts, &GroupConfig::new(2, 1), &memo);
+        let narrow = canonicalize_cuts_memo(&dfg, &cuts, &GroupConfig::new(2, 1), &memo);
         assert_eq!(memo.stats().labeler_runs, runs);
-        let cold = canonicalize_cuts(&ctx, &cuts, &GroupConfig::new(2, 1));
+        let cold = canonicalize_cuts(&dfg, &cuts, &GroupConfig::new(2, 1));
         for (c, n) in cold.iter().zip(&narrow) {
             assert_eq!(c.saved_cycles, n.saved_cycles);
             assert_eq!(c.code, n.code);
@@ -436,16 +436,16 @@ mod tests {
         let blocks: Vec<_> = (0..4).map(|i| block(&format!("t{i}"), 1 + i % 2)).collect();
         let serial: Vec<_> = blocks
             .iter()
-            .map(|(ctx, cuts)| canonicalize_cuts(ctx, cuts, &config))
+            .map(|(dfg, cuts)| canonicalize_cuts(dfg, cuts, &config))
             .collect();
         let memo = CanonMemo::with_shards(2);
         let parallel: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = blocks
                 .iter()
-                .map(|(ctx, cuts)| {
+                .map(|(dfg, cuts)| {
                     let memo = &memo;
                     let config = &config;
-                    scope.spawn(move || canonicalize_cuts_memo(ctx, cuts, config, memo))
+                    scope.spawn(move || canonicalize_cuts_memo(dfg, cuts, config, memo))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()

@@ -68,7 +68,7 @@ pub struct GlobalSelection {
 ///
 /// ```
 /// use ise_canon::{select_ises_global, GroupConfig, PatternIndex};
-/// use ise_enum::{enumerate_cuts, Constraints, EnumContext};
+/// use ise_enum::{enumerate_cuts, Constraints};
 /// use ise_graph::{DfgBuilder, Operation};
 ///
 /// let mut index = PatternIndex::new(GroupConfig::default());
@@ -83,8 +83,7 @@ pub struct GlobalSelection {
 ///     b.mark_output(s);
 ///     let dfg = b.build().unwrap();
 ///     let cuts = enumerate_cuts(&dfg, &Constraints::new(3, 1).unwrap()).unwrap();
-///     let ctx = EnumContext::new(dfg);
-///     index.add_block(&ctx, &cuts.cuts, 1.0);
+///     index.add_block(&dfg, &cuts.cuts, 1.0);
 ///     all_cuts.push(cuts.cuts);
 /// }
 /// let views: Vec<&[_]> = all_cuts.iter().map(Vec::as_slice).collect();
@@ -209,11 +208,12 @@ fn place(
 mod tests {
     use super::*;
     use crate::index::GroupConfig;
-    use ise_enum::{enumerate_cuts, select_ises, Constraints, EnumContext};
+    use ise_enum::{enumerate_cuts, select_ises, Constraints};
+    use ise_graph::Dfg;
     use ise_graph::{DfgBuilder, LatencyModel, Operation};
 
     /// `macs` MAC datapaths plus, optionally, one long unique shift chain.
-    fn block(name: &str, macs: usize, with_chain: bool) -> (EnumContext, Vec<Cut>) {
+    fn block(name: &str, macs: usize, with_chain: bool) -> (Dfg, Vec<Cut>) {
         let mut b = DfgBuilder::new(name);
         for i in 0..macs {
             let a = b.input(format!("a{i}"));
@@ -233,17 +233,17 @@ mod tests {
         }
         let dfg = b.build().unwrap();
         let cuts = enumerate_cuts(&dfg, &Constraints::new(3, 1).unwrap()).unwrap();
-        (EnumContext::new(dfg), cuts.cuts)
+        (dfg, cuts.cuts)
     }
 
-    fn build_corpus(specs: &[(&str, usize, bool)]) -> (PatternIndex, Vec<(EnumContext, Vec<Cut>)>) {
+    fn build_corpus(specs: &[(&str, usize, bool)]) -> (PatternIndex, Vec<(Dfg, Vec<Cut>)>) {
         let mut index = PatternIndex::new(GroupConfig::new(2, 1));
-        let blocks: Vec<(EnumContext, Vec<Cut>)> = specs
+        let blocks: Vec<(Dfg, Vec<Cut>)> = specs
             .iter()
             .map(|&(name, macs, chain)| block(name, macs, chain))
             .collect();
-        for (ctx, cuts) in &blocks {
-            index.add_block(ctx, cuts, 1.0);
+        for (dfg, cuts) in &blocks {
+            index.add_block(dfg, cuts, 1.0);
         }
         (index, blocks)
     }
@@ -306,9 +306,9 @@ mod tests {
         let global = select_ises_global(&index, &views, 0);
         let per_block_total: u64 = blocks
             .iter()
-            .map(|(ctx, cuts)| {
+            .map(|(dfg, cuts)| {
                 u64::from(
-                    select_ises(ctx, cuts, &LatencyModel::default(), 2, 1, 4).total_saved_cycles,
+                    select_ises(dfg, cuts, &LatencyModel::default(), 2, 1, 4).total_saved_cycles,
                 )
             })
             .sum();

@@ -312,28 +312,17 @@ fn run_item(
 ) {
     let Some(spec) = spec else {
         // Whole-block item: run the serial engine directly, no merge needed. The
-        // context lives only until the block is finalized, so a sweep of many small
-        // blocks holds one context per busy worker, not one per block.
+        // context lives only for the enumeration (selection reads just the graph), so
+        // a sweep of many small blocks holds one context per busy worker.
         let started = Instant::now();
-        let ctx = EnumContext::new(block.dfg.clone());
         let enumeration = incremental_cuts(
-            &ctx,
+            &EnumContext::new(block.dfg.clone()),
             &config.constraints,
             &config.pruning,
             &plan.options,
             rec,
         );
-        finalize(
-            block,
-            block_idx,
-            1,
-            &ctx,
-            slot,
-            config,
-            enumeration,
-            started,
-            rec,
-        );
+        finalize(block, block_idx, 1, slot, config, enumeration, started, rec);
         return;
     };
     // Fanned-out tasks share the block's context until its merge.
@@ -373,7 +362,6 @@ fn run_item(
             block,
             block_idx,
             tasks,
-            ctx,
             slot,
             config,
             enumeration,
@@ -388,7 +376,6 @@ fn finalize(
     block: &CorpusBlock,
     index: usize,
     tasks: usize,
-    ctx: &EnumContext,
     slot: &BlockSlot,
     config: &BatchConfig,
     enumeration: Enumeration,
@@ -397,7 +384,7 @@ fn finalize(
 ) {
     let selection = config.select.as_ref().map(|sel| {
         select_ises(
-            ctx,
+            &block.dfg,
             &enumeration.cuts,
             &LatencyModel::default(),
             sel.ports_in,

@@ -20,14 +20,14 @@ use ise_canon::{
     GlobalSelection, GroupConfig, MemoStats, PatternIndex,
 };
 use ise_corpus::CorpusBlock;
-use ise_enum::{Cut, EnumContext};
+use ise_enum::Cut;
 
 /// Builds the pattern index over the batch outcomes.
 ///
-/// Canonicalization runs on up to `threads` workers (one block per task; the
-/// per-block context is rebuilt for merit estimation and dropped once the block is
-/// coded, so at most one context per worker is alive); the merge into the index is
-/// sequential in block order, so the result is identical for every thread count.
+/// Canonicalization runs on up to `threads` workers (one block per task). Coding
+/// and merit estimation read only the block's graph, so no `EnumContext` is built
+/// here; the merge into the index is sequential in block order, so the result is
+/// identical for every thread count.
 /// Block profile weights come from the `weight` meta key
 /// ([`CorpusBlock::weight`]).
 ///
@@ -55,11 +55,11 @@ pub fn group_outcomes(
                 let Some(outcome) = outcomes.get(i) else {
                     break;
                 };
-                let ctx = EnumContext::new(blocks[outcome.index].dfg.clone());
+                let dfg = &blocks[outcome.index].dfg;
                 let cuts = &outcome.enumeration.cuts;
                 let block_coded = match memo {
-                    Some(memo) => canonicalize_cuts_memo(&ctx, cuts, config, memo),
-                    None => canonicalize_cuts(&ctx, cuts, config),
+                    Some(memo) => canonicalize_cuts_memo(dfg, cuts, config, memo),
+                    None => canonicalize_cuts(dfg, cuts, config),
                 };
                 coded[i]
                     .set(block_coded)

@@ -609,7 +609,7 @@ fn run_dot_report(
     };
     let enumeration = incremental_cuts(&ctx, &constraints, &PruningConfig::all(), &options, None);
     let selection = select_ises(
-        &ctx,
+        &block.dfg,
         &enumeration.cuts,
         &LatencyModel::default(),
         flags.usize("ports-in", nin)?,

@@ -84,7 +84,7 @@ use ise_canon::{
     canonicalize_cuts_memo, CanonMemo, CodedCut, GroupConfig, MemoStats, PatternIndex,
 };
 use ise_corpus::{load_corpus_path, parse_corpus, CorpusBlock};
-use ise_enum::{select_ises, EnumContext, Enumeration, PruningConfig};
+use ise_enum::{select_ises, Enumeration, PruningConfig};
 use ise_graph::LatencyModel;
 use ise_obs::{Counter, MetricsRegistry, Recorder};
 
@@ -715,9 +715,12 @@ impl ServerState {
             let coded = match cached {
                 Some(hit) => hit,
                 None => {
-                    let ctx = EnumContext::new(blocks[i].dfg.clone());
-                    let coded =
-                        canonicalize_cuts_memo(&ctx, &outcome.enumeration.cuts, config, &self.memo);
+                    let coded = canonicalize_cuts_memo(
+                        &blocks[i].dfg,
+                        &outcome.enumeration.cuts,
+                        config,
+                        &self.memo,
+                    );
                     self.codings
                         .lock()
                         .expect("coding cache lock")
@@ -830,9 +833,8 @@ fn rebuild_outcome(
     config: &BatchConfig,
 ) -> BlockOutcome {
     let selection = config.select.as_ref().map(|sel| {
-        let ctx = EnumContext::new(block.dfg.clone());
         select_ises(
-            &ctx,
+            &block.dfg,
             &enumeration.cuts,
             &LatencyModel::default(),
             sel.ports_in,

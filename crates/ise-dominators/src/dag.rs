@@ -17,7 +17,7 @@
 //! allocation. [`dag_dominators`] runs the same pass over the whole graph to build a
 //! [`DominatorTree`].
 
-use ise_graph::{DenseNodeSet, NodeId, RootedDfg};
+use ise_graph::{DenseNodeSet, NodeId, NodeRow, RootedDfg};
 
 use crate::flow::FlowGraph;
 use crate::tree::DominatorTree;
@@ -238,8 +238,9 @@ impl ConeDominators {
     /// itself in `seed`.
     ///
     /// `cone` must contain every ancestor of `target` (a superset is harmless; the
-    /// pass admits `target` itself regardless). Only cone vertices up to `target`'s
-    /// rank are visited.
+    /// pass admits `target` itself regardless) — typically `target`'s row of
+    /// [`ise_graph::Reachability::ancestors`], or [`DenseNodeSet::as_row`] of an owned
+    /// set. Only cone vertices up to `target`'s rank are visited.
     ///
     /// # Panics
     ///
@@ -250,7 +251,7 @@ impl ConeDominators {
         &mut self,
         graph: &G,
         order: &TopoOrder,
-        cone: &DenseNodeSet,
+        cone: NodeRow<'_>,
         seed: &DenseNodeSet,
         target: NodeId,
         excluded: &DenseNodeSet,
@@ -287,6 +288,31 @@ impl ConeDominators {
             r = d;
         }
     }
+
+    /// The whole-graph pass: the dominator tree of the acyclic `graph`, as
+    /// [`dag_dominators`] computes it, in this workspace. One workspace can build the
+    /// dominator and the postdominator tree of a graph back to back, allocating its
+    /// buffers once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` was built for a graph of a different size.
+    pub fn tree<G: FlowGraph>(&mut self, graph: &G, order: &TopoOrder) -> DominatorTree {
+        let n = graph.num_nodes();
+        assert_eq!(order.order().len(), n, "order built for a different graph");
+        self.begin(n);
+        if n > 0 {
+            self.sweep(graph, order, (n - 1) as u32, |_| true);
+        }
+        let mut idom = vec![None; n];
+        for (r, &v) in order.order().iter().enumerate() {
+            let d = self.idom[r] as usize;
+            if self.reached(r as u32) && d != r {
+                idom[v.index()] = Some(order.order()[d]);
+            }
+        }
+        DominatorTree::from_idoms(graph.root(), idom)
+    }
 }
 
 /// Computes the dominator tree of an acyclic `graph` in one pass over `order`, which
@@ -317,21 +343,7 @@ impl ConeDominators {
 ///
 /// Panics if `order` was built for a graph of a different size.
 pub fn dag_dominators<G: FlowGraph>(graph: &G, order: &TopoOrder) -> DominatorTree {
-    let n = graph.num_nodes();
-    assert_eq!(order.order().len(), n, "order built for a different graph");
-    let mut ws = ConeDominators::new();
-    ws.begin(n);
-    if n > 0 {
-        ws.sweep(graph, order, (n - 1) as u32, |_| true);
-    }
-    let mut idom = vec![None; n];
-    for (r, &v) in order.order().iter().enumerate() {
-        let d = ws.idom[r] as usize;
-        if ws.reached(r as u32) && d != r {
-            idom[v.index()] = Some(order.order()[d]);
-        }
-    }
-    DominatorTree::from_idoms(graph.root(), idom)
+    ConeDominators::new().tree(graph, order)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The dominator tree with constant-time ancestry queries.
 
-use ise_graph::{DenseNodeSet, NodeId};
+use ise_graph::NodeId;
 
 /// A dominator (or postdominator) tree.
 ///
@@ -16,11 +16,9 @@ use ise_graph::{DenseNodeSet, NodeId};
 pub struct DominatorTree {
     root: NodeId,
     idom: Vec<Option<NodeId>>,
-    reachable: DenseNodeSet,
-    /// Preorder interval [enter, exit) of each vertex in the dominator tree; `a`
-    /// dominates `b` iff `enter[a] <= enter[b] < exit[a]`.
-    enter: Vec<u32>,
-    exit: Vec<u32>,
+    /// Preorder interval `[enter, exit)` of each vertex in the dominator tree; `a`
+    /// dominates `b` iff `enter(a) <= enter(b) < exit(a)`.
+    interval: Vec<[u32; 2]>,
 }
 
 impl DominatorTree {
@@ -35,38 +33,50 @@ impl DominatorTree {
     /// that produced them).
     pub fn from_idoms(root: NodeId, idom: Vec<Option<NodeId>>) -> Self {
         let n = idom.len();
-        let mut reachable = DenseNodeSet::new(n);
-        reachable.insert(root);
-        for (i, parent) in idom.iter().enumerate() {
-            if parent.is_some() {
-                reachable.insert(NodeId::from_index(i));
+        // Children in CSR form: after the fill, the children of `p` are
+        // `children[first_child[p]..first_child[p + 1]]`, in increasing vertex order.
+        let mut first_child = vec![0u32; n + 1];
+        for parent in idom.iter().flatten() {
+            first_child[parent.index()] += 1;
+        }
+        // Inclusive prefix sums: `first_child[p]` is the end of `p`'s range...
+        let mut total = 0;
+        for end in first_child.iter_mut() {
+            total += *end;
+            *end = total;
+        }
+        // ...and a backward fill walks each end down to its start.
+        let mut children = vec![root; total as usize];
+        for (i, parent) in idom.iter().enumerate().rev() {
+            if let Some(parent) = parent {
+                let slot = &mut first_child[parent.index()];
+                *slot -= 1;
+                children[*slot as usize] = NodeId::from_index(i);
             }
         }
 
-        // Build children lists and a preorder numbering of the dominator tree.
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for (i, parent) in idom.iter().enumerate() {
-            if let Some(parent) = parent {
-                children[parent.index()].push(NodeId::from_index(i));
-            }
-        }
-        let mut enter = vec![0u32; n];
-        let mut exit = vec![0u32; n];
-        let mut clock = 0u32;
-        // Iterative DFS over the dominator tree.
-        let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
-        enter[root.index()] = clock;
-        clock += 1;
-        while let Some(&mut (node, ref mut child_idx)) = stack.last_mut() {
-            if *child_idx < children[node.index()].len() {
-                let child = children[node.index()][*child_idx];
-                *child_idx += 1;
-                enter[child.index()] = clock;
+        // Iterative preorder walk over the dominator tree without a stack: while a
+        // vertex is open, its exit slot holds the position of its next child to
+        // visit, and a finished vertex hands control back to its parent (its idom).
+        const EXIT: usize = 1; // interval[v] = [enter, exit]
+        let mut interval = vec![[0u32; 2]; n];
+        let mut clock = 1u32;
+        let mut node = root;
+        interval[root.index()][EXIT] = first_child[root.index()];
+        loop {
+            let next = interval[node.index()][EXIT];
+            if next < first_child[node.index() + 1] {
+                interval[node.index()][EXIT] = next + 1;
+                let child = children[next as usize];
+                interval[child.index()] = [clock, first_child[child.index()]];
                 clock += 1;
-                stack.push((child, 0));
+                node = child;
             } else {
-                exit[node.index()] = clock;
-                stack.pop();
+                interval[node.index()][EXIT] = clock;
+                if node == root {
+                    break;
+                }
+                node = idom[node.index()].expect("a visited non-root vertex has an idom");
             }
         }
         assert!(
@@ -77,9 +87,7 @@ impl DominatorTree {
         DominatorTree {
             root,
             idom,
-            reachable,
-            enter,
-            exit,
+            interval,
         }
     }
 
@@ -106,7 +114,7 @@ impl DominatorTree {
     ///
     /// Panics if `node` is out of range.
     pub fn is_reachable(&self, node: NodeId) -> bool {
-        self.reachable.contains(node)
+        node == self.root || self.idom[node.index()].is_some()
     }
 
     /// Whether `a` dominates `b` (reflexively: every vertex dominates itself).
@@ -121,8 +129,9 @@ impl DominatorTree {
         if !self.is_reachable(a) || !self.is_reachable(b) {
             return false;
         }
-        self.enter[a.index()] <= self.enter[b.index()]
-            && self.enter[b.index()] < self.exit[a.index()]
+        let [enter_a, exit_a] = self.interval[a.index()];
+        let enter_b = self.interval[b.index()][0];
+        enter_a <= enter_b && enter_b < exit_a
     }
 
     /// Whether `a` strictly dominates `b` (`a != b` and `a` dominates `b`).
@@ -152,11 +161,6 @@ impl DominatorTree {
     /// non-empty graph.
     pub fn is_empty(&self) -> bool {
         self.idom.is_empty()
-    }
-
-    /// The set of vertices reachable from the root.
-    pub fn reachable(&self) -> &DenseNodeSet {
-        &self.reachable
     }
 }
 
@@ -216,7 +220,7 @@ mod tests {
         assert!(t.is_reachable(n(0)));
         assert!(t.is_reachable(n(4)));
         assert!(!t.is_reachable(n(5)));
-        assert_eq!(t.reachable().len(), 5);
+        assert_eq!((0..6).filter(|&i| t.is_reachable(n(i))).count(), 5);
     }
 
     #[test]

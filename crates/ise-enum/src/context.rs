@@ -1,8 +1,6 @@
 //! Shared precomputed analysis context for the enumeration algorithms.
 
-use ise_dominators::{
-    dag_dominators, postdominators, ConeDominators, DominatorTree, Forward, TopoOrder,
-};
+use ise_dominators::{ConeDominators, DominatorTree, Forward, Reverse, TopoOrder};
 use ise_graph::{DenseNodeSet, Dfg, NodeId, Reachability, RootedDfg};
 
 /// Precomputed analyses shared by every enumeration algorithm (§5.4 of the paper):
@@ -11,8 +9,12 @@ use ise_graph::{DenseNodeSet, Dfg, NodeId, Reachability, RootedDfg};
 /// operation depths.
 ///
 /// Building the context costs `O(n·e/64)` for reachability plus one DAG dominator
-/// pass per direction, and is done once per basic block;
-/// all algorithms (`basic`, `incremental`, `baseline`, `exhaustive`) then borrow it.
+/// pass per direction, and is done once per basic block where enumeration runs; all
+/// algorithms (`basic`, `incremental`, `baseline`, `exhaustive`) then borrow it. The
+/// dominant storage is [`Reachability`]'s four `n × ⌈n/64⌉`-word bit matrices over
+/// the `n` vertices of the augmented graph; the whole context is a fixed handful of
+/// allocations whatever the block size. Coding and selection need only the graph
+/// and take a [`Dfg`], not a context.
 ///
 /// # Example
 ///
@@ -61,24 +63,29 @@ impl EnumContext {
         // One DAG pass per direction: the kept topological order for dominators, its
         // reverse for postdominators.
         let topo = TopoOrder::forward(&rooted);
-        let dom = dag_dominators(&Forward(&rooted), &topo);
-        let postdom = postdominators(&rooted);
+        let mut ws = ConeDominators::new();
+        let dom = ws.tree(&Forward(&rooted), &topo);
+        let postdom = ws.tree(&Reverse(&rooted), &TopoOrder::reverse(&rooted));
 
         let mut artificial = rooted.node_set();
         artificial.insert(rooted.source());
         artificial.insert(rooted.sink());
 
-        let candidate_outputs: Vec<NodeId> = rooted
-            .original_node_ids()
-            .filter(|&v| !rooted.is_forbidden(v))
-            .collect();
-
-        // The original graph's CSR adjacency feeds the depth computation directly;
-        // no per-row copies.
-        let depth = ise_graph::depths_from_roots(
-            rooted.dfg().succs_adjacency(),
-            rooted.dfg().preds_adjacency(),
+        let mut candidate_outputs = Vec::with_capacity(Self::candidate_output_count(rooted.dfg()));
+        candidate_outputs.extend(
+            rooted
+                .original_node_ids()
+                .filter(|&v| !rooted.is_forbidden(v)),
         );
+
+        // Longest-path depths over the original graph's own topological order.
+        let dfg = rooted.dfg();
+        let mut depth = vec![0u32; dfg.len()];
+        for &v in dfg.topological_order() {
+            for &s in dfg.succs(v) {
+                depth[s.index()] = depth[s.index()].max(depth[v.index()] + 1);
+            }
+        }
 
         EnumContext {
             rooted,

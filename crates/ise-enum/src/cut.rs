@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use ise_graph::{CutLike, DenseNodeSet, InterfaceGraph, NodeId};
+use ise_graph::{CutLike, DenseNodeSet, Dfg, InterfaceGraph, NodeId};
 
 use crate::config::Constraints;
 use crate::context::EnumContext;
@@ -34,6 +34,7 @@ use crate::context::EnumContext;
 /// assert_eq!(cut.inputs(), &[a, c]);
 /// assert_eq!(cut.outputs(), &[x]);
 /// assert!(cut.is_convex(&ctx));
+/// assert_eq!(cut.interface_graph(ctx.dfg()).num_body(), 2);
 /// # Ok(())
 /// # }
 /// ```
@@ -87,26 +88,13 @@ impl Cut {
     /// the augmented graph*, so that externally-visible values (members of `Oext`,
     /// which feed the artificial sink) count against the output-port budget.
     pub fn from_body(ctx: &EnumContext, body: DenseNodeSet) -> Self {
-        let rooted = ctx.rooted();
-        debug_assert_eq!(body.capacity(), rooted.num_nodes());
-        let mut input_set = rooted.node_set();
-        let mut outputs = Vec::new();
-        for v in body.iter() {
-            // Inputs: real operand producers outside the cut (skip the artificial
-            // source feeding roots).
-            for &p in rooted.preds(v) {
-                if !body.contains(p) && p != rooted.source() {
-                    input_set.insert(p);
-                }
-            }
-            // Outputs: any consumer outside the cut, including the artificial sink.
-            if rooted.succs(v).iter().any(|s| !body.contains(*s)) {
-                outputs.push(v);
-            }
-        }
+        debug_assert_eq!(body.capacity(), ctx.rooted().num_nodes());
+        let mut input_set = ctx.rooted().node_set();
+        let (mut inputs, mut outputs) = (Vec::new(), Vec::new());
+        derive_interface(ctx, &body, &mut input_set, &mut inputs, &mut outputs);
         Cut {
             body,
-            inputs: input_set.to_vec(),
+            inputs,
             outputs,
         }
     }
@@ -159,11 +147,12 @@ impl Cut {
     /// used by canonical-form grouping (`ise-canon`): operations, operand order and
     /// input/output roles over local ids, independent of the host block's node ids.
     ///
-    /// The extraction re-derives the interface from the body on the original graph;
-    /// in debug builds it is asserted to agree with the cut's own (sink-augmented)
-    /// input/output derivation.
-    pub fn interface_graph(&self, ctx: &EnumContext) -> InterfaceGraph {
-        let graph = InterfaceGraph::extract(ctx.dfg(), &self.body);
+    /// `dfg` is the block the cut was enumerated on (`EnumContext::dfg`); no
+    /// context is needed. The extraction re-derives the interface from the body on
+    /// the original graph; in debug builds it is asserted to agree with the cut's own
+    /// (sink-augmented) input/output derivation.
+    pub fn interface_graph(&self, dfg: &Dfg) -> InterfaceGraph {
+        let graph = InterfaceGraph::extract(dfg, &self.body);
         debug_assert_eq!(
             (0..graph.num_inputs())
                 .map(|i| graph.original(i))
@@ -192,81 +181,34 @@ impl Cut {
     /// the first member; conversely a member-reachable input `w` yields the escaping
     /// path member → `w` → member, since `w` feeds a member by definition.)
     pub fn is_convex(&self, ctx: &EnumContext) -> bool {
-        self.inputs
-            .iter()
-            .all(|&w| ctx.reach().ancestors(w).is_disjoint(&self.body))
+        is_convex(ctx, &self.body, &self.inputs)
     }
 
     /// Whether the cut satisfies the paper's technical input condition (§3): for every
     /// input `w` there is a path from the root to `w` that avoids all other inputs (so
     /// that `w` genuinely feeds the cut rather than only other inputs).
     ///
+    /// Checked per input as a backward walk from `w` over its ancestor cone that never
+    /// enters another input: the condition fails iff that walk cannot reach the root,
+    /// i.e. iff the other inputs dominate `w` (`EnumContext::set_dominates_in`).
+    ///
     /// Returns the first offending input on failure.
     pub fn io_condition_violation(&self, ctx: &EnumContext) -> Option<NodeId> {
-        let rooted = ctx.rooted();
-        let input_set = DenseNodeSet::from_nodes(rooted.num_nodes(), self.inputs.iter().copied());
-        // One DFS per input, reusing the visited set and stack across inputs.
-        let mut visited = rooted.node_set();
-        let mut stack = Vec::new();
-        'inputs: for &w in &self.inputs {
-            // DFS from the source avoiding every other input; succeed if w is reached.
-            visited.clear();
-            visited.insert(rooted.source());
-            stack.clear();
-            stack.push(rooted.source());
-            while let Some(v) = stack.pop() {
-                for &s in rooted.succs(v) {
-                    if s == w {
-                        continue 'inputs;
-                    }
-                    if !input_set.contains(s) && visited.insert(s) {
-                        stack.push(s);
-                    }
-                }
-            }
-            return Some(w);
-        }
-        None
+        let mut walk = Walk::new(ctx);
+        walk.load_inputs(&self.inputs);
+        walk.io_condition_violation(ctx, &self.inputs)
     }
 
     /// Whether the cut is connected (Definition 4): it has a single output, or every
     /// pair of outputs shares an input that reaches both.
     pub fn is_connected(&self, ctx: &EnumContext) -> bool {
-        if self.outputs.len() <= 1 {
-            return true;
-        }
-        for (i, &o1) in self.outputs.iter().enumerate() {
-            for &o2 in &self.outputs[i + 1..] {
-                let shared = self
-                    .inputs
-                    .iter()
-                    .any(|&inp| ctx.reach().reaches(inp, o1) && ctx.reach().reaches(inp, o2));
-                if !shared {
-                    return false;
-                }
-            }
-        }
-        true
+        is_connected(ctx, &self.inputs, &self.outputs)
     }
 
     /// The depth of the cut: the number of edges on the longest path that stays inside
     /// the body. Single-node cuts have depth 0.
     pub fn depth(&self, ctx: &EnumContext) -> u32 {
-        let rooted = ctx.rooted();
-        let mut depth = vec![0u32; rooted.num_nodes()];
-        let mut max = 0;
-        for &v in rooted.topological_order() {
-            if !self.body.contains(v) {
-                continue;
-            }
-            for &s in rooted.succs(v) {
-                if self.body.contains(s) {
-                    depth[s.index()] = depth[s.index()].max(depth[v.index()] + 1);
-                    max = max.max(depth[s.index()]);
-                }
-            }
-        }
-        max
+        Walk::new(ctx).body_depth(ctx, &self.body)
     }
 
     /// Checks the cut against the full validity definition of §3: non-empty, free of
@@ -277,6 +219,9 @@ impl Cut {
     /// When `require_io_condition` is `false` the technical condition is not enforced;
     /// this is how the exhaustive baseline of Pozzi et al. defines validity.
     ///
+    /// These are the same rules the enumeration engine's [`CutChecker`] applies to
+    /// every candidate, here applied to the cut's stored interface.
+    ///
     /// # Errors
     ///
     /// Returns the first [`CutRejection`] encountered.
@@ -286,38 +231,294 @@ impl Cut {
         constraints: &Constraints,
         require_io_condition: bool,
     ) -> Result<(), CutRejection> {
-        if self.body.is_empty() {
-            return Err(CutRejection::Empty);
-        }
-        for v in self.body.iter() {
-            if ctx.rooted().is_forbidden(v) {
-                return Err(CutRejection::Forbidden(v));
+        check_members(ctx, &self.body)?;
+        let mut walk = Walk::new(ctx);
+        walk.load_inputs(&self.inputs);
+        walk.check_interface(
+            ctx,
+            constraints,
+            require_io_condition,
+            &self.body,
+            &self.inputs,
+            &self.outputs,
+        )
+    }
+}
+
+/// Derives `I(S)` and `O(S)` of `body`: inputs are predecessors (in the original
+/// graph) of members that are not themselves members, sorted by id and left in
+/// `input_set` as well; outputs are members with a successor outside the body in the
+/// augmented graph (so values that feed the sink count), in id order. Every buffer is
+/// cleared first.
+fn derive_interface(
+    ctx: &EnumContext,
+    body: &DenseNodeSet,
+    input_set: &mut DenseNodeSet,
+    inputs: &mut Vec<NodeId>,
+    outputs: &mut Vec<NodeId>,
+) {
+    let rooted = ctx.rooted();
+    input_set.clear();
+    outputs.clear();
+    for v in body.iter() {
+        // Inputs: real operand producers outside the cut (skip the artificial source
+        // feeding roots).
+        for &p in rooted.preds(v) {
+            if !body.contains(p) && p != rooted.source() {
+                input_set.insert(p);
             }
         }
-        if self.inputs.len() > constraints.max_inputs() {
-            return Err(CutRejection::TooManyInputs(self.inputs.len()));
+        // Outputs: any consumer outside the cut, including the artificial sink.
+        if rooted.succs(v).iter().any(|s| !body.contains(*s)) {
+            outputs.push(v);
         }
-        if self.outputs.len() > constraints.max_outputs() {
-            return Err(CutRejection::TooManyOutputs(self.outputs.len()));
+    }
+    inputs.clear();
+    inputs.extend(input_set.iter());
+}
+
+/// The membership rules of validity: the body is non-empty and holds no forbidden
+/// vertex (reporting the lowest-numbered one).
+fn check_members(ctx: &EnumContext, body: &DenseNodeSet) -> Result<(), CutRejection> {
+    if body.is_empty() {
+        return Err(CutRejection::Empty);
+    }
+    let forbidden = ctx.rooted().forbidden();
+    for (i, (b, f)) in body.words().iter().zip(forbidden.words()).enumerate() {
+        let hit = b & f;
+        if hit != 0 {
+            let v = NodeId::from_index(i * 64 + hit.trailing_zeros() as usize);
+            return Err(CutRejection::Forbidden(v));
         }
-        if !self.is_convex(ctx) {
+    }
+    Ok(())
+}
+
+fn is_convex(ctx: &EnumContext, body: &DenseNodeSet, inputs: &[NodeId]) -> bool {
+    inputs
+        .iter()
+        .all(|&w| ctx.reach().ancestors(w).is_disjoint(body))
+}
+
+fn is_connected(ctx: &EnumContext, inputs: &[NodeId], outputs: &[NodeId]) -> bool {
+    let reach = ctx.reach();
+    outputs.iter().enumerate().all(|(i, &o1)| {
+        outputs[i + 1..].iter().all(|&o2| {
+            inputs
+                .iter()
+                .any(|&inp| reach.reaches(inp, o1) && reach.reaches(inp, o2))
+        })
+    })
+}
+
+/// Reusable scratch of the interface rules: the input set, the buffers of the
+/// backward dominance walk, and the per-vertex depths.
+#[derive(Clone, Debug)]
+struct Walk {
+    /// The candidate's inputs as a set; members are removed and restored one at a
+    /// time by the technical-condition walk.
+    input_set: DenseNodeSet,
+    visited: DenseNodeSet,
+    stack: Vec<NodeId>,
+    depth: Vec<u32>,
+}
+
+impl Walk {
+    fn new(ctx: &EnumContext) -> Self {
+        Walk {
+            input_set: ctx.rooted().node_set(),
+            visited: ctx.rooted().node_set(),
+            stack: Vec::new(),
+            depth: Vec::new(),
+        }
+    }
+
+    fn load_inputs(&mut self, inputs: &[NodeId]) {
+        self.input_set.clear();
+        self.input_set.extend(inputs.iter().copied());
+    }
+
+    /// The interface rules of validity, in order: port budgets, convexity, the
+    /// technical input condition (when required), connectedness and depth (when
+    /// constrained). `input_set` must hold exactly `inputs`.
+    fn check_interface(
+        &mut self,
+        ctx: &EnumContext,
+        constraints: &Constraints,
+        require_io_condition: bool,
+        body: &DenseNodeSet,
+        inputs: &[NodeId],
+        outputs: &[NodeId],
+    ) -> Result<(), CutRejection> {
+        if inputs.len() > constraints.max_inputs() {
+            return Err(CutRejection::TooManyInputs(inputs.len()));
+        }
+        if outputs.len() > constraints.max_outputs() {
+            return Err(CutRejection::TooManyOutputs(outputs.len()));
+        }
+        if !is_convex(ctx, body, inputs) {
             return Err(CutRejection::NotConvex);
         }
         if require_io_condition {
-            if let Some(w) = self.io_condition_violation(ctx) {
+            if let Some(w) = self.io_condition_violation(ctx, inputs) {
                 return Err(CutRejection::IoCondition(w));
             }
         }
-        if constraints.is_connected_only() && !self.is_connected(ctx) {
+        if constraints.is_connected_only() && !is_connected(ctx, inputs, outputs) {
             return Err(CutRejection::Disconnected);
         }
         if let Some(limit) = constraints.max_depth() {
-            let d = self.depth(ctx);
+            let d = self.body_depth(ctx, body);
             if d > limit {
                 return Err(CutRejection::TooDeep(d));
             }
         }
         Ok(())
+    }
+
+    /// The first input `w` (in `inputs` order) that the other inputs dominate:
+    /// `set_dominates_in(I ∖ {w}, w)`, a backward walk over `w`'s ancestor cone.
+    /// `input_set` must hold exactly `inputs`, and does again on return.
+    fn io_condition_violation(&mut self, ctx: &EnumContext, inputs: &[NodeId]) -> Option<NodeId> {
+        inputs.iter().copied().find(|&w| {
+            self.input_set.remove(w);
+            let hidden =
+                ctx.set_dominates_in(&self.input_set, w, &mut self.visited, &mut self.stack);
+            self.input_set.insert(w);
+            hidden
+        })
+    }
+
+    /// Longest path, in edges, that stays inside `body`.
+    fn body_depth(&mut self, ctx: &EnumContext, body: &DenseNodeSet) -> u32 {
+        let rooted = ctx.rooted();
+        self.depth.resize(rooted.num_nodes(), 0);
+        for v in body.iter() {
+            self.depth[v.index()] = 0;
+        }
+        let mut max = 0;
+        for &v in rooted.topological_order() {
+            if !body.contains(v) {
+                continue;
+            }
+            for &s in rooted.succs(v) {
+                if body.contains(s) {
+                    let d = self.depth[s.index()].max(self.depth[v.index()] + 1);
+                    self.depth[s.index()] = d;
+                    max = max.max(d);
+                }
+            }
+        }
+        max
+    }
+}
+
+/// `CHECK-CUT`'s validity test with reusable scratch: derives a candidate body's
+/// `I(S)` and `O(S)` into its own buffers and checks them with the same rules as
+/// [`Cut::validate`], so a [`Cut`] is materialized only for valid candidates. The
+/// enumeration engine keeps one per run; after the first few candidates a check
+/// allocates nothing.
+///
+/// # Example
+///
+/// ```
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// use ise_enum::{Constraints, Cut, CutChecker, CutRejection, EnumContext};
+/// use ise_graph::{DenseNodeSet, DfgBuilder, Operation};
+///
+/// let mut b = DfgBuilder::new("bb");
+/// let a = b.input("a");
+/// let n = b.node(Operation::Not, &[a]);
+/// let x = b.node(Operation::Shl, &[n]);
+/// let ctx = EnumContext::new(b.build()?);
+/// let constraints = Constraints::new(2, 1)?;
+/// let mut checker = CutChecker::new(&ctx);
+///
+/// let body = DenseNodeSet::from_nodes(ctx.rooted().num_nodes(), [n, x]);
+/// assert_eq!(checker.check(&ctx, &constraints, &body, true), Ok(()));
+/// assert_eq!(checker.cut(body.clone()), Cut::from_body(&ctx, body));
+///
+/// let holey = DenseNodeSet::from_nodes(ctx.rooted().num_nodes(), [a, x]);
+/// assert_eq!(
+///     checker.check(&ctx, &constraints, &holey, true),
+///     Err(CutRejection::Forbidden(a))
+/// );
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Clone, Debug)]
+pub struct CutChecker {
+    inputs: Vec<NodeId>,
+    outputs: Vec<NodeId>,
+    walk: Walk,
+}
+
+impl CutChecker {
+    /// Creates a checker with buffers sized for `ctx`'s graph.
+    pub fn new(ctx: &EnumContext) -> Self {
+        CutChecker {
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            walk: Walk::new(ctx),
+        }
+    }
+
+    /// Checks `body` against the full validity definition of §3 — the verdict
+    /// `Cut::from_body(ctx, body).validate(..)` returns — without building a cut.
+    /// After an `Ok`, [`CutChecker::cut`] materializes it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`CutRejection`] encountered, as [`Cut::validate`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the checker or `body` was sized for a different graph than `ctx`'s.
+    pub fn check(
+        &mut self,
+        ctx: &EnumContext,
+        constraints: &Constraints,
+        body: &DenseNodeSet,
+        require_io_condition: bool,
+    ) -> Result<(), CutRejection> {
+        check_members(ctx, body)?;
+        derive_interface(
+            ctx,
+            body,
+            &mut self.walk.input_set,
+            &mut self.inputs,
+            &mut self.outputs,
+        );
+        self.walk.check_interface(
+            ctx,
+            constraints,
+            require_io_condition,
+            body,
+            &self.inputs,
+            &self.outputs,
+        )
+    }
+
+    /// The cut of `body`, which must be the body last passed to a successful
+    /// [`CutChecker::check`]: its derived interface is copied, not re-derived.
+    pub fn cut(&self, body: DenseNodeSet) -> Cut {
+        Cut {
+            body,
+            inputs: self.inputs.clone(),
+            outputs: self.outputs.clone(),
+        }
+    }
+
+    /// Whether `set` blocks every source path to `target`, as
+    /// [`EnumContext::set_dominates_in`] decides it, in the checker's walk buffers
+    /// (the engine's dominator–input pruning shares them).
+    pub(crate) fn set_dominates(
+        &mut self,
+        ctx: &EnumContext,
+        set: &DenseNodeSet,
+        target: NodeId,
+    ) -> bool {
+        ctx.set_dominates_in(set, target, &mut self.walk.visited, &mut self.walk.stack)
     }
 }
 
@@ -538,7 +739,7 @@ mod tests {
         let (ctx, [a, c, n, x, y, z, _]) = sample();
         for body in [vec![n, x, y, z], vec![n, x], vec![x, y]] {
             let cut = cut_of(&ctx, &body);
-            let g = cut.interface_graph(&ctx);
+            let g = cut.interface_graph(ctx.dfg());
             assert_eq!(g.num_inputs(), cut.inputs().len());
             assert_eq!(g.num_body(), cut.len());
             assert_eq!(g.num_outputs(), cut.outputs().len());

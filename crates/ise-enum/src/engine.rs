@@ -39,7 +39,7 @@ use ise_obs::Recorder;
 
 use crate::config::Constraints;
 use crate::context::EnumContext;
-use crate::cut::Cut;
+use crate::cut::{Cut, CutChecker};
 use crate::obs::{phase, PhaseClock};
 use crate::result::Enumeration;
 use crate::stats::EnumStats;
@@ -213,9 +213,8 @@ pub struct SearchState<'a> {
     input_set: DenseNodeSet,
     outputs: Vec<NodeId>,
     output_set: DenseNodeSet,
-    // --- scratch for dominance DFS ---
-    scratch_set: DenseNodeSet,
-    scratch_stack: Vec<NodeId>,
+    // --- CHECK-CUT scratch: derived interface and dominance-walk buffers ---
+    checker: CutChecker,
     // --- results ---
     seen: CutKeySet,
     cuts: Vec<Cut>,
@@ -250,8 +249,7 @@ impl<'a> SearchState<'a> {
             input_set: DenseNodeSet::new(n),
             outputs: Vec::new(),
             output_set: DenseNodeSet::new(n),
-            scratch_set: DenseNodeSet::new(n),
-            scratch_stack: Vec::new(),
+            checker: CutChecker::new(ctx),
             seen: CutKeySet::new(n.div_ceil(64)),
             cuts: Vec::new(),
             stats: EnumStats::new(),
@@ -293,18 +291,12 @@ impl<'a> SearchState<'a> {
     fn flush_obs(&mut self) {
         let Some(rec) = self.rec else { return };
         let (ns, entries) = self.clock.finalize();
-        for (i, name) in phase::NAMES.iter().enumerate() {
+        for i in 0..phase::COUNT {
             if ns[i] > 0 {
-                rec.add(
-                    &format!("ise_engine_phase_ns_total{{phase=\"{name}\"}}"),
-                    ns[i],
-                );
+                rec.add(phase::NS_METRICS[i], ns[i]);
             }
             if entries[i] > 0 {
-                rec.add(
-                    &format!("ise_engine_phase_entries_total{{phase=\"{name}\"}}"),
-                    entries[i],
-                );
+                rec.add(phase::ENTRY_METRICS[i], entries[i]);
             }
         }
         rec.add("ise_engine_runs_total", 1);
@@ -407,14 +399,10 @@ impl<'a> SearchState<'a> {
     }
 
     /// Whether the chosen input set blocks every source path to `target` (condition 1
-    /// of the generalized-dominator definition), using the preallocated DFS scratch.
+    /// of the generalized-dominator definition), using the preallocated walk scratch.
     pub fn inputs_dominate(&mut self, target: NodeId) -> bool {
-        self.ctx.set_dominates_in(
-            &self.input_set,
-            target,
-            &mut self.scratch_set,
-            &mut self.scratch_stack,
-        )
+        self.checker
+            .set_dominates(self.ctx, &self.input_set, target)
     }
 
     // ------------------------------------------------------------------
@@ -567,8 +555,8 @@ impl<'a> SearchState<'a> {
     // Candidate reporting.
     // ------------------------------------------------------------------
 
-    /// `CHECK-CUT` for the transactional algorithms: materializes the candidate
-    /// identified by the chosen inputs and outputs and reports it.
+    /// `CHECK-CUT` for the transactional algorithms: checks the candidate identified
+    /// by the chosen inputs and outputs and reports it.
     ///
     /// The maintained body is used directly: the §5.3 build-S pruning degenerates to
     /// the `O(1)` forbidden counter test, and under [`DedupMode::DedupFirst`] the
@@ -591,26 +579,27 @@ impl<'a> SearchState<'a> {
     }
 
     /// De-duplicates and validates one candidate, `body` or (for `None`) the
-    /// maintained body — cloned only once it survives a dedup-first lookup.
+    /// maintained body. Validation derives the interface into the checker's reusable
+    /// buffers; a [`Cut`] is built only for a valid, first-seen candidate.
     fn report(&mut self, body: Option<DenseNodeSet>, require_io_condition: bool) {
         self.stats.candidates_checked += 1;
         let dedup_first = self.dedup_mode == DedupMode::DedupFirst;
-        if dedup_first
-            && !self
-                .seen
-                .insert(body.as_ref().unwrap_or(&self.body).words())
-        {
+        let candidate = body.as_ref().unwrap_or(&self.body);
+        if dedup_first && !self.seen.insert(candidate.words()) {
             self.stats.rejected_duplicate += 1;
             return;
         }
-        let cut = Cut::from_body(self.ctx, body.unwrap_or_else(|| self.body.clone()));
-        let class = match cut.validate(self.ctx, self.constraints, require_io_condition) {
+        let verdict =
+            self.checker
+                .check(self.ctx, self.constraints, candidate, require_io_condition);
+        let class = match verdict {
             Ok(()) => {
-                if !dedup_first && !self.seen.insert(cut.body().words()) {
+                if !dedup_first && !self.seen.insert(candidate.words()) {
                     self.stats.rejected_duplicate += 1;
                     return;
                 }
                 self.stats.valid_cuts += 1;
+                let cut = self.checker.cut(body.unwrap_or_else(|| self.body.clone()));
                 self.cuts.push(cut);
                 CandidateClass::VALID
             }
@@ -633,11 +622,13 @@ impl<'a> SearchState<'a> {
     /// oracle and the Atasu/Pozzi baseline, whose searches visit each body once).
     pub fn report_current(&mut self, require_io_condition: bool) {
         self.stats.candidates_checked += 1;
-        let cut = Cut::from_body(self.ctx, self.body.clone());
-        match cut.validate(self.ctx, self.constraints, require_io_condition) {
+        let verdict =
+            self.checker
+                .check(self.ctx, self.constraints, &self.body, require_io_condition);
+        match verdict {
             Ok(()) => {
                 self.stats.valid_cuts += 1;
-                self.cuts.push(cut);
+                self.cuts.push(self.checker.cut(self.body.clone()));
             }
             Err(rejection) => self.stats.record_rejection(rejection),
         }

@@ -86,7 +86,7 @@ pub use basic::{basic_cuts, BasicEnumerator};
 pub use cone::cone;
 pub use config::{ConstraintError, Constraints, PruningConfig};
 pub use context::EnumContext;
-pub use cut::{Cut, CutKey, CutRejection};
+pub use cut::{Cut, CutChecker, CutKey, CutRejection};
 pub use engine::{DedupMode, EngineOptions, Enumerator, SearchState};
 pub use exhaustive::{exhaustive_cuts, ExhaustiveEnumerator, MAX_EXHAUSTIVE_CANDIDATES};
 pub use incremental::{incremental_cuts, IncrementalEnumerator};

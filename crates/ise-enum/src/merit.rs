@@ -10,9 +10,8 @@
 //! needed to transfer inputs and outputs beyond the register-file ports available in a
 //! single instruction.
 
-use ise_graph::{LatencyModel, NodeId};
+use ise_graph::{Dfg, LatencyModel, NodeId};
 
-use crate::context::EnumContext;
 use crate::cut::Cut;
 
 /// Estimated cost/benefit of turning one cut into a custom instruction.
@@ -36,7 +35,7 @@ impl Merit {
     }
 }
 
-/// Estimates the merit of `cut` under `model`, assuming `ports_in` register-file read
+/// Estimates the merit of `cut`, a cut of `dfg`, under `model`, assuming `ports_in` register-file read
 /// ports and `ports_out` write ports per cycle (extra operands cost one extra cycle per
 /// port group).
 ///
@@ -44,7 +43,7 @@ impl Merit {
 ///
 /// ```
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use ise_enum::{enumerate_cuts, estimate_merit, Constraints, EnumContext};
+/// use ise_enum::{enumerate_cuts, estimate_merit, Constraints};
 /// use ise_graph::{DfgBuilder, LatencyModel, Operation};
 ///
 /// let mut b = DfgBuilder::new("mac");
@@ -55,12 +54,11 @@ impl Merit {
 /// let sum = b.node(Operation::Add, &[mul, acc]);
 /// b.mark_output(sum);
 /// let dfg = b.build()?;
-/// let ctx = EnumContext::new(dfg.clone());
 /// let cuts = enumerate_cuts(&dfg, &Constraints::new(3, 1)?)?;
 /// let best = cuts
 ///     .cuts
 ///     .iter()
-///     .map(|c| estimate_merit(&ctx, c, &LatencyModel::default(), 2, 1))
+///     .map(|c| estimate_merit(&dfg, c, &LatencyModel::default(), 2, 1))
 ///     .max_by_key(|m| m.saved_cycles)
 ///     .expect("at least one candidate");
 /// assert!(best.software_cycles >= best.hardware_cycles);
@@ -68,13 +66,12 @@ impl Merit {
 /// # }
 /// ```
 pub fn estimate_merit(
-    ctx: &EnumContext,
+    dfg: &Dfg,
     cut: &Cut,
     model: &LatencyModel,
     ports_in: usize,
     ports_out: usize,
 ) -> Merit {
-    let dfg = ctx.dfg();
     let software_cycles: u32 = cut
         .body()
         .iter()
@@ -82,15 +79,14 @@ pub fn estimate_merit(
         .sum();
 
     // Critical path through the cut in hardware-delay units.
-    let mut delay = vec![0.0f64; ctx.rooted().num_nodes()];
+    let mut delay = vec![0.0f64; dfg.len()];
     let mut critical = 0.0f64;
-    for &v in ctx.rooted().topological_order() {
+    for &v in dfg.topological_order() {
         if !cut.contains(v) {
             continue;
         }
         let own = model.hardware_delay(dfg.op(v));
-        let arrival = ctx
-            .rooted()
+        let arrival = dfg
             .preds(v)
             .iter()
             .filter(|p| cut.contains(**p))
@@ -126,6 +122,7 @@ fn extra_transfer_cycles(operands: &[NodeId], ports: usize) -> u32 {
 mod tests {
     use super::*;
     use crate::config::Constraints;
+    use crate::context::EnumContext;
     use crate::exhaustive::exhaustive_cuts;
     use ise_graph::{DenseNodeSet, DfgBuilder, Operation};
 
@@ -152,7 +149,7 @@ mod tests {
     fn mac_cut_saves_cycles() {
         let (ctx, [_, _, _, mul, sum]) = mac_ctx();
         let cut = cut_of(&ctx, &[mul, sum]);
-        let merit = estimate_merit(&ctx, &cut, &LatencyModel::default(), 2, 1);
+        let merit = estimate_merit(ctx.dfg(), &cut, &LatencyModel::default(), 2, 1);
         // Software: mul (3) + add (1) = 4 cycles; hardware: ceil(1.6 + 0.3) = 2 cycles
         // plus one extra cycle to read the third operand.
         assert_eq!(merit.software_cycles, 4);
@@ -165,7 +162,7 @@ mod tests {
     fn single_alu_node_never_wins() {
         let (ctx, [_, _, _, _, sum]) = mac_ctx();
         let cut = cut_of(&ctx, &[sum]);
-        let merit = estimate_merit(&ctx, &cut, &LatencyModel::default(), 2, 1);
+        let merit = estimate_merit(ctx.dfg(), &cut, &LatencyModel::default(), 2, 1);
         assert_eq!(merit.software_cycles, 1);
         assert_eq!(merit.hardware_cycles, 1);
         assert_eq!(merit.saved_cycles, 0);
@@ -187,8 +184,8 @@ mod tests {
         let ctx = EnumContext::new(b.build().unwrap());
         let everything: Vec<NodeId> = l1.iter().chain(&l2).chain([&root]).copied().collect();
         let cut = cut_of(&ctx, &everything);
-        let merit2 = estimate_merit(&ctx, &cut, &LatencyModel::default(), 2, 1);
-        let merit8 = estimate_merit(&ctx, &cut, &LatencyModel::default(), 8, 1);
+        let merit2 = estimate_merit(ctx.dfg(), &cut, &LatencyModel::default(), 2, 1);
+        let merit8 = estimate_merit(ctx.dfg(), &cut, &LatencyModel::default(), 8, 1);
         assert!(
             merit8.hardware_cycles < merit2.hardware_cycles,
             "more ports means fewer transfer cycles"
@@ -201,7 +198,7 @@ mod tests {
         let (ctx, _) = mac_ctx();
         let all = exhaustive_cuts(&ctx, &Constraints::new(4, 2).unwrap(), true);
         for cut in &all.cuts {
-            let merit = estimate_merit(&ctx, cut, &LatencyModel::default(), 2, 1);
+            let merit = estimate_merit(ctx.dfg(), cut, &LatencyModel::default(), 2, 1);
             assert!(merit.hardware_cycles >= 1);
             assert_eq!(
                 merit.saved_cycles,
@@ -214,7 +211,7 @@ mod tests {
     fn zero_ports_degenerate_case() {
         let (ctx, [_, _, _, mul, sum]) = mac_ctx();
         let cut = cut_of(&ctx, &[mul, sum]);
-        let merit = estimate_merit(&ctx, &cut, &LatencyModel::default(), 0, 0);
+        let merit = estimate_merit(ctx.dfg(), &cut, &LatencyModel::default(), 0, 0);
         assert!(
             merit.hardware_cycles >= 4,
             "every operand transferred separately"

@@ -29,14 +29,26 @@ pub(crate) mod phase {
     pub const DEDUP: u8 = 4;
     /// Number of phases.
     pub const COUNT: usize = 5;
-    /// Prometheus label values, indexed by phase.
-    pub const NAMES: [&str; COUNT] = [
+    /// Defines the per-phase metric names, indexed by phase, from the phases'
+    /// Prometheus label values: the names are spelled out at compile time, so a
+    /// flush formats nothing.
+    macro_rules! metric_tables {
+        ($($label:literal),* $(,)?) => {
+            /// The self-time series of each phase.
+            pub const NS_METRICS: [&str; COUNT] =
+                [$(concat!("ise_engine_phase_ns_total{phase=\"", $label, "\"}")),*];
+            /// The entry-count series of each phase.
+            pub const ENTRY_METRICS: [&str; COUNT] =
+                [$(concat!("ise_engine_phase_entries_total{phase=\"", $label, "\"}")),*];
+        };
+    }
+    metric_tables!(
         "search",
         "dominators",
         "pick_output",
         "pick_inputs",
-        "dedup",
-    ];
+        "dedup"
+    );
 }
 
 /// A self-time stopwatch over the engine phases. Created disabled (the common
@@ -113,6 +125,18 @@ impl PhaseClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn metric_names_carry_the_phase_labels() {
+        assert_eq!(
+            phase::NS_METRICS[phase::DOMINATORS as usize],
+            "ise_engine_phase_ns_total{phase=\"dominators\"}"
+        );
+        assert_eq!(
+            phase::ENTRY_METRICS[phase::DEDUP as usize],
+            "ise_engine_phase_entries_total{phase=\"dedup\"}"
+        );
+    }
 
     #[test]
     fn disabled_clock_accumulates_nothing() {

@@ -7,9 +7,8 @@
 //! the requested number of custom instructions is reached or no profitable candidate is
 //! left.
 
-use ise_graph::LatencyModel;
+use ise_graph::{DenseNodeSet, Dfg, LatencyModel};
 
-use crate::context::EnumContext;
 use crate::cut::Cut;
 use crate::merit::{estimate_merit, Merit};
 
@@ -38,8 +37,8 @@ impl Selection {
     }
 }
 
-/// Greedily selects up to `max_instructions` non-overlapping cuts with the highest
-/// estimated savings.
+/// Greedily selects up to `max_instructions` non-overlapping cuts of `dfg` with the
+/// highest estimated savings. Only the graph is read, so no `EnumContext` is needed.
 ///
 /// Candidates whose estimated saving is zero are never selected. `ports_in`/`ports_out`
 /// are the register-file ports available per cycle for operand transfer (see
@@ -49,7 +48,7 @@ impl Selection {
 ///
 /// ```
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use ise_enum::{enumerate_cuts, select_ises, Constraints, EnumContext};
+/// use ise_enum::{enumerate_cuts, select_ises, Constraints};
 /// use ise_graph::{DfgBuilder, LatencyModel, Operation};
 ///
 /// let mut b = DfgBuilder::new("bb");
@@ -61,32 +60,30 @@ impl Selection {
 /// b.mark_output(sum);
 /// let dfg = b.build()?;
 ///
-/// let ctx = EnumContext::new(dfg.clone());
 /// let cuts = enumerate_cuts(&dfg, &Constraints::new(3, 1)?)?;
-/// let selection = select_ises(&ctx, &cuts.cuts, &LatencyModel::default(), 2, 1, 4);
+/// let selection = select_ises(&dfg, &cuts.cuts, &LatencyModel::default(), 2, 1, 4);
 /// assert!(selection.chosen.len() <= 4);
 /// assert!(selection.block_speedup() >= 1.0);
 /// # Ok(())
 /// # }
 /// ```
 pub fn select_ises(
-    ctx: &EnumContext,
+    dfg: &Dfg,
     candidates: &[Cut],
     model: &LatencyModel,
     ports_in: usize,
     ports_out: usize,
     max_instructions: usize,
 ) -> Selection {
-    let block_software_cycles: u32 = ctx
-        .dfg()
+    let block_software_cycles: u32 = dfg
         .node_ids()
-        .map(|v| model.software_cycles(ctx.dfg().op(v)))
+        .map(|v| model.software_cycles(dfg.op(v)))
         .sum();
 
     let mut scored: Vec<(usize, Merit)> = candidates
         .iter()
         .enumerate()
-        .map(|(i, cut)| (i, estimate_merit(ctx, cut, model, ports_in, ports_out)))
+        .map(|(i, cut)| (i, estimate_merit(dfg, cut, model, ports_in, ports_out)))
         .filter(|(_, m)| m.saved_cycles > 0)
         .collect();
     // Highest saving first; break ties towards smaller cuts (cheaper hardware).
@@ -97,7 +94,8 @@ pub fn select_ises(
             .then_with(|| candidates[a.0].key().cmp(&candidates[b.0].key()))
     });
 
-    let mut used = ctx.rooted().node_set();
+    // Cut bodies are sized for the augmented graph: the block plus source and sink.
+    let mut used = DenseNodeSet::new(dfg.len() + 2);
     let mut selection = Selection {
         chosen: Vec::new(),
         total_saved_cycles: 0,
@@ -122,6 +120,7 @@ pub fn select_ises(
 mod tests {
     use super::*;
     use crate::config::Constraints;
+    use crate::context::EnumContext;
     use crate::exhaustive::exhaustive_cuts;
     use ise_graph::{DfgBuilder, Operation};
 
@@ -143,7 +142,14 @@ mod tests {
     fn selects_non_overlapping_profitable_cuts() {
         let ctx = two_macs();
         let candidates = exhaustive_cuts(&ctx, &Constraints::new(3, 1).unwrap(), true);
-        let selection = select_ises(&ctx, &candidates.cuts, &LatencyModel::default(), 2, 1, 8);
+        let selection = select_ises(
+            ctx.dfg(),
+            &candidates.cuts,
+            &LatencyModel::default(),
+            2,
+            1,
+            8,
+        );
         assert!(!selection.chosen.is_empty());
         // No two selected cuts share a vertex.
         for (i, (a, _)) in selection.chosen.iter().enumerate() {
@@ -161,14 +167,21 @@ mod tests {
     fn respects_the_instruction_budget() {
         let ctx = two_macs();
         let candidates = exhaustive_cuts(&ctx, &Constraints::new(3, 1).unwrap(), true);
-        let selection = select_ises(&ctx, &candidates.cuts, &LatencyModel::default(), 2, 1, 1);
+        let selection = select_ises(
+            ctx.dfg(),
+            &candidates.cuts,
+            &LatencyModel::default(),
+            2,
+            1,
+            1,
+        );
         assert_eq!(selection.chosen.len(), 1);
     }
 
     #[test]
     fn empty_candidate_list_selects_nothing() {
         let ctx = two_macs();
-        let selection = select_ises(&ctx, &[], &LatencyModel::default(), 2, 1, 4);
+        let selection = select_ises(ctx.dfg(), &[], &LatencyModel::default(), 2, 1, 4);
         assert!(selection.chosen.is_empty());
         assert_eq!(selection.total_saved_cycles, 0);
         assert!(selection.block_software_cycles > 0);

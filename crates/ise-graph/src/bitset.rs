@@ -248,10 +248,16 @@ impl DenseNodeSet {
 
     /// Iterates over the members in increasing index order.
     pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            set: self,
-            word_index: 0,
-            current: self.words.first().copied().unwrap_or(0),
+        Iter::new(&self.words)
+    }
+
+    /// The set as a borrowed [`NodeRow`], for APIs that accept either an owned set or
+    /// a row of a bit matrix.
+    #[inline]
+    pub fn as_row(&self) -> NodeRow<'_> {
+        NodeRow {
+            words: &self.words,
+            capacity: self.capacity,
         }
     }
 
@@ -293,11 +299,117 @@ impl<'a> IntoIterator for &'a DenseNodeSet {
     }
 }
 
-/// Iterator over the members of a [`DenseNodeSet`], produced by [`DenseNodeSet::iter`].
+/// A borrowed, read-only node set: one row of a flat bit matrix (such as the rows
+/// of [`crate::Reachability`]) or a view of a [`DenseNodeSet`]
+/// ([`DenseNodeSet::as_row`]). It has the same word layout as a `DenseNodeSet` of
+/// the same capacity, so the two compare word by word.
+///
+/// # Example
+///
+/// ```
+/// use ise_graph::{DenseNodeSet, NodeId};
+///
+/// let set = DenseNodeSet::from_nodes(70, [NodeId::new(3), NodeId::new(65)]);
+/// let row = set.as_row();
+/// assert!(row.contains(NodeId::new(65)));
+/// assert_eq!(row.iter().collect::<Vec<_>>(), vec![NodeId::new(3), NodeId::new(65)]);
+/// assert!(row.is_disjoint(&DenseNodeSet::from_nodes(70, [NodeId::new(4)])));
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct NodeRow<'a> {
+    words: &'a [u64],
+    capacity: usize,
+}
+
+impl<'a> NodeRow<'a> {
+    /// Wraps `words` (low indices first) as a set of capacity `capacity`; `words` must
+    /// hold exactly `capacity.div_ceil(64)` words with no bit set at or past
+    /// `capacity`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word count does not match the capacity.
+    #[inline]
+    pub fn new(words: &'a [u64], capacity: usize) -> Self {
+        assert_eq!(
+            words.len(),
+            capacity.div_ceil(WORD_BITS),
+            "row width does not match capacity {capacity}"
+        );
+        NodeRow { words, capacity }
+    }
+
+    /// The capacity (exclusive upper bound on node indices) of the row.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Whether `node` is a member of the row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node.index() >= self.capacity()`.
+    #[inline]
+    pub fn contains(&self, node: NodeId) -> bool {
+        let i = node.index();
+        assert!(
+            i < self.capacity,
+            "node {node} out of set capacity {}",
+            self.capacity
+        );
+        self.words[i / WORD_BITS] & (1u64 << (i % WORD_BITS)) != 0
+    }
+
+    /// Whether the row and `other` share no element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacities differ.
+    #[inline]
+    pub fn is_disjoint(&self, other: &DenseNodeSet) -> bool {
+        assert_eq!(
+            self.capacity, other.capacity,
+            "capacity mismatch in is_disjoint"
+        );
+        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
+    }
+
+    /// The raw 64-bit words of the row, low indices first.
+    #[inline]
+    pub fn words(&self) -> &'a [u64] {
+        self.words
+    }
+
+    /// Iterates over the members in increasing index order.
+    #[inline]
+    pub fn iter(&self) -> Iter<'a> {
+        Iter::new(self.words)
+    }
+}
+
+impl fmt::Debug for NodeRow<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over the members of a [`DenseNodeSet`] or a [`NodeRow`], produced by
+/// their `iter` methods.
 pub struct Iter<'a> {
-    set: &'a DenseNodeSet,
+    words: &'a [u64],
     word_index: usize,
     current: u64,
+}
+
+impl<'a> Iter<'a> {
+    fn new(words: &'a [u64]) -> Self {
+        Iter {
+            words,
+            word_index: 0,
+            current: words.first().copied().unwrap_or(0),
+        }
+    }
 }
 
 impl Iterator for Iter<'_> {
@@ -311,10 +423,10 @@ impl Iterator for Iter<'_> {
                 return Some(NodeId::from_index(self.word_index * WORD_BITS + bit));
             }
             self.word_index += 1;
-            if self.word_index >= self.set.words.len() {
+            if self.word_index >= self.words.len() {
                 return None;
             }
-            self.current = self.set.words[self.word_index];
+            self.current = self.words[self.word_index];
         }
     }
 }

@@ -57,23 +57,46 @@ impl CsrAdjacency {
             "CSR offsets are 32-bit; {} edges exceed the format",
             edges.len()
         );
+        // Count each row's edges at its own index, then take inclusive prefix sums:
+        // `offsets[v]` is the end of row `v` and `offsets[num_nodes]` the edge count.
         let mut offsets = vec![0u32; num_nodes + 1];
         for &e in edges {
-            offsets[key(e).index() + 1] += 1;
+            offsets[key(e).index()] += 1;
         }
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
-        // Stable fill: a per-vertex cursor walks the edge list in order, so each row
-        // keeps the edge-list order (operand order for predecessor rows).
-        let mut cursor: Vec<u32> = offsets[..num_nodes].to_vec();
+        // Stable fill, back to front: the last edge of a row takes its last slot, and
+        // walking every end down leaves `offsets[v]` at the start of row `v`.
         let mut targets = vec![NodeId::from_index(0); edges.len()];
-        for &e in edges {
-            let k = key(e).index();
-            targets[cursor[k] as usize] = value(e);
-            cursor[k] += 1;
+        for &e in edges.iter().rev() {
+            let end = &mut offsets[key(e).index()];
+            *end -= 1;
+            targets[*end as usize] = value(e);
         }
         CsrAdjacency { offsets, targets }
+    }
+
+    /// An empty adjacency with room for `num_nodes` rows and `num_edges` edges; add
+    /// the rows in vertex order with [`CsrAdjacency::push_row`].
+    pub(crate) fn with_capacity(num_nodes: usize, num_edges: usize) -> Self {
+        let mut offsets = Vec::with_capacity(num_nodes + 1);
+        offsets.push(0);
+        CsrAdjacency {
+            offsets,
+            targets: Vec::with_capacity(num_edges),
+        }
+    }
+
+    /// Appends the row of the next vertex.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the edge count exceeds `u32::MAX`.
+    pub(crate) fn push_row(&mut self, row: impl IntoIterator<Item = NodeId>) {
+        self.targets.extend(row);
+        let end = u32::try_from(self.targets.len()).expect("CSR offsets are 32-bit");
+        self.offsets.push(end);
     }
 
     /// Builds successor rows: `row(v)` lists the `to` of every edge `(v, to)`, in

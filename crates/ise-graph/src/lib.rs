@@ -13,12 +13,13 @@
 //!   single artificial *sink* (successor of every `Oext` vertex), so that both the graph
 //!   and its reverse are rooted. Dominators and postdominators are computed on this
 //!   view.
-//! * [`Reachability`] — precomputed path information: for every pair of nodes whether a
-//!   path exists, whether some path between them touches a forbidden node, and how many
-//!   distinct forbidden predecessors hang off those paths (used by the output–input
-//!   pruning of §5.3).
+//! * [`Reachability`] — precomputed path information, stored as four flat bit
+//!   matrices: for every pair of nodes whether a path exists, whether some path between
+//!   them passes a forbidden node and whether some path avoids them (used by the
+//!   output–input pruning of §5.3), plus every node's ancestor set.
 //! * [`DenseNodeSet`] — a cache-friendly fixed-capacity bit set over node ids, the
-//!   work-horse set representation used throughout the workspace.
+//!   work-horse set representation used throughout the workspace; [`NodeRow`] is its
+//!   borrowed, read-only form (one row of a bit matrix).
 //! * [`CsrAdjacency`] — the flat compressed-sparse-row storage behind both graphs'
 //!   `preds()`/`succs()` rows: one edge arena plus an offset table per direction, so
 //!   the enumeration hot paths walk contiguous memory instead of per-row allocations.
@@ -69,7 +70,7 @@ mod reach;
 mod rooted;
 mod topo;
 
-pub use bitset::DenseNodeSet;
+pub use bitset::{DenseNodeSet, NodeRow};
 pub use builder::DfgBuilder;
 pub use csr::CsrAdjacency;
 pub use dot::{CutLike, DotOptions};

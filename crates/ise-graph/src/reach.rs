@@ -1,6 +1,6 @@
 //! Precomputed reachability and forbidden-path information (§5.3, §5.4).
 
-use crate::bitset::DenseNodeSet;
+use crate::bitset::NodeRow;
 use crate::node::NodeId;
 use crate::rooted::RootedDfg;
 
@@ -8,15 +8,22 @@ use crate::rooted::RootedDfg;
 ///
 /// §5.4 of the paper lists, among the precomputed data structures, "the presence of
 /// paths between two nodes, and whether any of these paths touches a forbidden node".
-/// This type stores exactly that, as one descendant bit-row per vertex:
+/// This type stores exactly that, plus every vertex's ancestor set:
 ///
-/// * [`Reachability::reaches`] — is there a (possibly empty) path `from → to`?
+/// * [`Reachability::reaches`] — is there a non-empty path `from → to`?
 /// * [`Reachability::forbidden_between`] — is there a path `from → to` that contains a
 ///   forbidden vertex strictly between the two endpoints? Such a pair can never be an
 ///   (input, output) pair of a valid cut (output–input pruning, §5.3).
+/// * [`Reachability::clean_reaches`] — is there a path `from → to` with *no*
+///   forbidden vertex strictly between the endpoints?
+/// * [`Reachability::ancestors`] / [`Reachability::descendants`] — whole rows, as
+///   borrowed [`NodeRow`]s.
 ///
-/// Construction costs `O(n · e / 64)` time and `O(n² / 8)` bytes, negligible for the
-/// basic-block sizes of interest (≤ ~1200 nodes).
+/// The storage is four flat row-major bit matrices (descendants, tainted, clean and
+/// ancestors), each one `Vec<u64>` of `n × ⌈n/64⌉` words for the `n` vertices of the
+/// augmented graph: four allocations per graph whatever its size. One
+/// reverse-topological pass fills the first three in place and one forward pass fills
+/// the ancestors, each in `O(e · n / 64)` word operations.
 ///
 /// # Example
 ///
@@ -32,70 +39,132 @@ use crate::rooted::RootedDfg;
 /// let reach = Reachability::compute(&rooted);
 ///
 /// assert!(reach.reaches(a, add));
-/// assert!(reach.forbidden_between(a, add), "the only a→add path through ld is blocked");
+/// assert!(reach.forbidden_between(a, add), "the a→ld→add path is blocked");
+/// assert!(reach.clean_reaches(a, add), "the direct edge is clean");
+/// assert!(reach.ancestors(add).contains(ld));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Clone, Debug)]
 pub struct Reachability {
-    /// `descendants[v]` contains every vertex reachable from `v` by a non-empty path.
-    descendants: Vec<DenseNodeSet>,
-    /// `ancestors[v]` contains every vertex that reaches `v` by a non-empty path.
-    ancestors: Vec<DenseNodeSet>,
-    /// `tainted[v]` contains every vertex `w` such that some path `v → w` passes
-    /// through a forbidden vertex strictly between `v` and `w`.
-    tainted: Vec<DenseNodeSet>,
-    /// `clean[v]` contains every vertex `w` such that some path `v → w` passes through
-    /// no forbidden vertex strictly between `v` and `w`.
-    clean: Vec<DenseNodeSet>,
+    /// Number of vertices: the row count and the capacity of every row.
+    n: usize,
+    /// Words per row, `⌈n/64⌉`.
+    stride: usize,
+    /// Row `v` contains every vertex reachable from `v` by a non-empty path.
+    descendants: Vec<u64>,
+    /// Row `v` contains every vertex `w` such that some path `v → w` passes through a
+    /// forbidden vertex strictly between `v` and `w`.
+    tainted: Vec<u64>,
+    /// Row `v` contains every vertex `w` such that some path `v → w` passes through no
+    /// forbidden vertex strictly between `v` and `w`.
+    clean: Vec<u64>,
+    /// Row `v` contains every vertex that reaches `v` by a non-empty path.
+    ancestors: Vec<u64>,
+}
+
+/// The word holding `node`'s bit in a row, and the bit's mask.
+#[inline]
+fn bit(node: NodeId) -> (usize, u64) {
+    (node.index() / 64, 1u64 << (node.index() % 64))
+}
+
+/// `matrix[dst] |= matrix[src]` for two distinct rows of one matrix.
+#[inline]
+fn or_row(matrix: &mut [u64], stride: usize, dst: usize, src: usize) {
+    debug_assert_ne!(dst, src);
+    let (dst_row, src_row) = if dst < src {
+        let (lo, hi) = matrix.split_at_mut(src * stride);
+        (&mut lo[dst * stride..(dst + 1) * stride], &hi[..stride])
+    } else {
+        let (lo, hi) = matrix.split_at_mut(dst * stride);
+        (&mut hi[..stride], &lo[src * stride..(src + 1) * stride])
+    };
+    for (d, s) in dst_row.iter_mut().zip(src_row) {
+        *d |= s;
+    }
+}
+
+/// `dst[row] |= src[row]` across two matrices of the same shape.
+#[inline]
+fn or_across(dst: &mut [u64], src: &[u64], stride: usize, dst_row: usize, src_row: usize) {
+    let d = &mut dst[dst_row * stride..(dst_row + 1) * stride];
+    for (d, s) in d
+        .iter_mut()
+        .zip(&src[src_row * stride..(src_row + 1) * stride])
+    {
+        *d |= s;
+    }
 }
 
 impl Reachability {
     /// Computes reachability over the augmented graph.
     pub fn compute(graph: &RootedDfg) -> Self {
         let n = graph.num_nodes();
-        let mut descendants = vec![DenseNodeSet::new(n); n];
-        let mut tainted = vec![DenseNodeSet::new(n); n];
-        let mut clean = vec![DenseNodeSet::new(n); n];
+        let stride = n.div_ceil(64);
+        let mut descendants = vec![0u64; n * stride];
+        let mut tainted = vec![0u64; n * stride];
+        let mut clean = vec![0u64; n * stride];
 
-        // Process vertices in reverse topological order so every successor row is final
-        // before it is merged into its predecessors.
+        // Reverse topological order: every successor row is final before it is merged
+        // into its predecessors.
         for &v in graph.topological_order().iter().rev() {
-            let mut desc = DenseNodeSet::new(n);
-            let mut taint = DenseNodeSet::new(n);
-            let mut untainted = DenseNodeSet::new(n);
+            let vi = v.index();
             for &s in graph.succs(v) {
-                desc.insert(s);
-                desc.union_with(&descendants[s.index()]);
-                untainted.insert(s);
+                let si = s.index();
+                let (word, mask) = bit(s);
+                descendants[vi * stride + word] |= mask;
+                clean[vi * stride + word] |= mask;
+                or_row(&mut descendants, stride, vi, si);
                 // Paths through a forbidden successor taint everything past it; paths
                 // through a clean successor only propagate its own taint, and only a
                 // non-forbidden successor extends forbidden-free paths.
                 if graph.is_forbidden(s) {
-                    taint.union_with(&descendants[s.index()]);
+                    or_across(&mut tainted, &descendants, stride, vi, si);
                 } else {
-                    taint.union_with(&tainted[s.index()]);
-                    untainted.union_with(&clean[s.index()]);
+                    or_row(&mut tainted, stride, vi, si);
+                    or_row(&mut clean, stride, vi, si);
                 }
             }
-            descendants[v.index()] = desc;
-            tainted[v.index()] = taint;
-            clean[v.index()] = untainted;
         }
 
-        let mut ancestors = vec![DenseNodeSet::new(n); n];
-        for v in graph.node_ids() {
-            for w in descendants[v.index()].iter() {
-                ancestors[w.index()].insert(v);
+        // Forward order: every predecessor row is final before it is merged, so the
+        // ancestors of `v` are the union of `{p} ∪ ancestors(p)` over its predecessors.
+        let mut ancestors = vec![0u64; n * stride];
+        for &v in graph.topological_order() {
+            let vi = v.index();
+            for &p in graph.preds(v) {
+                let (word, mask) = bit(p);
+                ancestors[vi * stride + word] |= mask;
+                or_row(&mut ancestors, stride, vi, p.index());
             }
         }
 
         Reachability {
+            n,
+            stride,
             descendants,
-            ancestors,
             tainted,
             clean,
+            ancestors,
         }
+    }
+
+    #[inline]
+    fn row<'a>(&self, matrix: &'a [u64], node: NodeId) -> NodeRow<'a> {
+        let start = node.index() * self.stride;
+        NodeRow::new(&matrix[start..start + self.stride], self.n)
+    }
+
+    #[inline]
+    fn test(&self, matrix: &[u64], from: NodeId, to: NodeId) -> bool {
+        assert!(
+            from.index() < self.n && to.index() < self.n,
+            "node pair {from}->{to} out of range for {} vertices",
+            self.n
+        );
+        let (word, mask) = bit(to);
+        matrix[from.index() * self.stride + word] & mask != 0
     }
 
     /// Whether there is a non-empty path from `from` to `to`.
@@ -105,7 +174,7 @@ impl Reachability {
     /// Panics if either id is out of range for the graph this was computed from.
     #[inline]
     pub fn reaches(&self, from: NodeId, to: NodeId) -> bool {
-        self.descendants[from.index()].contains(to)
+        self.test(&self.descendants, from, to)
     }
 
     /// Whether some path from `from` to `to` contains a forbidden vertex strictly
@@ -117,7 +186,7 @@ impl Reachability {
     /// Panics if either id is out of range for the graph this was computed from.
     #[inline]
     pub fn forbidden_between(&self, from: NodeId, to: NodeId) -> bool {
-        self.tainted[from.index()].contains(to)
+        self.test(&self.tainted, from, to)
     }
 
     /// Whether some path from `from` to `to` contains *no* forbidden vertex strictly
@@ -130,7 +199,7 @@ impl Reachability {
     /// Panics if either id is out of range for the graph this was computed from.
     #[inline]
     pub fn clean_reaches(&self, from: NodeId, to: NodeId) -> bool {
-        self.clean[from.index()].contains(to)
+        self.test(&self.clean, from, to)
     }
 
     /// The set of vertices reachable from `node` (excluding `node` itself unless it lies
@@ -139,8 +208,8 @@ impl Reachability {
     /// # Panics
     ///
     /// Panics if `node` is out of range.
-    pub fn descendants(&self, node: NodeId) -> &DenseNodeSet {
-        &self.descendants[node.index()]
+    pub fn descendants(&self, node: NodeId) -> NodeRow<'_> {
+        self.row(&self.descendants, node)
     }
 
     /// The set of vertices that reach `node`.
@@ -148,8 +217,8 @@ impl Reachability {
     /// # Panics
     ///
     /// Panics if `node` is out of range.
-    pub fn ancestors(&self, node: NodeId) -> &DenseNodeSet {
-        &self.ancestors[node.index()]
+    pub fn ancestors(&self, node: NodeId) -> NodeRow<'_> {
+        self.row(&self.ancestors, node)
     }
 
     /// Whether `a` and `b` are incomparable (neither reaches the other). Incomparable

@@ -64,32 +64,29 @@ impl RootedDfg {
         let sink = NodeId::from_index(n + 1);
         let total = n + 2;
 
-        // The two directions need differently ordered edge lists, because the CSR
-        // build groups stably by one endpoint: successor rows must keep the original
-        // succ-row (from-major) order, predecessor rows must keep operand (to-major)
-        // order. Augmentation edges are appended after the originals, so `source`
-        // stays the sole predecessor of each root and `sink` stays last in each
-        // output's successor row, matching the pre-CSR push order.
-        let extra = dfg.external_inputs().len() + dfg.external_outputs().len();
-        let mut forward_edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(dfg.edge_count() + extra);
-        forward_edges.extend(dfg.edges());
-        let mut backward_edges: Vec<(NodeId, NodeId)> =
-            Vec::with_capacity(dfg.edge_count() + extra);
+        // Both directions are written row by row straight into their CSR arenas.
+        // Augmentation edges come after the original ones, so `source` is the sole
+        // predecessor of each root and `sink` is last in each output's successor row.
+        let outputs = dfg.external_outputs(); // sorted and unique
+        let is_root = |v: NodeId| dfg.preds(v).is_empty();
+        let roots = dfg.node_ids().filter(|&v| is_root(v)).count();
+        let edges = dfg.edge_count() + roots + outputs.len();
+        let mut succs = CsrAdjacency::with_capacity(total, edges);
+        let mut preds = CsrAdjacency::with_capacity(total, edges);
         for v in dfg.node_ids() {
-            backward_edges.extend(dfg.preds(v).iter().map(|&p| (p, v)));
+            let live_out = outputs.binary_search(&v).is_ok();
+            succs.push_row(dfg.succs(v).iter().copied().chain(live_out.then_some(sink)));
+            preds.push_row(
+                dfg.preds(v)
+                    .iter()
+                    .copied()
+                    .chain(is_root(v).then_some(source)),
+            );
         }
-        for id in dfg.node_ids() {
-            if dfg.preds(id).is_empty() {
-                forward_edges.push((source, id));
-                backward_edges.push((source, id));
-            }
-        }
-        for &out in dfg.external_outputs() {
-            forward_edges.push((out, sink));
-            backward_edges.push((out, sink));
-        }
-        let succs = CsrAdjacency::forward(total, &forward_edges);
-        let preds = CsrAdjacency::backward(total, &backward_edges);
+        succs.push_row(dfg.node_ids().filter(|&v| is_root(v))); // source
+        succs.push_row([]); // sink
+        preds.push_row([]); // source
+        preds.push_row(outputs.iter().copied()); // sink
 
         let mut forbidden = DenseNodeSet::new(total);
         for id in dfg.forbidden().iter() {

@@ -68,10 +68,12 @@ where
     let mut in_degree: Vec<usize> = (0..n)
         .map(|i| preds.row_of(NodeId::from_index(i)).len())
         .collect();
-    let mut ready: Vec<NodeId> = (0..n)
-        .filter(|&i| in_degree[i] == 0)
-        .map(NodeId::from_index)
-        .collect();
+    let mut ready: Vec<NodeId> = Vec::with_capacity(n);
+    ready.extend(
+        (0..n)
+            .filter(|&i| in_degree[i] == 0)
+            .map(NodeId::from_index),
+    );
     let mut order = Vec::with_capacity(n);
     while let Some(node) = ready.pop() {
         order.push(node);

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for block in &blocks {
         let ctx = EnumContext::new(block.dfg.clone());
         let result = incremental_cuts(&ctx, &constraints, &pruning, &options, None);
-        let selection = select_ises(&ctx, &result.cuts, &model, 4, 2, 4);
+        let selection = select_ises(ctx.dfg(), &result.cuts, &model, 4, 2, 4);
         println!(
             "{:5}  {:5}  {:10}  {:8}  {:12}  {:6.2}x",
             block.id,

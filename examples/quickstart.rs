@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut ranked: Vec<_> = result
         .cuts
         .iter()
-        .map(|cut| (estimate_merit(&ctx, cut, &model, 4, 2), cut))
+        .map(|cut| (estimate_merit(ctx.dfg(), cut, &model, 4, 2), cut))
         .collect();
     ranked.sort_by_key(|(merit, _)| std::cmp::Reverse(merit.saved_cycles));
 

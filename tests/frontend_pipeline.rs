@@ -23,7 +23,7 @@ fn sad_kernel_yields_a_profitable_multi_operation_instruction() {
     let best = result
         .cuts
         .iter()
-        .map(|cut| (cut, estimate_merit(&ctx, cut, &model, 4, 1)))
+        .map(|cut| (cut, estimate_merit(ctx.dfg(), cut, &model, 4, 1)))
         .max_by_key(|(_, merit)| merit.saved_cycles)
         .expect("at least one candidate");
     assert!(
@@ -64,7 +64,7 @@ fn selection_on_a_generated_block_is_consistent() {
     let ctx = EnumContext::new(dfg.clone());
     let constraints = Constraints::new(4, 2).expect("valid constraints");
     let result = enumerate_cuts(&dfg, &constraints).expect("enumeration succeeds");
-    let selection = select_ises(&ctx, &result.cuts, &LatencyModel::default(), 4, 2, 8);
+    let selection = select_ises(ctx.dfg(), &result.cuts, &LatencyModel::default(), 4, 2, 8);
     // Selected instructions never overlap and never exceed the requested count.
     assert!(selection.chosen.len() <= 8);
     for (i, (a, _)) in selection.chosen.iter().enumerate() {

@@ -12,8 +12,8 @@ use ise_dominators::{
     Reverse,
 };
 use ise_enum::{
-    cone, exhaustive_cuts, incremental_cuts, Constraints, Cut, CutKey, EngineOptions, EnumContext,
-    Enumeration, PruningConfig,
+    cone, exhaustive_cuts, incremental_cuts, Constraints, Cut, CutChecker, CutKey, EngineOptions,
+    EnumContext, Enumeration, PruningConfig,
 };
 use ise_graph::{DenseNodeSet, Dfg, NodeId, Operation, Reachability, RootedDfg};
 use ise_workloads::expr::compile_block;
@@ -123,10 +123,10 @@ fn memoized_coding_matches_plain_on_every_workload_family() {
         let ctx = EnumContext::new(dfg);
         let cuts = incremental(&ctx, &constraints, &PruningConfig::all()).cuts;
         total_cuts += cuts.len() as u64;
-        let plain = canonicalize_cuts(&ctx, &cuts, &config);
-        let cold = canonicalize_cuts_memo(&ctx, &cuts, &config, &memo);
+        let plain = canonicalize_cuts(ctx.dfg(), &cuts, &config);
+        let cold = canonicalize_cuts_memo(ctx.dfg(), &cuts, &config, &memo);
         assert_eq!(plain, cold, "cold memoized coding diverges on `{name}`");
-        let warm = canonicalize_cuts_memo(&ctx, &cuts, &config, &memo);
+        let warm = canonicalize_cuts_memo(ctx.dfg(), &cuts, &config, &memo);
         assert_eq!(plain, warm, "warm memoized coding diverges on `{name}`");
     }
     let stats = memo.stats();
@@ -294,6 +294,80 @@ fn dag_dominators_match_their_oracles_on_every_workload_family() {
     );
 }
 
+/// The parent revision's technical input condition, kept as the oracle for the
+/// backward cone walk of `Cut::io_condition_violation`: one whole-graph DFS forward
+/// from the source per input, never entering another input, succeeding when it steps
+/// onto the input itself.
+fn forward_io_condition_violation(rooted: &RootedDfg, inputs: &[NodeId]) -> Option<NodeId> {
+    let input_set = DenseNodeSet::from_nodes(rooted.num_nodes(), inputs.iter().copied());
+    'inputs: for &w in inputs {
+        let mut visited = rooted.node_set();
+        visited.insert(rooted.source());
+        let mut stack = vec![rooted.source()];
+        while let Some(v) = stack.pop() {
+            for &s in rooted.succs(v) {
+                if s == w {
+                    continue 'inputs;
+                }
+                if !input_set.contains(s) && visited.insert(s) {
+                    stack.push(s);
+                }
+            }
+        }
+        return Some(w);
+    }
+    None
+}
+
+/// Strategy: a layered random DAG with memory operations, large enough that the
+/// reachability rows span up to three 64-bit words.
+fn wide_dag_strategy() -> impl Strategy<Value = Dfg> {
+    (40usize..170, 0u32..40, 1u64..u64::MAX).prop_map(|(nodes, memory_pct, seed)| {
+        random_dag(
+            &RandomDagConfig::new(nodes).with_memory_ratio(f64::from(memory_pct) / 100.0),
+            seed,
+        )
+    })
+}
+
+/// A candidate body drawn from `bits`. Kind 0 is a raw vertex subset (forbidden and
+/// artificial vertices included), kind 1 a sparse subset of the legal members, kind 2
+/// the backward closure of a random input/output choice, and any other kind the same
+/// closure with every forbidden vertex also treated as an input, so that the body
+/// stays legal and the interface rules decide.
+fn random_body(ctx: &EnumContext, bits: u64, kind: u8) -> DenseNodeSet {
+    let rooted = ctx.rooted();
+    let n = rooted.num_nodes();
+    let picked = |v: NodeId, shift: u32| bits.rotate_right(shift) >> (v.index() % 64) & 1 == 1;
+    // About one vertex in eight: three independent bits must agree.
+    let sparse = |v: NodeId| picked(v, 0) && picked(v, 29) && picked(v, 43);
+    match kind {
+        0 => return DenseNodeSet::from_nodes(n, rooted.node_ids().filter(|&v| picked(v, 0))),
+        1 => {
+            let members = ctx.candidate_outputs().iter().copied();
+            return DenseNodeSet::from_nodes(n, members.filter(|&v| picked(v, 0) && picked(v, 7)));
+        }
+        _ => {}
+    }
+    let mut inputs = DenseNodeSet::from_nodes(
+        n,
+        rooted
+            .original_node_ids()
+            .filter(|&v| if kind == 2 { picked(v, 0) } else { sparse(v) }),
+    );
+    if kind > 2 {
+        inputs.union_with(rooted.forbidden());
+    }
+    let outputs: Vec<NodeId> = ctx
+        .candidate_outputs()
+        .iter()
+        .copied()
+        .filter(|&v| picked(v, 17) && !inputs.contains(v))
+        .take(3)
+        .collect();
+    cone(rooted, &inputs, &outputs)
+}
+
 /// Strategy: a small random DAG described as, for each non-root node, a list of
 /// predecessor indices among the earlier nodes, plus an operation selector.
 fn small_dag_strategy() -> impl Strategy<Value = Dfg> {
@@ -417,10 +491,10 @@ proptest! {
         let constraints = Constraints::new(3, 2).unwrap();
         let cuts = incremental(&ctx, &constraints, &PruningConfig::all()).cuts;
         let config = GroupConfig::default();
-        let plain = canonicalize_cuts(&ctx, &cuts, &config);
+        let plain = canonicalize_cuts(ctx.dfg(), &cuts, &config);
         let memo = CanonMemo::new();
-        let cold = canonicalize_cuts_memo(&ctx, &cuts, &config, &memo);
-        let warm = canonicalize_cuts_memo(&ctx, &cuts, &config, &memo);
+        let cold = canonicalize_cuts_memo(ctx.dfg(), &cuts, &config, &memo);
+        let warm = canonicalize_cuts_memo(ctx.dfg(), &cuts, &config, &memo);
         prop_assert_eq!(&plain, &cold);
         prop_assert_eq!(&plain, &warm);
         prop_assert!(memo.stats().labeler_runs <= cuts.len() as u64);
@@ -499,5 +573,107 @@ proptest! {
         let dense_items: Vec<usize> = dense.iter().map(|n| n.index()).collect();
         let reference_items: Vec<usize> = reference.into_iter().collect();
         prop_assert_eq!(dense_items, reference_items);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The flat reachability matrices agree with per-pair DFS oracles on DAGs whose
+    /// rows span several words: `reaches`, `forbidden_between` (some forbidden vertex
+    /// strictly inside a path), `clean_reaches` (a path with none inside) and every
+    /// ancestors row.
+    #[test]
+    fn flat_reachability_matches_dfs_oracles(dfg in wide_dag_strategy()) {
+        let rooted = RootedDfg::new(dfg);
+        let reach = Reachability::compute(&rooted);
+        let n = rooted.num_nodes();
+        // A DFS from `v` that continues only through vertices `through` admits; `v`
+        // itself is always expanded and never counted as reached unless re-entered.
+        let dfs = |v: NodeId, through: &dyn Fn(NodeId) -> bool| {
+            let mut reached = rooted.node_set();
+            let mut stack = vec![v];
+            while let Some(x) = stack.pop() {
+                for &s in rooted.succs(x) {
+                    if reached.insert(s) && through(s) {
+                        stack.push(s);
+                    }
+                }
+            }
+            reached
+        };
+        let reachable: Vec<DenseNodeSet> = rooted.node_ids().map(|v| dfs(v, &|_| true)).collect();
+        for v in rooted.node_ids() {
+            let clean = dfs(v, &|s| !rooted.is_forbidden(s));
+            let mut tainted = rooted.node_set();
+            for f in reachable[v.index()].iter().filter(|&f| rooted.is_forbidden(f)) {
+                tainted.union_with(&reachable[f.index()]);
+            }
+            for w in rooted.node_ids() {
+                prop_assert_eq!(reach.reaches(v, w), reachable[v.index()].contains(w), "{} -> {}", v, w);
+                prop_assert_eq!(reach.clean_reaches(v, w), clean.contains(w), "clean {} -> {}", v, w);
+                prop_assert_eq!(reach.forbidden_between(v, w), tainted.contains(w), "tainted {} -> {}", v, w);
+                prop_assert_eq!(reach.ancestors(w).contains(v), reachable[v.index()].contains(w));
+            }
+            let ancestors: Vec<NodeId> = reach.ancestors(v).iter().collect();
+            let expected: Vec<NodeId> =
+                rooted.node_ids().filter(|&u| reachable[u.index()].contains(v)).collect();
+            prop_assert_eq!(ancestors, expected);
+            prop_assert_eq!(reach.ancestors(v).capacity(), n);
+            prop_assert_eq!(reach.descendants(v).words(), reachable[v.index()].words());
+        }
+    }
+
+    /// The engine's scratch checker gives every candidate body the verdict — and on
+    /// rejection the same `CutRejection` — that materializing the cut and calling
+    /// `Cut::validate` gives, under random port budgets, connectedness and depth
+    /// limits, with and without the technical input condition; and a valid body
+    /// materializes to the identical cut.
+    #[test]
+    fn scratch_checker_matches_cut_validate(
+        dfg in small_dag_strategy(),
+        bodies in proptest::collection::vec((any::<u64>(), 0u8..5), 16..17),
+        ports in (1usize..9, 1usize..5),
+        connected in any::<bool>(),
+        depth in 0u32..5,
+        require_io in any::<bool>(),
+    ) {
+        let ctx = EnumContext::new(dfg);
+        let mut constraints = Constraints::new(ports.0, ports.1).unwrap().connected_only(connected);
+        if depth < 4 {
+            constraints = constraints.with_max_depth(depth);
+        }
+        let mut checker = CutChecker::new(&ctx);
+        for (bits, kind) in bodies {
+            let body = random_body(&ctx, bits, kind);
+            let cut = Cut::from_body(&ctx, body.clone());
+            let expected = cut.validate(&ctx, &constraints, require_io);
+            prop_assert_eq!(checker.check(&ctx, &constraints, &body, require_io), expected);
+            if expected.is_ok() {
+                prop_assert_eq!(checker.cut(body), cut);
+            }
+        }
+    }
+
+    /// The technical input condition as a backward walk over each input's ancestor
+    /// cone reports exactly the first offending input the parent's forward DFS from
+    /// the source reported, on random bodies of small and wide DAGs.
+    #[test]
+    fn backward_input_condition_matches_the_forward_dfs(
+        dfg in small_dag_strategy(),
+        wide in wide_dag_strategy(),
+        bodies in proptest::collection::vec((any::<u64>(), 0u8..5), 16..17),
+    ) {
+        for ctx in [EnumContext::new(dfg), EnumContext::new(wide)] {
+            for &(bits, kind) in &bodies {
+                let cut = Cut::from_body(&ctx, random_body(&ctx, bits, kind));
+                prop_assert_eq!(
+                    cut.io_condition_violation(&ctx),
+                    forward_io_condition_violation(ctx.rooted(), cut.inputs()),
+                    "inputs {:?}",
+                    cut.inputs()
+                );
+            }
+        }
     }
 }
