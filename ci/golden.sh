@@ -1,0 +1,35 @@
+#!/usr/bin/env bash
+# Golden output digests. Runs `ise enumerate`, `ise group` and `ise select --global`
+# over the committed corpus at --budget 100000 --threads 2, strips the volatile
+# fields with ci/strip-volatile.sh, and checks the MD5 of each stripped output
+# against ci/golden.md5. `update` rewrites ci/golden.md5 instead: do that only in a
+# change that is meant to change the output, and say so in its description
+# (DESIGN.md §4).
+#
+# Usage, from the repository root:
+#   ci/golden.sh [check|update] [ISE_BINARY]   (binary default: target/release/ise)
+set -eu
+mode=${1:-check}
+ise=${2:-target/release/ise}
+golden=$PWD/ci/golden.md5
+dir=$(mktemp -d)
+trap 'rm -rf "$dir"' EXIT
+
+run() { # run NAME ARGS...: writes the command's stripped output to $dir/NAME.stripped
+    name=$1
+    shift
+    "$ise" "$@" --corpus corpus --budget 100000 --threads 2 --out "$dir/$name.json" >/dev/null
+    ci/strip-volatile.sh "$dir/$name.json" >"$dir/$name.stripped"
+}
+run enumerate enumerate
+run group group
+run select-global select --global
+
+case $mode in
+check) (cd "$dir" && md5sum -c "$golden") ;;
+update) (cd "$dir" && md5sum enumerate.stripped group.stripped select-global.stripped) >"$golden" ;;
+*)
+    echo "usage: ci/golden.sh [check|update] [ISE_BINARY]" >&2
+    exit 2
+    ;;
+esac

@@ -1,12 +1,15 @@
 //! Corpus ingest throughput (DESIGN.md §5.1): how long `load_corpus_path` takes to
-//! read, parse and validate a directory of many small blocks, at several corpus
-//! sizes.
+//! read, parse and validate a directory of many small blocks, and how fast
+//! `EnumContext::new` then builds the per-block analysis of those blocks, at several
+//! corpus sizes.
 //!
 //! A real ISE corpus is thousands of basic blocks, most of them small, so ingest
 //! must stay linear in the block count: each size generates MiBench-like blocks of
 //! 12 to 32 vertices (`ise_workloads::mibench_like::generate_block`) split across
 //! 8 `.dfg` files in a scratch directory, loads the directory 5 times and
-//! reports the median load time and blocks per second. Full mode measures 1k,
+//! reports the median load time and blocks per second. After each load it builds
+//! (and drops) one `EnumContext` per loaded block, the way a batch worker does, and
+//! reports the median build time and context builds per second. Full mode measures 1k,
 //! 4k, 16k and 64k blocks and exits non-zero unless the largest size loads at
 //! least half as many blocks per second as the smallest — a quadratic name check
 //! fails that by orders of magnitude. `test=1` (the CI smoke) measures only 1k
@@ -20,6 +23,7 @@ use std::path::{Path, PathBuf};
 use ise_bench::json::Json;
 use ise_bench::{bench_meta, timed, Options};
 use ise_corpus::{load_corpus_path, write_corpus, CorpusBlock};
+use ise_enum::EnumContext;
 use ise_workloads::mibench_like::{generate_block, MiBenchLikeConfig};
 
 /// Smallest and largest generated block, in vertices.
@@ -94,7 +98,7 @@ fn main() {
     let sizes = if smoke { SMOKE_SIZES } else { FULL_SIZES };
     let out_path = opts.string("out", "BENCH_corpus.json");
 
-    println!("blocks,files,bytes,median_load_s,blocks_per_s");
+    println!("blocks,files,bytes,median_load_s,blocks_per_s,median_context_s,contexts_per_s");
     let mut rows = Vec::new();
     let mut throughputs = Vec::new();
     for &count in sizes {
@@ -104,18 +108,28 @@ fn main() {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let bytes = write_blocks(&dir, count);
-        let samples: Vec<f64> = (0..REPS)
+        let (load_samples, context_samples): (Vec<f64>, Vec<f64>) = (0..REPS)
             .map(|_| {
-                let (blocks, elapsed) =
+                let (blocks, load) =
                     timed(|| load_corpus_path(&dir).expect("the generated corpus loads"));
                 assert_eq!(blocks.len(), count, "every generated block loads");
-                elapsed.as_secs_f64()
+                let ((), build) = timed(|| {
+                    for block in blocks {
+                        drop(std::hint::black_box(EnumContext::new(block.dfg)));
+                    }
+                });
+                (load.as_secs_f64(), build.as_secs_f64())
             })
-            .collect();
+            .unzip();
         std::fs::remove_dir_all(&dir).unwrap_or_else(|e| panic!("cannot remove {dir:?}: {e}"));
-        let load_s = median(samples);
-        let blocks_per_s = count as f64 / load_s.max(f64::MIN_POSITIVE);
-        println!("{count},{FILES},{bytes},{load_s:.6},{blocks_per_s:.0}");
+        let per_second = |seconds: f64| count as f64 / seconds.max(f64::MIN_POSITIVE);
+        let load_s = median(load_samples);
+        let context_s = median(context_samples);
+        let blocks_per_s = per_second(load_s);
+        let contexts_per_s = per_second(context_s);
+        println!(
+            "{count},{FILES},{bytes},{load_s:.6},{blocks_per_s:.0},{context_s:.6},{contexts_per_s:.0}"
+        );
         throughputs.push(blocks_per_s);
         rows.push(Json::object([
             ("blocks", Json::uint(count)),
@@ -123,6 +137,8 @@ fn main() {
             ("bytes", Json::UInt(bytes)),
             ("median_load_seconds", Json::num(load_s)),
             ("blocks_per_second", Json::num(blocks_per_s)),
+            ("median_context_build_seconds", Json::num(context_s)),
+            ("context_builds_per_second", Json::num(contexts_per_s)),
         ]));
     }
     let ratio = throughputs[throughputs.len() - 1] / throughputs[0];
@@ -134,7 +150,7 @@ fn main() {
 
     if out_path != "-" {
         let doc = Json::object([
-            ("schema", Json::str("ise-bench/corpus-load/v1")),
+            ("schema", Json::str("ise-bench/corpus-load/v2")),
             ("meta", bench_meta("disabled")),
             ("seed", Json::UInt(SEED)),
             ("reps", Json::uint(REPS)),

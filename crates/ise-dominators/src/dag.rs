@@ -239,8 +239,8 @@ impl ConeDominators {
     ///
     /// `cone` must contain every ancestor of `target` (a superset is harmless; the
     /// pass admits `target` itself regardless) — typically `target`'s row of
-    /// [`ise_graph::Reachability::ancestors`], or [`DenseNodeSet::as_row`] of an owned
-    /// set. Only cone vertices up to `target`'s rank are visited.
+    /// [`ise_graph::Reachability::ancestors`]. Only cone vertices up to `target`'s
+    /// rank are visited.
     ///
     /// # Panics
     ///

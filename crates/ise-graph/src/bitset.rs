@@ -251,16 +251,6 @@ impl DenseNodeSet {
         Iter::new(&self.words)
     }
 
-    /// The set as a borrowed [`NodeRow`], for APIs that accept either an owned set or
-    /// a row of a bit matrix.
-    #[inline]
-    pub fn as_row(&self) -> NodeRow<'_> {
-        NodeRow {
-            words: &self.words,
-            capacity: self.capacity,
-        }
-    }
-
     /// Returns the members as a sorted vector, convenient for deterministic output.
     pub fn to_vec(&self) -> Vec<NodeId> {
         self.iter().collect()
@@ -299,21 +289,31 @@ impl<'a> IntoIterator for &'a DenseNodeSet {
     }
 }
 
-/// A borrowed, read-only node set: one row of a flat bit matrix (such as the rows
-/// of [`crate::Reachability`]) or a view of a [`DenseNodeSet`]
-/// ([`DenseNodeSet::as_row`]). It has the same word layout as a `DenseNodeSet` of
+/// A borrowed, read-only node set: one row of a flat bit matrix, such as the rows
+/// of [`crate::Reachability`]. It has the same word layout as a [`DenseNodeSet`] of
 /// the same capacity, so the two compare word by word.
 ///
 /// # Example
 ///
 /// ```
-/// use ise_graph::{DenseNodeSet, NodeId};
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// use ise_graph::{DfgBuilder, Operation, Reachability, RootedDfg};
 ///
-/// let set = DenseNodeSet::from_nodes(70, [NodeId::new(3), NodeId::new(65)]);
-/// let row = set.as_row();
-/// assert!(row.contains(NodeId::new(65)));
-/// assert_eq!(row.iter().collect::<Vec<_>>(), vec![NodeId::new(3), NodeId::new(65)]);
-/// assert!(row.is_disjoint(&DenseNodeSet::from_nodes(70, [NodeId::new(4)])));
+/// let mut b = DfgBuilder::new("bb");
+/// let a = b.input("a");
+/// let x = b.node(Operation::Not, &[a]);
+/// let y = b.node(Operation::Shl, &[x]);
+/// let rooted = RootedDfg::new(b.build()?);
+/// let reach = Reachability::compute(&rooted);
+///
+/// let row = reach.ancestors(y);
+/// assert!(row.contains(x));
+/// assert_eq!(row.iter().collect::<Vec<_>>(), vec![a, x, rooted.source()]);
+/// let mut body = rooted.node_set();
+/// body.insert(y);
+/// assert!(row.is_disjoint(&body));
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeRow<'a> {
@@ -330,7 +330,7 @@ impl<'a> NodeRow<'a> {
     ///
     /// Panics if the word count does not match the capacity.
     #[inline]
-    pub fn new(words: &'a [u64], capacity: usize) -> Self {
+    pub(crate) fn new(words: &'a [u64], capacity: usize) -> Self {
         assert_eq!(
             words.len(),
             capacity.div_ceil(WORD_BITS),
