@@ -194,9 +194,9 @@ impl Cut {
     ///
     /// Returns the first offending input on failure.
     pub fn io_condition_violation(&self, ctx: &EnumContext) -> Option<NodeId> {
-        let mut walk = Walk::new(ctx);
-        walk.load_inputs(&self.inputs);
-        walk.io_condition_violation(ctx, &self.inputs)
+        let mut scratch = InterfaceScratch::new(ctx);
+        scratch.load_inputs(&self.inputs);
+        scratch.io_condition_violation(ctx, &self.inputs)
     }
 
     /// Whether the cut is connected (Definition 4): it has a single output, or every
@@ -208,7 +208,7 @@ impl Cut {
     /// The depth of the cut: the number of edges on the longest path that stays inside
     /// the body. Single-node cuts have depth 0.
     pub fn depth(&self, ctx: &EnumContext) -> u32 {
-        Walk::new(ctx).body_depth(ctx, &self.body)
+        InterfaceScratch::new(ctx).body_depth(ctx, &self.body)
     }
 
     /// Checks the cut against the full validity definition of §3: non-empty, free of
@@ -232,9 +232,9 @@ impl Cut {
         require_io_condition: bool,
     ) -> Result<(), CutRejection> {
         check_members(ctx, &self.body)?;
-        let mut walk = Walk::new(ctx);
-        walk.load_inputs(&self.inputs);
-        walk.check_interface(
+        let mut scratch = InterfaceScratch::new(ctx);
+        scratch.load_inputs(&self.inputs);
+        scratch.check_interface(
             ctx,
             constraints,
             require_io_condition,
@@ -314,7 +314,7 @@ fn is_connected(ctx: &EnumContext, inputs: &[NodeId], outputs: &[NodeId]) -> boo
 /// Reusable scratch of the interface rules: the input set, the buffers of the
 /// backward dominance walk, and the per-vertex depths.
 #[derive(Clone, Debug)]
-struct Walk {
+struct InterfaceScratch {
     /// The candidate's inputs as a set; members are removed and restored one at a
     /// time by the technical-condition walk.
     input_set: DenseNodeSet,
@@ -323,9 +323,9 @@ struct Walk {
     depth: Vec<u32>,
 }
 
-impl Walk {
+impl InterfaceScratch {
     fn new(ctx: &EnumContext) -> Self {
-        Walk {
+        InterfaceScratch {
             input_set: ctx.rooted().node_set(),
             visited: ctx.rooted().node_set(),
             stack: Vec::new(),
@@ -450,7 +450,7 @@ impl Walk {
 pub struct CutChecker {
     inputs: Vec<NodeId>,
     outputs: Vec<NodeId>,
-    walk: Walk,
+    scratch: InterfaceScratch,
 }
 
 impl CutChecker {
@@ -459,7 +459,7 @@ impl CutChecker {
         CutChecker {
             inputs: Vec::new(),
             outputs: Vec::new(),
-            walk: Walk::new(ctx),
+            scratch: InterfaceScratch::new(ctx),
         }
     }
 
@@ -485,11 +485,11 @@ impl CutChecker {
         derive_interface(
             ctx,
             body,
-            &mut self.walk.input_set,
+            &mut self.scratch.input_set,
             &mut self.inputs,
             &mut self.outputs,
         );
-        self.walk.check_interface(
+        self.scratch.check_interface(
             ctx,
             constraints,
             require_io_condition,
@@ -518,7 +518,12 @@ impl CutChecker {
         set: &DenseNodeSet,
         target: NodeId,
     ) -> bool {
-        ctx.set_dominates_in(set, target, &mut self.walk.visited, &mut self.walk.stack)
+        ctx.set_dominates_in(
+            set,
+            target,
+            &mut self.scratch.visited,
+            &mut self.scratch.stack,
+        )
     }
 }
 
