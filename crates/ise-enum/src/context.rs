@@ -1,7 +1,7 @@
 //! Shared precomputed analysis context for the enumeration algorithms.
 
 use ise_dominators::{ConeDominators, DominatorTree, Forward, Reverse, TopoOrder};
-use ise_graph::{DenseNodeSet, Dfg, NodeId, Reachability, RootedDfg};
+use ise_graph::{depths_from_roots, DenseNodeSet, Dfg, NodeId, Reachability, RootedDfg};
 
 /// Precomputed analyses shared by every enumeration algorithm (§5.4 of the paper):
 /// the augmented graph, pairwise reachability with forbidden-path information, the
@@ -78,14 +78,7 @@ impl EnumContext {
                 .filter(|&v| !rooted.is_forbidden(v)),
         );
 
-        // Longest-path depths over the original graph's own topological order.
-        let dfg = rooted.dfg();
-        let mut depth = vec![0u32; dfg.len()];
-        for &v in dfg.topological_order() {
-            for &s in dfg.succs(v) {
-                depth[s.index()] = depth[s.index()].max(depth[v.index()] + 1);
-            }
-        }
+        let depth = depths_from_roots(rooted.dfg());
 
         EnumContext {
             rooted,

@@ -436,7 +436,7 @@ impl InterfaceScratch {
 ///
 /// let body = DenseNodeSet::from_nodes(ctx.rooted().num_nodes(), [n, x]);
 /// assert_eq!(checker.check(&ctx, &constraints, &body, true), Ok(()));
-/// assert_eq!(checker.cut(body.clone()), Cut::from_body(&ctx, body));
+/// assert_eq!(Cut::from_body(&ctx, body).validate(&ctx, &constraints, true), Ok(()));
 ///
 /// let holey = DenseNodeSet::from_nodes(ctx.rooted().num_nodes(), [a, x]);
 /// assert_eq!(
@@ -465,7 +465,6 @@ impl CutChecker {
 
     /// Checks `body` against the full validity definition of §3 — the verdict
     /// `Cut::from_body(ctx, body).validate(..)` returns — without building a cut.
-    /// After an `Ok`, [`CutChecker::cut`] materializes it.
     ///
     /// # Errors
     ///
@@ -500,13 +499,20 @@ impl CutChecker {
     }
 
     /// The cut of `body`, which must be the body last passed to a successful
-    /// [`CutChecker::check`]: its derived interface is copied, not re-derived.
-    pub fn cut(&self, body: DenseNodeSet) -> Cut {
-        Cut {
+    /// [`CutChecker::check`]: its derived interface is copied, not re-derived (debug
+    /// builds re-derive it and assert that the two agree).
+    pub(crate) fn cut(&self, ctx: &EnumContext, body: DenseNodeSet) -> Cut {
+        let cut = Cut {
             body,
             inputs: self.inputs.clone(),
             outputs: self.outputs.clone(),
-        }
+        };
+        debug_assert_eq!(
+            Cut::from_body(ctx, cut.body.clone()),
+            cut,
+            "the body must be the one last checked"
+        );
+        cut
     }
 
     /// Whether `set` blocks every source path to `target`, as

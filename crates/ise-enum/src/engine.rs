@@ -599,7 +599,9 @@ impl<'a> SearchState<'a> {
                     return;
                 }
                 self.stats.valid_cuts += 1;
-                let cut = self.checker.cut(body.unwrap_or_else(|| self.body.clone()));
+                let cut = self
+                    .checker
+                    .cut(self.ctx, body.unwrap_or_else(|| self.body.clone()));
                 self.cuts.push(cut);
                 CandidateClass::VALID
             }
@@ -628,7 +630,8 @@ impl<'a> SearchState<'a> {
         match verdict {
             Ok(()) => {
                 self.stats.valid_cuts += 1;
-                self.cuts.push(self.checker.cut(self.body.clone()));
+                self.cuts
+                    .push(self.checker.cut(self.ctx, self.body.clone()));
             }
             Err(rejection) => self.stats.record_rejection(rejection),
         }

@@ -94,8 +94,8 @@ pub fn select_ises(
             .then_with(|| candidates[a.0].key().cmp(&candidates[b.0].key()))
     });
 
-    // Cut bodies are sized for the augmented graph: the block plus source and sink.
-    let mut used = DenseNodeSet::new(dfg.len() + 2);
+    // Sized like the cut bodies; with no candidates the loop below never runs.
+    let mut used = DenseNodeSet::new(candidates.first().map_or(0, |c| c.body().capacity()));
     let mut selection = Selection {
         chosen: Vec::new(),
         total_saved_cycles: 0,

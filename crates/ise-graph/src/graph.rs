@@ -282,18 +282,6 @@ impl Dfg {
         &self.topo
     }
 
-    /// The predecessor adjacency as its flat CSR representation (rows in operand
-    /// order) — for algorithms that take a whole direction at once
-    /// (e.g. [`crate::depths_from_roots`]) without copying rows out.
-    pub fn preds_adjacency(&self) -> &CsrAdjacency {
-        &self.preds
-    }
-
-    /// The successor adjacency as its flat CSR representation.
-    pub fn succs_adjacency(&self) -> &CsrAdjacency {
-        &self.succs
-    }
-
     /// Total number of edges.
     pub fn edge_count(&self) -> usize {
         self.succs.num_edges()

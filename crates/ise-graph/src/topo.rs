@@ -1,6 +1,7 @@
 //! Topological ordering and depth computation over adjacency rows.
 
 use crate::csr::CsrAdjacency;
+use crate::graph::Dfg;
 use crate::node::NodeId;
 
 /// Read access to per-vertex adjacency rows, implemented both by the flat
@@ -96,30 +97,30 @@ where
     }
 }
 
-/// Computes, for every node, the length (in edges) of the longest path from any root
-/// (node without predecessors) to that node. Roots have depth 0.
+/// Computes, for every node of `dfg`, the length (in edges) of the longest path from
+/// any root (node without predecessors) to that node. Roots have depth 0.
 ///
 /// This is the "depth" limit used by accelerators such as Configurable Compute
-/// Accelerators (§5.3, output–input pruning) and by the workload generators.
+/// Accelerators (§5.3, output–input pruning). One pass over the graph's own
+/// topological order.
 ///
 /// # Example
 ///
 /// ```
-/// use ise_graph::{depths_from_roots, NodeId};
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// use ise_graph::{depths_from_roots, Dfg, NodeId, Operation};
 ///
-/// let succs = vec![vec![NodeId::new(1)], vec![NodeId::new(2)], vec![]];
-/// let preds = vec![vec![], vec![NodeId::new(0)], vec![NodeId::new(1)]];
-/// assert_eq!(depths_from_roots(&succs, &preds), vec![0, 1, 2]);
+/// let ops = vec![Operation::Input, Operation::Not, Operation::Not];
+/// let edges = vec![(NodeId::new(0), NodeId::new(1)), (NodeId::new(1), NodeId::new(2))];
+/// let dfg = Dfg::from_edges("chain", ops, edges, [], [])?;
+/// assert_eq!(depths_from_roots(&dfg), vec![0, 1, 2]);
+/// # Ok(())
+/// # }
 /// ```
-pub fn depths_from_roots<S, P>(succs: &S, preds: &P) -> Vec<u32>
-where
-    S: AdjacencyView + ?Sized,
-    P: AdjacencyView + ?Sized,
-{
-    let order = topological_order(succs, preds).expect("depths require an acyclic graph");
-    let mut depth = vec![0u32; succs.node_count()];
-    for &node in &order {
-        for &succ in succs.row_of(node) {
+pub fn depths_from_roots(dfg: &Dfg) -> Vec<u32> {
+    let mut depth = vec![0u32; dfg.len()];
+    for &node in dfg.topological_order() {
+        for &succ in dfg.succs(node) {
             depth[succ.index()] = depth[succ.index()].max(depth[node.index()] + 1);
         }
     }
@@ -129,6 +130,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::Operation;
 
     fn n(i: usize) -> NodeId {
         NodeId::from_index(i)
@@ -164,36 +166,30 @@ mod tests {
             topological_order(&succs_csr, &preds_csr).unwrap(),
             topological_order(&succs, &preds).unwrap()
         );
-        assert_eq!(
-            depths_from_roots(&succs_csr, &preds_csr),
-            depths_from_roots(&succs, &preds)
-        );
+    }
+
+    fn dfg(ops: Vec<Operation>, edges: &[(usize, usize)]) -> Dfg {
+        let edges = edges.iter().map(|&(a, b)| (n(a), n(b))).collect();
+        Dfg::from_edges("depths", ops, edges, [], []).unwrap()
     }
 
     #[test]
     fn depths_follow_longest_path() {
         // 0 -> 1 -> 3, 0 -> 2 -> 3, 2 -> 4 -> 3  (longest path to 3 has 3 edges)
-        let succs = vec![
-            vec![n(1), n(2)],
-            vec![n(3)],
-            vec![n(3), n(4)],
-            vec![],
-            vec![n(3)],
+        let ops = vec![
+            Operation::Input,
+            Operation::Not,
+            Operation::Not,
+            Operation::Add,
+            Operation::Not,
         ];
-        let preds = vec![
-            vec![],
-            vec![n(0)],
-            vec![n(0)],
-            vec![n(1), n(2), n(4)],
-            vec![n(2)],
-        ];
-        assert_eq!(depths_from_roots(&succs, &preds), vec![0, 1, 1, 3, 2]);
+        let g = dfg(ops, &[(0, 1), (0, 2), (1, 3), (2, 3), (4, 3), (2, 4)]);
+        assert_eq!(depths_from_roots(&g), vec![0, 1, 1, 3, 2]);
     }
 
     #[test]
     fn isolated_nodes_have_depth_zero() {
-        let succs: Vec<Vec<NodeId>> = vec![vec![], vec![]];
-        let preds: Vec<Vec<NodeId>> = vec![vec![], vec![]];
-        assert_eq!(depths_from_roots(&succs, &preds), vec![0, 0]);
+        let g = dfg(vec![Operation::Input, Operation::Input], &[]);
+        assert_eq!(depths_from_roots(&g), vec![0, 0]);
     }
 }

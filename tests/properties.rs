@@ -12,8 +12,8 @@ use ise_dominators::{
     Reverse,
 };
 use ise_enum::{
-    cone, exhaustive_cuts, incremental_cuts, Constraints, Cut, CutChecker, CutKey, EngineOptions,
-    EnumContext, Enumeration, PruningConfig,
+    cone, exhaustive_cuts, incremental_cuts, Constraints, Cut, CutChecker, CutKey, CutRejection,
+    EngineOptions, EnumContext, Enumeration, PruningConfig,
 };
 use ise_graph::{DenseNodeSet, Dfg, NodeId, Operation, Reachability, RootedDfg};
 use ise_workloads::expr::compile_block;
@@ -294,7 +294,7 @@ fn dag_dominators_match_their_oracles_on_every_workload_family() {
     );
 }
 
-/// The parent revision's technical input condition, kept as the oracle for the
+/// The technical input condition as a forward search, kept as the oracle for the
 /// backward cone walk of `Cut::io_condition_violation`: one whole-graph DFS forward
 /// from the source per input, never entering another input, succeeding when it steps
 /// onto the input itself.
@@ -317,6 +317,115 @@ fn forward_io_condition_violation(rooted: &RootedDfg, inputs: &[NodeId]) -> Opti
         return Some(w);
     }
     None
+}
+
+/// Whether a path leads from `from` to `to`, by a fresh DFS.
+fn dfs_reaches(rooted: &RootedDfg, from: NodeId, to: NodeId) -> bool {
+    let mut visited = rooted.node_set();
+    let mut stack = vec![from];
+    while let Some(v) = stack.pop() {
+        for &s in rooted.succs(v) {
+            if s == to {
+                return true;
+            }
+            if visited.insert(s) {
+                stack.push(s);
+            }
+        }
+    }
+    false
+}
+
+/// The validity definition of §3 written out directly over the graph, as the oracle
+/// for `CutChecker` and `Cut::validate`: the interface derived member by member, the
+/// forbidden check vertex by vertex, convexity as a search for a path that leaves
+/// the body and re-enters it, the forward input-condition DFS, connectedness as a
+/// loop over output pairs with DFS reachability, and the depth from a fresh
+/// longest-path pass. Returns the derived inputs and outputs with the verdict.
+fn oracle_validate(
+    ctx: &EnumContext,
+    body: &DenseNodeSet,
+    constraints: &Constraints,
+    require_io_condition: bool,
+) -> (Vec<NodeId>, Vec<NodeId>, Result<(), CutRejection>) {
+    let rooted = ctx.rooted();
+    let members: Vec<NodeId> = body.iter().collect();
+    let mut inputs: Vec<NodeId> = members
+        .iter()
+        .flat_map(|&v| rooted.preds(v).iter().copied())
+        .filter(|&p| !body.contains(p) && p != rooted.source())
+        .collect();
+    inputs.sort();
+    inputs.dedup();
+    let outputs: Vec<NodeId> = members
+        .iter()
+        .copied()
+        .filter(|&v| rooted.succs(v).iter().any(|&s| !body.contains(s)))
+        .collect();
+    let verdict = || {
+        if members.is_empty() {
+            return Err(CutRejection::Empty);
+        }
+        if let Some(&v) = members.iter().find(|&&v| rooted.is_forbidden(v)) {
+            return Err(CutRejection::Forbidden(v));
+        }
+        if inputs.len() > constraints.max_inputs() {
+            return Err(CutRejection::TooManyInputs(inputs.len()));
+        }
+        if outputs.len() > constraints.max_outputs() {
+            return Err(CutRejection::TooManyOutputs(outputs.len()));
+        }
+        let mut outside = rooted.node_set();
+        let mut stack: Vec<NodeId> = members
+            .iter()
+            .flat_map(|&v| rooted.succs(v).iter().copied())
+            .filter(|&s| !body.contains(s))
+            .collect();
+        while let Some(v) = stack.pop() {
+            for &s in rooted.succs(v) {
+                if body.contains(s) {
+                    return Err(CutRejection::NotConvex);
+                }
+                if outside.insert(s) {
+                    stack.push(s);
+                }
+            }
+        }
+        if require_io_condition {
+            if let Some(w) = forward_io_condition_violation(rooted, &inputs) {
+                return Err(CutRejection::IoCondition(w));
+            }
+        }
+        if constraints.is_connected_only() {
+            for (i, &o1) in outputs.iter().enumerate() {
+                for &o2 in &outputs[i + 1..] {
+                    let shared = inputs
+                        .iter()
+                        .any(|&inp| dfs_reaches(rooted, inp, o1) && dfs_reaches(rooted, inp, o2));
+                    if !shared {
+                        return Err(CutRejection::Disconnected);
+                    }
+                }
+            }
+        }
+        if let Some(limit) = constraints.max_depth() {
+            let mut depth = vec![0u32; rooted.num_nodes()];
+            for &v in rooted.topological_order() {
+                if body.contains(v) {
+                    for &s in rooted.succs(v).iter().filter(|&&s| body.contains(s)) {
+                        depth[s.index()] = depth[s.index()].max(depth[v.index()] + 1);
+                    }
+                }
+            }
+            let d = members.iter().map(|v| depth[v.index()]).max().unwrap_or(0);
+            if d > limit {
+                return Err(CutRejection::TooDeep(d));
+            }
+        }
+        Ok(())
+    };
+    let verdict = verdict();
+    (inputs, outputs, verdict)
 }
 
 /// Strategy: a layered random DAG with memory operations, large enough that the
@@ -624,13 +733,13 @@ proptest! {
         }
     }
 
-    /// The engine's scratch checker gives every candidate body the verdict — and on
-    /// rejection the same `CutRejection` — that materializing the cut and calling
-    /// `Cut::validate` gives, under random port budgets, connectedness and depth
-    /// limits, with and without the technical input condition; and a valid body
-    /// materializes to the identical cut.
+    /// The engine's scratch checker and `Cut::validate` both give every candidate
+    /// body the verdict — and on rejection the same `CutRejection` — of the validity
+    /// definition written out directly over the graph, under random port budgets,
+    /// connectedness and depth limits, with and without the technical input
+    /// condition; and `Cut::from_body` derives the oracle's inputs and outputs.
     #[test]
-    fn scratch_checker_matches_cut_validate(
+    fn scratch_checker_matches_the_validity_oracle(
         dfg in small_dag_strategy(),
         bodies in proptest::collection::vec((any::<u64>(), 0u8..5), 16..17),
         ports in (1usize..9, 1usize..5),
@@ -646,18 +755,18 @@ proptest! {
         let mut checker = CutChecker::new(&ctx);
         for (bits, kind) in bodies {
             let body = random_body(&ctx, bits, kind);
-            let cut = Cut::from_body(&ctx, body.clone());
-            let expected = cut.validate(&ctx, &constraints, require_io);
+            let (inputs, outputs, expected) = oracle_validate(&ctx, &body, &constraints, require_io);
             prop_assert_eq!(checker.check(&ctx, &constraints, &body, require_io), expected);
-            if expected.is_ok() {
-                prop_assert_eq!(checker.cut(body), cut);
-            }
+            let cut = Cut::from_body(&ctx, body);
+            prop_assert_eq!(cut.inputs(), &inputs[..]);
+            prop_assert_eq!(cut.outputs(), &outputs[..]);
+            prop_assert_eq!(cut.validate(&ctx, &constraints, require_io), expected);
         }
     }
 
     /// The technical input condition as a backward walk over each input's ancestor
-    /// cone reports exactly the first offending input the parent's forward DFS from
-    /// the source reported, on random bodies of small and wide DAGs.
+    /// cone reports exactly the first offending input a forward DFS from the source
+    /// reports, on random bodies of small and wide DAGs.
     #[test]
     fn backward_input_condition_matches_the_forward_dfs(
         dfg in small_dag_strategy(),
