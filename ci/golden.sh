@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Golden output digests. Runs `ise enumerate`, `ise group` and `ise select --global`
-# over the committed corpus at --budget 100000 --threads 2, strips the volatile
+# Golden output digests. Runs `ise enumerate`, `ise group`, `ise group --nin 2
+# --nout 1`, per-block `ise select` and `ise select --global` over the committed
+# corpus at --budget 100000 --threads 2, strips the volatile
 # fields with ci/strip-volatile.sh, and checks the MD5 of each stripped output
 # against ci/golden.md5. `update` rewrites ci/golden.md5 instead: do that only in a
 # change that is meant to change the output, and say so in its description
@@ -23,11 +24,14 @@ run() { # run NAME ARGS...: writes the command's stripped output to $dir/NAME.st
 }
 run enumerate enumerate
 run group group
+run group-nin2-nout1 group --nin 2 --nout 1
+run select select
 run select-global select --global
 
 case $mode in
 check) (cd "$dir" && md5sum -c "$golden") ;;
-update) (cd "$dir" && md5sum enumerate.stripped group.stripped select-global.stripped) >"$golden" ;;
+update) (cd "$dir" && md5sum enumerate.stripped group.stripped group-nin2-nout1.stripped \
+    select.stripped select-global.stripped) >"$golden" ;;
 *)
     echo "usage: ci/golden.sh [check|update] [ISE_BINARY]" >&2
     exit 2

@@ -5,7 +5,7 @@
 //!
 //! A real ISE corpus is thousands of basic blocks, most of them small, so ingest
 //! must stay linear in the block count: each size generates MiBench-like blocks of
-//! 12 to 32 vertices (`ise_workloads::mibench_like::generate_block`) split across
+//! 12 to 32 vertices (`ise_bench::small_blocks`) split across
 //! 8 `.dfg` files in a scratch directory, loads the directory 5 times and
 //! reports the median load time and blocks per second. After each load it builds
 //! (and drops) one `EnumContext` per loaded block, the way a batch worker does, and
@@ -18,24 +18,14 @@
 //! Options (key=value): `test` (default 0), `out` (default `BENCH_corpus.json`;
 //! `out=-` disables the artifact).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use ise_bench::json::Json;
+use ise_bench::small_blocks::{write_blocks, FILES, MAX_VERTICES, MIN_VERTICES, SEED};
 use ise_bench::{bench_meta, timed, Options};
-use ise_corpus::{load_corpus_path, write_corpus, CorpusBlock};
+use ise_corpus::load_corpus_path;
 use ise_enum::EnumContext;
 use ise_graph::Dfg;
-use ise_workloads::mibench_like::{generate_block, MiBenchLikeConfig};
-
-/// Smallest and largest generated block, in vertices.
-const MIN_VERTICES: usize = 12;
-const MAX_VERTICES: usize = 32;
-
-/// Files each corpus is split across.
-const FILES: usize = 8;
-
-/// Seed of the generated blocks.
-const SEED: u64 = 1;
 
 /// Loads timed per size; the median is reported.
 const REPS: usize = 5;
@@ -47,41 +37,6 @@ const SMOKE_SIZES: &[usize] = &[1000, 4000];
 /// Largest-size throughput, as a share of the smallest size's, below which full
 /// mode fails.
 const MIN_THROUGHPUT_RATIO: f64 = 0.5;
-
-/// SplitMix64: a seeded, stateless mix for per-block sizes.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Writes `count` blocks across [`FILES`] files under `dir`; returns the bytes
-/// written. Block `i`'s generator seed embeds `i`, so block names are unique.
-fn write_blocks(dir: &Path, count: usize) -> u64 {
-    std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {dir:?}: {e}"));
-    let per_file = count.div_ceil(FILES).max(1);
-    let mut bytes = 0;
-    for (f, start) in (0..count).step_by(per_file).enumerate() {
-        let part: Vec<CorpusBlock> = (start..count.min(start + per_file))
-            .map(|i| {
-                let span = (MAX_VERTICES - MIN_VERTICES + 1) as u64;
-                let size = MIN_VERTICES + (mix(SEED ^ i as u64) % span) as usize;
-                let dfg = generate_block(&MiBenchLikeConfig::new(size), (SEED << 32) | i as u64)
-                    .expect("the MiBench-like generator always yields a valid block");
-                CorpusBlock {
-                    dfg,
-                    meta: Vec::new(),
-                }
-            })
-            .collect();
-        let text = write_corpus(&part);
-        bytes += text.len() as u64;
-        let path = dir.join(format!("part-{f:02}.dfg"));
-        std::fs::write(&path, text).unwrap_or_else(|e| panic!("cannot write {path:?}: {e}"));
-    }
-    bytes
-}
 
 fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);

@@ -12,6 +12,9 @@
 //! * `ablation` — the §5.3 pruning techniques toggled one at a time;
 //! * `speedup` — candidate counts and the greedy-selection speedup model.
 //!
+//! [`small_blocks`] generates the many-small-block corpus that `corpus_load` (E10)
+//! and `ise-cli`'s `peak_rss` example (E11) measure.
+//!
 //! The binaries accept `key=value` command-line overrides (for example
 //! `blocks=250 max_size=1196 budget=0`) so that both a quick smoke run and the full
 //! paper-scale experiment use the same code path.
@@ -20,6 +23,7 @@
 #![warn(missing_docs)]
 
 pub mod json;
+pub mod small_blocks;
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};

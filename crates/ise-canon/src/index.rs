@@ -1,6 +1,7 @@
 //! The pattern index: streaming cuts into canonical-form groups.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use ise_enum::{estimate_merit, Cut};
 use ise_graph::{Dfg, LatencyModel, RawEncoder};
@@ -63,8 +64,10 @@ pub struct CodedCut {
     pub inputs: usize,
     /// Number of outputs.
     pub outputs: usize,
-    /// Sorted, counted operation summary (e.g. `add+mul*2`).
-    pub ops: String,
+    /// Sorted, counted operation summary (e.g. `add+mul*2`). Shared, not copied:
+    /// every cut [`canonicalize_cuts_memo`] answers from one memo entry points at
+    /// that entry's string.
+    pub ops: Arc<str>,
     /// Estimated cycles saved per execution of one occurrence.
     pub saved_cycles: u32,
 }
@@ -84,7 +87,7 @@ pub fn canonicalize_cuts(dfg: &Dfg, cuts: &[Cut], config: &GroupConfig) -> Vec<C
                 size: cut.len(),
                 inputs: cut.inputs().len(),
                 outputs: cut.outputs().len(),
-                ops: graph.ops_summary(),
+                ops: graph.ops_summary().into(),
                 saved_cycles: merit.saved_cycles,
             }
         })
@@ -97,7 +100,8 @@ pub fn canonicalize_cuts(dfg: &Dfg, cuts: &[Cut], config: &GroupConfig) -> Vec<C
 ///
 /// Per cut, the hot path is: encode the cut's interface graph into one reused
 /// buffer ([`RawEncoder`], no allocation after the first cut), look the encoding up
-/// in the memo, and on a hit copy the cached code/ops/merit — neither the
+/// in the memo, and on a hit copy the cached code and merit and share the cached
+/// ops summary (an `Arc` clone, no string allocation) — neither the
 /// [`ise_graph::InterfaceGraph`] nor the merit estimator's block-sized scratch is
 /// ever built. Merit is cached per `(ports_in, ports_out)` under the default
 /// latency model; a non-default model bypasses the merit cache (codes and ops
@@ -154,7 +158,7 @@ pub fn canonicalize_cuts_memo(
             );
             let merit = estimate_merit(dfg, cut, &config.model, config.ports_in, config.ports_out);
             let code = CanonicalCode::of(&graph);
-            let ops = graph.ops_summary();
+            let ops: Arc<str> = graph.ops_summary().into();
             // Under a non-default model the code and ops still memoize, but the
             // merit is filed under a sentinel key no real port configuration
             // maps to, so it can never be served to a default-model caller.
@@ -318,7 +322,7 @@ impl PatternIndex {
                     size: coded_cut.size,
                     inputs: coded_cut.inputs,
                     outputs: coded_cut.outputs,
-                    ops: coded_cut.ops.clone(),
+                    ops: coded_cut.ops.to_string(),
                     saved_cycles: coded_cut.saved_cycles,
                     occurrences: Vec::new(),
                     weighted_count: 0.0,

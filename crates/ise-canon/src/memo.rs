@@ -25,7 +25,7 @@
 //! by byte-identical grouped JSON in `tests/grouping_pipeline.rs` and CI).
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use ise_obs::{Counter, Recorder};
 
@@ -70,7 +70,8 @@ impl MemoStats {
 struct MemoEntry {
     raw: Box<[u32]>,
     code: CanonicalCode,
-    ops: String,
+    /// Shared with every `CodedCut` this entry answers: a hit clones the pointer.
+    ops: Arc<str>,
     /// `(merit key, saved_cycles)` pairs — see [`merit_key`]. Raw-equal graphs are
     /// identical, so the cached merit is bit-identical to a recomputation; a
     /// linear scan suffices because a memo sees one or two port configurations.
@@ -95,7 +96,7 @@ pub(crate) fn merit_key(ports_in: usize, ports_out: usize) -> u64 {
 /// cached merit for the requested port configuration when one was recorded.
 pub(crate) struct MemoHit {
     pub code: CanonicalCode,
-    pub ops: String,
+    pub ops: Arc<str>,
     pub saved_cycles: Option<u32>,
 }
 
@@ -217,7 +218,7 @@ impl CanonMemo {
         self.obs.raw_hits.incr();
         Some(MemoHit {
             code: entry.code.clone(),
-            ops: entry.ops.clone(),
+            ops: Arc::clone(&entry.ops),
             saved_cycles: entry
                 .merits
                 .iter()
@@ -233,7 +234,7 @@ impl CanonMemo {
         &self,
         raw: &[u32],
         code: &CanonicalCode,
-        ops: &str,
+        ops: &Arc<str>,
         key: u64,
         saved_cycles: u32,
     ) {
@@ -252,7 +253,7 @@ impl CanonMemo {
             None => bucket.push(MemoEntry {
                 raw: raw.into(),
                 code: code.clone(),
-                ops: ops.to_string(),
+                ops: Arc::clone(ops),
                 merits: vec![(key, saved_cycles)],
             }),
         }
@@ -302,10 +303,10 @@ impl CanonMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::{canonicalize_cuts, canonicalize_cuts_memo, GroupConfig};
+    use crate::index::{canonicalize_cuts, canonicalize_cuts_memo, CodedCut, GroupConfig};
     use ise_enum::{enumerate_cuts, Constraints};
     use ise_graph::Dfg;
-    use ise_graph::{DfgBuilder, Operation};
+    use ise_graph::{DfgBuilder, Operation, RawEncoder};
 
     /// A block holding `macs` MAC datapaths plus one unique xor-shift tail.
     fn block(name: &str, macs: usize) -> (Dfg, Vec<ise_enum::Cut>) {
@@ -382,6 +383,34 @@ mod tests {
     }
 
     #[test]
+    fn raw_hits_share_their_entrys_ops_summary() {
+        let config = GroupConfig::new(3, 1);
+        let memo = CanonMemo::new();
+        let (dfg, cuts) = block("shared", 2);
+        let cold = canonicalize_cuts_memo(&dfg, &cuts, &config, &memo);
+        let warm = canonicalize_cuts_memo(&dfg, &cuts, &config, &memo);
+        let key = merit_key(config.ports_in, config.ports_out);
+        let mut encoder = RawEncoder::new(&dfg);
+        let mut raw = Vec::new();
+        for ((cut, c), w) in cuts.iter().zip(&cold).zip(&warm) {
+            encoder.encode(&dfg, cut.body(), &mut raw);
+            let entry = memo.lookup(&raw, key).expect("every coded cut is stored");
+            assert!(
+                Arc::ptr_eq(&w.ops, &entry.ops),
+                "a raw hit clones its entry's pointer"
+            );
+            assert!(
+                Arc::ptr_eq(&c.ops, &entry.ops),
+                "the miss that filled the entry shares its summary too"
+            );
+        }
+        // Within the cold sweep, the second MAC is a raw hit on the first's entry.
+        let macs: Vec<&CodedCut> = cold.iter().filter(|c| &*c.ops == "add+mul").collect();
+        assert!(macs.len() >= 2, "the block holds two MACs");
+        assert!(macs.iter().all(|m| Arc::ptr_eq(&m.ops, &macs[0].ops)));
+    }
+
+    #[test]
     fn forced_fingerprint_collision_still_yields_distinct_codes() {
         // A constant fingerprint sends every raw encoding to one bucket: layer 2
         // alone would conflate all graphs, so this pins the raw-encoding
@@ -396,8 +425,8 @@ mod tests {
         }
         // The MAC (add+mul) and the tail (shl+xor) are non-isomorphic but share
         // the forced pre-key; they must still get distinct codes.
-        let mac = memoized.iter().find(|c| c.ops == "add+mul").unwrap();
-        let tail = memoized.iter().find(|c| c.ops == "shl+xor").unwrap();
+        let mac = memoized.iter().find(|c| &*c.ops == "add+mul").unwrap();
+        let tail = memoized.iter().find(|c| &*c.ops == "shl+xor").unwrap();
         assert_ne!(mac.code, tail.code);
         let stats = memo.stats();
         assert_eq!(stats.entries, stats.labeler_runs);

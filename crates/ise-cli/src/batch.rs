@@ -23,9 +23,15 @@
 //! split the block budget evenly across the *static* tasks (each subtree truncated
 //! independently, budget exhaustion suppressing any further splits), which is
 //! deterministic but intentionally not identical to a serially budgeted run.
+//!
+//! **Per-block reduction.** [`run_batch`] hands each finalized block to a caller's
+//! `reduce` closure on the worker that finalized it, and keeps only what the closure
+//! returns: `enumerate` and per-block `select` drop the cut list, `group` codes the
+//! cuts and drops them, so peak memory follows what a command renders rather than
+//! the total number of cuts. [`run_batch_obs`] is the identity reduction.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ise_corpus::CorpusBlock;
@@ -130,13 +136,61 @@ pub struct BlockOutcome {
     /// recursive splitting can push this past the static fan-out — still a pure
     /// function of the block and the flags, never of the thread count).
     pub tasks: usize,
-    /// The enumeration result (merged across tasks when the block fanned out).
+    /// The enumeration result (merged across tasks when the block fanned out). Its
+    /// cut list is empty once [`BlockOutcome::without_cuts`] has run; reports count
+    /// cuts by `stats.valid_cuts`, which stays.
     pub enumeration: Enumeration,
     /// The greedy selection, when [`BatchConfig::select`] was set.
     pub selection: Option<Selection>,
     /// Wall time from the block's first task starting to its merge completing
-    /// (context build included).
+    /// (context build and selection included). It is taken before the batch's
+    /// per-block reduction runs, so coding a block in [`run_batch`]'s `reduce`
+    /// closure never counts here.
     pub elapsed: Duration,
+}
+
+impl BlockOutcome {
+    /// The outcome of block `index` (`block`) from its finished `enumeration`,
+    /// merged from `tasks` tasks, running the greedy selection when `select` is
+    /// given. `elapsed` starts at zero; the batch stamps it after construction.
+    /// The batch's finalizer and the `ise serve` cache share this constructor, so
+    /// their outcomes cannot drift apart.
+    pub fn new(
+        index: usize,
+        block: &CorpusBlock,
+        tasks: usize,
+        enumeration: Enumeration,
+        select: Option<&SelectionConfig>,
+    ) -> Self {
+        let selection = select.map(|sel| {
+            select_ises(
+                &block.dfg,
+                &enumeration.cuts,
+                &LatencyModel::default(),
+                sel.ports_in,
+                sel.ports_out,
+                sel.max_instructions,
+            )
+        });
+        BlockOutcome {
+            index,
+            name: block.dfg.name().to_string(),
+            nodes: block.dfg.len(),
+            edges: block.dfg.edge_count(),
+            forbidden: block.dfg.forbidden().len(),
+            tasks,
+            enumeration,
+            selection,
+            elapsed: Duration::ZERO,
+        }
+    }
+
+    /// The outcome with its cut list freed; the statistics (the cut count
+    /// included) and the selection are kept.
+    pub fn without_cuts(mut self) -> Self {
+        self.enumeration.cuts = Vec::new();
+        self
+    }
 }
 
 /// The per-block schedule. `specs` empty means the block runs whole on one worker
@@ -149,18 +203,20 @@ struct BlockPlan {
 }
 
 /// In-flight state of one block; the worker retiring the last task merges.
-struct BlockSlot {
-    /// The context a fanned-out block's tasks share; it lives until the batch
-    /// returns. A whole-block item builds its own and drops it once the block is
-    /// finalized, leaving this empty.
-    ctx: OnceLock<EnumContext>,
+struct BlockSlot<R> {
+    /// The context a fanned-out block's tasks share. The first task builds it, each
+    /// task drops its own reference before retiring, and the worker retiring the
+    /// last task takes it out, merges with it and frees it before selection. A whole-block item builds its own
+    /// context and never touches this.
+    ctx: Mutex<Option<Arc<EnumContext>>>,
     /// When a fanned-out block's first task started.
     started: OnceLock<Instant>,
     /// Tasks queued or running for this block — static tasks up front, plus every
     /// spawned child (registered before its parent retires).
     pending: AtomicUsize,
     outputs: Mutex<Vec<(TaskId, TaskOutput)>>,
-    outcome: OnceLock<BlockOutcome>,
+    /// What the batch's `reduce` closure kept of the finalized block.
+    result: Mutex<Option<R>>,
 }
 
 fn plan_block(dfg: &Dfg, config: &BatchConfig) -> BlockPlan {
@@ -209,7 +265,8 @@ type WorkItem = (usize, Option<TaskSpec>);
 /// Runs the batch: every block of `blocks` through the engine, with large blocks
 /// fanned out into first-output tasks (recursively re-split past the split
 /// threshold), all items scheduled by a [`WorkStealPool`] over
-/// [`BatchConfig::threads`] workers.
+/// [`BatchConfig::threads`] workers, and returns every block's full
+/// [`BlockOutcome`] in corpus order.
 ///
 /// Each worker owns its per-task search state — the engine's `Send` audit guarantees
 /// nothing is shared mutably — and the fan-out plan, the split points and the task
@@ -221,20 +278,44 @@ type WorkItem = (usize, Option<TaskSpec>);
 /// `worker-N` for trace grouping. Recording never changes any outcome — the plan, the
 /// split points and the merge are untouched — so runs with and without a recorder
 /// report identical counts.
+///
+/// This holds every block's cut list until the batch returns; commands that
+/// render less reduce each block as it finishes with [`run_batch`].
 pub fn run_batch_obs(
     blocks: &[CorpusBlock],
     config: &BatchConfig,
     rec: Option<&dyn Recorder>,
 ) -> Vec<BlockOutcome> {
+    run_batch(blocks, config, rec, |_, outcome| outcome)
+}
+
+/// [`run_batch_obs`] with a per-block reduction: `reduce` runs once per block, on
+/// the worker that finalized it, right after its outcome is built, and only its
+/// result is kept until the batch returns. The results come back in corpus order.
+///
+/// The reduction runs concurrently on up to [`BatchConfig::threads`] workers and
+/// in no particular block order, so it must not depend on the order blocks finish
+/// in (a shared `CanonMemo` qualifies: hits never change a coded value). Callers
+/// that need order — merging into a `PatternIndex` — do it on the returned vector.
+pub fn run_batch<R, F>(
+    blocks: &[CorpusBlock],
+    config: &BatchConfig,
+    rec: Option<&dyn Recorder>,
+    reduce: F,
+) -> Vec<R>
+where
+    R: Send,
+    F: Fn(&CorpusBlock, BlockOutcome) -> R + Sync,
+{
     let plans: Vec<BlockPlan> = blocks.iter().map(|b| plan_block(&b.dfg, config)).collect();
-    let slots: Vec<BlockSlot> = plans
+    let slots: Vec<BlockSlot<R>> = plans
         .iter()
         .map(|plan| BlockSlot {
-            ctx: OnceLock::new(),
+            ctx: Mutex::new(None),
             started: OnceLock::new(),
             pending: AtomicUsize::new(plan.specs.len().max(1)),
             outputs: Mutex::new(Vec::new()),
-            outcome: OnceLock::new(),
+            result: Mutex::new(None),
         })
         .collect();
     let items: Vec<WorkItem> = plans
@@ -259,28 +340,25 @@ pub fn run_batch_obs(
     }
     let pool = pool;
     pool.seed(items);
+    let batch = Batch {
+        blocks,
+        plans: &plans,
+        slots: &slots,
+        config,
+        pool: &pool,
+        rec,
+        reduce: &reduce,
+    };
     std::thread::scope(|scope| {
         for worker in 0..workers {
-            let pool = &pool;
-            let plans = &plans;
-            let slots = &slots;
+            let batch = &batch;
             scope.spawn(move || {
                 if let Some(rec) = rec {
                     rec.set_thread_name(&format!("worker-{worker}"));
                 }
-                while let Some((block_idx, spec)) = pool.pop(worker) {
-                    run_item(
-                        &blocks[block_idx],
-                        block_idx,
-                        spec,
-                        &plans[block_idx],
-                        &slots[block_idx],
-                        config,
-                        pool,
-                        worker,
-                        rec,
-                    );
-                    pool.done();
+                while let Some((block_idx, spec)) = batch.pool.pop(worker) {
+                    batch.run_item(block_idx, spec, worker);
+                    batch.pool.done();
                 }
             });
         }
@@ -289,125 +367,132 @@ pub fn run_batch_obs(
     slots
         .into_iter()
         .map(|slot| {
-            slot.outcome
+            slot.result
                 .into_inner()
+                .expect("block result poisoned")
                 .expect("every scheduled block was finalized")
         })
         .collect()
 }
 
-/// Executes one work item; the worker retiring a block's last task merges and
-/// finalizes it.
-#[allow(clippy::too_many_arguments)]
-fn run_item(
-    block: &CorpusBlock,
-    block_idx: usize,
-    spec: Option<TaskSpec>,
-    plan: &BlockPlan,
-    slot: &BlockSlot,
-    config: &BatchConfig,
-    pool: &WorkStealPool<WorkItem>,
-    worker: usize,
-    rec: Option<&dyn Recorder>,
-) {
-    let Some(spec) = spec else {
-        // Whole-block item: run the serial engine directly, no merge needed. The
-        // context lives only for the enumeration (selection reads just the graph), so
-        // a sweep of many small blocks holds one context per busy worker.
-        let started = Instant::now();
-        let enumeration = incremental_cuts(
-            &EnumContext::new(block.dfg.clone()),
+/// Everything a worker reads while running items, borrowed for one batch.
+struct Batch<'a, R, F> {
+    blocks: &'a [CorpusBlock],
+    plans: &'a [BlockPlan],
+    slots: &'a [BlockSlot<R>],
+    config: &'a BatchConfig,
+    pool: &'a WorkStealPool<WorkItem>,
+    rec: Option<&'a dyn Recorder>,
+    reduce: &'a F,
+}
+
+impl<R, F> Batch<'_, R, F>
+where
+    F: Fn(&CorpusBlock, BlockOutcome) -> R,
+{
+    /// Executes one work item; the worker retiring a block's last task merges and
+    /// finalizes it.
+    fn run_item(&self, block_idx: usize, spec: Option<TaskSpec>, worker: usize) {
+        let (block, plan, slot) = (
+            &self.blocks[block_idx],
+            &self.plans[block_idx],
+            &self.slots[block_idx],
+        );
+        let config = self.config;
+        let Some(spec) = spec else {
+            // Whole-block item: run the serial engine directly, no merge needed. The
+            // context lives only for the enumeration (selection reads just the
+            // graph), so a sweep of many small blocks holds one context per busy
+            // worker.
+            let started = Instant::now();
+            let enumeration = incremental_cuts(
+                &EnumContext::new(block.dfg.clone()),
+                &config.constraints,
+                &config.pruning,
+                &plan.options,
+                self.rec,
+            );
+            self.finalize(block_idx, 1, enumeration, started);
+            return;
+        };
+        // Fanned-out tasks share the block's context until its merge.
+        let started = *slot.started.get_or_init(Instant::now);
+        let ctx = Arc::clone(
+            slot.ctx
+                .lock()
+                .expect("block context poisoned")
+                .get_or_insert_with(|| Arc::new(EnumContext::new(block.dfg.clone()))),
+        );
+        let (output, children) = run_task(
+            &ctx,
             &config.constraints,
             &config.pruning,
             &plan.options,
-            rec,
+            plan.split_threshold,
+            &spec,
+            self.rec,
         );
-        finalize(block, block_idx, 1, slot, config, enumeration, started, rec);
-        return;
-    };
-    // Fanned-out tasks share the block's context until its merge.
-    let started = *slot.started.get_or_init(Instant::now);
-    let ctx = slot.ctx.get_or_init(|| EnumContext::new(block.dfg.clone()));
-    let (output, children) = run_task(
-        ctx,
-        &config.constraints,
-        &config.pruning,
-        &plan.options,
-        plan.split_threshold,
-        &spec,
-        rec,
-    );
-    if !children.is_empty() {
-        // Register the children before retiring this task, so the block can never
-        // look complete while split-off work is still queued.
-        slot.pending.fetch_add(children.len(), Ordering::AcqRel);
-        for child in children {
-            pool.push(worker, (block_idx, Some(child)));
+        if !children.is_empty() {
+            // Register the children before retiring this task, so the block can
+            // never look complete while split-off work is still queued.
+            slot.pending.fetch_add(children.len(), Ordering::AcqRel);
+            for child in children {
+                self.pool.push(worker, (block_idx, Some(child)));
+            }
+        }
+        // Release this task's reference before retiring it, so once the last task
+        // retires the slot holds the context's only reference.
+        drop(ctx);
+        slot.outputs
+            .lock()
+            .expect("task output list poisoned")
+            .push((spec.id().clone(), output));
+        // The last task to retire (the mutex pushes above synchronize with this
+        // acquire) merges in TaskId order — the serial order, whatever the schedule
+        // was.
+        if slot.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let mut outputs =
+                std::mem::take(&mut *slot.outputs.lock().expect("task output list poisoned"));
+            outputs.sort_by(|a, b| a.0.cmp(&b.0));
+            let tasks = outputs.len();
+            let outputs: Vec<TaskOutput> = outputs.into_iter().map(|(_, out)| out).collect();
+            let ctx = slot
+                .ctx
+                .lock()
+                .expect("block context poisoned")
+                .take()
+                .expect("a fanned-out block's first task built its context");
+            debug_assert_eq!(Arc::strong_count(&ctx), 1, "every task has released it");
+            let enumeration = merge_tasks(&ctx, &plan.options, outputs, config.threads, self.rec);
+            // Free the context here, on the merging worker, before selection and the
+            // reduction run.
+            drop(ctx);
+            self.finalize(block_idx, tasks, enumeration, started);
         }
     }
-    slot.outputs
-        .lock()
-        .expect("task output list poisoned")
-        .push((spec.id().clone(), output));
-    // The last task to retire (the mutex pushes above synchronize with this acquire)
-    // merges in TaskId order — the serial order, whatever the schedule was.
-    if slot.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-        let mut outputs =
-            std::mem::take(&mut *slot.outputs.lock().expect("task output list poisoned"));
-        outputs.sort_by(|a, b| a.0.cmp(&b.0));
-        let tasks = outputs.len();
-        let outputs: Vec<TaskOutput> = outputs.into_iter().map(|(_, out)| out).collect();
-        let enumeration = merge_tasks(ctx, &plan.options, outputs, config.threads, rec);
-        finalize(
-            block,
-            block_idx,
-            tasks,
-            slot,
-            config,
-            enumeration,
-            started,
-            rec,
-        );
-    }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn finalize(
-    block: &CorpusBlock,
-    index: usize,
-    tasks: usize,
-    slot: &BlockSlot,
-    config: &BatchConfig,
-    enumeration: Enumeration,
-    started: Instant,
-    rec: Option<&dyn Recorder>,
-) {
-    let selection = config.select.as_ref().map(|sel| {
-        select_ises(
-            &block.dfg,
-            &enumeration.cuts,
-            &LatencyModel::default(),
-            sel.ports_in,
-            sel.ports_out,
-            sel.max_instructions,
-        )
-    });
-    let outcome = BlockOutcome {
-        index,
-        name: block.dfg.name().to_string(),
-        nodes: block.dfg.len(),
-        edges: block.dfg.edge_count(),
-        forbidden: block.dfg.forbidden().len(),
-        tasks,
-        enumeration,
-        selection,
-        elapsed: started.elapsed(),
-    };
-    slot.outcome
-        .set(outcome)
-        .expect("each block is finalized exactly once");
-    if let Some(rec) = rec {
-        rec.add("ise_batch_blocks_total", 1);
+    /// Builds the block's outcome, stamps its wall time, and stores what `reduce`
+    /// keeps of it.
+    fn finalize(&self, index: usize, tasks: usize, enumeration: Enumeration, started: Instant) {
+        let block = &self.blocks[index];
+        let mut outcome = BlockOutcome::new(
+            index,
+            block,
+            tasks,
+            enumeration,
+            self.config.select.as_ref(),
+        );
+        outcome.elapsed = started.elapsed();
+        let result = (self.reduce)(block, outcome);
+        let previous = self.slots[index]
+            .result
+            .lock()
+            .expect("block result poisoned")
+            .replace(result);
+        assert!(previous.is_none(), "each block is finalized exactly once");
+        if let Some(rec) = self.rec {
+            rec.add("ise_batch_blocks_total", 1);
+        }
     }
 }
 
@@ -516,6 +601,101 @@ mod tests {
             let serial: Vec<_> = direct.cuts.iter().map(|c| c.key()).collect();
             assert_eq!(merged, serial, "cut order differs on {}", outcome.name);
         }
+    }
+
+    /// `run_batch` calls `reduce` exactly once per block, with that block, and
+    /// returns the results in corpus order; with the identity reduction each result
+    /// equals the `run_batch_obs` outcome. Checked at 1/2/8 threads, with every
+    /// block fanned out, and with forced recursive splitting.
+    #[test]
+    fn reduce_runs_once_per_block_and_returns_corpus_order() {
+        let blocks = small_corpus();
+        for (threads, par_threshold, split_threshold) in [
+            (1, DEFAULT_PAR_THRESHOLD, Some(DEFAULT_SPLIT_THRESHOLD)),
+            (2, DEFAULT_PAR_THRESHOLD, Some(DEFAULT_SPLIT_THRESHOLD)),
+            (8, DEFAULT_PAR_THRESHOLD, Some(DEFAULT_SPLIT_THRESHOLD)),
+            (1, 1, Some(DEFAULT_SPLIT_THRESHOLD)),
+            (2, 1, Some(DEFAULT_SPLIT_THRESHOLD)),
+            (8, 1, Some(DEFAULT_SPLIT_THRESHOLD)),
+            (1, 1, Some(25)),
+            (2, 1, Some(25)),
+            (8, 1, Some(25)),
+        ] {
+            let mut cfg = config(threads);
+            cfg.par_threshold = par_threshold;
+            cfg.split_threshold = split_threshold;
+            cfg.select = Some(SelectionConfig {
+                max_instructions: 2,
+                ports_in: 4,
+                ports_out: 2,
+            });
+            let label = format!("threads={threads} par={par_threshold} split={split_threshold:?}");
+            let reference = run_batch_obs(&blocks, &cfg, None);
+            let calls: Vec<AtomicUsize> = blocks.iter().map(|_| AtomicUsize::new(0)).collect();
+            let reduced = run_batch(&blocks, &cfg, None, |block, outcome| {
+                calls[outcome.index].fetch_add(1, Ordering::Relaxed);
+                assert_eq!(block.dfg.name(), outcome.name, "{label}: wrong block");
+                (outcome.index, outcome)
+            });
+            for (i, count) in calls.iter().enumerate() {
+                assert_eq!(count.load(Ordering::Relaxed), 1, "{label}: block {i}");
+            }
+            assert_eq!(reduced.len(), blocks.len(), "{label}");
+            for (i, ((index, got), want)) in reduced.iter().zip(&reference).enumerate() {
+                assert_eq!((*index, got.index), (i, i), "{label}: out of corpus order");
+                assert_eq!(got.name, want.name, "{label}");
+                assert_eq!(got.tasks, want.tasks, "{label}: {}", got.name);
+                assert_eq!(
+                    got.enumeration.stats.valid_cuts,
+                    got.enumeration.cuts.len(),
+                    "{label}: reports count cuts by valid_cuts"
+                );
+                assert_eq!(got.enumeration.stats, want.enumeration.stats, "{label}");
+                assert!(
+                    got.enumeration.cuts.iter().map(|c| c.key()).eq(want
+                        .enumeration
+                        .cuts
+                        .iter()
+                        .map(|c| c.key())),
+                    "{label}: cuts differ on {}",
+                    got.name
+                );
+                let picks = |o: &BlockOutcome| {
+                    let sel = o.selection.as_ref().expect("selection requested");
+                    (sel.chosen.len(), sel.total_saved_cycles)
+                };
+                assert_eq!(picks(got), picks(want), "{label}: {}", got.name);
+            }
+            if par_threshold == 1 {
+                assert!(reduced.iter().all(|(_, o)| o.tasks > 1), "{label}");
+            }
+        }
+    }
+
+    /// Dropping the cut list keeps everything the reports render.
+    #[test]
+    fn without_cuts_keeps_the_statistics_and_selection() {
+        let blocks = small_corpus();
+        let mut cfg = config(2);
+        cfg.select = Some(SelectionConfig {
+            max_instructions: 2,
+            ports_in: 4,
+            ports_out: 2,
+        });
+        let full = run_batch_obs(&blocks, &cfg, None);
+        let lean = run_batch(&blocks, &cfg, None, |_, outcome| outcome.without_cuts());
+        for (f, l) in full.iter().zip(&lean) {
+            assert!(l.enumeration.cuts.is_empty(), "{}", l.name);
+            assert_eq!(l.enumeration.stats, f.enumeration.stats);
+            assert_eq!(
+                l.selection.as_ref().map(|s| s.total_saved_cycles),
+                f.selection.as_ref().map(|s| s.total_saved_cycles)
+            );
+        }
+        assert!(
+            full.iter().any(|o| !o.enumeration.cuts.is_empty()),
+            "the corpus yields cuts"
+        );
     }
 
     /// Thread count must not change results — only wall time (acceptance criterion:

@@ -1,18 +1,21 @@
 //! Corpus-wide grouping and global selection: the `ise group` subcommand and the
 //! `ise select --global` mode.
 //!
-//! Both start from the batch enumeration ([`crate::batch::run_batch_obs`]): every
-//! block's cut list is canonicalized ([`ise_canon::canonicalize_cuts`]) — in
-//! parallel across blocks, since coding is pure per-block work — and merged into a
-//! [`PatternIndex`] strictly in corpus order. The index is therefore a
-//! deterministic function of the corpus and the enumeration flags: `--threads`
-//! never changes a byte of the JSON output (the CI grouping smoke diffs stripped
-//! runs at different thread counts).
+//! Both start from the batch enumeration and code every block's cut list with
+//! [`code_cuts`] (through [`ise_canon::canonicalize_cuts`] or its memoized twin).
+//! `ise group` uses [`group_batch`], which codes each block on the batch worker
+//! that finalized it and keeps only the coded cuts, so coding overlaps enumeration
+//! and the cut lists never pile up. `ise select --global` keeps every cut for
+//! placement anyway, so it codes after the batch with [`group_outcomes`]. Either
+//! way the coded blocks are merged into a [`PatternIndex`] strictly in corpus
+//! order, so the index is a deterministic function of the corpus and the
+//! enumeration flags: `--threads` never changes a byte of the JSON output (the CI
+//! grouping smoke diffs stripped runs at different thread counts).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use crate::batch::BlockOutcome;
+use crate::batch::{run_batch, BatchConfig, BlockOutcome};
 use crate::report::{batch_json_with, RunMeta};
 use ise_bench::json::Json;
 use ise_canon::{
@@ -21,22 +24,76 @@ use ise_canon::{
 };
 use ise_corpus::CorpusBlock;
 use ise_enum::Cut;
+use ise_graph::Dfg;
+use ise_obs::Recorder;
 
-/// Builds the pattern index over the batch outcomes.
+/// Canonicalizes one block's cuts, through `memo` when one is given — the one
+/// per-block coding entry point of the CLI (the batch workers, [`group_outcomes`]
+/// and the `ise serve` coding cache all call it). Coding and merit estimation read
+/// only the block's graph, so no `EnumContext` is built.
 ///
-/// Canonicalization runs on up to `threads` workers (one block per task). Coding
-/// and merit estimation read only the block's graph, so no `EnumContext` is built
-/// here; the merge into the index is sequential in block order, so the result is
-/// identical for every thread count.
-/// Block profile weights come from the `weight` meta key
+/// The memo is observably pure: the coded cuts are identical with and without
+/// one, at any thread count (pinned by `tests/grouping_pipeline.rs` and the CI
+/// grouping smoke); with one, the canonical labeler runs once per distinct raw
+/// interface graph corpus-wide instead of once per cut.
+pub fn code_cuts(
+    dfg: &Dfg,
+    cuts: &[Cut],
+    config: &GroupConfig,
+    memo: Option<&CanonMemo>,
+) -> Vec<CodedCut> {
+    match memo {
+        Some(memo) => canonicalize_cuts_memo(dfg, cuts, config, memo),
+        None => canonicalize_cuts(dfg, cuts, config),
+    }
+}
+
+/// Runs the batch and groups its cuts: what `ise group` computes before
+/// rendering.
+///
+/// Each block is coded with [`code_cuts`] on the worker that finalized it, right
+/// after its enumeration, and reduced to its outcome without its cut list (the
+/// report renders counts alone) plus its coded cuts. After the pool joins, the
+/// coded blocks are merged into the index in corpus order, each block's coded cuts
+/// freed as it is merged. Block profile weights come from the `weight` meta key
 /// ([`CorpusBlock::weight`]).
 ///
-/// With `memo` given, the workers share it through
-/// [`ise_canon::canonicalize_cuts_memo`]: the canonical labeler runs once per
-/// distinct raw interface graph corpus-wide instead of once per cut. The memo is
-/// observably pure — the returned index (and any JSON rendered from it) is
-/// byte-identical with and without one, at any thread count (pinned by
-/// `tests/grouping_pipeline.rs` and the CI grouping smoke).
+/// The result equals [`crate::batch::run_batch_obs`] followed by
+/// [`group_outcomes`], apart from the dropped cut lists and the wall times.
+pub fn group_batch(
+    blocks: &[CorpusBlock],
+    config: &BatchConfig,
+    rec: Option<&dyn Recorder>,
+    group_config: &GroupConfig,
+    memo: Option<&CanonMemo>,
+) -> (PatternIndex, Vec<BlockOutcome>) {
+    // The merge waits for the join. Merging in order under a lock while the
+    // workers run (a reorder buffer) peaked higher when measured: coded cuts freed
+    // on a thread other than the one that allocated them fragment the heap.
+    let coded = run_batch(blocks, config, rec, |block, outcome| {
+        let coded = code_cuts(&block.dfg, &outcome.enumeration.cuts, group_config, memo);
+        (outcome.without_cuts(), coded)
+    });
+    let mut index = PatternIndex::new(group_config.clone());
+    let outcomes = coded
+        .into_iter()
+        .map(|(outcome, block_coded)| {
+            index.add_coded_block(block_coded, blocks[outcome.index].weight());
+            outcome
+        })
+        .collect();
+    (index, outcomes)
+}
+
+/// Builds the pattern index over finished batch outcomes, which must still hold
+/// their cut lists (as [`crate::batch::run_batch_obs`] returns them).
+///
+/// Canonicalization runs on up to `threads` workers (one block per task, through
+/// [`code_cuts`]); the merge into the index is sequential in block order, so the
+/// result is identical for every thread count and equals what [`group_batch`]
+/// builds. `ise select --global` uses this two-pass form: it keeps every cut for
+/// placement, so coding on the batch workers would save no memory, and coding
+/// afterwards keeps the enumeration's and the coding's peaks apart.
 pub fn group_outcomes(
     blocks: &[CorpusBlock],
     outcomes: &[BlockOutcome],
@@ -56,13 +113,8 @@ pub fn group_outcomes(
                     break;
                 };
                 let dfg = &blocks[outcome.index].dfg;
-                let cuts = &outcome.enumeration.cuts;
-                let block_coded = match memo {
-                    Some(memo) => canonicalize_cuts_memo(dfg, cuts, config, memo),
-                    None => canonicalize_cuts(dfg, cuts, config),
-                };
                 coded[i]
-                    .set(block_coded)
+                    .set(code_cuts(dfg, &outcome.enumeration.cuts, config, memo))
                     .expect("each block is coded exactly once");
             });
         }
@@ -98,7 +150,7 @@ pub fn group_json(
             Json::object([
                 ("name", Json::str(o.name.clone())),
                 ("nodes", Json::uint(o.nodes)),
-                ("cuts", Json::uint(o.enumeration.cuts.len())),
+                ("cuts", Json::uint(o.enumeration.stats.valid_cuts)),
                 ("elapsed_seconds", Json::num(o.elapsed.as_secs_f64())),
             ])
         })

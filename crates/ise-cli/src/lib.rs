@@ -18,7 +18,7 @@
 //! [`group`] module); `report` prints a corpus inventory (loading doubles as
 //! validation) or, with `--dot`, one block as a Graphviz digraph with its
 //! selected ISEs highlighted. Work is scheduled by one work-stealing pool
-//! ([`batch::run_batch_obs`]): blocks with at least `--par-threshold` vertices fan out
+//! ([`batch::run_batch`]): blocks with at least `--par-threshold` vertices fan out
 //! into first-output tasks (`ise_enum::par`), smaller blocks stay whole, any task
 //! whose search exceeds `--split-threshold` nodes re-splits into child tasks on the
 //! fly, and idle `--threads` workers steal queued items from busy peers — so a
@@ -79,7 +79,8 @@ use ise_corpus::{load_corpus_path, CorpusError};
 use ise_enum::{Constraints, DedupMode, PruningConfig};
 
 use batch::{
-    run_batch_obs, BatchConfig, SelectionConfig, DEFAULT_PAR_THRESHOLD, DEFAULT_SPLIT_THRESHOLD,
+    run_batch, run_batch_obs, BatchConfig, SelectionConfig, DEFAULT_PAR_THRESHOLD,
+    DEFAULT_SPLIT_THRESHOLD,
 };
 use report::{batch_json, batch_markdown, corpus_markdown, RunMeta};
 
@@ -376,6 +377,13 @@ fn run_batch_command(args: &[String], select: bool) -> Result<(), CliError> {
     validate_out_targets(&flags)?;
     let common = parse_common(&flags)?;
     let global = flags.bool("global", false)?;
+    if !global && flags.bool("no-memo", false)? {
+        return Err(CliError::Usage(
+            "`--no-memo` only applies to `select --global` (per-block selection \
+             does not canonicalize)"
+                .to_string(),
+        ));
+    }
     let ports_in = flags.usize("ports-in", common.nin)?;
     let ports_out = flags.usize("ports-out", common.nout)?;
     let selection = if select && !global {
@@ -394,11 +402,6 @@ fn run_batch_command(args: &[String], select: bool) -> Result<(), CliError> {
     let config = common.batch_config(selection);
     let start = Instant::now();
     let heartbeat = obs::Heartbeat::start(registry.clone(), flags.bool("progress", false)?);
-    let outcomes = run_batch_obs(&blocks, &config, recorder(&registry));
-    if let Some(heartbeat) = heartbeat {
-        heartbeat.stop();
-    }
-    let meta = common.meta(select, start.elapsed());
 
     if global {
         // Corpus-level selection: --max-instr bounds *distinct patterns* and
@@ -410,6 +413,11 @@ fn run_batch_command(args: &[String], select: bool) -> Result<(), CliError> {
         if let (Some(memo), Some(registry)) = (memo.as_mut(), &registry) {
             memo.set_recorder(registry.as_ref());
         }
+        // Placement reads the cut bodies, so every block keeps its cuts and coding
+        // on the workers would save no memory. Coding after the batch keeps the
+        // enumeration's and the coding's peaks apart, and no fanned-out block
+        // waits behind another block's coding.
+        let outcomes = run_batch_obs(&blocks, &config, recorder(&registry));
         let index = group::group_outcomes(
             &blocks,
             &outcomes,
@@ -417,6 +425,10 @@ fn run_batch_command(args: &[String], select: bool) -> Result<(), CliError> {
             common.threads,
             memo.as_ref(),
         );
+        if let Some(heartbeat) = heartbeat {
+            heartbeat.stop();
+        }
+        let meta = common.meta(select, start.elapsed());
         let (json, markdown, _) = group::global_select_report_with_index(
             &index,
             &blocks,
@@ -431,14 +443,16 @@ fn run_batch_command(args: &[String], select: bool) -> Result<(), CliError> {
         }
         return write_trace_if_requested(trace_out.as_deref(), registry.as_deref());
     }
-    if flags.bool("no-memo", false)? {
-        return Err(CliError::Usage(
-            "`--no-memo` only applies to `select --global` (per-block selection \
-             does not canonicalize)"
-                .to_string(),
-        ));
+    // The reports render counts, statistics and the selection (already made when
+    // the block finalized), never the cuts themselves: drop each block's cut list
+    // as soon as it finishes.
+    let outcomes = run_batch(&blocks, &config, recorder(&registry), |_, outcome| {
+        outcome.without_cuts()
+    });
+    if let Some(heartbeat) = heartbeat {
+        heartbeat.stop();
     }
-
+    let meta = common.meta(select, start.elapsed());
     emit(
         &flags.string("out", "-"),
         &(batch_json(&outcomes, &meta).render() + "\n"),
@@ -477,17 +491,18 @@ fn run_group_command(args: &[String]) -> Result<(), CliError> {
     }
     let start = Instant::now();
     let heartbeat = obs::Heartbeat::start(registry.clone(), flags.bool("progress", false)?);
-    let outcomes = run_batch_obs(&blocks, &config, recorder(&registry));
+    // Each block is coded on its batch worker and keeps only its counts and coded
+    // cuts: the report renders patterns and per-block counts, never a cut body.
+    let (index, outcomes) = group::group_batch(
+        &blocks,
+        &config,
+        recorder(&registry),
+        &GroupConfig::new(ports_in, ports_out),
+        memo.as_ref(),
+    );
     if let Some(heartbeat) = heartbeat {
         heartbeat.stop();
     }
-    let index = group::group_outcomes(
-        &blocks,
-        &outcomes,
-        &GroupConfig::new(ports_in, ports_out),
-        common.threads,
-        memo.as_ref(),
-    );
     let meta = common.meta(false, start.elapsed());
     let memo_stats = if flags.bool("memo-stats", false)? {
         memo.as_ref().map(|m| m.stats())
@@ -517,7 +532,7 @@ fn run_group_command(args: &[String]) -> Result<(), CliError> {
 }
 
 /// The `Option<&dyn Recorder>` view of an optional registry, for threading into
-/// [`run_batch_obs`].
+/// [`run_batch`].
 fn recorder(
     registry: &Option<std::sync::Arc<ise_obs::MetricsRegistry>>,
 ) -> Option<&dyn ise_obs::Recorder> {

@@ -81,7 +81,10 @@ pub(crate) fn batch_json_with(
     };
     let rows: Vec<Json> = outcomes.iter().map(block_row).collect();
 
-    let total_cuts: usize = outcomes.iter().map(|o| o.enumeration.cuts.len()).sum();
+    let total_cuts: usize = outcomes
+        .iter()
+        .map(|o| o.enumeration.stats.valid_cuts)
+        .sum();
     let total_search: usize = outcomes
         .iter()
         .map(|o| o.enumeration.stats.search_nodes)
@@ -133,7 +136,7 @@ pub(crate) fn block_row(outcome: &BlockOutcome) -> Json {
         ("edges", Json::uint(outcome.edges)),
         ("forbidden", Json::uint(outcome.forbidden)),
         ("tasks", Json::uint(outcome.tasks)),
-        ("cuts", Json::uint(outcome.enumeration.cuts.len())),
+        ("cuts", Json::uint(stats.valid_cuts)),
         ("search_nodes", Json::uint(stats.search_nodes)),
         ("candidates_checked", Json::uint(stats.candidates_checked)),
         ("elapsed_seconds", Json::num(outcome.elapsed.as_secs_f64())),
@@ -203,7 +206,7 @@ pub fn batch_markdown(outcomes: &[BlockOutcome], meta: &RunMeta) -> String {
                 o.name,
                 o.nodes,
                 o.forbidden,
-                o.enumeration.cuts.len(),
+                o.enumeration.stats.valid_cuts,
                 sel.chosen.len(),
                 sel.total_saved_cycles,
                 sel.block_speedup(),
@@ -218,7 +221,7 @@ pub fn batch_markdown(outcomes: &[BlockOutcome], meta: &RunMeta) -> String {
                 o.nodes,
                 o.edges,
                 o.forbidden,
-                o.enumeration.cuts.len(),
+                o.enumeration.stats.valid_cuts,
                 o.enumeration.stats.search_nodes,
                 o.elapsed.as_secs_f64(),
             )
@@ -226,7 +229,10 @@ pub fn batch_markdown(outcomes: &[BlockOutcome], meta: &RunMeta) -> String {
         }
     }
 
-    let total_cuts: usize = outcomes.iter().map(|o| o.enumeration.cuts.len()).sum();
+    let total_cuts: usize = outcomes
+        .iter()
+        .map(|o| o.enumeration.stats.valid_cuts)
+        .sum();
     let total_search: usize = outcomes
         .iter()
         .map(|o| o.enumeration.stats.search_nodes)

@@ -80,12 +80,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ise_bench::json::Json;
-use ise_canon::{
-    canonicalize_cuts_memo, CanonMemo, CodedCut, GroupConfig, MemoStats, PatternIndex,
-};
+use ise_canon::{CanonMemo, CodedCut, GroupConfig, MemoStats, PatternIndex};
 use ise_corpus::{load_corpus_path, parse_corpus, CorpusBlock};
-use ise_enum::{select_ises, Enumeration, PruningConfig};
-use ise_graph::LatencyModel;
+use ise_enum::{Enumeration, PruningConfig};
 use ise_obs::{Counter, MetricsRegistry, Recorder};
 
 use crate::batch::{run_batch_obs, BatchConfig, BlockOutcome, SelectionConfig};
@@ -663,7 +660,16 @@ impl ServerState {
                 .get(&keys[i])
                 .cloned();
             if let Some((enumeration, tasks)) = cached {
-                slots[i] = Some(rebuild_outcome(i, block, enumeration, tasks, config));
+                // The batch's own constructor rebuilds the outcome; the selection
+                // (when requested) is recomputed, a cheap deterministic function
+                // of the cuts.
+                slots[i] = Some(BlockOutcome::new(
+                    i,
+                    block,
+                    tasks,
+                    enumeration,
+                    config.select.as_ref(),
+                ));
             } else {
                 missed.push(i);
             }
@@ -715,11 +721,11 @@ impl ServerState {
             let coded = match cached {
                 Some(hit) => hit,
                 None => {
-                    let coded = canonicalize_cuts_memo(
+                    let coded = group::code_cuts(
                         &blocks[i].dfg,
                         &outcome.enumeration.cuts,
                         config,
-                        &self.memo,
+                        Some(&self.memo),
                     );
                     self.codings
                         .lock()
@@ -819,39 +825,6 @@ impl ServerState {
     fn metrics_response(&self) -> String {
         self.publish_gauges();
         self.registry.render_prometheus()
-    }
-}
-
-/// A cached block outcome, reconstructed from the block's structural facts plus
-/// the cached enumeration; the selection (when requested) is recomputed — it is a
-/// cheap deterministic function of the cuts.
-fn rebuild_outcome(
-    index: usize,
-    block: &CorpusBlock,
-    enumeration: Enumeration,
-    tasks: usize,
-    config: &BatchConfig,
-) -> BlockOutcome {
-    let selection = config.select.as_ref().map(|sel| {
-        select_ises(
-            &block.dfg,
-            &enumeration.cuts,
-            &LatencyModel::default(),
-            sel.ports_in,
-            sel.ports_out,
-            sel.max_instructions,
-        )
-    });
-    BlockOutcome {
-        index,
-        name: block.dfg.name().to_string(),
-        nodes: block.dfg.len(),
-        edges: block.dfg.edge_count(),
-        forbidden: block.dfg.forbidden().len(),
-        tasks,
-        enumeration,
-        selection,
-        elapsed: Duration::ZERO,
     }
 }
 

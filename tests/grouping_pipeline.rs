@@ -8,16 +8,24 @@
 //!   with canonicalization memoized or not, and with one shared memo serving
 //!   every thread count in sequence (the ISSUE 7 purity criterion);
 //! * `ise select --global` saves at least as many corpus-wide cycles as the sum of
-//!   the per-block greedy selections under the same constraints.
+//!   the per-block greedy selections under the same constraints;
+//! * the `ise group` command, which codes each block on its batch worker and drops
+//!   its cuts, and `ise select --global` print exactly what the two-pass library
+//!   composition renders.
 
 use std::time::Duration;
 
 use ise_repro::ise_canon::{select_ises_global, CanonMemo, GroupConfig};
-use ise_repro::ise_cli::batch::{run_batch_obs, BatchConfig, SelectionConfig};
-use ise_repro::ise_cli::group::{group_json, group_outcomes};
+use ise_repro::ise_cli::batch::{
+    run_batch_obs, BatchConfig, SelectionConfig, DEFAULT_PAR_THRESHOLD, DEFAULT_SPLIT_THRESHOLD,
+};
+use ise_repro::ise_cli::group::{
+    global_select_report_with_index, group_json, group_markdown, group_outcomes,
+};
 use ise_repro::ise_cli::report::RunMeta;
-use ise_repro::ise_corpus::{load_corpus_path, CorpusBlock};
+use ise_repro::ise_corpus::{load_corpus_path, write_corpus, CorpusBlock};
 use ise_repro::ise_enum::{Constraints, Cut, DedupMode};
+use ise_repro::ise_workloads::mibench_like::{generate_block, MiBenchLikeConfig};
 
 const BUDGET: usize = 10_000;
 
@@ -140,4 +148,127 @@ fn global_selection_beats_the_per_block_sum_on_the_committed_corpus() {
         "global {} < per-block sum {per_block_total}",
         global.total_saved_cycles
     );
+}
+
+/// Drops every `"*_seconds":<number>` field, as `ci/strip-volatile.sh` does.
+fn strip_seconds(json: &str) -> String {
+    let mut out = String::with_capacity(json.len());
+    let mut rest = json;
+    while let Some(at) = rest.find("_seconds\":") {
+        let key_start = rest[..at].rfind('"').expect("a key opens with a quote");
+        out.push_str(&rest[..key_start]);
+        let value = &rest[at + "_seconds\":".len()..];
+        let end = value
+            .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | 'e' | '-')))
+            .unwrap_or(value.len());
+        rest = &value[end..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Writes `count` small MiBench-like blocks (12 to 32 vertices) as two `.dfg`
+/// files under a fresh directory named after `tag`.
+fn small_block_corpus_dir(tag: &str, count: usize) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("ise-grouping-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let blocks: Vec<CorpusBlock> = (0..count)
+        .map(|i| CorpusBlock {
+            dfg: generate_block(&MiBenchLikeConfig::new(12 + (i * 7) % 21), 500 + i as u64)
+                .expect("the MiBench-like generator yields valid blocks"),
+            meta: Vec::new(),
+        })
+        .collect();
+    let half = count / 2;
+    std::fs::write(dir.join("a.dfg"), write_corpus(&blocks[..half])).unwrap();
+    std::fs::write(dir.join("b.dfg"), write_corpus(&blocks[half..])).unwrap();
+    dir
+}
+
+/// `ise group` codes each block on its batch worker and drops its cuts, yet its
+/// stripped JSON and markdown, like those of `ise select --global`, must equal the
+/// two-pass library composition —
+/// `run_batch_obs`, then `group_outcomes`, then the renderer — byte for byte, with
+/// the memo on and off, at 1, 2 and 8 threads.
+#[test]
+fn commands_render_exactly_what_the_library_composition_renders() {
+    let dir = small_block_corpus_dir("cli-vs-lib", 80);
+    let corpus = dir.to_str().unwrap().to_string();
+    let blocks = load_corpus_path(&dir).expect("the generated corpus loads");
+    let (nin, nout) = (2, 1);
+    let group_config = GroupConfig::new(nin, nout);
+    for threads in [1usize, 2, 8] {
+        let batch = BatchConfig {
+            threads,
+            budget: Some(ise_repro::ise_cli::DEFAULT_BUDGET),
+            ..BatchConfig::new(Constraints::new(nin, nout).unwrap())
+        };
+        let outcomes = run_batch_obs(&blocks, &batch, None);
+        let meta = |select| RunMeta {
+            corpus: corpus.clone(),
+            nin,
+            nout,
+            threads,
+            budget: Some(ise_repro::ise_cli::DEFAULT_BUDGET),
+            par_threshold: DEFAULT_PAR_THRESHOLD,
+            split_threshold: Some(DEFAULT_SPLIT_THRESHOLD),
+            dedup_mode: DedupMode::DedupFirst,
+            select,
+            elapsed: Duration::ZERO,
+        };
+        for memo_on in [true, false] {
+            let memo = memo_on.then(CanonMemo::new);
+            let index = group_outcomes(&blocks, &outcomes, &group_config, threads, memo.as_ref());
+            assert!(index.total_cuts() > index.len(), "patterns recur");
+            let group_lib = (
+                group_json(&index, &outcomes, &meta(false), 1, None).render() + "\n",
+                group_markdown(&index, &outcomes, &meta(false), 1, 40, None),
+            );
+            let (json, md, _) = global_select_report_with_index(
+                &index,
+                &blocks,
+                &outcomes,
+                &meta(true),
+                &group_config,
+                0,
+            );
+            let global_lib = (json.render() + "\n", md);
+            for (command, lib) in [
+                (&["group"][..], group_lib),
+                (&["select", "--global"], global_lib),
+            ] {
+                let label = format!("{command:?} threads={threads} memo={memo_on}");
+                let out = dir.join("out.json");
+                let md = dir.join("out.md");
+                let mut args: Vec<String> = command.iter().map(ToString::to_string).collect();
+                for arg in [
+                    "--corpus",
+                    &corpus,
+                    "--nin",
+                    "2",
+                    "--nout",
+                    "1",
+                    "--threads",
+                    &threads.to_string(),
+                    "--out",
+                    out.to_str().unwrap(),
+                    "--md",
+                    md.to_str().unwrap(),
+                ] {
+                    args.push(arg.to_string());
+                }
+                if !memo_on {
+                    args.push("--no-memo".to_string());
+                }
+                ise_repro::ise_cli::run(&args).unwrap_or_else(|e| panic!("{label}: {e}"));
+                let cli_json = std::fs::read_to_string(&out).unwrap();
+                let cli_md = std::fs::read_to_string(&md).unwrap();
+                assert!(cli_json.contains(r#""total_cuts":"#), "{label}");
+                assert_eq!(strip_seconds(&cli_json), strip_seconds(&lib.0), "{label}");
+                assert_eq!(cli_md, lib.1, "{label}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
