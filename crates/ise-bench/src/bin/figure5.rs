@@ -29,7 +29,6 @@ fn main() {
     let constraints = Constraints::new(nin, nout).expect("non-zero I/O constraints");
     let options = EngineOptions {
         max_search_nodes: budget,
-        ..EngineOptions::default()
     };
     let tree_depths: Vec<u32> = (4..=max_tree_depth.max(4)).collect();
     let workload = figure5_workload(blocks, max_size, seed, &tree_depths);

@@ -61,7 +61,6 @@ fn main() {
     let pruning = PruningConfig::all();
     let options = EngineOptions {
         max_search_nodes: budget,
-        ..EngineOptions::default()
     };
     let group_config = GroupConfig::new(nin, nout);
     let memo = CanonMemo::new();

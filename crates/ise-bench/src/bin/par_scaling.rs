@@ -99,7 +99,6 @@ fn main() {
     let pruning = PruningConfig::all();
     let options = EngineOptions {
         max_search_nodes: budget,
-        ..EngineOptions::default()
     };
     let ctx = EnumContext::new(block.dfg.clone());
 

@@ -16,7 +16,7 @@
 //! **Determinism.** The fan-out plan ([`BatchConfig::par_threshold`],
 //! [`MAX_TASKS_PER_BLOCK`]), the per-task budget split and the split threshold are
 //! functions of the block and the configuration alone — never of the thread count —
-//! suspension points are a pure function of each task's own search, and the sharded
+//! suspension points are a pure function of each task's own search, and the ordered
 //! task merge is deterministic, so every count in the output is byte-identical for
 //! any `--threads` value (the PR 3 guarantee). Unbudgeted fanned-out blocks
 //! reproduce the serial enumeration exactly, statistics included; budgeted ones
@@ -83,13 +83,13 @@ pub struct BatchConfig {
     /// Optional per-block search budget (`None` = unbounded); fanned-out blocks
     /// split it evenly across their static tasks.
     pub budget: Option<usize>,
-    /// Number of worker threads; clamped to at least 1. Feeds the scheduler and the
-    /// sharded merges and never changes any output count.
+    /// Number of worker threads; clamped to at least 1. Feeds the scheduler and never
+    /// changes any output count.
     pub threads: usize,
     /// When set, each block additionally runs the greedy ISE selection.
     pub select: Option<SelectionConfig>,
-    /// When the engine de-duplicates candidates relative to validating them
-    /// (`--dedup-mode`; [`DedupMode::ValidateFirst`] is the bounded-memory fallback).
+    /// The engine's de-duplication order; [`DedupMode`] has one value, so the run
+    /// never reads this field.
     pub dedup_mode: DedupMode,
     /// Minimum block size (in vertices) for intra-block fan-out; `usize::MAX`
     /// disables fan-out (and with it recursive splitting) entirely.
@@ -253,7 +253,6 @@ fn plan_block(dfg: &Dfg, config: &BatchConfig) -> BlockPlan {
             // fanned-out sweep costs what a whole-block sweep would; deterministic in
             // the plan alone. Budget exhaustion suppresses recursive splits.
             max_search_nodes: config.budget.map(|b| b.div_ceil(tasks).max(1)),
-            dedup_mode: config.dedup_mode,
         },
     }
 }
@@ -463,7 +462,7 @@ where
                 .take()
                 .expect("a fanned-out block's first task built its context");
             debug_assert_eq!(Arc::strong_count(&ctx), 1, "every task has released it");
-            let enumeration = merge_tasks(&ctx, &plan.options, outputs, config.threads, self.rec);
+            let enumeration = merge_tasks(&ctx, outputs, self.rec);
             // Free the context here, on the merging worker, before selection and the
             // reduction run.
             drop(ctx);
@@ -731,29 +730,6 @@ mod tests {
                     |o: &[BlockOutcome]| o.iter().map(|b| b.enumeration.cuts.len()).sum::<usize>();
                 assert_eq!(total(&one), total(&many), "{threads} threads");
             }
-        }
-    }
-
-    /// The validate-first memory fallback must not change any reported cut.
-    #[test]
-    fn dedup_mode_does_not_change_cut_counts() {
-        let blocks = small_corpus();
-        let reference = run_batch_obs(&blocks, &config(2), None);
-        let mut cfg = config(2);
-        cfg.dedup_mode = DedupMode::ValidateFirst;
-        cfg.par_threshold = 1;
-        let fallback = run_batch_obs(&blocks, &cfg, None);
-        for (a, b) in reference.iter().zip(&fallback) {
-            assert_eq!(
-                a.enumeration.cuts.len(),
-                b.enumeration.cuts.len(),
-                "{}",
-                a.name
-            );
-            assert_eq!(
-                a.enumeration.stats.valid_cuts,
-                b.enumeration.stats.valid_cuts
-            );
         }
     }
 

@@ -29,8 +29,7 @@
 //! output is identical for any thread count** — only wall times vary. Runs are budgeted per
 //! block by default ([`DEFAULT_BUDGET`] search nodes, `--budget 0` to lift; fanned
 //! blocks split the budget across tasks) so one adversarial block cannot stall a
-//! corpus sweep, and `--dedup-mode validate-first` selects the bounded-memory
-//! de-duplication fallback. Machine-readable output is JSON
+//! corpus sweep. Machine-readable output is JSON
 //! (schemas `ise-cli/enumerate/v1` and `ise-cli/select/v1`, built on
 //! [`ise_bench::json`]); `--md` adds a human-readable markdown companion. See
 //! `docs/GUIDE.md` for the end-to-end walkthrough.
@@ -91,7 +90,6 @@ usage: ise <enumerate|select|group|report> [flags]
   ise enumerate --corpus PATH [--threads N] [--nin 4] [--nout 2]
                 [--budget M] [--limit K] [--out FILE|-] [--md FILE|-]
                 [--par-threshold V] [--split-threshold S]
-                [--dedup-mode dedup-first|validate-first]
                 [--trace-out FILE|-] [--progress]
   ise select    (same flags as enumerate)
                 [--max-instr 4] [--ports-in N] [--ports-out N] [--global]
@@ -124,9 +122,6 @@ chrome://tracing or Perfetto): engine, task and merge spans nest under
 their worker threads. --progress prints heartbeat lines on stderr while
 the sweep runs. Both only observe — no byte of --out/--md output
 changes, and all counts stay thread-count invariant with recording on.
---dedup-mode validate-first bounds the dedup arena by the valid cuts
-(the memory fallback for huge blocks) at the cost of re-validating
-duplicate candidates; the reported cuts are identical.
 `group` recognizes structurally identical (isomorphic) candidates across
 the whole corpus by canonical code and reports each pattern's occurrence
 count and estimated corpus-wide saving; --min-count hides rarer patterns
@@ -251,7 +246,6 @@ const BATCH_FLAGS: &[&str] = &[
     "md",
     "par-threshold",
     "split-threshold",
-    "dedup-mode",
     "trace-out",
 ];
 const SELECT_FLAGS: &[&str] = &[
@@ -265,7 +259,6 @@ const SELECT_FLAGS: &[&str] = &[
     "md",
     "par-threshold",
     "split-threshold",
-    "dedup-mode",
     "trace-out",
     "max-instr",
     "ports-in",
@@ -282,23 +275,12 @@ const GROUP_FLAGS: &[&str] = &[
     "md",
     "par-threshold",
     "split-threshold",
-    "dedup-mode",
     "trace-out",
     "ports-in",
     "ports-out",
     "min-count",
     "top",
 ];
-
-fn parse_dedup_mode(flags: &Flags) -> Result<DedupMode, CliError> {
-    match flags.get("dedup-mode") {
-        None | Some("dedup-first") => Ok(DedupMode::DedupFirst),
-        Some("validate-first") => Ok(DedupMode::ValidateFirst),
-        Some(other) => Err(CliError::Usage(format!(
-            "`--dedup-mode` must be dedup-first or validate-first, got `{other}`"
-        ))),
-    }
-}
 
 /// The flags shared by every batch-driven subcommand, parsed once.
 struct CommonBatchArgs {
@@ -309,7 +291,6 @@ struct CommonBatchArgs {
     budget: Option<usize>,
     par_threshold: usize,
     split_threshold: Option<usize>,
-    dedup_mode: DedupMode,
     constraints: Constraints,
 }
 
@@ -330,7 +311,6 @@ fn parse_common(flags: &Flags) -> Result<CommonBatchArgs, CliError> {
             0 => None,
             threshold => Some(threshold),
         },
-        dedup_mode: parse_dedup_mode(flags)?,
         constraints: Constraints::new(nin, nout)
             .map_err(|e| CliError::Usage(format!("--nin/--nout: {e}")))?,
     })
@@ -344,7 +324,7 @@ impl CommonBatchArgs {
             budget: self.budget,
             threads: self.threads,
             select,
-            dedup_mode: self.dedup_mode,
+            dedup_mode: DedupMode::default(),
             par_threshold: self.par_threshold,
             split_threshold: self.split_threshold,
         }
@@ -359,7 +339,7 @@ impl CommonBatchArgs {
             budget: self.budget,
             par_threshold: self.par_threshold,
             split_threshold: self.split_threshold,
-            dedup_mode: self.dedup_mode,
+            dedup_mode: DedupMode::default(),
             select,
             elapsed,
         }
@@ -620,7 +600,6 @@ fn run_dot_report(
     let ctx = EnumContext::new(block.dfg.clone());
     let options = EngineOptions {
         max_search_nodes: budget,
-        ..EngineOptions::default()
     };
     let enumeration = incremental_cuts(&ctx, &constraints, &PruningConfig::all(), &options, None);
     let selection = select_ises(
@@ -1013,15 +992,27 @@ mod tests {
         ));
         let err = run(&argv(&["enumerate", "--corpus", "x", "--nin", "0"])).unwrap_err();
         assert!(err.to_string().contains("--nin"), "{err}");
-        let err = run(&argv(&[
-            "enumerate",
-            "--corpus",
-            "x",
-            "--dedup-mode",
-            "later",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("--dedup-mode"), "{err}");
+    }
+
+    /// The de-duplication order is no longer selectable: `--dedup-mode`, even with
+    /// the one order it used to name, is an unknown flag for every batch command.
+    #[test]
+    fn retired_dedup_mode_flag_is_rejected() {
+        for subcommand in ["enumerate", "select", "group"] {
+            let err = run(&argv(&[
+                subcommand,
+                "--corpus",
+                "x",
+                "--dedup-mode",
+                "dedup-first",
+            ]))
+            .unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{subcommand}: {err}");
+            assert!(
+                err.to_string().contains("unknown flag `--dedup-mode`"),
+                "{subcommand}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1081,15 +1072,13 @@ mod tests {
     }
 
     #[test]
-    fn dedup_mode_and_par_threshold_flags_are_accepted() {
+    fn par_and_split_threshold_flags_are_accepted() {
         let dir = demo_corpus("flags");
         let out = dir.join("f.json");
         run(&argv(&[
             "enumerate",
             "--corpus",
             dir.to_str().unwrap(),
-            "--dedup-mode",
-            "validate-first",
             "--par-threshold",
             "1",
             "--split-threshold",
@@ -1101,7 +1090,7 @@ mod tests {
         ]))
         .unwrap();
         let json = std::fs::read_to_string(&out).unwrap();
-        assert!(json.contains(r#""dedup_mode":"validate-first""#), "{json}");
+        assert!(json.contains(r#""dedup_mode":"dedup-first""#), "{json}");
         assert!(json.contains(r#""par_threshold":1"#), "{json}");
         assert!(json.contains(r#""split_threshold":5"#), "{json}");
         assert!(json.contains(r#""tasks":"#), "{json}");

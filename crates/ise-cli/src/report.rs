@@ -26,7 +26,7 @@ pub struct RunMeta {
     pub par_threshold: usize,
     /// Recursive task-split threshold in search nodes (`None` = splitting off).
     pub split_threshold: Option<usize>,
-    /// De-duplication mode of the run.
+    /// De-duplication order of the run (the engine has one).
     pub dedup_mode: DedupMode,
     /// Whether this was an `ise select` run. Carried explicitly so the schema and
     /// selection aggregates stay correct even for runs over zero blocks.
@@ -114,13 +114,7 @@ pub(crate) fn batch_json_with(
             "split_threshold",
             meta.split_threshold.map_or(Json::Null, Json::uint),
         ),
-        (
-            "dedup_mode",
-            Json::str(match meta.dedup_mode {
-                DedupMode::DedupFirst => "dedup-first",
-                DedupMode::ValidateFirst => "validate-first",
-            }),
-        ),
+        ("dedup_mode", Json::str(meta.dedup_mode.as_str())),
     ];
     doc.extend(extra_top);
     doc.push(("blocks", Json::Array(rows)));

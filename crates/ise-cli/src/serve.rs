@@ -33,7 +33,7 @@
 //! bytes of every block ([`ise_corpus::CorpusBlock::canonical_bytes`], so
 //! formatting-only variants of a block share a key), the engine flag tokens
 //! ([`ise_enum::Constraints::cache_token`], [`ise_enum::PruningConfig::cache_token`],
-//! budget, fan-out threshold, dedup mode) and the op-specific flags. Results are
+//! budget, fan-out and split thresholds) and the op-specific flags. Results are
 //! held in a bounded in-memory LRU ([`crate::cache::ResponseCache`]) backed by an
 //! optional `--cache-dir` directory that survives restarts. Below the response
 //! cache, per-block `Enumeration`s and canonical codings are cached under their own
@@ -187,7 +187,6 @@ const REQ_COMMON: &[&str] = &[
     "limit",
     "par-threshold",
     "split-threshold",
-    "dedup-mode",
 ];
 const REQ_SELECT_EXTRA: &[&str] = &["max-instr", "ports-in", "ports-out"];
 const REQ_GROUP_EXTRA: &[&str] = &["ports-in", "ports-out", "min-count"];
@@ -828,14 +827,15 @@ impl ServerState {
     }
 }
 
-/// The engine facts every evaluated op keys on: constraints, prunings, budget,
-/// fan-out and split thresholds and dedup mode. Thread counts are deliberately
-/// absent — they never change a result byte. The split threshold is included
-/// because budgeted runs re-budget split-off tasks, so it can change counts there
-/// (deterministically).
+/// The engine facts every evaluated op keys on: constraints, prunings, budget and
+/// fan-out and split thresholds. Thread counts are deliberately absent — they never
+/// change a result byte. The split threshold is included because budgeted runs
+/// re-budget split-off tasks, so it can change counts there (deterministically).
+/// The trailing `dedup=dedup-first` names the engine's one de-duplication order; it
+/// stays so existing keys and cache files remain valid.
 fn engine_token(common: &CommonBatchArgs) -> String {
     format!(
-        "{};{};budget={};par-threshold={};split-threshold={};dedup={}",
+        "{};{};budget={};par-threshold={};split-threshold={};dedup=dedup-first",
         common.constraints.cache_token(),
         PruningConfig::all().cache_token(),
         common
@@ -845,7 +845,6 @@ fn engine_token(common: &CommonBatchArgs) -> String {
         common
             .split_threshold
             .map_or_else(|| "none".to_string(), |t| t.to_string()),
-        common.dedup_mode.as_str(),
     )
 }
 

@@ -60,10 +60,7 @@ pub fn baseline_cuts(
     max_search_nodes: Option<usize>,
 ) -> Enumeration {
     let mut enumerator = BaselineEnumerator::new(ctx);
-    let options = EngineOptions {
-        max_search_nodes,
-        ..EngineOptions::default()
-    };
+    let options = EngineOptions { max_search_nodes };
     engine::run(&mut enumerator, ctx, constraints, &options, None)
 }
 

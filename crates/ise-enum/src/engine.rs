@@ -44,30 +44,24 @@ use crate::obs::{phase, PhaseClock};
 use crate::result::Enumeration;
 use crate::stats::EnumStats;
 
-/// When the engine de-duplicates a candidate relative to validating it (the DESIGN.md
-/// §1.2 time-for-memory trade, selectable per run).
+/// The engine's de-duplication order: every candidate is de-duplicated on its packed
+/// body key *before* validation (DESIGN.md §1.2), so repeated candidates skip the
+/// convexity and I/O-condition checks entirely, at the cost of retaining every
+/// distinct *examined* body (valid or not) in the seen-set arena — ~11M keys on the
+/// committed scaling workload's largest row. There is one order; the type names it
+/// in batch configurations and JSON reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DedupMode {
-    /// De-duplicate on the packed body key *before* validation (the default): repeated
-    /// candidates skip the convexity and I/O-condition checks entirely, at the cost of
-    /// retaining every distinct *examined* body (valid or not) in the seen-set arena —
-    /// ~11M keys on the committed scaling workload's largest row.
+    /// De-duplicate on the packed body key before validation.
     #[default]
     DedupFirst,
-    /// Validate *before* de-duplicating: only valid cuts enter the seen-set, so the
-    /// arena is bounded by the number of valid cuts instead of the number of distinct
-    /// candidates — the memory fallback for sweeps over huge blocks. Duplicated
-    /// candidates pay re-validation, and the rejection counters count every
-    /// occurrence rather than the first; the reported cut set is identical.
-    ValidateFirst,
 }
 
 impl DedupMode {
-    /// The stable lowercase name used in CLI flags, JSON reports and cache keys.
+    /// The stable lowercase name used in JSON reports.
     pub fn as_str(self) -> &'static str {
         match self {
             DedupMode::DedupFirst => "dedup-first",
-            DedupMode::ValidateFirst => "validate-first",
         }
     }
 }
@@ -79,8 +73,6 @@ pub struct EngineOptions {
     /// Search budget in recursion steps (`None` = unbounded). In task-parallel runs
     /// the budget applies *per task*.
     pub max_search_nodes: Option<usize>,
-    /// When candidates are de-duplicated relative to validation.
-    pub dedup_mode: DedupMode,
 }
 
 impl EngineOptions {
@@ -91,9 +83,10 @@ impl EngineOptions {
     /// The token is part of the `ise serve` cache-key derivation (DESIGN.md §7), so
     /// its format is load-bearing: changing it invalidates every persisted cache
     /// entry — which is exactly the safe failure mode when a new field changes what
-    /// the engine computes. The `strategy=incremental` segment names the one body
-    /// strategy the engine has; it stays in the token so existing keys and cache
-    /// files remain valid.
+    /// the engine computes. The `strategy=incremental` and `dedup=dedup-first`
+    /// segments name the one body strategy and the one de-duplication order the
+    /// engine has; they stay in the token so existing keys and cache files remain
+    /// valid.
     ///
     /// # Example
     ///
@@ -107,7 +100,6 @@ impl EngineOptions {
     /// );
     /// let budgeted = EngineOptions {
     ///     max_search_nodes: Some(1_000_000),
-    ///     ..defaults
     /// };
     /// assert_ne!(budgeted.cache_token(), EngineOptions::default().cache_token());
     /// ```
@@ -116,10 +108,7 @@ impl EngineOptions {
             None => "none".to_string(),
             Some(limit) => limit.to_string(),
         };
-        format!(
-            "budget={budget};strategy=incremental;dedup={}",
-            self.dedup_mode.as_str()
-        )
+        format!("budget={budget};strategy=incremental;dedup=dedup-first")
     }
 }
 
@@ -191,7 +180,6 @@ enum TrailEntry {
 pub struct SearchState<'a> {
     ctx: &'a EnumContext,
     constraints: &'a Constraints,
-    dedup_mode: DedupMode,
     /// When set, every first-seen key inserted into `seen` gets one classification
     /// byte appended here (see [`CandidateClass`]) — the trace the task-parallel
     /// merge replays to reconstruct the serial run's statistics exactly.
@@ -235,7 +223,6 @@ impl<'a> SearchState<'a> {
         SearchState {
             ctx,
             constraints,
-            dedup_mode: options.dedup_mode,
             class_log: None,
             max_search_nodes: options.max_search_nodes,
             forbidden: ctx.rooted().forbidden(),
@@ -329,14 +316,9 @@ impl<'a> SearchState<'a> {
         self.constraints
     }
 
-    /// The de-duplication mode of this run.
-    pub fn dedup_mode(&self) -> DedupMode {
-        self.dedup_mode
-    }
-
     /// Turns on the candidate-classification log consumed by the task-parallel merge
-    /// (`crate::par`). Only meaningful with [`DedupMode::DedupFirst`]; one byte is
-    /// appended per first-seen key, in seen-set insertion order.
+    /// (`crate::par`): one byte is appended per first-seen key, in seen-set insertion
+    /// order.
     pub(crate) fn enable_class_log(&mut self) {
         self.class_log = Some(Vec::new());
     }
@@ -559,9 +541,9 @@ impl<'a> SearchState<'a> {
     /// by the chosen inputs and outputs and reports it.
     ///
     /// The maintained body is used directly: the §5.3 build-S pruning degenerates to
-    /// the `O(1)` forbidden counter test, and under [`DedupMode::DedupFirst`] the
-    /// candidate is de-duplicated on its packed body key *before* validation, so
-    /// repeated candidates skip the convexity and I/O-condition checks entirely.
+    /// the `O(1)` forbidden counter test, and the candidate is de-duplicated on its
+    /// packed body key *before* validation, so repeated candidates skip the convexity
+    /// and I/O-condition checks entirely.
     pub fn check_cut(&mut self, abort_on_forbidden: bool) {
         let prev = self.clock.enter(phase::DEDUP);
         if abort_on_forbidden && self.forbidden_in_body > 0 {
@@ -583,9 +565,8 @@ impl<'a> SearchState<'a> {
     /// buffers; a [`Cut`] is built only for a valid, first-seen candidate.
     fn report(&mut self, body: Option<DenseNodeSet>, require_io_condition: bool) {
         self.stats.candidates_checked += 1;
-        let dedup_first = self.dedup_mode == DedupMode::DedupFirst;
         let candidate = body.as_ref().unwrap_or(&self.body);
-        if dedup_first && !self.seen.insert(candidate.words()) {
+        if !self.seen.insert(candidate.words()) {
             self.stats.rejected_duplicate += 1;
             return;
         }
@@ -594,10 +575,6 @@ impl<'a> SearchState<'a> {
                 .check(self.ctx, self.constraints, candidate, require_io_condition);
         let class = match verdict {
             Ok(()) => {
-                if !dedup_first && !self.seen.insert(candidate.words()) {
-                    self.stats.rejected_duplicate += 1;
-                    return;
-                }
                 self.stats.valid_cuts += 1;
                 let cut = self
                     .checker
@@ -607,11 +584,6 @@ impl<'a> SearchState<'a> {
             }
             Err(rejection) => {
                 self.stats.record_rejection(rejection);
-                if !dedup_first {
-                    // Validate-first logs first-seen keys only, and rejected
-                    // candidates never enter the seen-set.
-                    return;
-                }
                 CandidateClass::of(rejection)
             }
         };
@@ -760,13 +732,6 @@ impl CutKeySet {
         &self.arena[start..start + self.stride]
     }
 
-    /// Hash of a packed key. Exposed crate-wide so the task merge can shard keys by
-    /// the *high* hash bits (the table index below uses the low bits, so the two
-    /// partitions stay independent — the same split `CanonMemo` uses for its stripes).
-    pub(crate) fn hash_key(words: &[u64]) -> u64 {
-        Self::hash(words)
-    }
-
     fn hash(words: &[u64]) -> u64 {
         // FNV-1a over 64-bit words, followed by a murmur3-style finalizer. The
         // finalizer matters: the FNV multiply only propagates entropy towards the high
@@ -786,19 +751,12 @@ impl CutKeySet {
 
     /// Inserts `words`; returns `true` if the key was not already present.
     pub(crate) fn insert(&mut self, words: &[u64]) -> bool {
-        self.insert_prehashed(words, Self::hash(words))
-    }
-
-    /// [`insert`](Self::insert) with the hash supplied by the caller — the sharded
-    /// merge computes every key's hash once for shard routing and reuses it here.
-    pub(crate) fn insert_prehashed(&mut self, words: &[u64], hash: u64) -> bool {
         debug_assert_eq!(words.len(), self.stride);
-        debug_assert_eq!(hash, Self::hash(words));
         if (self.len + 1) * 4 >= self.table.len() * 3 {
             self.grow();
         }
         let mask = self.table.len() - 1;
-        let mut slot = (hash as usize) & mask;
+        let mut slot = (Self::hash(words) as usize) & mask;
         loop {
             match self.table[slot] {
                 EMPTY_SLOT => {
@@ -839,8 +797,6 @@ impl CutKeySet {
 mod tests {
     use super::*;
     use crate::cone::cone;
-    use crate::config::PruningConfig;
-    use crate::incremental::IncrementalEnumerator;
     use ise_graph::{DfgBuilder, Operation};
 
     #[test]
@@ -949,86 +905,6 @@ mod tests {
         assert!(state.body().is_empty());
     }
 
-    /// The §1.2 memory fallback: validate-first keeps only valid cuts in the
-    /// seen-set arena, at the cost of re-validating duplicates — the reported cut
-    /// set must be identical to dedup-first's.
-    #[test]
-    fn dedup_modes_report_identical_cuts() {
-        let mut b = DfgBuilder::new("modes");
-        let a = b.input("a");
-        let c = b.input("c");
-        let nn = b.node(Operation::Add, &[a, c]);
-        let x = b.node(Operation::Mul, &[nn, c]);
-        let y = b.node(Operation::Sub, &[nn, a]);
-        let z = b.node(Operation::Xor, &[x, y]);
-        b.mark_output(y);
-        b.mark_output(z);
-        let ctx = EnumContext::new(b.build().unwrap());
-        let constraints = Constraints::new(4, 2).unwrap();
-        let pruning = PruningConfig::all();
-        let run = |mode: DedupMode| {
-            let mut enumerator = IncrementalEnumerator::new(&ctx, &pruning);
-            let options = EngineOptions {
-                dedup_mode: mode,
-                ..EngineOptions::default()
-            };
-            run(&mut enumerator, &ctx, &constraints, &options, None)
-        };
-        let dedup_first = run(DedupMode::DedupFirst);
-        let validate_first = run(DedupMode::ValidateFirst);
-        fn keys(r: &Enumeration) -> Vec<crate::cut::CutKey<'_>> {
-            r.cuts.iter().map(Cut::key).collect()
-        }
-        assert_eq!(keys(&dedup_first), keys(&validate_first));
-        // The search shape is identical; only the dedup-dependent counters differ.
-        assert_eq!(
-            dedup_first.stats.search_nodes,
-            validate_first.stats.search_nodes
-        );
-        assert_eq!(
-            dedup_first.stats.valid_cuts,
-            validate_first.stats.valid_cuts
-        );
-        assert!(
-            dedup_first.stats.rejected_duplicate > 0,
-            "the fixture must revisit candidates"
-        );
-    }
-
-    /// The memory fallback must also cover the `report_deduped` path (the basic
-    /// algorithm), not just the transactional `check_cut`.
-    #[test]
-    fn dedup_modes_agree_on_the_report_deduped_path() {
-        use crate::basic::BasicEnumerator;
-        let mut b = DfgBuilder::new("basic-modes");
-        let a = b.input("a");
-        let c = b.input("c");
-        let nn = b.node(Operation::Add, &[a, c]);
-        let x = b.node(Operation::Mul, &[nn, c]);
-        let _y = b.node(Operation::Sub, &[nn, x]);
-        let ctx = EnumContext::new(b.build().unwrap());
-        let constraints = Constraints::new(3, 2).unwrap();
-        let run = |mode: DedupMode| {
-            let mut enumerator = BasicEnumerator::new(&ctx);
-            let options = EngineOptions {
-                dedup_mode: mode,
-                ..EngineOptions::default()
-            };
-            run(&mut enumerator, &ctx, &constraints, &options, None)
-        };
-        let dedup_first = run(DedupMode::DedupFirst);
-        let validate_first = run(DedupMode::ValidateFirst);
-        let mut df: Vec<_> = dedup_first.cuts.iter().map(Cut::key).collect();
-        let mut vf: Vec<_> = validate_first.cuts.iter().map(Cut::key).collect();
-        df.sort();
-        vf.sort();
-        assert_eq!(df, vf);
-        assert_eq!(
-            dedup_first.stats.valid_cuts,
-            validate_first.stats.valid_cuts
-        );
-    }
-
     /// `Send` audit: batch drivers (the `ise` CLI) shard blocks across worker threads,
     /// each owning its context and search state. Everything the engine touches must
     /// therefore be `Send` (and the shared read-only inputs `Sync`); this is a
@@ -1056,7 +932,6 @@ mod tests {
         let constraints = Constraints::new(2, 1).unwrap();
         let options = EngineOptions {
             max_search_nodes: Some(2),
-            ..EngineOptions::default()
         };
         let mut state = SearchState::new(&ctx, &constraints, &options);
         assert!(state.try_enter());

@@ -35,10 +35,10 @@ use crate::result::Enumeration;
 /// Enumerates all valid cuts with the incremental algorithm of Figure 3.
 ///
 /// `options` carries the search budget — past [`EngineOptions::max_search_nodes`]
-/// recursion steps the run stops exploring and reports the cuts found so far — and
-/// the [`crate::DedupMode`]; [`EngineOptions::default`] is the unbounded dedup-first
-/// run. An optional [`Recorder`] receives the engine's per-phase timings and progress
-/// counters; recording never changes the result.
+/// recursion steps the run stops exploring and reports the cuts found so far;
+/// [`EngineOptions::default`] is the unbounded run. An optional [`Recorder`]
+/// receives the engine's per-phase timings and progress counters; recording never
+/// changes the result.
 ///
 /// # Example
 ///
@@ -61,7 +61,6 @@ use crate::result::Enumeration;
 /// // A zero budget reports nothing but still terminates cleanly.
 /// let options = EngineOptions {
 ///     max_search_nodes: Some(0),
-///     ..EngineOptions::default()
 /// };
 /// assert!(incremental_cuts(&ctx, &constraints, &pruning, &options, None).cuts.is_empty());
 /// # Ok(())
@@ -633,7 +632,6 @@ mod tests {
         let full = incremental(&ctx, &constraints, &PruningConfig::all());
         let options = EngineOptions {
             max_search_nodes: Some(2),
-            ..EngineOptions::default()
         };
         let truncated = incremental_cuts(&ctx, &constraints, &PruningConfig::all(), &options, None);
         assert!(truncated.stats.search_nodes <= full.stats.search_nodes);

@@ -10,7 +10,8 @@
 //! DESIGN.md §1.3 for the argument). A subtree rooted at one first output is therefore
 //! an independent task.
 //!
-//! Three mechanisms make the decomposition scale past its static fan-out:
+//! Two mechanisms make the decomposition scale past its static fan-out, and a third
+//! keeps its result the serial one:
 //!
 //! * **Recursive task splitting.** A task that exceeds [`ParConfig::split_threshold`]
 //!   search nodes *suspends* at its next decision boundary — between first-output
@@ -26,12 +27,10 @@
 //!   splitting is drained by whoever is free, instead of serializing one worker's
 //!   tail. Scheduling order never affects the output: tasks are pure functions and
 //!   the merge sorts by [`TaskId`].
-//! * **Sharded merge.** [`merge_tasks`] stripes the global seen-set by the
-//!   high bits of the cut-key hash into 16 independent shards (the `CanonMemo` stripe
-//!   pattern), computes first-seen/duplicate verdicts per shard — in parallel when
-//!   threads are available — and then emits cuts and statistics in one ordered pass.
-//!   Equal keys always land in the same shard and shard-local order equals the serial
-//!   replay order, so the verdicts (and thus the output bytes) never change.
+//! * **Ordered merge.** [`merge_tasks`] walks each task's first-seen log, in
+//!   [`TaskId`] order, against one global seen-set: the serial run's discovery
+//!   order, so every first-seen/duplicate verdict (and thus every output byte) is
+//!   the serial run's.
 //!
 //! The merged [`Enumeration`] — cuts *and* statistics — is byte-identical to the
 //! serial run for unbudgeted runs, for **any** task count, split threshold and thread
@@ -46,24 +45,17 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use ise_obs::{Counter, Recorder};
 
 use crate::config::{Constraints, PruningConfig};
 use crate::context::EnumContext;
-use crate::engine::{
-    CandidateClass, CutKeySet, DedupMode, EngineOptions, SearchState, TaskHarvest,
-};
+use crate::engine::{CandidateClass, CutKeySet, EngineOptions, SearchState, TaskHarvest};
 use crate::incremental::{IncrementalEnumerator, SuspendPoint};
 use crate::result::Enumeration;
 use crate::stats::EnumStats;
-
-/// Number of seen-set shards in the parallel-reducible merge; mirrors the 16-way
-/// stripe of `ise-canon`'s `CanonMemo`. Shard routing uses the top four hash bits,
-/// the shard-local probe tables use the low bits — independent partitions.
-const MERGE_SHARDS: usize = 16;
 
 /// Configuration of one [`parallel_cuts`] run.
 #[derive(Clone, Debug, Default)]
@@ -274,9 +266,7 @@ pub fn run_task(
     if let Some(rec) = rec {
         state.set_recorder(rec);
     }
-    if merge_uses_class_log(options) {
-        state.enable_class_log();
-    }
+    state.enable_class_log();
     crate::engine::Enumerator::search(&mut enumerator, &mut state);
     let children = match enumerator.take_suspension() {
         Some(suspend) => spec.children(suspend),
@@ -298,12 +288,6 @@ pub fn run_task(
         rec.span_end(span);
     }
     (output, children)
-}
-
-/// Whether the merge replays per-task classification logs (dedup-first runs) or adds
-/// per-occurrence counters (validate-first runs).
-fn merge_uses_class_log(options: &EngineOptions) -> bool {
-    options.dedup_mode == DedupMode::DedupFirst
 }
 
 /// A work-stealing scheduler over per-worker deques; `std`-only.
@@ -430,35 +414,29 @@ impl<T> WorkStealPool<T> {
 
 /// Merges the outputs of a completed decomposition (sorted by [`TaskId`], which
 /// [`parallel_cuts`] and the CLI scheduler do after draining the pool) into one
-/// [`Enumeration`] via the sharded, parallel-reducible replay.
+/// [`Enumeration`] by one ordered replay.
 ///
-/// Conceptually the merge replays each task's first-seen candidates, in task order,
-/// against a global seen-set: a candidate an earlier task (or an earlier entry of the
-/// same task) already claimed is re-counted as a duplicate exactly as the serial
-/// seen-set would have counted it, and everything else replays its recorded
-/// classification. The implementation splits that replay by key hash into 16
-/// independent shards reduced in parallel (up to `threads` at a time), then emits
-/// cuts and statistics in one ordered, hash-free pass. Equal keys
-/// share a shard and shard-local order preserves task order, so the verdicts — and
-/// the output bytes, cut list order included — match the serial replay for every
-/// `threads` value. For unbudgeted runs the result is byte-identical to the serial
+/// The merge walks each task's first-seen candidates, in task order, against one
+/// global seen-set: a candidate an earlier task already claimed is re-counted as a
+/// duplicate exactly as the serial seen-set would have counted it at that point of
+/// its discovery order, and everything else replays its recorded classification.
+/// The verdicts — and the output bytes, cut list order included — are therefore
+/// the serial run's; for unbudgeted runs the result is byte-identical to the serial
 /// enumeration.
 ///
-/// With a [`Recorder`] the merge runs under a `merge` span and each seen-set shard's
-/// reduction time lands in the `ise_merge_shard_ns` histogram, making merge
-/// serialization measurable. Recording never changes the merged result.
+/// With a [`Recorder`] the merge runs under a `merge` span and the replay's time
+/// lands in the `ise_merge_shard_ns` histogram (one observation per merge).
+/// Recording never changes the merged result.
 pub fn merge_tasks(
     ctx: &EnumContext,
-    options: &EngineOptions,
     outputs: Vec<TaskOutput>,
-    threads: usize,
     rec: Option<&dyn Recorder>,
 ) -> Enumeration {
     let span = match rec {
         Some(rec) => rec.span_begin("merge", "merge_tasks"),
         None => ise_obs::SpanToken::NONE,
     };
-    let merged = merge_tasks_inner(ctx, options, outputs, threads, rec);
+    let merged = merge_tasks_inner(ctx, outputs, rec);
     if let Some(rec) = rec {
         rec.span_end(span);
     }
@@ -467,9 +445,7 @@ pub fn merge_tasks(
 
 fn merge_tasks_inner(
     ctx: &EnumContext,
-    options: &EngineOptions,
     outputs: Vec<TaskOutput>,
-    threads: usize,
     rec: Option<&dyn Recorder>,
 ) -> Enumeration {
     let mut stats = EnumStats::new();
@@ -490,166 +466,31 @@ fn merge_tasks_inner(
         stats.search_nodes += s.search_nodes;
     }
 
-    let stride = ctx.rooted().num_nodes().div_ceil(64);
+    // Replay every task's first-seen log in task order: keys an earlier task already
+    // claimed become duplicates, exactly as the serial run would have counted them.
+    let start = rec.map(|_| Instant::now());
+    let mut seen = CutKeySet::new(ctx.rooted().num_nodes().div_ceil(64));
     let mut cuts = Vec::new();
-    if merge_uses_class_log(options) {
-        // Dedup-first: shard-reduce the first-seen/duplicate verdicts, then replay
-        // every entry with its recorded classification in task order. Keys an earlier
-        // task already claimed become duplicates, exactly as the serial run would
-        // have counted them at that point of its discovery order.
-        let lens: Vec<usize> = outputs.iter().map(|o| o.harvest.seen.len()).collect();
-        let duplicate = duplicate_flags(
-            &lens,
-            stride,
-            |t, e| outputs[t].harvest.seen.key(e),
-            threads,
-            rec,
-        );
-        for (t, out) in outputs.into_iter().enumerate() {
-            let harvest = out.harvest;
-            debug_assert_eq!(harvest.seen.len(), harvest.classes.len());
-            let mut cut_iter = harvest.cuts.into_iter();
-            for (idx, &class) in harvest.classes.iter().enumerate() {
-                if !duplicate[t][idx] {
-                    CandidateClass::replay(class, &mut stats);
-                    if class == CandidateClass::VALID {
-                        cuts.push(cut_iter.next().expect("one cut per VALID entry"));
-                    }
-                } else {
-                    stats.rejected_duplicate += 1;
-                    if class == CandidateClass::VALID {
-                        // An earlier task already reported this cut.
-                        let _ = cut_iter.next().expect("one cut per VALID entry");
-                    }
-                }
-            }
-            debug_assert!(cut_iter.next().is_none(), "unconsumed task cuts");
-        }
-    } else {
-        // Validate-first: rejections are counted per occurrence
-        // in serial runs too, so they stay plain sums; only the valid cuts need
-        // global de-duplication by body key — shard-reduced the same way.
-        for out in &outputs {
-            let s = out.harvest.stats;
-            stats.rejected_forbidden += s.rejected_forbidden;
-            stats.rejected_io += s.rejected_io;
-            stats.rejected_disconnected += s.rejected_disconnected;
-            stats.rejected_depth += s.rejected_depth;
-        }
-        let lens: Vec<usize> = outputs.iter().map(|o| o.harvest.cuts.len()).collect();
-        let duplicate = duplicate_flags(
-            &lens,
-            stride,
-            |t, c| outputs[t].harvest.cuts[c].body().words(),
-            threads,
-            rec,
-        );
-        for (t, out) in outputs.into_iter().enumerate() {
-            for (c, cut) in out.harvest.cuts.into_iter().enumerate() {
-                if !duplicate[t][c] {
-                    stats.valid_cuts += 1;
-                    cuts.push(cut);
-                } else {
-                    stats.rejected_duplicate += 1;
-                }
+    for out in outputs {
+        let harvest = out.harvest;
+        debug_assert_eq!(harvest.seen.len(), harvest.classes.len());
+        let mut task_cuts = harvest.cuts.into_iter();
+        for (idx, &class) in harvest.classes.iter().enumerate() {
+            let cut = (class == CandidateClass::VALID)
+                .then(|| task_cuts.next().expect("one cut per VALID entry"));
+            if seen.insert(harvest.seen.key(idx)) {
+                CandidateClass::replay(class, &mut stats);
+                cuts.extend(cut);
+            } else {
+                stats.rejected_duplicate += 1;
             }
         }
+        debug_assert!(task_cuts.next().is_none(), "unconsumed task cuts");
+    }
+    if let (Some(rec), Some(start)) = (rec, start) {
+        rec.observe("ise_merge_shard_ns", start.elapsed().as_nanos() as u64);
     }
     Enumeration { cuts, stats }
-}
-
-/// Computes, for every `(task, entry)` key of a task sequence, whether it duplicates
-/// an earlier key — an earlier entry of the same task or any entry of an earlier task
-/// — using [`MERGE_SHARDS`] hash-striped seen-set shards reduced independently (in
-/// parallel when `threads > 1`).
-///
-/// Determinism: equal keys hash equally and therefore meet in the same shard, and
-/// each shard inserts its keys in `(task, entry)` order — the serial replay order
-/// restricted to that shard — so the first-seen verdicts are exactly the serial
-/// ones regardless of which thread reduced which shard.
-fn duplicate_flags<'a, F>(
-    lens: &[usize],
-    stride: usize,
-    key_of: F,
-    threads: usize,
-    rec: Option<&dyn Recorder>,
-) -> Vec<Vec<bool>>
-where
-    F: Fn(usize, usize) -> &'a [u64] + Sync,
-{
-    let tasks = lens.len();
-    // Phase 1: hash every key once, in parallel over tasks; the hash routes the key
-    // to its shard (top four bits) and seeds the shard's probe table (low bits).
-    let hash_slots: Vec<OnceLock<Vec<u64>>> = (0..tasks).map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-    let hash_workers = threads.clamp(1, tasks.max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..hash_workers {
-            scope.spawn(|| loop {
-                let t = cursor.fetch_add(1, Ordering::Relaxed);
-                if t >= tasks {
-                    break;
-                }
-                let hashes: Vec<u64> = (0..lens[t])
-                    .map(|e| CutKeySet::hash_key(key_of(t, e)))
-                    .collect();
-                assert!(
-                    hash_slots[t].set(hashes).is_ok(),
-                    "each hash slot is filled exactly once"
-                );
-            });
-        }
-    });
-    let hashes: Vec<&Vec<u64>> = hash_slots
-        .iter()
-        .map(|slot| slot.get().expect("every hash slot filled"))
-        .collect();
-
-    // Phase 2: per-shard replay. Each shard walks the entries it owns in (task,
-    // entry) order against its own seen-set and records the duplicates.
-    let dup_slots: Vec<OnceLock<Vec<(u32, u32)>>> =
-        (0..MERGE_SHARDS).map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-    let shard_workers = threads.clamp(1, MERGE_SHARDS);
-    std::thread::scope(|scope| {
-        for _ in 0..shard_workers {
-            scope.spawn(|| loop {
-                let shard = cursor.fetch_add(1, Ordering::Relaxed);
-                if shard >= MERGE_SHARDS {
-                    break;
-                }
-                let shard_start = rec.map(|_| Instant::now());
-                let mut seen = CutKeySet::new(stride);
-                let mut duplicates = Vec::new();
-                for (t, task_hashes) in hashes.iter().enumerate() {
-                    for (e, &hash) in task_hashes.iter().enumerate() {
-                        if (hash >> 60) as usize == shard
-                            && !seen.insert_prehashed(key_of(t, e), hash)
-                        {
-                            duplicates.push((t as u32, e as u32));
-                        }
-                    }
-                }
-                if let (Some(rec), Some(start)) = (rec, shard_start) {
-                    rec.observe("ise_merge_shard_ns", start.elapsed().as_nanos() as u64);
-                }
-                assert!(
-                    dup_slots[shard].set(duplicates).is_ok(),
-                    "each shard slot is filled exactly once"
-                );
-            });
-        }
-    });
-
-    // Phase 3: scatter the (sparse) duplicate verdicts into per-task flag vectors for
-    // the ordered emit pass.
-    let mut flags: Vec<Vec<bool>> = lens.iter().map(|&len| vec![false; len]).collect();
-    for slot in dup_slots {
-        for (t, e) in slot.into_inner().expect("every shard slot filled") {
-            flags[t as usize][e as usize] = true;
-        }
-    }
-    flags
 }
 
 /// A [`parallel_cuts`] run: the merged enumeration plus per-task diagnostics.
@@ -670,7 +511,7 @@ pub struct ParRun {
 ///
 /// With a [`Recorder`], worker threads are named in trace output, every task runs
 /// under its own span ([`run_task`]), the pool's scheduling counters are armed, and
-/// the merge is timed per shard. Recording never changes the result — the
+/// the merge is timed. Recording never changes the result — the
 /// obs-identity integration test pins byte equality against recording-off runs.
 ///
 /// # Example
@@ -768,7 +609,7 @@ pub fn parallel_cuts(
         .collect();
     let outputs: Vec<TaskOutput> = outputs.into_iter().map(|(_, out)| out).collect();
     ParRun {
-        enumeration: merge_tasks(ctx, &config.options, outputs, config.threads, rec),
+        enumeration: merge_tasks(ctx, outputs, rec),
         task_nodes,
     }
 }
@@ -934,29 +775,8 @@ mod tests {
         assert_eq!(plans[0], plans[2], "split plan must not depend on threads");
     }
 
-    #[test]
-    fn merge_handles_every_dedup_mode() {
-        let ctx = cross_task_ctx();
-        let constraints = Constraints::new(3, 2).unwrap();
-        for dedup_mode in [DedupMode::DedupFirst, DedupMode::ValidateFirst] {
-            let options = EngineOptions {
-                dedup_mode,
-                ..EngineOptions::default()
-            };
-            let serial = serial(&ctx, &constraints, &options);
-            for split_threshold in [None, Some(4)] {
-                let mut config = ParConfig::new(3, 2);
-                config.options = options;
-                config.split_threshold = split_threshold;
-                let run = par(&ctx, &constraints, &config);
-                let label = format!("{dedup_mode:?}/split={split_threshold:?}");
-                assert_identical(&run.enumeration, &serial, &label);
-            }
-        }
-    }
-
-    /// Drives split → run → merge directly, as the CLI's scheduler does, for several
-    /// merge thread counts: every merge must equal the bundled entry point's.
+    /// Drives split → run → merge directly, as the CLI's scheduler does: the merge
+    /// must equal the bundled entry point's.
     #[test]
     fn manual_stage_pipeline_matches_the_bundled_entry_point() {
         let ctx = cross_task_ctx();
@@ -964,16 +784,13 @@ mod tests {
         let pruning = PruningConfig::all();
         let options = EngineOptions::default();
         let bundled = par(&ctx, &constraints, &ParConfig::new(3, 1)).enumeration;
-        for merge_threads in [1, 2, 8] {
-            let outputs: Vec<TaskOutput> = initial_tasks(ctx.candidate_outputs().len(), 3)
-                .iter()
-                .map(|spec| run_task(&ctx, &constraints, &pruning, &options, None, spec, None).0)
-                .collect();
-            assert!(outputs.iter().all(|o| o.stats().search_nodes > 0));
-            let merged = merge_tasks(&ctx, &options, outputs, merge_threads, None);
-            let label = format!("merge threads={merge_threads}");
-            assert_identical(&merged, &bundled, &label);
-        }
+        let outputs: Vec<TaskOutput> = initial_tasks(ctx.candidate_outputs().len(), 3)
+            .iter()
+            .map(|spec| run_task(&ctx, &constraints, &pruning, &options, None, spec, None).0)
+            .collect();
+        assert!(outputs.iter().all(|o| o.stats().search_nodes > 0));
+        let merged = merge_tasks(&ctx, outputs, None);
+        assert_identical(&merged, &bundled, "manual stages");
     }
 
     #[test]

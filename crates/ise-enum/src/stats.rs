@@ -34,8 +34,8 @@ pub struct EnumStats {
     /// Candidate cuts rejected because they had too many inputs or outputs.
     pub rejected_io: usize,
     /// Candidate cuts skipped because an identical body had already been examined
-    /// (packed-key de-duplication; for the engine's dedup-first algorithms this counts
-    /// repeats of *any* examined body, valid or not).
+    /// (packed-key de-duplication before validation, so this counts repeats of *any*
+    /// examined body, valid or not).
     pub rejected_duplicate: usize,
     /// Candidate cuts rejected by the connectedness requirement.
     pub rejected_disconnected: usize,

@@ -7,7 +7,7 @@
 
 use ise_repro::ise_enum::par::{parallel_cuts, ParConfig};
 use ise_repro::ise_enum::{
-    incremental_cuts, Constraints, Cut, CutKey, DedupMode, EngineOptions, EnumContext, Enumeration,
+    incremental_cuts, Constraints, Cut, CutKey, EngineOptions, EnumContext, Enumeration,
     PruningConfig, TaskLoadSummary,
 };
 use ise_repro::ise_graph::Dfg;
@@ -87,10 +87,10 @@ fn parallel_equals_serial_across_families_and_prunings() {
     }
 }
 
-/// The same equivalence holds under the validate-first memory fallback and under
-/// connected-only constraints.
+/// The same equivalence holds under wider port limits and under connected-only
+/// constraints.
 #[test]
-fn parallel_equals_serial_under_dedup_modes_and_connectedness() {
+fn parallel_equals_serial_under_connectedness() {
     for dfg in family_graphs() {
         let name = dfg.name().to_string();
         let ctx = EnumContext::new(dfg);
@@ -98,24 +98,19 @@ fn parallel_equals_serial_under_dedup_modes_and_connectedness() {
             Constraints::new(4, 2).unwrap(),
             Constraints::new(2, 2).unwrap().connected_only(true),
         ] {
-            for dedup_mode in [DedupMode::DedupFirst, DedupMode::ValidateFirst] {
-                let options = EngineOptions {
-                    dedup_mode,
-                    ..EngineOptions::default()
-                };
-                let pruning = PruningConfig::all();
-                let serial = incremental_cuts(&ctx, &constraints, &pruning, &options, None);
-                let mut config = ParConfig::new(4, 2);
-                config.options = options;
-                let par = parallel_cuts(&ctx, &constraints, &pruning, &config, None).enumeration;
-                assert_eq!(
-                    par.stats,
-                    serial.stats,
-                    "`{name}` {dedup_mode:?} connected={}",
-                    constraints.is_connected_only()
-                );
-                assert_eq!(keys(&par), keys(&serial), "`{name}` {dedup_mode:?}");
-            }
+            let label = format!("`{name}` connected={}", constraints.is_connected_only());
+            let pruning = PruningConfig::all();
+            let serial = incremental_cuts(
+                &ctx,
+                &constraints,
+                &pruning,
+                &EngineOptions::default(),
+                None,
+            );
+            let par = parallel_cuts(&ctx, &constraints, &pruning, &ParConfig::new(4, 2), None)
+                .enumeration;
+            assert_eq!(par.stats, serial.stats, "{label}");
+            assert_eq!(keys(&par), keys(&serial), "{label}");
         }
     }
 }
@@ -144,8 +139,8 @@ fn more_tasks_than_candidates_is_harmless() {
 /// Recursive task splitting: parallel ≡ serial — statistics included — for every
 /// (split-threshold, tasks, threads) combination, per family. The low thresholds
 /// force deep recursive splits (threshold 1 suspends at every decision level), so
-/// this pins the resume counter-bookkeeping, the child-id ordering and the sharded
-/// merge at once.
+/// this pins the resume counter-bookkeeping, the child-id ordering and the ordered
+/// merge replay at once.
 #[test]
 fn recursive_splitting_equals_serial_across_the_grid() {
     for dfg in family_graphs() {

@@ -1,7 +1,8 @@
 //! Integration tests for the `ise serve` daemon: the LRU capacity invariant under
 //! arbitrary operation sequences (property-tested), byte-identical recomputation
 //! after eviction, and the cache-key canonicalization regression — formatting-only
-//! block variants must share a key while any flag change must miss.
+//! block variants must share a key while any flag change must miss — and the
+//! in-band rejection of the retired `dedup-mode` request flag.
 //!
 //! These drive the daemon through its public surface ([`ise_cli::serve::ServerState`]
 //! and [`ise_cli::cache::LruCache`]); the protocol-level cold/warm byte-identity and
@@ -153,7 +154,6 @@ fn formatting_invariant_keys_and_flag_sensitive_misses() {
         "\"budget\":4999",
         "\"budget\":5000,\"nin\":3",
         "\"budget\":5000,\"nout\":1",
-        "\"budget\":5000,\"dedup-mode\":\"validate-first\"",
     ] {
         let changed = state.handle_line(&request("enumerate", &clean, flags));
         assert!(changed.starts_with("{\"ok\":true"), "{changed}");
@@ -167,4 +167,25 @@ fn formatting_invariant_keys_and_flag_sensitive_misses() {
             "flag change {flags} must miss: {changed}"
         );
     }
+}
+
+/// The de-duplication order is no longer a request flag: a request carrying
+/// `dedup-mode` gets an in-band error, and the daemon answers the next request.
+#[test]
+fn retired_dedup_mode_flag_is_an_in_band_error() {
+    let state = ServerState::new(8, None);
+    let block = tiny_block(11);
+    let rejected = state.handle_line(&request(
+        "enumerate",
+        &block,
+        "\"budget\":5000,\"dedup-mode\":\"dedup-first\"",
+    ));
+    assert!(rejected.starts_with("{\"ok\":false"), "{rejected}");
+    assert!(
+        rejected.contains("unknown flag `--dedup-mode`"),
+        "{rejected}"
+    );
+    let next = state.handle_line(&request("enumerate", &block, "\"budget\":5000"));
+    assert!(next.starts_with("{\"ok\":true"), "{next}");
+    assert!(next.contains("\"dedup_mode\":\"dedup-first\""), "{next}");
 }
