@@ -2,8 +2,9 @@
 //! the paper reports that at least 70 % of the enumeration time is spent computing
 //! dominators. This benchmark compares the one-pass DAG algorithm the engine uses
 //! against Lengauer–Tarjan on whole graphs of increasing size, times one cone
-//! completion query per size (the engine's per-`PICK-INPUTS` dominator run), and
-//! times the generalized-dominator enumeration used by the basic algorithm.
+//! completion query per size (the engine's per-`PICK-INPUTS` dominator run) both as a
+//! fresh pass and as a level grown from its parent by one seed vertex, and times the
+//! generalized-dominator enumeration used by the basic algorithm.
 
 use std::time::Duration;
 
@@ -61,6 +62,37 @@ fn bench_single_vertex(c: &mut Criterion) {
                 })
             },
         );
+
+        // The same query as seed growth issues it: the parent level (the seed without
+        // its grown vertex) stays pushed, and each iteration pushes the grown level,
+        // reads its chain and pops it.
+        if let Some(added) = seed.iter().next() {
+            let mut parent_seed = seed.clone();
+            parent_seed.remove(added);
+            let g = Forward(&rooted);
+            ws.push(&g, &order, reach.ancestors(target), &parent_seed, target);
+            group.bench_with_input(
+                BenchmarkId::new("cone_grown", size),
+                &rooted,
+                |b, rooted| {
+                    let g = Forward(rooted);
+                    b.iter(|| {
+                        ws.push_grown(
+                            &g,
+                            &order,
+                            reach.ancestors(target),
+                            reach.descendants(added),
+                            &seed,
+                            added,
+                        );
+                        ws.chain(&order, &excluded, &mut out);
+                        ws.pop();
+                        out.len()
+                    })
+                },
+            );
+            ws.pop();
+        }
     }
     group.finish();
 }

@@ -1658,6 +1658,7 @@ mod tests {
             "ise_cache_hits{cache=\"responses\"}",
             "ise_memo_entries",
             "ise_engine_runs_total",
+            "ise_engine_cone_vertices_total",
             "ise_pool_seeded_total",
         ] {
             assert!(body.contains(series), "missing `{series}`:\n{body}");

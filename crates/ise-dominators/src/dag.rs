@@ -14,8 +14,10 @@
 //! incremental enumeration (§5.2) exploits both facts: [`ConeDominators`] restricts the
 //! pass to the output's ancestor cone minus the current seed, stops at the output, and
 //! reads the strict-dominator chain back — the Dubrova completions — with no per-run
-//! allocation. [`dag_dominators`] runs the same pass over the whole graph to build a
-//! [`DominatorTree`].
+//! allocation. Its passes form a stack of per-seed levels: when the seed grows by one
+//! vertex, the new level copies its parent and re-sweeps only that vertex's
+//! descendants, the only vertices whose ancestors lost a member. [`dag_dominators`]
+//! runs the same pass over the whole graph to build a [`DominatorTree`].
 
 use ise_graph::{DenseNodeSet, NodeId, NodeRow, RootedDfg};
 
@@ -97,11 +99,31 @@ impl TopoOrder {
     }
 }
 
-/// Reusable state of the DAG pass, indexed by topological rank.
+/// The idom entry of a vertex a pass did not reach: outside the cone, in the seed, or
+/// cut off by it.
+const UNREACHED: u32 = u32::MAX;
+
+/// One level of the [`ConeDominators`] stack: the rank-indexed idom array of one pass,
+/// `idom[start..=start + last]`, where `last` is the rank of the pass's target.
+#[derive(Clone, Copy, Debug)]
+struct Level {
+    start: usize,
+    last: u32,
+}
+
+/// Reusable state of the DAG pass: a stack of per-seed *levels*, each the
+/// rank-indexed immediate-dominator array of one pass over ranks `0..=rank(target)`,
+/// with a sentinel marking the vertices the pass did not reach.
 ///
-/// A vertex's entry is valid only while its stamp equals the current epoch, so a run
-/// starts by bumping the epoch instead of clearing anything: after the first run over
-/// a graph the pass allocates nothing.
+/// The incremental enumeration grows its seed one vertex at a time, and on a DAG a
+/// vertex's dominators depend only on its ancestors, so deleting one more vertex
+/// `added` changes no root-to-`v` path for any `v` outside `added`'s descendants.
+/// [`ConeDominators::push_grown`] therefore copies the parent level and re-runs the
+/// Cooper–Harvey–Kennedy meet only for the cone vertices that descend from `added`;
+/// [`ConeDominators::push`] runs a fresh pass. Levels are read through
+/// [`ConeDominators::chain`] and [`ConeDominators::reached`] and discarded in LIFO
+/// order; the buffers keep their capacity, so a warmed-up workspace allocates nothing.
+/// [`ConeDominators::completions`] is the one-shot form (push, chain, pop).
 ///
 /// # Example
 ///
@@ -130,103 +152,227 @@ impl TopoOrder {
 /// let g = Forward(&rooted);
 /// ws.completions(&g, &order, reach.ancestors(m), &seed, m, &excluded, &mut out);
 /// assert_eq!(out, vec![v, a]);
+///
+/// // Growing the seed by v re-sweeps only v's descendants: m is cut off.
+/// ws.push(&g, &order, reach.ancestors(m), &seed, m);
+/// assert!(ws.reached(&order, v));
+/// seed.insert(v);
+/// ws.push_grown(&g, &order, reach.ancestors(m), reach.descendants(v), &seed, v);
+/// assert!(!ws.reached(&order, m));
+/// ws.pop();
+/// ws.pop();
+/// assert_eq!(ws.depth(), 0);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ConeDominators {
-    epoch: u32,
-    /// `stamp[r] == epoch` iff the vertex of rank `r` was reached in the current run.
-    stamp: Vec<u32>,
-    /// Rank of the immediate dominator of the vertex of rank `r` (the root points at
-    /// itself); meaningful only for stamped ranks.
+    /// The levels' idom arrays back to back: entry `r` of a level is the rank of the
+    /// immediate dominator of the vertex of rank `r` (the root points at itself), or
+    /// [`UNREACHED`].
     idom: Vec<u32>,
+    levels: Vec<Level>,
+    /// Scratch: the ranks a grown pass re-sweeps, ascending.
+    ranks: Vec<u32>,
+    /// Vertices the passes ran the meet for since the last
+    /// [`ConeDominators::take_vertices_met`].
+    met: u64,
 }
 
 impl ConeDominators {
-    /// Creates an empty workspace; buffers are sized on the first run.
+    /// Creates an empty workspace; buffers grow on the first passes.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Starts a run over a graph of `n` vertices: invalidates every entry by bumping
-    /// the epoch, (re)sizing the buffers only when the graph size changed.
-    fn begin(&mut self, n: usize) {
-        if self.stamp.len() != n {
-            self.stamp.clear();
-            self.stamp.resize(n, 0);
-            self.idom.clear();
-            self.idom.resize(n, 0);
-            self.epoch = 0;
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
+    /// How many levels are on the stack.
+    pub fn depth(&self) -> usize {
+        self.levels.len()
+    }
+
+    /// Pops levels until `depth` remain (none if `depth` is not below the current
+    /// depth).
+    pub fn truncate(&mut self, depth: usize) {
+        if depth < self.levels.len() {
+            self.idom.truncate(self.levels[depth].start);
+            self.levels.truncate(depth);
         }
     }
 
-    #[inline]
-    fn reached(&self, rank: u32) -> bool {
-        self.stamp[rank as usize] == self.epoch
+    /// Discards the top level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stack is empty.
+    pub fn pop(&mut self) {
+        let level = self.levels.pop().expect("pop on an empty level stack");
+        self.idom.truncate(level.start);
     }
 
-    /// The single sweep: visits `order` from the start up to rank `last` inclusive,
-    /// skipping vertices `admit` rejects, and assigns each admitted vertex with a
-    /// reached predecessor the nearest common dominator of those predecessors. The
-    /// root is reached by definition; admitted vertices without reached predecessors
-    /// stay unreached.
-    fn sweep<G: FlowGraph>(
+    /// How many vertices the fresh and grown passes visited (ran the meet for) since
+    /// the previous call, which resets the count.
+    pub fn take_vertices_met(&mut self) -> u64 {
+        std::mem::take(&mut self.met)
+    }
+
+    /// The top level and its idom array.
+    fn top(&self) -> (Level, &[u32]) {
+        let level = *self.levels.last().expect("no level on the stack");
+        (level, &self.idom[level.start..])
+    }
+
+    /// Pushes a level over ranks `0..=last` with every entry [`UNREACHED`], ready
+    /// for a fresh sweep.
+    fn push_unreached(&mut self, last: u32) -> usize {
+        let start = self.idom.len();
+        self.idom.resize(start + last as usize + 1, UNREACHED);
+        self.levels.push(Level { start, last });
+        start
+    }
+
+    /// Pushes the cone pass of `target` with `seed` deleted: a sweep, in rank order,
+    /// of only `target` and the `cone` vertices outside `seed`.
+    /// `cone` must contain every ancestor of `target` (a superset is harmless) —
+    /// typically `target`'s row of [`ise_graph::Reachability::ancestors`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seed` contains the root or any buffer was sized for a different
+    /// graph.
+    pub fn push<G: FlowGraph>(
         &mut self,
         graph: &G,
         order: &TopoOrder,
-        last: u32,
-        admit: impl Fn(NodeId) -> bool,
+        cone: NodeRow<'_>,
+        seed: &DenseNodeSet,
+        target: NodeId,
     ) {
-        let root = graph.root();
-        for (r, &v) in order.order()[..=last as usize].iter().enumerate() {
-            if !admit(v) {
-                continue;
-            }
-            let r = r as u32;
-            if v == root {
-                self.stamp[r as usize] = self.epoch;
-                self.idom[r as usize] = r;
-                continue;
-            }
-            let mut new_idom = u32::MAX;
-            for &p in graph.preds(v) {
-                let pr = order.rank(p);
-                if !self.reached(pr) {
-                    continue;
-                }
-                debug_assert!(pr < r, "the order is not topological at {v}");
-                new_idom = if new_idom == u32::MAX {
-                    pr
-                } else {
-                    self.intersect(pr, new_idom)
-                };
-            }
-            if new_idom != u32::MAX {
-                self.stamp[r as usize] = self.epoch;
-                self.idom[r as usize] = new_idom;
-            }
+        let n = graph.num_nodes();
+        assert!(
+            order.order().len() == n && cone.capacity() == n && seed.capacity() == n,
+            "buffers sized for a different graph"
+        );
+        assert!(
+            !seed.contains(graph.root()),
+            "the root of the flow graph cannot be removed"
+        );
+        // A fresh cone is large, so a scan of the ranks beats gathering and sorting
+        // its members (a grown pass re-sweeps few vertices and gathers them).
+        let last = order.rank(target);
+        let admitted = (0..=last).filter(|&r| {
+            let v = order.order()[r as usize];
+            (v == target || cone.contains(v)) && !seed.contains(v)
+        });
+        let start = self.push_unreached(last);
+        self.met += sweep(&mut self.idom[start..], graph, order, admitted);
+    }
+
+    /// Pushes the pass of the top level's target with its seed grown by `added`:
+    /// copies the top level, marks `added` unreached, and re-runs the meet only for
+    /// the admitted vertices (`cone` or the target, outside `seed`) that rank above
+    /// `added` and lie in `descendants`. Every other vertex's ancestors — and with
+    /// them its dominators — are untouched by deleting `added`, so the level equals a
+    /// fresh [`ConeDominators::push`] of `seed` (debug builds assert this).
+    ///
+    /// `cone` must be the row the top level was pushed with, `seed` the top level's
+    /// seed plus `added`, and `descendants` must contain every descendant of `added`
+    /// (typically its row of [`ise_graph::Reachability::descendants`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stack is empty or a buffer was sized for a different graph.
+    pub fn push_grown<G: FlowGraph>(
+        &mut self,
+        graph: &G,
+        order: &TopoOrder,
+        cone: NodeRow<'_>,
+        descendants: NodeRow<'_>,
+        seed: &DenseNodeSet,
+        added: NodeId,
+    ) {
+        let n = graph.num_nodes();
+        assert!(
+            order.order().len() == n
+                && cone.capacity() == n
+                && descendants.capacity() == n
+                && seed.capacity() == n,
+            "buffers sized for a different graph"
+        );
+        debug_assert!(seed.contains(added), "the grown seed must contain {added}");
+        let (parent, _) = self.top();
+        let last = parent.last;
+        let start = self.idom.len();
+        self.idom
+            .extend_from_within(parent.start..=parent.start + last as usize);
+        self.levels.push(Level { start, last });
+        let ra = order.rank(added);
+        if ra <= last {
+            let target = order.order()[last as usize];
+            let words = descendants
+                .words()
+                .iter()
+                .zip(cone.words())
+                .zip(seed.words());
+            let admitted = words
+                .enumerate()
+                .map(|(w, ((&d, &c), &s))| d & (c | target_bit(w, target)) & !s);
+            collect_ranks(&mut self.ranks, order, admitted, last);
+            let level = &mut self.idom[start..];
+            level[ra as usize] = UNREACHED;
+            self.met += sweep(level, graph, order, self.ranks.iter().copied());
+        }
+        #[cfg(debug_assertions)]
+        {
+            let met = self.met;
+            self.push(graph, order, cone, seed, order.order()[last as usize]);
+            self.met = met;
+            let fresh = self.levels.pop().expect("the fresh level was just pushed");
+            debug_assert!(
+                self.idom[start..fresh.start] == self.idom[fresh.start..],
+                "the grown level differs from a fresh pass of the same seed (added {added})"
+            );
+            self.idom.truncate(fresh.start);
         }
     }
 
-    /// Cooper–Harvey–Kennedy finger walk: the nearest common ancestor of two reached
-    /// ranks in the dominator tree under construction.
-    #[inline]
-    fn intersect(&self, mut a: u32, mut b: u32) -> u32 {
-        while a != b {
-            while a > b {
-                a = self.idom[a as usize];
-            }
-            while b > a {
-                b = self.idom[b as usize];
-            }
+    /// Whether the top level's pass reached `v`: some root-to-`v` path avoids the
+    /// seed within the cone. For `v` in the cone this is exactly "the seed does not
+    /// dominate `v`", since the cone holds every ancestor of `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stack is empty.
+    pub fn reached(&self, order: &TopoOrder, v: NodeId) -> bool {
+        let (level, idom) = self.top();
+        let r = order.rank(v);
+        r <= level.last && idom[r as usize] != UNREACHED
+    }
+
+    /// The top level's strict-dominator chain of its target, nearest first, without
+    /// members of `excluded` (typically the artificial source and sink), written to
+    /// `out` (cleared first). `out` stays empty when the target was not reached.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stack is empty.
+    pub fn chain(&self, order: &TopoOrder, excluded: &DenseNodeSet, out: &mut Vec<NodeId>) {
+        out.clear();
+        let (level, idom) = self.top();
+        let mut r = level.last;
+        if idom[r as usize] == UNREACHED {
+            return;
         }
-        a
+        loop {
+            let d = idom[r as usize];
+            if d == r {
+                break; // the root
+            }
+            let node = order.order()[d as usize];
+            if !excluded.contains(node) {
+                out.push(node);
+            }
+            r = d;
+        }
     }
 
     /// The Dubrova completions of `seed` for `target` (§5.2): the vertices `u` such
@@ -237,10 +383,8 @@ impl ConeDominators {
     /// `out` stays empty when the seed alone cuts `target` off, or when `target` is
     /// itself in `seed`.
     ///
-    /// `cone` must contain every ancestor of `target` (a superset is harmless; the
-    /// pass admits `target` itself regardless) — typically `target`'s row of
-    /// [`ise_graph::Reachability::ancestors`]. Only cone vertices up to `target`'s
-    /// rank are visited.
+    /// The one-shot form of [`ConeDominators::push`], [`ConeDominators::chain`] and
+    /// [`ConeDominators::pop`]; `cone` is as for `push`.
     ///
     /// # Panics
     ///
@@ -257,36 +401,9 @@ impl ConeDominators {
         excluded: &DenseNodeSet,
         out: &mut Vec<NodeId>,
     ) {
-        out.clear();
-        let n = graph.num_nodes();
-        assert!(
-            order.order().len() == n && cone.capacity() == n && seed.capacity() == n,
-            "buffers sized for a different graph"
-        );
-        assert!(
-            !seed.contains(graph.root()),
-            "the root of the flow graph cannot be removed"
-        );
-        self.begin(n);
-        let last = order.rank(target);
-        self.sweep(graph, order, last, |v| {
-            (v == target || cone.contains(v)) && !seed.contains(v)
-        });
-        if !self.reached(last) {
-            return;
-        }
-        let mut r = last;
-        loop {
-            let d = self.idom[r as usize];
-            if d == r {
-                break; // the root
-            }
-            let node = order.order()[d as usize];
-            if !excluded.contains(node) {
-                out.push(node);
-            }
-            r = d;
-        }
+        self.push(graph, order, cone, seed, target);
+        self.chain(order, excluded, out);
+        self.pop();
     }
 
     /// The whole-graph pass: the dominator tree of the acyclic `graph`, as
@@ -300,19 +417,115 @@ impl ConeDominators {
     pub fn tree<G: FlowGraph>(&mut self, graph: &G, order: &TopoOrder) -> DominatorTree {
         let n = graph.num_nodes();
         assert_eq!(order.order().len(), n, "order built for a different graph");
-        self.begin(n);
-        if n > 0 {
-            self.sweep(graph, order, (n - 1) as u32, |_| true);
-        }
         let mut idom = vec![None; n];
-        for (r, &v) in order.order().iter().enumerate() {
-            let d = self.idom[r] as usize;
-            if self.reached(r as u32) && d != r {
-                idom[v.index()] = Some(order.order()[d]);
+        if n > 0 {
+            let last = (n - 1) as u32;
+            let start = self.push_unreached(last);
+            self.met += sweep(&mut self.idom[start..], graph, order, 0..=last);
+            let (_, level) = self.top();
+            for (r, &v) in order.order().iter().enumerate() {
+                let d = level[r];
+                if d != UNREACHED && d as usize != r {
+                    idom[v.index()] = Some(order.order()[d as usize]);
+                }
             }
+            self.pop();
         }
         DominatorTree::from_idoms(graph.root(), idom)
     }
+}
+
+/// The word of a node set's bit representation that holds only `target`, if `target`
+/// falls in word `w`.
+#[inline]
+fn target_bit(w: usize, target: NodeId) -> u64 {
+    if target.index() / 64 == w {
+        1 << (target.index() % 64)
+    } else {
+        0
+    }
+}
+
+/// Writes to `ranks` (cleared first), ascending, the ranks up to `last` of the
+/// members of the node set given by its 64-bit words, low indices first.
+fn collect_ranks(
+    ranks: &mut Vec<u32>,
+    order: &TopoOrder,
+    words: impl Iterator<Item = u64>,
+    last: u32,
+) {
+    ranks.clear();
+    for (w, mut bits) in words.enumerate() {
+        while bits != 0 {
+            let v = NodeId::from_index(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+            let r = order.rank(v);
+            if r <= last {
+                ranks.push(r);
+            }
+        }
+    }
+    ranks.sort_unstable();
+}
+
+/// The sweep every pass shares: visits `ranks`, which must ascend, and sets each
+/// vertex's `level` entry — the root points at itself, any other vertex gets the
+/// [`meet`] of its predecessors. Returns how many vertices it visited.
+fn sweep<G: FlowGraph>(
+    level: &mut [u32],
+    graph: &G,
+    order: &TopoOrder,
+    ranks: impl IntoIterator<Item = u32>,
+) -> u64 {
+    let root = graph.root();
+    let mut met = 0;
+    for r in ranks {
+        let v = order.order()[r as usize];
+        level[r as usize] = if v == root {
+            r
+        } else {
+            meet(level, graph, order, v)
+        };
+        met += 1;
+    }
+    met
+}
+
+/// The Cooper–Harvey–Kennedy meet, shared by every pass: the nearest common dominator
+/// of `v`'s reached predecessors in the level under construction, or [`UNREACHED`]
+/// when none is reached. On a DAG every predecessor ranks below `v`, so its entry is
+/// final when `v` is visited.
+#[inline]
+fn meet<G: FlowGraph>(level: &[u32], graph: &G, order: &TopoOrder, v: NodeId) -> u32 {
+    let mut new_idom = UNREACHED;
+    for &p in graph.preds(v) {
+        let pr = order.rank(p);
+        debug_assert!(pr < order.rank(v), "the order is not topological at {v}");
+        if level[pr as usize] == UNREACHED {
+            continue;
+        }
+        new_idom = if new_idom == UNREACHED {
+            pr
+        } else {
+            intersect(level, pr, new_idom)
+        };
+    }
+    new_idom
+}
+
+/// CHK's two-finger walk: the nearest common ancestor of two reached ranks in the
+/// dominator tree under construction.
+#[inline]
+fn intersect(level: &[u32], mut a: u32, mut b: u32) -> u32 {
+    while a != b {
+        while a > b {
+            a = level[a as usize];
+        }
+        while b > a {
+            b = level[b as usize];
+        }
+    }
+    a
 }
 
 /// Computes the dominator tree of an acyclic `graph` in one pass over `order`, which
@@ -579,40 +792,92 @@ mod tests {
     }
 
     #[test]
-    fn epoch_wraparound_invalidates_stale_stamps() {
-        let (r, [_, b, _, n, x, _]) = figure1();
+    fn grown_levels_stack_and_pop_in_lifo_order() {
+        let (r, [a, b, _c, n, x, _y]) = figure1();
         let order = TopoOrder::forward(&r);
         let reach = Reachability::compute(&r);
         let excluded = excluded_for(&r);
         let g = Forward(&r);
+        let cone = reach.ancestors(x);
         let mut ws = ConeDominators::new();
         let mut out = Vec::new();
-        let empty = r.node_set();
-        ws.completions(
-            &g,
-            &order,
-            reach.ancestors(n),
-            &empty,
-            n,
-            &excluded,
-            &mut out,
-        );
-        // Force the next run onto the wrapping path with stale stamps still equal to
-        // the epoch it will land on after the reset.
-        ws.epoch = u32::MAX;
-        ws.stamp.fill(1);
         let mut seed = r.node_set();
+        ws.push(&g, &order, cone, &seed, x);
+        assert!(ws.reached(&order, b));
+        assert_eq!(ws.take_vertices_met(), 5, "the source, A, B, N and X");
+        // Seed {B}: only N's and X's entries change; X is reached through A -> N.
         seed.insert(b);
-        ws.completions(
-            &g,
-            &order,
-            reach.ancestors(x),
-            &seed,
-            x,
-            &excluded,
-            &mut out,
-        );
-        assert_eq!(out, lt_chain(&r, &seed, x, &excluded));
+        ws.push_grown(&g, &order, cone, reach.descendants(b), &seed, b);
+        assert_eq!(ws.take_vertices_met(), 2, "only N and X are re-swept");
+        ws.chain(&order, &excluded, &mut out);
+        assert_eq!(out, vec![n, a]);
+        assert!(!ws.reached(&order, b) && ws.reached(&order, n));
+        // Seed {A, B} cuts X off.
+        seed.insert(a);
+        ws.push_grown(&g, &order, cone, reach.descendants(a), &seed, a);
+        ws.chain(&order, &excluded, &mut out);
+        assert!(out.is_empty());
+        assert!(!ws.reached(&order, n) && !ws.reached(&order, x));
+        assert_eq!(ws.depth(), 3);
+        // Popping restores the parent level exactly.
+        ws.pop();
+        ws.chain(&order, &excluded, &mut out);
+        assert_eq!(out, vec![n, a]);
+        ws.truncate(1);
+        ws.chain(&order, &excluded, &mut out);
+        assert!(out.is_empty(), "the empty seed leaves only the source");
+        assert!(ws.reached(&order, b));
+        ws.truncate(5);
+        assert_eq!(ws.depth(), 1);
+        ws.pop();
+        assert_eq!(ws.depth(), 0);
+        assert_eq!(ws.take_vertices_met(), 2, "A's descendants N and X");
+        assert_eq!(ws.take_vertices_met(), 0);
+    }
+
+    #[test]
+    fn nested_grown_levels_match_lengauer_tarjan_on_scrambled_dags() {
+        let mut next = xorshift(0x51ed_2701);
+        let mut ws = ConeDominators::new();
+        let mut out = Vec::new();
+        for case in 0..40 {
+            let rooted = scrambled_dag(&mut next, case);
+            let order = TopoOrder::forward(&rooted);
+            let reach = Reachability::compute(&rooted);
+            let excluded = excluded_for(&rooted);
+            let g = Forward(&rooted);
+            let originals: Vec<NodeId> = rooted.original_node_ids().collect();
+            for target in rooted.node_ids() {
+                let cone = reach.ancestors(target);
+                let mut seed = rooted.node_set();
+                ws.push(&g, &order, cone, &seed, target);
+                let mut added = Vec::new();
+                for _ in 0..3 {
+                    // Grow by any original vertex: inside or outside the cone, above
+                    // or below the target, the target itself.
+                    let v = originals[(next() % originals.len() as u64) as usize];
+                    if !seed.insert(v) {
+                        continue;
+                    }
+                    ws.push_grown(&g, &order, cone, reach.descendants(v), &seed, v);
+                    added.push(v);
+                    ws.chain(&order, &excluded, &mut out);
+                    assert_eq!(
+                        out,
+                        lt_chain(&rooted, &seed, target, &excluded),
+                        "case {case}, target {target}, seed {added:?}"
+                    );
+                }
+                while let Some(v) = added.pop() {
+                    ws.pop();
+                    seed.remove(v);
+                    ws.chain(&order, &excluded, &mut out);
+                    assert_eq!(out, lt_chain(&rooted, &seed, target, &excluded));
+                }
+                ws.pop();
+                assert_eq!(ws.depth(), 0);
+            }
+        }
     }
 
     #[test]

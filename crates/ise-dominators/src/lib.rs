@@ -8,7 +8,8 @@
 //!   exact. `dag_dominators` builds the dominator and postdominator trees of a block;
 //!   `ConeDominators` answers the incremental enumeration's per-`PICK-INPUTS` query
 //!   (the Dubrova completions of a seed, §5.2) over the output's ancestor cone only,
-//!   with no per-run allocation;
+//!   with no per-run allocation, as a stack of per-seed levels in which a seed grown
+//!   by one vertex re-sweeps only that vertex's descendants;
 //! * [`lengauer_tarjan`] — the `O(e log n)` Lengauer–Tarjan algorithm (simple variant
 //!   with path compression, §5.4 of the paper) over any [`FlowGraph`], optionally with a
 //!   set of *removed* vertices. It is the independent oracle the DAG pass is tested

@@ -149,31 +149,54 @@ impl EnumContext {
         self.depth[node.index()]
     }
 
-    /// The Dubrova completions of `seed` for `target` (§5.2), nearest first: the
-    /// original vertices `w` such that `seed ∪ {w}` blocks every source path to
-    /// `target`. One DAG dominator pass over `target`'s ancestor cone with the seed
-    /// removed, in the caller's reusable workspace; `out` is cleared first and stays
-    /// empty when the seed alone already cuts `target` off (or contains it).
+    /// Pushes onto `ws` the cone dominator pass of `target` with `seed` removed
+    /// (§5.2). With `grown: None` it is a fresh sweep of `target`'s ancestor cone.
+    /// With `grown: Some(i)` the level on top of `ws` must be this `target`'s pass for
+    /// `seed` minus `i`, and only `i`'s descendants are re-swept
+    /// ([`ConeDominators::push_grown`]). Read the level with
+    /// [`EnumContext::cone_completions`] and [`EnumContext::cone_reached`]; pop it
+    /// with [`ConeDominators::pop`] or [`ConeDominators::truncate`].
     ///
     /// # Panics
     ///
-    /// Panics if `seed` was sized for a different graph or contains the source.
-    pub fn dominator_completions_in(
+    /// Panics if `seed` was sized for a different graph or contains the source, or if
+    /// `grown` is set with no level on `ws`.
+    pub fn push_cone_level(
         &self,
         ws: &mut ConeDominators,
         seed: &DenseNodeSet,
         target: NodeId,
-        out: &mut Vec<NodeId>,
+        grown: Option<NodeId>,
     ) {
-        ws.completions(
-            &Forward(&self.rooted),
-            &self.topo,
-            self.reach.ancestors(target),
-            seed,
-            target,
-            &self.artificial,
-            out,
-        );
+        let graph = Forward(&self.rooted);
+        let cone = self.reach.ancestors(target);
+        match grown {
+            None => ws.push(&graph, &self.topo, cone, seed, target),
+            Some(i) => ws.push_grown(&graph, &self.topo, cone, self.reach.descendants(i), seed, i),
+        }
+    }
+
+    /// The Dubrova completions of the top level of `ws`: the original vertices `w`
+    /// such that `seed ∪ {w}` blocks every source path to the level's target, nearest
+    /// first. `out` is cleared first and stays empty when the seed alone already cuts
+    /// the target off (or contains it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ws` holds no level.
+    pub fn cone_completions(&self, ws: &ConeDominators, out: &mut Vec<NodeId>) {
+        ws.chain(&self.topo, &self.artificial, out);
+    }
+
+    /// Whether the top level of `ws` reached `v`. For an ancestor `v` of the level's
+    /// target this is `!set_dominates_in(seed, v)`: the cone holds every ancestor of
+    /// `v`, so the pass sees every source path to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ws` holds no level.
+    pub fn cone_reached(&self, ws: &ConeDominators, v: NodeId) -> bool {
+        ws.reached(&self.topo, v)
     }
 
     /// Whether every path from the artificial source to `target` passes through a
@@ -310,19 +333,24 @@ mod tests {
         let set = |nodes: &[NodeId]| {
             DenseNodeSet::from_nodes(ctx.rooted().num_nodes(), nodes.iter().copied())
         };
+        let mut completions = |seed: &[NodeId], target: NodeId, out: &mut Vec<NodeId>| {
+            ctx.push_cone_level(&mut ws, &set(seed), target, None);
+            ctx.cone_completions(&ws, out);
+            ws.pop();
+        };
         // Empty seed: n joins both inputs, so only the (excluded) source dominates it;
         // st is dominated by x, then n.
-        ctx.dominator_completions_in(&mut ws, &set(&[]), n, &mut out);
+        completions(&[], n, &mut out);
         assert!(out.is_empty(), "the source is excluded");
-        ctx.dominator_completions_in(&mut ws, &set(&[]), st, &mut out);
+        completions(&[], st, &mut out);
         assert_eq!(out, vec![x, n], "nearest first");
         // Seed {a}: every remaining path to x runs b -> n -> x.
-        ctx.dominator_completions_in(&mut ws, &set(&[a]), x, &mut out);
+        completions(&[a], x, &mut out);
         assert_eq!(out, vec![n, b]);
         // Seed {a, b} cuts x off; a target inside the seed has no completions.
-        ctx.dominator_completions_in(&mut ws, &set(&[a, b]), x, &mut out);
+        completions(&[a, b], x, &mut out);
         assert!(out.is_empty());
-        ctx.dominator_completions_in(&mut ws, &set(&[n]), n, &mut out);
+        completions(&[n], n, &mut out);
         assert!(out.is_empty());
     }
 

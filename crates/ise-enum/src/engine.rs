@@ -210,6 +210,9 @@ pub struct SearchState<'a> {
     // --- observability (write-only; never influences the search) ---
     rec: Option<&'a dyn Recorder>,
     clock: PhaseClock,
+    /// Vertices the enumerator's cone dominator passes met, flushed as
+    /// `ise_engine_cone_vertices_total`.
+    cone_vertices: u64,
 }
 
 impl<'a> SearchState<'a> {
@@ -242,6 +245,7 @@ impl<'a> SearchState<'a> {
             stats: EnumStats::new(),
             rec: None,
             clock: PhaseClock::disabled(),
+            cone_vertices: 0,
         }
     }
 
@@ -304,6 +308,13 @@ impl<'a> SearchState<'a> {
             "ise_engine_dominator_runs_total",
             self.stats.dominator_runs as u64,
         );
+        rec.add("ise_engine_cone_vertices_total", self.cone_vertices);
+    }
+
+    /// Adds `n` vertices met by cone dominator passes to the run's
+    /// `ise_engine_cone_vertices_total` (observability only; no search counter).
+    pub(crate) fn count_cone_vertices(&mut self, n: u64) {
+        self.cone_vertices += n;
     }
 
     /// The shared analysis context of this run.

@@ -16,9 +16,17 @@
 //! The cut body `S` is maintained *incrementally* through the engine's `push`/`pop`
 //! transactions, as prescribed by §5.2: choosing an output extends `S`, choosing an
 //! input retracts the vertices it cuts off, and backtracking replays the undo trail
-//! (DESIGN.md records the history). The cone passes behind the completions reuse one
-//! epoch-stamped [`ConeDominators`] workspace, so the hot path performs no
-//! per-candidate allocations.
+//! (DESIGN.md records the history).
+//!
+//! The cone passes behind the completions live on the level stack of one
+//! [`ConeDominators`] workspace, which mirrors the recursion. A `PICK-INPUTS` entered
+//! from `PICK-OUTPUT` pushes a fresh pass over the new output's cone; one entered from
+//! seed growth with seed vertex `i` pushes a *grown* level that copies its parent's and
+//! re-sweeps only `i`'s descendants, since deleting `i` changes the dominators of no
+//! other vertex. Each `PICK-INPUTS` pops back to its entry depth on every exit. The
+//! dominator–input pruning of seed candidate `i` reads whether the current level
+//! reached `i`, an `O(1)` lookup instead of a walk. The buffers keep their capacity,
+//! so the hot path performs no per-candidate allocations.
 
 use std::ops::Range;
 
@@ -80,7 +88,7 @@ pub fn incremental_cuts(
 /// The Figure 3 search as an [`Enumerator`] over the shared engine.
 ///
 /// Owns only the algorithm-specific pieces: the pruning configuration, the reusable
-/// cone-dominator workspace behind the dominator completions, and a pool of
+/// cone-dominator level stack behind the dominator completions, and a pool of
 /// completion buffers (one per active recursion depth).
 pub struct IncrementalEnumerator<'a> {
     ctx: &'a EnumContext,
@@ -286,7 +294,7 @@ impl<'a> IncrementalEnumerator<'a> {
             if dominated {
                 self.check_cut(state, remaining_inputs, remaining_outputs - 1);
             } else if remaining_inputs > 0 {
-                self.pick_inputs(state, o, remaining_inputs, remaining_outputs - 1, 0);
+                self.pick_inputs(state, o, None, remaining_inputs, remaining_outputs - 1, 0);
             }
             state.pop_output();
         }
@@ -294,6 +302,9 @@ impl<'a> IncrementalEnumerator<'a> {
 
     /// `PICK-INPUTS` of Figure 3: completions via a dominator pass over the output's
     /// ancestor cone with the seed removed, then seed growth over those ancestors.
+    /// `grown` is the vertex seed growth just added (`None` when entered from
+    /// `PICK-OUTPUT`): the pass then re-sweeps only its descendants in a level pushed
+    /// on top of the caller's. Every exit pops back to the entry depth.
     ///
     /// `min_seed_index` enforces an increasing-id order on the seed vertices added for
     /// the current output, so that every unordered seed set is explored exactly once
@@ -303,18 +314,22 @@ impl<'a> IncrementalEnumerator<'a> {
         &mut self,
         state: &mut SearchState<'_>,
         output: NodeId,
+        grown: Option<NodeId>,
         remaining_inputs: usize,
         remaining_outputs: usize,
         min_seed_index: usize,
     ) {
         let prev = state.phase_enter(phase::PICK_INPUTS);
+        let depth = self.cone.depth();
         self.pick_inputs_inner(
             state,
             output,
+            grown,
             remaining_inputs,
             remaining_outputs,
             min_seed_index,
         );
+        self.cone.truncate(depth);
         state.phase_restore(prev);
     }
 
@@ -322,6 +337,7 @@ impl<'a> IncrementalEnumerator<'a> {
         &mut self,
         state: &mut SearchState<'_>,
         output: NodeId,
+        grown: Option<NodeId>,
         remaining_inputs: usize,
         remaining_outputs: usize,
         min_seed_index: usize,
@@ -354,10 +370,12 @@ impl<'a> IncrementalEnumerator<'a> {
 
         // Completions: vertices w such that I ∪ {w} dominates the output, found as the
         // single-vertex dominators of the output in the graph with I removed. The
-        // cone workspace and the completion buffer are both reused.
+        // level stays on the stack for the dominator–input pruning of the seed loop.
+        // The level buffers and the completion buffer are both reused.
         let mut completions = self.completion_pool.pop().unwrap_or_default();
         let dphase = state.phase_enter(phase::DOMINATORS);
-        ctx.dominator_completions_in(&mut self.cone, state.input_set(), output, &mut completions);
+        ctx.push_cone_level(&mut self.cone, state.input_set(), output, grown);
+        ctx.cone_completions(&self.cone, &mut completions);
         state.phase_restore(dphase);
         let k = completions.len();
         for (d, &w) in completions.iter().enumerate() {
@@ -474,11 +492,16 @@ impl<'a> IncrementalEnumerator<'a> {
         // Dominator–input pruning (§5.3, reformulated losslessly — see DESIGN.md): if
         // every path from the root to the candidate already crosses the current seed,
         // the candidate can never satisfy the technical input condition of §3 in any
-        // cut grown from this seed.
+        // cut grown from this seed. The current level is this output's cone pass for
+        // this seed, and `i` is an ancestor of the output, so the pass saw every root
+        // path to `i`: it reached `i` iff the seed does not dominate it.
         if self.pruning.dominator_input {
-            let dphase = state.phase_enter(phase::DOMINATORS);
-            let dominated = state.inputs_dominate(i);
-            state.phase_restore(dphase);
+            let dominated = !ctx.cone_reached(&self.cone, i);
+            debug_assert_eq!(
+                dominated,
+                state.inputs_dominate(i),
+                "the cone level disagrees with the set-dominance walk at {i}"
+            );
             if dominated {
                 state.stats_mut().pruned_dominator_input += 1;
                 return true;
@@ -488,6 +511,7 @@ impl<'a> IncrementalEnumerator<'a> {
         self.pick_inputs(
             state,
             output,
+            Some(i),
             remaining_inputs - 1,
             remaining_outputs,
             i.index() + 1,
@@ -525,6 +549,7 @@ impl Enumerator for IncrementalEnumerator<'_> {
         let nin = state.constraints().max_inputs();
         let nout = state.constraints().max_outputs();
         self.pick_output(state, nin, nout);
+        state.count_cone_vertices(self.cone.take_vertices_met());
     }
 }
 
@@ -636,6 +661,26 @@ mod tests {
         let truncated = incremental_cuts(&ctx, &constraints, &PruningConfig::all(), &options, None);
         assert!(truncated.stats.search_nodes <= full.stats.search_nodes);
         assert!(truncated.cuts.len() <= full.cuts.len());
+    }
+
+    #[test]
+    fn cone_vertices_are_flushed_with_the_engine_counters() {
+        let ctx = figure1();
+        let constraints = Constraints::new(4, 2).unwrap();
+        let registry = ise_obs::MetricsRegistry::new();
+        let options = EngineOptions::default();
+        let pruning = PruningConfig::all();
+        let traced = incremental_cuts(&ctx, &constraints, &pruning, &options, Some(&registry));
+        let plain = incremental(&ctx, &constraints, &pruning);
+        assert_eq!(keys(&traced), keys(&plain));
+        assert_eq!(traced.stats, plain.stats);
+        let met = registry.counter_value("ise_engine_cone_vertices_total");
+        assert!(met > 0, "no cone vertices recorded");
+        // Every dominator run visits at least its target, and no run visits more
+        // than the augmented graph.
+        let runs = registry.counter_value("ise_engine_dominator_runs_total");
+        assert_eq!(runs, plain.stats.dominator_runs as u64);
+        assert!(met >= runs && met <= runs * ctx.rooted().num_nodes() as u64);
     }
 
     #[test]

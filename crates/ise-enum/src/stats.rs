@@ -42,8 +42,9 @@ pub struct EnumStats {
     /// Candidate cuts rejected by the depth limit.
     pub rejected_depth: usize,
     /// Dominator computations performed: one per `PICK-INPUTS` step of the incremental
-    /// algorithm (a cone pass), one per generalized-dominator enumeration in the basic
-    /// algorithm.
+    /// algorithm — a fresh pass over the output's ancestor cone, or a grown re-sweep of
+    /// only the new seed vertex's descendants — and one per generalized-dominator
+    /// enumeration in the basic algorithm.
     pub dominator_runs: usize,
     /// Output choices skipped by the output–output pruning.
     pub pruned_output_output: usize,

@@ -9,7 +9,7 @@ use ise_canon::{canonicalize_cuts, canonicalize_cuts_memo, CanonMemo, GroupConfi
 use ise_dominators::multi::is_generalized_dominator;
 use ise_dominators::{
     dominators, lengauer_tarjan, lengauer_tarjan_reduced, postdominators, ConeDominators, Forward,
-    Reverse,
+    Reverse, TopoOrder,
 };
 use ise_enum::{
     cone, exhaustive_cuts, incremental_cuts, Constraints, Cut, CutChecker, CutKey, CutRejection,
@@ -201,7 +201,9 @@ fn check_dag_dominators(ctx: &EnumContext, seeds: &[Vec<NodeId>]) -> [usize; 3] 
         let set = DenseNodeSet::from_nodes(rooted.num_nodes(), seed.iter().copied());
         let reduced = lengauer_tarjan_reduced(&Forward(rooted), &set);
         for target in rooted.node_ids() {
-            ctx.dominator_completions_in(&mut ws, &set, target, &mut completions);
+            ctx.push_cone_level(&mut ws, &set, target, None);
+            ctx.cone_completions(&ws, &mut completions);
+            ws.pop();
             let chain: Vec<NodeId> = reduced
                 .strict_dominators(target)
                 .filter(|&d| !ctx.artificial().contains(d))
@@ -223,6 +225,143 @@ fn check_dag_dominators(ctx: &EnumContext, seeds: &[Vec<NodeId>]) -> [usize; 3] 
         }
     }
     seen
+}
+
+/// Checks the level stack of [`ConeDominators`] as the enumerator drives it, on one
+/// graph: `steps` random operations, each pushing a fresh level (a random target,
+/// the current seed), growing the top level's seed by a random original vertex, or
+/// popping the top level, always in LIFO order so that later pushes are siblings of
+/// popped levels. After every push and pop the top level must match its oracles for
+/// the current seed:
+///
+/// * its chain equals the Lengauer–Tarjan chain of the reduced graph, order included;
+/// * `reached(v)` for every vertex of the target's cone (and the target) other than
+///   the source equals `!forward_set_dominates(seed, v)`, and vertices outside the
+///   cone are not reached.
+///
+/// Returns how many grown levels cut their target off, grew by a vertex outside the
+/// cone, and grew by a vertex ranked after the target, so callers can assert those
+/// edge cases were exercised.
+fn check_grown_levels(ctx: &EnumContext, steps: usize, mut state: u64) -> [usize; 3] {
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let rooted = ctx.rooted();
+    let name = rooted.dfg().name();
+    let order = TopoOrder::forward(rooted);
+    let originals: Vec<NodeId> = rooted.original_node_ids().collect();
+    let mut ws = ConeDominators::new();
+    let mut seed = rooted.node_set();
+    // One frame per level: its target and the vertex it grew the seed by.
+    let mut frames: Vec<(NodeId, Option<NodeId>)> = Vec::new();
+    let mut completions = Vec::new();
+    let mut seen = [0usize; 3];
+    for step in 0..steps {
+        let pick = next();
+        match (pick % 4, frames.last().copied()) {
+            (0, Some((_, added))) => {
+                ws.pop();
+                frames.pop();
+                if let Some(v) = added {
+                    seed.remove(v);
+                }
+            }
+            (1, _) | (_, None) => {
+                let target = originals[(next() % originals.len() as u64) as usize];
+                ctx.push_cone_level(&mut ws, &seed, target, None);
+                frames.push((target, None));
+            }
+            (_, Some((target, _))) => {
+                let v = originals[(next() % originals.len() as u64) as usize];
+                if seed.contains(v) {
+                    continue;
+                }
+                let was_reached = ctx.cone_reached(&ws, target);
+                seed.insert(v);
+                ctx.push_cone_level(&mut ws, &seed, target, Some(v));
+                frames.push((target, Some(v)));
+                if was_reached && !ctx.cone_reached(&ws, target) {
+                    seen[0] += 1;
+                }
+                if v != target && !ctx.reach().reaches(v, target) {
+                    seen[1] += 1;
+                }
+                if order.rank(v) > order.rank(target) {
+                    seen[2] += 1;
+                }
+            }
+        }
+        assert_eq!(ws.depth(), frames.len());
+        let Some(&(target, _)) = frames.last() else {
+            continue;
+        };
+        ctx.cone_completions(&ws, &mut completions);
+        let chain: Vec<NodeId> = lengauer_tarjan_reduced(&Forward(rooted), &seed)
+            .strict_dominators(target)
+            .filter(|&d| !ctx.artificial().contains(d))
+            .collect();
+        assert_eq!(
+            completions,
+            chain,
+            "`{name}` step {step}, target {target}, seed {:?}",
+            seed.iter().collect::<Vec<_>>()
+        );
+        let cone = ctx.reach().ancestors(target);
+        for v in rooted.node_ids() {
+            // The source is reached by definition (and no seed may contain it).
+            let expected = if v == rooted.source() {
+                true
+            } else if v == target || cone.contains(v) {
+                !forward_set_dominates(rooted, &seed, v)
+            } else {
+                false
+            };
+            assert_eq!(
+                ctx.cone_reached(&ws, v),
+                expected,
+                "`{name}` step {step}, target {target}, vertex {v}"
+            );
+        }
+    }
+    ws.truncate(0);
+    seen
+}
+
+/// Grown levels nested under fresh ones, with sibling pops, agree with their
+/// Lengauer–Tarjan and forward-DFS oracles on every workload family — including seed
+/// growth that cuts the target off, grows by a vertex outside the target's cone, or
+/// by a vertex ranked after the target.
+#[test]
+fn grown_cone_levels_match_their_oracles_on_every_workload_family() {
+    let graphs = vec![
+        TreeDfgBuilder::new(3).build(),
+        TreeDfgBuilder::new(3)
+            .with_orientation(TreeOrientation::FanIn)
+            .build(),
+        random_dag(&RandomDagConfig::new(40).with_memory_ratio(0.15), 5),
+        generate_block(&MiBenchLikeConfig::new(48), 9).expect("mibench-like block builds"),
+        skewed_dag(&SkewedDagConfig::new(12, 4), 3),
+        compile_block(
+            "sad",
+            "d = a - b; m = d >> 31; abs = (d ^ m) - m; acc2 = acc + abs; out acc2;",
+        )
+        .expect("snippet compiles"),
+    ];
+    let mut seen = [0usize; 3];
+    for (i, dfg) in graphs.into_iter().enumerate() {
+        let ctx = EnumContext::new(dfg);
+        let counts = check_grown_levels(&ctx, 400, 0x9a0b_0000 + i as u64);
+        for (total, c) in seen.iter_mut().zip(counts) {
+            *total += c;
+        }
+    }
+    assert!(
+        seen.iter().all(|&c| c > 0),
+        "edge cases not exercised: {seen:?}"
+    );
 }
 
 /// Seed sets for [`check_dag_dominators`]: the empty seed, every single original
@@ -634,6 +773,14 @@ proptest! {
         let ctx = EnumContext::new(dfg);
         let seeds = seed_sets(ctx.rooted(), 6, state);
         check_dag_dominators(&ctx, &seeds);
+    }
+
+    /// On random DAGs, nested fresh and grown cone levels with sibling pops agree with
+    /// their Lengauer–Tarjan and forward-DFS oracles.
+    #[test]
+    fn grown_cone_levels_match_their_oracles(dfg in small_dag_strategy(), state in 1u64..u64::MAX) {
+        let ctx = EnumContext::new(dfg);
+        check_grown_levels(&ctx, 60, state);
     }
 
     /// The reachability matrix agrees with a straightforward DFS, and dominance implies
