@@ -7,8 +7,8 @@
 #   *_seconds        wall-clock timings (enumerate/group/select metadata)
 #   threads          worker pool size — outputs are thread-count invariant
 #   par_threshold    fan-out plan knob — changes scheduling, never results
-#   split_threshold  recursive-split knob — changes the task decomposition,
-#                    never unbudgeted results (null when splitting is off)
+#   split_threshold  fixed echo (1000000) of the retired recursive-split knob;
+#                    older outputs may carry another value or null
 #   tasks            task decomposition size — ditto
 #   cached           serve envelope: hit/miss flag, differs cold vs warm by design
 #   elapsed_ms       serve envelope: wall-clock latency

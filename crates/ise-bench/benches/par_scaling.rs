@@ -1,7 +1,7 @@
 //! Criterion companion of the E7 `par_scaling` binary: the serial incremental
 //! engine against the `ise_enum::par` first-output task decomposition on one
 //! mid-size block. On a multi-core host the parallel rows shrink with the worker
-//! count; on a single-core host they quantify the split-and-merge overhead (which
+//! count; on a single-core host they quantify the fan-out-and-merge overhead (which
 //! must stay small — the merge is one seen-set replay).
 
 use std::time::Duration;
@@ -35,13 +35,6 @@ fn bench_par_scaling(c: &mut Criterion) {
             },
         );
     }
-    // Recursive splitting at a low threshold: quantifies the suspend/resume and
-    // re-merge overhead of a split-heavy schedule (the results stay identical).
-    group.bench_function("parallel/8tasks_2threads_split", |b| {
-        let mut config = ParConfig::new(8, 2);
-        config.split_threshold = Some(2_000);
-        b.iter(|| parallel_cuts(&ctx, &constraints, &pruning, &config, None))
-    });
     group.finish();
 }
 

@@ -1,27 +1,23 @@
 //! E7 in DESIGN.md: intra-block task-parallel scaling on the worst committed corpus
-//! block, with recursive task splitting.
+//! block.
 //!
 //! The `scaling` binary (E3) showed where the single-core constant factors live; this
 //! experiment measures what the `ise_enum::par` decomposition buys on top: the
 //! hardest committed block is enumerated once serially (the baseline row) and then
-//! task-parallel at every requested thread count, with recursive splitting at the
-//! configured threshold. Each parallel run's merged result is asserted identical to
-//! the serial run — cut list *and* statistics — before its wall time is recorded, so
-//! the artifact can never report a speedup for a wrong answer. Every parallel row
-//! also records its final task count, the per-task `search_nodes` and the load skew
-//! (max/mean, [`TaskLoadSummary`]). A second section runs the committed skewed-DAG
-//! block with splitting off and on and asserts that splitting collapses the heaviest
-//! task (the wall-clock floor) and the skew — that holds on any host. `host_cpus` is
-//! recorded alongside: the ≥2.5x-at-4-threads scaling assertion only fires when the
-//! host actually has more than one CPU; on a single-core host the thread rows
-//! measure scheduling overhead (speedup ≈ 1) and the real numbers are recorded
-//! as-is.
+//! task-parallel, over the static first-output fan-out, at every requested thread
+//! count. Each parallel run's merged result is asserted identical to the serial run —
+//! cut list *and* statistics — before its wall time is recorded, so the artifact can
+//! never report a speedup for a wrong answer. Every parallel row also records its
+//! task count, the per-task `search_nodes` and the load skew (max/mean,
+//! [`TaskLoadSummary`]). `host_cpus` is recorded alongside: the ≥2.5x-at-4-threads
+//! scaling assertion only fires when the host actually has more than one CPU; on a
+//! single-core host the thread rows measure scheduling overhead (speedup ≈ 1) and
+//! the real numbers are recorded as-is.
 //!
 //! Options (key=value): `corpus` (default `corpus`), `block` (name substring,
 //! default = the largest block), `nin`/`nout` (default 4/2), `budget` (per task,
 //! default 0 = unbounded; the identity assertion only runs unbudgeted), `tasks`
-//! (default 16), `threads` (comma list, default `1,2,4`), `split` (node threshold
-//! for recursive splitting, default 1000000, 0 = off), `out`
+//! (default 16), `threads` (comma list, default `1,2,4`), `out`
 //! (default `BENCH_par_scaling.json`, `-` disables).
 
 use ise_bench::json::Json;
@@ -62,10 +58,6 @@ fn main() {
         b => Some(b),
     };
     let tasks = opts.usize("tasks", 16);
-    let split = match opts.usize("split", 1_000_000) {
-        0 => None,
-        s => Some(s),
-    };
     let threads: Vec<usize> = opts
         .string("threads", "1,2,4")
         .split(',')
@@ -89,7 +81,7 @@ fn main() {
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
     eprintln!(
         "block {} ({} nodes, {} edges), Nin={nin} Nout={nout}, tasks={tasks}, \
-         split={split:?}, host_cpus={host_cpus}",
+         host_cpus={host_cpus}",
         block.dfg.name(),
         block.dfg.len(),
         block.dfg.edge_count(),
@@ -105,7 +97,7 @@ fn main() {
     let (serial, serial_elapsed) =
         timed(|| incremental_cuts(&ctx, &constraints, &pruning, &options, None));
     let serial_seconds = serial_elapsed.as_secs_f64();
-    println!("mode,tasks,threads,seconds,speedup,cuts,search_nodes,final_tasks,skew,identical");
+    println!("mode,tasks,threads,seconds,speedup,cuts,search_nodes,task_count,skew,identical");
     println!(
         "serial,1,1,{serial_seconds:.6},1.00,{},{},1,1.00,true",
         serial.stats.valid_cuts, serial.stats.search_nodes
@@ -125,7 +117,6 @@ fn main() {
     for &t in &threads {
         let mut config = ParConfig::new(tasks, t);
         config.options = options;
-        config.split_threshold = split;
         let (run, elapsed) = timed(|| parallel_cuts(&ctx, &constraints, &pruning, &config, None));
         let par = &run.enumeration;
         // The merged result must be byte-identical to the serial run; a budgeted run
@@ -159,62 +150,6 @@ fn main() {
         ]));
     }
 
-    // The skew study: the committed skewed-DAG block with splitting off vs on. The
-    // wall-clock floor of a decomposition is its heaviest task, so the splitting
-    // claim is testable on any host — single-core included — as a node-count claim.
-    // The study pins its own task count and threshold rather than inheriting the
-    // CLI knobs: the max/mean skew ratio is not monotone in either (many tiny tasks
-    // depress the mean), and the assertions below are calibrated for this shape.
-    const SKEW_STUDY_TASKS: usize = 16;
-    let skew_study = blocks
-        .iter()
-        .find(|b| b.dfg.name().starts_with("skewed-dag"))
-        .map(|skewed| {
-            let skew_ctx = EnumContext::new(skewed.dfg.clone());
-            let baseline_cfg = ParConfig::new(SKEW_STUDY_TASKS, 1);
-            let (baseline, _) =
-                timed(|| parallel_cuts(&skew_ctx, &constraints, &pruning, &baseline_cfg, None));
-            let mut split_cfg = ParConfig::new(SKEW_STUDY_TASKS, 1);
-            split_cfg.split_threshold = Some(10_000);
-            let (split_run, _) =
-                timed(|| parallel_cuts(&skew_ctx, &constraints, &pruning, &split_cfg, None));
-            let base = TaskLoadSummary::from_task_nodes(&baseline.task_nodes);
-            let with = TaskLoadSummary::from_task_nodes(&split_run.task_nodes);
-            assert!(
-                with.max_nodes < base.max_nodes,
-                "splitting must shrink the heaviest task on {} ({} -> {})",
-                skewed.dfg.name(),
-                base.max_nodes,
-                with.max_nodes,
-            );
-            assert!(
-                with.skew_ratio() < base.skew_ratio(),
-                "splitting must reduce the load skew on {} ({:.2} -> {:.2})",
-                skewed.dfg.name(),
-                base.skew_ratio(),
-                with.skew_ratio(),
-            );
-            eprintln!(
-                "skew study {}: single-split skew {:.2} (max {} nodes) -> split@10000 \
-                 skew {:.2} (max {} nodes, {} tasks)",
-                skewed.dfg.name(),
-                base.skew_ratio(),
-                base.max_nodes,
-                with.skew_ratio(),
-                with.max_nodes,
-                with.tasks,
-            );
-            Json::object([
-                ("block", Json::str(skewed.dfg.name().to_string())),
-                ("split_threshold", Json::uint(10_000)),
-                ("single_split", load_json(&baseline)),
-                ("recursive_split", load_json(&split_run)),
-            ])
-        });
-    if skew_study.is_none() {
-        eprintln!("note: no skewed-dag block in {corpus}; skipping the skew study");
-    }
-
     // Scaling gates. The multi-core bar only applies where the hardware can deliver
     // it; the 1-thread bar (no regression from the decomposition itself) applies
     // everywhere but tolerates measurement noise.
@@ -241,7 +176,7 @@ fn main() {
             .map(|&(_, s)| s)
             .fold(None::<f64>, |b, s| Some(b.map_or(s, |b| b.max(s))));
         let doc = Json::object([
-            ("schema", Json::str("ise-bench/par-scaling/v2")),
+            ("schema", Json::str("ise-bench/par-scaling/v3")),
             ("meta", ise_bench::bench_meta("disabled")),
             ("block", Json::str(block.dfg.name().to_string())),
             ("nodes", Json::uint(block.dfg.len())),
@@ -249,11 +184,9 @@ fn main() {
             ("nin", Json::uint(nin)),
             ("nout", Json::uint(nout)),
             ("tasks", Json::uint(tasks)),
-            ("split_threshold", split.map_or(Json::Null, Json::uint)),
             ("budget", budget.map_or(Json::Null, Json::uint)),
             ("host_cpus", Json::uint(host_cpus)),
             ("rows", Json::Array(rows)),
-            ("skew_study", skew_study.unwrap_or(Json::Null)),
             (
                 "summary",
                 Json::object([

@@ -1,28 +1,21 @@
-//! The sharded batch runner: a work-stealing scheduler over dynamically splittable
-//! (block, task) items.
+//! The sharded batch runner: a work-stealing scheduler over (block, task) items.
 //!
-//! PR 3's runner sharded whole *blocks* across workers, which left one adversarial
-//! block serializing an entire corpus sweep. PR 4 flattened the work into
-//! `(block, task)` items behind one atomic fetch-add cursor — but a cursor only
-//! distributes the *static* fan-out, and recursive task splitting (this revision)
-//! spawns child tasks while the sweep runs. The scheduler is now a
-//! [`WorkStealPool`]: every worker owns a deque, freshly split children land on
-//! their producer's deque (popped LIFO, warm in cache), and idle workers steal the
-//! oldest — coarsest — item from a peer, so one skewed subtree that keeps splitting
-//! is drained by whoever is free instead of serializing its worker's tail. The
+//! Sharding whole *blocks* across workers would leave one adversarial block
+//! serializing an entire corpus sweep, so the work is flattened into
+//! `(block, task)` items — a small block is one item, a large block one item per task
+//! of its static first-output fan-out — scheduled by a [`WorkStealPool`]: every
+//! worker owns a deque and idle workers steal the oldest item from a peer. The
 //! worker retiring a block's last task merges its task outputs (sorted by
 //! [`TaskId`], the deterministic serial order) and finalizes the block.
 //!
 //! **Determinism.** The fan-out plan ([`BatchConfig::par_threshold`],
-//! [`MAX_TASKS_PER_BLOCK`]), the per-task budget split and the split threshold are
-//! functions of the block and the configuration alone — never of the thread count —
-//! suspension points are a pure function of each task's own search, and the ordered
-//! task merge is deterministic, so every count in the output is byte-identical for
-//! any `--threads` value (the PR 3 guarantee). Unbudgeted fanned-out blocks
-//! reproduce the serial enumeration exactly, statistics included; budgeted ones
-//! split the block budget evenly across the *static* tasks (each subtree truncated
-//! independently, budget exhaustion suppressing any further splits), which is
-//! deterministic but intentionally not identical to a serially budgeted run.
+//! [`MAX_TASKS_PER_BLOCK`]) and the per-task budget split are functions of the block
+//! and the configuration alone — never of the thread count — and the ordered task
+//! merge is deterministic, so every count in the output is byte-identical for any
+//! `--threads` value. Unbudgeted fanned-out blocks reproduce the serial enumeration
+//! exactly, statistics included; budgeted ones split the block budget evenly across
+//! the tasks (each subtree truncated independently), which is deterministic but
+//! intentionally not identical to a serially budgeted run.
 //!
 //! **Per-block reduction.** [`run_batch`] hands each finalized block to a caller's
 //! `reduce` closure on the worker that finalized it, and keeps only what the closure
@@ -49,17 +42,15 @@ use ise_obs::Recorder;
 /// default (`--par-threshold` overrides).
 pub const DEFAULT_PAR_THRESHOLD: usize = 64;
 
-/// Upper bound on the number of *static* tasks one block fans out into. A constant
-/// (not a function of the thread count!) so that budgeted runs are byte-identical
-/// for any `--threads` value; 16 tasks keep every realistic worker count fed while
-/// bounding the per-block merge state. Recursive splitting can grow the final task
-/// count past this, but only as a function of the block and the flags.
+/// Upper bound on the number of tasks one block fans out into. A constant (not a
+/// function of the thread count!) so that budgeted runs are byte-identical for any
+/// `--threads` value; 16 tasks keep every realistic worker count fed while bounding
+/// the per-block merge state.
 pub const MAX_TASKS_PER_BLOCK: usize = 16;
 
-/// Default node-count threshold past which a task re-splits at its next decision
-/// level (`--split-threshold` overrides; `0` disables splitting). High enough that
-/// default budgeted sweeps (whose per-task budgets are far smaller) never split, and
-/// unbudgeted heavy blocks — the E7 pathology — do.
+/// The retired recursive-split threshold, still echoed as `"split_threshold"` in
+/// every report and as the `split-threshold=` segment of `ise serve` cache keys so
+/// recorded digests and cached entries stay valid. Nothing reads it.
 pub const DEFAULT_SPLIT_THRESHOLD: usize = 1_000_000;
 
 /// Selection settings for `ise select` (enumeration settings live in [`BatchConfig`]).
@@ -92,17 +83,16 @@ pub struct BatchConfig {
     /// never reads this field.
     pub dedup_mode: DedupMode,
     /// Minimum block size (in vertices) for intra-block fan-out; `usize::MAX`
-    /// disables fan-out (and with it recursive splitting) entirely.
+    /// disables fan-out entirely.
     pub par_threshold: usize,
-    /// Recursive split threshold for fanned-out tasks (`None` disables). Applies
-    /// only to blocks at or above [`BatchConfig::par_threshold`]. Changes the work
-    /// decomposition, never the unbudgeted results.
+    /// The retired recursive-split threshold ([`DEFAULT_SPLIT_THRESHOLD`]); the run
+    /// never reads this field.
     pub split_threshold: Option<usize>,
 }
 
 impl BatchConfig {
     /// An unbounded single-threaded enumerate-only configuration with the default
-    /// fan-out and split thresholds.
+    /// fan-out threshold.
     pub fn new(constraints: Constraints) -> Self {
         BatchConfig {
             constraints,
@@ -132,9 +122,8 @@ pub struct BlockOutcome {
     pub edges: usize,
     /// Forbidden-vertex count of the block (memory operations, calls, user marks).
     pub forbidden: usize,
-    /// How many tasks the block's enumeration was merged from (1 = ran whole;
-    /// recursive splitting can push this past the static fan-out — still a pure
-    /// function of the block and the flags, never of the thread count).
+    /// How many tasks the block's enumeration was merged from (1 = ran whole; a
+    /// pure function of the block and the flags, never of the thread count).
     pub tasks: usize,
     /// The enumeration result (merged across tasks when the block fanned out). Its
     /// cut list is empty once [`BlockOutcome::without_cuts`] has run; reports count
@@ -195,10 +184,9 @@ impl BlockOutcome {
 
 /// The per-block schedule. `specs` empty means the block runs whole on one worker
 /// (small blocks below the fan-out threshold, and degenerate fan-outs with at most
-/// one candidate and splitting off).
+/// one candidate).
 struct BlockPlan {
     specs: Vec<TaskSpec>,
-    split_threshold: Option<usize>,
     options: EngineOptions,
 }
 
@@ -211,8 +199,7 @@ struct BlockSlot<R> {
     ctx: Mutex<Option<Arc<EnumContext>>>,
     /// When a fanned-out block's first task started.
     started: OnceLock<Instant>,
-    /// Tasks queued or running for this block — static tasks up front, plus every
-    /// spawned child (registered before its parent retires).
+    /// Tasks of this block not yet retired.
     pending: AtomicUsize,
     outputs: Mutex<Vec<(TaskId, TaskOutput)>>,
     /// What the batch's `reduce` closure kept of the finalized block.
@@ -229,29 +216,23 @@ fn plan_block(dfg: &Dfg, config: &BatchConfig) -> BlockPlan {
     } else {
         1
     };
-    let split_threshold = if fan_out {
-        config.split_threshold
-    } else {
-        None
-    };
     let mut specs = if fan_out {
         initial_tasks(candidates, tasks)
     } else {
         Vec::new()
     };
-    if specs.len() == 1 && split_threshold.is_none() {
-        // A single static task that can never split is exactly the serial run; skip
-        // the task/merge machinery (this also covers candidate-starved blocks, whose
-        // degenerate extra ranges `initial_tasks` already drops).
+    if specs.len() == 1 {
+        // A single task is exactly the serial run; skip the task/merge machinery
+        // (this also covers candidate-starved blocks, whose degenerate extra ranges
+        // `initial_tasks` already drops).
         specs.clear();
     }
     BlockPlan {
         specs,
-        split_threshold,
         options: EngineOptions {
-            // The block budget is split evenly across the static tasks so a
-            // fanned-out sweep costs what a whole-block sweep would; deterministic in
-            // the plan alone. Budget exhaustion suppresses recursive splits.
+            // The block budget is split evenly across the tasks so a fanned-out
+            // sweep costs what a whole-block sweep would; deterministic in the plan
+            // alone.
             max_search_nodes: config.budget.map(|b| b.div_ceil(tasks).max(1)),
         },
     }
@@ -262,20 +243,19 @@ fn plan_block(dfg: &Dfg, config: &BatchConfig) -> BlockPlan {
 type WorkItem = (usize, Option<TaskSpec>);
 
 /// Runs the batch: every block of `blocks` through the engine, with large blocks
-/// fanned out into first-output tasks (recursively re-split past the split
-/// threshold), all items scheduled by a [`WorkStealPool`] over
+/// fanned out into first-output tasks, all items scheduled by a [`WorkStealPool`] over
 /// [`BatchConfig::threads`] workers, and returns every block's full
 /// [`BlockOutcome`] in corpus order.
 ///
 /// Each worker owns its per-task search state — the engine's `Send` audit guarantees
-/// nothing is shared mutably — and the fan-out plan, the split points and the task
-/// merge are all deterministic, so the outcomes (sorted by block index) are
+/// nothing is shared mutably — and the fan-out plan and the task merge are both
+/// deterministic, so the outcomes (sorted by block index) are
 /// identical for every thread count; only the wall times differ.
 ///
 /// An optional [`Recorder`] observes the run: per-block and per-task spans, pool
 /// counters and phase timings land in the recorder, and worker threads are named
-/// `worker-N` for trace grouping. Recording never changes any outcome — the plan, the
-/// split points and the merge are untouched — so runs with and without a recorder
+/// `worker-N` for trace grouping. Recording never changes any outcome — the plan and
+/// the merge are untouched — so runs with and without a recorder
 /// report identical counts.
 ///
 /// This holds every block's cut list until the batch returns; commands that
@@ -356,8 +336,7 @@ where
                     rec.set_thread_name(&format!("worker-{worker}"));
                 }
                 while let Some((block_idx, spec)) = batch.pool.pop(worker) {
-                    batch.run_item(block_idx, spec, worker);
-                    batch.pool.done();
+                    batch.run_item(block_idx, spec);
                 }
             });
         }
@@ -391,7 +370,7 @@ where
 {
     /// Executes one work item; the worker retiring a block's last task merges and
     /// finalizes it.
-    fn run_item(&self, block_idx: usize, spec: Option<TaskSpec>, worker: usize) {
+    fn run_item(&self, block_idx: usize, spec: Option<TaskSpec>) {
         let (block, plan, slot) = (
             &self.blocks[block_idx],
             &self.plans[block_idx],
@@ -422,37 +401,28 @@ where
                 .expect("block context poisoned")
                 .get_or_insert_with(|| Arc::new(EnumContext::new(block.dfg.clone()))),
         );
-        let (output, children) = run_task(
+        let output = run_task(
             &ctx,
             &config.constraints,
             &config.pruning,
             &plan.options,
-            plan.split_threshold,
             &spec,
             self.rec,
         );
-        if !children.is_empty() {
-            // Register the children before retiring this task, so the block can
-            // never look complete while split-off work is still queued.
-            slot.pending.fetch_add(children.len(), Ordering::AcqRel);
-            for child in children {
-                self.pool.push(worker, (block_idx, Some(child)));
-            }
-        }
         // Release this task's reference before retiring it, so once the last task
         // retires the slot holds the context's only reference.
         drop(ctx);
         slot.outputs
             .lock()
             .expect("task output list poisoned")
-            .push((spec.id().clone(), output));
+            .push((spec.id(), output));
         // The last task to retire (the mutex pushes above synchronize with this
         // acquire) merges in TaskId order — the serial order, whatever the schedule
         // was.
         if slot.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
             let mut outputs =
                 std::mem::take(&mut *slot.outputs.lock().expect("task output list poisoned"));
-            outputs.sort_by(|a, b| a.0.cmp(&b.0));
+            outputs.sort_by_key(|(id, _)| *id);
             let tasks = outputs.len();
             let outputs: Vec<TaskOutput> = outputs.into_iter().map(|(_, out)| out).collect();
             let ctx = slot
@@ -575,60 +545,29 @@ mod tests {
         }
     }
 
-    /// Forced recursive splitting (tiny split threshold) must also reproduce the
-    /// serial enumeration exactly, while actually growing the task count past the
-    /// static fan-out.
-    #[test]
-    fn recursively_split_blocks_match_direct_engine_runs_exactly() {
-        let blocks = small_corpus();
-        let mut cfg = config(3);
-        cfg.par_threshold = 1;
-        cfg.split_threshold = Some(50);
-        let outcomes = run_batch_obs(&blocks, &cfg, None);
-        assert!(
-            outcomes.iter().any(|o| o.tasks > MAX_TASKS_PER_BLOCK),
-            "a 50-node threshold must split some block past the static fan-out"
-        );
-        for (outcome, block) in outcomes.iter().zip(&blocks) {
-            let direct = direct(block, &cfg);
-            assert_eq!(
-                outcome.enumeration.stats, direct.stats,
-                "merged stats differ from serial on {}",
-                outcome.name
-            );
-            let merged: Vec<_> = outcome.enumeration.cuts.iter().map(|c| c.key()).collect();
-            let serial: Vec<_> = direct.cuts.iter().map(|c| c.key()).collect();
-            assert_eq!(merged, serial, "cut order differs on {}", outcome.name);
-        }
-    }
-
     /// `run_batch` calls `reduce` exactly once per block, with that block, and
     /// returns the results in corpus order; with the identity reduction each result
-    /// equals the `run_batch_obs` outcome. Checked at 1/2/8 threads, with every
-    /// block fanned out, and with forced recursive splitting.
+    /// equals the `run_batch_obs` outcome. Checked at 1/2/8 threads, with and
+    /// without every block fanned out.
     #[test]
     fn reduce_runs_once_per_block_and_returns_corpus_order() {
         let blocks = small_corpus();
-        for (threads, par_threshold, split_threshold) in [
-            (1, DEFAULT_PAR_THRESHOLD, Some(DEFAULT_SPLIT_THRESHOLD)),
-            (2, DEFAULT_PAR_THRESHOLD, Some(DEFAULT_SPLIT_THRESHOLD)),
-            (8, DEFAULT_PAR_THRESHOLD, Some(DEFAULT_SPLIT_THRESHOLD)),
-            (1, 1, Some(DEFAULT_SPLIT_THRESHOLD)),
-            (2, 1, Some(DEFAULT_SPLIT_THRESHOLD)),
-            (8, 1, Some(DEFAULT_SPLIT_THRESHOLD)),
-            (1, 1, Some(25)),
-            (2, 1, Some(25)),
-            (8, 1, Some(25)),
+        for (threads, par_threshold) in [
+            (1, DEFAULT_PAR_THRESHOLD),
+            (2, DEFAULT_PAR_THRESHOLD),
+            (8, DEFAULT_PAR_THRESHOLD),
+            (1, 1),
+            (2, 1),
+            (8, 1),
         ] {
             let mut cfg = config(threads);
             cfg.par_threshold = par_threshold;
-            cfg.split_threshold = split_threshold;
             cfg.select = Some(SelectionConfig {
                 max_instructions: 2,
                 ports_in: 4,
                 ports_out: 2,
             });
-            let label = format!("threads={threads} par={par_threshold} split={split_threshold:?}");
+            let label = format!("threads={threads} par={par_threshold}");
             let reference = run_batch_obs(&blocks, &cfg, None);
             let calls: Vec<AtomicUsize> = blocks.iter().map(|_| AtomicUsize::new(0)).collect();
             let reduced = run_batch(&blocks, &cfg, None, |block, outcome| {
@@ -698,21 +637,14 @@ mod tests {
     }
 
     /// Thread count must not change results — only wall time (acceptance criterion:
-    /// identical aggregate counts for N=1 and N=8) — including when blocks fan out
-    /// and recursively split.
+    /// identical aggregate counts for N=1 and N=8) — including when blocks fan out.
     #[test]
     fn thread_count_does_not_change_results() {
         let blocks = small_corpus();
-        for (par_threshold, split_threshold) in [
-            (DEFAULT_PAR_THRESHOLD, Some(DEFAULT_SPLIT_THRESHOLD)),
-            (1, Some(DEFAULT_SPLIT_THRESHOLD)),
-            (1, Some(25)),
-            (1, None),
-        ] {
+        for par_threshold in [DEFAULT_PAR_THRESHOLD, 1] {
             let make = |threads| {
                 let mut cfg = config(threads);
                 cfg.par_threshold = par_threshold;
-                cfg.split_threshold = split_threshold;
                 cfg
             };
             let one = run_batch_obs(&blocks, &make(1), None);
@@ -764,9 +696,8 @@ mod tests {
         for outcome in run_batch_obs(&blocks, &cfg, None) {
             assert!(outcome.enumeration.stats.search_nodes <= 10);
         }
-        // Fanned out, the block budget is split across the static tasks, so the
-        // block total still cannot exceed the budget (plus per-task rounding) —
-        // per-task budgets are far below the split threshold, so no task splits.
+        // Fanned out, the block budget is split across the tasks, so the block
+        // total still cannot exceed the budget (plus per-task rounding).
         cfg.par_threshold = 1;
         cfg.budget = Some(32);
         for outcome in run_batch_obs(&blocks, &cfg, None) {

@@ -19,13 +19,11 @@
 //! validation) or, with `--dot`, one block as a Graphviz digraph with its
 //! selected ISEs highlighted. Work is scheduled by one work-stealing pool
 //! ([`batch::run_batch`]): blocks with at least `--par-threshold` vertices fan out
-//! into first-output tasks (`ise_enum::par`), smaller blocks stay whole, any task
-//! whose search exceeds `--split-threshold` nodes re-splits into child tasks on the
-//! fly, and idle `--threads` workers steal queued items from busy peers — so a
-//! single adversarial block (even one with a single skewed subtree) scales with
-//! cores instead of serializing the sweep. The fan-out plan and the split points
-//! are functions of the block and the flags alone (never of the thread count) and
-//! the task merge is deterministic, so **every count in the JSON and markdown
+//! into first-output tasks (`ise_enum::par`), smaller blocks stay whole, and idle
+//! `--threads` workers steal queued items from busy peers — so a single large
+//! block scales with cores instead of serializing the sweep. The fan-out plan is a
+//! function of the block and the flags alone (never of the thread count) and the
+//! task merge is deterministic, so **every count in the JSON and markdown
 //! output is identical for any thread count** — only wall times vary. Runs are budgeted per
 //! block by default ([`DEFAULT_BUDGET`] search nodes, `--budget 0` to lift; fanned
 //! blocks split the budget across tasks) so one adversarial block cannot stall a
@@ -89,7 +87,7 @@ usage: ise <enumerate|select|group|report> [flags]
 
   ise enumerate --corpus PATH [--threads N] [--nin 4] [--nout 2]
                 [--budget M] [--limit K] [--out FILE|-] [--md FILE|-]
-                [--par-threshold V] [--split-threshold S]
+                [--par-threshold V]
                 [--trace-out FILE|-] [--progress]
   ise select    (same flags as enumerate)
                 [--max-instr 4] [--ports-in N] [--ports-out N] [--global]
@@ -110,13 +108,10 @@ PATH is a .dfg file or a directory of .dfg files (default: corpus).
 0 = unbounded); small blocks finish below it and are enumerated fully.
 --threads feeds a work-stealing scheduler: blocks with at least
 --par-threshold vertices (default 64; 0 = always, a huge value = never)
-fan out into first-output tasks, and any task whose own search exceeds
---split-threshold nodes (default 1000000; 0 = never split) re-splits at
-its next decision level into child tasks, so one skewed subtree cannot
-serialize a sweep. The split points depend only on the block and the
-flags, so all counts are byte-identical for any --threads value;
-fanned-out blocks split their --budget evenly across the initial tasks
-(budget-truncated tasks never split further).
+fan out into at most 16 first-output tasks, and idle workers steal
+queued tasks from busy peers. The fan-out depends only on the block and
+the flags, so all counts are byte-identical for any --threads value;
+fanned-out blocks split their --budget evenly across their tasks.
 --trace-out profiles the run as Chrome trace-event JSON (open it in
 chrome://tracing or Perfetto): engine, task and merge spans nest under
 their worker threads. --progress prints heartbeat lines on stderr while
@@ -245,7 +240,6 @@ const BATCH_FLAGS: &[&str] = &[
     "out",
     "md",
     "par-threshold",
-    "split-threshold",
     "trace-out",
 ];
 const SELECT_FLAGS: &[&str] = &[
@@ -258,7 +252,6 @@ const SELECT_FLAGS: &[&str] = &[
     "out",
     "md",
     "par-threshold",
-    "split-threshold",
     "trace-out",
     "max-instr",
     "ports-in",
@@ -274,7 +267,6 @@ const GROUP_FLAGS: &[&str] = &[
     "out",
     "md",
     "par-threshold",
-    "split-threshold",
     "trace-out",
     "ports-in",
     "ports-out",
@@ -290,7 +282,6 @@ struct CommonBatchArgs {
     threads: usize,
     budget: Option<usize>,
     par_threshold: usize,
-    split_threshold: Option<usize>,
     constraints: Constraints,
 }
 
@@ -307,10 +298,6 @@ fn parse_common(flags: &Flags) -> Result<CommonBatchArgs, CliError> {
             limit => Some(limit),
         },
         par_threshold: flags.usize("par-threshold", DEFAULT_PAR_THRESHOLD)?,
-        split_threshold: match flags.usize("split-threshold", DEFAULT_SPLIT_THRESHOLD)? {
-            0 => None,
-            threshold => Some(threshold),
-        },
         constraints: Constraints::new(nin, nout)
             .map_err(|e| CliError::Usage(format!("--nin/--nout: {e}")))?,
     })
@@ -326,7 +313,7 @@ impl CommonBatchArgs {
             select,
             dedup_mode: DedupMode::default(),
             par_threshold: self.par_threshold,
-            split_threshold: self.split_threshold,
+            split_threshold: Some(DEFAULT_SPLIT_THRESHOLD),
         }
     }
 
@@ -338,7 +325,7 @@ impl CommonBatchArgs {
             threads: self.threads,
             budget: self.budget,
             par_threshold: self.par_threshold,
-            split_threshold: self.split_threshold,
+            split_threshold: Some(DEFAULT_SPLIT_THRESHOLD),
             dedup_mode: DedupMode::default(),
             select,
             elapsed,
@@ -994,25 +981,25 @@ mod tests {
         assert!(err.to_string().contains("--nin"), "{err}");
     }
 
+    /// Asserts that `--{flag}`, a retired flag, is an unknown-flag usage error for
+    /// every batch command.
+    fn assert_retired_flag_is_rejected(flag: &str, value: &str) {
+        let arg = format!("--{flag}");
+        for subcommand in ["enumerate", "select", "group"] {
+            let err = run(&argv(&[subcommand, "--corpus", "x", &arg, value])).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{subcommand}: {err}");
+            assert!(
+                err.to_string().contains(&format!("unknown flag `{arg}`")),
+                "{subcommand}: {err}"
+            );
+        }
+    }
+
     /// The de-duplication order is no longer selectable: `--dedup-mode`, even with
     /// the one order it used to name, is an unknown flag for every batch command.
     #[test]
     fn retired_dedup_mode_flag_is_rejected() {
-        for subcommand in ["enumerate", "select", "group"] {
-            let err = run(&argv(&[
-                subcommand,
-                "--corpus",
-                "x",
-                "--dedup-mode",
-                "dedup-first",
-            ]))
-            .unwrap_err();
-            assert!(matches!(err, CliError::Usage(_)), "{subcommand}: {err}");
-            assert!(
-                err.to_string().contains("unknown flag `--dedup-mode`"),
-                "{subcommand}: {err}"
-            );
-        }
+        assert_retired_flag_is_rejected("dedup-mode", "dedup-first");
     }
 
     #[test]
@@ -1072,7 +1059,7 @@ mod tests {
     }
 
     #[test]
-    fn par_and_split_threshold_flags_are_accepted() {
+    fn par_threshold_flag_is_accepted() {
         let dir = demo_corpus("flags");
         let out = dir.join("f.json");
         run(&argv(&[
@@ -1081,8 +1068,6 @@ mod tests {
             dir.to_str().unwrap(),
             "--par-threshold",
             "1",
-            "--split-threshold",
-            "5",
             "--budget",
             "0",
             "--out",
@@ -1092,27 +1077,15 @@ mod tests {
         let json = std::fs::read_to_string(&out).unwrap();
         assert!(json.contains(r#""dedup_mode":"dedup-first""#), "{json}");
         assert!(json.contains(r#""par_threshold":1"#), "{json}");
-        assert!(json.contains(r#""split_threshold":5"#), "{json}");
+        assert!(json.contains(r#""split_threshold":1000000"#), "{json}");
         assert!(json.contains(r#""tasks":"#), "{json}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Recursive task splitting is gone: its threshold flag is an unknown flag for
+    /// every batch command.
     #[test]
-    fn split_threshold_zero_disables_splitting() {
-        let dir = demo_corpus("nosplit");
-        let out = dir.join("f.json");
-        run(&argv(&[
-            "enumerate",
-            "--corpus",
-            dir.to_str().unwrap(),
-            "--split-threshold",
-            "0",
-            "--out",
-            out.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let json = std::fs::read_to_string(&out).unwrap();
-        assert!(json.contains(r#""split_threshold":null"#), "{json}");
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn retired_split_threshold_flag_is_rejected() {
+        assert_retired_flag_is_rejected("split-threshold", "5");
     }
 }

@@ -24,7 +24,8 @@ pub struct RunMeta {
     pub budget: Option<usize>,
     /// Minimum block size (vertices) for intra-block fan-out.
     pub par_threshold: usize,
-    /// Recursive task-split threshold in search nodes (`None` = splitting off).
+    /// Echoed as `"split_threshold"`; the retired recursive-split threshold, always
+    /// [`crate::batch::DEFAULT_SPLIT_THRESHOLD`] now.
     pub split_threshold: Option<usize>,
     /// De-duplication order of the run (the engine has one).
     pub dedup_mode: DedupMode,

@@ -33,7 +33,7 @@
 //! bytes of every block ([`ise_corpus::CorpusBlock::canonical_bytes`], so
 //! formatting-only variants of a block share a key), the engine flag tokens
 //! ([`ise_enum::Constraints::cache_token`], [`ise_enum::PruningConfig::cache_token`],
-//! budget, fan-out and split thresholds) and the op-specific flags. Results are
+//! budget and fan-out threshold) and the op-specific flags. Results are
 //! held in a bounded in-memory LRU ([`crate::cache::ResponseCache`]) backed by an
 //! optional `--cache-dir` directory that survives restarts. Below the response
 //! cache, per-block `Enumeration`s and canonical codings are cached under their own
@@ -179,15 +179,7 @@ const SERVE_FLAGS: &[&str] = &[
 /// Flags a request may carry, per op (the batch CLI's flags minus `corpus`, which
 /// the `block` field replaces, and the output-file flags, which a protocol response
 /// replaces).
-const REQ_COMMON: &[&str] = &[
-    "threads",
-    "nin",
-    "nout",
-    "budget",
-    "limit",
-    "par-threshold",
-    "split-threshold",
-];
+const REQ_COMMON: &[&str] = &["threads", "nin", "nout", "budget", "limit", "par-threshold"];
 const REQ_SELECT_EXTRA: &[&str] = &["max-instr", "ports-in", "ports-out"];
 const REQ_GROUP_EXTRA: &[&str] = &["ports-in", "ports-out", "min-count"];
 
@@ -828,23 +820,19 @@ impl ServerState {
 }
 
 /// The engine facts every evaluated op keys on: constraints, prunings, budget and
-/// fan-out and split thresholds. Thread counts are deliberately absent — they never
-/// change a result byte. The split threshold is included because budgeted runs
-/// re-budget split-off tasks, so it can change counts there (deterministically).
-/// The trailing `dedup=dedup-first` names the engine's one de-duplication order; it
-/// stays so existing keys and cache files remain valid.
+/// fan-out threshold. Thread counts are deliberately absent — they never change a
+/// result byte. The fixed `split-threshold=1000000` and `dedup=dedup-first`
+/// segments name the retired split threshold and the engine's one de-duplication
+/// order; they stay so existing keys and cache files remain valid.
 fn engine_token(common: &CommonBatchArgs) -> String {
     format!(
-        "{};{};budget={};par-threshold={};split-threshold={};dedup=dedup-first",
+        "{};{};budget={};par-threshold={};split-threshold=1000000;dedup=dedup-first",
         common.constraints.cache_token(),
         PruningConfig::all().cache_token(),
         common
             .budget
             .map_or_else(|| "none".to_string(), |b| b.to_string()),
         common.par_threshold,
-        common
-            .split_threshold
-            .map_or_else(|| "none".to_string(), |t| t.to_string()),
     )
 }
 

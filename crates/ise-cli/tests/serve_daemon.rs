@@ -473,6 +473,35 @@ fn over_long_line_gets_an_in_band_error_and_the_daemon_keeps_serving() {
     daemon.shutdown();
 }
 
+/// The retired `split-threshold` request flag is answered in-band, and the daemon
+/// answers the next request on the same connection.
+#[test]
+fn retired_split_threshold_flag_is_rejected_in_band_on_a_live_connection() {
+    let daemon = Daemon::spawn(&[]);
+    let mut stream = daemon.connect();
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let block = tiny_block(10);
+    let mut send = |line: &str| {
+        writeln!(stream, "{line}").expect("send request");
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("read response");
+        response
+    };
+    let rejected = send(&request(
+        "enumerate",
+        &block,
+        "\"budget\":5000,\"split-threshold\":5",
+    ));
+    assert!(rejected.starts_with("{\"ok\":false"), "{rejected}");
+    assert!(
+        rejected.contains("unknown flag") && rejected.contains("split-threshold"),
+        "{rejected}"
+    );
+    let ok = send(&request("enumerate", &block, "\"budget\":5000"));
+    assert!(ok.starts_with("{\"ok\":true"), "{ok}");
+    daemon.shutdown();
+}
+
 /// Regression for parse-time CPU exhaustion: an inline request of ~40000 tiny
 /// blocks (well under the request cap) whose last block repeats the first name is
 /// rejected in-band with the line of the repeat, and the daemon then answers a

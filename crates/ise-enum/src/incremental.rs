@@ -100,42 +100,6 @@ pub struct IncrementalEnumerator<'a> {
     /// unrestricted. This is the task decomposition of the `par` module: each
     /// first-output choice roots an independent subtree (see DESIGN.md §1.3).
     root_range: Option<Range<usize>>,
-    /// Recursive task splitting (DESIGN.md §1.3): when set, the task suspends at the
-    /// next decision boundary once its search-node count reaches the threshold,
-    /// recording where child tasks must resume. `None` disables splitting.
-    split_threshold: Option<usize>,
-    /// A task resuming a root its parent suspended in skips the first root's
-    /// top-level decisions below this index — they belong to ancestor tasks and must
-    /// produce no side effects here.
-    first_root_skip: Option<usize>,
-    /// Where the task stopped, if it suspended.
-    suspended: Option<SuspendPoint>,
-    /// Absolute candidate index of the root the top-level loop is currently in.
-    current_root: usize,
-}
-
-/// Where a task suspended when its search-node count crossed the split threshold.
-///
-/// Both variants are recorded at *decision boundaries* only, and only after at least
-/// one root (`AtRoot`) or one first-level decision (`InRoot`) completed inside the
-/// suspending task — so every suspension strictly shrinks the remaining work, no work
-/// is re-done on resume, and a threshold of 1 still terminates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum SuspendPoint {
-    /// The task stopped before exploring root `next` (absolute candidate index); the
-    /// rest of its root range is untouched.
-    AtRoot {
-        /// Absolute candidate index of the first unexplored root.
-        next: usize,
-    },
-    /// The task stopped inside root `root` before its first-level decision
-    /// `next_decision`; the rest of that root and any later roots are untouched.
-    InRoot {
-        /// Absolute candidate index of the partially explored root.
-        root: usize,
-        /// First unexplored decision index at the split level of that root.
-        next_decision: usize,
-    },
 }
 
 impl<'a> IncrementalEnumerator<'a> {
@@ -147,10 +111,6 @@ impl<'a> IncrementalEnumerator<'a> {
             cone: ConeDominators::new(),
             completion_pool: Vec::new(),
             root_range: None,
-            split_threshold: None,
-            first_root_skip: None,
-            suspended: None,
-            current_root: 0,
         }
     }
 
@@ -170,31 +130,6 @@ impl<'a> IncrementalEnumerator<'a> {
         let mut enumerator = Self::new(ctx, pruning);
         enumerator.root_range = Some(range);
         enumerator
-    }
-
-    /// Arms recursive task splitting: the task suspends at the next decision boundary
-    /// after `threshold` search nodes, and — when resuming a root a parent task
-    /// suspended in — skips the first root's decisions below `skip` without side
-    /// effects. Used by [`crate::par`]; the plain entry points never split.
-    pub(crate) fn set_task_split(&mut self, threshold: Option<usize>, skip: Option<usize>) {
-        self.split_threshold = threshold;
-        self.first_root_skip = skip;
-    }
-
-    /// The suspension point recorded by the last run, if the task split.
-    pub(crate) fn take_suspension(&mut self) -> Option<SuspendPoint> {
-        self.suspended.take()
-    }
-
-    /// True once the task has spent its split threshold and should hand the rest of
-    /// its work to child tasks. Budget exhaustion wins over splitting: a
-    /// budget-truncated task reports what it found and spawns nothing, exactly as
-    /// before task splitting existed.
-    fn should_split(&self, state: &SearchState<'_>) -> bool {
-        match self.split_threshold {
-            Some(threshold) => state.stats().search_nodes >= threshold && !state.out_of_budget(),
-            None => false,
-        }
     }
 
     /// `PICK-OUTPUT` of Figure 3.
@@ -221,33 +156,15 @@ impl<'a> IncrementalEnumerator<'a> {
         // (no outputs chosen yet); subtrees below it consider every candidate.
         let is_top = state.chosen_outputs().is_empty();
         let all = ctx.candidate_outputs();
-        let (candidates, base) = match &self.root_range {
-            Some(range) if is_top => (&all[range.clone()], range.start),
-            _ => (all, 0),
+        let candidates = match &self.root_range {
+            Some(range) if is_top => &all[range.clone()],
+            _ => all,
         };
-        for (pos, &o) in candidates.iter().enumerate() {
-            if is_top {
-                // A suspension recorded inside the previous root ends the task; its
-                // children own everything from the suspension point on.
-                if self.suspended.is_some() {
-                    return;
-                }
-                // Root-boundary split: with at least one root completed here, hand
-                // the remaining roots to child tasks instead of serializing them.
-                if pos > 0 && self.should_split(state) {
-                    self.suspended = Some(SuspendPoint::AtRoot { next: base + pos });
-                    return;
-                }
-                self.current_root = base + pos;
-            }
+        for &o in candidates {
             if state.out_of_budget() {
                 return;
             }
-            // A task resuming mid-root re-enters the root its parent suspended in;
-            // the parent already counted this PICK-OUTPUT step for it.
-            if !(is_top && pos == 0 && self.first_root_skip.is_some()) {
-                state.stats_mut().search_nodes += 1;
-            }
+            state.stats_mut().search_nodes += 1;
             if state.output_set().contains(o) {
                 continue;
             }
@@ -346,26 +263,8 @@ impl<'a> IncrementalEnumerator<'a> {
         if state.out_of_budget() {
             return;
         }
-        // The split level of task decomposition (DESIGN.md §1.3): the PICK-INPUTS
-        // call directly under the first output. Its decisions — the completions
-        // first, then the seed candidates — get deterministic indices `0..k+m`; a
-        // task may suspend *between* decisions, handing the remaining indices to
-        // child tasks, and a task resuming mid-root skips the decision prefix its
-        // ancestors own without any side effects.
-        let top_decisions = state.chosen_outputs().len() == 1 && state.chosen_inputs().is_empty();
-        let skip = if top_decisions {
-            self.first_root_skip.take()
-        } else {
-            None
-        };
-        let start = skip.unwrap_or(0);
-        // The parent that suspended inside this root already counted the entry
-        // bookkeeping; a resumed child only recomputes the completions (it needs them
-        // to index its decision window) without re-counting them.
-        if skip.is_none() {
-            state.stats_mut().search_nodes += 1;
-            state.stats_mut().dominator_runs += 1;
-        }
+        state.stats_mut().search_nodes += 1;
+        state.stats_mut().dominator_runs += 1;
         let ctx = self.ctx;
 
         // Completions: vertices w such that I ∪ {w} dominates the output, found as the
@@ -377,23 +276,7 @@ impl<'a> IncrementalEnumerator<'a> {
         ctx.push_cone_level(&mut self.cone, state.input_set(), output, grown);
         ctx.cone_completions(&self.cone, &mut completions);
         state.phase_restore(dphase);
-        let k = completions.len();
-        for (d, &w) in completions.iter().enumerate() {
-            if top_decisions {
-                // Decisions below the resume index belong to ancestor tasks.
-                if d < start {
-                    continue;
-                }
-                // Decision-boundary split: at least one decision completed here, so
-                // the remaining window can move to child tasks.
-                if d > start && self.should_split(state) {
-                    self.suspended = Some(SuspendPoint::InRoot {
-                        root: self.current_root,
-                        next_decision: d,
-                    });
-                    break;
-                }
-            }
+        for &w in &completions {
             if state.output_set().contains(w) {
                 continue;
             }
@@ -410,28 +293,11 @@ impl<'a> IncrementalEnumerator<'a> {
         }
         completions.clear();
         self.completion_pool.push(completions);
-        if self.suspended.is_some() {
-            return;
-        }
 
         if remaining_inputs > 1 {
             // Seed growth: add one more ancestor of the output to the seed set, in
-            // increasing id order so that each seed set is visited once. At the split
-            // level, seed decisions continue the decision indexing after the `k`
-            // completions.
-            for (decision, i) in (k..).zip(ctx.reach().ancestors(output).iter()) {
-                if top_decisions {
-                    if decision < start {
-                        continue;
-                    }
-                    if decision > start && self.should_split(state) {
-                        self.suspended = Some(SuspendPoint::InRoot {
-                            root: self.current_root,
-                            next_decision: decision,
-                        });
-                        return;
-                    }
-                }
+            // increasing id order so that each seed set is visited once.
+            for i in ctx.reach().ancestors(output).iter() {
                 if !self.try_seed(
                     state,
                     output,

@@ -30,11 +30,10 @@
 //! replaced.
 //!
 //! For large blocks the [`par`] module splits the incremental search at the
-//! first-output level into independent tasks — recursively re-split past a
-//! node-count threshold, scheduled by a work-stealing pool, and merged by one
-//! ordered replay of the tasks' first-seen logs — and [`par::parallel_cuts`]
-//! reproduces the serial enumeration (cuts and statistics) exactly for any task
-//! count, split threshold and thread count on unbudgeted runs. The engine
+//! first-output level into a static fan-out of independent tasks — scheduled by a
+//! work-stealing pool and merged by one ordered replay of the tasks' first-seen
+//! logs — and [`par::parallel_cuts`] reproduces the serial enumeration (cuts and
+//! statistics) exactly for any task and thread count on unbudgeted runs. The engine
 //! de-duplicates every candidate before validating it ([`DedupMode`] names that one
 //! order, DESIGN.md §1.2).
 //!

@@ -1,5 +1,5 @@
 //! Intra-block task-parallel enumeration: the Figure 3 search split at the
-//! first-output level, with recursive task splitting and a work-stealing scheduler.
+//! first-output level and run on a work-stealing scheduler.
 //!
 //! The top level of the incremental algorithm's recursion is embarrassingly parallel:
 //! the serial `PICK-OUTPUT` loop tries every candidate first output in order, and each
@@ -8,43 +8,30 @@
 //! subtrees is the de-duplication seen-set — and the seen-set never influences which
 //! nodes the search visits, only whether a repeated candidate is re-counted (see
 //! DESIGN.md §1.3 for the argument). A subtree rooted at one first output is therefore
-//! an independent task.
+//! an independent task, and a contiguous range of them is one task of the static
+//! fan-out ([`initial_tasks`]).
 //!
-//! Two mechanisms make the decomposition scale past its static fan-out, and a third
-//! keeps its result the serial one:
-//!
-//! * **Recursive task splitting.** A task that exceeds [`ParConfig::split_threshold`]
-//!   search nodes *suspends* at its next decision boundary — between first-output
-//!   roots, or between the first-level `PICK-INPUTS` decisions inside a root — and
-//!   emits child tasks covering exactly the untouched remainder. No work is discarded
-//!   or repeated; the suspension point is a pure function of (block, options,
-//!   threshold), so the resulting task tree is identical for every thread count.
-//!   Child ids extend the parent's id ([`TaskId`] is a path; lexicographic order is
-//!   the serial traversal order), which is all the merge needs.
 //! * **Work stealing.** [`WorkStealPool`] gives each worker its own deque: workers
-//!   pop their newest item (their own freshly split children, for locality) and idle
-//!   workers steal the oldest item from a peer — so a skewed subtree that keeps
-//!   splitting is drained by whoever is free, instead of serializing one worker's
-//!   tail. Scheduling order never affects the output: tasks are pure functions and
-//!   the merge sorts by [`TaskId`].
+//!   pop their newest item and idle workers steal the oldest item from a peer, so a
+//!   skewed block's tasks are drained by whoever is free. Scheduling order never
+//!   affects the output: tasks are pure functions and the merge sorts by [`TaskId`].
 //! * **Ordered merge.** [`merge_tasks`] walks each task's first-seen log, in
 //!   [`TaskId`] order, against one global seen-set: the serial run's discovery
 //!   order, so every first-seen/duplicate verdict (and thus every output byte) is
 //!   the serial run's.
 //!
 //! The merged [`Enumeration`] — cuts *and* statistics — is byte-identical to the
-//! serial run for unbudgeted runs, for **any** task count, split threshold and thread
-//! count. With a per-task search budget the result is still deterministic in (tasks,
-//! split threshold), just not equal to the serially budgeted run; batch drivers must
-//! therefore derive both knobs from the block and flags alone, never from the machine.
+//! serial run for unbudgeted runs, for **any** task and thread count. With a per-task
+//! search budget the result is still deterministic in the task count, just not equal
+//! to the serially budgeted run; batch drivers must therefore derive the task count
+//! from the block and flags alone, never from the machine.
 //!
-//! [`parallel_cuts`] bundles split → run/steal → merge behind one call; batch drivers
-//! with their own scheduler (the `ise` CLI) drive [`initial_tasks`], [`run_task`] and
-//! [`merge_tasks`] directly over a shared [`WorkStealPool`].
+//! [`parallel_cuts`] bundles fan-out → run/steal → merge behind one call; batch
+//! drivers with their own scheduler (the `ise` CLI) drive [`initial_tasks`],
+//! [`run_task`] and [`merge_tasks`] directly over a shared [`WorkStealPool`].
 
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -53,7 +40,7 @@ use ise_obs::{Counter, Recorder};
 use crate::config::{Constraints, PruningConfig};
 use crate::context::EnumContext;
 use crate::engine::{CandidateClass, CutKeySet, EngineOptions, SearchState, TaskHarvest};
-use crate::incremental::{IncrementalEnumerator, SuspendPoint};
+use crate::incremental::IncrementalEnumerator;
 use crate::result::Enumeration;
 use crate::stats::EnumStats;
 
@@ -70,110 +57,38 @@ pub struct ParConfig {
     pub threads: usize,
     /// Engine settings shared by every task; `max_search_nodes` applies per task.
     pub options: EngineOptions,
-    /// Recursive split threshold: a task that exceeds this many search nodes suspends
-    /// at its next decision boundary and hands the remainder to child tasks. `None`
-    /// disables splitting (the static fan-out of `tasks` is final). Like `tasks`,
-    /// this changes the work decomposition but never the unbudgeted result.
-    pub split_threshold: Option<usize>,
 }
 
 impl ParConfig {
-    /// A default-options configuration with the given task and thread counts and no
-    /// recursive splitting.
+    /// A default-options configuration with the given task and thread counts.
     pub fn new(tasks: usize, threads: usize) -> Self {
         ParConfig {
             tasks,
             threads,
             options: EngineOptions::default(),
-            split_threshold: None,
         }
     }
 }
 
-/// Deterministic identity of one task in the (possibly recursive) decomposition.
-///
-/// The id is the path from the static fan-out to the task: initial task `i` is `[i]`,
-/// and the `j`-th child spawned by a suspending task appends `j` to its parent's
-/// path. Because a parent's output covers the traversal prefix it completed before
-/// suspending, and children cover the remainder in order, **lexicographic id order is
-/// exactly the serial traversal order** — sorting task outputs by id is all the
-/// deterministic merge needs, no matter which worker ran what when.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TaskId(Vec<u32>);
-
-impl TaskId {
-    fn initial(i: u32) -> Self {
-        TaskId(vec![i])
-    }
-
-    fn child(&self, j: u32) -> Self {
-        let mut path = self.0.clone();
-        path.push(j);
-        TaskId(path)
-    }
-
-    /// The id as a path of child indices (`[i]` for initial task `i`).
-    pub fn path(&self) -> &[u32] {
-        &self.0
-    }
-}
+/// Deterministic identity of one task: its index in the static fan-out of
+/// [`initial_tasks`]. Tasks cover contiguous root ranges in candidate order, so **id
+/// order is exactly the serial traversal order** — sorting task outputs by id is all
+/// the deterministic merge needs, no matter which worker ran what when.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct TaskId(u32);
 
 /// One schedulable unit of the decomposition: a contiguous range of first-output
-/// roots, plus — for a task resuming a root its parent suspended inside — the index
-/// of the first root's first unowned decision. Produced by [`initial_tasks`] and by
-/// [`run_task`] (children of a suspended task); pure data, freely sendable between
-/// workers.
+/// roots. Produced by [`initial_tasks`]; pure data, freely sendable between workers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaskSpec {
     id: TaskId,
     roots: Range<usize>,
-    first_root_skip: Option<usize>,
 }
 
 impl TaskSpec {
     /// The task's deterministic identity (the merge sort key).
-    pub fn id(&self) -> &TaskId {
-        &self.id
-    }
-
-    /// Child tasks covering exactly the work left untouched at `suspend`: the
-    /// remainder of a partially explored root first (it precedes later roots in the
-    /// serial order), then the untouched roots split in halves so the task tree stays
-    /// shallow. Ids extend this task's id in emission order.
-    fn children(&self, suspend: SuspendPoint) -> Vec<TaskSpec> {
-        let mut parts: Vec<(Range<usize>, Option<usize>)> = Vec::new();
-        match suspend {
-            SuspendPoint::AtRoot { next } => split_roots(next..self.roots.end, &mut parts),
-            SuspendPoint::InRoot {
-                root,
-                next_decision,
-            } => {
-                parts.push((root..root + 1, Some(next_decision)));
-                split_roots(root + 1..self.roots.end, &mut parts);
-            }
-        }
-        parts
-            .into_iter()
-            .enumerate()
-            .map(|(j, (roots, first_root_skip))| TaskSpec {
-                id: self.id.child(j as u32),
-                roots,
-                first_root_skip,
-            })
-            .collect()
-    }
-}
-
-/// Splits a root range into at most two non-empty halves (none if it is empty).
-fn split_roots(range: Range<usize>, parts: &mut Vec<(Range<usize>, Option<usize>)>) {
-    match range.len() {
-        0 => {}
-        1 => parts.push((range, None)),
-        len => {
-            let mid = range.start + len / 2;
-            parts.push((range.start..mid, None));
-            parts.push((mid..range.end, None));
-        }
+    pub fn id(&self) -> TaskId {
+        self.id
     }
 }
 
@@ -214,98 +129,74 @@ pub fn task_ranges(candidate_count: usize, tasks: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// The initial (pre-splitting) task specs of a decomposition into `tasks` contiguous
-/// root ranges: one spec per non-empty range of [`task_ranges`], with ids `[0]`,
-/// `[1]`, … in range order.
+/// The task specs of a decomposition into `tasks` contiguous root ranges: one spec
+/// per non-empty range of [`task_ranges`], with ids `0`, `1`, … in range order.
 pub fn initial_tasks(candidate_count: usize, tasks: usize) -> Vec<TaskSpec> {
     task_ranges(candidate_count, tasks)
         .into_iter()
         .enumerate()
         .map(|(i, roots)| TaskSpec {
-            id: TaskId::initial(i as u32),
+            id: TaskId(i as u32),
             roots,
-            first_root_skip: None,
         })
         .collect()
 }
 
 /// Runs one task of the decomposition: the serial engine over the subtrees rooted at
-/// `ctx.candidate_outputs()[spec.roots]` (minus any decision prefix owned by the
-/// task's ancestors), suspending once the search exceeds `split_threshold` nodes.
-/// Returns the task's output plus the child tasks covering whatever the suspension
-/// left untouched (empty when the task ran to completion).
+/// `ctx.candidate_outputs()[spec.roots]`.
 ///
-/// Pure function of its arguments — workers can run tasks in any order on any thread
-/// — and zero-waste: a suspended task keeps everything it explored, so the total work
-/// across a task tree equals the serial run's exactly.
+/// Pure function of its arguments — workers can run tasks in any order on any thread.
 ///
 /// An optional [`Recorder`] receives the task's lifecycle: a per-task span (named
-/// after the [`TaskId`] path, so Chrome-trace timelines nest tasks under their worker
-/// threads), the engine's per-phase timings, and split / child-spawn counters.
+/// after the [`TaskId`], so Chrome-trace timelines nest tasks under their worker
+/// threads), the engine's per-phase timings, and the task counter and node histogram.
 /// Recording never changes the task's output.
-#[allow(clippy::too_many_arguments)]
 pub fn run_task(
     ctx: &EnumContext,
     constraints: &Constraints,
     pruning: &PruningConfig,
     options: &EngineOptions,
-    split_threshold: Option<usize>,
     spec: &TaskSpec,
     rec: Option<&dyn Recorder>,
-) -> (TaskOutput, Vec<TaskSpec>) {
+) -> TaskOutput {
     let span = match rec {
-        Some(rec) if rec.enabled() => {
-            let path: Vec<String> = spec.id.path().iter().map(u32::to_string).collect();
-            rec.span_begin("task", &format!("task {}", path.join(".")))
-        }
+        Some(rec) if rec.enabled() => rec.span_begin("task", &format!("task {}", spec.id.0)),
         _ => ise_obs::SpanToken::NONE,
     };
     let mut enumerator = IncrementalEnumerator::with_root_range(ctx, pruning, spec.roots.clone());
-    enumerator.set_task_split(split_threshold, spec.first_root_skip);
     let mut state = SearchState::new(ctx, constraints, options);
     if let Some(rec) = rec {
         state.set_recorder(rec);
     }
     state.enable_class_log();
     crate::engine::Enumerator::search(&mut enumerator, &mut state);
-    let children = match enumerator.take_suspension() {
-        Some(suspend) => spec.children(suspend),
-        None => Vec::new(),
-    };
     let output = TaskOutput {
         harvest: state.finish_task(),
     };
     if let Some(rec) = rec {
         rec.add("ise_pool_tasks_total", 1);
-        if !children.is_empty() {
-            rec.add("ise_pool_splits_total", 1);
-            rec.add("ise_pool_children_spawned_total", children.len() as u64);
-        }
         rec.observe(
             "ise_pool_task_nodes",
             output.harvest.stats.search_nodes as u64,
         );
         rec.span_end(span);
     }
-    (output, children)
+    output
 }
 
 /// A work-stealing scheduler over per-worker deques; `std`-only.
 ///
 /// Each worker owns one deque. [`pop`](Self::pop) serves the worker's own newest item
-/// first (LIFO — freshly split children, still warm in cache) and, when the own deque
-/// is empty, steals the *oldest* item from a peer (FIFO — the oldest items are the
-/// coarsest, so a steal moves the most work per lock acquisition). An atomic
-/// in-flight count covering queued *and* running items gives exact termination:
-/// `pop` returns `None` only when nothing is queued anywhere and no running item can
-/// spawn more children.
+/// first (LIFO) and, when the own deque is empty, steals the *oldest* item from a
+/// peer (FIFO — the oldest items are the coarsest, so a steal moves the most work per
+/// lock acquisition). The item set is fixed once [`seed`](Self::seed)ed, so `pop`
+/// returns `None` as soon as every deque is empty.
 ///
 /// The pool schedules; it never sequences results. Users tag items with their own
 /// deterministic order (the enumeration tasks carry a [`TaskId`]) and sort after the
 /// pool drains.
 pub struct WorkStealPool<T> {
     queues: Vec<Mutex<VecDeque<T>>>,
-    in_flight: AtomicUsize,
     obs: PoolCounters,
 }
 
@@ -313,16 +204,12 @@ pub struct WorkStealPool<T> {
 /// (single null-check per event) until [`WorkStealPool::set_recorder`] arms them.
 #[derive(Default)]
 struct PoolCounters {
-    /// Items seeded into the pool up front.
+    /// Items seeded into the pool.
     seeded: Counter,
-    /// Items pushed by a running item (split children).
-    pushed: Counter,
     /// Items a worker popped from its own deque.
     own_pops: Counter,
     /// Items a worker stole from a peer's deque.
     steals: Counter,
-    /// Items marked fully processed.
-    done: Counter,
 }
 
 impl<T> WorkStealPool<T> {
@@ -330,22 +217,19 @@ impl<T> WorkStealPool<T> {
     pub fn new(workers: usize) -> Self {
         WorkStealPool {
             queues: (0..workers.max(1)).map(|_| Mutex::default()).collect(),
-            in_flight: AtomicUsize::new(0),
             obs: PoolCounters::default(),
         }
     }
 
-    /// Arms the scheduling counters (`ise_pool_seeded_total`, `ise_pool_pushed_total`,
-    /// `ise_pool_own_pops_total`, `ise_pool_steals_total`, `ise_pool_done_total`).
-    /// The ledger `own_pops + steals == done` holds whenever the pool has drained.
-    /// Recording never affects scheduling.
+    /// Arms the scheduling counters (`ise_pool_seeded_total`,
+    /// `ise_pool_own_pops_total`, `ise_pool_steals_total`). The ledger
+    /// `own_pops + steals == seeded` holds whenever the pool has drained. Recording
+    /// never affects scheduling.
     pub fn set_recorder(&mut self, rec: &dyn Recorder) {
         self.obs = PoolCounters {
             seeded: rec.counter("ise_pool_seeded_total"),
-            pushed: rec.counter("ise_pool_pushed_total"),
             own_pops: rec.counter("ise_pool_own_pops_total"),
             steals: rec.counter("ise_pool_steals_total"),
-            done: rec.counter("ise_pool_done_total"),
         };
     }
 
@@ -354,61 +238,36 @@ impl<T> WorkStealPool<T> {
         self.queues.len()
     }
 
-    /// Distributes initial items round-robin across the worker deques.
+    /// Distributes the items round-robin across the worker deques. Seed before any
+    /// worker pops: a worker that finds every deque empty stops.
     pub fn seed<I: IntoIterator<Item = T>>(&self, items: I) {
         for (i, item) in items.into_iter().enumerate() {
-            self.in_flight.fetch_add(1, Ordering::AcqRel);
             self.obs.seeded.incr();
             let queue = &self.queues[i % self.queues.len()];
             queue.lock().expect("pool lock poisoned").push_back(item);
         }
     }
 
-    /// Enqueues an item produced while processing another one onto `worker`'s own
-    /// deque. Must be called *before* the producing item's [`done`](Self::done), so
-    /// the in-flight count never drops to zero while work remains.
-    pub fn push(&self, worker: usize, item: T) {
-        self.in_flight.fetch_add(1, Ordering::AcqRel);
-        self.obs.pushed.incr();
-        self.queues[worker]
+    /// Next item for `worker`: its own deque first (newest), then stealing the oldest
+    /// item from a peer; `None` once every deque is empty.
+    pub fn pop(&self, worker: usize) -> Option<T> {
+        if let Some(item) = self.queues[worker]
             .lock()
             .expect("pool lock poisoned")
-            .push_back(item);
-    }
-
-    /// Next item for `worker`: its own deque first (newest), then stealing the oldest
-    /// item from a peer. Blocks (spinning with `yield_now`) while other workers still
-    /// process items that may split; returns `None` only when everything is done.
-    pub fn pop(&self, worker: usize) -> Option<T> {
-        loop {
-            if let Some(item) = self.queues[worker]
-                .lock()
-                .expect("pool lock poisoned")
-                .pop_back()
-            {
-                self.obs.own_pops.incr();
+            .pop_back()
+        {
+            self.obs.own_pops.incr();
+            return Some(item);
+        }
+        let n = self.queues.len();
+        for offset in 1..n {
+            let victim = &self.queues[(worker + offset) % n];
+            if let Some(item) = victim.lock().expect("pool lock poisoned").pop_front() {
+                self.obs.steals.incr();
                 return Some(item);
             }
-            let n = self.queues.len();
-            for offset in 1..n {
-                let victim = &self.queues[(worker + offset) % n];
-                if let Some(item) = victim.lock().expect("pool lock poisoned").pop_front() {
-                    self.obs.steals.incr();
-                    return Some(item);
-                }
-            }
-            if self.in_flight.load(Ordering::Acquire) == 0 {
-                return None;
-            }
-            std::thread::yield_now();
         }
-    }
-
-    /// Marks one popped item fully processed. Call after pushing any children the
-    /// item spawned.
-    pub fn done(&self) {
-        self.in_flight.fetch_sub(1, Ordering::AcqRel);
-        self.obs.done.incr();
+        None
     }
 }
 
@@ -450,8 +309,7 @@ fn merge_tasks_inner(
 ) -> Enumeration {
     let mut stats = EnumStats::new();
     // Counters independent of de-duplication are plain sums: the tasks partition the
-    // serial traversal (recursive splits suspend and resume at decision boundaries
-    // without re-counting), and nothing below the top level reads the seen-set.
+    // serial traversal, and nothing below the top level reads the seen-set.
     for out in &outputs {
         let s = out.harvest.stats;
         stats.candidates_checked += s.candidates_checked;
@@ -498,13 +356,12 @@ pub struct ParRun {
     /// The merged result — byte-identical to the serial run when unbudgeted.
     pub enumeration: Enumeration,
     /// Per-task `search_nodes`, in deterministic merge ([`TaskId`]) order. Its length
-    /// is the final task count, including recursively split children; the max/mean
-    /// ratio of the values is the load-skew measure the E7 bench reports.
+    /// is the task count; the max/mean ratio of the values is the load-skew measure
+    /// the E7 bench reports.
     pub task_nodes: Vec<usize>,
 }
 
-/// Splits the search into [`ParConfig::tasks`] first-output tasks (recursively
-/// re-split past [`ParConfig::split_threshold`] nodes), runs them on
+/// Splits the search into [`ParConfig::tasks`] first-output tasks, runs them on
 /// [`ParConfig::threads`] work-stealing workers, and merges. For unbudgeted runs the
 /// result equals [`crate::incremental_cuts`] exactly (cuts and statistics); neither
 /// thread count nor scheduling order ever changes it.
@@ -548,9 +405,9 @@ pub fn parallel_cuts(
     let candidates = ctx.candidate_outputs().len();
     let tasks = config.tasks.clamp(1, candidates.max(1));
     let specs = initial_tasks(candidates, tasks);
-    if specs.is_empty() || (specs.len() == 1 && config.split_threshold.is_none()) {
-        // Degenerate decompositions (no candidates, or a single task with splitting
-        // off) are exactly the serial run; skip the scheduler and the merge replay.
+    if specs.len() <= 1 {
+        // Degenerate decompositions (no candidates, or a single task) are exactly the
+        // serial run; skip the scheduler and the merge replay.
         let enumeration =
             crate::incremental::incremental_cuts(ctx, constraints, pruning, &config.options, rec);
         let nodes = enumeration.stats.search_nodes;
@@ -559,12 +416,7 @@ pub fn parallel_cuts(
             task_nodes: vec![nodes],
         };
     }
-    // With recursive splitting a single initial task can still fan out, so only the
-    // static decomposition clamps workers to the task count.
-    let workers = match config.split_threshold {
-        Some(_) => config.threads.max(1),
-        None => config.threads.clamp(1, specs.len()),
-    };
+    let workers = config.threads.clamp(1, specs.len());
     let mut pool = WorkStealPool::new(workers);
     if let Some(rec) = rec {
         pool.set_recorder(rec);
@@ -580,29 +432,17 @@ pub fn parallel_cuts(
                     rec.set_thread_name(&format!("worker-{worker}"));
                 }
                 while let Some(spec) = pool.pop(worker) {
-                    let (output, children) = run_task(
-                        ctx,
-                        constraints,
-                        pruning,
-                        &config.options,
-                        config.split_threshold,
-                        &spec,
-                        rec,
-                    );
-                    for child in children {
-                        pool.push(worker, child);
-                    }
+                    let output = run_task(ctx, constraints, pruning, &config.options, &spec, rec);
                     results
                         .lock()
                         .expect("result lock poisoned")
                         .push((spec.id, output));
-                    pool.done();
                 }
             });
         }
     });
     let mut outputs = results.into_inner().expect("result lock poisoned");
-    outputs.sort_by(|a, b| a.0.cmp(&b.0));
+    outputs.sort_by_key(|(id, _)| *id);
     let task_nodes = outputs
         .iter()
         .map(|(_, out)| out.stats().search_nodes)
@@ -685,9 +525,11 @@ mod tests {
     }
 
     #[test]
-    fn work_steal_pool_drains_dynamic_items() {
-        let pool: WorkStealPool<usize> = WorkStealPool::new(3);
-        pool.seed([10, 20, 30]);
+    fn work_steal_pool_drains_every_seeded_item_once() {
+        let registry = ise_obs::MetricsRegistry::new();
+        let mut pool: WorkStealPool<usize> = WorkStealPool::new(3);
+        pool.set_recorder(&registry);
+        pool.seed(0..10);
         let drained = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             for worker in 0..pool.workers() {
@@ -695,19 +537,36 @@ mod tests {
                 let drained = &drained;
                 scope.spawn(move || {
                     while let Some(item) = pool.pop(worker) {
-                        // Items under 10 are "children" spawned dynamically.
-                        if item >= 10 {
-                            pool.push(worker, item / 10);
-                        }
                         drained.lock().unwrap().push(item);
-                        pool.done();
                     }
                 });
             }
         });
         let mut seen = drained.into_inner().unwrap();
         seen.sort_unstable();
-        assert_eq!(seen, vec![1, 2, 3, 10, 20, 30]);
+        assert_eq!(seen, (0..10).collect::<Vec<_>>());
+        assert_eq!(pool.pop(0), None, "a drained pool stays empty");
+        let popped = registry.counter_value("ise_pool_own_pops_total")
+            + registry.counter_value("ise_pool_steals_total");
+        assert_eq!(popped, registry.counter_value("ise_pool_seeded_total"));
+        assert_eq!(popped, 10);
+    }
+
+    #[test]
+    fn work_steal_pool_pops_own_newest_then_steals_oldest() {
+        let pool: WorkStealPool<usize> = WorkStealPool::new(2);
+        // Round-robin: worker 0 holds [0, 2, 4], worker 1 holds [1, 3].
+        pool.seed(0..5);
+        assert_eq!(pool.pop(1), Some(3));
+        assert_eq!(pool.pop(1), Some(1));
+        assert_eq!(
+            pool.pop(1),
+            Some(0),
+            "an idle worker steals the oldest item"
+        );
+        assert_eq!(pool.pop(0), Some(4));
+        assert_eq!(pool.pop(0), Some(2));
+        assert_eq!(pool.pop(0), None);
     }
 
     #[test]
@@ -728,54 +587,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn recursive_splitting_reproduces_the_serial_run_exactly() {
-        let ctx = cross_task_ctx();
-        let constraints = Constraints::new(4, 2).unwrap();
-        let serial = serial(&ctx, &constraints, &EngineOptions::default());
-        for split_threshold in [1, 2, 5, 50] {
-            for tasks in [1, 2, 4] {
-                for threads in [1, 3] {
-                    let mut config = ParConfig::new(tasks, threads);
-                    config.split_threshold = Some(split_threshold);
-                    let run = par(&ctx, &constraints, &config);
-                    assert_identical(
-                        &run.enumeration,
-                        &serial,
-                        &format!("split={split_threshold} tasks={tasks} threads={threads}"),
-                    );
-                    assert_eq!(
-                        run.task_nodes.iter().sum::<usize>(),
-                        serial.stats.search_nodes,
-                        "zero-waste splitting: per-task nodes sum to the serial count"
-                    );
-                }
-            }
-        }
-        // A tiny threshold must actually exercise splitting.
-        let mut config = ParConfig::new(1, 1);
-        config.split_threshold = Some(1);
-        assert!(
-            par(&ctx, &constraints, &config).task_nodes.len() > 1,
-            "threshold 1 must split the single initial task"
-        );
-    }
-
-    #[test]
-    fn splitting_is_deterministic_in_the_thread_count() {
-        let ctx = cross_task_ctx();
-        let constraints = Constraints::new(4, 2).unwrap();
-        let mut plans = Vec::new();
-        for threads in [1, 2, 8] {
-            let mut config = ParConfig::new(2, threads);
-            config.split_threshold = Some(3);
-            plans.push(par(&ctx, &constraints, &config).task_nodes);
-        }
-        assert_eq!(plans[0], plans[1], "split plan must not depend on threads");
-        assert_eq!(plans[0], plans[2], "split plan must not depend on threads");
-    }
-
-    /// Drives split → run → merge directly, as the CLI's scheduler does: the merge
+    /// Drives fan-out → run → merge directly, as the CLI's scheduler does: the merge
     /// must equal the bundled entry point's.
     #[test]
     fn manual_stage_pipeline_matches_the_bundled_entry_point() {
@@ -786,7 +598,7 @@ mod tests {
         let bundled = par(&ctx, &constraints, &ParConfig::new(3, 1)).enumeration;
         let outputs: Vec<TaskOutput> = initial_tasks(ctx.candidate_outputs().len(), 3)
             .iter()
-            .map(|spec| run_task(&ctx, &constraints, &pruning, &options, None, spec, None).0)
+            .map(|spec| run_task(&ctx, &constraints, &pruning, &options, spec, None))
             .collect();
         assert!(outputs.iter().all(|o| o.stats().search_nodes > 0));
         let merged = merge_tasks(&ctx, outputs, None);
@@ -807,29 +619,5 @@ mod tests {
                 Some(first) => assert_identical(&run, first, "budgeted determinism"),
             }
         }
-    }
-
-    #[test]
-    fn budget_exhaustion_suppresses_splitting() {
-        // A budget below the split threshold truncates tasks before they can split:
-        // the run must behave exactly like the pre-splitting implementation.
-        let ctx = cross_task_ctx();
-        let constraints = Constraints::new(4, 2).unwrap();
-        let mut plain = ParConfig::new(2, 1);
-        plain.options.max_search_nodes = Some(10);
-        let mut split = plain.clone();
-        split.split_threshold = Some(10_000);
-        let base = par(&ctx, &constraints, &plain);
-        let with_split = par(&ctx, &constraints, &split);
-        assert_identical(
-            &with_split.enumeration,
-            &base.enumeration,
-            "budget wins over splitting",
-        );
-        assert_eq!(
-            with_split.task_nodes.len(),
-            base.task_nodes.len(),
-            "no children under an exhausted budget"
-        );
     }
 }

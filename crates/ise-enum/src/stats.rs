@@ -107,9 +107,9 @@ impl EnumStats {
 /// `search_nodes` counts spread over the tasks of one parallel run.
 ///
 /// The headline number is [`skew_ratio`](Self::skew_ratio) = max / mean. A perfectly
-/// balanced fan-out scores 1.0; a single-split fan-out whose heaviest first-output
-/// subtree dwarfs the rest scores close to the task count (one task owns nearly
-/// everything) — the tail-serialization pathology recursive task splitting removes.
+/// balanced fan-out scores 1.0; a fan-out whose heaviest first-output subtree dwarfs
+/// the rest scores close to the task count (one task owns nearly everything, so its
+/// tail serializes the run).
 /// The E7 scaling bench records this per row.
 ///
 /// # Example

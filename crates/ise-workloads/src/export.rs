@@ -98,9 +98,8 @@ pub fn standard_export(seed: u64) -> Vec<ExportBlock> {
 
     // The load-skew worst case for count-balanced task fan-out: one dense
     // forbidden-free ALU blob (all the enumeration work) amid trivial chains (all
-    // the candidate padding). The committed block exercising recursive task
-    // splitting in CI and the E7 skew study; kept modest so unbudgeted runs stay
-    // fast.
+    // the candidate padding). The committed block exercising forced task fan-out
+    // in CI; kept modest so unbudgeted runs stay fast.
     let skew_cfg = SkewedDagConfig::new(24, 24);
     blocks.push(ExportBlock {
         family: "skewed-dag",

@@ -14,7 +14,7 @@
 //! * [`mibench_like`] — a MiBench-like basic-block generator and the 250-block suite
 //!   with the paper's size clusters;
 //! * [`skewed_dag`](mod@skewed_dag) — one dense ALU blob amid trivial chains, the
-//!   load-skew worst case for count-balanced task fan-out (the E7 splitting study);
+//!   load-skew worst case for count-balanced task fan-out;
 //! * [`expr`] — a tiny straight-line-code frontend that compiles expression statements
 //!   into data-flow graphs, used by the examples;
 //! * [`export`] — the standard corpus export: a diverse selection from every family

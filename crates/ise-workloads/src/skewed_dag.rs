@@ -3,14 +3,13 @@
 //! The first-output task decomposition of `ise_enum::par` partitions the candidate
 //! outputs into contiguous ranges. That is a *count* balance, not a *work* balance:
 //! real blocks concentrate their enumeration cost in a few dense ALU regions, so one
-//! range can own almost all search nodes while the rest finish instantly — the
-//! tail-serialization pathology that recursive task splitting (E7, DESIGN.md §1.3)
-//! exists to remove. This generator builds such a block on purpose: a single densely
-//! wired forbidden-free ALU blob (every node a candidate root of an expensive
-//! subtree, clustered at the front of the candidate order) followed by many trivial
-//! unary chains (cheap roots that pad the candidate count). Static fan-out over it
-//! shows a task-load skew close to the task count; with splitting enabled the heavy
-//! ranges break apart and the skew collapses.
+//! range can own almost all search nodes while the rest finish instantly, and its
+//! tail serializes the run (DESIGN.md §1.3). This generator builds such a block on
+//! purpose: a single densely wired forbidden-free ALU blob (every node a candidate
+//! root of an expensive subtree, clustered at the front of the candidate order)
+//! followed by many trivial unary chains (cheap roots that pad the candidate count).
+//! Static fan-out over it shows a large task-load skew, which makes it the stress
+//! case for the fan-out's exactness and work stealing.
 
 use ise_graph::{Dfg, DfgBuilder, NodeId, Operation};
 use rand::rngs::StdRng;

@@ -1,7 +1,7 @@
 //! The observability non-interference invariant, end to end: turning recording on
 //! (`--trace-out`, `--progress`, memo/pool instrumentation and all) must not change
 //! a single byte of the `--out` JSON — across thread counts, memoization modes and
-//! forced task splits on the committed `corpus/`. This is the test-pinned form of
+//! forced task fan-out on the committed `corpus/`. This is the test-pinned form of
 //! the DESIGN.md §8 contract that `ise-obs` only *observes*: the engine, pool,
 //! memo and reporting layers may count and time themselves, but never steer.
 //!
@@ -135,40 +135,33 @@ fn check_trace(path: &PathBuf) {
     let _ = fs::remove_file(path);
 }
 
-/// `ise enumerate`: recording on vs off over the (threads × split-threshold)
-/// grid, plus cross-thread-count invariance with recording ON everywhere.
+/// `ise enumerate` with every block fanned out: recording on vs off per thread
+/// count, plus cross-thread-count invariance with recording ON everywhere.
 #[test]
 fn enumerate_json_is_byte_identical_with_recording_on() {
     let mut across: Vec<String> = Vec::new();
     for threads in ["1", "2"] {
-        for split in [None, Some("1000")] {
-            let mut config = vec!["--threads", threads, "--par-threshold", "1"];
-            if let Some(split) = split {
-                config.extend(["--split-threshold", split]);
-            }
-            let off = run_to_json("enumerate", &config);
+        let config = vec!["--threads", threads, "--par-threshold", "1"];
+        let off = run_to_json("enumerate", &config);
 
-            let trace = scratch("enumerate-trace.json");
-            let mut on_args = config.clone();
-            let trace_str = trace.to_str().expect("temp path is valid UTF-8");
-            on_args.extend(["--trace-out", trace_str, "--progress"]);
-            let on = run_to_json("enumerate", &on_args);
-            check_trace(&trace);
+        let trace = scratch("enumerate-trace.json");
+        let mut on_args = config.clone();
+        let trace_str = trace.to_str().expect("temp path is valid UTF-8");
+        on_args.extend(["--trace-out", trace_str, "--progress"]);
+        let on = run_to_json("enumerate", &on_args);
+        check_trace(&trace);
 
-            assert_eq!(
-                strip_timing(&off),
-                strip_timing(&on),
-                "recording changed enumerate --out bytes (threads={threads} split={split:?})"
-            );
-            across.push(strip_config_echo(&on));
-        }
-    }
-    for stripped in &across[1..] {
         assert_eq!(
-            &across[0], stripped,
-            "enumerate results must not depend on threads/split with recording on"
+            strip_timing(&off),
+            strip_timing(&on),
+            "recording changed enumerate --out bytes (threads={threads})"
         );
+        across.push(strip_config_echo(&on));
     }
+    assert_eq!(
+        across[0], across[1],
+        "enumerate results must not depend on threads with recording on"
+    );
 }
 
 /// `ise group`: the memo dimension — with and without `--no-memo`, recording on

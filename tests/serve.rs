@@ -2,7 +2,8 @@
 //! arbitrary operation sequences (property-tested), byte-identical recomputation
 //! after eviction, and the cache-key canonicalization regression — formatting-only
 //! block variants must share a key while any flag change must miss — and the
-//! in-band rejection of the retired `dedup-mode` request flag.
+//! in-band rejection of the retired `dedup-mode` and `split-threshold` request
+//! flags.
 //!
 //! These drive the daemon through its public surface ([`ise_cli::serve::ServerState`]
 //! and [`ise_cli::cache::LruCache`]); the protocol-level cold/warm byte-identity and
@@ -188,4 +189,26 @@ fn retired_dedup_mode_flag_is_an_in_band_error() {
     let next = state.handle_line(&request("enumerate", &block, "\"budget\":5000"));
     assert!(next.starts_with("{\"ok\":true"), "{next}");
     assert!(next.contains("\"dedup_mode\":\"dedup-first\""), "{next}");
+}
+
+/// Recursive task splitting is gone: a request carrying `split-threshold` gets an
+/// in-band error, and the daemon answers the next request, whose report still echoes
+/// the retired threshold's fixed value.
+#[test]
+fn retired_split_threshold_flag_is_an_in_band_error() {
+    let state = ServerState::new(8, None);
+    let block = tiny_block(12);
+    let rejected = state.handle_line(&request(
+        "enumerate",
+        &block,
+        "\"budget\":5000,\"split-threshold\":5",
+    ));
+    assert!(rejected.starts_with("{\"ok\":false"), "{rejected}");
+    assert!(
+        rejected.contains("unknown flag") && rejected.contains("split-threshold"),
+        "{rejected}"
+    );
+    let next = state.handle_line(&request("enumerate", &block, "\"budget\":5000"));
+    assert!(next.starts_with("{\"ok\":true"), "{next}");
+    assert!(next.contains("\"split_threshold\":1000000"), "{next}");
 }

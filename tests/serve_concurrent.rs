@@ -193,7 +193,7 @@ fn concurrent_mixed_workload_matches_serial_replay() {
     // Observability ledgers, under full concurrency. Every span that was entered
     // was exited (no leaked tokens on any path, error dispatches included), the
     // registry's request counter agrees with the `server` object it feeds, and
-    // every task the pool handed out was popped from its owner's deque or stolen
+    // every item seeded into the pool was popped from its owner's deque or stolen
     // — never both, never neither.
     let registry = state.registry();
     assert_eq!(
@@ -209,8 +209,8 @@ fn concurrent_mixed_workload_matches_serial_replay() {
     assert_eq!(
         registry.counter_value("ise_pool_own_pops_total")
             + registry.counter_value("ise_pool_steals_total"),
-        registry.counter_value("ise_pool_done_total"),
-        "own pops + steals must account for every executed pool item"
+        registry.counter_value("ise_pool_seeded_total"),
+        "own pops + steals must account for every seeded pool item"
     );
 }
 
