@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Golden output digests. Runs `ise enumerate`, `ise group`, `ise group --nin 2
-# --nout 1`, per-block `ise select` and `ise select --global` over the committed
-# corpus at --budget 100000 --threads 2, strips the volatile
+# Golden output digests. Runs `ise enumerate`, `ise enumerate --nout 3`,
+# `ise group`, `ise group --nin 2 --nout 1`, per-block `ise select` and
+# `ise select --global` over the committed corpus at --budget 100000
+# --threads 2, strips the volatile
 # fields with ci/strip-volatile.sh, and checks the MD5 of each stripped output
 # against ci/golden.md5. `update` rewrites ci/golden.md5 instead: do that only in a
 # change that is meant to change the output, and say so in its description
@@ -23,6 +24,7 @@ run() { # run NAME ARGS...: writes the command's stripped output to $dir/NAME.st
     ci/strip-volatile.sh "$dir/$name.json" >"$dir/$name.stripped"
 }
 run enumerate enumerate
+run enumerate-nout3 enumerate --nout 3
 run group group
 run group-nin2-nout1 group --nin 2 --nout 1
 run select select
@@ -30,8 +32,8 @@ run select-global select --global
 
 case $mode in
 check) (cd "$dir" && md5sum -c "$golden") ;;
-update) (cd "$dir" && md5sum enumerate.stripped group.stripped group-nin2-nout1.stripped \
-    select.stripped select-global.stripped) >"$golden" ;;
+update) (cd "$dir" && md5sum enumerate.stripped enumerate-nout3.stripped group.stripped \
+    group-nin2-nout1.stripped select.stripped select-global.stripped) >"$golden" ;;
 *)
     echo "usage: ci/golden.sh [check|update] [ISE_BINARY]" >&2
     exit 2

@@ -242,6 +242,30 @@ impl EnumContext {
         }
         true
     }
+
+    /// Writes into `out` the vertices that some path from the artificial source
+    /// reaches while avoiding `set`: a vertex is open iff it is the source, or it is
+    /// outside `set` and has an open predecessor. For every vertex `target` other than
+    /// the source, `!out.contains(target)` equals
+    /// [`set_dominates_in(set, target)`](EnumContext::set_dominates_in), including for
+    /// an empty `set` and a `set` that holds `target`.
+    ///
+    /// It is one `O(n + e)` scan of the kept topological order, so one sweep answers
+    /// set dominance for every target at once: `PICK-OUTPUT` runs it once per call
+    /// instead of one backward walk per candidate output. `out` is cleared first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` or `out` was sized for a different graph.
+    pub fn open_set_in(&self, set: &DenseNodeSet, out: &mut DenseNodeSet) {
+        out.clear();
+        out.insert(self.rooted.source());
+        for &v in self.topo.order() {
+            if !set.contains(v) && self.rooted.preds(v).iter().any(|&p| out.contains(p)) {
+                out.insert(v);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -323,6 +347,31 @@ mod tests {
         assert!(dominates(&[n], n), "a set dominates its own members");
         assert!(!dominates(&[b], a), "a root hangs off the source directly");
         assert!(!dominates(&[x], n), "descendants never block a vertex");
+    }
+
+    #[test]
+    fn open_set_is_the_complement_of_set_dominance() {
+        let (ctx, [a, b, n, x, st]) = sample();
+        let (source, sink) = (ctx.rooted().source(), ctx.rooted().sink());
+        let set = |nodes: &[NodeId]| {
+            DenseNodeSet::from_nodes(ctx.rooted().num_nodes(), nodes.iter().copied())
+        };
+        // One buffer for every sweep: stale bits from an earlier one must not leak.
+        let mut open = ctx.rooted().node_set();
+        let mut open_for = |nodes: &[NodeId]| {
+            ctx.open_set_in(&set(nodes), &mut open);
+            open.clone()
+        };
+        let everything = set(&[a, b, n, x, st, source, sink]);
+        assert_eq!(open_for(&[]), everything, "an empty set blocks nothing");
+        assert_eq!(open_for(&[a, b]), set(&[source]), "{{a, b}} cuts off all");
+        assert_eq!(open_for(&[a]), set(&[b, n, x, st, source, sink]));
+        assert_eq!(
+            open_for(&[n]),
+            set(&[a, b, source]),
+            "n and its descendants"
+        );
+        assert_eq!(open_for(&[x]), set(&[a, b, n, source]), "x closes itself");
     }
 
     #[test]

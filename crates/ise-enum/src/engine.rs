@@ -393,6 +393,8 @@ impl<'a> SearchState<'a> {
 
     /// Whether the chosen input set blocks every source path to `target` (condition 1
     /// of the generalized-dominator definition), using the preallocated walk scratch.
+    /// The incremental search reads cone levels and open sets instead; debug builds
+    /// check both against this walk.
     pub fn inputs_dominate(&mut self, target: NodeId) -> bool {
         self.checker
             .set_dominates(self.ctx, &self.input_set, target)

@@ -4,7 +4,8 @@
 //! The algorithm interleaves three recursive procedures:
 //!
 //! * `PICK-OUTPUT` chooses the next output vertex among the admissible candidates
-//!   (vertices not related by postdominance to an already chosen output);
+//!   (vertices not related by postdominance to an already chosen output), and goes
+//!   to `CHECK-CUT` if the chosen inputs dominate it, to `PICK-INPUTS` otherwise;
 //! * `PICK-INPUTS` grows the input set for the current output: the Dubrova-style
 //!   *completions* (single-vertex dominators of the output in the graph reduced by the
 //!   current seed, each of which closes a multiple-vertex dominator) come from one DAG
@@ -17,6 +18,13 @@
 //! transactions, as prescribed by §5.2: choosing an output extends `S`, choosing an
 //! input retracts the vertices it cuts off, and backtracking replays the undo trail
 //! (DESIGN.md records the history).
+//!
+//! `PICK-OUTPUT` decides its branch before it extends `S`. Whether the chosen inputs
+//! dominate a candidate does not depend on the body, and the input set is the same for
+//! every candidate of one call, so one forward sweep per call
+//! ([`EnumContext::open_set_in`], taken lazily at the first candidate that needs a
+//! verdict) answers every candidate with an `O(1)` lookup. A candidate that is not
+//! dominated when no input is left can reach no cut, and is skipped without pushing it.
 //!
 //! The cone passes behind the completions live on the level stack of one
 //! [`ConeDominators`] workspace, which mirrors the recursion. A `PICK-INPUTS` entered
@@ -31,7 +39,7 @@
 use std::ops::Range;
 
 use ise_dominators::ConeDominators;
-use ise_graph::NodeId;
+use ise_graph::{DenseNodeSet, NodeId};
 use ise_obs::Recorder;
 
 use crate::config::{Constraints, PruningConfig};
@@ -88,13 +96,15 @@ pub fn incremental_cuts(
 /// The Figure 3 search as an [`Enumerator`] over the shared engine.
 ///
 /// Owns only the algorithm-specific pieces: the pruning configuration, the reusable
-/// cone-dominator level stack behind the dominator completions, and a pool of
-/// completion buffers (one per active recursion depth).
+/// cone-dominator level stack behind the dominator completions, and pools of
+/// completion and open-set buffers (one per active recursion depth).
 pub struct IncrementalEnumerator<'a> {
     ctx: &'a EnumContext,
     pruning: &'a PruningConfig,
     cone: ConeDominators,
     completion_pool: Vec<Vec<NodeId>>,
+    /// Open-set buffers of `PICK-OUTPUT`, one per active call that has swept one.
+    open_pool: Vec<DenseNodeSet>,
     /// When set, the *top-level* `PICK-OUTPUT` (no outputs chosen yet) only considers
     /// `ctx.candidate_outputs()[range]` as the first output; deeper levels are
     /// unrestricted. This is the task decomposition of the `par` module: each
@@ -110,6 +120,7 @@ impl<'a> IncrementalEnumerator<'a> {
             pruning,
             cone: ConeDominators::new(),
             completion_pool: Vec::new(),
+            open_pool: Vec::new(),
             root_range: None,
         }
     }
@@ -160,9 +171,13 @@ impl<'a> IncrementalEnumerator<'a> {
             Some(range) if is_top => &all[range.clone()],
             _ => all,
         };
+        // This call's open set (`EnumContext::open_set_in` of the chosen inputs), swept
+        // at the first candidate that needs a dominance verdict. The input set is the
+        // same on every iteration: each nested push is popped before the next one.
+        let mut open: Option<DenseNodeSet> = None;
         for &o in candidates {
             if state.out_of_budget() {
-                return;
+                break;
             }
             state.stats_mut().search_nodes += 1;
             if state.output_set().contains(o) {
@@ -204,16 +219,42 @@ impl<'a> IncrementalEnumerator<'a> {
                 continue;
             }
 
+            // Decide before building: whether the chosen inputs dominate `o` does not
+            // depend on the body, so the verdict is an `O(1)` lookup taken before
+            // `push_output`, and an `o` that is not dominated with no input left is
+            // skipped without growing the body over its closure. An empty input set
+            // dominates nothing.
+            let dominated = !state.chosen_inputs().is_empty() && {
+                let open = open.get_or_insert_with(|| {
+                    let mut buf = self
+                        .open_pool
+                        .pop()
+                        .unwrap_or_else(|| ctx.rooted().node_set());
+                    let dphase = state.phase_enter(phase::DOMINATORS);
+                    ctx.open_set_in(state.input_set(), &mut buf);
+                    state.phase_restore(dphase);
+                    buf
+                });
+                !open.contains(o)
+            };
+            debug_assert_eq!(
+                dominated,
+                state.inputs_dominate(o),
+                "the open set disagrees with the set-dominance walk at {o}"
+            );
+            if !dominated && remaining_inputs == 0 {
+                continue;
+            }
             state.push_output(o);
-            let dphase = state.phase_enter(phase::DOMINATORS);
-            let dominated = state.inputs_dominate(o);
-            state.phase_restore(dphase);
             if dominated {
                 self.check_cut(state, remaining_inputs, remaining_outputs - 1);
-            } else if remaining_inputs > 0 {
+            } else {
                 self.pick_inputs(state, o, None, remaining_inputs, remaining_outputs - 1, 0);
             }
             state.pop_output();
+        }
+        if let Some(buf) = open {
+            self.open_pool.push(buf);
         }
     }
 

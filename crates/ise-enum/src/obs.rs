@@ -18,10 +18,13 @@ use std::time::Instant;
 pub(crate) mod phase {
     /// Generic search driving (the residue not covered by a specific phase).
     pub const SEARCH: u8 = 0;
-    /// Dominator computations: the cone completions pass and the backward
-    /// set-dominance walk.
+    /// Dominator computations: the cone completions pass of `PICK-INPUTS` and
+    /// the one open-set sweep of a `PICK-OUTPUT` call. The per-candidate lookups
+    /// into that sweep stay in `PICK_OUTPUT`: clocking an `O(1)` lookup would cost
+    /// more than the lookup.
     pub const DOMINATORS: u8 = 1;
-    /// `PICK-OUTPUT` of Figure 3 (admissibility and output prunings).
+    /// `PICK-OUTPUT` of Figure 3 (admissibility, output prunings and the
+    /// per-candidate dominance lookups).
     pub const PICK_OUTPUT: u8 = 2;
     /// `PICK-INPUTS` of Figure 3 (completion windows and seed growth).
     pub const PICK_INPUTS: u8 = 3;

@@ -87,8 +87,8 @@ fn parallel_equals_serial_across_families_and_prunings() {
     }
 }
 
-/// The same equivalence holds under wider port limits and under connected-only
-/// constraints.
+/// The same equivalence holds under wider port limits, three outputs (nested
+/// `PICK-OUTPUT` calls inside every task) and connected-only constraints.
 #[test]
 fn parallel_equals_serial_under_connectedness() {
     for dfg in family_graphs() {
@@ -96,6 +96,7 @@ fn parallel_equals_serial_under_connectedness() {
         let ctx = EnumContext::new(dfg);
         for constraints in [
             Constraints::new(4, 2).unwrap(),
+            Constraints::new(3, 3).unwrap(),
             Constraints::new(2, 2).unwrap().connected_only(true),
         ] {
             let label = format!("`{name}` connected={}", constraints.is_connected_only());

@@ -171,11 +171,15 @@ fn forward_set_dominates(rooted: &RootedDfg, set: &DenseNodeSet, target: NodeId)
 /// * for each seed set × every target (artificial vertices and seed members
 ///   included), the cone completions equal the Lengauer–Tarjan chain of the reduced
 ///   graph element by element, order included;
-/// * `set_dominates_in` (a backward walk) equals the forward-from-source DFS.
+/// * `set_dominates_in` (a backward walk) equals the forward-from-source DFS;
+/// * for every target but the source, `open_set_in` (one forward sweep per seed,
+///   into one buffer shared by all seeds) leaves out exactly the targets the DFS
+///   says the seed dominates.
 ///
 /// Returns how many (seed, target) pairs the seed cut off, hit inside the seed, and
-/// took at a root target, so callers can assert those edge cases were exercised.
-fn check_dag_dominators(ctx: &EnumContext, seeds: &[Vec<NodeId>]) -> [usize; 3] {
+/// took at a root target, and how many seeds held a root, so callers can assert
+/// those edge cases were exercised.
+fn check_dag_dominators(ctx: &EnumContext, seeds: &[Vec<NodeId>]) -> [usize; 4] {
     let rooted = ctx.rooted();
     let name = rooted.dfg().name();
     let lt = lengauer_tarjan(&Forward(rooted));
@@ -196,10 +200,15 @@ fn check_dag_dominators(ctx: &EnumContext, seeds: &[Vec<NodeId>]) -> [usize; 3] 
     let mut completions = Vec::new();
     let mut visited = rooted.node_set();
     let mut stack = Vec::new();
-    let mut seen = [0usize; 3];
+    let mut open = rooted.node_set();
+    let mut seen = [0usize; 4];
     for seed in seeds {
         let set = DenseNodeSet::from_nodes(rooted.num_nodes(), seed.iter().copied());
         let reduced = lengauer_tarjan_reduced(&Forward(rooted), &set);
+        ctx.open_set_in(&set, &mut open);
+        if seed.iter().any(|&v| rooted.preds(v) == [rooted.source()]) {
+            seen[3] += 1;
+        }
         for target in rooted.node_ids() {
             ctx.push_cone_level(&mut ws, &set, target, None);
             ctx.cone_completions(&ws, &mut completions);
@@ -209,11 +218,20 @@ fn check_dag_dominators(ctx: &EnumContext, seeds: &[Vec<NodeId>]) -> [usize; 3] 
                 .filter(|&d| !ctx.artificial().contains(d))
                 .collect();
             assert_eq!(completions, chain, "`{name}` seed {seed:?} target {target}");
+            let dominated = forward_set_dominates(rooted, &set, target);
             assert_eq!(
                 ctx.set_dominates_in(&set, target, &mut visited, &mut stack),
-                forward_set_dominates(rooted, &set, target),
+                dominated,
                 "`{name}` seed {seed:?} target {target}"
             );
+            // The source is open by definition, whatever the seed.
+            if target != rooted.source() {
+                assert_eq!(
+                    !open.contains(target),
+                    dominated,
+                    "`{name}` open set, seed {seed:?} target {target}"
+                );
+            }
             if set.contains(target) {
                 seen[1] += 1;
             } else if !reduced.is_reachable(target) {
@@ -398,10 +416,10 @@ fn seed_sets(rooted: &RootedDfg, random: usize, mut state: u64) -> Vec<Vec<NodeI
 }
 
 /// The DAG dominator pass (whole-graph trees, cone completions, backward set
-/// dominance) agrees with its oracles on every workload family the repository
-/// generates, for many seed sets × every target — including targets the seed cuts
-/// off, root targets whose only predecessor is the source, and targets inside the
-/// seed.
+/// dominance, the open-set sweep) agrees with its oracles on every workload family
+/// the repository generates, for many seed sets × every target — including targets
+/// the seed cuts off, root targets whose only predecessor is the source, targets
+/// inside the seed, and seeds that hold a root.
 #[test]
 fn dag_dominators_match_their_oracles_on_every_workload_family() {
     let graphs = vec![
@@ -418,7 +436,7 @@ fn dag_dominators_match_their_oracles_on_every_workload_family() {
         )
         .expect("snippet compiles"),
     ];
-    let mut seen = [0usize; 3];
+    let mut seen = [0usize; 4];
     for (i, dfg) in graphs.into_iter().enumerate() {
         let ctx = EnumContext::new(dfg);
         let seeds = seed_sets(ctx.rooted(), 12, 0x5eed_0000 + i as u64);
@@ -765,9 +783,9 @@ proptest! {
         }
     }
 
-    /// On random DAGs, the cone completions and the backward set-dominance walk agree
-    /// with their Lengauer–Tarjan and forward-DFS oracles for random seeds × every
-    /// target.
+    /// On random DAGs, the cone completions, the backward set-dominance walk and the
+    /// open-set sweep agree with their Lengauer–Tarjan and forward-DFS oracles for
+    /// random seeds (the empty one included) × every target.
     #[test]
     fn cone_dominators_match_their_oracles(dfg in small_dag_strategy(), state in 1u64..u64::MAX) {
         let ctx = EnumContext::new(dfg);
