@@ -12,6 +12,9 @@
 //! `serve_latency` harness to inspect daemon responses. `parse ∘ render = id` for
 //! every value the emitter can produce (property-tested below).
 //!
+//! [`ObjectWriter`] streams one object to an `io::Write` a field at a time, in the
+//! bytes `render` gives the same tree, for reports too large to build whole.
+//!
 //! # Example
 //!
 //! ```
@@ -190,23 +193,7 @@ impl Json {
                     out.push_str("null");
                 }
             }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            out.push_str(&format!("\\u{:04x}", c as u32));
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Json::Str(s) => write_string(s, out),
             Json::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -223,13 +210,132 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    Json::Str(k.clone()).write(out);
+                    write_string(k, out);
                     out.push(':');
                     v.write(out);
                 }
                 out.push('}');
             }
         }
+    }
+}
+
+fn write_string(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Writes one JSON object to a byte stream a field at a time, in exactly the bytes
+/// [`Json::render`] gives the same object. An [`ObjectWriter::array`] field renders
+/// its items one at a time, so a document of many rows never exists whole in
+/// memory, neither as a tree nor as a string.
+///
+/// # Example
+///
+/// ```
+/// use ise_bench::json::{Json, ObjectWriter};
+///
+/// let mut out = Vec::new();
+/// let mut doc = ObjectWriter::begin(&mut out).unwrap();
+/// doc.field("schema", &Json::str("demo/v1")).unwrap();
+/// doc.array("rows", (0..3).map(Json::uint)).unwrap();
+/// doc.end().unwrap();
+/// let tree = Json::object([
+///     ("schema", Json::str("demo/v1")),
+///     ("rows", Json::array((0..3).map(Json::uint))),
+/// ]);
+/// assert_eq!(out, tree.render().into_bytes());
+/// ```
+pub struct ObjectWriter<'w> {
+    out: &'w mut dyn std::io::Write,
+    fields: usize,
+    /// Reused render buffer of one value.
+    scratch: String,
+}
+
+impl<'w> ObjectWriter<'w> {
+    /// Opens the object on `out`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of the underlying writer.
+    pub fn begin(out: &'w mut dyn std::io::Write) -> std::io::Result<Self> {
+        out.write_all(b"{")?;
+        Ok(ObjectWriter {
+            out,
+            fields: 0,
+            scratch: String::new(),
+        })
+    }
+
+    /// Writes the field `key: value`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of the underlying writer.
+    pub fn field(&mut self, key: &str, value: &Json) -> std::io::Result<()> {
+        self.key(key)?;
+        self.value(value)
+    }
+
+    /// Writes the field `key: [items...]`, rendering and writing one item at a time.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of the underlying writer.
+    pub fn array(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = Json>,
+    ) -> std::io::Result<()> {
+        self.key(key)?;
+        self.out.write_all(b"[")?;
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.out.write_all(b",")?;
+            }
+            self.value(&item)?;
+        }
+        self.out.write_all(b"]")
+    }
+
+    /// Closes the object.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of the underlying writer.
+    pub fn end(self) -> std::io::Result<()> {
+        self.out.write_all(b"}")
+    }
+
+    fn key(&mut self, key: &str) -> std::io::Result<()> {
+        self.scratch.clear();
+        if self.fields > 0 {
+            self.scratch.push(',');
+        }
+        self.fields += 1;
+        write_string(key, &mut self.scratch);
+        self.scratch.push(':');
+        self.out.write_all(self.scratch.as_bytes())
+    }
+
+    fn value(&mut self, value: &Json) -> std::io::Result<()> {
+        self.scratch.clear();
+        value.write(&mut self.scratch);
+        self.out.write_all(self.scratch.as_bytes())
     }
 }
 
@@ -488,6 +594,35 @@ mod tests {
             ("a", Json::array([Json::Null, Json::uint(2)])),
         ]);
         assert_eq!(doc.render(), r#"{"b":1,"a":[null,2]}"#);
+    }
+
+    #[test]
+    fn object_writer_writes_the_rendered_bytes() {
+        let fields = [
+            ("a\"key\n", Json::str("v\t\u{1}")),
+            ("empty", Json::Array(Vec::new())),
+            (
+                "nested",
+                Json::object([("x", Json::num(0.25)), ("y", Json::Null)]),
+            ),
+        ];
+        let rows = [Json::uint(1), Json::object([("k", Json::bool(false))])];
+        let mut out = Vec::new();
+        let mut doc = ObjectWriter::begin(&mut out).unwrap();
+        for (key, value) in &fields {
+            doc.field(key, value).unwrap();
+        }
+        doc.array("rows", rows.iter().cloned()).unwrap();
+        doc.array("none", std::iter::empty()).unwrap();
+        doc.end().unwrap();
+        let mut tree: Vec<(&str, Json)> = fields.to_vec();
+        tree.push(("rows", Json::array(rows)));
+        tree.push(("none", Json::Array(Vec::new())));
+        assert_eq!(String::from_utf8(out).unwrap(), Json::object(tree).render());
+
+        let mut empty = Vec::new();
+        ObjectWriter::begin(&mut empty).unwrap().end().unwrap();
+        assert_eq!(empty, b"{}");
     }
 
     #[test]

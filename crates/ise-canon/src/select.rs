@@ -7,16 +7,18 @@
 //! is `occurrences × saved_cycles`, with overlap resolved per block (two placements
 //! may not share a vertex), following the grouping flows of ISEGEN and ARISE.
 //!
-//! The algorithm is lazy greedy: patterns are ranked by an upper bound on their
-//! marginal benefit (all occurrences realizable); the top pattern's true marginal
-//! benefit against the current per-block used sets is computed, and the pattern is
-//! committed when that true value still beats every other bound — otherwise the
-//! bound is tightened and the scan repeats. Marginal benefits only shrink as
+//! The algorithm is lazy greedy: patterns are ranked in a max-heap by an upper
+//! bound on their marginal benefit (all occurrences realizable); the top pattern's
+//! true marginal benefit against the current per-block used sets is computed, and
+//! the pattern is committed when that true value still beats every other bound —
+//! otherwise the bound is tightened, the pattern goes back into the heap, and the
+//! next top is taken. Marginal benefits only shrink as
 //! placements accumulate, so this matches eager greedy exactly while skipping most
 //! recomputation. Ties break toward first-seen patterns, making the selection a
 //! deterministic function of the index.
 
-use std::collections::BTreeMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BinaryHeap};
 
 use ise_enum::Cut;
 use ise_graph::DenseNodeSet;
@@ -103,11 +105,15 @@ pub fn select_ises_global(
         "block_cuts must cover every block of the index"
     );
     let entries = index.entries();
-    let mut bound: Vec<f64> = entries
+    // The live patterns, each once, keyed by its current bound: the top is the
+    // highest bound, first-seen on ties. A pattern leaves when it is evaluated and
+    // goes back with its tightened bound unless it is committed or worth nothing.
+    let mut heap: BinaryHeap<Ranked> = entries
         .iter()
-        .map(crate::index::PatternEntry::weighted_potential)
+        .enumerate()
+        .map(|(e, entry)| Ranked::new(entry.weighted_potential(), e))
+        .filter(|r| r.bound > 0.0)
         .collect();
-    let mut alive: Vec<bool> = bound.iter().map(|&b| b > 0.0).collect();
     let mut used: Vec<Option<DenseNodeSet>> = vec![None; block_cuts.len()];
     let mut selection = GlobalSelection {
         per_block_saved_cycles: vec![0; block_cuts.len()],
@@ -118,45 +124,30 @@ pub fn select_ises_global(
         if max_patterns > 0 && selection.chosen.len() == max_patterns {
             break;
         }
-        // Highest bound, first-seen on ties (strict `>` keeps the lowest index).
-        let mut best: Option<usize> = None;
-        for e in 0..entries.len() {
-            if alive[e] && bound[e] > 0.0 && best.is_none_or(|b| bound[e] > bound[b]) {
-                best = Some(e);
-            }
-        }
-        let Some(e) = best else { break };
+        let Some(top) = heap.pop() else { break };
+        let e = top.entry();
 
         let (placed, overlay) = place(&entries[e].occurrences, block_cuts, &used);
         let weighted: f64 = placed
             .iter()
             .map(|occ| index.block_weight(occ.block) * f64::from(entries[e].saved_cycles))
             .sum();
-        let runner_up = (0..entries.len())
-            .filter(|&o| o != e && alive[o])
-            .map(|o| bound[o])
-            .fold(0.0f64, f64::max);
-        if weighted < runner_up {
-            // The bound was stale; tighten it and rescan. Marginal benefits only
-            // shrink, so `weighted` is the exact current value.
-            bound[e] = weighted;
-            alive[e] = weighted > 0.0;
+        // Marginal benefits only shrink, so `weighted` is the exact current value.
+        // Commit only if it still ranks above every other bound (with no other
+        // bound left, above 0). On a tie with another bound, eager greedy breaks
+        // true-marginal ties toward the first-seen pattern, so a lower-index
+        // runner-up is evaluated first: every deferral either tightens a bound
+        // strictly or ends in a commit.
+        let beaten = match heap.peek() {
+            Some(runner_up) => Ranked::new(weighted, e) < *runner_up,
+            None => weighted < 0.0,
+        };
+        if beaten {
+            if weighted > 0.0 {
+                heap.push(Ranked::new(weighted, e));
+            }
             continue;
         }
-        if weighted == runner_up {
-            // Exact tie with another bound: eager greedy breaks true-marginal
-            // ties toward the first-seen pattern, so only commit `e` if no
-            // lower-index live pattern could still tie it. Otherwise record the
-            // now-exact bound and rescan — the scan prefers the lowest index
-            // among equal bounds, so the contender is evaluated next, and every
-            // deferral either tightens a bound strictly or ends in a commit.
-            let lowest_contender = (0..entries.len()).find(|&o| alive[o] && bound[o] >= weighted);
-            if lowest_contender != Some(e) {
-                bound[e] = weighted;
-                continue;
-            }
-        }
-        alive[e] = false;
         if placed.is_empty() || entries[e].saved_cycles == 0 {
             continue;
         }
@@ -178,6 +169,50 @@ pub fn select_ises_global(
     }
     selection
 }
+
+/// A heap key: a pattern's bound on its marginal benefit and its entry index,
+/// ranked by bound and then by lowest index. `total_cmp` is the numeric order on
+/// the heap's positive bounds and on the non-negative benefits compared to them.
+#[derive(Clone, Copy, Debug)]
+struct Ranked {
+    bound: f64,
+    entry: Reverse<usize>,
+}
+
+impl Ranked {
+    fn new(bound: f64, entry: usize) -> Self {
+        Ranked {
+            bound,
+            entry: Reverse(entry),
+        }
+    }
+
+    fn entry(self) -> usize {
+        self.entry.0
+    }
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.bound
+            .total_cmp(&other.bound)
+            .then(self.entry.cmp(&other.entry))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
 
 /// Greedily places `occurrences` (in streaming order) against the per-block used
 /// sets, without mutating them: returns the placements plus the updated sets of the
@@ -211,6 +246,139 @@ mod tests {
     use ise_enum::{enumerate_cuts, select_ises, Constraints};
     use ise_graph::Dfg;
     use ise_graph::{DfgBuilder, LatencyModel, Operation};
+    use rand::{Rng, SeedableRng};
+
+    /// The selection as two linear scans over every entry per iteration found it:
+    /// the oracle for the heap-ordered [`select_ises_global`].
+    fn select_by_scan(
+        index: &PatternIndex,
+        block_cuts: &[&[Cut]],
+        max_patterns: usize,
+    ) -> Vec<(usize, Vec<Occurrence>, f64)> {
+        let entries = index.entries();
+        let mut bound: Vec<f64> = entries
+            .iter()
+            .map(crate::index::PatternEntry::weighted_potential)
+            .collect();
+        let mut alive: Vec<bool> = bound.iter().map(|&b| b > 0.0).collect();
+        let mut used: Vec<Option<DenseNodeSet>> = vec![None; block_cuts.len()];
+        let mut chosen = Vec::new();
+        loop {
+            if max_patterns > 0 && chosen.len() == max_patterns {
+                break;
+            }
+            let mut best: Option<usize> = None;
+            for e in 0..entries.len() {
+                if alive[e] && bound[e] > 0.0 && best.is_none_or(|b| bound[e] > bound[b]) {
+                    best = Some(e);
+                }
+            }
+            let Some(e) = best else { break };
+            let (placed, overlay) = place(&entries[e].occurrences, block_cuts, &used);
+            let weighted: f64 = placed
+                .iter()
+                .map(|occ| index.block_weight(occ.block) * f64::from(entries[e].saved_cycles))
+                .sum();
+            let runner_up = (0..entries.len())
+                .filter(|&o| o != e && alive[o])
+                .map(|o| bound[o])
+                .fold(0.0f64, f64::max);
+            if weighted < runner_up {
+                bound[e] = weighted;
+                alive[e] = weighted > 0.0;
+                continue;
+            }
+            if weighted == runner_up {
+                let lowest_contender =
+                    (0..entries.len()).find(|&o| alive[o] && bound[o] >= weighted);
+                if lowest_contender != Some(e) {
+                    bound[e] = weighted;
+                    continue;
+                }
+            }
+            alive[e] = false;
+            if placed.is_empty() || entries[e].saved_cycles == 0 {
+                continue;
+            }
+            for (block, set) in overlay {
+                used[block] = Some(set);
+            }
+            chosen.push((e, placed, weighted));
+        }
+        chosen
+    }
+
+    /// Asserts that the heap selection picks what the scan oracle picks.
+    fn assert_matches_scan(index: &PatternIndex, views: &[&[Cut]], max_patterns: usize) {
+        let heap = select_ises_global(index, views, max_patterns);
+        let picks: Vec<(usize, Vec<Occurrence>, f64)> = heap
+            .chosen
+            .into_iter()
+            .map(|c| (c.entry, c.placed, c.weighted_saved_cycles))
+            .collect();
+        assert_eq!(
+            picks,
+            select_by_scan(index, views, max_patterns),
+            "max_patterns={max_patterns}"
+        );
+    }
+
+    /// Random corpora with repeated blocks (tied bounds) and zero block weights
+    /// (live patterns whose true benefit falls to 0).
+    #[test]
+    fn heap_selection_matches_the_scan_on_random_indices() {
+        use ise_workloads::random_dag::{random_dag, RandomDagConfig};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        for round in 0..40 {
+            let mut index = PatternIndex::new(GroupConfig::new(2, 1));
+            let mut cut_lists = Vec::new();
+            let graphs: Vec<Dfg> = (0..3)
+                .map(|i| random_dag(&RandomDagConfig::new(10 + 4 * i), round * 7 + i as u64))
+                .collect();
+            for _ in 0..6 {
+                let dfg = &graphs[rng.gen_range(0..graphs.len())];
+                let cuts = enumerate_cuts(dfg, &Constraints::new(2, 1).unwrap())
+                    .unwrap()
+                    .cuts;
+                let weight = [0.0, 1.0, 2.0, 0.5][rng.gen_range(0..4usize)];
+                index.add_block(dfg, &cuts, weight);
+                cut_lists.push(cuts);
+            }
+            let views: Vec<&[Cut]> = cut_lists.iter().map(Vec::as_slice).collect();
+            for max_patterns in [0, 1, 3] {
+                assert_matches_scan(&index, &views, max_patterns);
+            }
+        }
+    }
+
+    /// The committed corpus, enumerated on a budget, selects the same patterns.
+    #[test]
+    fn heap_selection_matches_the_scan_on_the_committed_corpus() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus");
+        let blocks = ise_corpus::load_corpus_path(dir).expect("the committed corpus loads");
+        let mut index = PatternIndex::new(GroupConfig::default());
+        let mut cut_lists = Vec::new();
+        for block in &blocks {
+            let ctx = ise_enum::EnumContext::new(block.dfg.clone());
+            let options = ise_enum::EngineOptions {
+                max_search_nodes: Some(5_000),
+            };
+            let cuts = ise_enum::incremental_cuts(
+                &ctx,
+                &Constraints::new(4, 2).unwrap(),
+                &ise_enum::PruningConfig::all(),
+                &options,
+                None,
+            )
+            .cuts;
+            index.add_block(&block.dfg, &cuts, block.weight());
+            cut_lists.push(cuts);
+        }
+        let views: Vec<&[Cut]> = cut_lists.iter().map(Vec::as_slice).collect();
+        for max_patterns in [0, 5] {
+            assert_matches_scan(&index, &views, max_patterns);
+        }
+    }
 
     /// `macs` MAC datapaths plus, optionally, one long unique shift chain.
     fn block(name: &str, macs: usize, with_chain: bool) -> (Dfg, Vec<Cut>) {

@@ -6,8 +6,9 @@
 //! 8 `.dfg` files in a scratch directory. Every measurement runs in a fresh child process of this executable,
 //! so it is cold and its peak is its own:
 //!
-//! * `load` only loads the corpus (`load_corpus_path`) and reports the resident set
-//!   (`VmRSS`) right after: the floor every command pays before enumerating;
+//! * `load` only loads the corpus (`load_corpus` on the commands' 2 threads) and
+//!   reports the resident set (`VmRSS`) right after: the floor every command pays
+//!   before enumerating;
 //! * `enumerate` and `group` run `ise enumerate|group --nin 2 --nout 1 --threads 2`
 //!   through `ise_cli::run`, exactly as the `ise` binary does, and report the
 //!   process's peak resident set (`VmHWM`).
@@ -17,6 +18,8 @@
 //! post-load resident set per cut: the figure that stays flat when a command keeps
 //! only what it renders, and grows when it holds every cut to the end. Writes
 //! `BENCH_memory.json` (schema `ise-bench/peak-rss/v1`, `meta.host_cpus` included).
+//! Full mode then exits non-zero unless, for each command, that figure at the
+//! largest size is at most the figure at the smallest; `test=1` skips the check.
 //!
 //! It lives in `ise-cli` rather than `ise-bench` because it links `ise_cli::run`,
 //! and `ise-cli` already depends on `ise-bench`.
@@ -34,7 +37,7 @@ use std::process::{Command, ExitCode};
 use ise_bench::json::Json;
 use ise_bench::small_blocks::{write_blocks, MAX_VERTICES, MIN_VERTICES, SEED};
 use ise_bench::{bench_meta, Options};
-use ise_corpus::load_corpus_path;
+use ise_corpus::load_corpus;
 
 /// Block counts measured in full mode and by the `test=1` smoke.
 const FULL_SIZES: &[usize] = &[4000, 8000, 16000];
@@ -77,7 +80,7 @@ fn status_kb(key: &str) -> u64 {
 fn child(mode: &str, args: &[String]) -> ExitCode {
     let report = match mode {
         "child-load" => {
-            let blocks = load_corpus_path(&args[0]).expect("the generated corpus loads");
+            let blocks = load_corpus(&args[0], THREADS).expect("the generated corpus loads");
             let rss = status_kb("VmRSS");
             drop(blocks);
             rss
@@ -136,6 +139,8 @@ fn main() -> ExitCode {
 
     println!("blocks,command,cuts,post_load_rss_mb,peak_rss_mb,peak_above_load_bytes_per_cut");
     let mut rows = Vec::new();
+    // (blocks, command, peak above load per cut) of every row.
+    let mut per_cut_rows: Vec<(usize, &str, f64)> = Vec::new();
     for &count in sizes {
         let dir = std::env::temp_dir().join(format!("ise-peak-rss-{}-{count}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -178,6 +183,7 @@ fn main() -> ExitCode {
                 mb(load_kb),
                 mb(peak_kb)
             );
+            per_cut_rows.push((count, command, per_cut));
             rows.push(Json::object([
                 ("blocks", Json::uint(count)),
                 ("command", Json::str(command)),
@@ -209,6 +215,27 @@ fn main() -> ExitCode {
         std::fs::write(&out_path, doc.render() + "\n")
             .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
         eprintln!("wrote {out_path}");
+    }
+
+    if !smoke {
+        // The gate: the peak above the load per cut must not grow with the corpus.
+        for &command in COMMANDS {
+            let per_cut = |count: usize| {
+                per_cut_rows
+                    .iter()
+                    .find(|&&(c, cmd, _)| c == count && cmd == command)
+                    .map(|&(_, _, v)| v)
+                    .expect("every size measures every command")
+            };
+            let (small, large) = (sizes[0], sizes[sizes.len() - 1]);
+            assert!(
+                per_cut(large) <= per_cut(small),
+                "{command}: the peak above the load grows with the corpus: \
+                 {:.1} bytes per cut at {large} blocks, {:.1} at {small}",
+                per_cut(large),
+                per_cut(small)
+            );
+        }
     }
     ExitCode::SUCCESS
 }

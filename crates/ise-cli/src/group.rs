@@ -12,12 +12,13 @@
 //! enumeration flags: `--threads` never changes a byte of the JSON output (the CI
 //! grouping smoke diffs stripped runs at different thread counts).
 
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use crate::batch::{run_batch, BatchConfig, BlockOutcome};
-use crate::report::{batch_json_with, RunMeta};
-use ise_bench::json::Json;
+use crate::report::{tree_of, write_batch_json_with, RunMeta};
+use ise_bench::json::{Json, ObjectWriter};
 use ise_canon::{
     canonicalize_cuts, canonicalize_cuts_memo, select_ises_global, CanonMemo, CodedCut,
     GlobalSelection, GroupConfig, MemoStats, PatternIndex,
@@ -127,42 +128,74 @@ pub fn group_outcomes(
     index
 }
 
-/// Renders the machine-readable result of `ise group`
-/// (schema `ise-cli/group/v1`): run metadata, one light row per block, and the
-/// pattern table ranked by profile-weighted potential saving (first-seen order on
-/// ties). Patterns with fewer than `min_count` occurrences are omitted from the
-/// table but still counted in the aggregate.
+/// Writes the machine-readable result of `ise group` (schema `ise-cli/group/v1`)
+/// to `out`: run metadata, one light row per block, and the pattern table ranked
+/// by profile-weighted potential saving (first-seen order on ties), each row
+/// rendered and written on its own. Patterns with fewer than `min_count`
+/// occurrences are omitted from the table but still counted in the aggregate.
 ///
 /// `memo_stats` (from [`CanonMemo::stats`], requested with `--memo-stats`) adds a
 /// `memo` object to the run metadata. It is opt-in because the counters are *not*
 /// deterministic across thread counts (racing workers may both label the same new
 /// graph), unlike every other byte of the document.
-pub fn group_json(
+///
+/// # Errors
+///
+/// Returns the error of the underlying writer.
+pub fn write_group_json(
+    out: &mut dyn Write,
     index: &PatternIndex,
     outcomes: &[BlockOutcome],
     meta: &RunMeta,
     min_count: usize,
     memo_stats: Option<&MemoStats>,
-) -> Json {
-    let blocks: Vec<Json> = outcomes
+) -> io::Result<()> {
+    let shown: Vec<usize> = index
+        .ranked()
+        .into_iter()
+        .filter(|&e| index.entries()[e].static_count() >= min_count)
+        .collect();
+    let recurring = index
+        .entries()
         .iter()
-        .map(|o| {
+        .filter(|e| e.static_count() >= 2)
+        .count();
+    let cross_block = index
+        .entries()
+        .iter()
+        .filter(|e| e.distinct_blocks() >= 2)
+        .count();
+    let potential: u64 = index
+        .entries()
+        .iter()
+        .map(ise_canon::PatternEntry::potential_saved_cycles)
+        .sum();
+
+    let mut doc = ObjectWriter::begin(out)?;
+    doc.field("schema", &Json::str("ise-cli/group/v1"))?;
+    doc.field("corpus", &Json::str(meta.corpus.clone()))?;
+    doc.field("nin", &Json::uint(meta.nin))?;
+    doc.field("nout", &Json::uint(meta.nout))?;
+    doc.field("threads", &Json::uint(meta.threads))?;
+    doc.field("budget", &meta.budget.map_or(Json::Null, Json::uint))?;
+    doc.field("min_count", &Json::uint(min_count))?;
+    if let Some(stats) = memo_stats {
+        doc.field("memo", &memo_stats_json(stats))?;
+    }
+    doc.array(
+        "blocks",
+        outcomes.iter().map(|o| {
             Json::object([
                 ("name", Json::str(o.name.clone())),
                 ("nodes", Json::uint(o.nodes)),
                 ("cuts", Json::uint(o.enumeration.stats.valid_cuts)),
                 ("elapsed_seconds", Json::num(o.elapsed.as_secs_f64())),
             ])
-        })
-        .collect();
-    let shown: Vec<usize> = index
-        .ranked()
-        .into_iter()
-        .filter(|&e| index.entries()[e].static_count() >= min_count)
-        .collect();
-    let patterns: Vec<Json> = shown
-        .iter()
-        .map(|&e| {
+        }),
+    )?;
+    doc.array(
+        "patterns",
+        shown.iter().map(|&e| {
             let entry = &index.entries()[e];
             Json::object([
                 ("hash", Json::str(entry.code.hex())),
@@ -183,54 +216,35 @@ pub fn group_json(
                     Json::UInt(entry.potential_saved_cycles()),
                 ),
             ])
-        })
-        .collect();
+        }),
+    )?;
+    doc.field(
+        "aggregate",
+        &Json::object([
+            ("blocks", Json::uint(outcomes.len())),
+            ("total_cuts", Json::uint(index.total_cuts())),
+            ("patterns", Json::uint(index.len())),
+            ("recurring_patterns", Json::uint(recurring)),
+            ("cross_block_patterns", Json::uint(cross_block)),
+            ("shown_patterns", Json::uint(shown.len())),
+            ("potential_saved_cycles", Json::UInt(potential)),
+            ("elapsed_seconds", Json::num(meta.elapsed.as_secs_f64())),
+        ]),
+    )?;
+    doc.end()
+}
 
-    let recurring = index
-        .entries()
-        .iter()
-        .filter(|e| e.static_count() >= 2)
-        .count();
-    let cross_block = index
-        .entries()
-        .iter()
-        .filter(|e| e.distinct_blocks() >= 2)
-        .count();
-    let potential: u64 = index
-        .entries()
-        .iter()
-        .map(ise_canon::PatternEntry::potential_saved_cycles)
-        .sum();
-    let mut fields = vec![
-        ("schema", Json::str("ise-cli/group/v1")),
-        ("corpus", Json::str(meta.corpus.clone())),
-        ("nin", Json::uint(meta.nin)),
-        ("nout", Json::uint(meta.nout)),
-        ("threads", Json::uint(meta.threads)),
-        ("budget", meta.budget.map_or(Json::Null, Json::uint)),
-        ("min_count", Json::uint(min_count)),
-    ];
-    if let Some(stats) = memo_stats {
-        fields.push(("memo", memo_stats_json(stats)));
-    }
-    fields.extend([
-        ("blocks", Json::Array(blocks)),
-        ("patterns", Json::Array(patterns)),
-        (
-            "aggregate",
-            Json::object([
-                ("blocks", Json::uint(outcomes.len())),
-                ("total_cuts", Json::uint(index.total_cuts())),
-                ("patterns", Json::uint(index.len())),
-                ("recurring_patterns", Json::uint(recurring)),
-                ("cross_block_patterns", Json::uint(cross_block)),
-                ("shown_patterns", Json::uint(shown.len())),
-                ("potential_saved_cycles", Json::UInt(potential)),
-                ("elapsed_seconds", Json::num(meta.elapsed.as_secs_f64())),
-            ]),
-        ),
-    ]);
-    Json::object(fields)
+/// The tree of [`write_group_json`]'s document, for callers that need a [`Json`]
+/// value. The writer alone defines the bytes: this renders into memory and parses
+/// the result back, so `group_json(..).render()` equals what the writer writes.
+pub fn group_json(
+    index: &PatternIndex,
+    outcomes: &[BlockOutcome],
+    meta: &RunMeta,
+    min_count: usize,
+    memo_stats: Option<&MemoStats>,
+) -> Json {
+    tree_of(|out| write_group_json(out, index, outcomes, meta, min_count, memo_stats))
 }
 
 /// The `memo` object shared by `--memo-stats` output and the daemon's `stats` op:
@@ -321,7 +335,8 @@ pub fn group_markdown(
 /// such as the `ise serve` daemon's coding cache — skip re-coding every block.
 ///
 /// Returns the JSON document, the markdown companion, and the selection itself (for
-/// tests and callers that keep processing).
+/// tests and callers that keep processing). The JSON is `GlobalReport::write_json`'s
+/// document parsed back into a tree, so the writer alone defines its bytes.
 pub fn global_select_report_with_index(
     index: &PatternIndex,
     blocks: &[CorpusBlock],
@@ -330,135 +345,164 @@ pub fn global_select_report_with_index(
     config: &GroupConfig,
     max_patterns: usize,
 ) -> (Json, String, GlobalSelection) {
-    let views: Vec<&[Cut]> = outcomes
-        .iter()
-        .map(|o| o.enumeration.cuts.as_slice())
-        .collect();
-    let selection = select_ises_global(index, &views, max_patterns);
-
-    let model = &config.model;
-    let software: Vec<u64> = blocks
-        .iter()
-        .map(|b| {
-            b.dfg
-                .node_ids()
-                .map(|v| u64::from(model.software_cycles(b.dfg.op(v))))
-                .sum()
-        })
-        .collect();
-
-    let patterns: Vec<Json> = selection
-        .chosen
-        .iter()
-        .map(|choice| {
-            let entry = &index.entries()[choice.entry];
-            Json::object([
-                ("hash", Json::str(entry.code.hex())),
-                ("size", Json::uint(entry.size)),
-                ("ops", Json::str(entry.ops.clone())),
-                ("occurrences", Json::uint(entry.static_count())),
-                ("placed", Json::uint(choice.placed.len())),
-                (
-                    "saved_per_occurrence",
-                    Json::uint(entry.saved_cycles as usize),
-                ),
-                ("saved_cycles", Json::UInt(choice.saved_cycles)),
-            ])
-        })
-        .collect();
-    let per_block: Vec<Json> = outcomes
-        .iter()
-        .enumerate()
-        .map(|(b, o)| {
-            let saved = selection.per_block_saved_cycles[b];
-            Json::object([
-                ("name", Json::str(o.name.clone())),
-                ("saved_cycles", Json::UInt(saved)),
-                ("software_cycles", Json::UInt(software[b])),
-                ("speedup", Json::num(block_speedup(software[b], saved))),
-            ])
-        })
-        .collect();
-    let json = batch_json_with(
-        meta,
-        outcomes,
-        vec![
-            ("mode", Json::str("global")),
-            ("max_patterns", Json::uint(max_patterns)),
-            ("patterns", Json::Array(patterns)),
-            ("per_block", Json::Array(per_block)),
-        ],
-        vec![
-            ("total_selected", Json::uint(selection.chosen.len())),
-            (
-                "total_saved_cycles",
-                Json::UInt(selection.total_saved_cycles),
-            ),
-            (
-                "weighted_saved_cycles",
-                Json::num(selection.weighted_saved_cycles),
-            ),
-        ],
-    );
-
-    let markdown = global_select_markdown(index, outcomes, meta, &selection, &software);
-    (json, markdown, selection)
+    let report = GlobalReport::new(index, blocks, outcomes, config, max_patterns);
+    let json = tree_of(|out| report.write_json(out, meta));
+    let markdown = report.markdown(meta);
+    (json, markdown, report.selection)
 }
 
-fn global_select_markdown(
-    index: &PatternIndex,
-    outcomes: &[BlockOutcome],
-    meta: &RunMeta,
-    selection: &GlobalSelection,
-    software: &[u64],
-) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    writeln!(out, "# ISE global selection report\n").expect("writing to a String cannot fail");
-    writeln!(
-        out,
-        "Corpus `{}` — {} blocks, {} distinct patterns; {} custom instruction{} \
-         selected corpus-wide, {} cycles saved per full-corpus execution.\n",
-        meta.corpus,
-        outcomes.len(),
-        index.len(),
-        selection.chosen.len(),
-        if selection.chosen.len() == 1 { "" } else { "s" },
-        selection.total_saved_cycles,
-    )
-    .expect("writing to a String cannot fail");
-    out.push_str(
-        "| pattern | ops | occurrences | placed | saved/occ | saved cycles |\n\
-         |---|---|---:|---:|---:|---:|\n",
-    );
-    for choice in &selection.chosen {
-        let entry = &index.entries()[choice.entry];
+/// The corpus-level selection of `ise select --global` over a pattern index, with
+/// the per-block software cycles its reports show.
+pub(crate) struct GlobalReport<'a> {
+    index: &'a PatternIndex,
+    outcomes: &'a [BlockOutcome],
+    max_patterns: usize,
+    /// Each block's software cycles under the grouping's latency model.
+    software: Vec<u64>,
+    selection: GlobalSelection,
+}
+
+impl<'a> GlobalReport<'a> {
+    /// Selects at most `max_patterns` patterns (0 = unlimited) corpus-wide.
+    pub(crate) fn new(
+        index: &'a PatternIndex,
+        blocks: &[CorpusBlock],
+        outcomes: &'a [BlockOutcome],
+        config: &GroupConfig,
+        max_patterns: usize,
+    ) -> Self {
+        let views: Vec<&[Cut]> = outcomes
+            .iter()
+            .map(|o| o.enumeration.cuts.as_slice())
+            .collect();
+        let selection = select_ises_global(index, &views, max_patterns);
+        let model = &config.model;
+        let software = blocks
+            .iter()
+            .map(|b| {
+                b.dfg
+                    .node_ids()
+                    .map(|v| u64::from(model.software_cycles(b.dfg.op(v))))
+                    .sum()
+            })
+            .collect();
+        GlobalReport {
+            index,
+            outcomes,
+            max_patterns,
+            software,
+            selection,
+        }
+    }
+
+    /// Writes the JSON report to `out`, one row at a time.
+    pub(crate) fn write_json(&self, out: &mut dyn Write, meta: &RunMeta) -> io::Result<()> {
+        let selection = &self.selection;
+        let top = |doc: &mut ObjectWriter<'_>| {
+            doc.field("mode", &Json::str("global"))?;
+            doc.field("max_patterns", &Json::uint(self.max_patterns))?;
+            doc.array(
+                "patterns",
+                selection.chosen.iter().map(|choice| {
+                    let entry = &self.index.entries()[choice.entry];
+                    Json::object([
+                        ("hash", Json::str(entry.code.hex())),
+                        ("size", Json::uint(entry.size)),
+                        ("ops", Json::str(entry.ops.clone())),
+                        ("occurrences", Json::uint(entry.static_count())),
+                        ("placed", Json::uint(choice.placed.len())),
+                        (
+                            "saved_per_occurrence",
+                            Json::uint(entry.saved_cycles as usize),
+                        ),
+                        ("saved_cycles", Json::UInt(choice.saved_cycles)),
+                    ])
+                }),
+            )?;
+            doc.array(
+                "per_block",
+                self.outcomes.iter().enumerate().map(|(b, o)| {
+                    let saved = selection.per_block_saved_cycles[b];
+                    let software = self.software[b];
+                    Json::object([
+                        ("name", Json::str(o.name.clone())),
+                        ("saved_cycles", Json::UInt(saved)),
+                        ("software_cycles", Json::UInt(software)),
+                        ("speedup", Json::num(block_speedup(software, saved))),
+                    ])
+                }),
+            )
+        };
+        write_batch_json_with(
+            out,
+            meta,
+            self.outcomes,
+            top,
+            vec![
+                ("total_selected", Json::uint(selection.chosen.len())),
+                (
+                    "total_saved_cycles",
+                    Json::UInt(selection.total_saved_cycles),
+                ),
+                (
+                    "weighted_saved_cycles",
+                    Json::num(selection.weighted_saved_cycles),
+                ),
+            ],
+        )
+    }
+
+    /// The markdown companion of [`GlobalReport::write_json`].
+    pub(crate) fn markdown(&self, meta: &RunMeta) -> String {
+        use std::fmt::Write as _;
+        let (index, outcomes, selection) = (self.index, self.outcomes, &self.selection);
+        let mut out = String::new();
+        writeln!(out, "# ISE global selection report\n").expect("writing to a String cannot fail");
         writeln!(
             out,
-            "| `{}` | {} | {} | {} | {} | {} |",
-            entry.code.hex(),
-            entry.ops,
-            entry.static_count(),
-            choice.placed.len(),
-            entry.saved_cycles,
-            choice.saved_cycles,
+            "Corpus `{}` — {} blocks, {} distinct patterns; {} custom instruction{} \
+             selected corpus-wide, {} cycles saved per full-corpus execution.\n",
+            meta.corpus,
+            outcomes.len(),
+            index.len(),
+            selection.chosen.len(),
+            if selection.chosen.len() == 1 { "" } else { "s" },
+            selection.total_saved_cycles,
         )
         .expect("writing to a String cannot fail");
+        out.push_str(
+            "| pattern | ops | occurrences | placed | saved/occ | saved cycles |\n\
+             |---|---|---:|---:|---:|---:|\n",
+        );
+        for choice in &selection.chosen {
+            let entry = &index.entries()[choice.entry];
+            writeln!(
+                out,
+                "| `{}` | {} | {} | {} | {} | {} |",
+                entry.code.hex(),
+                entry.ops,
+                entry.static_count(),
+                choice.placed.len(),
+                entry.saved_cycles,
+                choice.saved_cycles,
+            )
+            .expect("writing to a String cannot fail");
+        }
+        out.push_str("\n| block | software cycles | saved | speedup |\n|---|---:|---:|---:|\n");
+        for (b, o) in outcomes.iter().enumerate() {
+            let saved = selection.per_block_saved_cycles[b];
+            writeln!(
+                out,
+                "| {} | {} | {} | {:.2}x |",
+                o.name,
+                self.software[b],
+                saved,
+                block_speedup(self.software[b], saved)
+            )
+            .expect("writing to a String cannot fail");
+        }
+        out
     }
-    out.push_str("\n| block | software cycles | saved | speedup |\n|---|---:|---:|---:|\n");
-    for (b, o) in outcomes.iter().enumerate() {
-        let saved = selection.per_block_saved_cycles[b];
-        writeln!(
-            out,
-            "| {} | {} | {} | {:.2}x |",
-            o.name,
-            software[b],
-            saved,
-            block_speedup(software[b], saved)
-        )
-        .expect("writing to a String cannot fail");
-    }
-    out
 }
 
 /// Estimated block speedup: software cycles over the cycles remaining after the

@@ -69,17 +69,19 @@ pub use args::Flags;
 
 use std::error::Error;
 use std::fmt;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::time::Instant;
 
 use ise_canon::{CanonMemo, GroupConfig};
-use ise_corpus::{load_corpus_path, CorpusError};
+use ise_corpus::{load_corpus, CorpusError};
 use ise_enum::{Constraints, DedupMode, PruningConfig};
 
 use batch::{
     run_batch, run_batch_obs, BatchConfig, SelectionConfig, DEFAULT_PAR_THRESHOLD,
     DEFAULT_SPLIT_THRESHOLD,
 };
-use report::{batch_json, batch_markdown, corpus_markdown, RunMeta};
+use report::{batch_markdown, corpus_markdown, write_batch_json, RunMeta};
 
 /// The usage text printed by `ise help` and attached to usage errors.
 pub const USAGE: &str = "\
@@ -365,7 +367,7 @@ fn run_batch_command(args: &[String], select: bool) -> Result<(), CliError> {
 
     let trace_out = flags.get("trace-out").map(str::to_string);
     let registry = obs::registry_for(trace_out.as_deref(), flags.bool("progress", false)?);
-    let blocks = load_blocks(&common.corpus, &flags, recorder(&registry))?;
+    let blocks = load_blocks(&common.corpus, &flags, common.threads, recorder(&registry))?;
     let config = common.batch_config(selection);
     let start = Instant::now();
     let heartbeat = obs::Heartbeat::start(registry.clone(), flags.bool("progress", false)?);
@@ -396,17 +398,14 @@ fn run_batch_command(args: &[String], select: bool) -> Result<(), CliError> {
             heartbeat.stop();
         }
         let meta = common.meta(select, start.elapsed());
-        let (json, markdown, _) = group::global_select_report_with_index(
-            &index,
-            &blocks,
-            &outcomes,
-            &meta,
-            &group_config,
-            max_patterns,
-        );
-        emit(&flags.string("out", "-"), &(json.render() + "\n"))?;
+        let report =
+            group::GlobalReport::new(&index, &blocks, &outcomes, &group_config, max_patterns);
+        emit_with(&flags.string("out", "-"), |out| {
+            report.write_json(out, &meta)?;
+            out.write_all(b"\n")
+        })?;
         if let Some(md) = flags.get("md") {
-            emit(md, &markdown)?;
+            emit(md, &report.markdown(&meta))?;
         }
         return write_trace_if_requested(trace_out.as_deref(), registry.as_deref());
     }
@@ -420,10 +419,10 @@ fn run_batch_command(args: &[String], select: bool) -> Result<(), CliError> {
         heartbeat.stop();
     }
     let meta = common.meta(select, start.elapsed());
-    emit(
-        &flags.string("out", "-"),
-        &(batch_json(&outcomes, &meta).render() + "\n"),
-    )?;
+    emit_with(&flags.string("out", "-"), |out| {
+        write_batch_json(out, &outcomes, &meta)?;
+        out.write_all(b"\n")
+    })?;
     if let Some(md) = flags.get("md") {
         emit(md, &batch_markdown(&outcomes, &meta))?;
     }
@@ -451,7 +450,7 @@ fn run_group_command(args: &[String]) -> Result<(), CliError> {
 
     let trace_out = flags.get("trace-out").map(str::to_string);
     let registry = obs::registry_for(trace_out.as_deref(), flags.bool("progress", false)?);
-    let blocks = load_blocks(&common.corpus, &flags, recorder(&registry))?;
+    let blocks = load_blocks(&common.corpus, &flags, common.threads, recorder(&registry))?;
     let config = common.batch_config(None);
     if let (Some(memo), Some(registry)) = (memo.as_mut(), &registry) {
         memo.set_recorder(registry.as_ref());
@@ -477,11 +476,17 @@ fn run_group_command(args: &[String]) -> Result<(), CliError> {
         None
     };
 
-    emit(
-        &flags.string("out", "-"),
-        &(group::group_json(&index, &outcomes, &meta, min_count, memo_stats.as_ref()).render()
-            + "\n"),
-    )?;
+    emit_with(&flags.string("out", "-"), |out| {
+        group::write_group_json(
+            out,
+            &index,
+            &outcomes,
+            &meta,
+            min_count,
+            memo_stats.as_ref(),
+        )?;
+        out.write_all(b"\n")
+    })?;
     if let Some(md) = flags.get("md") {
         emit(
             md,
@@ -552,7 +557,7 @@ fn run_report_command(args: &[String]) -> Result<(), CliError> {
             }
         }
     }
-    let blocks = load_blocks(&corpus, &flags, None)?;
+    let blocks = load_blocks(&corpus, &flags, 1, None)?;
     if let Some(name) = flags.get("dot") {
         return run_dot_report(&flags, &blocks, name);
     }
@@ -604,17 +609,20 @@ fn run_dot_report(
     emit(&flags.string("out", "-"), &dot.render(&block.dfg))
 }
 
-/// Loads the corpus (and applies `--limit`) inside a `corpus`/`load` span.
+/// Loads the corpus, parsing its files on up to `threads` workers, and applies
+/// `--limit`, inside a `corpus`/`load` span. The blocks and any error are exactly
+/// those of a one-thread load.
 fn load_blocks(
     corpus: &str,
     flags: &Flags,
+    threads: usize,
     rec: Option<&dyn ise_obs::Recorder>,
 ) -> Result<Vec<ise_corpus::CorpusBlock>, CliError> {
     let span = match rec {
         Some(rec) => rec.span_begin("corpus", "load"),
         None => ise_obs::SpanToken::NONE,
     };
-    let loaded = load_corpus_path(corpus);
+    let loaded = load_corpus(corpus, threads);
     if let Some(rec) = rec {
         rec.span_end(span);
     }
@@ -677,15 +685,25 @@ fn validate_out_target(target: &str) -> Result<(), CliError> {
 }
 
 fn emit(target: &str, contents: &str) -> Result<(), CliError> {
-    if target == "-" {
-        print!("{contents}");
-        Ok(())
+    emit_with(target, |out| out.write_all(contents.as_bytes()))
+}
+
+/// Streams what `write` writes to `target` (a file, or stdout for `-`) through a
+/// buffered writer, so a report goes out row by row and never exists whole.
+fn emit_with(
+    target: &str,
+    write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
+) -> Result<(), CliError> {
+    let io_error = |source| CliError::Io {
+        path: target.to_string(),
+        source,
+    };
+    let mut out: BufWriter<Box<dyn Write>> = BufWriter::new(if target == "-" {
+        Box::new(std::io::stdout().lock())
     } else {
-        std::fs::write(target, contents).map_err(|source| CliError::Io {
-            path: target.to_string(),
-            source,
-        })
-    }
+        Box::new(File::create(target).map_err(io_error)?)
+    });
+    write(&mut out).and_then(|()| out.flush()).map_err(io_error)
 }
 
 #[cfg(test)]
@@ -715,6 +733,57 @@ mod tests {
         dir
     }
 
+    /// The streamed writer of `command` writes exactly the bytes its tree adapter
+    /// renders, over the corpus at `dir` at 1, 2 and 8 threads. For `group` this
+    /// covers `--memo-stats` and two `--min-count`s.
+    fn assert_streams_match_adapters(dir: &std::path::Path, command: &str) {
+        use report::{batch_json, written};
+        let blocks = ise_corpus::load_corpus_path(dir).unwrap();
+        for threads in ["1", "2", "8"] {
+            let flags =
+                Flags::parse(&argv(&["--threads", threads, "--nout", "1"]), BATCH_FLAGS).unwrap();
+            let common = parse_common(&flags).unwrap();
+            let label = format!("{command} --threads {threads}");
+            if command == "group" {
+                let memo = CanonMemo::new();
+                let (index, outcomes) = group::group_batch(
+                    &blocks,
+                    &common.batch_config(None),
+                    None,
+                    &GroupConfig::new(common.nin, common.nout),
+                    Some(&memo),
+                );
+                let meta = common.meta(false, std::time::Duration::from_millis(3));
+                let stats = memo.stats();
+                for min_count in [1, 2] {
+                    for memo_stats in [None, Some(&stats)] {
+                        let streamed = written(|out| {
+                            group::write_group_json(
+                                out, &index, &outcomes, &meta, min_count, memo_stats,
+                            )
+                        });
+                        let adapted =
+                            group::group_json(&index, &outcomes, &meta, min_count, memo_stats);
+                        assert_eq!(streamed, adapted.render(), "{label}");
+                    }
+                }
+                continue;
+            }
+            let select = command == "select";
+            let selection = select.then_some(SelectionConfig {
+                max_instructions: 2,
+                ports_in: common.nin,
+                ports_out: common.nout,
+            });
+            let outcomes = run_batch(&blocks, &common.batch_config(selection), None, |_, o| {
+                o.without_cuts()
+            });
+            let meta = common.meta(select, std::time::Duration::from_millis(3));
+            let streamed = written(|out| write_batch_json(out, &outcomes, &meta));
+            assert_eq!(streamed, batch_json(&outcomes, &meta).render(), "{label}");
+        }
+    }
+
     #[test]
     fn enumerate_writes_json_and_markdown_files() {
         let dir = demo_corpus("enum");
@@ -737,6 +806,7 @@ mod tests {
         assert!(json.contains(r#""name":"alpha""#) && json.contains(r#""name":"beta""#));
         let markdown = std::fs::read_to_string(&md).unwrap();
         assert!(markdown.contains("| alpha |") && markdown.contains("| beta |"));
+        assert_streams_match_adapters(&dir, "enumerate");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -760,6 +830,7 @@ mod tests {
         assert!(json.contains(r#""schema":"ise-cli/select/v1""#));
         assert!(json.contains(r#""name":"alpha""#), "{json}");
         assert!(!json.contains(r#""name":"beta""#), "limit ignored: {json}");
+        assert_streams_match_adapters(&dir, "select");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -799,6 +870,7 @@ mod tests {
                 .join(",")
         };
         assert_eq!(strip(&one), strip(&four));
+        assert_streams_match_adapters(&dir, "group");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,9 +1,10 @@
 //! JSON and markdown rendering of batch outcomes.
 
 use std::fmt::Write as _;
+use std::io::{self, Write};
 use std::time::Duration;
 
-use ise_bench::json::Json;
+use ise_bench::json::{Json, ObjectWriter};
 use ise_corpus::CorpusBlock;
 use ise_enum::DedupMode;
 
@@ -36,18 +37,25 @@ pub struct RunMeta {
     pub elapsed: Duration,
 }
 
-/// Renders the machine-readable result of `ise enumerate` / `ise select`
-/// (schema `ise-cli/enumerate/v1` / `ise-cli/select/v1`).
+/// Writes the machine-readable result of `ise enumerate` / `ise select`
+/// (schema `ise-cli/enumerate/v1` / `ise-cli/select/v1`) to `out`, one block row at
+/// a time.
 ///
 /// Everything except the wall times is deterministic in the corpus and the
 /// constraints — per-block rows are in corpus order and the aggregate counts are
 /// plain sums — so diffing two runs' JSON (ignoring `*_seconds`) detects any
 /// behavioral drift, and aggregate counts are identical for every `--threads` value.
-pub fn batch_json(outcomes: &[BlockOutcome], meta: &RunMeta) -> Json {
-    let mut top = Vec::new();
+///
+/// # Errors
+///
+/// Returns the error of the underlying writer.
+pub fn write_batch_json(
+    out: &mut dyn Write,
+    outcomes: &[BlockOutcome],
+    meta: &RunMeta,
+) -> io::Result<()> {
     let mut aggregate = Vec::new();
     if meta.select {
-        top.push(("mode", Json::str("per-block")));
         let selected: usize = outcomes
             .iter()
             .filter_map(|o| o.selection.as_ref())
@@ -61,27 +69,52 @@ pub fn batch_json(outcomes: &[BlockOutcome], meta: &RunMeta) -> Json {
         aggregate.push(("total_selected", Json::uint(selected)));
         aggregate.push(("total_saved_cycles", Json::UInt(saved)));
     }
-    batch_json_with(meta, outcomes, top, aggregate)
+    let mode = |doc: &mut ObjectWriter<'_>| {
+        if meta.select {
+            doc.field("mode", &Json::str("per-block"))?;
+        }
+        Ok(())
+    };
+    write_batch_json_with(out, meta, outcomes, mode, aggregate)
+}
+
+/// The tree of [`write_batch_json`]'s document, for callers that need a [`Json`]
+/// value. The writer alone defines the bytes: this renders into memory and parses
+/// the result back, so `batch_json(..).render()` equals what the writer writes.
+pub fn batch_json(outcomes: &[BlockOutcome], meta: &RunMeta) -> Json {
+    tree_of(|out| write_batch_json(out, outcomes, meta))
+}
+
+/// What `write` writes, as a string: a streamed document rendered into memory.
+pub(crate) fn written(write: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> String {
+    let mut bytes = Vec::new();
+    write(&mut bytes).expect("writing to a Vec cannot fail");
+    String::from_utf8(bytes).expect("the JSON writers write UTF-8")
+}
+
+/// Parses the document `write` writes into a [`Json`] tree: the adapter from a
+/// streamed writer to the tree-returning functions kept for their callers.
+pub(crate) fn tree_of(write: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> Json {
+    Json::parse(&written(write)).expect("the JSON writers write one valid JSON value")
 }
 
 /// The shared scaffold of the `enumerate`/`select` schemas: metadata, per-block
 /// rows, and the base aggregates, with extension points for mode-specific top-level
-/// sections (`extra_top`, placed after the metadata) and aggregate entries
+/// fields (`extra_top` writes them after the metadata) and aggregate entries
 /// (`extra_aggregate`, appended after `elapsed_seconds`). `ise select --global`
 /// builds on this in [`crate::group`].
-pub(crate) fn batch_json_with(
+pub(crate) fn write_batch_json_with(
+    out: &mut dyn Write,
     meta: &RunMeta,
     outcomes: &[BlockOutcome],
-    extra_top: Vec<(&'static str, Json)>,
+    extra_top: impl FnOnce(&mut ObjectWriter<'_>) -> io::Result<()>,
     extra_aggregate: Vec<(&'static str, Json)>,
-) -> Json {
+) -> io::Result<()> {
     let schema = if meta.select {
         "ise-cli/select/v1"
     } else {
         "ise-cli/enumerate/v1"
     };
-    let rows: Vec<Json> = outcomes.iter().map(block_row).collect();
-
     let total_cuts: usize = outcomes
         .iter()
         .map(|o| o.enumeration.stats.valid_cuts)
@@ -103,27 +136,26 @@ pub(crate) fn batch_json_with(
     ];
     aggregate.extend(extra_aggregate);
 
-    let mut doc = vec![
-        ("schema", Json::str(schema)),
-        ("corpus", Json::str(meta.corpus.clone())),
-        ("nin", Json::uint(meta.nin)),
-        ("nout", Json::uint(meta.nout)),
-        ("threads", Json::uint(meta.threads)),
-        ("budget", meta.budget.map_or(Json::Null, Json::uint)),
-        ("par_threshold", Json::uint(meta.par_threshold)),
-        (
-            "split_threshold",
-            meta.split_threshold.map_or(Json::Null, Json::uint),
-        ),
-        ("dedup_mode", Json::str(meta.dedup_mode.as_str())),
-    ];
-    doc.extend(extra_top);
-    doc.push(("blocks", Json::Array(rows)));
-    doc.push(("aggregate", Json::object(aggregate)));
-    Json::object(doc)
+    let mut doc = ObjectWriter::begin(out)?;
+    doc.field("schema", &Json::str(schema))?;
+    doc.field("corpus", &Json::str(meta.corpus.clone()))?;
+    doc.field("nin", &Json::uint(meta.nin))?;
+    doc.field("nout", &Json::uint(meta.nout))?;
+    doc.field("threads", &Json::uint(meta.threads))?;
+    doc.field("budget", &meta.budget.map_or(Json::Null, Json::uint))?;
+    doc.field("par_threshold", &Json::uint(meta.par_threshold))?;
+    doc.field(
+        "split_threshold",
+        &meta.split_threshold.map_or(Json::Null, Json::uint),
+    )?;
+    doc.field("dedup_mode", &Json::str(meta.dedup_mode.as_str()))?;
+    extra_top(&mut doc)?;
+    doc.array("blocks", outcomes.iter().map(block_row))?;
+    doc.field("aggregate", &Json::object(aggregate))?;
+    doc.end()
 }
 
-pub(crate) fn block_row(outcome: &BlockOutcome) -> Json {
+fn block_row(outcome: &BlockOutcome) -> Json {
     let stats = &outcome.enumeration.stats;
     let mut row = vec![
         ("name", Json::str(outcome.name.clone())),

@@ -89,7 +89,7 @@ use crate::batch::{run_batch_obs, BatchConfig, BlockOutcome, SelectionConfig};
 use crate::cache::{
     content_hash, CacheStats, Flight, FlightStats, LruCache, ResponseCache, SingleFlight,
 };
-use crate::report::batch_json;
+use crate::report::{write_batch_json, written};
 use crate::{group, parse_common, CliError, CommonBatchArgs, Flags};
 
 /// Default bound, in entries, of each of the daemon's caches (`--cache-cap`).
@@ -599,23 +599,24 @@ impl ServerState {
                 // Memo stats are never embedded in the payload: they depend on
                 // request history, and serve payloads must be byte-identical
                 // cold vs. warm. The `stats` op reports them instead.
-                group::group_json(&index, &outcomes, &meta, min_count, None).render()
+                written(|out| {
+                    group::write_group_json(out, &index, &outcomes, &meta, min_count, None)
+                })
             }
             "select" if global => {
                 let group_config = GroupConfig::new(ports_in, ports_out);
                 let index = self.index_with_cache(blocks, &outcomes, &enum_keys, &group_config);
                 let max_patterns = flags.usize("max-instr", 0)?;
-                let (json, _, _) = group::global_select_report_with_index(
+                let report = group::GlobalReport::new(
                     &index,
                     blocks,
                     &outcomes,
-                    &meta,
                     &group_config,
                     max_patterns,
                 );
-                json.render()
+                written(|out| report.write_json(out, &meta))
             }
-            _ => batch_json(&outcomes, &meta).render(),
+            _ => written(|out| write_batch_json(out, &outcomes, &meta)),
         };
         Ok(payload)
     }

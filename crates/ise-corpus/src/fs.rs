@@ -4,6 +4,8 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crate::parse::{parse_corpus, ParseError};
 use crate::CorpusBlock;
@@ -95,52 +97,117 @@ impl Error for CorpusError {
 /// platform. Parsing doubles as validation: every block comes back as a fully checked
 /// [`ise_graph::Dfg`].
 ///
+/// This is [`load_corpus`] with one thread: it parses the files in order on the
+/// calling thread and spawns none.
+///
 /// # Errors
 ///
-/// Returns [`CorpusError`] if `path` cannot be read, any file fails to parse, or no
-/// block is found at all.
+/// Returns [`CorpusError`] if `path` cannot be read, any file fails to parse, two
+/// files define the same block name, or no block is found at all.
 pub fn load_corpus_path(path: impl AsRef<Path>) -> Result<Vec<CorpusBlock>, CorpusError> {
+    load_corpus(path, 1)
+}
+
+/// Loads and validates a corpus from `path` like [`load_corpus_path`], parsing its
+/// files on up to `threads` scoped workers.
+///
+/// The workers claim whole files through a shared cursor, and the parsed files are
+/// then merged in file order, checking block names across files as they go. So the
+/// blocks, their order, and the error returned (the first one in file order, with
+/// the same text) are exactly those of [`load_corpus_path`], for every `threads`.
+/// With `threads <= 1`, or a single file, nothing is spawned.
+///
+/// # Errors
+///
+/// As [`load_corpus_path`].
+pub fn load_corpus(
+    path: impl AsRef<Path>,
+    threads: usize,
+) -> Result<Vec<CorpusBlock>, CorpusError> {
     let path = path.as_ref();
+    let files = corpus_files(path)?;
+    let workers = threads.min(files.len());
+    if workers <= 1 {
+        return merge_files(path, &files, files.iter().map(|file| parse_file(file)));
+    }
+    let parsed: Vec<OnceLock<ParsedFile>> = files.iter().map(|_| OnceLock::new()).collect();
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(file) = files.get(i) else {
+                    break;
+                };
+                parsed[i]
+                    .set(parse_file(file))
+                    .expect("each file is parsed exactly once");
+            });
+        }
+    });
+    merge_files(
+        path,
+        &files,
+        parsed
+            .into_iter()
+            .map(|cell| cell.into_inner().expect("every file was parsed")),
+    )
+}
+
+/// One file's blocks, or the error reading or parsing it.
+type ParsedFile = Result<Vec<CorpusBlock>, CorpusError>;
+
+/// The files of the corpus at `path`: the path itself, or a directory's `*.dfg`
+/// files in name order.
+fn corpus_files(path: &Path) -> Result<Vec<PathBuf>, CorpusError> {
     let io = |source| CorpusError::Io {
         path: path.to_path_buf(),
         source,
     };
-    let mut files = Vec::new();
-    if path.is_dir() {
-        for entry in path.read_dir().map_err(io)? {
-            let file = entry.map_err(io)?.path();
-            if file.extension().is_some_and(|ext| ext == "dfg") {
-                files.push(file);
-            }
-        }
-        files.sort();
-    } else {
-        files.push(path.to_path_buf());
+    if !path.is_dir() {
+        return Ok(vec![path.to_path_buf()]);
     }
+    let mut files = Vec::new();
+    for entry in path.read_dir().map_err(io)? {
+        let file = entry.map_err(io)?.path();
+        if file.extension().is_some_and(|ext| ext == "dfg") {
+            files.push(file);
+        }
+    }
+    files.sort();
+    Ok(files)
+}
 
+/// Reads and parses one corpus file, tagging any error with its path.
+fn parse_file(file: &Path) -> ParsedFile {
+    let text = std::fs::read_to_string(file).map_err(|source| CorpusError::Io {
+        path: file.to_path_buf(),
+        source,
+    })?;
+    parse_corpus(&text).map_err(|source| CorpusError::Parse {
+        path: file.to_path_buf(),
+        source,
+    })
+}
+
+/// Concatenates the parsed `files` in order, returning the first error in file
+/// order: a file's own error, or a block name that an earlier file defined.
+/// Stops at the first error, so a lazy `parsed` is read no further.
+fn merge_files(
+    path: &Path,
+    files: &[PathBuf],
+    parsed: impl IntoIterator<Item = ParsedFile>,
+) -> Result<Vec<CorpusBlock>, CorpusError> {
     let mut blocks: Vec<CorpusBlock> = Vec::new();
     // Each block name, mapped to the index in `files` of the file defining it.
     let mut first_file: HashMap<String, usize> = HashMap::new();
-    for (index, file) in files.iter().enumerate() {
-        let text = std::fs::read_to_string(file).map_err(|source| CorpusError::Io {
-            path: file.clone(),
-            source,
-        })?;
-        let parsed = parse_corpus(&text).map_err(|source| CorpusError::Parse {
-            path: file.clone(),
-            source,
-        })?;
+    for (index, (file, file_blocks)) in files.iter().zip(parsed).enumerate() {
         // The parser rejects duplicate names within one file; enforce the same
         // invariant across the files of a directory, so block names key the corpus.
-        for block in parsed {
+        for block in file_blocks? {
             let name = block.dfg.name();
             if let Some(&first) = first_file.get(name) {
-                return Err(CorpusError::DuplicateBlock {
-                    line: header_line(&text, name),
-                    path: file.clone(),
-                    name: name.to_string(),
-                    first_path: files[first].clone(),
-                });
+                return Err(duplicate_block(file, name, &files[first]));
             }
             first_file.insert(name.to_string(), index);
             blocks.push(block);
@@ -154,20 +221,37 @@ pub fn load_corpus_path(path: impl AsRef<Path>) -> Result<Vec<CorpusBlock>, Corp
     Ok(blocks)
 }
 
-/// The 1-based line of the `dfg <name>` header in `text`. `text` has already
-/// parsed successfully, so the header exists and — names being unique within one
-/// file — is unique: only `dfg` directives open blocks, and comments, `meta` values
-/// and `@` node names all live on lines starting with other directives.
-fn header_line(text: &str, name: &str) -> usize {
-    for (index, raw) in text.lines().enumerate() {
-        let trimmed = raw.trim();
-        if let Some(rest) = trimmed.strip_prefix("dfg") {
-            if rest.trim() == name {
-                return index + 1;
-            }
-        }
+/// The error for block `name` of `file`, already defined in `first_path`. The
+/// parsed text is not kept, so the header's line is found by reading `file` again
+/// on this error path.
+fn duplicate_block(file: &Path, name: &str, first_path: &Path) -> CorpusError {
+    match std::fs::read_to_string(file) {
+        Ok(text) => CorpusError::DuplicateBlock {
+            path: file.to_path_buf(),
+            line: header_line(&text, name),
+            name: name.to_string(),
+            first_path: first_path.to_path_buf(),
+        },
+        Err(source) => CorpusError::Io {
+            path: file.to_path_buf(),
+            source,
+        },
     }
-    unreachable!("a parsed block always has a `dfg {name}` header line")
+}
+
+/// The 1-based line of the `dfg <name>` header in `text`, or 0 if there is none
+/// (the file changed after it was parsed). A parsed text has the header, and —
+/// names being unique within one file — only one: only `dfg` directives open
+/// blocks, and comments, `meta` values and `@` node names all live on lines
+/// starting with other directives.
+fn header_line(text: &str, name: &str) -> usize {
+    text.lines()
+        .position(|raw| {
+            raw.trim()
+                .strip_prefix("dfg")
+                .is_some_and(|rest| rest.trim() == name)
+        })
+        .map_or(0, |index| index + 1)
 }
 
 #[cfg(test)]
@@ -257,6 +341,84 @@ mod tests {
         // No block of the clashing corpus leaks out: the load fails as a whole.
         assert!(err.source().is_none());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `load_corpus` at 1, 2 and 8 threads returns what `load_corpus_path` does:
+    /// the same blocks in the same order, or the same error variant and text.
+    fn assert_thread_count_invariant(path: &Path) -> Result<Vec<CorpusBlock>, CorpusError> {
+        let serial = load_corpus_path(path);
+        for threads in [1, 2, 8] {
+            let parallel = load_corpus(path, threads);
+            match (&serial, &parallel) {
+                (Ok(expected), Ok(got)) => {
+                    assert_eq!(expected.len(), got.len(), "threads={threads}");
+                    for (a, b) in expected.iter().zip(got) {
+                        assert!(crate::dfg_eq(&a.dfg, &b.dfg), "threads={threads}");
+                        assert_eq!(a.meta, b.meta, "threads={threads}");
+                    }
+                }
+                (Err(expected), Err(got)) => {
+                    assert_eq!(
+                        std::mem::discriminant(expected),
+                        std::mem::discriminant(got),
+                        "threads={threads}: {expected} vs {got}"
+                    );
+                    assert_eq!(expected.to_string(), got.to_string(), "threads={threads}");
+                }
+                _ => panic!("threads={threads}: {serial:?} vs {parallel:?}"),
+            }
+        }
+        serial
+    }
+
+    #[test]
+    fn parallel_loads_equal_the_serial_load() {
+        let dir = unique_dir("par");
+        // Many files, so every worker claims several, out of name order.
+        for i in 0..12 {
+            std::fs::write(
+                dir.join(format!("f{i:02}.dfg")),
+                format!("dfg b{i}\nmeta weight {i}\nnode 0 in\nnode 1 not\nedge 0 1\nend\ndfg c{i}\nnode 0 in\nend\n"),
+            )
+            .unwrap();
+        }
+        let blocks = assert_thread_count_invariant(&dir).unwrap();
+        assert_eq!(blocks.len(), 24);
+        assert_eq!(blocks[0].dfg.name(), "b0");
+        assert_eq!(blocks[23].dfg.name(), "c11");
+
+        // A single file, named directly.
+        let single = assert_thread_count_invariant(&dir.join("f03.dfg")).unwrap();
+        assert_eq!(single.len(), 2);
+
+        // A duplicate across files, and a later file that fails to parse: the
+        // duplicate comes first in file order, so it is the error.
+        std::fs::write(dir.join("f05.dfg"), "dfg b1\nnode 0 in\nend\n").unwrap();
+        std::fs::write(dir.join("f09.dfg"), "dfg x\nnode 0 frob\nend\n").unwrap();
+        let err = assert_thread_count_invariant(&dir).unwrap_err();
+        assert!(
+            matches!(&err, CorpusError::DuplicateBlock { name, first_path, .. }
+                if name == "b1" && first_path.ends_with("f01.dfg")),
+            "{err}"
+        );
+        // With the duplicate gone, the later parse error is the first error.
+        std::fs::write(dir.join("f05.dfg"), "dfg b5\nnode 0 in\nend\n").unwrap();
+        let err = assert_thread_count_invariant(&dir).unwrap_err();
+        assert!(matches!(err, CorpusError::Parse { .. }), "{err}");
+        assert!(err.to_string().contains("f09.dfg"), "{err}");
+        // A parse error before a duplicate wins the same way.
+        std::fs::write(dir.join("f10.dfg"), "dfg b0\nnode 0 in\nend\n").unwrap();
+        let err = assert_thread_count_invariant(&dir).unwrap_err();
+        assert!(err.to_string().contains("f09.dfg"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // An empty directory, and a missing path.
+        let empty = unique_dir("par-empty");
+        let err = assert_thread_count_invariant(&empty).unwrap_err();
+        assert!(matches!(err, CorpusError::Empty { .. }), "{err}");
+        let err = assert_thread_count_invariant(&empty.join("nope")).unwrap_err();
+        assert!(matches!(err, CorpusError::Io { .. }), "{err}");
+        std::fs::remove_dir_all(&empty).unwrap();
     }
 
     #[test]

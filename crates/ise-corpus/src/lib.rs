@@ -4,7 +4,7 @@
 //! (the `ise` CLI, importers from real compilers, regression suites) need those graphs
 //! *serialized*. This crate defines the `.dfg` format — a deliberately simple,
 //! diff-friendly, line-oriented text format — together with its [`parse_corpus`]
-//! parser, [`write_corpus`] writer, filesystem [`load_corpus_path`] loader/validator,
+//! parser, [`write_corpus`] writer, filesystem [`load_corpus`] loader/validator,
 //! and the [`standard_corpus`] generator that exports the `ise-workloads` families
 //! into the committed `corpus/` directory.
 //!
@@ -72,7 +72,7 @@ mod gen;
 mod parse;
 mod write;
 
-pub use fs::{load_corpus_path, CorpusError};
+pub use fs::{load_corpus, load_corpus_path, CorpusError};
 pub use gen::standard_corpus;
 pub use parse::{parse_corpus, ParseError, ParseErrorKind};
 pub use write::{write_block, write_corpus, FORMAT_HEADER};

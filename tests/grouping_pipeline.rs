@@ -22,7 +22,7 @@ use ise_repro::ise_cli::batch::{
 use ise_repro::ise_cli::group::{
     global_select_report_with_index, group_json, group_markdown, group_outcomes,
 };
-use ise_repro::ise_cli::report::RunMeta;
+use ise_repro::ise_cli::report::{batch_json, RunMeta};
 use ise_repro::ise_corpus::{load_corpus_path, write_corpus, CorpusBlock};
 use ise_repro::ise_enum::{Constraints, Cut, DedupMode};
 use ise_repro::ise_workloads::mibench_like::{generate_block, MiBenchLikeConfig};
@@ -190,7 +190,9 @@ fn small_block_corpus_dir(tag: &str, count: usize) -> std::path::PathBuf {
 /// stripped JSON and markdown, like those of `ise select --global`, must equal the
 /// two-pass library composition —
 /// `run_batch_obs`, then `group_outcomes`, then the renderer — byte for byte, with
-/// the memo on and off, at 1, 2 and 8 threads.
+/// the memo on and off, at 1, 2 and 8 threads. The commands stream their JSON row
+/// by row, and `enumerate`, per-block `select` and `group --min-count` print
+/// exactly what the tree adapters (`batch_json`, `group_json`) render too.
 #[test]
 fn commands_render_exactly_what_the_library_composition_renders() {
     let dir = small_block_corpus_dir("cli-vs-lib", 80);
@@ -199,6 +201,33 @@ fn commands_render_exactly_what_the_library_composition_renders() {
     let (nin, nout) = (2, 1);
     let group_config = GroupConfig::new(nin, nout);
     for threads in [1usize, 2, 8] {
+        // Runs the command over the corpus and returns its JSON and markdown.
+        let cli = |command: &[&str], label: &str| {
+            let out = dir.join("out.json");
+            let md = dir.join("out.md");
+            let mut args: Vec<String> = command.iter().map(ToString::to_string).collect();
+            for arg in [
+                "--corpus",
+                &corpus,
+                "--nin",
+                "2",
+                "--nout",
+                "1",
+                "--threads",
+                &threads.to_string(),
+                "--out",
+                out.to_str().unwrap(),
+                "--md",
+                md.to_str().unwrap(),
+            ] {
+                args.push(arg.to_string());
+            }
+            ise_repro::ise_cli::run(&args).unwrap_or_else(|e| panic!("{label}: {e}"));
+            (
+                std::fs::read_to_string(&out).unwrap(),
+                std::fs::read_to_string(&md).unwrap(),
+            )
+        };
         let batch = BatchConfig {
             threads,
             budget: Some(ise_repro::ise_cli::DEFAULT_BUDGET),
@@ -234,40 +263,51 @@ fn commands_render_exactly_what_the_library_composition_renders() {
                 0,
             );
             let global_lib = (json.render() + "\n", md);
-            for (command, lib) in [
-                (&["group"][..], group_lib),
-                (&["select", "--global"], global_lib),
-            ] {
-                let label = format!("{command:?} threads={threads} memo={memo_on}");
-                let out = dir.join("out.json");
-                let md = dir.join("out.md");
-                let mut args: Vec<String> = command.iter().map(ToString::to_string).collect();
-                for arg in [
-                    "--corpus",
-                    &corpus,
-                    "--nin",
-                    "2",
-                    "--nout",
-                    "1",
-                    "--threads",
-                    &threads.to_string(),
-                    "--out",
-                    out.to_str().unwrap(),
-                    "--md",
-                    md.to_str().unwrap(),
-                ] {
-                    args.push(arg.to_string());
-                }
+            let mut runs = vec![
+                (vec!["group"], group_lib),
+                (vec!["select", "--global"], global_lib),
+            ];
+            if memo_on {
+                let min_count = 3;
+                runs.push((
+                    vec!["group", "--min-count", "3"],
+                    (
+                        group_json(&index, &outcomes, &meta(false), min_count, None).render()
+                            + "\n",
+                        group_markdown(&index, &outcomes, &meta(false), min_count, 40, None),
+                    ),
+                ));
+            }
+            for (mut command, lib) in runs {
                 if !memo_on {
-                    args.push("--no-memo".to_string());
+                    command.push("--no-memo");
                 }
-                ise_repro::ise_cli::run(&args).unwrap_or_else(|e| panic!("{label}: {e}"));
-                let cli_json = std::fs::read_to_string(&out).unwrap();
-                let cli_md = std::fs::read_to_string(&md).unwrap();
+                let label = format!("{command:?} threads={threads} memo={memo_on}");
+                let (cli_json, cli_md) = cli(&command, &label);
                 assert!(cli_json.contains(r#""total_cuts":"#), "{label}");
                 assert_eq!(strip_seconds(&cli_json), strip_seconds(&lib.0), "{label}");
                 assert_eq!(cli_md, lib.1, "{label}");
             }
+        }
+        for select in [false, true] {
+            let command = if select { "select" } else { "enumerate" };
+            let label = format!("{command} threads={threads}");
+            let config = BatchConfig {
+                select: select.then_some(SelectionConfig {
+                    max_instructions: 4,
+                    ports_in: nin,
+                    ports_out: nout,
+                }),
+                ..batch.clone()
+            };
+            let lib = batch_json(&run_batch_obs(&blocks, &config, None), &meta(select)).render();
+            let (cli_json, _) = cli(&[command], &label);
+            assert!(cli_json.contains(r#""total_cuts":"#), "{label}");
+            assert_eq!(
+                strip_seconds(&cli_json),
+                strip_seconds(&(lib + "\n")),
+                "{label}"
+            );
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();
