@@ -1,7 +1,7 @@
 //! The `ise` command-line driver: corpus-scale enumeration, selection and reporting.
 //!
 //! This crate turns the single-graph engine of [`ise_enum`] into a batch tool over
-//! serialized corpora (see [`ise_corpus`] for the `.dfg` format). Four subcommands:
+//! serialized corpora (see [`ise_corpus`] for the `.dfg` format). Five subcommands:
 //!
 //! ```text
 //! ise enumerate --corpus corpus/ [--threads N] [--nin 4] [--nout 2]
@@ -9,6 +9,7 @@
 //! ise select    (same flags) [--max-instr 4] [--ports-in N] [--ports-out N] [--global]
 //! ise group     (same flags) [--min-count 1] [--top 40]
 //! ise report    --corpus corpus/ [--limit K] [--dot BLOCK]
+//! ise serve     [--listen ADDR] [--cache-dir DIR] [--cache-cap 256]
 //! ```
 //!
 //! `enumerate` runs the incremental polynomial enumeration on every block;
@@ -17,7 +18,11 @@
 //! recognizes recurring candidates across the corpus by canonical code (the
 //! [`group`] module); `report` prints a corpus inventory (loading doubles as
 //! validation) or, with `--dot`, one block as a Graphviz digraph with its
-//! selected ISEs highlighted. Work is scheduled by one work-stealing pool
+//! selected ISEs highlighted; `serve` answers `enumerate`/`select`/`group`
+//! requests from a content-addressed cache (the [`serve`] module). Both
+//! front-ends resolve a command's flags into one job in the same place, so a
+//! request and a command line with the same flags run the same job. Work is
+//! scheduled by one work-stealing pool
 //! ([`batch::run_batch`]): blocks with at least `--par-threshold` vertices fan out
 //! into first-output tasks (`ise_enum::par`), smaller blocks stay whole, and idle
 //! `--threads` workers steal queued items from busy peers — so a single large
@@ -61,6 +66,7 @@ mod args;
 pub mod batch;
 pub mod cache;
 pub mod group;
+mod job;
 pub mod obs;
 pub mod report;
 pub mod serve;
@@ -73,15 +79,12 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::time::Instant;
 
-use ise_canon::{CanonMemo, GroupConfig};
+use ise_canon::CanonMemo;
 use ise_corpus::{load_corpus, CorpusError};
-use ise_enum::{Constraints, DedupMode, PruningConfig};
 
-use batch::{
-    run_batch, run_batch_obs, BatchConfig, SelectionConfig, DEFAULT_PAR_THRESHOLD,
-    DEFAULT_SPLIT_THRESHOLD,
-};
-use report::{batch_markdown, corpus_markdown, write_batch_json, RunMeta};
+use batch::{run_batch, run_batch_obs};
+use job::{Job, Op};
+use report::corpus_markdown;
 
 /// The usage text printed by `ise help` and attached to usage errors.
 pub const USAGE: &str = "\
@@ -205,18 +208,15 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         return Err(CliError::Usage(format!("missing subcommand\n{USAGE}")));
     };
     match command.as_str() {
-        "enumerate" => run_batch_command(&args[1..], false),
-        "select" => run_batch_command(&args[1..], true),
-        "group" => run_group_command(&args[1..]),
         "report" => run_report_command(&args[1..]),
         "serve" => serve::run_serve_command(&args[1..]),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(CliError::Usage(format!(
-            "unknown subcommand `{other}`\n{USAGE}"
-        ))),
+        "help" | "--help" | "-h" => emit("-", &format!("{USAGE}\n")),
+        other => match job::job_flags(other) {
+            Some((flags, switches)) => run_job_command(other, &flags, switches, &args[1..]),
+            None => Err(CliError::Usage(format!(
+                "unknown subcommand `{other}`\n{USAGE}"
+            ))),
+        },
     }
 }
 
@@ -232,324 +232,135 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
 /// counts are still identical across thread counts.
 pub const DEFAULT_BUDGET: usize = 1_000_000;
 
-const BATCH_FLAGS: &[&str] = &[
-    "corpus",
-    "threads",
-    "nin",
-    "nout",
-    "budget",
-    "limit",
-    "out",
-    "md",
-    "par-threshold",
-    "trace-out",
-];
-const SELECT_FLAGS: &[&str] = &[
-    "corpus",
-    "threads",
-    "nin",
-    "nout",
-    "budget",
-    "limit",
-    "out",
-    "md",
-    "par-threshold",
-    "trace-out",
-    "max-instr",
-    "ports-in",
-    "ports-out",
-];
-const GROUP_FLAGS: &[&str] = &[
-    "corpus",
-    "threads",
-    "nin",
-    "nout",
-    "budget",
-    "limit",
-    "out",
-    "md",
-    "par-threshold",
-    "trace-out",
-    "ports-in",
-    "ports-out",
-    "min-count",
-    "top",
-];
-
-/// The flags shared by every batch-driven subcommand, parsed once.
-struct CommonBatchArgs {
-    corpus: String,
-    nin: usize,
-    nout: usize,
-    threads: usize,
-    budget: Option<usize>,
-    par_threshold: usize,
-    constraints: Constraints,
-}
-
-fn parse_common(flags: &Flags) -> Result<CommonBatchArgs, CliError> {
-    let nin = flags.usize("nin", 4)?;
-    let nout = flags.usize("nout", 2)?;
-    Ok(CommonBatchArgs {
-        corpus: flags.string("corpus", "corpus"),
-        nin,
-        nout,
-        threads: flags.usize("threads", 1)?,
-        budget: match flags.usize("budget", DEFAULT_BUDGET)? {
-            0 => None,
-            limit => Some(limit),
-        },
-        par_threshold: flags.usize("par-threshold", DEFAULT_PAR_THRESHOLD)?,
-        constraints: Constraints::new(nin, nout)
-            .map_err(|e| CliError::Usage(format!("--nin/--nout: {e}")))?,
-    })
-}
-
-impl CommonBatchArgs {
-    fn batch_config(&self, select: Option<SelectionConfig>) -> BatchConfig {
-        BatchConfig {
-            constraints: self.constraints.clone(),
-            pruning: PruningConfig::all(),
-            budget: self.budget,
-            threads: self.threads,
-            select,
-            dedup_mode: DedupMode::default(),
-            par_threshold: self.par_threshold,
-            split_threshold: Some(DEFAULT_SPLIT_THRESHOLD),
-        }
-    }
-
-    fn meta(&self, select: bool, elapsed: std::time::Duration) -> RunMeta {
-        RunMeta {
-            corpus: self.corpus.clone(),
-            nin: self.nin,
-            nout: self.nout,
-            threads: self.threads,
-            budget: self.budget,
-            par_threshold: self.par_threshold,
-            split_threshold: Some(DEFAULT_SPLIT_THRESHOLD),
-            dedup_mode: DedupMode::default(),
-            select,
-            elapsed,
-        }
-    }
-}
-
-fn run_batch_command(args: &[String], select: bool) -> Result<(), CliError> {
-    let allowed = if select { SELECT_FLAGS } else { BATCH_FLAGS };
-    let switches: &[&str] = if select {
-        &["global", "no-memo", "progress"]
-    } else {
-        &["progress"]
+/// Runs `enumerate`, `select` or `group`: resolves the job, loads the corpus, runs
+/// the op's compute path and writes its reports.
+fn run_job_command(
+    command: &str,
+    job_flags: &[&str],
+    job_switches: &[&str],
+    args: &[String],
+) -> Result<(), CliError> {
+    let io = ["corpus", "out", "md", "trace-out"];
+    let (cli_flags, cli_switches): (&[&str], &[&str]) = match command {
+        "select" => (&io, &["progress", "no-memo"]),
+        "group" => (
+            &[&io[..], &["top"]].concat(),
+            &["progress", "no-memo", "memo-stats"],
+        ),
+        _ => (&io, &["progress"]),
     };
-    let flags = Flags::parse_with_switches(args, allowed, switches)?;
+    let flags = Flags::parse_with_switches(
+        args,
+        &[job_flags, cli_flags].concat(),
+        &[job_switches, cli_switches].concat(),
+    )?;
     validate_out_targets(&flags)?;
-    let common = parse_common(&flags)?;
-    let global = flags.bool("global", false)?;
-    if !global && flags.bool("no-memo", false)? {
+    let job = Job::from_flags(command, &flags)?;
+    let no_memo = flags.bool("no-memo", false)?;
+    if job.op == Op::Select && no_memo {
         return Err(CliError::Usage(
             "`--no-memo` only applies to `select --global` (per-block selection \
              does not canonicalize)"
                 .to_string(),
         ));
     }
-    let ports_in = flags.usize("ports-in", common.nin)?;
-    let ports_out = flags.usize("ports-out", common.nout)?;
-    let selection = if select && !global {
-        Some(SelectionConfig {
-            max_instructions: flags.usize("max-instr", 4)?,
-            ports_in,
-            ports_out,
-        })
-    } else {
-        None
-    };
-
-    let trace_out = flags.get("trace-out").map(str::to_string);
-    let registry = obs::registry_for(trace_out.as_deref(), flags.bool("progress", false)?);
-    let blocks = load_blocks(&common.corpus, &flags, common.threads, recorder(&registry))?;
-    let config = common.batch_config(selection);
-    let start = Instant::now();
-    let heartbeat = obs::Heartbeat::start(registry.clone(), flags.bool("progress", false)?);
-
-    if global {
-        // Corpus-level selection: --max-instr bounds *distinct patterns* and
-        // defaults to unlimited, because reusing one implemented instruction at
-        // another occurrence costs no additional opcode.
-        let group_config = GroupConfig::new(ports_in, ports_out);
-        let max_patterns = flags.usize("max-instr", 0)?;
-        let mut memo = (!flags.bool("no-memo", false)?).then(CanonMemo::new);
-        if let (Some(memo), Some(registry)) = (memo.as_mut(), &registry) {
-            memo.set_recorder(registry.as_ref());
-        }
-        // Placement reads the cut bodies, so every block keeps its cuts and coding
-        // on the workers would save no memory. Coding after the batch keeps the
-        // enumeration's and the coding's peaks apart, and no fanned-out block
-        // waits behind another block's coding.
-        let outcomes = run_batch_obs(&blocks, &config, recorder(&registry));
-        let index = group::group_outcomes(
-            &blocks,
-            &outcomes,
-            &group_config,
-            common.threads,
-            memo.as_ref(),
-        );
-        if let Some(heartbeat) = heartbeat {
-            heartbeat.stop();
-        }
-        let meta = common.meta(select, start.elapsed());
-        let report =
-            group::GlobalReport::new(&index, &blocks, &outcomes, &group_config, max_patterns);
-        emit_with(&flags.string("out", "-"), |out| {
-            report.write_json(out, &meta)?;
-            out.write_all(b"\n")
-        })?;
-        if let Some(md) = flags.get("md") {
-            emit(md, &report.markdown(&meta))?;
-        }
-        return write_trace_if_requested(trace_out.as_deref(), registry.as_deref());
-    }
-    // The reports render counts, statistics and the selection (already made when
-    // the block finalized), never the cuts themselves: drop each block's cut list
-    // as soon as it finishes.
-    let outcomes = run_batch(&blocks, &config, recorder(&registry), |_, outcome| {
-        outcome.without_cuts()
-    });
-    if let Some(heartbeat) = heartbeat {
-        heartbeat.stop();
-    }
-    let meta = common.meta(select, start.elapsed());
-    emit_with(&flags.string("out", "-"), |out| {
-        write_batch_json(out, &outcomes, &meta)?;
-        out.write_all(b"\n")
-    })?;
-    if let Some(md) = flags.get("md") {
-        emit(md, &batch_markdown(&outcomes, &meta))?;
-    }
-    write_trace_if_requested(trace_out.as_deref(), registry.as_deref())
-}
-
-fn run_group_command(args: &[String]) -> Result<(), CliError> {
-    let flags =
-        Flags::parse_with_switches(args, GROUP_FLAGS, &["no-memo", "memo-stats", "progress"])?;
-    validate_out_targets(&flags)?;
-    let common = parse_common(&flags)?;
-    let ports_in = flags.usize("ports-in", common.nin)?;
-    let ports_out = flags.usize("ports-out", common.nout)?;
-    let min_count = flags.usize("min-count", 1)?;
-    let top = match flags.usize("top", 40)? {
-        0 => usize::MAX, // 0 = unlimited, consistent with --budget / global --max-instr
-        top => top,
-    };
-    let mut memo = (!flags.bool("no-memo", false)?).then(CanonMemo::new);
-    if flags.bool("memo-stats", false)? && memo.is_none() {
+    let show_memo_stats = flags.bool("memo-stats", false)?;
+    if show_memo_stats && no_memo {
         return Err(CliError::Usage(
             "`--memo-stats` needs the memo; drop `--no-memo`".to_string(),
         ));
     }
+    let top = match flags.usize("top", 40)? {
+        0 => usize::MAX, // 0 = unlimited, consistent with --budget / global --max-instr
+        top => top,
+    };
+    let progress = flags.bool("progress", false)?;
 
-    let trace_out = flags.get("trace-out").map(str::to_string);
-    let registry = obs::registry_for(trace_out.as_deref(), flags.bool("progress", false)?);
-    let blocks = load_blocks(&common.corpus, &flags, common.threads, recorder(&registry))?;
-    let config = common.batch_config(None);
+    let trace_out = flags.get("trace-out");
+    let registry = obs::registry_for(trace_out, progress);
+    let rec = registry.as_deref().map(|r| r as &dyn ise_obs::Recorder);
+    let blocks = load_blocks(&job, rec)?;
+    let config = job.batch_config();
+    let mut memo =
+        (matches!(job.op, Op::SelectGlobal | Op::Group) && !no_memo).then(CanonMemo::new);
     if let (Some(memo), Some(registry)) = (memo.as_mut(), &registry) {
         memo.set_recorder(registry.as_ref());
     }
     let start = Instant::now();
-    let heartbeat = obs::Heartbeat::start(registry.clone(), flags.bool("progress", false)?);
-    // Each block is coded on its batch worker and keeps only its counts and coded
-    // cuts: the report renders patterns and per-block counts, never a cut body.
-    let (index, outcomes) = group::group_batch(
-        &blocks,
-        &config,
-        recorder(&registry),
-        &GroupConfig::new(ports_in, ports_out),
-        memo.as_ref(),
-    );
+    let heartbeat = obs::Heartbeat::start(registry.clone(), progress);
+    let (outcomes, index) = match job.op {
+        // The reports render counts, statistics and the selection (already made
+        // when the block finalized), never the cuts themselves: drop each block's
+        // cut list as soon as it finishes.
+        Op::Enumerate | Op::Select => (
+            run_batch(&blocks, &config, rec, |_, outcome| outcome.without_cuts()),
+            None,
+        ),
+        // Placement reads the cut bodies, so every block keeps its cuts and coding
+        // on the workers would save no memory. Coding after the batch keeps the
+        // enumeration's and the coding's peaks apart, and no fanned-out block
+        // waits behind another block's coding.
+        Op::SelectGlobal => {
+            let outcomes = run_batch_obs(&blocks, &config, rec);
+            let index = group::group_outcomes(
+                &blocks,
+                &outcomes,
+                &job.group_config(),
+                job.threads,
+                memo.as_ref(),
+            );
+            (outcomes, Some(index))
+        }
+        // Each block is coded on its batch worker and keeps only its counts and
+        // coded cuts: the report renders patterns and per-block counts, never a
+        // cut body.
+        Op::Group => {
+            let (index, outcomes) =
+                group::group_batch(&blocks, &config, rec, &job.group_config(), memo.as_ref());
+            (outcomes, Some(index))
+        }
+    };
     if let Some(heartbeat) = heartbeat {
         heartbeat.stop();
     }
-    let meta = common.meta(false, start.elapsed());
-    let memo_stats = if flags.bool("memo-stats", false)? {
-        memo.as_ref().map(|m| m.stats())
-    } else {
-        None
-    };
-
+    let meta = job.meta(start.elapsed());
+    let memo_stats = memo
+        .as_ref()
+        .filter(|_| show_memo_stats)
+        .map(CanonMemo::stats);
+    let report = job.report(&blocks, &outcomes, index.as_ref());
     emit_with(&flags.string("out", "-"), |out| {
-        group::write_group_json(
-            out,
-            &index,
-            &outcomes,
-            &meta,
-            min_count,
-            memo_stats.as_ref(),
-        )?;
+        job.write_json(out, &report, &meta, memo_stats.as_ref())?;
         out.write_all(b"\n")
     })?;
     if let Some(md) = flags.get("md") {
-        emit(
-            md,
-            &group::group_markdown(
-                &index,
-                &outcomes,
-                &meta,
-                min_count,
-                top,
-                memo_stats.as_ref(),
-            ),
-        )?;
+        emit(md, &job.markdown(&report, &meta, top, memo_stats.as_ref()))?;
     }
-    write_trace_if_requested(trace_out.as_deref(), registry.as_deref())
-}
-
-/// The `Option<&dyn Recorder>` view of an optional registry, for threading into
-/// [`run_batch`].
-fn recorder(
-    registry: &Option<std::sync::Arc<ise_obs::MetricsRegistry>>,
-) -> Option<&dyn ise_obs::Recorder> {
-    registry.as_deref().map(|r| r as &dyn ise_obs::Recorder)
-}
-
-fn write_trace_if_requested(
-    trace_out: Option<&str>,
-    registry: Option<&ise_obs::MetricsRegistry>,
-) -> Result<(), CliError> {
-    if let (Some(path), Some(registry)) = (trace_out, registry) {
+    if let (Some(path), Some(registry)) = (trace_out, registry.as_deref()) {
         obs::write_trace(path, registry)?;
     }
     Ok(())
 }
 
-const REPORT_FLAGS: &[&str] = &[
-    "corpus",
-    "limit",
-    "dot",
-    "out",
-    "nin",
-    "nout",
-    "budget",
-    "max-instr",
-    "ports-in",
-    "ports-out",
-];
-
 fn run_report_command(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, REPORT_FLAGS)?;
+    let dot_flags = [
+        "out",
+        "nin",
+        "nout",
+        "budget",
+        "max-instr",
+        "ports-in",
+        "ports-out",
+    ];
+    let flags = Flags::parse(
+        args,
+        &[&["corpus", "limit", "dot"][..], &dot_flags].concat(),
+    )?;
     validate_out_targets(&flags)?;
-    let corpus = flags.string("corpus", "corpus");
     if flags.get("dot").is_none() {
         // Don't silently ignore flags that only make sense with --dot (a user
         // who forgets --dot must not get an inventory on stdout and no file).
-        for dot_only in [
-            "out",
-            "nin",
-            "nout",
-            "budget",
-            "max-instr",
-            "ports-in",
-            "ports-out",
-        ] {
+        for dot_only in dot_flags {
             if flags.get(dot_only).is_some() {
                 return Err(CliError::Usage(format!(
                     "`--{dot_only}` requires `--dot BLOCK`"
@@ -557,23 +368,26 @@ fn run_report_command(args: &[String]) -> Result<(), CliError> {
             }
         }
     }
-    let blocks = load_blocks(&corpus, &flags, 1, None)?;
-    if let Some(name) = flags.get("dot") {
-        return run_dot_report(&flags, &blocks, name);
+    // `report` has no `--threads` or `--global`: the job loads on one thread, and
+    // `--dot` selects per block.
+    let job = Job::from_flags("select", &flags)?;
+    let blocks = load_blocks(&job, None)?;
+    match flags.get("dot") {
+        Some(name) => run_dot_report(&job, &blocks, name, &flags.string("out", "-")),
+        None => emit("-", &corpus_markdown(&job.corpus, &blocks)),
     }
-    print!("{}", corpus_markdown(&corpus, &blocks));
-    Ok(())
 }
 
 /// The `ise report --dot <block>` escape hatch: render one block as a Graphviz
 /// digraph with its greedily selected ISEs highlighted, for visual inspection of
 /// grouped patterns and selected instructions.
 fn run_dot_report(
-    flags: &Flags,
+    job: &Job,
     blocks: &[ise_corpus::CorpusBlock],
     name: &str,
+    out: &str,
 ) -> Result<(), CliError> {
-    use ise_enum::{incremental_cuts, select_ises, EngineOptions, EnumContext};
+    use ise_enum::{incremental_cuts, select_ises, EngineOptions, EnumContext, PruningConfig};
     use ise_graph::{DotOptions, LatencyModel};
 
     let Some(block) = blocks.iter().find(|b| b.dfg.name() == name) else {
@@ -581,54 +395,49 @@ fn run_dot_report(
             "--dot: no block named `{name}` in the corpus"
         )));
     };
-    let nin = flags.usize("nin", 4)?;
-    let nout = flags.usize("nout", 2)?;
-    let constraints =
-        Constraints::new(nin, nout).map_err(|e| CliError::Usage(format!("--nin/--nout: {e}")))?;
-    let budget = match flags.usize("budget", DEFAULT_BUDGET)? {
-        0 => None,
-        limit => Some(limit),
-    };
     let ctx = EnumContext::new(block.dfg.clone());
     let options = EngineOptions {
-        max_search_nodes: budget,
+        max_search_nodes: job.budget,
     };
-    let enumeration = incremental_cuts(&ctx, &constraints, &PruningConfig::all(), &options, None);
+    let enumeration = incremental_cuts(
+        &ctx,
+        &job.constraints,
+        &PruningConfig::all(),
+        &options,
+        None,
+    );
     let selection = select_ises(
         &block.dfg,
         &enumeration.cuts,
         &LatencyModel::default(),
-        flags.usize("ports-in", nin)?,
-        flags.usize("ports-out", nout)?,
-        flags.usize("max-instr", 4)?,
+        job.ports_in,
+        job.ports_out,
+        job.max_instr,
     );
     let mut dot = DotOptions::new();
     for (cut, _) in &selection.chosen {
         dot = dot.highlight(cut);
     }
-    emit(&flags.string("out", "-"), &dot.render(&block.dfg))
+    emit(out, &dot.render(&block.dfg))
 }
 
-/// Loads the corpus, parsing its files on up to `threads` workers, and applies
-/// `--limit`, inside a `corpus`/`load` span. The blocks and any error are exactly
-/// those of a one-thread load.
+/// Loads the job's corpus, parsing its files on up to `--threads` workers, and
+/// applies `--limit`, inside a `corpus`/`load` span. The blocks and any error are
+/// exactly those of a one-thread load.
 fn load_blocks(
-    corpus: &str,
-    flags: &Flags,
-    threads: usize,
+    job: &Job,
     rec: Option<&dyn ise_obs::Recorder>,
 ) -> Result<Vec<ise_corpus::CorpusBlock>, CliError> {
     let span = match rec {
         Some(rec) => rec.span_begin("corpus", "load"),
         None => ise_obs::SpanToken::NONE,
     };
-    let loaded = load_corpus(corpus, threads);
+    let loaded = load_corpus(&job.corpus, job.threads);
     if let Some(rec) = rec {
         rec.span_end(span);
     }
     let mut blocks = loaded?;
-    if flags.get("limit").is_some() {
-        let limit = flags.usize("limit", blocks.len())?;
+    if let Some(limit) = job.limit {
         blocks.truncate(limit);
     }
     Ok(blocks)
@@ -684,12 +493,15 @@ fn validate_out_target(target: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-fn emit(target: &str, contents: &str) -> Result<(), CliError> {
+/// Writes `contents` to `target`, a file or stdout for `-`; see [`emit_with`].
+pub(crate) fn emit(target: &str, contents: &str) -> Result<(), CliError> {
     emit_with(target, |out| out.write_all(contents.as_bytes()))
 }
 
 /// Streams what `write` writes to `target` (a file, or stdout for `-`) through a
-/// buffered writer, so a report goes out row by row and never exists whole.
+/// buffered writer, so a report goes out row by row and never exists whole. Every
+/// write of the `ise` commands' output goes through here, so a closed stdout is a
+/// `cannot write -` error, never a panic.
 fn emit_with(
     target: &str,
     write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
@@ -737,23 +549,27 @@ mod tests {
     /// renders, over the corpus at `dir` at 1, 2 and 8 threads. For `group` this
     /// covers `--memo-stats` and two `--min-count`s.
     fn assert_streams_match_adapters(dir: &std::path::Path, command: &str) {
-        use report::{batch_json, written};
+        use report::{batch_json, write_batch_json, written};
         let blocks = ise_corpus::load_corpus_path(dir).unwrap();
+        let (allowed, switches) = job::job_flags(command).unwrap();
         for threads in ["1", "2", "8"] {
-            let flags =
-                Flags::parse(&argv(&["--threads", threads, "--nout", "1"]), BATCH_FLAGS).unwrap();
-            let common = parse_common(&flags).unwrap();
+            let mut args = argv(&["--threads", threads, "--nout", "1"]);
+            if command == "select" {
+                args.extend(argv(&["--max-instr", "2"]));
+            }
+            let flags = Flags::parse_with_switches(&args, &allowed, switches).unwrap();
+            let job = Job::from_flags(command, &flags).unwrap();
+            let meta = job.meta(std::time::Duration::from_millis(3));
             let label = format!("{command} --threads {threads}");
             if command == "group" {
                 let memo = CanonMemo::new();
                 let (index, outcomes) = group::group_batch(
                     &blocks,
-                    &common.batch_config(None),
+                    &job.batch_config(),
                     None,
-                    &GroupConfig::new(common.nin, common.nout),
+                    &job.group_config(),
                     Some(&memo),
                 );
-                let meta = common.meta(false, std::time::Duration::from_millis(3));
                 let stats = memo.stats();
                 for min_count in [1, 2] {
                     for memo_stats in [None, Some(&stats)] {
@@ -769,16 +585,7 @@ mod tests {
                 }
                 continue;
             }
-            let select = command == "select";
-            let selection = select.then_some(SelectionConfig {
-                max_instructions: 2,
-                ports_in: common.nin,
-                ports_out: common.nout,
-            });
-            let outcomes = run_batch(&blocks, &common.batch_config(selection), None, |_, o| {
-                o.without_cuts()
-            });
-            let meta = common.meta(select, std::time::Duration::from_millis(3));
+            let outcomes = run_batch(&blocks, &job.batch_config(), None, |_, o| o.without_cuts());
             let streamed = written(|out| write_batch_json(out, &outcomes, &meta));
             assert_eq!(streamed, batch_json(&outcomes, &meta).render(), "{label}");
         }

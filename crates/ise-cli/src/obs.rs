@@ -24,15 +24,7 @@ pub fn registry_for(trace_out: Option<&str>, progress: bool) -> Option<Arc<Metri
 /// Writes the registry's buffered spans as Chrome trace-event JSON to `path`
 /// (or stdout for `-`), reporting failures as [`CliError::Io`].
 pub fn write_trace(path: &str, registry: &MetricsRegistry) -> Result<(), CliError> {
-    let trace = registry.render_chrome_trace() + "\n";
-    if path == "-" {
-        print!("{trace}");
-        return Ok(());
-    }
-    std::fs::write(path, trace).map_err(|source| CliError::Io {
-        path: path.to_string(),
-        source,
-    })
+    crate::emit(path, &(registry.render_chrome_trace() + "\n"))
 }
 
 /// A background thread printing `--progress` heartbeat lines on stderr every

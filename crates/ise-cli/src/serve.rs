@@ -82,15 +82,16 @@ use std::time::{Duration, Instant};
 use ise_bench::json::Json;
 use ise_canon::{CanonMemo, CodedCut, GroupConfig, MemoStats, PatternIndex};
 use ise_corpus::{load_corpus_path, parse_corpus, CorpusBlock};
-use ise_enum::{Enumeration, PruningConfig};
+use ise_enum::Enumeration;
 use ise_obs::{Counter, MetricsRegistry, Recorder};
 
-use crate::batch::{run_batch_obs, BatchConfig, BlockOutcome, SelectionConfig};
+use crate::batch::{run_batch_obs, BatchConfig, BlockOutcome};
 use crate::cache::{
     content_hash, CacheStats, Flight, FlightStats, LruCache, ResponseCache, SingleFlight,
 };
-use crate::report::{write_batch_json, written};
-use crate::{group, parse_common, CliError, CommonBatchArgs, Flags};
+use crate::job::{job_flags, Job, Op};
+use crate::report::written;
+use crate::{group, CliError, Flags};
 
 /// Default bound, in entries, of each of the daemon's caches (`--cache-cap`).
 pub const DEFAULT_CACHE_CAP: usize = 256;
@@ -175,13 +176,6 @@ const SERVE_FLAGS: &[&str] = &[
     "compute-delay-ms",
     "trace-out",
 ];
-
-/// Flags a request may carry, per op (the batch CLI's flags minus `corpus`, which
-/// the `block` field replaces, and the output-file flags, which a protocol response
-/// replaces).
-const REQ_COMMON: &[&str] = &["threads", "nin", "nout", "budget", "limit", "par-threshold"];
-const REQ_SELECT_EXTRA: &[&str] = &["max-instr", "ports-in", "ports-out"];
-const REQ_GROUP_EXTRA: &[&str] = &["ports-in", "ports-out", "min-count"];
 
 /// Runs `ise serve` until EOF, a `shutdown` request, or SIGTERM/SIGINT.
 ///
@@ -383,9 +377,16 @@ impl ServerState {
     /// an `{"ok":false,...}` response. Safe to call from many threads at once;
     /// concurrent duplicate cold requests coalesce onto one computation.
     pub fn handle_line(&self, line: &str) -> String {
+        self.respond(|| self.dispatch(line))
+    }
+
+    /// Runs one request inside a `serve`/`request` span and renders its response:
+    /// the envelope around an evaluated payload, a control response verbatim, or
+    /// a counted in-band error. Both transports answer every request through here.
+    fn respond(&self, request: impl FnOnce() -> Result<Reply, CliError>) -> String {
         let started = Instant::now();
         let span = self.registry.span_begin("serve", "request");
-        let outcome = self.dispatch(line);
+        let outcome = request();
         self.registry.span_end(span);
         match outcome {
             Ok(Reply::Evaluated {
@@ -440,185 +441,88 @@ impl ServerState {
             .and_then(Json::as_str)
             .ok_or_else(|| CliError::Usage("request needs a string `op` field".into()))?;
         match op {
-            "enumerate" => self.evaluate("enumerate", &request),
-            "select" => self.evaluate("select", &request),
-            "group" => self.evaluate("group", &request),
             "stats" => Ok(Reply::Bare(self.stats_response())),
             "shutdown" => {
                 self.shutdown.store(true, Ordering::SeqCst);
                 Ok(Reply::Bare("{\"ok\":true,\"op\":\"shutdown\"}".to_string()))
             }
-            other => Err(CliError::Usage(format!(
-                "unknown op `{other}` (enumerate|select|group|stats|shutdown)"
-            ))),
+            _ => self.evaluate(resolve(op, &request)?),
         }
     }
 
-    /// The shared evaluate path: resolve blocks, derive the content key, answer
-    /// from the response cache, a coalesced flight, or compute-and-fill.
-    fn evaluate(&self, op: &'static str, request: &Json) -> Result<Reply, CliError> {
-        let block_field = request
-            .get("block")
-            .and_then(Json::as_str)
-            .ok_or_else(|| CliError::Usage("request needs a string `block` field".into()))?;
-        let (allowed, switches): (Vec<&str>, &[&str]) = match op {
-            "select" => (
-                [REQ_COMMON, REQ_SELECT_EXTRA].concat(),
-                &["global"] as &[&str],
-            ),
-            "group" => ([REQ_COMMON, REQ_GROUP_EXTRA].concat(), &[]),
-            _ => (REQ_COMMON.to_vec(), &[]),
-        };
-        let flags = flags_from_json(request.get("flags"), &allowed, switches)?;
-        let common = parse_common(&flags)?;
-
-        let mut blocks = resolve_blocks(block_field)?;
-        if flags.get("limit").is_some() {
-            let limit = flags.usize("limit", blocks.len())?;
-            blocks.truncate(limit);
-        }
-        let canonical: Vec<String> = blocks.iter().map(CorpusBlock::canonical_bytes).collect();
-        let engine_token = engine_token(&common);
-        let op_token = op_token(op, &common, &flags)?;
-
-        let mut parts: Vec<&str> = Vec::with_capacity(canonical.len() + 2);
-        parts.extend(canonical.iter().map(String::as_str));
-        parts.push(&engine_token);
-        parts.push(&op_token);
-        let key = content_hash(&parts);
-
-        if let Some(payload) = self
-            .responses
-            .lock()
-            .expect("response cache lock")
-            .get(&key)
-        {
-            return Ok(Reply::Evaluated {
-                op,
-                key,
-                cached: true,
-                payload,
-            });
-        }
-        match self.flights.join(&key) {
-            // Another thread computed this key while we waited: its published
-            // payload is byte-identical to what we would compute, so answer it
-            // as a cache hit — the computation never ran for this request.
-            Flight::Coalesced(Ok(payload)) => Ok(Reply::Evaluated {
-                op,
-                key,
-                cached: true,
-                payload,
-            }),
-            Flight::Coalesced(Err(message)) => Err(CliError::Usage(message)),
-            Flight::Leader(lead) => {
-                // Between our cache miss and winning the flight, a previous
-                // leader may have finished: re-check (without re-counting — the
-                // miss above already counted this request) before computing.
-                if let Some(payload) = self
-                    .responses
-                    .lock()
-                    .expect("response cache lock")
-                    .peek(&key)
-                {
-                    lead.publish(Ok(payload.clone()));
-                    return Ok(Reply::Evaluated {
-                        op,
-                        key,
-                        cached: true,
-                        payload,
-                    });
-                }
-                let payload =
-                    match self.compute(op, &blocks, &canonical, &common, &flags, &engine_token) {
-                        Ok(payload) => payload,
-                        Err(error) => {
-                            lead.publish(Err(error.to_string()));
-                            return Err(error);
+    /// The shared evaluate path: answer a resolved request from the response
+    /// cache, a coalesced flight, or compute-and-fill.
+    fn evaluate(&self, resolved: Resolved) -> Result<Reply, CliError> {
+        let key = &resolved.key;
+        let hit = self.responses.lock().expect("response cache lock").get(key);
+        let (cached, payload) = match hit {
+            Some(payload) => (true, payload),
+            None => match self.flights.join(key) {
+                // Another thread computed this key while we waited: its published
+                // payload is byte-identical to what we would compute, so answer it
+                // as a cache hit — the computation never ran for this request.
+                Flight::Coalesced(Ok(payload)) => (true, payload),
+                Flight::Coalesced(Err(message)) => return Err(CliError::Usage(message)),
+                Flight::Leader(lead) => {
+                    // Between our cache miss and winning the flight, a previous
+                    // leader may have finished: re-check (without re-counting — the
+                    // miss above already counted this request) before computing.
+                    let peeked = self
+                        .responses
+                        .lock()
+                        .expect("response cache lock")
+                        .peek(key);
+                    let (cached, payload) = match peeked {
+                        Some(payload) => (true, payload),
+                        None => {
+                            let payload = self.compute(&resolved);
+                            // Fill the cache *before* publishing, so a request
+                            // arriving as the flight retires finds the payload
+                            // where it looks first.
+                            self.responses
+                                .lock()
+                                .expect("response cache lock")
+                                .put(key, &payload);
+                            (false, payload)
                         }
                     };
-                // Fill the cache *before* publishing, so a request arriving as
-                // the flight retires finds the payload where it looks first.
-                self.responses
-                    .lock()
-                    .expect("response cache lock")
-                    .put(&key, &payload);
-                lead.publish(Ok(payload.clone()));
-                Ok(Reply::Evaluated {
-                    op,
-                    key,
-                    cached: false,
-                    payload,
-                })
-            }
-        }
+                    lead.publish(Ok(payload.clone()));
+                    (cached, payload)
+                }
+            },
+        };
+        Ok(Reply::Evaluated {
+            op: resolved.job.op.command(),
+            key: resolved.key,
+            cached,
+            payload,
+        })
     }
 
-    fn compute(
-        &self,
-        op: &str,
-        blocks: &[CorpusBlock],
-        canonical: &[String],
-        common: &CommonBatchArgs,
-        flags: &Flags,
-        engine_token: &str,
-    ) -> Result<String, CliError> {
+    fn compute(&self, resolved: &Resolved) -> String {
         if let Some(delay) = self.compute_delay {
             std::thread::sleep(delay);
         }
-        let select = op == "select";
-        let global = flags.bool("global", false)?;
-        let ports_in = flags.usize("ports-in", common.nin)?;
-        let ports_out = flags.usize("ports-out", common.nout)?;
-        let selection = if select && !global {
-            Some(SelectionConfig {
-                max_instructions: flags.usize("max-instr", 4)?,
-                ports_in,
-                ports_out,
-            })
-        } else {
-            None
-        };
-        let config = common.batch_config(selection);
+        let (job, blocks, canonical) = (&resolved.job, &resolved.blocks, &resolved.canonical);
+        let (engine_token, _) = job.cache_tokens();
         let (outcomes, enum_keys) =
-            self.outcomes_with_cache(blocks, canonical, &config, engine_token);
+            self.outcomes_with_cache(blocks, canonical, &job.batch_config(), &engine_token);
 
         // The deterministic payload: no wall times, no thread counts, no request
         // paths. `corpus` names the corpus *content*, so an inline block and a file
         // holding the same block render the same bytes.
-        let mut meta = common.meta(select, Duration::ZERO);
+        let mut meta = job.meta(Duration::ZERO);
         meta.threads = 1;
         let corpus_parts: Vec<&str> = canonical.iter().map(String::as_str).collect();
         meta.corpus = format!("cache:{}", content_hash(&corpus_parts));
 
-        let payload = match op {
-            "group" => {
-                let group_config = GroupConfig::new(ports_in, ports_out);
-                let index = self.index_with_cache(blocks, &outcomes, &enum_keys, &group_config);
-                let min_count = flags.usize("min-count", 1)?;
-                // Memo stats are never embedded in the payload: they depend on
-                // request history, and serve payloads must be byte-identical
-                // cold vs. warm. The `stats` op reports them instead.
-                written(|out| {
-                    group::write_group_json(out, &index, &outcomes, &meta, min_count, None)
-                })
-            }
-            "select" if global => {
-                let group_config = GroupConfig::new(ports_in, ports_out);
-                let index = self.index_with_cache(blocks, &outcomes, &enum_keys, &group_config);
-                let max_patterns = flags.usize("max-instr", 0)?;
-                let report = group::GlobalReport::new(
-                    &index,
-                    blocks,
-                    &outcomes,
-                    &group_config,
-                    max_patterns,
-                );
-                written(|out| report.write_json(out, &meta))
-            }
-            _ => written(|out| write_batch_json(out, &outcomes, &meta)),
-        };
-        Ok(payload)
+        let index = matches!(job.op, Op::Group | Op::SelectGlobal)
+            .then(|| self.index_with_cache(blocks, &outcomes, &enum_keys, &job.group_config()));
+        let report = job.report(blocks, &outcomes, index.as_ref());
+        // Memo stats are never embedded in the payload: they depend on request
+        // history, and serve payloads must be byte-identical cold vs. warm. The
+        // `stats` op reports them instead.
+        written(|out| job.write_json(out, &report, &meta, None))
     }
 
     /// Per-block enumeration through the content-addressed cache: cached blocks
@@ -820,41 +724,49 @@ impl ServerState {
     }
 }
 
-/// The engine facts every evaluated op keys on: constraints, prunings, budget and
-/// fan-out threshold. Thread counts are deliberately absent — they never change a
-/// result byte. The fixed `split-threshold=1000000` and `dedup=dedup-first`
-/// segments name the retired split threshold and the engine's one de-duplication
-/// order; they stay so existing keys and cache files remain valid.
-fn engine_token(common: &CommonBatchArgs) -> String {
-    format!(
-        "{};{};budget={};par-threshold={};split-threshold=1000000;dedup=dedup-first",
-        common.constraints.cache_token(),
-        PruningConfig::all().cache_token(),
-        common
-            .budget
-            .map_or_else(|| "none".to_string(), |b| b.to_string()),
-        common.par_threshold,
-    )
+/// A request resolved without server state: its job, its blocks after `--limit`,
+/// their canonical bytes and the response key.
+struct Resolved {
+    job: Job,
+    blocks: Vec<CorpusBlock>,
+    canonical: Vec<String>,
+    key: String,
 }
 
-/// The op-specific key facts, with the per-op flag defaults resolved so that an
-/// explicit `--max-instr 4` and the default key identically.
-fn op_token(op: &str, common: &CommonBatchArgs, flags: &Flags) -> Result<String, CliError> {
-    let ports_in = flags.usize("ports-in", common.nin)?;
-    let ports_out = flags.usize("ports-out", common.nout)?;
-    Ok(match op {
-        "select" => {
-            let global = flags.bool("global", false)?;
-            let max_instr = flags.usize("max-instr", if global { 0 } else { 4 })?;
-            format!(
-                "select:global={global};max-instr={max_instr};ports-in={ports_in};ports-out={ports_out}"
-            )
-        }
-        "group" => format!(
-            "group:ports-in={ports_in};ports-out={ports_out};min-count={}",
-            flags.usize("min-count", 1)?
-        ),
-        _ => "enumerate".to_string(),
+/// Resolves one `enumerate`/`select`/`group` request: maps its `flags` object onto
+/// the command's flags, builds the [`Job`], resolves the `block` field, applies
+/// `--limit`, and derives the content key over the canonical block bytes and the
+/// job's key tokens. It reads no server state; both transports call it, the JSON
+/// protocol with the line's `op` and HTTP with the path's (a body `op` is ignored,
+/// so the path is authoritative).
+fn resolve(op: &str, request: &Json) -> Result<Resolved, CliError> {
+    let Some((allowed, switches)) = job_flags(op) else {
+        return Err(CliError::Usage(format!(
+            "unknown op `{op}` (enumerate|select|group|stats|shutdown)"
+        )));
+    };
+    let block_field = request
+        .get("block")
+        .and_then(Json::as_str)
+        .ok_or_else(|| CliError::Usage("request needs a string `block` field".into()))?;
+    let job = Job::from_flags(
+        op,
+        &flags_from_json(request.get("flags"), &allowed, switches)?,
+    )?;
+    let mut blocks = resolve_blocks(block_field)?;
+    if let Some(limit) = job.limit {
+        blocks.truncate(limit);
+    }
+    let canonical: Vec<String> = blocks.iter().map(CorpusBlock::canonical_bytes).collect();
+    let (engine_token, op_token) = job.cache_tokens();
+    let mut parts: Vec<&str> = canonical.iter().map(String::as_str).collect();
+    parts.extend([engine_token.as_str(), op_token.as_str()]);
+    let key = content_hash(&parts);
+    Ok(Resolved {
+        job,
+        blocks,
+        canonical,
+        key,
     })
 }
 
@@ -976,8 +888,7 @@ fn serve_tcp(state: &Arc<ServerState>, addr: &str, max_connections: usize) -> Re
             source,
         })?;
     if let Ok(local) = listener.local_addr() {
-        println!("listening on {local}");
-        let _ = io::stdout().flush();
+        crate::emit("-", &format!("listening on {local}\n"))?;
     }
     let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !(sig::terminated() || state.shutdown_requested()) {
@@ -1055,10 +966,32 @@ fn is_http_request_line(line: &str) -> bool {
         .any(|method| line.starts_with(method))
 }
 
-/// Reads one line, polling through read timeouts so shutdown flags are honoured
-/// while blocked on a quiet peer. Returns `Ok(0)` on a clean end (EOF between
-/// lines, or shutdown while idle); a peer that disconnects **mid-line** is an
-/// error — the caller surfaces it as a connection error rather than silently
+/// Retries `read` through the connection's read timeouts: `Ok(Some(n))` once a
+/// read returns `n` bytes (0 at EOF), `Ok(None)` when a read timed out and the
+/// daemon is shutting down. Both polled readers poll through here, so a shutdown
+/// flag is honoured while blocked on a quiet peer.
+fn poll_read(
+    state: &ServerState,
+    mut read: impl FnMut() -> io::Result<usize>,
+) -> io::Result<Option<usize>> {
+    loop {
+        match read() {
+            Err(error)
+                if error.kind() == io::ErrorKind::WouldBlock
+                    || error.kind() == io::ErrorKind::TimedOut =>
+            {
+                if sig::terminated() || state.shutdown_requested() {
+                    return Ok(None);
+                }
+            }
+            read => return read.map(Some),
+        }
+    }
+}
+
+/// Reads one line through [`poll_read`]. Returns `Ok(0)` on a clean end (EOF
+/// between lines, or shutdown while idle); a peer that disconnects **mid-line** is
+/// an error — the caller surfaces it as a connection error rather than silently
 /// dropping the partial request. A line longer than [`MAX_REQUEST_BYTES`] stops
 /// growing at the cap and fails with [`RequestTooLarge`].
 fn read_line_polled(
@@ -1072,40 +1005,29 @@ fn read_line_polled(
         if room == 0 {
             return Err(request_too_large("request line"));
         }
-        match Read::take(&mut *reader, room as u64).read_line(line) {
-            Ok(0) => {
-                if line.is_empty() {
-                    return Ok(0);
-                }
+        match poll_read(state, || {
+            Read::take(&mut *reader, room as u64).read_line(line)
+        })? {
+            None => return Ok(0),
+            Some(0) if line.is_empty() => return Ok(0),
+            Some(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     format!("connection closed mid-line after {} bytes", line.len()),
                 ));
             }
-            Ok(_) => {
-                if line.ends_with('\n') {
-                    return Ok(line.len());
-                }
-                // EOF with a partial line: the next read returns Ok(0) with a
-                // non-empty buffer and reports the mid-line disconnect above. A
-                // read that stopped at the cap fails at the top of the loop.
-            }
-            Err(error)
-                if error.kind() == io::ErrorKind::WouldBlock
-                    || error.kind() == io::ErrorKind::TimedOut =>
-            {
-                if sig::terminated() || state.shutdown_requested() {
-                    return Ok(0);
-                }
-            }
-            Err(error) => return Err(error),
+            Some(_) if line.ends_with('\n') => return Ok(line.len()),
+            // EOF with a partial line: the next read returns 0 with a non-empty
+            // buffer and reports the mid-line disconnect above. A read that
+            // stopped at the cap fails at the top of the loop.
+            Some(_) => {}
         }
     }
 }
 
-/// Reads exactly `buf.len()` bytes, polling through read timeouts like
-/// [`read_line_polled`]. An EOF before the buffer fills is a mid-request
-/// disconnect and reported as an error.
+/// Reads exactly `buf.len()` bytes through [`poll_read`]. An EOF before the
+/// buffer fills is a mid-request disconnect and reported as an error, as is a
+/// shutdown before it fills.
 fn read_exact_polled(
     state: &ServerState,
     reader: &mut impl BufRead,
@@ -1113,8 +1035,8 @@ fn read_exact_polled(
 ) -> io::Result<()> {
     let mut filled = 0;
     while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => {
+        match poll_read(state, || reader.read(&mut buf[filled..]))? {
+            Some(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     format!(
@@ -1123,19 +1045,13 @@ fn read_exact_polled(
                     ),
                 ));
             }
-            Ok(read) => filled += read,
-            Err(error)
-                if error.kind() == io::ErrorKind::WouldBlock
-                    || error.kind() == io::ErrorKind::TimedOut =>
-            {
-                if sig::terminated() || state.shutdown_requested() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "shutdown while reading a request body",
-                    ));
-                }
+            Some(read) => filled += read,
+            None => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "shutdown while reading a request body",
+                ));
             }
-            Err(error) => return Err(error),
         }
     }
     Ok(())
@@ -1275,22 +1191,22 @@ fn http_reply(
         ("GET", "/v1/metrics") => ("200 OK", CONTENT_PROMETHEUS, state.metrics_response()),
         ("POST", "/v1/enumerate" | "/v1/group" | "/v1/select") => {
             let op = path.rsplit('/').next().expect("path has segments");
-            match http_request_line(op, body) {
-                Ok(line) => {
-                    let response = state.handle_line(&line);
-                    let status = if response.starts_with("{\"ok\":true") {
-                        "200 OK"
-                    } else {
-                        "400 Bad Request"
-                    };
-                    (status, CONTENT_JSON, response)
-                }
-                Err(message) => (
-                    "400 Bad Request",
-                    CONTENT_JSON,
-                    state.error_response(&message),
-                ),
-            }
+            let response = state.respond(|| {
+                // An empty body, like any body that is no object with a string
+                // `block`, fails validation in-band.
+                let request = match body.trim() {
+                    "" => Json::Null,
+                    _ => Json::parse(body)
+                        .map_err(|e| CliError::Usage(format!("request body is not JSON: {e}")))?,
+                };
+                state.evaluate(resolve(op, &request)?)
+            });
+            let status = if response.starts_with("{\"ok\":true") {
+                "200 OK"
+            } else {
+                "400 Bad Request"
+            };
+            (status, CONTENT_JSON, response)
         }
         ("POST" | "GET", _) => (
             "404 Not Found",
@@ -1306,20 +1222,6 @@ fn http_reply(
             state.error_response(&format!("method `{method}` is not supported")),
         ),
     }
-}
-
-/// Builds the JSON-protocol request line for an HTTP body: the body's object with
-/// the path-implied `op` prepended (a conflicting `op` in the body is replaced —
-/// the path is authoritative).
-fn http_request_line(op: &str, body: &str) -> Result<String, String> {
-    let body = if body.trim().is_empty() { "{}" } else { body };
-    let doc = Json::parse(body).map_err(|e| format!("request body is not JSON: {e}"))?;
-    let Json::Object(mut pairs) = doc else {
-        return Err("request body must be a JSON object".to_string());
-    };
-    pairs.retain(|(key, _)| key != "op");
-    pairs.insert(0, ("op".to_string(), Json::str(op)));
-    Ok(Json::Object(pairs).render())
 }
 
 #[cfg(test)]
@@ -1684,27 +1586,93 @@ mod tests {
         );
     }
 
+    /// The response key doubles as the `--cache-dir` file name, so it must not
+    /// drift: one pinned key per request shape, and explicit defaults key exactly
+    /// like absent flags.
     #[test]
-    fn http_request_line_injects_the_path_op() {
-        let line = http_request_line("enumerate", r#"{"block":"b.dfg","flags":{"nin":3}}"#)
-            .expect("valid body");
-        let doc = Json::parse(&line).unwrap();
-        assert_eq!(doc.get("op").and_then(Json::as_str), Some("enumerate"));
-        assert_eq!(doc.get("block").and_then(Json::as_str), Some("b.dfg"));
+    fn cache_keys_are_pinned_and_explicit_defaults_key_like_absent_flags() {
+        let key_of = |op: &str, flags: &str| {
+            let request = Json::parse(&request(op, INLINE, flags)).unwrap();
+            resolve(op, &request).expect("valid request").key
+        };
+        for (op, flags, key) in [
+            (
+                "enumerate",
+                r#"{"nin":3,"nout":1}"#,
+                "669bd80a9c7b4d06e1beda6f172ff4d1",
+            ),
+            (
+                "select",
+                r#"{"nin":3,"nout":1}"#,
+                "bcbbbda46d9df8fa0b3e84beae9f8691",
+            ),
+            (
+                "select",
+                r#"{"nin":3,"nout":1,"global":true,"max-instr":2}"#,
+                "df4159416d0d24da380c35ac6283c018",
+            ),
+            (
+                "group",
+                r#"{"nin":3,"nout":1,"ports-in":2,"ports-out":1,"min-count":2}"#,
+                "b8993f7e6c93d10378006a3486d73df7",
+            ),
+        ] {
+            assert_eq!(key_of(op, flags), key, "{op} {flags}");
+        }
+        for (op, absent, explicit) in [
+            (
+                "enumerate",
+                r#"{"nin":3,"nout":1}"#,
+                r#"{"nin":3,"nout":1,"budget":1000000}"#,
+            ),
+            (
+                "select",
+                r#"{"nin":3,"nout":1}"#,
+                r#"{"nin":3,"nout":1,"global":false,"max-instr":4,"ports-in":3,"ports-out":1}"#,
+            ),
+            (
+                "select",
+                r#"{"nin":3,"nout":1,"global":true}"#,
+                r#"{"nin":3,"nout":1,"global":true,"max-instr":0}"#,
+            ),
+            (
+                "group",
+                r#"{"nin":3,"nout":1}"#,
+                r#"{"nin":3,"nout":1,"ports-in":3,"ports-out":1,"min-count":1}"#,
+            ),
+        ] {
+            assert_eq!(key_of(op, absent), key_of(op, explicit), "{op} {explicit}");
+        }
+    }
+
+    #[test]
+    fn http_reply_takes_the_op_from_the_path() {
+        let state = ServerState::new(8, None);
         // A conflicting body op is replaced by the path's.
-        let line = http_request_line("group", r#"{"op":"shutdown","block":"b.dfg"}"#).unwrap();
-        let doc = Json::parse(&line).unwrap();
-        assert_eq!(doc.get("op").and_then(Json::as_str), Some("group"));
-        // Malformed bodies are reported, not panicked on.
-        assert!(http_request_line("enumerate", "[1,2]").is_err());
-        assert!(http_request_line("enumerate", "{nope").is_err());
-        // An empty body is an empty object (the request then fails validation
-        // in-band, with the usual "needs a `block` field" message).
-        let line = http_request_line("enumerate", "  ").unwrap();
-        assert_eq!(
-            Json::parse(&line).unwrap().get("op").and_then(Json::as_str),
-            Some("enumerate")
+        let body = format!(
+            "{{\"op\":\"shutdown\",\"block\":{},\"flags\":{{\"nin\":3,\"nout\":1}}}}",
+            Json::str(INLINE).render()
         );
+        let (status, _, response) = http_reply(&state, "POST", "/v1/group", &body);
+        assert_eq!(status, "200 OK", "{response}");
+        let doc = Json::parse(&response).unwrap();
+        assert_eq!(doc.get("op").and_then(Json::as_str), Some("group"));
+        assert!(response.contains("ise-cli/group/v1"), "{response}");
+        assert!(!state.shutdown_requested());
+        // Malformed bodies are answered in-band, not panicked on.
+        for (body, expect) in [
+            ("[1,2]", "`block` field"),
+            ("{nope", "not JSON"),
+            // An empty body is an empty object, which then fails validation.
+            ("  ", "`block` field"),
+        ] {
+            let (status, _, response) = http_reply(&state, "POST", "/v1/enumerate", body);
+            assert_eq!(status, "400 Bad Request", "{body}: {response}");
+            let doc = Json::parse(&response).expect("error responses are JSON");
+            assert_eq!(doc.get("ok"), Some(&Json::Bool(false)), "{response}");
+            let message = doc.get("error").and_then(Json::as_str).unwrap();
+            assert!(message.contains(expect), "{body}: {message}");
+        }
     }
 
     #[test]
