@@ -76,7 +76,7 @@ use std::io::{self, BufRead, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ise_bench::json::Json;
@@ -736,9 +736,12 @@ struct Resolved {
 /// Resolves one `enumerate`/`select`/`group` request: maps its `flags` object onto
 /// the command's flags, builds the [`Job`], resolves the `block` field, applies
 /// `--limit`, and derives the content key over the canonical block bytes and the
-/// job's key tokens. It reads no server state; both transports call it, the JSON
-/// protocol with the line's `op` and HTTP with the path's (a body `op` is ignored,
-/// so the path is authoritative).
+/// job's key tokens. A request's `threads` is capped at the host's parallelism: the
+/// batch spawns up to that many workers, and a client must not make the daemon
+/// start one thread per block (threads are in neither the key nor the payload). It
+/// reads no server state; both transports call it, the JSON protocol with the
+/// line's `op` and HTTP with the path's (a body `op` is ignored, so the path is
+/// authoritative).
 fn resolve(op: &str, request: &Json) -> Result<Resolved, CliError> {
     let Some((allowed, switches)) = job_flags(op) else {
         return Err(CliError::Usage(format!(
@@ -749,10 +752,11 @@ fn resolve(op: &str, request: &Json) -> Result<Resolved, CliError> {
         .get("block")
         .and_then(Json::as_str)
         .ok_or_else(|| CliError::Usage("request needs a string `block` field".into()))?;
-    let job = Job::from_flags(
+    let mut job = Job::from_flags(
         op,
         &flags_from_json(request.get("flags"), &allowed, switches)?,
     )?;
+    job.threads = job.threads.min(host_parallelism());
     let mut blocks = resolve_blocks(block_field)?;
     if let Some(limit) = job.limit {
         blocks.truncate(limit);
@@ -768,6 +772,14 @@ fn resolve(op: &str, request: &Json) -> Result<Resolved, CliError> {
         canonical,
         key,
     })
+}
+
+/// The host's parallelism, read once: `available_parallelism` parses the cgroup
+/// quota files on every call, which would cost each warm request more than its
+/// cache lookup.
+fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
 /// Converts a request's `flags` object into the CLI flag parser's argv form, so
@@ -1584,6 +1596,25 @@ mod tests {
             state.registry().spans_entered(),
             state.registry().spans_exited()
         );
+    }
+
+    /// A client's `threads` is capped at the host's parallelism when the request
+    /// resolves; nothing is evaluated, so no worker is started.
+    #[test]
+    fn resolve_caps_threads_at_the_host_parallelism() {
+        let host = std::thread::available_parallelism().map_or(1, usize::from);
+        let resolved = |flags: &str| {
+            let request = Json::parse(&request("enumerate", INLINE, flags)).unwrap();
+            resolve("enumerate", &request).expect("valid request")
+        };
+        let capped = resolved(r#"{"threads":1000000}"#);
+        assert_eq!(capped.job.threads, host);
+        assert_eq!(
+            capped.key,
+            resolved("{}").key,
+            "threads stay out of the key"
+        );
+        assert_eq!(resolved(r#"{"threads":1}"#).job.threads, 1);
     }
 
     /// The response key doubles as the `--cache-dir` file name, so it must not

@@ -151,9 +151,22 @@ pub fn run<E: Enumerator + ?Sized>(
     enumerator.search(&mut state);
     let enumeration = state.finish();
     if let Some(rec) = rec {
+        publish_block_counters(rec, &enumeration.stats);
         rec.span_end(span);
     }
     enumeration
+}
+
+/// Publishes a finished block's `ise_engine_valid_cuts_total` and
+/// `ise_engine_duplicates_total`: once per block, from its final statistics —
+/// [`run`]'s for a whole run, `par::merge_tasks`'s for a fanned-out block — so a
+/// cut that several tasks find counts once.
+pub(crate) fn publish_block_counters(rec: &dyn Recorder, stats: &EnumStats) {
+    rec.add("ise_engine_valid_cuts_total", stats.valid_cuts as u64);
+    rec.add(
+        "ise_engine_duplicates_total",
+        stats.rejected_duplicate as u64,
+    );
 }
 
 /// One entry of the undo trail; popping a frame replays these in reverse.
@@ -180,10 +193,6 @@ enum TrailEntry {
 pub struct SearchState<'a> {
     ctx: &'a EnumContext,
     constraints: &'a Constraints,
-    /// When set, every first-seen key inserted into `seen` gets one classification
-    /// byte appended here (see [`CandidateClass`]) — the trace the task-parallel
-    /// merge replays to reconstruct the serial run's statistics exactly.
-    class_log: Option<Vec<u8>>,
     max_search_nodes: Option<usize>,
     /// Cached `ctx.rooted().forbidden()` for hot membership tests.
     forbidden: &'a DenseNodeSet,
@@ -226,7 +235,6 @@ impl<'a> SearchState<'a> {
         SearchState {
             ctx,
             constraints,
-            class_log: None,
             max_search_nodes: options.max_search_nodes,
             forbidden: ctx.rooted().forbidden(),
             body: DenseNodeSet::new(n),
@@ -278,7 +286,9 @@ impl<'a> SearchState<'a> {
     }
 
     /// Flushes the per-phase timings and the progress counters to the attached
-    /// recorder (bulk, once per run or per parallel task — never per event).
+    /// recorder (bulk, once per run or per parallel task — never per event). The
+    /// cut and duplicate counters are per block, not per task: see
+    /// [`publish_block_counters`].
     fn flush_obs(&mut self) {
         let Some(rec) = self.rec else { return };
         let (ns, entries) = self.clock.finalize();
@@ -298,11 +308,6 @@ impl<'a> SearchState<'a> {
         rec.add(
             "ise_engine_candidates_total",
             self.stats.candidates_checked as u64,
-        );
-        rec.add("ise_engine_valid_cuts_total", self.stats.valid_cuts as u64);
-        rec.add(
-            "ise_engine_duplicates_total",
-            self.stats.rejected_duplicate as u64,
         );
         rec.add(
             "ise_engine_dominator_runs_total",
@@ -325,13 +330,6 @@ impl<'a> SearchState<'a> {
     /// The microarchitectural constraints of this run.
     pub fn constraints(&self) -> &'a Constraints {
         self.constraints
-    }
-
-    /// Turns on the candidate-classification log consumed by the task-parallel merge
-    /// (`crate::par`): one byte is appended per first-seen key, in seen-set insertion
-    /// order.
-    pub(crate) fn enable_class_log(&mut self) {
-        self.class_log = Some(Vec::new());
     }
 
     /// Read access to the statistics accumulated so far.
@@ -586,22 +584,15 @@ impl<'a> SearchState<'a> {
         let verdict =
             self.checker
                 .check(self.ctx, self.constraints, candidate, require_io_condition);
-        let class = match verdict {
+        match verdict {
             Ok(()) => {
                 self.stats.valid_cuts += 1;
                 let cut = self
                     .checker
                     .cut(self.ctx, body.unwrap_or_else(|| self.body.clone()));
                 self.cuts.push(cut);
-                CandidateClass::VALID
             }
-            Err(rejection) => {
-                self.stats.record_rejection(rejection);
-                CandidateClass::of(rejection)
-            }
-        };
-        if let Some(log) = &mut self.class_log {
-            log.push(class);
+            Err(rejection) => self.stats.record_rejection(rejection),
         }
     }
 
@@ -630,79 +621,6 @@ impl<'a> SearchState<'a> {
             stats: self.stats,
         }
     }
-
-    /// Consumes the state, yielding everything the task-parallel merge needs: the
-    /// cuts, the statistics, the seen-set (whose arena lists every first-seen key in
-    /// insertion order) and the classification log paired with it.
-    pub(crate) fn finish_task(mut self) -> TaskHarvest {
-        self.flush_obs();
-        TaskHarvest {
-            cuts: self.cuts,
-            stats: self.stats,
-            seen: self.seen,
-            classes: self.class_log.unwrap_or_default(),
-        }
-    }
-}
-
-/// Classification byte appended to the candidate log per first-seen key: how the
-/// candidate fared when it was first examined. The task-parallel merge replays these
-/// to reconstruct the serial run's counters exactly (see `crate::par`).
-pub(crate) struct CandidateClass;
-
-impl CandidateClass {
-    /// The candidate validated as a cut.
-    pub const VALID: u8 = 0;
-    /// Rejected with a forbidden vertex in the body.
-    pub const FORBIDDEN: u8 = 1;
-    /// Rejected for exceeding the input or output port budget.
-    pub const IO: u8 = 2;
-    /// Rejected by the connectedness requirement.
-    pub const DISCONNECTED: u8 = 3;
-    /// Rejected by the depth limit.
-    pub const DEPTH: u8 = 4;
-    /// Structurally not a cut (empty, non-convex, or violating the §3 technical
-    /// condition) — rejections without a dedicated counter.
-    pub const STRUCTURAL: u8 = 5;
-
-    /// Maps a rejection to its classification byte, mirroring
-    /// [`EnumStats::record_rejection`].
-    pub fn of(rejection: crate::cut::CutRejection) -> u8 {
-        use crate::cut::CutRejection::*;
-        match rejection {
-            Empty | NotConvex | IoCondition(_) => Self::STRUCTURAL,
-            Forbidden(_) => Self::FORBIDDEN,
-            TooManyInputs(_) | TooManyOutputs(_) => Self::IO,
-            Disconnected => Self::DISCONNECTED,
-            TooDeep(_) => Self::DEPTH,
-        }
-    }
-
-    /// Replays a classification into `stats` the way the first examination counted
-    /// it (the inverse of [`CandidateClass::of`] + `record_rejection`).
-    pub fn replay(class: u8, stats: &mut EnumStats) {
-        match class {
-            Self::VALID => stats.valid_cuts += 1,
-            Self::FORBIDDEN => stats.rejected_forbidden += 1,
-            Self::IO => stats.rejected_io += 1,
-            Self::DISCONNECTED => stats.rejected_disconnected += 1,
-            Self::DEPTH => stats.rejected_depth += 1,
-            _ => {}
-        }
-    }
-}
-
-/// What one task of a task-parallel run hands to the merge (see `crate::par`).
-pub(crate) struct TaskHarvest {
-    /// The task's cuts, in discovery order.
-    pub cuts: Vec<Cut>,
-    /// The task's local statistics.
-    pub stats: EnumStats,
-    /// The task's seen-set; its arena lists every first-seen key in insertion order.
-    pub seen: CutKeySet,
-    /// One [`CandidateClass`] byte per first-seen key (empty unless the class log was
-    /// enabled).
-    pub classes: Vec<u8>,
 }
 
 /// Insert-only hash set of packed cut-body keys.
@@ -731,18 +649,6 @@ impl CutKeySet {
             table: vec![EMPTY_SLOT; 64],
             len: 0,
         }
-    }
-
-    /// Number of distinct keys stored.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// The `idx`-th inserted key (insertion order); the arena doubles as the ordered
-    /// log of first-seen candidates that the task-parallel merge walks.
-    pub(crate) fn key(&self, idx: usize) -> &[u64] {
-        let start = idx * self.stride;
-        &self.arena[start..start + self.stride]
     }
 
     fn hash(words: &[u64]) -> u64 {

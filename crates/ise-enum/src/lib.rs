@@ -31,11 +31,12 @@
 //!
 //! For large blocks the [`par`] module splits the incremental search at the
 //! first-output level into a static fan-out of independent tasks — scheduled by a
-//! work-stealing pool and merged by one ordered replay of the tasks' first-seen
-//! logs — and [`par::parallel_cuts`] reproduces the serial enumeration (cuts and
-//! statistics) exactly for any task and thread count on unbudgeted runs. The engine
-//! de-duplicates every candidate before validating it ([`DedupMode`] names that one
-//! order, DESIGN.md §1.2).
+//! work-stealing pool and merged by concatenating the tasks' cut lists in task
+//! order, each cut body kept once — and [`par::parallel_cuts`] reproduces the serial
+//! cut list and every counter a report renders for any task and thread count on
+//! unbudgeted runs (only the per-task rejection tallies differ, see [`par`]). The
+//! engine de-duplicates every candidate before validating it ([`DedupMode`] names
+//! that one order, DESIGN.md §1.2).
 //!
 //! # Example
 //!

@@ -15,16 +15,24 @@
 //!   pop their newest item and idle workers steal the oldest item from a peer, so a
 //!   skewed block's tasks are drained by whoever is free. Scheduling order never
 //!   affects the output: tasks are pure functions and the merge sorts by [`TaskId`].
-//! * **Ordered merge.** [`merge_tasks`] walks each task's first-seen log, in
-//!   [`TaskId`] order, against one global seen-set: the serial run's discovery
-//!   order, so every first-seen/duplicate verdict (and thus every output byte) is
-//!   the serial run's.
+//! * **Merge by cuts.** [`merge_tasks`] concatenates the tasks' cut lists in
+//!   [`TaskId`] order and drops every cut whose body an earlier task already
+//!   emitted. A candidate's verdict depends on its body alone (fixed constraints,
+//!   and the incremental engine always checks the I/O condition), so the first task
+//!   to examine a valid body emitted it as a cut, at the position the serial run
+//!   emits it.
 //!
-//! The merged [`Enumeration`] — cuts *and* statistics — is byte-identical to the
-//! serial run for unbudgeted runs, for **any** task and thread count. With a per-task
-//! search budget the result is still deterministic in the task count, just not equal
-//! to the serially budgeted run; batch drivers must therefore derive the task count
-//! from the block and flags alone, never from the machine.
+//! **Contract.** For unbudgeted runs, for **any** task and thread count, the merged
+//! [`Enumeration`] equals the serial run in its cut list (order included), in
+//! `valid_cuts`, `search_nodes`, `candidates_checked` and `dominator_runs`, and in
+//! the six `pruned_*` counters. The rejection tallies count per task: a body
+//! rejected in k tasks counts k times, so `rejected_forbidden`, `rejected_io`,
+//! `rejected_disconnected` and `rejected_depth` can exceed the serial run's, and
+//! `rejected_duplicate` falls short of it by the number of extra rejections
+//! (structural ones, which have no tally, included; see [`EnumStats`]).
+//! With a per-task search budget the result is still deterministic in the task
+//! count, just not equal to the serially budgeted run; batch drivers must therefore
+//! derive the task count from the block and flags alone, never from the machine.
 //!
 //! [`parallel_cuts`] bundles fan-out → run/steal → merge behind one call; batch
 //! drivers with their own scheduler (the `ise` CLI) drive [`initial_tasks`],
@@ -39,7 +47,7 @@ use ise_obs::{Counter, Recorder};
 
 use crate::config::{Constraints, PruningConfig};
 use crate::context::EnumContext;
-use crate::engine::{CandidateClass, CutKeySet, EngineOptions, SearchState, TaskHarvest};
+use crate::engine::{publish_block_counters, CutKeySet, EngineOptions, SearchState};
 use crate::incremental::IncrementalEnumerator;
 use crate::result::Enumeration;
 use crate::stats::EnumStats;
@@ -92,21 +100,6 @@ impl TaskSpec {
     }
 }
 
-/// What one task produced; feed the outputs of a completed decomposition, sorted by
-/// [`TaskId`], to [`merge_tasks`]. Opaque: the classification log inside is
-/// an implementation detail of the merge.
-pub struct TaskOutput {
-    harvest: TaskHarvest,
-}
-
-impl TaskOutput {
-    /// The task's local statistics (diagnostics only — the merge recomputes the
-    /// de-duplication-dependent counters globally).
-    pub fn stats(&self) -> &EnumStats {
-        &self.harvest.stats
-    }
-}
-
 /// Splits `candidate_count` first-output candidates into at most `tasks` contiguous
 /// ranges covering `0..candidate_count` in order (the partition the merge expects).
 /// Ranges differ in length by at most one, and every returned range is **non-empty**:
@@ -146,6 +139,8 @@ pub fn initial_tasks(candidate_count: usize, tasks: usize) -> Vec<TaskSpec> {
 /// `ctx.candidate_outputs()[spec.roots]`.
 ///
 /// Pure function of its arguments — workers can run tasks in any order on any thread.
+/// Feed the enumerations of a completed decomposition, sorted by [`TaskId`], to
+/// [`merge_tasks`].
 ///
 /// An optional [`Recorder`] receives the task's lifecycle: a per-task span (named
 /// after the [`TaskId`], so Chrome-trace timelines nest tasks under their worker
@@ -158,7 +153,7 @@ pub fn run_task(
     options: &EngineOptions,
     spec: &TaskSpec,
     rec: Option<&dyn Recorder>,
-) -> TaskOutput {
+) -> Enumeration {
     let span = match rec {
         Some(rec) if rec.enabled() => rec.span_begin("task", &format!("task {}", spec.id.0)),
         _ => ise_obs::SpanToken::NONE,
@@ -168,20 +163,14 @@ pub fn run_task(
     if let Some(rec) = rec {
         state.set_recorder(rec);
     }
-    state.enable_class_log();
     crate::engine::Enumerator::search(&mut enumerator, &mut state);
-    let output = TaskOutput {
-        harvest: state.finish_task(),
-    };
+    let enumeration = state.finish();
     if let Some(rec) = rec {
         rec.add("ise_pool_tasks_total", 1);
-        rec.observe(
-            "ise_pool_task_nodes",
-            output.harvest.stats.search_nodes as u64,
-        );
+        rec.observe("ise_pool_task_nodes", enumeration.stats.search_nodes as u64);
         rec.span_end(span);
     }
-    output
+    enumeration
 }
 
 /// A work-stealing scheduler over per-worker deques; `std`-only.
@@ -271,89 +260,57 @@ impl<T> WorkStealPool<T> {
     }
 }
 
-/// Merges the outputs of a completed decomposition (sorted by [`TaskId`], which
+/// Merges the enumerations of a completed decomposition (sorted by [`TaskId`], which
 /// [`parallel_cuts`] and the CLI scheduler do after draining the pool) into one
-/// [`Enumeration`] by one ordered replay.
+/// [`Enumeration`].
 ///
-/// The merge walks each task's first-seen candidates, in task order, against one
-/// global seen-set: a candidate an earlier task already claimed is re-counted as a
-/// duplicate exactly as the serial seen-set would have counted it at that point of
-/// its discovery order, and everything else replays its recorded classification.
-/// The verdicts — and the output bytes, cut list order included — are therefore
-/// the serial run's; for unbudgeted runs the result is byte-identical to the serial
-/// enumeration.
+/// The cut lists are concatenated in task order, keeping each cut only if no earlier
+/// task already emitted its body; the statistics are summed. For unbudgeted runs the
+/// cut list (order included), `valid_cuts`, `search_nodes`, `candidates_checked`,
+/// `dominator_runs` and the six `pruned_*` counters equal the serial run's, so every
+/// rendered byte does. The rejection tallies count per task (see the module docs);
+/// each dropped cut adds one to `rejected_duplicate`.
 ///
-/// With a [`Recorder`] the merge runs under a `merge` span and the replay's time
-/// lands in the `ise_merge_shard_ns` histogram (one observation per merge).
-/// Recording never changes the merged result.
+/// With a [`Recorder`] the merge runs under a `merge` span, its time lands in the
+/// `ise_merge_shard_ns` histogram (one observation per merge), and the merged
+/// block's `ise_engine_valid_cuts_total` and `ise_engine_duplicates_total` are
+/// published. Recording never changes the merged result.
 pub fn merge_tasks(
     ctx: &EnumContext,
-    outputs: Vec<TaskOutput>,
+    tasks: Vec<Enumeration>,
     rec: Option<&dyn Recorder>,
 ) -> Enumeration {
     let span = match rec {
         Some(rec) => rec.span_begin("merge", "merge_tasks"),
         None => ise_obs::SpanToken::NONE,
     };
-    let merged = merge_tasks_inner(ctx, outputs, rec);
-    if let Some(rec) = rec {
-        rec.span_end(span);
-    }
-    merged
-}
-
-fn merge_tasks_inner(
-    ctx: &EnumContext,
-    outputs: Vec<TaskOutput>,
-    rec: Option<&dyn Recorder>,
-) -> Enumeration {
-    let mut stats = EnumStats::new();
-    // Counters independent of de-duplication are plain sums: the tasks partition the
-    // serial traversal, and nothing below the top level reads the seen-set.
-    for out in &outputs {
-        let s = out.harvest.stats;
-        stats.candidates_checked += s.candidates_checked;
-        stats.rejected_duplicate += s.rejected_duplicate;
-        stats.dominator_runs += s.dominator_runs;
-        stats.pruned_output_output += s.pruned_output_output;
-        stats.pruned_output_input += s.pruned_output_input;
-        stats.pruned_input_input += s.pruned_input_input;
-        stats.pruned_dominator_input += s.pruned_dominator_input;
-        stats.pruned_connectedness += s.pruned_connectedness;
-        stats.pruned_build_s += s.pruned_build_s;
-        stats.search_nodes += s.search_nodes;
-    }
-
-    // Replay every task's first-seen log in task order: keys an earlier task already
-    // claimed become duplicates, exactly as the serial run would have counted them.
     let start = rec.map(|_| Instant::now());
+    let mut stats = EnumStats::new();
     let mut seen = CutKeySet::new(ctx.rooted().num_nodes().div_ceil(64));
     let mut cuts = Vec::new();
-    for out in outputs {
-        let harvest = out.harvest;
-        debug_assert_eq!(harvest.seen.len(), harvest.classes.len());
-        let mut task_cuts = harvest.cuts.into_iter();
-        for (idx, &class) in harvest.classes.iter().enumerate() {
-            let cut = (class == CandidateClass::VALID)
-                .then(|| task_cuts.next().expect("one cut per VALID entry"));
-            if seen.insert(harvest.seen.key(idx)) {
-                CandidateClass::replay(class, &mut stats);
-                cuts.extend(cut);
+    for task in tasks {
+        stats += task.stats;
+        for cut in task.cuts {
+            if seen.insert(cut.body().words()) {
+                cuts.push(cut);
             } else {
                 stats.rejected_duplicate += 1;
             }
         }
-        debug_assert!(task_cuts.next().is_none(), "unconsumed task cuts");
     }
+    stats.valid_cuts = cuts.len();
     if let (Some(rec), Some(start)) = (rec, start) {
         rec.observe("ise_merge_shard_ns", start.elapsed().as_nanos() as u64);
+        publish_block_counters(rec, &stats);
+        rec.span_end(span);
     }
     Enumeration { cuts, stats }
 }
 
 /// A [`parallel_cuts`] run: the merged enumeration plus per-task diagnostics.
 pub struct ParRun {
-    /// The merged result — byte-identical to the serial run when unbudgeted.
+    /// The merged result — equal to the serial run in cuts and rendered counters
+    /// when unbudgeted (see [`merge_tasks`]).
     pub enumeration: Enumeration,
     /// Per-task `search_nodes`, in deterministic merge ([`TaskId`]) order. Its length
     /// is the task count; the max/mean ratio of the values is the load-skew measure
@@ -363,7 +320,8 @@ pub struct ParRun {
 
 /// Splits the search into [`ParConfig::tasks`] first-output tasks, runs them on
 /// [`ParConfig::threads`] work-stealing workers, and merges. For unbudgeted runs the
-/// result equals [`crate::incremental_cuts`] exactly (cuts and statistics); neither
+/// result equals [`crate::incremental_cuts`] in everything [`merge_tasks`] promises
+/// (the cut list and every counter except the per-task rejection tallies); neither
 /// thread count nor scheduling order ever changes it.
 ///
 /// With a [`Recorder`], worker threads are named in trace output, every task runs
@@ -376,7 +334,7 @@ pub struct ParRun {
 /// ```
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// use ise_enum::par::{parallel_cuts, ParConfig};
-/// use ise_enum::{incremental_cuts, Constraints, EngineOptions, EnumContext, PruningConfig};
+/// use ise_enum::{incremental_cuts, Constraints, Cut, EngineOptions, EnumContext, PruningConfig};
 /// use ise_graph::{DfgBuilder, Operation};
 ///
 /// let mut b = DfgBuilder::new("bb");
@@ -391,7 +349,10 @@ pub struct ParRun {
 ///
 /// let serial = incremental_cuts(&ctx, &constraints, &pruning, &EngineOptions::default(), None);
 /// let par = parallel_cuts(&ctx, &constraints, &pruning, &ParConfig::new(2, 2), None);
-/// assert_eq!(par.enumeration.stats, serial.stats);
+/// // The serial cut list, in order, and the serial search counters.
+/// assert!(par.enumeration.cuts.iter().map(Cut::key).eq(serial.cuts.iter().map(Cut::key)));
+/// assert_eq!(par.enumeration.stats.valid_cuts, serial.stats.valid_cuts);
+/// assert_eq!(par.enumeration.stats.search_nodes, serial.stats.search_nodes);
 /// # Ok(())
 /// # }
 /// ```
@@ -407,7 +368,7 @@ pub fn parallel_cuts(
     let specs = initial_tasks(candidates, tasks);
     if specs.len() <= 1 {
         // Degenerate decompositions (no candidates, or a single task) are exactly the
-        // serial run; skip the scheduler and the merge replay.
+        // serial run; skip the scheduler and the merge.
         let enumeration =
             crate::incremental::incremental_cuts(ctx, constraints, pruning, &config.options, rec);
         let nodes = enumeration.stats.search_nodes;
@@ -422,7 +383,7 @@ pub fn parallel_cuts(
         pool.set_recorder(rec);
     }
     pool.seed(specs);
-    let results: Mutex<Vec<(TaskId, TaskOutput)>> = Mutex::new(Vec::new());
+    let results: Mutex<Vec<(TaskId, Enumeration)>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         for worker in 0..workers {
             let pool = &pool;
@@ -445,9 +406,9 @@ pub fn parallel_cuts(
     outputs.sort_by_key(|(id, _)| *id);
     let task_nodes = outputs
         .iter()
-        .map(|(_, out)| out.stats().search_nodes)
+        .map(|(_, out)| out.stats.search_nodes)
         .collect();
-    let outputs: Vec<TaskOutput> = outputs.into_iter().map(|(_, out)| out).collect();
+    let outputs: Vec<Enumeration> = outputs.into_iter().map(|(_, out)| out).collect();
     ParRun {
         enumeration: merge_tasks(ctx, outputs, rec),
         task_nodes,
@@ -457,7 +418,7 @@ pub fn parallel_cuts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cut::Cut;
+    use crate::cut::{Cut, CutKey};
     use crate::incremental::incremental_cuts;
     use ise_graph::DfgBuilder;
     use ise_graph::Operation;
@@ -491,11 +452,39 @@ mod tests {
         parallel_cuts(ctx, constraints, &PruningConfig::all(), config, None)
     }
 
-    fn assert_identical(par: &Enumeration, serial: &Enumeration, label: &str) {
-        assert_eq!(par.stats, serial.stats, "{label}: stats diverge");
-        let par_keys: Vec<_> = par.cuts.iter().map(Cut::key).collect();
-        let serial_keys: Vec<_> = serial.cuts.iter().map(Cut::key).collect();
-        assert_eq!(par_keys, serial_keys, "{label}: cut order diverges");
+    fn keys(e: &Enumeration) -> Vec<CutKey<'_>> {
+        e.cuts.iter().map(Cut::key).collect()
+    }
+
+    /// Fan-out against fan-out: cuts and every counter agree.
+    fn assert_identical(par: &Enumeration, other: &Enumeration, label: &str) {
+        assert_eq!(par.stats, other.stats, "{label}: stats diverge");
+        assert_eq!(keys(par), keys(other), "{label}: cut order diverges");
+    }
+
+    /// Fan-out against the serial run: the [`merge_tasks`] contract — cut keys in
+    /// order plus the ten counters that do not depend on where a repeat was met.
+    fn assert_matches_serial(par: &Enumeration, serial: &Enumeration, label: &str) {
+        assert_eq!(keys(par), keys(serial), "{label}: cut order diverges");
+        let invariant = |s: &EnumStats| {
+            [
+                s.valid_cuts,
+                s.search_nodes,
+                s.candidates_checked,
+                s.dominator_runs,
+                s.pruned_output_output,
+                s.pruned_output_input,
+                s.pruned_input_input,
+                s.pruned_dominator_input,
+                s.pruned_connectedness,
+                s.pruned_build_s,
+            ]
+        };
+        assert_eq!(
+            invariant(&par.stats),
+            invariant(&serial.stats),
+            "{label}: stats diverge"
+        );
     }
 
     #[test]
@@ -582,9 +571,70 @@ mod tests {
             for threads in [1, 2, 4] {
                 let run = par(&ctx, &constraints, &ParConfig::new(tasks, threads));
                 let label = format!("tasks={tasks} threads={threads}");
-                assert_identical(&run.enumeration, &serial, &label);
+                assert_matches_serial(&run.enumeration, &serial, &label);
             }
         }
+    }
+
+    /// A cut two tasks find is kept once, where the earlier task found it, and the
+    /// per-task rejection tallies never fall below the serial run's.
+    #[test]
+    fn cross_task_cuts_are_kept_once_at_the_earlier_task() {
+        let ctx = cross_task_ctx();
+        let constraints = Constraints::new(4, 2).unwrap();
+        let pruning = PruningConfig::all();
+        let options = EngineOptions::default();
+        let specs = initial_tasks(ctx.candidate_outputs().len(), ctx.candidate_outputs().len());
+        assert!(specs.len() >= 2);
+        let tasks: Vec<Enumeration> = specs
+            .iter()
+            .map(|spec| run_task(&ctx, &constraints, &pruning, &options, spec, None))
+            .collect();
+        // The first task that emitted each body, and how many tasks did.
+        let mut owner = std::collections::HashMap::new();
+        let mut finders = std::collections::HashMap::<CutKey<'_>, usize>::new();
+        for (t, task) in tasks.iter().enumerate() {
+            for key in keys(task) {
+                owner.entry(key).or_insert(t);
+                *finders.entry(key).or_default() += 1;
+            }
+        }
+        let shared: Vec<_> = finders.iter().filter(|(_, &n)| n > 1).collect();
+        assert!(
+            !shared.is_empty(),
+            "the fixture must share a cut across tasks"
+        );
+
+        let merged = merge_tasks(&ctx, tasks.clone(), None);
+        let merged_keys = keys(&merged);
+        for (key, _) in &shared {
+            let hits = merged_keys.iter().filter(|k| k == key).count();
+            assert_eq!(hits, 1, "a shared cut is kept once");
+        }
+        // Merged cuts come grouped by owning task in task order, and each task's
+        // group keeps that task's own order: every cut sits at its earliest
+        // finder's position.
+        let owners: Vec<usize> = merged_keys.iter().map(|k| owner[k]).collect();
+        assert!(owners.windows(2).all(|w| w[0] <= w[1]));
+        for (t, task) in tasks.iter().enumerate() {
+            let owned: Vec<_> = keys(task).into_iter().filter(|k| owner[k] == t).collect();
+            let placed: Vec<_> = merged_keys
+                .iter()
+                .filter(|k| owner[*k] == t)
+                .copied()
+                .collect();
+            assert_eq!(placed, owned, "task {t}'s cuts keep their order");
+        }
+        assert_eq!(merged.stats.valid_cuts, merged.cuts.len());
+
+        let serial = serial(&ctx, &constraints, &options);
+        assert_matches_serial(&merged, &serial, "one task per candidate");
+        let (m, s) = (&merged.stats, &serial.stats);
+        assert!(m.rejected_forbidden >= s.rejected_forbidden);
+        assert!(m.rejected_io >= s.rejected_io);
+        assert!(m.rejected_disconnected >= s.rejected_disconnected);
+        assert!(m.rejected_depth >= s.rejected_depth);
+        assert!(m.rejected_duplicate <= s.rejected_duplicate);
     }
 
     /// Drives fan-out → run → merge directly, as the CLI's scheduler does: the merge
@@ -596,11 +646,11 @@ mod tests {
         let pruning = PruningConfig::all();
         let options = EngineOptions::default();
         let bundled = par(&ctx, &constraints, &ParConfig::new(3, 1)).enumeration;
-        let outputs: Vec<TaskOutput> = initial_tasks(ctx.candidate_outputs().len(), 3)
+        let outputs: Vec<Enumeration> = initial_tasks(ctx.candidate_outputs().len(), 3)
             .iter()
             .map(|spec| run_task(&ctx, &constraints, &pruning, &options, spec, None))
             .collect();
-        assert!(outputs.iter().all(|o| o.stats().search_nodes > 0));
+        assert!(outputs.iter().all(|o| o.stats.search_nodes > 0));
         let merged = merge_tasks(&ctx, outputs, None);
         assert_identical(&merged, &bundled, "manual stages");
     }

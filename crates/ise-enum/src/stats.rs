@@ -11,6 +11,13 @@ use std::ops::AddAssign;
 /// how many dominator-tree computations were needed, how many candidates each pruning
 /// rejected, and how many distinct valid cuts were found.
 ///
+/// **Under fan-out.** A fanned-out run (`crate::par`) merges per-task statistics.
+/// Its cut count, search, candidate, dominator and pruning counters equal the serial
+/// run's, but the rejection tallies (`rejected_forbidden`, `rejected_io`,
+/// `rejected_disconnected`, `rejected_depth`, `rejected_duplicate`) count per task:
+/// a body rejected in k tasks counts k times, and `rejected_duplicate` counts
+/// repeats within a task plus cuts an earlier task already emitted.
+///
 /// # Example
 ///
 /// ```

@@ -17,6 +17,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ise_bench::json::Json;
 use ise_repro::ise_cli;
+use ise_repro::ise_cli::batch::{run_batch_obs, BatchConfig};
+use ise_repro::ise_corpus::load_corpus_path;
+use ise_repro::ise_enum::Constraints;
+use ise_repro::ise_obs::MetricsRegistry;
 
 /// A unique scratch file path under the system temp dir (no tempfile crate).
 fn scratch(tag: &str) -> PathBuf {
@@ -214,5 +218,39 @@ fn select_global_json_is_byte_identical_with_recording_on() {
         strip_timing(&off),
         strip_timing(&on),
         "recording changed select --global --out bytes"
+    );
+}
+
+/// The engine's cut and duplicate counters are published once per block, from
+/// its final enumeration: with every block fanned out, a cut that several tasks
+/// find still counts once, so `ise_engine_valid_cuts_total` equals the outcomes'
+/// summed `valid_cuts` (and the duplicate counter their `rejected_duplicate`).
+#[test]
+fn cut_counters_count_each_block_once_under_fan_out() {
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus");
+    let blocks: Vec<_> = load_corpus_path(corpus)
+        .expect("the committed corpus/ directory validates")
+        .into_iter()
+        .filter(|b| b.dfg.len() <= 50)
+        .collect();
+    let mut config = BatchConfig::new(Constraints::new(4, 2).unwrap());
+    config.threads = 2;
+    config.par_threshold = 1; // every block fans out
+    let registry = MetricsRegistry::new();
+    let outcomes = run_batch_obs(&blocks, &config, Some(&registry));
+    assert!(outcomes.iter().all(|o| o.tasks > 1), "every block fans out");
+    let sum = |field: fn(&ise_repro::ise_enum::EnumStats) -> usize| -> u64 {
+        outcomes
+            .iter()
+            .map(|o| field(&o.enumeration.stats) as u64)
+            .sum()
+    };
+    assert_eq!(
+        registry.counter_value("ise_engine_valid_cuts_total"),
+        sum(|s| s.valid_cuts)
+    );
+    assert_eq!(
+        registry.counter_value("ise_engine_duplicates_total"),
+        sum(|s| s.rejected_duplicate)
     );
 }

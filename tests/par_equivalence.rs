@@ -1,13 +1,14 @@
 //! Task-parallel enumeration equivalence: `par(tasks=k, threads=t)` must reproduce
-//! the serial `incremental_cuts` result — the cut list *and* the statistics — across all
-//! four `ise-workloads` families, every §5.3 pruning combination, and several
-//! (tasks, threads) configurations. This is the end-to-end form of the DESIGN.md §1.3
-//! argument that first-output subtrees are independent and the merge replays the
-//! serial de-duplication order.
+//! the serial `incremental_cuts` result — the cut list in order *and* the ten
+//! counters the merge contract promises — across all four `ise-workloads` families,
+//! every §5.3 pruning combination, and several (tasks, threads) configurations. This
+//! is the end-to-end form of the DESIGN.md §1.3 argument that first-output subtrees
+//! are independent and that a merge over cut bodies alone restores the serial cut
+//! list. The rejection tallies count per task and are not compared.
 
 use ise_repro::ise_enum::par::{parallel_cuts, ParConfig};
 use ise_repro::ise_enum::{
-    incremental_cuts, Constraints, Cut, CutKey, EngineOptions, EnumContext, Enumeration,
+    incremental_cuts, Constraints, Cut, CutKey, EngineOptions, EnumContext, EnumStats, Enumeration,
     PruningConfig, TaskLoadSummary,
 };
 use ise_repro::ise_graph::Dfg;
@@ -52,9 +53,25 @@ fn keys(result: &Enumeration) -> Vec<CutKey<'_>> {
     result.cuts.iter().map(Cut::key).collect()
 }
 
-/// The headline property: parallel ≡ serial, exactly, per family × pruning mask ×
-/// (tasks, threads) — statistics included, so even the duplicate accounting of the
-/// merge must replay the serial discovery order.
+/// The counters a fanned-out run shares with its serial run: all but the per-task
+/// rejection tallies (see `ise_enum::par::merge_tasks`).
+fn invariant_stats(s: &EnumStats) -> [usize; 10] {
+    [
+        s.valid_cuts,
+        s.search_nodes,
+        s.candidates_checked,
+        s.dominator_runs,
+        s.pruned_output_output,
+        s.pruned_output_input,
+        s.pruned_input_input,
+        s.pruned_dominator_input,
+        s.pruned_connectedness,
+        s.pruned_build_s,
+    ]
+}
+
+/// The headline property: parallel ≡ serial per family × pruning mask ×
+/// (tasks, threads) — the cut order and every counter the merge contract covers.
 #[test]
 fn parallel_equals_serial_across_families_and_prunings() {
     for dfg in family_graphs() {
@@ -74,7 +91,8 @@ fn parallel_equals_serial_across_families_and_prunings() {
                 let config = ParConfig::new(tasks, threads);
                 let par = parallel_cuts(&ctx, &constraints, &pruning, &config, None).enumeration;
                 assert_eq!(
-                    par.stats, serial.stats,
+                    invariant_stats(&par.stats),
+                    invariant_stats(&serial.stats),
                     "`{name}` mask {mask:#08b} tasks={tasks} threads={threads}: stats"
                 );
                 assert_eq!(
@@ -110,7 +128,11 @@ fn parallel_equals_serial_under_connectedness() {
             );
             let par = parallel_cuts(&ctx, &constraints, &pruning, &ParConfig::new(4, 2), None)
                 .enumeration;
-            assert_eq!(par.stats, serial.stats, "{label}");
+            assert_eq!(
+                invariant_stats(&par.stats),
+                invariant_stats(&serial.stats),
+                "{label}"
+            );
             assert_eq!(keys(&par), keys(&serial), "{label}");
         }
     }
@@ -133,7 +155,7 @@ fn more_tasks_than_candidates_is_harmless() {
     );
     let config = ParConfig::new(1000, 8);
     let par = parallel_cuts(&ctx, &constraints, &pruning, &config, None).enumeration;
-    assert_eq!(par.stats, serial.stats);
+    assert_eq!(invariant_stats(&par.stats), invariant_stats(&serial.stats));
     assert_eq!(keys(&par), keys(&serial));
 }
 
@@ -163,6 +185,9 @@ fn static_fan_out_on_the_skewed_block_stays_exact() {
         run.task_nodes.iter().sum::<usize>(),
         serial.stats.search_nodes
     );
-    assert_eq!(run.enumeration.stats, serial.stats);
+    assert_eq!(
+        invariant_stats(&run.enumeration.stats),
+        invariant_stats(&serial.stats)
+    );
     assert_eq!(keys(&run.enumeration), keys(&serial));
 }
