@@ -3,7 +3,9 @@
 //! Four pieces, all dependency-free (DESIGN.md §7):
 //!
 //! * [`content_hash`] — a stable 128-bit hex digest over a list of byte strings,
-//!   computed with two independent FNV-1a accumulators. Stability matters more than
+//!   computed with two independent FNV-1a accumulators; [`ContentHasher`] is its
+//!   streaming form, whose state after a prefix of the parts can be kept and
+//!   continued. Stability matters more than
 //!   cryptographic strength here: the same inputs must produce the same key across
 //!   processes and restarts (so an on-disk cache written yesterday still hits
 //!   today), which rules out `std`'s randomly seeded hashers.
@@ -32,13 +34,12 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Stable 128-bit content hash of `parts`, as 32 lowercase hex characters.
+/// Stable 128-bit content hash of `parts`, as 32 lowercase hex characters: a
+/// [`ContentHasher`] fed every part in order.
 ///
 /// Each part is length-prefixed before hashing, so `["ab", "c"]` and `["a", "bc"]`
-/// digest differently. Two FNV-1a 64-bit accumulators with different offset bases
-/// (the standard basis and its xor with a fixed constant) run over the same stream;
-/// their concatenation is the key. Deterministic across processes, platforms and
-/// releases — the contract an on-disk cache needs.
+/// digest differently. Deterministic across processes, platforms and releases —
+/// the contract an on-disk cache needs.
 ///
 /// # Example
 ///
@@ -52,25 +53,77 @@ use std::sync::{Arc, Condvar, Mutex};
 /// assert_ne!(content_hash(&["ab", "c"]), content_hash(&["a", "bc"]));
 /// ```
 pub fn content_hash(parts: &[&str]) -> String {
+    let mut hasher = ContentHasher::new();
+    for part in parts {
+        hasher.part(part);
+    }
+    hasher.finish()
+}
+
+/// The streaming form of [`content_hash`]: parts are absorbed one at a time, and
+/// the state after any prefix of the parts can be copied and continued, so a key
+/// over a shared prefix plus a few tokens hashes only the tokens.
+///
+/// Two FNV-1a 64-bit accumulators with different offset bases (the standard basis
+/// and its xor with a fixed constant) run over the same stream of length-prefixed
+/// parts; their concatenation is the digest.
+///
+/// # Example
+///
+/// ```
+/// use ise_cli::cache::{content_hash, ContentHasher};
+///
+/// let mut prefix = ContentHasher::new();
+/// prefix.part("dfg a\nend\n");
+/// let mut key = prefix;
+/// key.part("nin=4;nout=2");
+/// assert_eq!(key.finish(), content_hash(&["dfg a\nend\n", "nin=4;nout=2"]));
+/// assert_eq!(prefix.finish(), content_hash(&["dfg a\nend\n"]));
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ContentHasher {
+    lo: u64,
+    hi: u64,
+}
+
+impl Default for ContentHasher {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ContentHasher {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     const TWIST: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut lo = OFFSET;
-    let mut hi = OFFSET ^ TWIST;
-    let mut eat = |byte: u8| {
-        lo = (lo ^ u64::from(byte)).wrapping_mul(PRIME);
-        hi = (hi ^ u64::from(byte)).wrapping_mul(PRIME);
-        hi = hi.rotate_left(1);
-    };
-    for part in parts {
-        for byte in (part.len() as u64).to_le_bytes() {
-            eat(byte);
-        }
-        for &byte in part.as_bytes() {
-            eat(byte);
+
+    /// The state before any part.
+    pub fn new() -> Self {
+        ContentHasher {
+            lo: Self::OFFSET,
+            hi: Self::OFFSET ^ Self::TWIST,
         }
     }
-    format!("{lo:016x}{hi:016x}")
+
+    /// Absorbs one part: its length, then its bytes.
+    pub fn part(&mut self, part: &str) {
+        self.bytes(&(part.len() as u64).to_le_bytes());
+        self.bytes(part.as_bytes());
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        let (mut lo, mut hi) = (self.lo, self.hi);
+        for &byte in bytes {
+            lo = (lo ^ u64::from(byte)).wrapping_mul(Self::PRIME);
+            hi = ((hi ^ u64::from(byte)).wrapping_mul(Self::PRIME)).rotate_left(1);
+        }
+        (self.lo, self.hi) = (lo, hi);
+    }
+
+    /// The digest of the parts absorbed so far, as 32 lowercase hex characters.
+    pub fn finish(&self) -> String {
+        format!("{:016x}{:016x}", self.lo, self.hi)
+    }
 }
 
 /// Hit/miss accounting of one cache, reported by the daemon's `stats` op.
@@ -156,7 +209,14 @@ impl<V> LruCache<V> {
 
     /// Looks up `key`, marking it most recently used on a hit.
     pub fn get(&mut self, key: &str) -> Option<&V> {
-        if self.map.contains_key(key) {
+        self.get_if(key, |_| true)
+    }
+
+    /// Looks up `key` like [`LruCache::get`], but answers only an entry that
+    /// `fresh` accepts. A rejected entry counts as a miss and is left in place
+    /// for the caller's [`LruCache::put`] to replace.
+    pub fn get_if(&mut self, key: &str, fresh: impl FnOnce(&V) -> bool) -> Option<&V> {
+        if self.map.get(key).is_some_and(fresh) {
             self.stats.hits += 1;
             self.touch(key);
             self.map.get(key)
@@ -164,6 +224,20 @@ impl<V> LruCache<V> {
             self.stats.misses += 1;
             None
         }
+    }
+
+    /// Publishes this cache's counters ([`CacheStats::publish`]) and its
+    /// `ise_cache_entries`/`ise_cache_cap` gauges under the label `cache`.
+    pub fn publish(&self, rec: &dyn ise_obs::Recorder, cache: &str) {
+        self.stats.publish(rec, cache);
+        rec.set_gauge(
+            &format!("ise_cache_entries{{cache=\"{cache}\"}}"),
+            self.len() as u64,
+        );
+        rec.set_gauge(
+            &format!("ise_cache_cap{{cache=\"{cache}\"}}"),
+            self.cap as u64,
+        );
     }
 
     /// Inserts `key -> value` (refreshing recency on overwrite), evicting the least
@@ -237,6 +311,11 @@ impl ResponseCache {
     /// Whether the in-memory cache holds no payloads.
     pub fn is_empty(&self) -> bool {
         self.memory.is_empty()
+    }
+
+    /// Publishes the in-memory cache's gauges ([`LruCache::publish`]).
+    pub fn publish(&self, rec: &dyn ise_obs::Recorder, cache: &str) {
+        self.memory.publish(rec, cache);
     }
 
     /// Looks up `key` in memory without touching the hit/miss counters or the
@@ -431,6 +510,40 @@ mod tests {
         assert_ne!(content_hash(&["a", "b"]), content_hash(&["ab"]));
         assert_ne!(content_hash(&["", "a"]), content_hash(&["a", ""]));
         assert!(content_hash(&["x"]).chars().all(|c| c.is_ascii_hexdigit()));
+    }
+
+    #[test]
+    fn continued_hasher_states_equal_one_shot_hashes() {
+        let parts = ["dfg a\nend\n", "", "dfg b\nnode 0 in\nend\n", "nin=4", "op"];
+        let mut hasher = ContentHasher::new();
+        for (len, part) in parts.iter().enumerate() {
+            assert_eq!(hasher.finish(), content_hash(&parts[..len]));
+            let mut fork = hasher;
+            fork.part("token");
+            let mut expected = parts[..len].to_vec();
+            expected.push("token");
+            assert_eq!(fork.finish(), content_hash(&expected));
+            hasher.part(part);
+        }
+        assert_eq!(hasher.finish(), content_hash(&parts));
+    }
+
+    #[test]
+    fn get_if_answers_only_accepted_entries() {
+        let mut cache = LruCache::new(2);
+        cache.put("a", 1);
+        cache.put("b", 2);
+        assert_eq!(cache.get_if("a", |&v| v == 2), None, "rejected: a miss");
+        assert_eq!(cache.len(), 2, "a rejected entry stays until replaced");
+        assert_eq!(cache.get_if("a", |&v| v == 1), Some(&1));
+        cache.put("c", 3);
+        assert_eq!(
+            cache.get("b"),
+            None,
+            "the accepted lookup refreshed a past b"
+        );
+        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]

@@ -40,9 +40,14 @@
 //! content keys, so an `enumerate` followed by a `group` over the same corpus
 //! re-enumerates nothing. Beneath all three sits a shared [`ise_canon::CanonMemo`]:
 //! the canonical labeler runs once per distinct raw interface graph over the
-//! daemon's whole lifetime. The `stats` op reports every cache's counters plus the
+//! daemon's whole lifetime. Before any key is derived, a source cache keeps each
+//! request `block`'s parsed blocks, their canonical bytes and the key hasher's
+//! state after each block; every request still reads its files, and the cached
+//! parse answers only while those bytes are unchanged, so a warm request re-reads
+//! but never re-parses. The `stats` op reports every cache's counters plus the
 //! daemon-level `server` counters (requests, hits, misses, errors, coalesced,
-//! connection errors).
+//! connection errors), and `GET /v1/metrics` adds the per-op, per-outcome request
+//! latency histogram `ise_serve_request_us`.
 //!
 //! **Concurrency.** `--listen` accepts up to `--max-connections` concurrent
 //! connections, each on its own thread; all threads share one [`ServerState`]
@@ -81,13 +86,14 @@ use std::time::{Duration, Instant};
 
 use ise_bench::json::Json;
 use ise_canon::{CanonMemo, CodedCut, GroupConfig, MemoStats, PatternIndex};
-use ise_corpus::{load_corpus_path, parse_corpus, CorpusBlock};
+use ise_corpus::{parse_corpus, read_corpus, CorpusBlock, CorpusText};
 use ise_enum::Enumeration;
 use ise_obs::{Counter, MetricsRegistry, Recorder};
 
 use crate::batch::{run_batch_obs, BatchConfig, BlockOutcome};
 use crate::cache::{
-    content_hash, CacheStats, Flight, FlightStats, LruCache, ResponseCache, SingleFlight,
+    content_hash, CacheStats, ContentHasher, Flight, FlightStats, LruCache, ResponseCache,
+    SingleFlight,
 };
 use crate::job::{job_flags, Job, Op};
 use crate::report::written;
@@ -261,6 +267,9 @@ impl ServeCounters {
 /// sockets, or concurrently over `Arc<ServerState>`.
 pub struct ServerState {
     responses: Mutex<ResponseCache>,
+    /// Each request source parsed once, keyed by the request's `block` string and
+    /// answered only while its bytes are unchanged (see [`resolve`]).
+    sources: SourceCache,
     enumerations: Mutex<LruCache<(Enumeration, usize)>>,
     codings: Mutex<LruCache<Vec<CodedCut>>>,
     /// Raw-encoding → canonical-code memo shared by every coding the daemon
@@ -291,28 +300,50 @@ const _: fn() = || {
 };
 
 enum Reply {
-    /// An evaluated (possibly cached or coalesced) request: the deterministic
-    /// payload plus the envelope facts.
+    /// An evaluated request: the deterministic payload plus the envelope facts.
     Evaluated {
         op: &'static str,
         key: String,
-        cached: bool,
+        answer: Answer,
         payload: String,
     },
     /// A control response emitted verbatim (`stats`, `shutdown`).
     Bare(String),
 }
 
+/// How an evaluated request was answered; the `outcome` label of its latency
+/// series, beside `error`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Answer {
+    /// From the response cache.
+    Hit,
+    /// From a concurrent request's computation (single-flight).
+    Coalesced,
+    /// Computed for this request.
+    Miss,
+}
+
+impl Answer {
+    fn label(self) -> &'static str {
+        match self {
+            Answer::Hit => "hit",
+            Answer::Coalesced => "coalesced",
+            Answer::Miss => "miss",
+        }
+    }
+}
+
 impl ServerState {
-    /// A fresh state whose three caches (responses, per-block enumerations,
-    /// per-block codings) each hold at most `cap` entries; `cache_dir` persists
-    /// response payloads across restarts.
+    /// A fresh state whose four caches (responses, request sources, per-block
+    /// enumerations, per-block codings) each hold at most `cap` entries;
+    /// `cache_dir` persists response payloads across restarts.
     pub fn new(cap: usize, cache_dir: Option<PathBuf>) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
         let mut memo = CanonMemo::new();
         memo.set_recorder(registry.as_ref());
         ServerState {
             responses: Mutex::new(ResponseCache::new(cap, cache_dir)),
+            sources: Mutex::new(LruCache::new(cap)),
             enumerations: Mutex::new(LruCache::new(cap)),
             codings: Mutex::new(LruCache::new(cap)),
             memo,
@@ -349,6 +380,11 @@ impl ServerState {
         self.responses.lock().expect("response cache lock").stats()
     }
 
+    /// The source cache's counters (test observability).
+    pub fn source_stats(&self) -> CacheStats {
+        self.sources.lock().expect("source cache lock").stats()
+    }
+
     /// The per-block enumeration cache's counters (test observability).
     pub fn enumeration_stats(&self) -> CacheStats {
         self.enumerations
@@ -377,25 +413,34 @@ impl ServerState {
     /// an `{"ok":false,...}` response. Safe to call from many threads at once;
     /// concurrent duplicate cold requests coalesce onto one computation.
     pub fn handle_line(&self, line: &str) -> String {
-        self.respond(|| self.dispatch(line))
+        self.respond(|op| self.dispatch(line, op))
     }
 
     /// Runs one request inside a `serve`/`request` span and renders its response:
     /// the envelope around an evaluated payload, a control response verbatim, or
     /// a counted in-band error. Both transports answer every request through here.
-    fn respond(&self, request: impl FnOnce() -> Result<Reply, CliError>) -> String {
+    ///
+    /// The request sets its `op` label once it knows it (`unknown` until then);
+    /// every evaluated or failed request is observed once in
+    /// `ise_serve_request_us{op,outcome}`.
+    fn respond(
+        &self,
+        request: impl FnOnce(&mut &'static str) -> Result<Reply, CliError>,
+    ) -> String {
         let started = Instant::now();
         let span = self.registry.span_begin("serve", "request");
-        let outcome = request();
+        let mut op = "unknown";
+        let outcome = request(&mut op);
         self.registry.span_end(span);
-        match outcome {
+        let (response, label) = match outcome {
             Ok(Reply::Evaluated {
                 op,
                 key,
-                cached,
+                answer,
                 payload,
             }) => {
                 self.counters.requests.incr();
+                let cached = answer != Answer::Miss;
                 if cached {
                     self.counters.hits.incr();
                 } else {
@@ -405,16 +450,22 @@ impl ServerState {
                 // under a millisecond, where `elapsed_ms` truncates to 0; both
                 // are envelope-only facts (never cached, stripped as volatile).
                 let elapsed = started.elapsed();
-                format!(
+                let response = format!(
                     "{{\"ok\":true,\"op\":\"{op}\",\"key\":\"{key}\",\"cached\":{cached},\
                      \"elapsed_ms\":{},\"elapsed_us\":{},\"result\":{payload}}}",
                     elapsed.as_millis(),
                     elapsed.as_micros(),
-                )
+                );
+                (response, answer.label())
             }
-            Ok(Reply::Bare(text)) => text,
-            Err(error) => self.error_response(&error.to_string()),
-        }
+            Ok(Reply::Bare(text)) => return text,
+            Err(error) => (self.error_response(&error.to_string()), "error"),
+        };
+        self.registry.observe(
+            &format!("ise_serve_request_us{{op=\"{op}\",outcome=\"{label}\"}}"),
+            started.elapsed().as_micros() as u64,
+        );
+        response
     }
 
     /// Renders (and counts) one in-band error response. Also used by the HTTP
@@ -433,20 +484,21 @@ impl ServerState {
         eprintln!("ise serve: connection {peer}: {error}");
     }
 
-    fn dispatch(&self, line: &str) -> Result<Reply, CliError> {
+    fn dispatch(&self, line: &str, label: &mut &'static str) -> Result<Reply, CliError> {
         let request =
             Json::parse(line).map_err(|e| CliError::Usage(format!("request is not JSON: {e}")))?;
         let op = request
             .get("op")
             .and_then(Json::as_str)
             .ok_or_else(|| CliError::Usage("request needs a string `op` field".into()))?;
+        *label = op_label(op);
         match op {
             "stats" => Ok(Reply::Bare(self.stats_response())),
             "shutdown" => {
                 self.shutdown.store(true, Ordering::SeqCst);
                 Ok(Reply::Bare("{\"ok\":true,\"op\":\"shutdown\"}".to_string()))
             }
-            _ => self.evaluate(resolve(op, &request)?),
+            _ => self.evaluate(resolve(op, &request, &self.sources)?),
         }
     }
 
@@ -455,13 +507,13 @@ impl ServerState {
     fn evaluate(&self, resolved: Resolved) -> Result<Reply, CliError> {
         let key = &resolved.key;
         let hit = self.responses.lock().expect("response cache lock").get(key);
-        let (cached, payload) = match hit {
-            Some(payload) => (true, payload),
+        let (answer, payload) = match hit {
+            Some(payload) => (Answer::Hit, payload),
             None => match self.flights.join(key) {
                 // Another thread computed this key while we waited: its published
                 // payload is byte-identical to what we would compute, so answer it
                 // as a cache hit — the computation never ran for this request.
-                Flight::Coalesced(Ok(payload)) => (true, payload),
+                Flight::Coalesced(Ok(payload)) => (Answer::Coalesced, payload),
                 Flight::Coalesced(Err(message)) => return Err(CliError::Usage(message)),
                 Flight::Leader(lead) => {
                     // Between our cache miss and winning the flight, a previous
@@ -472,8 +524,8 @@ impl ServerState {
                         .lock()
                         .expect("response cache lock")
                         .peek(key);
-                    let (cached, payload) = match peeked {
-                        Some(payload) => (true, payload),
+                    let (answer, payload) = match peeked {
+                        Some(payload) => (Answer::Hit, payload),
                         None => {
                             let payload = self.compute(&resolved);
                             // Fill the cache *before* publishing, so a request
@@ -483,18 +535,18 @@ impl ServerState {
                                 .lock()
                                 .expect("response cache lock")
                                 .put(key, &payload);
-                            (false, payload)
+                            (Answer::Miss, payload)
                         }
                     };
                     lead.publish(Ok(payload.clone()));
-                    (cached, payload)
+                    (answer, payload)
                 }
             },
         };
         Ok(Reply::Evaluated {
             op: resolved.job.op.command(),
             key: resolved.key,
-            cached,
+            answer,
             payload,
         })
     }
@@ -503,7 +555,8 @@ impl ServerState {
         if let Some(delay) = self.compute_delay {
             std::thread::sleep(delay);
         }
-        let (job, blocks, canonical) = (&resolved.job, &resolved.blocks, &resolved.canonical);
+        let (job, source, n) = (&resolved.job, &resolved.source, resolved.blocks);
+        let (blocks, canonical) = (&source.blocks[..n], &source.canonical[..n]);
         let (engine_token, _) = job.cache_tokens();
         let (outcomes, enum_keys) =
             self.outcomes_with_cache(blocks, canonical, &job.batch_config(), &engine_token);
@@ -513,8 +566,7 @@ impl ServerState {
         // holding the same block render the same bytes.
         let mut meta = job.meta(Duration::ZERO);
         meta.threads = 1;
-        let corpus_parts: Vec<&str> = canonical.iter().map(String::as_str).collect();
-        meta.corpus = format!("cache:{}", content_hash(&corpus_parts));
+        meta.corpus = format!("cache:{}", source.prefixes[n].finish());
 
         let index = matches!(job.op, Op::Group | Op::SelectGlobal)
             .then(|| self.index_with_cache(blocks, &outcomes, &enum_keys, &job.group_config()));
@@ -651,6 +703,10 @@ impl ServerState {
             let responses = self.responses.lock().expect("response cache lock");
             (responses.stats(), responses.len(), responses.cap())
         };
+        let (source_stats, source_len, source_cap) = {
+            let sources = self.sources.lock().expect("source cache lock");
+            (sources.stats(), sources.len(), sources.cap())
+        };
         let (enum_stats, enum_len, enum_cap) = {
             let enumerations = self.enumerations.lock().expect("enumeration cache lock");
             (enumerations.stats(), enumerations.len(), enumerations.cap())
@@ -687,6 +743,7 @@ impl ServerState {
                 "responses",
                 cache(response_stats, response_len, response_cap),
             ),
+            ("sources", cache(source_stats, source_len, source_cap)),
             ("enumerations", cache(enum_stats, enum_len, enum_cap)),
             ("codings", cache(coding_stats, coding_len, coding_cap)),
             ("memo", group::memo_stats_json(&self.memo.stats())),
@@ -707,9 +764,14 @@ impl ServerState {
     /// always-live atomic counters.
     fn publish_gauges(&self) {
         let rec: &dyn Recorder = self.registry.as_ref();
-        self.response_stats().publish(rec, "responses");
-        self.enumeration_stats().publish(rec, "enumerations");
-        self.coding_stats().publish(rec, "codings");
+        let lock = "cache lock";
+        self.responses.lock().expect(lock).publish(rec, "responses");
+        self.sources.lock().expect(lock).publish(rec, "sources");
+        self.enumerations
+            .lock()
+            .expect(lock)
+            .publish(rec, "enumerations");
+        self.codings.lock().expect(lock).publish(rec, "codings");
         self.memo_stats().publish(rec);
         self.flight_stats().publish(rec);
     }
@@ -724,25 +786,90 @@ impl ServerState {
     }
 }
 
-/// A request resolved without server state: its job, its blocks after `--limit`,
-/// their canonical bytes and the response key.
+/// A request resolved: its job, its source, how many of the source's blocks the
+/// job reads (`--limit`), and the response key.
 struct Resolved {
     job: Job,
-    blocks: Vec<CorpusBlock>,
-    canonical: Vec<String>,
+    source: Arc<Source>,
+    blocks: usize,
     key: String,
 }
 
+/// One request source, parsed once: the blocks of a `block` string, their
+/// canonical bytes, and the key hasher's state after each block.
+struct Source {
+    /// The corpus files' bytes the blocks were parsed from; `None` for an inline
+    /// block, whose bytes are its cache key.
+    text: Option<CorpusText>,
+    blocks: Vec<CorpusBlock>,
+    /// `canonical[i]` is `blocks[i].canonical_bytes()`.
+    canonical: Vec<String>,
+    /// `prefixes[n]` has absorbed `canonical[..n]`: the key of a job reading `n`
+    /// blocks continues from it, and its digest names the corpus content.
+    prefixes: Vec<ContentHasher>,
+}
+
+/// The source cache: each `block` string's [`Source`], answered only while the
+/// bytes read for it are unchanged. Bounded by `--cache-cap`; errors are never
+/// stored. The lock is held for one lookup or insert, never while reading or
+/// parsing.
+type SourceCache = Mutex<LruCache<Arc<Source>>>;
+
+impl Source {
+    /// Parses `block` (inline `.dfg` text when `text` is `None`) from exactly the
+    /// bytes given, with the error texts of the batch loaders.
+    fn parse(block: &str, text: Option<CorpusText>) -> Result<Source, CliError> {
+        let (blocks, text) = match text {
+            None => (
+                parse_corpus(block).map_err(|e| CliError::Usage(format!("inline block: {e}")))?,
+                None,
+            ),
+            Some(text) => {
+                let (blocks, text) = text.parse()?;
+                (blocks, Some(text))
+            }
+        };
+        let canonical: Vec<String> = blocks.iter().map(CorpusBlock::canonical_bytes).collect();
+        let mut hasher = ContentHasher::new();
+        let mut prefixes = vec![hasher];
+        for bytes in &canonical {
+            hasher.part(bytes);
+            prefixes.push(hasher);
+        }
+        Ok(Source {
+            text,
+            blocks,
+            canonical,
+            prefixes,
+        })
+    }
+
+    /// Whether this source was parsed from the bytes just read for its key.
+    fn is_fresh(&self, text: Option<&CorpusText>) -> bool {
+        match (&self.text, text) {
+            (Some(kept), Some(read)) => kept.same_bytes(read),
+            // An inline key is its own bytes.
+            (None, None) => true,
+            _ => false,
+        }
+    }
+}
+
 /// Resolves one `enumerate`/`select`/`group` request: maps its `flags` object onto
-/// the command's flags, builds the [`Job`], resolves the `block` field, applies
-/// `--limit`, and derives the content key over the canonical block bytes and the
-/// job's key tokens. A request's `threads` is capped at the host's parallelism: the
-/// batch spawns up to that many workers, and a client must not make the daemon
-/// start one thread per block (threads are in neither the key nor the payload). It
-/// reads no server state; both transports call it, the JSON protocol with the
-/// line's `op` and HTTP with the path's (a body `op` is ignored, so the path is
-/// authoritative).
-fn resolve(op: &str, request: &Json) -> Result<Resolved, CliError> {
+/// the command's flags, builds the [`Job`], reads the `block` field's source
+/// through the source cache, applies `--limit`, and derives the content key over
+/// the canonical block bytes and the job's key tokens. A request's `threads` is
+/// capped at the host's parallelism: the batch spawns up to that many workers, and
+/// a client must not make the daemon start one thread per block (threads are in
+/// neither the key nor the payload).
+///
+/// The source cache is the only state it reads. A path's files are listed and read
+/// on every request, and a cached source is used only if those bytes are exactly
+/// the ones it was parsed from; a hit then skips parsing, canonicalization and
+/// hashing the blocks, continuing the key from the cached hasher state. Both
+/// transports call it, the JSON protocol with the line's `op` and HTTP with the
+/// path's (a body `op` is ignored, so the path is authoritative).
+fn resolve(op: &str, request: &Json, sources: &SourceCache) -> Result<Resolved, CliError> {
     let Some((allowed, switches)) = job_flags(op) else {
         return Err(CliError::Usage(format!(
             "unknown op `{op}` (enumerate|select|group|stats|shutdown)"
@@ -757,21 +884,58 @@ fn resolve(op: &str, request: &Json) -> Result<Resolved, CliError> {
         &flags_from_json(request.get("flags"), &allowed, switches)?,
     )?;
     job.threads = job.threads.min(host_parallelism());
-    let mut blocks = resolve_blocks(block_field)?;
-    if let Some(limit) = job.limit {
-        blocks.truncate(limit);
-    }
-    let canonical: Vec<String> = blocks.iter().map(CorpusBlock::canonical_bytes).collect();
+    let source = read_source(block_field, sources)?;
+    let blocks = job
+        .limit
+        .map_or(source.blocks.len(), |limit| limit.min(source.blocks.len()));
     let (engine_token, op_token) = job.cache_tokens();
-    let mut parts: Vec<&str> = canonical.iter().map(String::as_str).collect();
-    parts.extend([engine_token.as_str(), op_token.as_str()]);
-    let key = content_hash(&parts);
+    let mut hasher = source.prefixes[blocks];
+    hasher.part(&engine_token);
+    hasher.part(&op_token);
     Ok(Resolved {
         job,
+        source,
         blocks,
-        canonical,
-        key,
+        key: hasher.finish(),
     })
+}
+
+/// The parsed source of a request's `block` field: inline `.dfg` text (anything
+/// containing a newline or starting like a block), or else a filesystem path
+/// loaded like the batch subcommands' `--corpus`. A path's files are read on every
+/// call; the cached source answers only if they hold the bytes it was parsed from,
+/// and a miss parses exactly the bytes it compared.
+fn read_source(block: &str, sources: &SourceCache) -> Result<Arc<Source>, CliError> {
+    let trimmed = block.trim_start();
+    let inline = block.contains('\n') || trimmed.starts_with("dfg ") || trimmed.starts_with('#');
+    let text = if inline {
+        None
+    } else {
+        Some(read_corpus(block)?)
+    };
+    let cached = sources
+        .lock()
+        .expect("source cache lock")
+        .get_if(block, |source| source.is_fresh(text.as_ref()))
+        .cloned();
+    if let Some(source) = cached {
+        return Ok(source);
+    }
+    let source = Arc::new(Source::parse(block, text)?);
+    sources
+        .lock()
+        .expect("source cache lock")
+        .put(block, Arc::clone(&source));
+    Ok(source)
+}
+
+/// The `op` label of a request's latency series: the evaluation op it named, or
+/// `unknown`.
+fn op_label(op: &str) -> &'static str {
+    ["enumerate", "select", "group"]
+        .into_iter()
+        .find(|&known| known == op)
+        .unwrap_or("unknown")
 }
 
 /// The host's parallelism, read once: `available_parallelism` parses the cgroup
@@ -823,18 +987,6 @@ fn flags_from_json(
         }
     }
     Flags::parse_with_switches(&argv, allowed, switches)
-}
-
-/// Resolves the request's `block` field: inline `.dfg` text (anything containing a
-/// newline or starting like a block) is parsed directly, anything else is a
-/// filesystem path loaded like the batch subcommands' `--corpus`.
-fn resolve_blocks(block: &str) -> Result<Vec<CorpusBlock>, CliError> {
-    let trimmed = block.trim_start();
-    if block.contains('\n') || trimmed.starts_with("dfg ") || trimmed.starts_with('#') {
-        parse_corpus(block).map_err(|e| CliError::Usage(format!("inline block: {e}")))
-    } else {
-        load_corpus_path(block).map_err(CliError::from)
-    }
 }
 
 /// The stdin/stdout serve loop: a reader thread feeds a channel so the main loop
@@ -1203,7 +1355,8 @@ fn http_reply(
         ("GET", "/v1/metrics") => ("200 OK", CONTENT_PROMETHEUS, state.metrics_response()),
         ("POST", "/v1/enumerate" | "/v1/group" | "/v1/select") => {
             let op = path.rsplit('/').next().expect("path has segments");
-            let response = state.respond(|| {
+            let response = state.respond(|label| {
+                *label = op_label(op);
                 // An empty body, like any body that is no object with a string
                 // `block`, fails validation in-band.
                 let request = match body.trim() {
@@ -1211,7 +1364,7 @@ fn http_reply(
                     _ => Json::parse(body)
                         .map_err(|e| CliError::Usage(format!("request body is not JSON: {e}")))?,
                 };
-                state.evaluate(resolve(op, &request)?)
+                state.evaluate(resolve(op, &request, &state.sources)?)
             });
             let status = if response.starts_with("{\"ok\":true") {
                 "200 OK"
@@ -1252,6 +1405,11 @@ mod tests {
             text.push_str(&format!(",\"flags\":{flags}}}"));
         }
         text
+    }
+
+    /// An empty source cache, for resolving requests without a daemon.
+    fn no_sources() -> SourceCache {
+        Mutex::new(LruCache::new(8))
     }
 
     fn result_of(response: &str) -> Json {
@@ -1532,11 +1690,12 @@ mod tests {
         assert_eq!(status, "200 OK");
         assert!(content_type.starts_with("text/plain"), "{content_type}");
         // Exposition validity: every non-comment line is `name[{labels}] value`,
-        // and every series is preceded by its # TYPE header.
-        let mut typed: Vec<&str> = Vec::new();
+        // and every series is preceded by its # TYPE header (a histogram's
+        // `_bucket`, `_sum` and `_count` samples by their family's).
+        let mut typed: Vec<(&str, &str)> = Vec::new();
         for line in body.lines() {
             if let Some(rest) = line.strip_prefix("# TYPE ") {
-                typed.push(rest.split(' ').next().unwrap());
+                typed.push(rest.split_once(' ').unwrap());
                 continue;
             }
             if line.starts_with('#') || line.is_empty() {
@@ -1546,8 +1705,15 @@ mod tests {
                 .rsplit_once(' ')
                 .expect("sample lines are `name value`");
             let base = series.split('{').next().unwrap();
+            let family = |name: &str, kind: &str| {
+                name == base
+                    || kind == "histogram"
+                        && ["_bucket", "_sum", "_count"]
+                            .iter()
+                            .any(|suffix| base.strip_suffix(suffix) == Some(name))
+            };
             assert!(
-                typed.contains(&base),
+                typed.iter().any(|&(name, kind)| family(name, kind)),
                 "sample `{series}` lacks a # TYPE header:\n{body}"
             );
             assert!(
@@ -1559,6 +1725,10 @@ mod tests {
         for series in [
             "ise_serve_requests_total 2",
             "ise_cache_hits{cache=\"responses\"}",
+            "ise_cache_hits{cache=\"sources\"}",
+            "ise_cache_entries{cache=\"sources\"}",
+            "ise_cache_cap{cache=\"sources\"} 8",
+            "ise_serve_request_us_count{op=\"enumerate\",outcome=\"miss\"} 1",
             "ise_memo_entries",
             "ise_engine_runs_total",
             "ise_engine_cone_vertices_total",
@@ -1605,7 +1775,7 @@ mod tests {
         let host = std::thread::available_parallelism().map_or(1, usize::from);
         let resolved = |flags: &str| {
             let request = Json::parse(&request("enumerate", INLINE, flags)).unwrap();
-            resolve("enumerate", &request).expect("valid request")
+            resolve("enumerate", &request, &no_sources()).expect("valid request")
         };
         let capped = resolved(r#"{"threads":1000000}"#);
         assert_eq!(capped.job.threads, host);
@@ -1624,7 +1794,9 @@ mod tests {
     fn cache_keys_are_pinned_and_explicit_defaults_key_like_absent_flags() {
         let key_of = |op: &str, flags: &str| {
             let request = Json::parse(&request(op, INLINE, flags)).unwrap();
-            resolve(op, &request).expect("valid request").key
+            resolve(op, &request, &no_sources())
+                .expect("valid request")
+                .key
         };
         for (op, flags, key) in [
             (
@@ -1793,5 +1965,293 @@ mod tests {
         assert_eq!(result_of(&cold).render(), result_of(&warm).render());
         assert_eq!(restarted.response_stats().disk_hits, 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A scratch directory for the source-cache tests, removed on drop.
+    struct Scratch(PathBuf);
+
+    impl Scratch {
+        fn new(tag: &str) -> Scratch {
+            let dir =
+                std::env::temp_dir().join(format!("ise-serve-src-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            Scratch(dir)
+        }
+
+        fn path(&self, name: &str) -> String {
+            self.0.join(name).to_string_lossy().into_owned()
+        }
+
+        fn write(&self, name: &str, text: &str) -> String {
+            let path = self.path(name);
+            std::fs::write(&path, text).unwrap();
+            path
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A response's `cached` flag and its deterministic part (key and payload, or
+    /// the whole error line).
+    fn answer(response: &str) -> (Option<bool>, String) {
+        let doc = Json::parse(response).expect("response is JSON");
+        match doc.get("ok").and_then(Json::as_bool) {
+            Some(true) => (
+                doc.get("cached").and_then(Json::as_bool),
+                format!(
+                    "{}:{}",
+                    doc.get("key").and_then(Json::as_str).unwrap(),
+                    doc.get("result").unwrap().render()
+                ),
+            ),
+            _ => (None, response.to_string()),
+        }
+    }
+
+    /// What a daemon that never saw the earlier requests answers.
+    fn fresh_answer(line: &str) -> String {
+        answer(&ServerState::new(8, None).handle_line(line)).1
+    }
+
+    fn key_of(response: &str) -> String {
+        Json::parse(response)
+            .unwrap()
+            .get("key")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string()
+    }
+
+    /// The error text the batch loader gives for `path`.
+    fn load_error(path: &str) -> String {
+        let error = ise_corpus::load_corpus_path(path).expect_err("the load fails");
+        CliError::from(error).to_string()
+    }
+
+    #[test]
+    fn source_cache_reuses_a_parse_only_for_unchanged_bytes() {
+        let scratch = Scratch::new("edit");
+        let file = scratch.write("mac.dfg", INLINE);
+        let state = ServerState::new(8, None);
+        let line = request("group", &file, r#"{"nin":3,"nout":1}"#);
+        let (cached, cold) = answer(&state.handle_line(&line));
+        assert_eq!(cached, Some(false));
+        assert_eq!(
+            answer(&state.handle_line(&line)),
+            (Some(true), cold.clone())
+        );
+        assert_eq!(
+            state.source_stats().hits,
+            1,
+            "the warm request reused the parse"
+        );
+
+        // The same length, one opcode changed: a new key, computed, as a fresh
+        // daemon answers it.
+        std::fs::write(&file, INLINE.replace("node 3 mul", "node 3 sub")).unwrap();
+        let (cached, edited) = answer(&state.handle_line(&line));
+        assert_eq!(cached, Some(false));
+        assert_ne!(edited[..32], cold[..32], "a new key");
+        assert_eq!(edited, fresh_answer(&line));
+        assert_eq!(state.source_stats().hits, 1, "changed bytes never hit");
+
+        // A comment changes the bytes but not the canonical bytes: the same key,
+        // answered from the response cache.
+        std::fs::write(&file, format!("# a comment\n{INLINE}")).unwrap();
+        let misses = state.source_stats().misses;
+        assert_eq!(
+            answer(&state.handle_line(&line)),
+            (Some(true), cold.clone())
+        );
+        assert_eq!(state.source_stats().misses, misses + 1, "re-parsed");
+        assert_eq!(answer(&state.handle_line(&line)), (Some(true), cold));
+    }
+
+    #[test]
+    fn source_cache_follows_files_added_to_and_removed_from_a_directory() {
+        let scratch = Scratch::new("dir");
+        scratch.write("a.dfg", INLINE);
+        let state = ServerState::new(8, None);
+        let line = request(
+            "select",
+            &scratch.path(""),
+            r#"{"nin":3,"nout":1,"global":true}"#,
+        );
+        let (_, one) = answer(&state.handle_line(&line));
+        assert_eq!(answer(&state.handle_line(&line)).1, one);
+
+        let added = scratch.write("b.dfg", &INLINE.replace("dfg mac", "dfg mac2"));
+        let (cached, two) = answer(&state.handle_line(&line));
+        assert_eq!(cached, Some(false), "an added file is a new corpus");
+        assert_eq!(two, fresh_answer(&line));
+        assert!(two.contains("mac2"), "{two}");
+
+        std::fs::remove_file(&added).unwrap();
+        assert_eq!(answer(&state.handle_line(&line)), (Some(true), one.clone()));
+
+        // A file that repeats a block name: the batch loader's error text, every
+        // time, and nothing cached for it.
+        scratch.write("c.dfg", INLINE);
+        let expected = load_error(&scratch.path(""));
+        assert!(
+            expected.contains("duplicate block name `mac`"),
+            "{expected}"
+        );
+        for _ in 0..2 {
+            let response = state.handle_line(&line);
+            let message = Json::parse(&response)
+                .unwrap()
+                .get("error")
+                .and_then(Json::as_str)
+                .map(str::to_string);
+            assert_eq!(message.as_deref(), Some(expected.as_str()), "{response}");
+        }
+        std::fs::remove_file(scratch.path("c.dfg")).unwrap();
+        assert_eq!(answer(&state.handle_line(&line)), (Some(true), one));
+    }
+
+    #[test]
+    fn broken_or_deleted_sources_answer_todays_errors_and_are_not_cached() {
+        let scratch = Scratch::new("broken");
+        let file = scratch.write("mac.dfg", INLINE);
+        let state = ServerState::new(8, None);
+        let line = request("enumerate", &file, r#"{"nin":3,"nout":1}"#);
+        let (_, cold) = answer(&state.handle_line(&line));
+        let entries = || {
+            let stats = state.handle_line(r#"{"op":"stats"}"#);
+            Json::parse(&stats)
+                .unwrap()
+                .get("result")
+                .and_then(|r| r.get("sources"))
+                .and_then(|s| s.get("entries"))
+                .and_then(Json::as_u64)
+        };
+        assert_eq!(entries(), Some(1));
+        for broken in [None, Some(INLINE.replace("node 3 mul", "node 3 mull"))] {
+            match &broken {
+                None => std::fs::remove_file(&file).unwrap(),
+                Some(text) => std::fs::write(&file, text).unwrap(),
+            }
+            let expected = load_error(&file);
+            let response = state.handle_line(&line);
+            let message = Json::parse(&response)
+                .unwrap()
+                .get("error")
+                .and_then(Json::as_str)
+                .map(str::to_string);
+            assert_eq!(message.as_deref(), Some(expected.as_str()), "{response}");
+            assert_eq!(entries(), Some(1), "the error was not cached");
+            std::fs::write(&file, INLINE).unwrap();
+            assert_eq!(
+                answer(&state.handle_line(&line)),
+                (Some(true), cold.clone())
+            );
+        }
+    }
+
+    #[test]
+    fn zero_cache_cap_turns_the_source_cache_off() {
+        let state = ServerState::new(0, None);
+        let line = request("enumerate", INLINE, r#"{"nin":3,"nout":1}"#);
+        let first = answer(&state.handle_line(&line));
+        assert_eq!(answer(&state.handle_line(&line)), first);
+        let stats = state.source_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 2));
+        assert_eq!(state.sources.lock().unwrap().len(), 0);
+    }
+
+    #[test]
+    fn more_sources_than_the_cap_evict_and_stay_correct() {
+        let scratch = Scratch::new("evict");
+        let files: Vec<String> = (0..3)
+            .map(|i| {
+                scratch.write(
+                    &format!("b{i}.dfg"),
+                    &INLINE.replace("dfg mac", &format!("dfg mac{i}")),
+                )
+            })
+            .collect();
+        let state = ServerState::new(2, None);
+        for round in 0..2 {
+            for file in &files {
+                let line = request("enumerate", file, r#"{"nin":3,"nout":1}"#);
+                assert_eq!(
+                    answer(&state.handle_line(&line)).1,
+                    fresh_answer(&line),
+                    "round {round}"
+                );
+            }
+        }
+        let stats = state.source_stats();
+        assert!(stats.evictions >= 4, "{stats:?}");
+        assert_eq!(stats.hits, 0, "round robin over three sources in two slots");
+        assert!(state.sources.lock().unwrap().len() <= 2);
+    }
+
+    #[test]
+    fn an_inline_block_and_a_file_holding_it_share_one_response_key() {
+        let scratch = Scratch::new("inline");
+        let file = scratch.write("mac.dfg", INLINE);
+        let state = ServerState::new(8, None);
+        let flags = r#"{"nin":3,"nout":1}"#;
+        let inline = state.handle_line(&request("enumerate", INLINE, flags));
+        let from_file = state.handle_line(&request("enumerate", &file, flags));
+        assert_eq!(key_of(&inline), key_of(&from_file));
+        assert_eq!(answer(&from_file), (Some(true), answer(&inline).1));
+        assert_eq!(
+            state.sources.lock().unwrap().len(),
+            2,
+            "two sources, one key"
+        );
+    }
+
+    /// `--limit` keys continue from the cached hasher state after the kept
+    /// blocks, so they equal the key of a source holding only those blocks.
+    #[test]
+    fn limited_requests_key_like_the_blocks_they_keep() {
+        let state = ServerState::new(8, None);
+        let two = format!("{INLINE}{}", INLINE.replace("dfg mac", "dfg mac2"));
+        let flags = |limit: &str| format!(r#"{{"nin":3,"nout":1{limit}}}"#);
+        let one = answer(&state.handle_line(&request("group", INLINE, &flags(""))));
+        let limited = answer(&state.handle_line(&request("group", &two, &flags(r#","limit":1"#))));
+        assert_eq!(limited, (Some(true), one.1));
+        let both = answer(&state.handle_line(&request("group", &two, &flags(""))));
+        let over = answer(&state.handle_line(&request("group", &two, &flags(r#","limit":9"#))));
+        assert_eq!(over, (Some(true), both.1));
+        assert_eq!(
+            state.source_stats().hits,
+            2,
+            "one parse of the two-block source"
+        );
+    }
+
+    #[test]
+    fn latency_histograms_split_by_op_and_outcome() {
+        let state = ServerState::new(8, None);
+        let line = request("enumerate", INLINE, r#"{"nin":3,"nout":1}"#);
+        let _ = state.handle_line(&line); // miss
+        let _ = state.handle_line(&line); // hit
+        let _ = state.handle_line(r#"{"op":"enumerate"}"#); // error
+        let _ = state.handle_line("not json"); // error, no op yet
+        let body = state.metrics_response();
+        for (series, count) in [
+            ("op=\"enumerate\",outcome=\"miss\"", 1),
+            ("op=\"enumerate\",outcome=\"hit\"", 1),
+            ("op=\"enumerate\",outcome=\"error\"", 1),
+            ("op=\"unknown\",outcome=\"error\"", 1),
+        ] {
+            let sample = format!("ise_serve_request_us_count{{{series}}} {count}\n");
+            assert!(body.contains(&sample), "missing `{sample}`:\n{body}");
+        }
+        assert_eq!(
+            body.matches("ise_serve_request_us_count{").count(),
+            4,
+            "{body}"
+        );
     }
 }

@@ -531,3 +531,185 @@ fn many_block_inline_request_with_a_late_duplicate_is_rejected_by_line() {
     assert!(ok.starts_with("{\"ok\":true"), "{ok}");
     daemon.shutdown();
 }
+
+/// A copy of committed corpus files in a fresh temporary directory, removed on
+/// drop.
+struct Workdir(std::path::PathBuf);
+
+impl Workdir {
+    fn with(tag: &str, files: &[&str]) -> Workdir {
+        let dir = std::env::temp_dir().join(format!("ise-serve-edit-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create the work directory");
+        for name in files {
+            std::fs::copy(corpus_file(name), dir.join(name)).expect("copy a corpus file");
+        }
+        Workdir(dir)
+    }
+
+    fn path(&self, name: &str) -> String {
+        self.0.join(name).to_string_lossy().into_owned()
+    }
+}
+
+impl Drop for Workdir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn cached(response: &str) -> Option<bool> {
+    Json::parse(response)
+        .expect("response is JSON")
+        .get("cached")
+        .and_then(Json::as_bool)
+}
+
+fn cache_field(stats_response: &str, cache: &str, field: &str) -> u64 {
+    Json::parse(stats_response)
+        .expect("stats is JSON")
+        .get("result")
+        .and_then(|r| r.get(cache))
+        .and_then(|c| c.get(field))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("{cache}.{field} in {stats_response}"))
+}
+
+/// A warm daemon answers edits of the files it already parsed exactly as a fresh
+/// daemon does: a same-length opcode change, a comment, a deletion and its
+/// restoration, a file added to and removed from a directory, and a file that
+/// repeats a block name.
+#[test]
+fn edited_files_are_answered_exactly_by_a_warm_daemon() {
+    let work = Workdir::with("edit", &["sad-step.dfg", "arx-round.dfg"]);
+    let file = work.path("sad-step.dfg");
+    let original = std::fs::read_to_string(&file).expect("read the copy");
+    let ask = |block: &str| request("select", block, "\"budget\":20000,\"global\":true");
+    let daemon = Daemon::spawn(&[]);
+
+    let cold = daemon.roundtrip(&ask(&file));
+    assert_eq!(cached(&cold), Some(false), "{cold}");
+    let warm = daemon.roundtrip(&ask(&file));
+    assert_eq!(
+        (cached(&warm), stripped(&warm)),
+        (Some(true), stripped(&cold))
+    );
+
+    // The same length, one opcode changed: a new key, computed afresh, as a
+    // daemon that never saw the old bytes answers it.
+    let edited = original.replacen("node 2 sub", "node 2 add", 1);
+    assert_eq!(edited.len(), original.len());
+    std::fs::write(&file, &edited).expect("rewrite the copy");
+    let changed = daemon.roundtrip(&ask(&file));
+    assert_eq!(cached(&changed), Some(false), "{changed}");
+    assert_ne!(stripped(&changed), stripped(&cold));
+    let fresh = Daemon::spawn(&[]);
+    assert_eq!(stripped(&changed), stripped(&fresh.roundtrip(&ask(&file))));
+    fresh.shutdown();
+
+    // A comment: other bytes, the same canonical bytes, so the same key, warm.
+    std::fs::write(&file, format!("# a comment\n{original}")).expect("rewrite the copy");
+    let commented = daemon.roundtrip(&ask(&file));
+    assert_eq!(
+        (cached(&commented), stripped(&commented)),
+        (Some(true), stripped(&cold))
+    );
+
+    // Deleted: the in-band error of a missing path; restored: warm again.
+    std::fs::remove_file(&file).expect("delete the copy");
+    let missing = daemon.roundtrip(&ask(&file));
+    assert!(missing.starts_with("{\"ok\":false"), "{missing}");
+    assert!(missing.contains("No such file or directory"), "{missing}");
+    std::fs::write(&file, &original).expect("restore the copy");
+    let restored = daemon.roundtrip(&ask(&file));
+    assert_eq!(
+        (cached(&restored), stripped(&restored)),
+        (Some(true), stripped(&cold))
+    );
+
+    // The directory: one more file, then one less.
+    let dir = work.path("");
+    let both = daemon.roundtrip(&ask(&dir));
+    assert_eq!(cached(&both), Some(false), "{both}");
+    std::fs::remove_file(work.path("arx-round.dfg")).expect("remove a file");
+    let one = daemon.roundtrip(&ask(&dir));
+    assert_eq!(
+        (cached(&one), stripped(&one)),
+        (Some(true), stripped(&cold))
+    );
+    std::fs::copy(corpus_file("arx-round.dfg"), work.path("arx-round.dfg")).expect("re-add");
+    let again = daemon.roundtrip(&ask(&dir));
+    assert_eq!(
+        (cached(&again), stripped(&again)),
+        (Some(true), stripped(&both))
+    );
+
+    // A file repeating a block name is the batch loader's duplicate error.
+    std::fs::write(work.path("zz.dfg"), &original).expect("write a duplicate");
+    let duplicate = daemon.roundtrip(&ask(&dir));
+    assert!(
+        duplicate.contains("duplicate block name `sad-step` (first defined in"),
+        "{duplicate}"
+    );
+    assert!(duplicate.contains("zz.dfg: line 2:"), "{duplicate}");
+
+    let stats = daemon.roundtrip("{\"op\":\"stats\"}");
+    assert_eq!(server_counter(&stats, "errors"), 2, "{stats}");
+    daemon.shutdown();
+}
+
+/// `--cache-cap 0` turns the source cache off with the others, and a cap smaller
+/// than the number of sources evicts without changing an answer.
+#[test]
+fn source_cache_obeys_the_cache_cap() {
+    let work = Workdir::with(
+        "cap",
+        &["sad-step.dfg", "arx-round.dfg", "mibench-like-12-42.dfg"],
+    );
+    let asks: Vec<String> = ["sad-step.dfg", "arx-round.dfg", "mibench-like-12-42.dfg"]
+        .iter()
+        .map(|name| request("enumerate", &work.path(name), "\"budget\":20000"))
+        .collect();
+    let reference = Daemon::spawn(&[]);
+    let expected: Vec<String> = asks
+        .iter()
+        .map(|ask| stripped(&reference.roundtrip(ask)))
+        .collect();
+    reference.shutdown();
+
+    for (cap, evicting) in [("0", false), ("1", true)] {
+        let daemon = Daemon::spawn(&["--cache-cap", cap]);
+        for _ in 0..2 {
+            for (ask, expected) in asks.iter().zip(&expected) {
+                assert_eq!(&stripped(&daemon.roundtrip(ask)), expected, "cap {cap}");
+            }
+        }
+        let stats = daemon.roundtrip("{\"op\":\"stats\"}");
+        assert_eq!(cache_field(&stats, "sources", "hits"), 0, "{stats}");
+        assert_eq!(cache_field(&stats, "sources", "misses"), 6, "{stats}");
+        assert!(
+            cache_field(&stats, "sources", "entries") <= cap.parse().unwrap(),
+            "{stats}"
+        );
+        assert_eq!(
+            cache_field(&stats, "sources", "evictions") > 0,
+            evicting,
+            "{stats}"
+        );
+        daemon.shutdown();
+    }
+}
+
+/// An inline block and a file holding the same block share one response key.
+#[test]
+fn inline_and_file_sources_of_one_block_share_a_key() {
+    let work = Workdir::with("inline", &["sad-step.dfg"]);
+    let file = work.path("sad-step.dfg");
+    let text = std::fs::read_to_string(&file).expect("read the copy");
+    let daemon = Daemon::spawn(&[]);
+    let inline = daemon.roundtrip(&request("group", &text, "\"budget\":20000"));
+    let from_file = daemon.roundtrip(&request("group", &file, "\"budget\":20000"));
+    assert_eq!(stripped(&inline), stripped(&from_file));
+    assert_eq!(cached(&from_file), Some(true), "{from_file}");
+    daemon.shutdown();
+}

@@ -126,9 +126,12 @@ pub fn load_corpus(
 ) -> Result<Vec<CorpusBlock>, CorpusError> {
     let path = path.as_ref();
     let files = corpus_files(path)?;
+    let duplicate = |index: usize, name: &str, first: usize| {
+        duplicate_block(&files[index], name, &files[first])
+    };
     let workers = threads.min(files.len());
     if workers <= 1 {
-        return merge_files(path, &files, files.iter().map(|file| parse_file(file)));
+        return merge_files(path, files.iter().map(|file| parse_file(file)), duplicate);
     }
     let parsed: Vec<OnceLock<ParsedFile>> = files.iter().map(|_| OnceLock::new()).collect();
     let cursor = AtomicUsize::new(0);
@@ -147,11 +150,101 @@ pub fn load_corpus(
     });
     merge_files(
         path,
-        &files,
         parsed
             .into_iter()
             .map(|cell| cell.into_inner().expect("every file was parsed")),
+        duplicate,
     )
+}
+
+/// The files of a corpus read into memory but not yet parsed, as [`read_corpus`]
+/// returns them.
+///
+/// [`CorpusText::parse`] turns them into exactly the blocks, or the error, that
+/// [`load_corpus_path`] returns for the same bytes. [`CorpusText::same_bytes`]
+/// tells whether two reads listed the same files with the same contents, so a
+/// caller can keep a parse and reuse it only while the bytes are unchanged (the
+/// `ise serve` source cache does).
+#[derive(Debug)]
+pub struct CorpusText {
+    path: PathBuf,
+    /// Every file of the corpus, in load order.
+    files: Vec<PathBuf>,
+    /// The contents of `files`, in order, up to the first file that could not be
+    /// read.
+    texts: Vec<String>,
+    /// The error reading `files[texts.len()]`: reading stops at the first failure,
+    /// as loading does.
+    unread: Option<CorpusError>,
+}
+
+/// Lists and reads the corpus at `path` (a file, or a directory's `*.dfg` files in
+/// name order, as [`load_corpus_path`] does) without parsing it.
+///
+/// A file that cannot be read ends the read; its error is returned by
+/// [`CorpusText::parse`], after the errors of the files before it, so the error
+/// order is that of [`load_corpus_path`].
+///
+/// # Errors
+///
+/// Returns [`CorpusError::Io`] if `path` is a directory that cannot be listed.
+pub fn read_corpus(path: impl AsRef<Path>) -> Result<CorpusText, CorpusError> {
+    let path = path.as_ref();
+    let files = corpus_files(path)?;
+    let mut texts = Vec::with_capacity(files.len());
+    let mut unread = None;
+    for file in &files {
+        match read_file(file) {
+            Ok(text) => texts.push(text),
+            Err(error) => {
+                unread = Some(error);
+                break;
+            }
+        }
+    }
+    Ok(CorpusText {
+        path: path.to_path_buf(),
+        files,
+        texts,
+        unread,
+    })
+}
+
+impl CorpusText {
+    /// Whether both reads listed the same files and read every one of them to the
+    /// same bytes.
+    pub fn same_bytes(&self, other: &CorpusText) -> bool {
+        self.unread.is_none()
+            && other.unread.is_none()
+            && self.files == other.files
+            && self.texts == other.texts
+    }
+
+    /// Parses the text read: exactly the blocks, or the first error in file order,
+    /// that [`load_corpus_path`] returns for these bytes. The text is handed back
+    /// with the blocks, so a caller can keep both.
+    ///
+    /// # Errors
+    ///
+    /// As [`load_corpus_path`], including the error reading a file.
+    pub fn parse(mut self) -> Result<(Vec<CorpusBlock>, CorpusText), CorpusError> {
+        let unread = self.unread.take();
+        let (files, texts) = (&self.files, &self.texts);
+        let parsed = files
+            .iter()
+            .zip(texts)
+            .map(|(file, text)| parse_text(file, text))
+            .chain(unread.map(Err));
+        let blocks = merge_files(&self.path, parsed, |index, name, first| {
+            CorpusError::DuplicateBlock {
+                path: files[index].clone(),
+                line: header_line(&texts[index], name),
+                name: name.to_string(),
+                first_path: files[first].clone(),
+            }
+        })?;
+        Ok((blocks, self))
+    }
 }
 
 /// One file's blocks, or the error reading or parsing it.
@@ -180,34 +273,44 @@ fn corpus_files(path: &Path) -> Result<Vec<PathBuf>, CorpusError> {
 
 /// Reads and parses one corpus file, tagging any error with its path.
 fn parse_file(file: &Path) -> ParsedFile {
-    let text = std::fs::read_to_string(file).map_err(|source| CorpusError::Io {
-        path: file.to_path_buf(),
-        source,
-    })?;
-    parse_corpus(&text).map_err(|source| CorpusError::Parse {
+    parse_text(file, &read_file(file)?)
+}
+
+/// Reads one corpus file, tagging an error with its path.
+fn read_file(file: &Path) -> Result<String, CorpusError> {
+    std::fs::read_to_string(file).map_err(|source| CorpusError::Io {
         path: file.to_path_buf(),
         source,
     })
 }
 
-/// Concatenates the parsed `files` in order, returning the first error in file
-/// order: a file's own error, or a block name that an earlier file defined.
-/// Stops at the first error, so a lazy `parsed` is read no further.
+/// Parses the text of one corpus file, tagging an error with its path.
+fn parse_text(file: &Path, text: &str) -> ParsedFile {
+    parse_corpus(text).map_err(|source| CorpusError::Parse {
+        path: file.to_path_buf(),
+        source,
+    })
+}
+
+/// Concatenates the parsed files in order, returning the first error in file
+/// order: a file's own error, or a block name that an earlier file defined, built
+/// by `duplicate(file index, name, index of the first file)`. Stops at the first
+/// error, so a lazy `parsed` is read no further.
 fn merge_files(
     path: &Path,
-    files: &[PathBuf],
     parsed: impl IntoIterator<Item = ParsedFile>,
+    duplicate: impl Fn(usize, &str, usize) -> CorpusError,
 ) -> Result<Vec<CorpusBlock>, CorpusError> {
     let mut blocks: Vec<CorpusBlock> = Vec::new();
-    // Each block name, mapped to the index in `files` of the file defining it.
+    // Each block name, mapped to the index of the file defining it.
     let mut first_file: HashMap<String, usize> = HashMap::new();
-    for (index, (file, file_blocks)) in files.iter().zip(parsed).enumerate() {
+    for (index, file_blocks) in parsed.into_iter().enumerate() {
         // The parser rejects duplicate names within one file; enforce the same
         // invariant across the files of a directory, so block names key the corpus.
         for block in file_blocks? {
             let name = block.dfg.name();
             if let Some(&first) = first_file.get(name) {
-                return Err(duplicate_block(file, name, &files[first]));
+                return Err(duplicate(index, name, first));
             }
             first_file.insert(name.to_string(), index);
             blocks.push(block);
@@ -221,9 +324,9 @@ fn merge_files(
     Ok(blocks)
 }
 
-/// The error for block `name` of `file`, already defined in `first_path`. The
-/// parsed text is not kept, so the header's line is found by reading `file` again
-/// on this error path.
+/// The error for block `name` of `file`, already defined in `first_path`.
+/// [`load_corpus`] keeps no parsed text, so the header's line is found by reading
+/// `file` again on this error path.
 fn duplicate_block(file: &Path, name: &str, first_path: &Path) -> CorpusError {
     match std::fs::read_to_string(file) {
         Ok(text) => CorpusError::DuplicateBlock {
@@ -343,12 +446,17 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// `load_corpus` at 1, 2 and 8 threads returns what `load_corpus_path` does:
-    /// the same blocks in the same order, or the same error variant and text.
+    /// `load_corpus` at 1, 2 and 8 threads, and a parsed `read_corpus`, return
+    /// what `load_corpus_path` does: the same blocks in the same order, or the same
+    /// error variant and text.
     fn assert_thread_count_invariant(path: &Path) -> Result<Vec<CorpusBlock>, CorpusError> {
         let serial = load_corpus_path(path);
-        for threads in [1, 2, 8] {
-            let parallel = load_corpus(path, threads);
+        let read = || read_corpus(path)?.parse().map(|(blocks, _)| blocks);
+        for (threads, parallel) in [1, 2, 8]
+            .into_iter()
+            .map(|threads| (threads, load_corpus(path, threads)))
+            .chain([(0, read())])
+        {
             match (&serial, &parallel) {
                 (Ok(expected), Ok(got)) => {
                     assert_eq!(expected.len(), got.len(), "threads={threads}");
@@ -419,6 +527,47 @@ mod tests {
         let err = assert_thread_count_invariant(&empty.join("nope")).unwrap_err();
         assert!(matches!(err, CorpusError::Io { .. }), "{err}");
         std::fs::remove_dir_all(&empty).unwrap();
+    }
+
+    #[test]
+    fn read_text_compares_by_bytes_and_reports_its_read_error_in_file_order() {
+        let dir = unique_dir("text");
+        std::fs::write(dir.join("a.dfg"), "dfg ay\nnode 0 in\nend\n").unwrap();
+        std::fs::write(dir.join("b.dfg"), "dfg bee\nnode 0 in\nend\n").unwrap();
+        let (blocks, text) = read_corpus(&dir).unwrap().parse().unwrap();
+        assert_eq!(blocks.len(), 2);
+        assert!(text.same_bytes(&read_corpus(&dir).unwrap()));
+        // The same length, other bytes.
+        std::fs::write(
+            dir.join("b.dfg"),
+            "dfg bee\nnode 0 in\nend\n".replace("bee", "bed"),
+        )
+        .unwrap();
+        assert!(!text.same_bytes(&read_corpus(&dir).unwrap()));
+        // A file more, or a file less.
+        std::fs::write(dir.join("b.dfg"), "dfg bee\nnode 0 in\nend\n").unwrap();
+        std::fs::write(dir.join("c.dfg"), "dfg sea\nnode 0 in\nend\n").unwrap();
+        assert!(!text.same_bytes(&read_corpus(&dir).unwrap()));
+        std::fs::remove_file(dir.join("c.dfg")).unwrap();
+        assert!(text.same_bytes(&read_corpus(&dir).unwrap()));
+        std::fs::remove_file(dir.join("b.dfg")).unwrap();
+        assert!(!text.same_bytes(&read_corpus(&dir).unwrap()));
+        // A file that cannot be read (a directory named like a corpus file) comes
+        // after a parse error in file order, so the parse error wins; alone, the
+        // read error is the error, and such a read matches nothing.
+        std::fs::create_dir(dir.join("c.dfg")).unwrap();
+        let unreadable = read_corpus(&dir).unwrap();
+        assert!(!unreadable.same_bytes(&unreadable));
+        assert!(matches!(
+            assert_thread_count_invariant(&dir),
+            Err(CorpusError::Io { .. })
+        ));
+        std::fs::write(dir.join("b.dfg"), "dfg x\nnode 0 frob\nend\n").unwrap();
+        assert!(matches!(
+            assert_thread_count_invariant(&dir),
+            Err(CorpusError::Parse { .. })
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -72,7 +72,7 @@ mod gen;
 mod parse;
 mod write;
 
-pub use fs::{load_corpus, load_corpus_path, CorpusError};
+pub use fs::{load_corpus, load_corpus_path, read_corpus, CorpusError, CorpusText};
 pub use gen::standard_corpus;
 pub use parse::{parse_corpus, ParseError, ParseErrorKind};
 pub use write::{write_block, write_corpus, FORMAT_HEADER};

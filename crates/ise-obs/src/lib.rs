@@ -426,10 +426,35 @@ impl MetricsRegistry {
             map.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
         };
         hists.sort_by(|a, b| a.0.cmp(&b.0));
+        last_base.clear();
         for (name, hist) in &hists {
-            out.push_str("# TYPE ");
-            out.push_str(name);
-            out.push_str(" histogram\n");
+            // A labelled series `base{labels}` renders as `base_bucket{labels,le=..}`,
+            // `base_sum{labels}` and `base_count{labels}`, one # TYPE line per base.
+            let base = base_name(name);
+            let braced = &name[base.len()..];
+            let labels = braced
+                .strip_prefix('{')
+                .and_then(|rest| rest.strip_suffix('}'))
+                .unwrap_or("");
+            if base != last_base {
+                out.push_str("# TYPE ");
+                out.push_str(base);
+                out.push_str(" histogram\n");
+                last_base = base.to_string();
+            }
+            let mut bucket = |le: &str, cumulative: u64| {
+                out.push_str(base);
+                out.push_str("_bucket{");
+                out.push_str(labels);
+                if !labels.is_empty() {
+                    out.push(',');
+                }
+                out.push_str("le=\"");
+                out.push_str(le);
+                out.push_str("\"} ");
+                out.push_str(&cumulative.to_string());
+                out.push('\n');
+            };
             let mut cumulative = 0u64;
             for (i, n) in hist.buckets.iter().enumerate() {
                 cumulative += n;
@@ -437,29 +462,21 @@ impl MetricsRegistry {
                     continue;
                 }
                 // Upper bound of bucket i is 2^i (bucket 0 holds value 0).
-                out.push_str(name);
-                out.push_str("_bucket{le=\"");
                 if i >= 63 {
-                    out.push_str("+Inf");
+                    bucket("+Inf", cumulative);
                 } else {
-                    out.push_str(&(1u64 << i).to_string());
+                    bucket(&(1u64 << i).to_string(), cumulative);
                 }
-                out.push_str("\"} ");
-                out.push_str(&cumulative.to_string());
+            }
+            bucket("+Inf", hist.count);
+            for (suffix, value) in [("_sum", hist.sum), ("_count", hist.count)] {
+                out.push_str(base);
+                out.push_str(suffix);
+                out.push_str(braced);
+                out.push(' ');
+                out.push_str(&value.to_string());
                 out.push('\n');
             }
-            out.push_str(name);
-            out.push_str("_bucket{le=\"+Inf\"} ");
-            out.push_str(&hist.count.to_string());
-            out.push('\n');
-            out.push_str(name);
-            out.push_str("_sum ");
-            out.push_str(&hist.sum.to_string());
-            out.push('\n');
-            out.push_str(name);
-            out.push_str("_count ");
-            out.push_str(&hist.count.to_string());
-            out.push('\n');
         }
         out
     }
@@ -520,9 +537,13 @@ impl Recorder for MetricsRegistry {
 
     fn observe(&self, name: &str, value: u64) {
         let mut map = self.histograms.lock().expect("histogram map poisoned");
-        map.entry(name.to_string())
-            .or_insert_with(Histogram::new)
-            .observe(value);
+        match map.get_mut(name) {
+            Some(hist) => hist.observe(value),
+            None => map
+                .entry(name.to_string())
+                .or_insert_with(Histogram::new)
+                .observe(value),
+        }
     }
 
     fn set_gauge(&self, name: &str, value: u64) {
@@ -757,6 +778,24 @@ mod tests {
         assert!(text.contains("h_bucket{le=\"1\"} 1\n"));
         assert!(text.contains("h_bucket{le=\"2\"} 2\n"));
         assert!(text.contains("h_bucket{le=\"+Inf\"} 3\n"));
+    }
+
+    #[test]
+    fn labelled_histograms_render_one_family_with_merged_labels() {
+        let reg = MetricsRegistry::new();
+        reg.observe("ise_req_us{op=\"a\",outcome=\"hit\"}", 3);
+        reg.observe("ise_req_us{op=\"a\",outcome=\"miss\"}", 900);
+        reg.observe("ise_req_us{op=\"a\",outcome=\"miss\"}", 1);
+        let text = reg.render_prometheus();
+        assert_eq!(
+            text.matches("# TYPE ise_req_us histogram").count(),
+            1,
+            "{text}"
+        );
+        assert!(text.contains("ise_req_us_bucket{op=\"a\",outcome=\"hit\",le=\"4\"} 1\n"));
+        assert!(text.contains("ise_req_us_bucket{op=\"a\",outcome=\"miss\",le=\"+Inf\"} 2\n"));
+        assert!(text.contains("ise_req_us_sum{op=\"a\",outcome=\"miss\"} 901\n"));
+        assert!(text.contains("ise_req_us_count{op=\"a\",outcome=\"hit\"} 1\n"));
     }
 
     #[test]
