@@ -10,9 +10,7 @@
 //! (`ise_enum::par::merge_tasks`) — before its wall time is recorded, so the artifact
 //! can never report a speedup for a wrong answer. Every parallel row also records its
 //! task count, the per-task `search_nodes` and the load skew (max/mean,
-//! [`TaskLoadSummary`]). Every row's time is the fastest of repeated runs (at least
-//! three, and more until the row has run for 0.2 s), so one noisy sample cannot
-//! decide a gate. `host_cpus` is recorded alongside: the ≥2.5x-at-4-threads
+//! [`TaskLoadSummary`]). `host_cpus` is recorded alongside: the ≥2.5x-at-4-threads
 //! scaling assertion only fires when the host actually has more than one CPU; on a
 //! single-core host the thread rows measure scheduling overhead (speedup ≈ 1) and
 //! the real numbers are recorded as-is.
@@ -23,8 +21,6 @@
 //! (default 16), `threads` (comma list, default `1,2,4`), `out`
 //! (default `BENCH_par_scaling.json`, `-` disables).
 
-use std::time::Duration;
-
 use ise_bench::json::Json;
 use ise_bench::{timed, Options};
 use ise_corpus::load_corpus_path;
@@ -33,31 +29,6 @@ use ise_enum::{
     incremental_cuts, Constraints, Cut, EngineOptions, EnumContext, EnumStats, Enumeration,
     PruningConfig, TaskLoadSummary,
 };
-
-/// Fewest timed runs behind one row.
-const MIN_RUNS: usize = 3;
-
-/// Least total time behind one row: short blocks repeat until their runs add up to
-/// it.
-const MIN_ROW_TIME: Duration = Duration::from_millis(200);
-
-/// Runs `run` at least [`MIN_RUNS`] times and until the runs total
-/// [`MIN_ROW_TIME`], returning the fastest run's value and time and the number of
-/// runs. The minimum is the run's cost with the least interference from the rest
-/// of the host.
-fn fastest<T>(mut run: impl FnMut() -> T) -> (T, Duration, usize) {
-    let (mut best, mut best_time) = timed(&mut run);
-    let (mut total, mut runs) = (best_time, 1);
-    while runs < MIN_RUNS || total < MIN_ROW_TIME {
-        let (value, elapsed) = timed(&mut run);
-        total += elapsed;
-        runs += 1;
-        if elapsed < best_time {
-            (best, best_time) = (value, elapsed);
-        }
-    }
-    (best, best_time, runs)
-}
 
 fn keys(result: &Enumeration) -> Vec<ise_enum::CutKey<'_>> {
     result.cuts.iter().map(Cut::key).collect()
@@ -141,12 +112,12 @@ fn main() {
     };
     let ctx = EnumContext::new(block.dfg.clone());
 
-    let (serial, serial_elapsed, serial_runs) =
-        fastest(|| incremental_cuts(&ctx, &constraints, &pruning, &options, None));
+    let (serial, serial_elapsed) =
+        timed(|| incremental_cuts(&ctx, &constraints, &pruning, &options, None));
     let serial_seconds = serial_elapsed.as_secs_f64();
-    println!("mode,tasks,threads,seconds,runs,speedup,cuts,search_nodes,task_count,skew,identical");
+    println!("mode,tasks,threads,seconds,speedup,cuts,search_nodes,task_count,skew,identical");
     println!(
-        "serial,1,1,{serial_seconds:.6},{serial_runs},1.00,{},{},1,1.00,true",
+        "serial,1,1,{serial_seconds:.6},1.00,{},{},1,1.00,true",
         serial.stats.valid_cuts, serial.stats.search_nodes
     );
     let mut rows = vec![Json::object([
@@ -154,7 +125,6 @@ fn main() {
         ("tasks", Json::uint(1)),
         ("threads", Json::uint(1)),
         ("seconds", Json::num(serial_seconds)),
-        ("runs", Json::uint(serial_runs)),
         ("speedup", Json::num(1.0)),
         ("cuts", Json::uint(serial.stats.valid_cuts)),
         ("search_nodes", Json::uint(serial.stats.search_nodes)),
@@ -165,8 +135,7 @@ fn main() {
     for &t in &threads {
         let mut config = ParConfig::new(tasks, t);
         config.options = options;
-        let (run, elapsed, runs) =
-            fastest(|| parallel_cuts(&ctx, &constraints, &pruning, &config, None));
+        let (run, elapsed) = timed(|| parallel_cuts(&ctx, &constraints, &pruning, &config, None));
         let par = &run.enumeration;
         // The merged result must be byte-identical to the serial run; a budgeted run
         // truncates per task, so only unbudgeted runs assert (and record) identity.
@@ -184,7 +153,7 @@ fn main() {
         speedup_at.push((t, speedup));
         let summary = TaskLoadSummary::from_task_nodes(&run.task_nodes);
         println!(
-            "parallel,{tasks},{t},{seconds:.6},{runs},{speedup:.2},{},{},{},{:.2},{identical}",
+            "parallel,{tasks},{t},{seconds:.6},{speedup:.2},{},{},{},{:.2},{identical}",
             par.stats.valid_cuts,
             par.stats.search_nodes,
             summary.tasks,
@@ -195,7 +164,6 @@ fn main() {
             ("tasks", Json::uint(tasks)),
             ("threads", Json::uint(t)),
             ("seconds", Json::num(seconds)),
-            ("runs", Json::uint(runs)),
             ("speedup", Json::num(speedup)),
             ("cuts", Json::uint(par.stats.valid_cuts)),
             ("search_nodes", Json::uint(par.stats.search_nodes)),
@@ -204,9 +172,9 @@ fn main() {
         ]));
     }
 
-    // Scaling gates, on the fastest runs. The multi-core bar only applies where the
-    // hardware can deliver it; the 1-thread bar (no regression from the
-    // decomposition itself) applies everywhere but tolerates measurement noise.
+    // Scaling gates. The multi-core bar only applies where the hardware can deliver
+    // it; the 1-thread bar (no regression from the decomposition itself) applies
+    // everywhere but tolerates measurement noise.
     if budget.is_none() {
         if let Some(&(_, speedup)) = speedup_at.iter().find(|(t, _)| *t == 1) {
             assert!(

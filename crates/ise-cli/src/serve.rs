@@ -795,12 +795,9 @@ struct Resolved {
     key: String,
 }
 
-/// One request source, parsed once: the blocks of a `block` string, their
-/// canonical bytes, and the key hasher's state after each block.
+/// One request source, parsed: the blocks of a `block` string, their canonical
+/// bytes, and the key hasher's state after each block.
 struct Source {
-    /// The corpus files' bytes the blocks were parsed from; `None` for an inline
-    /// block, whose bytes are its cache key.
-    text: Option<CorpusText>,
     blocks: Vec<CorpusBlock>,
     /// `canonical[i]` is `blocks[i].canonical_bytes()`.
     canonical: Vec<String>,
@@ -809,26 +806,16 @@ struct Source {
     prefixes: Vec<ContentHasher>,
 }
 
-/// The source cache: each `block` string's [`Source`], answered only while the
-/// bytes read for it are unchanged. Bounded by `--cache-cap`; errors are never
+/// The source cache: each path `block` string's corpus bytes and the [`Source`]
+/// parsed from them, answered only while a fresh read finds the same bytes.
+/// Inline sources are not cached. Bounded by `--cache-cap`; errors are never
 /// stored. The lock is held for one lookup or insert, never while reading or
 /// parsing.
-type SourceCache = Mutex<LruCache<Arc<Source>>>;
+type SourceCache = Mutex<LruCache<(CorpusText, Arc<Source>)>>;
 
 impl Source {
-    /// Parses `block` (inline `.dfg` text when `text` is `None`) from exactly the
-    /// bytes given, with the error texts of the batch loaders.
-    fn parse(block: &str, text: Option<CorpusText>) -> Result<Source, CliError> {
-        let (blocks, text) = match text {
-            None => (
-                parse_corpus(block).map_err(|e| CliError::Usage(format!("inline block: {e}")))?,
-                None,
-            ),
-            Some(text) => {
-                let (blocks, text) = text.parse()?;
-                (blocks, Some(text))
-            }
-        };
+    /// Canonicalizes `blocks` and hashes them into the key prefixes.
+    fn new(blocks: Vec<CorpusBlock>) -> Source {
         let canonical: Vec<String> = blocks.iter().map(CorpusBlock::canonical_bytes).collect();
         let mut hasher = ContentHasher::new();
         let mut prefixes = vec![hasher];
@@ -836,21 +823,10 @@ impl Source {
             hasher.part(bytes);
             prefixes.push(hasher);
         }
-        Ok(Source {
-            text,
+        Source {
             blocks,
             canonical,
             prefixes,
-        })
-    }
-
-    /// Whether this source was parsed from the bytes just read for its key.
-    fn is_fresh(&self, text: Option<&CorpusText>) -> bool {
-        match (&self.text, text) {
-            (Some(kept), Some(read)) => kept.same_bytes(read),
-            // An inline key is its own bytes.
-            (None, None) => true,
-            _ => false,
         }
     }
 }
@@ -901,31 +877,32 @@ fn resolve(op: &str, request: &Json, sources: &SourceCache) -> Result<Resolved, 
 }
 
 /// The parsed source of a request's `block` field: inline `.dfg` text (anything
-/// containing a newline or starting like a block), or else a filesystem path
-/// loaded like the batch subcommands' `--corpus`. A path's files are read on every
-/// call; the cached source answers only if they hold the bytes it was parsed from,
-/// and a miss parses exactly the bytes it compared.
+/// containing a newline or starting like a block), parsed on every call, or else
+/// a filesystem path loaded like the batch subcommands' `--corpus`. A path's files
+/// are read on every call; the cached source answers only if they hold the bytes
+/// it was parsed from, and a miss parses exactly the bytes it compared.
 fn read_source(block: &str, sources: &SourceCache) -> Result<Arc<Source>, CliError> {
     let trimmed = block.trim_start();
-    let inline = block.contains('\n') || trimmed.starts_with("dfg ") || trimmed.starts_with('#');
-    let text = if inline {
-        None
-    } else {
-        Some(read_corpus(block)?)
-    };
+    if block.contains('\n') || trimmed.starts_with("dfg ") || trimmed.starts_with('#') {
+        let blocks =
+            parse_corpus(block).map_err(|e| CliError::Usage(format!("inline block: {e}")))?;
+        return Ok(Arc::new(Source::new(blocks)));
+    }
+    let text = read_corpus(block)?;
     let cached = sources
         .lock()
         .expect("source cache lock")
-        .get_if(block, |source| source.is_fresh(text.as_ref()))
-        .cloned();
+        .get_if(block, |(kept, _)| kept.same_bytes(&text))
+        .map(|(_, source)| Arc::clone(source));
     if let Some(source) = cached {
         return Ok(source);
     }
-    let source = Arc::new(Source::parse(block, text)?);
+    let (blocks, text) = text.parse()?;
+    let source = Arc::new(Source::new(blocks));
     sources
         .lock()
         .expect("source cache lock")
-        .put(block, Arc::clone(&source));
+        .put(block, (text, Arc::clone(&source)));
     Ok(source)
 }
 
@@ -2156,8 +2133,10 @@ mod tests {
 
     #[test]
     fn zero_cache_cap_turns_the_source_cache_off() {
+        let scratch = Scratch::new("nocap");
+        let file = scratch.write("mac.dfg", INLINE);
         let state = ServerState::new(0, None);
-        let line = request("enumerate", INLINE, r#"{"nin":3,"nout":1}"#);
+        let line = request("enumerate", &file, r#"{"nin":3,"nout":1}"#);
         let first = answer(&state.handle_line(&line));
         assert_eq!(answer(&state.handle_line(&line)), first);
         let stats = state.source_stats();
@@ -2205,8 +2184,8 @@ mod tests {
         assert_eq!(answer(&from_file), (Some(true), answer(&inline).1));
         assert_eq!(
             state.sources.lock().unwrap().len(),
-            2,
-            "two sources, one key"
+            1,
+            "only the file is cached; both share one key"
         );
     }
 
@@ -2214,8 +2193,12 @@ mod tests {
     /// blocks, so they equal the key of a source holding only those blocks.
     #[test]
     fn limited_requests_key_like_the_blocks_they_keep() {
+        let scratch = Scratch::new("limit");
+        let two = scratch.write(
+            "two.dfg",
+            &format!("{INLINE}{}", INLINE.replace("dfg mac", "dfg mac2")),
+        );
         let state = ServerState::new(8, None);
-        let two = format!("{INLINE}{}", INLINE.replace("dfg mac", "dfg mac2"));
         let flags = |limit: &str| format!(r#"{{"nin":3,"nout":1{limit}}}"#);
         let one = answer(&state.handle_line(&request("group", INLINE, &flags(""))));
         let limited = answer(&state.handle_line(&request("group", &two, &flags(r#","limit":1"#))));

@@ -126,12 +126,9 @@ pub fn load_corpus(
 ) -> Result<Vec<CorpusBlock>, CorpusError> {
     let path = path.as_ref();
     let files = corpus_files(path)?;
-    let duplicate = |index: usize, name: &str, first: usize| {
-        duplicate_block(&files[index], name, &files[first])
-    };
     let workers = threads.min(files.len());
     if workers <= 1 {
-        return merge_files(path, files.iter().map(|file| parse_file(file)), duplicate);
+        return merge_files(path, &files, files.iter().map(|file| parse_file(file)));
     }
     let parsed: Vec<OnceLock<ParsedFile>> = files.iter().map(|_| OnceLock::new()).collect();
     let cursor = AtomicUsize::new(0);
@@ -150,10 +147,10 @@ pub fn load_corpus(
     });
     merge_files(
         path,
+        &files,
         parsed
             .into_iter()
             .map(|cell| cell.into_inner().expect("every file was parsed")),
-        duplicate,
     )
 }
 
@@ -229,20 +226,13 @@ impl CorpusText {
     /// As [`load_corpus_path`], including the error reading a file.
     pub fn parse(mut self) -> Result<(Vec<CorpusBlock>, CorpusText), CorpusError> {
         let unread = self.unread.take();
-        let (files, texts) = (&self.files, &self.texts);
-        let parsed = files
+        let parsed = self
+            .files
             .iter()
-            .zip(texts)
+            .zip(&self.texts)
             .map(|(file, text)| parse_text(file, text))
             .chain(unread.map(Err));
-        let blocks = merge_files(&self.path, parsed, |index, name, first| {
-            CorpusError::DuplicateBlock {
-                path: files[index].clone(),
-                line: header_line(&texts[index], name),
-                name: name.to_string(),
-                first_path: files[first].clone(),
-            }
-        })?;
+        let blocks = merge_files(&self.path, &self.files, parsed)?;
         Ok((blocks, self))
     }
 }
@@ -292,25 +282,24 @@ fn parse_text(file: &Path, text: &str) -> ParsedFile {
     })
 }
 
-/// Concatenates the parsed files in order, returning the first error in file
-/// order: a file's own error, or a block name that an earlier file defined, built
-/// by `duplicate(file index, name, index of the first file)`. Stops at the first
-/// error, so a lazy `parsed` is read no further.
+/// Concatenates the parsed `files` in order, returning the first error in file
+/// order: a file's own error, or a block name that an earlier file defined.
+/// Stops at the first error, so a lazy `parsed` is read no further.
 fn merge_files(
     path: &Path,
+    files: &[PathBuf],
     parsed: impl IntoIterator<Item = ParsedFile>,
-    duplicate: impl Fn(usize, &str, usize) -> CorpusError,
 ) -> Result<Vec<CorpusBlock>, CorpusError> {
     let mut blocks: Vec<CorpusBlock> = Vec::new();
-    // Each block name, mapped to the index of the file defining it.
+    // Each block name, mapped to the index in `files` of the file defining it.
     let mut first_file: HashMap<String, usize> = HashMap::new();
-    for (index, file_blocks) in parsed.into_iter().enumerate() {
+    for (index, (file, file_blocks)) in files.iter().zip(parsed).enumerate() {
         // The parser rejects duplicate names within one file; enforce the same
         // invariant across the files of a directory, so block names key the corpus.
         for block in file_blocks? {
             let name = block.dfg.name();
             if let Some(&first) = first_file.get(name) {
-                return Err(duplicate(index, name, first));
+                return Err(duplicate_block(file, name, &files[first]));
             }
             first_file.insert(name.to_string(), index);
             blocks.push(block);
@@ -324,9 +313,9 @@ fn merge_files(
     Ok(blocks)
 }
 
-/// The error for block `name` of `file`, already defined in `first_path`.
-/// [`load_corpus`] keeps no parsed text, so the header's line is found by reading
-/// `file` again on this error path.
+/// The error for block `name` of `file`, already defined in `first_path`. The
+/// parsed text is not kept, so the header's line is found by reading `file` again
+/// on this error path.
 fn duplicate_block(file: &Path, name: &str, first_path: &Path) -> CorpusError {
     match std::fs::read_to_string(file) {
         Ok(text) => CorpusError::DuplicateBlock {
