@@ -343,59 +343,6 @@ impl PatternIndex {
         block
     }
 
-    /// Removes one block — its occurrences, its weight contributions, and any
-    /// pattern left with no occurrences — and renumbers the remaining blocks
-    /// densely. Returns the number of cuts removed.
-    ///
-    /// The result is **exactly** the index a fresh build over the remaining block
-    /// sequence would produce: surviving entries are re-ranked into the first-seen
-    /// order of that shorter stream and weighted counts are recomputed from the
-    /// surviving occurrences (same summation order as a fresh build, so the floats
-    /// are bit-identical, not merely close). This is what lets a long-running
-    /// server (`ise serve`) keep one incremental index per corpus while blocks come
-    /// and go, instead of re-coding every block on each change.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is not an index previously returned by
-    /// [`PatternIndex::add_block`] / [`PatternIndex::add_coded_block`] (after
-    /// accounting for renumbering by earlier removals).
-    pub fn remove_block(&mut self, block: usize) -> usize {
-        assert!(
-            block < self.block_weights.len(),
-            "remove_block({block}): index has only {} blocks",
-            self.block_weights.len()
-        );
-        self.block_weights.remove(block);
-        let mut removed_cuts = 0;
-        for entry in &mut self.entries {
-            let before = entry.occurrences.len();
-            entry.occurrences.retain(|occ| occ.block != block);
-            removed_cuts += before - entry.occurrences.len();
-            for occ in &mut entry.occurrences {
-                if occ.block > block {
-                    occ.block -= 1;
-                }
-            }
-        }
-        self.total_cuts -= removed_cuts;
-        self.entries.retain(|entry| !entry.occurrences.is_empty());
-        // Restore first-seen order for the shortened stream: each entry's first
-        // surviving occurrence is its (block, cut) birth position.
-        self.entries
-            .sort_by_key(|entry| (entry.occurrences[0].block, entry.occurrences[0].cut));
-        self.map.clear();
-        for (index, entry) in self.entries.iter_mut().enumerate() {
-            entry.weighted_count = entry
-                .occurrences
-                .iter()
-                .map(|occ| self.block_weights[occ.block])
-                .sum();
-            self.map.insert(entry.code.clone(), index);
-        }
-        removed_cuts
-    }
-
     /// The patterns in first-seen order.
     pub fn entries(&self) -> &[PatternEntry] {
         &self.entries
@@ -533,111 +480,6 @@ mod tests {
             assert_eq!(d.code, m.code);
             assert_eq!(d.occurrences, m.occurrences);
         }
-    }
-
-    /// Builds an index over `blocks` (given as (copies, weight) pairs).
-    fn build_index(blocks: &[(usize, f64)]) -> PatternIndex {
-        let mut index = PatternIndex::new(GroupConfig::new(2, 1));
-        for (i, &(copies, weight)) in blocks.iter().enumerate() {
-            let (dfg, cuts) = mac_block(&format!("b{i}"), copies);
-            index.add_block(&dfg, &cuts, weight);
-        }
-        index
-    }
-
-    /// Full structural equality, including the exact float aggregates.
-    fn assert_index_eq(a: &PatternIndex, b: &PatternIndex) {
-        assert_eq!(a.num_blocks(), b.num_blocks());
-        assert_eq!(a.total_cuts(), b.total_cuts());
-        assert_eq!(a.len(), b.len());
-        for block in 0..a.num_blocks() {
-            assert_eq!(
-                a.block_weight(block).to_bits(),
-                b.block_weight(block).to_bits()
-            );
-        }
-        for (x, y) in a.entries().iter().zip(b.entries()) {
-            assert_eq!(x.code, y.code);
-            assert_eq!(x.occurrences, y.occurrences);
-            assert_eq!(
-                x.weighted_count.to_bits(),
-                y.weighted_count.to_bits(),
-                "weighted counts must match bit-for-bit for pattern {}",
-                x.ops
-            );
-        }
-        assert_eq!(a.ranked(), b.ranked());
-    }
-
-    #[test]
-    fn remove_block_matches_fresh_build_without_it() {
-        let blocks = [(2, 1.0), (1, 3.0), (3, 0.5), (1, 2.0)];
-        for victim in 0..blocks.len() {
-            let mut incremental = build_index(&blocks);
-            let removed = incremental.remove_block(victim);
-            assert!(removed > 0, "every block contributes cuts");
-            let remaining: Vec<(usize, f64)> = blocks
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != victim)
-                .map(|(_, &b)| b)
-                .collect();
-            // A fresh build names blocks differently (b0..), but mac_block's cuts
-            // do not depend on the name, so rebuild over the same parameters.
-            let mut fresh = PatternIndex::new(GroupConfig::new(2, 1));
-            for (i, &(copies, weight)) in remaining.iter().enumerate() {
-                let orig = if i < victim { i } else { i + 1 };
-                let (dfg, cuts) = mac_block(&format!("b{orig}"), copies);
-                fresh.add_block(&dfg, &cuts, weight);
-            }
-            assert_index_eq(&incremental, &fresh);
-        }
-    }
-
-    #[test]
-    fn remove_block_drops_patterns_unique_to_it_and_readd_restores() {
-        let mut index = PatternIndex::new(GroupConfig::new(2, 1));
-        let (dfg, cuts) = mac_block("macs", 1);
-        index.add_block(&dfg, &cuts, 1.0);
-        // A block with a sub/and tail that appears nowhere else.
-        let mut b = DfgBuilder::new("odd");
-        let p = b.input("p");
-        let q = b.input("q");
-        let s = b.node(Operation::Sub, &[p, q]);
-        let t = b.node(Operation::And, &[s, p]);
-        b.mark_output(t);
-        let dfg = b.build().unwrap();
-        let cuts2 = enumerate_cuts(&dfg, &Constraints::new(3, 1).unwrap()).unwrap();
-
-        let before = index.clone();
-        let block = index.add_block(&dfg, &cuts2.cuts, 2.0);
-        assert!(
-            index.len() > before.len(),
-            "the odd block adds new patterns"
-        );
-        index.remove_block(block);
-        assert_index_eq(&index, &before);
-        // Re-adding after removal reproduces the two-block index exactly.
-        let mut twice = before.clone();
-        twice.add_block(&dfg, &cuts2.cuts, 2.0);
-        index.add_block(&dfg, &cuts2.cuts, 2.0);
-        assert_index_eq(&index, &twice);
-    }
-
-    #[test]
-    fn remove_last_block_leaves_an_empty_index() {
-        let mut index = build_index(&[(1, 1.0)]);
-        index.remove_block(0);
-        assert!(index.is_empty());
-        assert_eq!(index.num_blocks(), 0);
-        assert_eq!(index.total_cuts(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "remove_block")]
-    fn remove_block_rejects_out_of_range() {
-        let mut index = build_index(&[(1, 1.0)]);
-        index.remove_block(1);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! The sharded batch runner: a work-stealing scheduler over (block, task) items.
+//! The sharded batch runner: scoped workers sharing one list of (block, task) items.
 //!
 //! Sharding whole *blocks* across workers would leave one adversarial block
 //! serializing an entire corpus sweep, so the work is flattened into
 //! `(block, task)` items — a small block is one item, a large block one item per task
-//! of its static first-output fan-out — scheduled by a [`WorkStealPool`]: every
-//! worker owns a deque and idle workers steal the oldest item from a peer. The
-//! worker retiring a block's last task merges its task outputs (sorted by
-//! [`TaskId`], the deterministic serial order) and finalizes the block.
+//! of its static first-output fan-out — run by [`run_items`]: each worker claims
+//! the next unclaimed item, last first. The worker retiring a block's last task
+//! merges its task outputs (sorted by [`TaskId`], the deterministic serial order)
+//! and finalizes the block.
 //!
 //! **Determinism.** The fan-out plan ([`BatchConfig::par_threshold`],
 //! [`MAX_TASKS_PER_BLOCK`]) and the per-task budget split are functions of the block
@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ise_corpus::CorpusBlock;
-use ise_enum::par::{initial_tasks, merge_tasks, run_task, TaskId, TaskSpec, WorkStealPool};
+use ise_enum::par::{initial_tasks, merge_tasks, run_items, run_task, TaskId, TaskSpec};
 use ise_enum::{
     incremental_cuts, select_ises, Constraints, DedupMode, EngineOptions, EnumContext, Enumeration,
     PruningConfig, Selection,
@@ -190,7 +190,7 @@ struct BlockPlan {
 }
 
 /// In-flight state of one block; the worker retiring the last task merges.
-struct BlockSlot<R> {
+struct BlockSlot {
     /// The context a fanned-out block's tasks share. The first task builds it, each
     /// task drops its own reference before retiring, and the worker retiring the
     /// last task takes it out, merges with it and frees it before selection. A whole-block item builds its own
@@ -201,8 +201,6 @@ struct BlockSlot<R> {
     /// Tasks of this block not yet retired.
     pending: AtomicUsize,
     outputs: Mutex<Vec<(TaskId, Enumeration)>>,
-    /// What the batch's `reduce` closure kept of the finalized block.
-    result: Mutex<Option<R>>,
 }
 
 fn plan_block(dfg: &Dfg, config: &BatchConfig) -> BlockPlan {
@@ -242,7 +240,7 @@ fn plan_block(dfg: &Dfg, config: &BatchConfig) -> BlockPlan {
 type WorkItem = (usize, Option<TaskSpec>);
 
 /// Runs the batch: every block of `blocks` through the engine, with large blocks
-/// fanned out into first-output tasks, all items scheduled by a [`WorkStealPool`] over
+/// fanned out into first-output tasks, all items run by [`run_items`] on
 /// [`BatchConfig::threads`] workers, and returns every block's full
 /// [`BlockOutcome`] in corpus order.
 ///
@@ -251,9 +249,9 @@ type WorkItem = (usize, Option<TaskSpec>);
 /// deterministic, so the outcomes (sorted by block index) are
 /// identical for every thread count; only the wall times differ.
 ///
-/// An optional [`Recorder`] observes the run: per-block and per-task spans, pool
-/// counters and phase timings land in the recorder, and worker threads are named
-/// `worker-N` for trace grouping. Recording never changes any outcome — the plan and
+/// An optional [`Recorder`] observes the run: per-block and per-task spans, the
+/// seeded item count and phase timings land in the recorder, and worker threads are
+/// named `worker-N` for trace grouping. Recording never changes any outcome — the plan and
 /// the merge are untouched — so runs with and without a recorder
 /// report identical counts.
 ///
@@ -286,14 +284,13 @@ where
     F: Fn(&CorpusBlock, BlockOutcome) -> R + Sync,
 {
     let plans: Vec<BlockPlan> = blocks.iter().map(|b| plan_block(&b.dfg, config)).collect();
-    let slots: Vec<BlockSlot<R>> = plans
+    let slots: Vec<BlockSlot> = plans
         .iter()
         .map(|plan| BlockSlot {
             ctx: Mutex::new(None),
             started: OnceLock::new(),
             pending: AtomicUsize::new(plan.specs.len().max(1)),
             outputs: Mutex::new(Vec::new()),
-            result: Mutex::new(None),
         })
         .collect();
     let items: Vec<WorkItem> = plans
@@ -311,65 +308,43 @@ where
         })
         .collect();
 
-    let workers = config.threads.max(1).min(items.len().max(1));
-    let mut pool = WorkStealPool::new(workers);
-    if let Some(rec) = rec {
-        pool.set_recorder(rec);
-    }
-    let pool = pool;
-    pool.seed(items);
     let batch = Batch {
         blocks,
         plans: &plans,
         slots: &slots,
         config,
-        pool: &pool,
         rec,
         reduce: &reduce,
     };
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let batch = &batch;
-            scope.spawn(move || {
-                if let Some(rec) = rec {
-                    rec.set_thread_name(&format!("worker-{worker}"));
-                }
-                while let Some((block_idx, spec)) = batch.pool.pop(worker) {
-                    batch.run_item(block_idx, spec);
-                }
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.result
-                .into_inner()
-                .expect("block result poisoned")
-                .expect("every scheduled block was finalized")
-        })
-        .collect()
+    // Exactly one item of each block finalizes it, and each block's items are
+    // contiguous in block order, so the finalized results come in corpus order.
+    let results: Vec<R> = run_items(&items, config.threads, rec, |(block_idx, spec)| {
+        batch.run_item(*block_idx, spec)
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert_eq!(results.len(), blocks.len(), "each block is finalized once");
+    results
 }
 
 /// Everything a worker reads while running items, borrowed for one batch.
-struct Batch<'a, R, F> {
+struct Batch<'a, F> {
     blocks: &'a [CorpusBlock],
     plans: &'a [BlockPlan],
-    slots: &'a [BlockSlot<R>],
+    slots: &'a [BlockSlot],
     config: &'a BatchConfig,
-    pool: &'a WorkStealPool<WorkItem>,
     rec: Option<&'a dyn Recorder>,
     reduce: &'a F,
 }
 
-impl<R, F> Batch<'_, R, F>
-where
-    F: Fn(&CorpusBlock, BlockOutcome) -> R,
-{
+impl<F> Batch<'_, F> {
     /// Executes one work item; the worker retiring a block's last task merges and
-    /// finalizes it.
-    fn run_item(&self, block_idx: usize, spec: Option<TaskSpec>) {
+    /// finalizes it, returning what `reduce` keeps of the block.
+    fn run_item<R>(&self, block_idx: usize, spec: &Option<TaskSpec>) -> Option<R>
+    where
+        F: Fn(&CorpusBlock, BlockOutcome) -> R,
+    {
         let (block, plan, slot) = (
             &self.blocks[block_idx],
             &self.plans[block_idx],
@@ -389,8 +364,7 @@ where
                 &plan.options,
                 self.rec,
             );
-            self.finalize(block_idx, 1, enumeration, started);
-            return;
+            return Some(self.finalize(block_idx, 1, enumeration, started));
         };
         // Fanned-out tasks share the block's context until its merge.
         let started = *slot.started.get_or_init(Instant::now);
@@ -405,7 +379,7 @@ where
             &config.constraints,
             &config.pruning,
             &plan.options,
-            &spec,
+            spec,
             self.rec,
         );
         // Release this task's reference before retiring it, so once the last task
@@ -418,30 +392,40 @@ where
         // The last task to retire (the mutex pushes above synchronize with this
         // acquire) merges in TaskId order — the serial order, whatever the schedule
         // was.
-        if slot.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let mut outputs =
-                std::mem::take(&mut *slot.outputs.lock().expect("task output list poisoned"));
-            outputs.sort_by_key(|(id, _)| *id);
-            let tasks = outputs.len();
-            let outputs: Vec<Enumeration> = outputs.into_iter().map(|(_, out)| out).collect();
-            let ctx = slot
-                .ctx
-                .lock()
-                .expect("block context poisoned")
-                .take()
-                .expect("a fanned-out block's first task built its context");
-            debug_assert_eq!(Arc::strong_count(&ctx), 1, "every task has released it");
-            let enumeration = merge_tasks(&ctx, outputs, self.rec);
-            // Free the context here, on the merging worker, before selection and the
-            // reduction run.
-            drop(ctx);
-            self.finalize(block_idx, tasks, enumeration, started);
+        if slot.pending.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return None;
         }
+        let mut outputs =
+            std::mem::take(&mut *slot.outputs.lock().expect("task output list poisoned"));
+        outputs.sort_by_key(|(id, _)| *id);
+        let tasks = outputs.len();
+        let outputs: Vec<Enumeration> = outputs.into_iter().map(|(_, out)| out).collect();
+        let ctx = slot
+            .ctx
+            .lock()
+            .expect("block context poisoned")
+            .take()
+            .expect("a fanned-out block's first task built its context");
+        debug_assert_eq!(Arc::strong_count(&ctx), 1, "every task has released it");
+        let enumeration = merge_tasks(&ctx, outputs, self.rec);
+        // Free the context here, on the merging worker, before selection and the
+        // reduction run.
+        drop(ctx);
+        Some(self.finalize(block_idx, tasks, enumeration, started))
     }
 
-    /// Builds the block's outcome, stamps its wall time, and stores what `reduce`
+    /// Builds the block's outcome, stamps its wall time, and returns what `reduce`
     /// keeps of it.
-    fn finalize(&self, index: usize, tasks: usize, enumeration: Enumeration, started: Instant) {
+    fn finalize<R>(
+        &self,
+        index: usize,
+        tasks: usize,
+        enumeration: Enumeration,
+        started: Instant,
+    ) -> R
+    where
+        F: Fn(&CorpusBlock, BlockOutcome) -> R,
+    {
         let block = &self.blocks[index];
         let mut outcome = BlockOutcome::new(
             index,
@@ -452,15 +436,10 @@ where
         );
         outcome.elapsed = started.elapsed();
         let result = (self.reduce)(block, outcome);
-        let previous = self.slots[index]
-            .result
-            .lock()
-            .expect("block result poisoned")
-            .replace(result);
-        assert!(previous.is_none(), "each block is finalized exactly once");
         if let Some(rec) = self.rec {
             rec.add("ise_batch_blocks_total", 1);
         }
+        result
     }
 }
 

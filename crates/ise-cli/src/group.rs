@@ -13,8 +13,6 @@
 //! grouping smoke diffs stripped runs at different thread counts).
 
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 use crate::batch::{run_batch, BatchConfig, BlockOutcome};
 use crate::report::{tree_of, write_batch_json_with, RunMeta};
@@ -24,6 +22,7 @@ use ise_canon::{
     GlobalSelection, GroupConfig, MemoStats, PatternIndex,
 };
 use ise_corpus::CorpusBlock;
+use ise_enum::par::run_items;
 use ise_enum::Cut;
 use ise_graph::Dfg;
 use ise_obs::Recorder;
@@ -54,7 +53,7 @@ pub fn code_cuts(
 ///
 /// Each block is coded with [`code_cuts`] on the worker that finalized it, right
 /// after its enumeration, and reduced to its outcome without its cut list (the
-/// report renders counts alone) plus its coded cuts. After the pool joins, the
+/// report renders counts alone) plus its coded cuts. After the workers join, the
 /// coded blocks are merged into the index in corpus order, each block's coded cuts
 /// freed as it is merged. Block profile weights come from the `weight` meta key
 /// ([`CorpusBlock::weight`]).
@@ -102,27 +101,16 @@ pub fn group_outcomes(
     threads: usize,
     memo: Option<&CanonMemo>,
 ) -> PatternIndex {
-    let coded: Vec<OnceLock<Vec<CodedCut>>> =
-        (0..outcomes.len()).map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-    let workers = threads.max(1).min(outcomes.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(outcome) = outcomes.get(i) else {
-                    break;
-                };
-                let dfg = &blocks[outcome.index].dfg;
-                coded[i]
-                    .set(code_cuts(dfg, &outcome.enumeration.cuts, config, memo))
-                    .expect("each block is coded exactly once");
-            });
-        }
+    let coded = run_items(outcomes, threads, None, |outcome| {
+        code_cuts(
+            &blocks[outcome.index].dfg,
+            &outcome.enumeration.cuts,
+            config,
+            memo,
+        )
     });
     let mut index = PatternIndex::new(config.clone());
-    for (outcome, cell) in outcomes.iter().zip(coded) {
-        let block_coded = cell.into_inner().expect("every block was coded");
+    for (outcome, block_coded) in outcomes.iter().zip(coded) {
         index.add_coded_block(block_coded, blocks[outcome.index].weight());
     }
     index

@@ -22,11 +22,11 @@
 //! requests from a content-addressed cache (the [`serve`] module). Both
 //! front-ends resolve a command's flags into one job in the same place, so a
 //! request and a command line with the same flags run the same job. Work is
-//! scheduled by one work-stealing pool
-//! ([`batch::run_batch`]): blocks with at least `--par-threshold` vertices fan out
-//! into first-output tasks (`ise_enum::par`), smaller blocks stay whole, and idle
-//! `--threads` workers steal queued items from busy peers — so a single large
-//! block scales with cores instead of serializing the sweep. The fan-out plan is a
+//! scheduled as one shared item list ([`batch::run_batch`]): blocks with at least
+//! `--par-threshold` vertices fan out into first-output tasks (`ise_enum::par`),
+//! smaller blocks stay whole, and each of the `--threads` workers claims the next
+//! unclaimed item — so a single large block scales with cores instead of
+//! serializing the sweep. The fan-out plan is a
 //! function of the block and the flags alone (never of the thread count) and the
 //! task merge is deterministic, so **every count in the JSON and markdown
 //! output is identical for any thread count** — only wall times vary. Runs are budgeted per
@@ -111,10 +111,10 @@ PATH is a .dfg file or a directory of .dfg files (default: corpus).
 --out/--md write JSON/markdown to FILE, or to stdout when FILE is `-`.
 --budget caps the search per block in search nodes (default 1000000,
 0 = unbounded); small blocks finish below it and are enumerated fully.
---threads feeds a work-stealing scheduler: blocks with at least
+--threads sets the worker count: blocks with at least
 --par-threshold vertices (default 64; 0 = always, a huge value = never)
-fan out into at most 16 first-output tasks, and idle workers steal
-queued tasks from busy peers. The fan-out depends only on the block and
+fan out into at most 16 first-output tasks, and each free worker claims
+the next unclaimed block or task from one shared list. The fan-out depends only on the block and
 the flags, so all counts are byte-identical for any --threads value;
 fanned-out blocks split their --budget evenly across their tasks.
 --trace-out profiles the run as Chrome trace-event JSON (open it in

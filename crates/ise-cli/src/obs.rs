@@ -78,13 +78,12 @@ impl Drop for Heartbeat {
 
 fn heartbeat_line(registry: &MetricsRegistry) -> String {
     format!(
-        "ise: progress blocks={} runs={} nodes={} cuts={} tasks={} steals={}",
+        "ise: progress blocks={} runs={} nodes={} cuts={} tasks={}",
         registry.counter_value("ise_batch_blocks_total"),
         registry.counter_value("ise_engine_runs_total"),
         registry.counter_value("ise_engine_search_nodes_total"),
         registry.counter_value("ise_engine_valid_cuts_total"),
         registry.counter_value("ise_pool_tasks_total"),
-        registry.counter_value("ise_pool_steals_total"),
     )
 }
 

@@ -128,7 +128,7 @@ pub fn load_corpus(
     let files = corpus_files(path)?;
     let workers = threads.min(files.len());
     if workers <= 1 {
-        return merge_files(path, &files, files.iter().map(|file| parse_file(file)));
+        return merge_files(path, &files, &[], files.iter().map(|file| parse_file(file)));
     }
     let parsed: Vec<OnceLock<ParsedFile>> = files.iter().map(|_| OnceLock::new()).collect();
     let cursor = AtomicUsize::new(0);
@@ -148,6 +148,7 @@ pub fn load_corpus(
     merge_files(
         path,
         &files,
+        &[],
         parsed
             .into_iter()
             .map(|cell| cell.into_inner().expect("every file was parsed")),
@@ -232,7 +233,7 @@ impl CorpusText {
             .zip(&self.texts)
             .map(|(file, text)| parse_text(file, text))
             .chain(unread.map(Err));
-        let blocks = merge_files(&self.path, &self.files, parsed)?;
+        let blocks = merge_files(&self.path, &self.files, &self.texts, parsed)?;
         Ok((blocks, self))
     }
 }
@@ -285,9 +286,13 @@ fn parse_text(file: &Path, text: &str) -> ParsedFile {
 /// Concatenates the parsed `files` in order, returning the first error in file
 /// order: a file's own error, or a block name that an earlier file defined.
 /// Stops at the first error, so a lazy `parsed` is read no further.
+///
+/// `texts` holds the bytes that were parsed, for the files a caller kept; a
+/// duplicate's line is looked up there, and in a file read again only past them.
 fn merge_files(
     path: &Path,
     files: &[PathBuf],
+    texts: &[String],
     parsed: impl IntoIterator<Item = ParsedFile>,
 ) -> Result<Vec<CorpusBlock>, CorpusError> {
     let mut blocks: Vec<CorpusBlock> = Vec::new();
@@ -299,7 +304,12 @@ fn merge_files(
         for block in file_blocks? {
             let name = block.dfg.name();
             if let Some(&first) = first_file.get(name) {
-                return Err(duplicate_block(file, name, &files[first]));
+                return Err(duplicate_block(
+                    file,
+                    texts.get(index).map(String::as_str),
+                    name,
+                    &files[first],
+                ));
             }
             first_file.insert(name.to_string(), index);
             blocks.push(block);
@@ -314,20 +324,21 @@ fn merge_files(
 }
 
 /// The error for block `name` of `file`, already defined in `first_path`. The
-/// parsed text is not kept, so the header's line is found by reading `file` again
-/// on this error path.
-fn duplicate_block(file: &Path, name: &str, first_path: &Path) -> CorpusError {
-    match std::fs::read_to_string(file) {
-        Ok(text) => CorpusError::DuplicateBlock {
-            path: file.to_path_buf(),
-            line: header_line(&text, name),
-            name: name.to_string(),
-            first_path: first_path.to_path_buf(),
+/// header's line is found in `text`, the bytes that were parsed; a caller that did
+/// not keep them passes `None`, and `file` is read again on this error path.
+fn duplicate_block(file: &Path, text: Option<&str>, name: &str, first_path: &Path) -> CorpusError {
+    let line = match text {
+        Some(text) => header_line(text, name),
+        None => match read_file(file) {
+            Ok(text) => header_line(&text, name),
+            Err(error) => return error,
         },
-        Err(source) => CorpusError::Io {
-            path: file.to_path_buf(),
-            source,
-        },
+    };
+    CorpusError::DuplicateBlock {
+        path: file.to_path_buf(),
+        line,
+        name: name.to_string(),
+        first_path: first_path.to_path_buf(),
     }
 }
 
@@ -432,6 +443,28 @@ mod tests {
         assert!(err.to_string().contains("line 6"), "{err}");
         // No block of the clashing corpus leaks out: the load fails as a whole.
         assert!(err.source().is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A duplicate read by `read_corpus` is reported at its line in the bytes that
+    /// were read, even when the file changes before the parse.
+    #[test]
+    fn duplicate_lines_come_from_the_bytes_read() {
+        let dir = unique_dir("dup-read");
+        std::fs::write(dir.join("a.dfg"), "dfg same\nnode 0 in\nend\n").unwrap();
+        std::fs::write(dir.join("b.dfg"), "\ndfg same\nnode 0 in\nend\n").unwrap();
+        let text = read_corpus(&dir).unwrap();
+        std::fs::write(
+            dir.join("b.dfg"),
+            "# one\n# two\n# three\n\ndfg same\nnode 0 in\nend\n",
+        )
+        .unwrap();
+        let err = text.parse().unwrap_err();
+        assert!(
+            matches!(&err, CorpusError::DuplicateBlock { path, line, .. }
+                if path.ends_with("b.dfg") && *line == 2),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

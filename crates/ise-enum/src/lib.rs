@@ -30,8 +30,8 @@
 //! replaced.
 //!
 //! For large blocks the [`par`] module splits the incremental search at the
-//! first-output level into a static fan-out of independent tasks — scheduled by a
-//! work-stealing pool and merged by concatenating the tasks' cut lists in task
+//! first-output level into a static fan-out of independent tasks — run by scoped
+//! workers sharing one item list ([`par::run_items`]) and merged by concatenating the tasks' cut lists in task
 //! order, each cut body kept once — and [`par::parallel_cuts`] reproduces the serial
 //! cut list and every counter a report renders for any task and thread count on
 //! unbudgeted runs (only the per-task rejection tallies differ, see [`par`]). The

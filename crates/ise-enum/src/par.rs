@@ -1,5 +1,5 @@
 //! Intra-block task-parallel enumeration: the Figure 3 search split at the
-//! first-output level and run on a work-stealing scheduler.
+//! first-output level and run on scoped workers sharing one item list.
 //!
 //! The top level of the incremental algorithm's recursion is embarrassingly parallel:
 //! the serial `PICK-OUTPUT` loop tries every candidate first output in order, and each
@@ -11,10 +11,10 @@
 //! an independent task, and a contiguous range of them is one task of the static
 //! fan-out ([`initial_tasks`]).
 //!
-//! * **Work stealing.** [`WorkStealPool`] gives each worker its own deque: workers
-//!   pop their newest item and idle workers steal the oldest item from a peer, so a
-//!   skewed block's tasks are drained by whoever is free. Scheduling order never
-//!   affects the output: tasks are pure functions and the merge sorts by [`TaskId`].
+//! * **One shared list.** [`run_items`] runs a fixed list of items on scoped workers
+//!   that claim the next unclaimed item, last first, so a skewed block's tasks are
+//!   drained by whoever is free. Scheduling order never affects the output: tasks
+//!   are pure functions and the merge takes them in [`TaskId`] order.
 //! * **Merge by cuts.** [`merge_tasks`] concatenates the tasks' cut lists in
 //!   [`TaskId`] order and drops every cut whose body an earlier task already
 //!   emitted. A candidate's verdict depends on its body alone (fixed constraints,
@@ -34,16 +34,16 @@
 //! count, just not equal to the serially budgeted run; batch drivers must therefore
 //! derive the task count from the block and flags alone, never from the machine.
 //!
-//! [`parallel_cuts`] bundles fan-out → run/steal → merge behind one call; batch
-//! drivers with their own scheduler (the `ise` CLI) drive [`initial_tasks`],
-//! [`run_task`] and [`merge_tasks`] directly over a shared [`WorkStealPool`].
+//! [`parallel_cuts`] bundles fan-out → run → merge behind one call; batch drivers
+//! that mix several blocks' tasks in one list (the `ise` CLI) drive
+//! [`initial_tasks`], [`run_task`] and [`merge_tasks`] directly through
+//! [`run_items`].
 
-use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use ise_obs::{Counter, Recorder};
+use ise_obs::Recorder;
 
 use crate::config::{Constraints, PruningConfig};
 use crate::context::EnumContext;
@@ -173,96 +173,76 @@ pub fn run_task(
     enumeration
 }
 
-/// A work-stealing scheduler over per-worker deques; `std`-only.
+/// Runs `work` on every item of `items` on up to `threads` scoped workers and returns
+/// the results in item order; `std`-only.
 ///
-/// Each worker owns one deque. [`pop`](Self::pop) serves the worker's own newest item
-/// first (LIFO) and, when the own deque is empty, steals the *oldest* item from a
-/// peer (FIFO — the oldest items are the coarsest, so a steal moves the most work per
-/// lock acquisition). The item set is fixed once [`seed`](Self::seed)ed, so `pop`
-/// returns `None` as soon as every deque is empty.
+/// The workers share one cursor over the list and each claims the next unclaimed
+/// item, **last item first**, until none is left. No worker is spawned for an empty
+/// list, and never more workers than items. The schedule never sequences results:
+/// whichever worker ran an item, its result lands at the item's index.
 ///
-/// The pool schedules; it never sequences results. Users tag items with their own
-/// deterministic order (the enumeration tasks carry a [`TaskId`]) and sort after the
-/// pool drains.
-pub struct WorkStealPool<T> {
-    queues: Vec<Mutex<VecDeque<T>>>,
-    obs: PoolCounters,
-}
-
-/// Counter handles for the pool's scheduling events. All handles are disabled
-/// (single null-check per event) until [`WorkStealPool::set_recorder`] arms them.
-#[derive(Default)]
-struct PoolCounters {
-    /// Items seeded into the pool.
-    seeded: Counter,
-    /// Items a worker popped from its own deque.
-    own_pops: Counter,
-    /// Items a worker stole from a peer's deque.
-    steals: Counter,
-}
-
-impl<T> WorkStealPool<T> {
-    /// A pool with one deque per worker.
-    pub fn new(workers: usize) -> Self {
-        WorkStealPool {
-            queues: (0..workers.max(1)).map(|_| Mutex::default()).collect(),
-            obs: PoolCounters::default(),
-        }
+/// With a [`Recorder`], worker threads are named `worker-N` and
+/// `ise_pool_seeded_total` counts the items. Recording never affects scheduling.
+///
+/// # Example
+///
+/// ```
+/// let squares = ise_enum::par::run_items(&[1, 2, 3], 2, None, |x| x * x);
+/// assert_eq!(squares, vec![1, 4, 9]);
+/// ```
+pub fn run_items<T, R, F>(
+    items: &[T],
+    threads: usize,
+    rec: Option<&dyn Recorder>,
+    work: F,
+) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    if let Some(rec) = rec {
+        rec.add("ise_pool_seeded_total", items.len() as u64);
     }
-
-    /// Arms the scheduling counters (`ise_pool_seeded_total`,
-    /// `ise_pool_own_pops_total`, `ise_pool_steals_total`). The ledger
-    /// `own_pops + steals == seeded` holds whenever the pool has drained. Recording
-    /// never affects scheduling.
-    pub fn set_recorder(&mut self, rec: &dyn Recorder) {
-        self.obs = PoolCounters {
-            seeded: rec.counter("ise_pool_seeded_total"),
-            own_pops: rec.counter("ise_pool_own_pops_total"),
-            steals: rec.counter("ise_pool_steals_total"),
-        };
-    }
-
-    /// Number of worker deques.
-    pub fn workers(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Distributes the items round-robin across the worker deques. Seed before any
-    /// worker pops: a worker that finds every deque empty stops.
-    pub fn seed<I: IntoIterator<Item = T>>(&self, items: I) {
-        for (i, item) in items.into_iter().enumerate() {
-            self.obs.seeded.incr();
-            let queue = &self.queues[i % self.queues.len()];
-            queue.lock().expect("pool lock poisoned").push_back(item);
-        }
-    }
-
-    /// Next item for `worker`: its own deque first (newest), then stealing the oldest
-    /// item from a peer; `None` once every deque is empty.
-    pub fn pop(&self, worker: usize) -> Option<T> {
-        if let Some(item) = self.queues[worker]
-            .lock()
-            .expect("pool lock poisoned")
-            .pop_back()
-        {
-            self.obs.own_pops.incr();
-            return Some(item);
-        }
-        let n = self.queues.len();
-        for offset in 1..n {
-            let victim = &self.queues[(worker + offset) % n];
-            if let Some(item) = victim.lock().expect("pool lock poisoned").pop_front() {
-                self.obs.steals.incr();
-                return Some(item);
+    let claimed = AtomicUsize::new(0);
+    let workers = threads.max(1).min(items.len());
+    let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|worker| {
+                let (claimed, work) = (&claimed, &work);
+                scope.spawn(move || {
+                    if let Some(rec) = rec {
+                        rec.set_thread_name(&format!("worker-{worker}"));
+                    }
+                    let mut done = Vec::new();
+                    loop {
+                        let nth = claimed.fetch_add(1, Ordering::Relaxed);
+                        let Some(index) = items.len().checked_sub(nth + 1) else {
+                            break done;
+                        };
+                        done.push((index, work(&items[index])));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            let done = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (index, result) in done {
+                results[index] = Some(result);
             }
         }
-        None
-    }
+    });
+    results
+        .into_iter()
+        .map(|result| result.expect("every item ran"))
+        .collect()
 }
 
-/// Merges the enumerations of a completed decomposition (sorted by [`TaskId`], which
-/// [`parallel_cuts`] and the CLI scheduler do after draining the pool) into one
-/// [`Enumeration`].
+/// Merges the enumerations of a completed decomposition, in [`TaskId`] order, into
+/// one [`Enumeration`].
 ///
 /// The cut lists are concatenated in task order, keeping each cut only if no earlier
 /// task already emitted its body; the statistics are summed. For unbudgeted runs the
@@ -319,14 +299,14 @@ pub struct ParRun {
 }
 
 /// Splits the search into [`ParConfig::tasks`] first-output tasks, runs them on
-/// [`ParConfig::threads`] work-stealing workers, and merges. For unbudgeted runs the
+/// [`ParConfig::threads`] workers through [`run_items`], and merges. For unbudgeted runs the
 /// result equals [`crate::incremental_cuts`] in everything [`merge_tasks`] promises
 /// (the cut list and every counter except the per-task rejection tallies); neither
 /// thread count nor scheduling order ever changes it.
 ///
 /// With a [`Recorder`], worker threads are named in trace output, every task runs
-/// under its own span ([`run_task`]), the pool's scheduling counters are armed, and
-/// the merge is timed. Recording never changes the result — the
+/// under its own span ([`run_task`]), the seeded tasks are counted, and the merge
+/// is timed. Recording never changes the result — the
 /// obs-identity integration test pins byte equality against recording-off runs.
 ///
 /// # Example
@@ -377,38 +357,11 @@ pub fn parallel_cuts(
             task_nodes: vec![nodes],
         };
     }
-    let workers = config.threads.clamp(1, specs.len());
-    let mut pool = WorkStealPool::new(workers);
-    if let Some(rec) = rec {
-        pool.set_recorder(rec);
-    }
-    pool.seed(specs);
-    let results: Mutex<Vec<(TaskId, Enumeration)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let pool = &pool;
-            let results = &results;
-            scope.spawn(move || {
-                if let Some(rec) = rec {
-                    rec.set_thread_name(&format!("worker-{worker}"));
-                }
-                while let Some(spec) = pool.pop(worker) {
-                    let output = run_task(ctx, constraints, pruning, &config.options, &spec, rec);
-                    results
-                        .lock()
-                        .expect("result lock poisoned")
-                        .push((spec.id, output));
-                }
-            });
-        }
+    // Specs come in TaskId order, and `run_items` returns results in item order.
+    let outputs = run_items(&specs, config.threads, rec, |spec| {
+        run_task(ctx, constraints, pruning, &config.options, spec, rec)
     });
-    let mut outputs = results.into_inner().expect("result lock poisoned");
-    outputs.sort_by_key(|(id, _)| *id);
-    let task_nodes = outputs
-        .iter()
-        .map(|(_, out)| out.stats.search_nodes)
-        .collect();
-    let outputs: Vec<Enumeration> = outputs.into_iter().map(|(_, out)| out).collect();
+    let task_nodes = outputs.iter().map(|out| out.stats.search_nodes).collect();
     ParRun {
         enumeration: merge_tasks(ctx, outputs, rec),
         task_nodes,
@@ -514,48 +467,32 @@ mod tests {
     }
 
     #[test]
-    fn work_steal_pool_drains_every_seeded_item_once() {
-        let registry = ise_obs::MetricsRegistry::new();
-        let mut pool: WorkStealPool<usize> = WorkStealPool::new(3);
-        pool.set_recorder(&registry);
-        pool.seed(0..10);
-        let drained = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for worker in 0..pool.workers() {
-                let pool = &pool;
-                let drained = &drained;
-                scope.spawn(move || {
-                    while let Some(item) = pool.pop(worker) {
-                        drained.lock().unwrap().push(item);
-                    }
+    fn run_items_runs_every_item_once_and_one_worker_claims_last_first() {
+        for items in [0usize, 1, 5, 10] {
+            for threads in [1, 2, 8] {
+                let registry = ise_obs::MetricsRegistry::new();
+                let list: Vec<usize> = (0..items).collect();
+                let ran = std::sync::Mutex::new(Vec::new());
+                let results = run_items(&list, threads, Some(&registry), |&item| {
+                    ran.lock().unwrap().push(item);
+                    item * 10
                 });
+                let label = format!("items={items} threads={threads}");
+                assert_eq!(results, list.iter().map(|i| i * 10).collect::<Vec<_>>());
+                let mut ran = ran.into_inner().unwrap();
+                if threads == 1 {
+                    let last_first: Vec<usize> = list.iter().rev().copied().collect();
+                    assert_eq!(ran, last_first, "{label}: one worker claims last-first");
+                }
+                ran.sort_unstable();
+                assert_eq!(ran, list, "{label}: every item runs exactly once");
+                assert_eq!(
+                    registry.counter_value("ise_pool_seeded_total"),
+                    items as u64,
+                    "{label}"
+                );
             }
-        });
-        let mut seen = drained.into_inner().unwrap();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-        assert_eq!(pool.pop(0), None, "a drained pool stays empty");
-        let popped = registry.counter_value("ise_pool_own_pops_total")
-            + registry.counter_value("ise_pool_steals_total");
-        assert_eq!(popped, registry.counter_value("ise_pool_seeded_total"));
-        assert_eq!(popped, 10);
-    }
-
-    #[test]
-    fn work_steal_pool_pops_own_newest_then_steals_oldest() {
-        let pool: WorkStealPool<usize> = WorkStealPool::new(2);
-        // Round-robin: worker 0 holds [0, 2, 4], worker 1 holds [1, 3].
-        pool.seed(0..5);
-        assert_eq!(pool.pop(1), Some(3));
-        assert_eq!(pool.pop(1), Some(1));
-        assert_eq!(
-            pool.pop(1),
-            Some(0),
-            "an idle worker steals the oldest item"
-        );
-        assert_eq!(pool.pop(0), Some(4));
-        assert_eq!(pool.pop(0), Some(2));
-        assert_eq!(pool.pop(0), None);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Unified observability for the ISE reproduction stack.
 //!
 //! This crate provides the [`Recorder`] trait — the single instrumentation
-//! surface used by the enumeration engine, the work-stealing pool, the
+//! surface used by the enumeration engine, the task scheduler, the
 //! canonicalization memo, the serve caches, and the daemon — together with
 //! two implementations:
 //!

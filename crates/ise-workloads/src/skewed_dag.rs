@@ -9,7 +9,7 @@
 //! root of an expensive subtree, clustered at the front of the candidate order)
 //! followed by many trivial unary chains (cheap roots that pad the candidate count).
 //! Static fan-out over it shows a large task-load skew, which makes it the stress
-//! case for the fan-out's exactness and work stealing.
+//! case for the fan-out's exactness and its scheduling.
 
 use ise_graph::{Dfg, DfgBuilder, NodeId, Operation};
 use rand::rngs::StdRng;

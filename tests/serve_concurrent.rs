@@ -192,9 +192,7 @@ fn concurrent_mixed_workload_matches_serial_replay() {
 
     // Observability ledgers, under full concurrency. Every span that was entered
     // was exited (no leaked tokens on any path, error dispatches included), the
-    // registry's request counter agrees with the `server` object it feeds, and
-    // every item seeded into the pool was popped from its owner's deque or stolen
-    // — never both, never neither.
+    // registry's request counter agrees with the `server` object it feeds.
     let registry = state.registry();
     assert_eq!(
         registry.spans_entered(),
@@ -205,12 +203,6 @@ fn concurrent_mixed_workload_matches_serial_replay() {
         registry.counter_value("ise_serve_requests_total"),
         counter("requests"),
         "the stats op and the metrics registry share one requests counter"
-    );
-    assert_eq!(
-        registry.counter_value("ise_pool_own_pops_total")
-            + registry.counter_value("ise_pool_steals_total"),
-        registry.counter_value("ise_pool_seeded_total"),
-        "own pops + steals must account for every seeded pool item"
     );
 }
 
