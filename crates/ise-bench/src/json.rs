@@ -91,7 +91,9 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] with a byte offset and reason on malformed input.
+    /// Returns [`JsonError`] with a byte offset and reason on malformed input, and on
+    /// arrays and objects nested more than 128 deep: the parser recurses once per
+    /// level, so an unbounded depth would let a short hostile line exhaust the stack.
     ///
     /// # Example
     ///
@@ -109,7 +111,7 @@ impl Json {
         let bytes = text.as_bytes();
         let mut pos = 0;
         skip_ws(bytes, &mut pos);
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError::new(pos, "trailing characters after the value"));
@@ -380,10 +382,19 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// How many arrays and objects [`Json::parse`] accepts inside one another. Far above
+/// any document the workspace writes, and far below what exhausts a thread's stack.
+const MAX_DEPTH: usize = 128;
+
+/// Parses the value at `pos`, which sits inside `depth` arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(JsonError::new(
+            *pos,
+            format!("arrays and objects nested more than {MAX_DEPTH} deep"),
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -408,7 +419,7 @@ fn parse_literal(
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -422,7 +433,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
         skip_ws(bytes, pos);
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -436,7 +447,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -446,7 +457,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
     loop {
         skip_ws(bytes, pos);
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -695,6 +706,37 @@ mod tests {
         let err = Json::parse("[1, x]").unwrap_err();
         assert_eq!(err.offset, 4);
         assert!(err.to_string().contains("byte 4"), "{err}");
+    }
+
+    /// A `0` inside `depth` levels of nesting, arrays and objects alternating.
+    fn nested(depth: usize) -> String {
+        let open: String = (0..depth)
+            .map(|i| if i % 2 == 0 { "[" } else { "{\"k\":" })
+            .collect();
+        let close: String = (0..depth)
+            .rev()
+            .map(|i| if i % 2 == 0 { "]" } else { "}" })
+            .collect();
+        format!("{open}0{close}")
+    }
+
+    #[test]
+    fn parse_caps_the_nesting_depth() {
+        let at_cap = Json::parse(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(Json::parse(&at_cap.render()).unwrap(), at_cap);
+
+        let past = nested(MAX_DEPTH + 1);
+        let err = Json::parse(&past).unwrap_err();
+        assert_eq!(err.offset, past.find('0').unwrap() - 1, "{err}");
+        assert!(err.reason.contains("nested more than 128 deep"), "{err}");
+
+        // Far past the cap the parser stops at the same level instead of recursing
+        // until the stack overflows; an unclosed document fails the same way.
+        let million = "[".repeat(1_000_000);
+        let err = Json::parse(&million).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        let err = Json::parse(&nested(1_000_000)).unwrap_err();
+        assert!(err.reason.contains("nested more than"), "{err}");
     }
 
     #[test]

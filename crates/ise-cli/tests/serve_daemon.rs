@@ -473,6 +473,36 @@ fn over_long_line_gets_an_in_band_error_and_the_daemon_keeps_serving() {
     daemon.shutdown();
 }
 
+/// Regression for unbounded JSON nesting: a ~10 KB request holding 10 000 nested
+/// arrays used to overflow a handler's stack and abort the whole daemon. Over TCP
+/// and as an HTTP body it gets an in-band error, and a new connection is served.
+#[test]
+fn deeply_nested_request_gets_an_in_band_error_and_the_daemon_keeps_serving() {
+    let daemon = Daemon::spawn(&[]);
+    let deep = format!("{{\"op\":{}", "[".repeat(10_000));
+
+    let response = daemon.roundtrip(&deep);
+    assert!(response.starts_with("{\"ok\":false"), "{response}");
+    assert!(response.contains("request is not JSON"), "{response}");
+    assert!(response.contains("nested more than"), "{response}");
+
+    let mut stream = daemon.connect();
+    write!(
+        stream,
+        "POST /v1/enumerate HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n{deep}",
+        deep.len()
+    )
+    .expect("send HTTP request");
+    let (status, body) = read_http_response(&mut BufReader::new(stream));
+    assert_eq!(status, "HTTP/1.1 400 Bad Request");
+    assert!(body.starts_with("{\"ok\":false"), "{body}");
+    assert!(body.contains("nested more than"), "{body}");
+
+    let ok = daemon.roundtrip(&request("enumerate", &tiny_block(10), "\"budget\":5000"));
+    assert!(ok.starts_with("{\"ok\":true"), "{ok}");
+    daemon.shutdown();
+}
+
 /// The retired `split-threshold` request flag is answered in-band, and the daemon
 /// answers the next request on the same connection.
 #[test]

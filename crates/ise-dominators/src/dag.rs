@@ -74,13 +74,13 @@ impl TopoOrder {
     /// The augmented graph's topological order (source first): the order for
     /// dominators, `Forward(rooted)`.
     pub fn forward(rooted: &RootedDfg) -> Self {
-        Self::new(rooted.topological_order().to_vec())
+        Self::new(rooted.topological_order().collect())
     }
 
     /// The reverse of [`TopoOrder::forward`] (sink first): the order for
     /// postdominators, `Reverse(rooted)`.
     pub fn reverse(rooted: &RootedDfg) -> Self {
-        Self::new(rooted.topological_order().iter().rev().copied().collect())
+        Self::new(rooted.topological_order().rev().collect())
     }
 
     /// The vertices in order.
@@ -406,15 +406,9 @@ impl ConeDominators {
         self.pop();
     }
 
-    /// The whole-graph pass: the dominator tree of the acyclic `graph`, as
-    /// [`dag_dominators`] computes it, in this workspace. One workspace can build the
-    /// dominator and the postdominator tree of a graph back to back, allocating its
-    /// buffers once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` was built for a graph of a different size.
-    pub fn tree<G: FlowGraph>(&mut self, graph: &G, order: &TopoOrder) -> DominatorTree {
+    /// The whole-graph pass behind [`dag_dominators`]: the dominator tree of the
+    /// acyclic `graph`, in this workspace.
+    fn tree<G: FlowGraph>(&mut self, graph: &G, order: &TopoOrder) -> DominatorTree {
         let n = graph.num_nodes();
         assert_eq!(order.order().len(), n, "order built for a different graph");
         let mut idom = vec![None; n];

@@ -69,9 +69,9 @@ pub fn baseline_cuts(
 /// accessors), while the per-vertex decision markings stay here.
 pub struct BaselineEnumerator<'a> {
     ctx: &'a EnumContext,
-    /// Topological order restricted to original vertices: producers first, as in the
-    /// published algorithm.
-    order: Vec<NodeId>,
+    /// The original graph's topological order: producers first, as in the published
+    /// algorithm.
+    order: &'a [NodeId],
     excluded: DenseNodeSet,
     /// For decided excluded vertices: whether they already feed a selected vertex.
     is_input: Vec<bool>,
@@ -88,16 +88,9 @@ impl<'a> BaselineEnumerator<'a> {
     /// Creates the enumerator for one analysis context.
     pub fn new(ctx: &'a EnumContext) -> Self {
         let n = ctx.rooted().num_nodes();
-        let order: Vec<NodeId> = ctx
-            .rooted()
-            .topological_order()
-            .iter()
-            .copied()
-            .filter(|&v| !ctx.rooted().is_artificial(v))
-            .collect();
         BaselineEnumerator {
             ctx,
-            order,
+            order: ctx.dfg().topological_order(),
             excluded: DenseNodeSet::new(n),
             is_input: vec![false; n],
             reached_from_selected: vec![false; n],

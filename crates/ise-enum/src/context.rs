@@ -1,20 +1,24 @@
 //! Shared precomputed analysis context for the enumeration algorithms.
 
-use ise_dominators::{ConeDominators, DominatorTree, Forward, Reverse, TopoOrder};
+use ise_dominators::{postdominators, ConeDominators, DominatorTree, Forward, TopoOrder};
 use ise_graph::{depths_from_roots, DenseNodeSet, Dfg, NodeId, Reachability, RootedDfg};
 
-/// Precomputed analyses shared by every enumeration algorithm (§5.4 of the paper):
-/// the augmented graph, pairwise reachability with forbidden-path information, the
-/// topological rank of every vertex, the dominator and postdominator trees, and
-/// operation depths.
+/// Precomputed analyses shared by every enumeration algorithm (§5.4 of the paper),
+/// only those the algorithms read: the augmented graph, pairwise reachability with
+/// its forbidden-free (clean) form, the topological rank of every vertex, the
+/// postdominator tree, and operation depths.
 ///
-/// Building the context costs `O(n·e/64)` for reachability plus one DAG dominator
-/// pass per direction, and is done once per basic block where enumeration runs; all
-/// algorithms (`basic`, `incremental`, `baseline`, `exhaustive`) then borrow it. The
-/// dominant storage is [`Reachability`]'s four `n × ⌈n/64⌉`-word bit matrices over
-/// the `n` vertices of the augmented graph; the whole context is a fixed handful of
-/// allocations whatever the block size. Coding and selection need only the graph
-/// and take a [`Dfg`], not a context.
+/// Every pass runs over the one topological order the [`Dfg`] computed when it was
+/// built ([`RootedDfg::topological_order`] wraps it in the source and the sink);
+/// nothing is sorted again. Building the context costs `O(n·e/64)` for
+/// reachability plus one DAG postdominator pass, and is done once per basic block
+/// where enumeration runs; all algorithms (`basic`, `incremental`, `baseline`,
+/// `exhaustive`) then borrow it. The dominant storage is [`Reachability`]'s three
+/// `n × ⌈n/64⌉`-word bit matrices over the `n` vertices of the augmented graph; the
+/// whole context is a fixed handful of allocations whatever the block size. The
+/// forward dominator tree is not kept: the engine asks only cone-restricted
+/// dominator questions, answered by [`EnumContext::push_cone_level`]. Coding and
+/// selection need only the graph and take a [`Dfg`], not a context.
 ///
 /// # Example
 ///
@@ -37,9 +41,8 @@ pub struct EnumContext {
     rooted: RootedDfg,
     reach: Reachability,
     /// The augmented graph's topological order and ranks, the index space of every
-    /// dominator pass.
+    /// cone dominator pass.
     topo: TopoOrder,
-    dom: DominatorTree,
     postdom: DominatorTree,
     /// Vertices that may never be members of a dominator seed or input set: the
     /// artificial source and sink.
@@ -60,12 +63,8 @@ impl EnumContext {
     /// Builds the context from an already augmented graph.
     pub fn from_rooted(rooted: RootedDfg) -> Self {
         let reach = Reachability::compute(&rooted);
-        // One DAG pass per direction: the kept topological order for dominators, its
-        // reverse for postdominators.
         let topo = TopoOrder::forward(&rooted);
-        let mut ws = ConeDominators::new();
-        let dom = ws.tree(&Forward(&rooted), &topo);
-        let postdom = ws.tree(&Reverse(&rooted), &TopoOrder::reverse(&rooted));
+        let postdom = postdominators(&rooted);
 
         let mut artificial = rooted.node_set();
         artificial.insert(rooted.source());
@@ -84,7 +83,6 @@ impl EnumContext {
             rooted,
             reach,
             topo,
-            dom,
             postdom,
             artificial,
             candidate_outputs,
@@ -102,14 +100,9 @@ impl EnumContext {
         self.rooted.dfg()
     }
 
-    /// Pairwise reachability and forbidden-path information.
+    /// Pairwise reachability and its forbidden-free (clean) form.
     pub fn reach(&self) -> &Reachability {
         &self.reach
-    }
-
-    /// The dominator tree (rooted at the artificial source).
-    pub fn dominator_tree(&self) -> &DominatorTree {
-        &self.dom
     }
 
     /// The postdominator tree (rooted at the artificial sink).
@@ -406,7 +399,7 @@ mod tests {
     #[test]
     fn trees_are_consistent_with_reachability() {
         let (ctx, [_, _, n, x, _]) = sample();
-        assert!(ctx.dominator_tree().dominates(n, x));
+        assert!(ise_dominators::dominators(ctx.rooted()).dominates(n, x));
         assert!(ctx.postdominator_tree().dominates(x, n));
         assert!(ctx.reach().reaches(n, x));
     }

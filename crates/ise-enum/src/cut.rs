@@ -397,7 +397,7 @@ impl InterfaceScratch {
             self.depth[v.index()] = 0;
         }
         let mut max = 0;
-        for &v in rooted.topological_order() {
+        for &v in ctx.dfg().topological_order() {
             if !body.contains(v) {
                 continue;
             }

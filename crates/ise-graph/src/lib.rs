@@ -13,10 +13,10 @@
 //!   single artificial *sink* (successor of every `Oext` vertex), so that both the graph
 //!   and its reverse are rooted. Dominators and postdominators are computed on this
 //!   view.
-//! * [`Reachability`] — precomputed path information, stored as four flat bit
-//!   matrices: for every pair of nodes whether a path exists, whether some path between
-//!   them passes a forbidden node and whether some path avoids them (used by the
-//!   output–input pruning of §5.3), plus every node's ancestor set.
+//! * [`Reachability`] — precomputed path information, stored as three flat bit
+//!   matrices: for every pair of nodes whether a path exists and whether some path
+//!   between them avoids forbidden nodes (used by the lossless output–input pruning
+//!   of §5.3), plus every node's ancestor set.
 //! * [`DenseNodeSet`] — a cache-friendly fixed-capacity bit set over node ids, the
 //!   work-horse set representation used throughout the workspace; [`NodeRow`] is its
 //!   borrowed, read-only form (one row of a bit matrix).
@@ -81,4 +81,4 @@ pub use node::{Node, NodeId};
 pub use op::{LatencyModel, Operation, OperationClass};
 pub use reach::Reachability;
 pub use rooted::RootedDfg;
-pub use topo::{depths_from_roots, topological_order, AdjacencyView};
+pub use topo::depths_from_roots;

@@ -8,21 +8,20 @@ use crate::rooted::RootedDfg;
 ///
 /// §5.4 of the paper lists, among the precomputed data structures, "the presence of
 /// paths between two nodes, and whether any of these paths touches a forbidden node".
-/// This type stores exactly that, plus every vertex's ancestor set:
+/// This type stores the first, and of the second the form the engine prunes with:
+/// whether some path avoids forbidden vertices, the lossless reading of §5.3's
+/// output–input pruning. It also keeps every vertex's ancestor set:
 ///
 /// * [`Reachability::reaches`] — is there a non-empty path `from → to`?
-/// * [`Reachability::forbidden_between`] — is there a path `from → to` that contains a
-///   forbidden vertex strictly between the two endpoints? Such a pair can never be an
-///   (input, output) pair of a valid cut (output–input pruning, §5.3).
 /// * [`Reachability::clean_reaches`] — is there a path `from → to` with *no*
 ///   forbidden vertex strictly between the endpoints?
 /// * [`Reachability::ancestors`] / [`Reachability::descendants`] — whole rows, as
 ///   borrowed [`NodeRow`]s.
 ///
-/// The storage is four flat row-major bit matrices (descendants, tainted, clean and
+/// The storage is three flat row-major bit matrices (descendants, clean and
 /// ancestors), each one `Vec<u64>` of `n × ⌈n/64⌉` words for the `n` vertices of the
-/// augmented graph: four allocations per graph whatever its size. One
-/// reverse-topological pass fills the first three in place and one forward pass fills
+/// augmented graph: three allocations per graph whatever its size. One
+/// reverse-topological pass fills the first two in place and one forward pass fills
 /// the ancestors, each in `O(e · n / 64)` word operations.
 ///
 /// # Example
@@ -38,9 +37,9 @@ use crate::rooted::RootedDfg;
 /// let rooted = RootedDfg::new(b.build()?);
 /// let reach = Reachability::compute(&rooted);
 ///
-/// assert!(reach.reaches(a, add));
-/// assert!(reach.forbidden_between(a, add), "the a→ld→add path is blocked");
+/// assert!(reach.reaches(ld, add));
 /// assert!(reach.clean_reaches(a, add), "the direct edge is clean");
+/// assert!(!reach.clean_reaches(rooted.source(), ld), "only via the input `a`");
 /// assert!(reach.ancestors(add).contains(ld));
 /// # Ok(())
 /// # }
@@ -53,9 +52,6 @@ pub struct Reachability {
     stride: usize,
     /// Row `v` contains every vertex reachable from `v` by a non-empty path.
     descendants: Vec<u64>,
-    /// Row `v` contains every vertex `w` such that some path `v → w` passes through a
-    /// forbidden vertex strictly between `v` and `w`.
-    tainted: Vec<u64>,
     /// Row `v` contains every vertex `w` such that some path `v → w` passes through no
     /// forbidden vertex strictly between `v` and `w`.
     clean: Vec<u64>,
@@ -85,30 +81,17 @@ fn or_row(matrix: &mut [u64], stride: usize, dst: usize, src: usize) {
     }
 }
 
-/// `dst[row] |= src[row]` across two matrices of the same shape.
-#[inline]
-fn or_across(dst: &mut [u64], src: &[u64], stride: usize, dst_row: usize, src_row: usize) {
-    let d = &mut dst[dst_row * stride..(dst_row + 1) * stride];
-    for (d, s) in d
-        .iter_mut()
-        .zip(&src[src_row * stride..(src_row + 1) * stride])
-    {
-        *d |= s;
-    }
-}
-
 impl Reachability {
     /// Computes reachability over the augmented graph.
     pub fn compute(graph: &RootedDfg) -> Self {
         let n = graph.num_nodes();
         let stride = n.div_ceil(64);
         let mut descendants = vec![0u64; n * stride];
-        let mut tainted = vec![0u64; n * stride];
         let mut clean = vec![0u64; n * stride];
 
         // Reverse topological order: every successor row is final before it is merged
         // into its predecessors.
-        for &v in graph.topological_order().iter().rev() {
+        for v in graph.topological_order().rev() {
             let vi = v.index();
             for &s in graph.succs(v) {
                 let si = s.index();
@@ -116,13 +99,8 @@ impl Reachability {
                 descendants[vi * stride + word] |= mask;
                 clean[vi * stride + word] |= mask;
                 or_row(&mut descendants, stride, vi, si);
-                // Paths through a forbidden successor taint everything past it; paths
-                // through a clean successor only propagate its own taint, and only a
-                // non-forbidden successor extends forbidden-free paths.
-                if graph.is_forbidden(s) {
-                    or_across(&mut tainted, &descendants, stride, vi, si);
-                } else {
-                    or_row(&mut tainted, stride, vi, si);
+                // Only a non-forbidden successor extends forbidden-free paths.
+                if !graph.is_forbidden(s) {
                     or_row(&mut clean, stride, vi, si);
                 }
             }
@@ -131,7 +109,7 @@ impl Reachability {
         // Forward order: every predecessor row is final before it is merged, so the
         // ancestors of `v` are the union of `{p} ∪ ancestors(p)` over its predecessors.
         let mut ancestors = vec![0u64; n * stride];
-        for &v in graph.topological_order() {
+        for v in graph.topological_order() {
             let vi = v.index();
             for &p in graph.preds(v) {
                 let (word, mask) = bit(p);
@@ -144,7 +122,6 @@ impl Reachability {
             n,
             stride,
             descendants,
-            tainted,
             clean,
             ancestors,
         }
@@ -177,18 +154,6 @@ impl Reachability {
         self.test(&self.descendants, from, to)
     }
 
-    /// Whether some path from `from` to `to` contains a forbidden vertex strictly
-    /// between the endpoints. If `true`, `from` can never be an input of a cut that has
-    /// `to` as an output (§5.3, output–input pruning).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range for the graph this was computed from.
-    #[inline]
-    pub fn forbidden_between(&self, from: NodeId, to: NodeId) -> bool {
-        self.test(&self.tainted, from, to)
-    }
-
     /// Whether some path from `from` to `to` contains *no* forbidden vertex strictly
     /// between the endpoints. Every input of a valid cut has such a path to at least
     /// one of the cut's outputs, which is what the (lossless form of the) output–input
@@ -219,13 +184,6 @@ impl Reachability {
     /// Panics if `node` is out of range.
     pub fn ancestors(&self, node: NodeId) -> NodeRow<'_> {
         self.row(&self.ancestors, node)
-    }
-
-    /// Whether `a` and `b` are incomparable (neither reaches the other). Incomparable
-    /// vertices can both be outputs of the same cut only if neither postdominates the
-    /// other.
-    pub fn incomparable(&self, a: NodeId, b: NodeId) -> bool {
-        a != b && !self.reaches(a, b) && !self.reaches(b, a)
     }
 }
 
@@ -294,20 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn forbidden_between_detects_blocked_paths() {
-        let (r, n) = sample();
-        let reach = Reachability::compute(&r);
-        // i0 -> ld -> or: the only path passes through the forbidden load.
-        assert!(reach.forbidden_between(n[0], n[5]));
-        // i1 -> add -> shl -> or: clean.
-        assert!(!reach.forbidden_between(n[1], n[5]));
-        // add -> sub: clean single edge.
-        assert!(!reach.forbidden_between(n[3], n[6]));
-        // i0 -> ld: the forbidden node is the endpoint, not strictly between.
-        assert!(!reach.forbidden_between(n[0], n[2]));
-    }
-
-    #[test]
     fn clean_reaches_requires_a_forbidden_free_path() {
         let (r, n) = sample();
         let reach = Reachability::compute(&r);
@@ -326,29 +270,7 @@ mod tests {
                 if reach.clean_reaches(v, w) {
                     assert!(reach.reaches(v, w));
                 }
-                assert_eq!(
-                    reach.reaches(v, w),
-                    reach.clean_reaches(v, w) || reach.forbidden_between(v, w),
-                    "every path is either clean or tainted for {v}->{w}"
-                );
             }
         }
-    }
-
-    #[test]
-    fn source_paths_are_tainted_by_forbidden_inputs() {
-        let (r, n) = sample();
-        let reach = Reachability::compute(&r);
-        // source -> i1 (forbidden Iext) -> add: tainted.
-        assert!(reach.forbidden_between(r.source(), n[3]));
-    }
-
-    #[test]
-    fn incomparable_pairs() {
-        let (r, n) = sample();
-        let reach = Reachability::compute(&r);
-        assert!(reach.incomparable(n[5], n[6]));
-        assert!(!reach.incomparable(n[3], n[6]));
-        assert!(!reach.incomparable(n[3], n[3]));
     }
 }

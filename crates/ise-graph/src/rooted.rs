@@ -4,7 +4,6 @@ use crate::bitset::DenseNodeSet;
 use crate::csr::CsrAdjacency;
 use crate::graph::Dfg;
 use crate::node::NodeId;
-use crate::topo::topological_order;
 
 /// A [`Dfg`] augmented with a single artificial *source* and *sink* vertex (§3).
 ///
@@ -53,7 +52,6 @@ pub struct RootedDfg {
     /// Augmented successor rows in CSR form.
     succs: CsrAdjacency,
     forbidden: DenseNodeSet,
-    topo: Vec<NodeId>,
 }
 
 impl RootedDfg {
@@ -98,9 +96,6 @@ impl RootedDfg {
         forbidden.insert(source);
         forbidden.insert(sink);
 
-        let topo = topological_order(&succs, &preds)
-            .expect("augmenting an acyclic graph cannot create cycles");
-
         RootedDfg {
             dfg,
             source,
@@ -108,7 +103,6 @@ impl RootedDfg {
             preds,
             succs,
             forbidden,
-            topo,
         }
     }
 
@@ -181,9 +175,18 @@ impl RootedDfg {
         (0..self.original_len()).map(NodeId::from_index)
     }
 
-    /// A topological order of the augmented graph (source first, sink last).
-    pub fn topological_order(&self) -> &[NodeId] {
-        &self.topo
+    /// A topological order of the augmented graph: the source, then the [`Dfg`]'s own
+    /// [`Dfg::topological_order`], then the sink. No copy is stored.
+    ///
+    /// The source precedes every root and the sink follows every output, so every
+    /// augmented edge runs forward. It is also the order a fresh sort of the
+    /// augmented rows would give: that sort pops the source, then holds the roots in
+    /// id order exactly as the `Dfg`'s sort starts, and the sink turns ready only once
+    /// the last output, and with it every other vertex, has been emitted.
+    pub fn topological_order(&self) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
+        std::iter::once(self.source)
+            .chain(self.dfg.topological_order().iter().copied())
+            .chain(std::iter::once(self.sink))
     }
 
     /// Creates an empty node set sized for the augmented graph.
@@ -261,10 +264,38 @@ mod tests {
     #[test]
     fn topological_order_has_source_first_and_sink_last() {
         let r = sample();
-        let order = r.topological_order();
+        let order: Vec<NodeId> = r.topological_order().collect();
         assert_eq!(order.len(), 7);
         assert_eq!(order[0], r.source());
         assert_eq!(*order.last().unwrap(), r.sink());
+    }
+
+    /// The composed order is the one a fresh sort of the augmented rows gives, also
+    /// when edges run from higher ids to lower ones and an output has successors.
+    #[test]
+    fn topological_order_equals_a_sort_of_the_augmented_rows() {
+        let backwards = Dfg::from_edges(
+            "backwards",
+            vec![
+                Operation::Add,
+                Operation::Mul,
+                Operation::Input,
+                Operation::Not,
+                Operation::Input,
+                Operation::Store,
+            ],
+            [(4, 3), (2, 1), (3, 1), (1, 0), (4, 0), (3, 5)]
+                .iter()
+                .map(|&(a, b)| (NodeId::new(a), NodeId::new(b)))
+                .collect(),
+            [NodeId::new(1), NodeId::new(0)],
+            [],
+        )
+        .unwrap();
+        for r in [sample(), RootedDfg::new(backwards)] {
+            let sorted = crate::topo::topological_order(&r.succs, &r.preds).unwrap();
+            assert_eq!(r.topological_order().collect::<Vec<_>>(), sorted);
+        }
     }
 
     #[test]

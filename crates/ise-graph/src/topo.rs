@@ -1,73 +1,24 @@
-//! Topological ordering and depth computation over adjacency rows.
+//! Topological ordering and depth computation over CSR adjacency rows.
 
 use crate::csr::CsrAdjacency;
 use crate::graph::Dfg;
 use crate::node::NodeId;
 
-/// Read access to per-vertex adjacency rows, implemented both by the flat
-/// [`CsrAdjacency`] and by `Vec<Vec<NodeId>>`-style nested lists, so the ordering
-/// algorithms below run on either representation (graph construction uses CSR, tests
-/// and ad-hoc callers use nested lists).
-pub trait AdjacencyView {
-    /// Number of vertices.
-    fn node_count(&self) -> usize;
-    /// The neighbour row of `node`.
-    fn row_of(&self, node: NodeId) -> &[NodeId];
-}
-
-impl AdjacencyView for [Vec<NodeId>] {
-    fn node_count(&self) -> usize {
-        self.len()
-    }
-    fn row_of(&self, node: NodeId) -> &[NodeId] {
-        &self[node.index()]
-    }
-}
-
-impl AdjacencyView for Vec<Vec<NodeId>> {
-    fn node_count(&self) -> usize {
-        self.len()
-    }
-    fn row_of(&self, node: NodeId) -> &[NodeId] {
-        &self[node.index()]
-    }
-}
-
-impl AdjacencyView for CsrAdjacency {
-    fn node_count(&self) -> usize {
-        self.num_nodes()
-    }
-    fn row_of(&self, node: NodeId) -> &[NodeId] {
-        self.row(node)
-    }
-}
-
-/// Computes a topological order (producers before consumers) of a DAG given as parallel
-/// successor/predecessor adjacency views.
+/// Computes a topological order (producers before consumers) of a DAG given as
+/// parallel successor/predecessor rows. Kahn's algorithm with a stack: the roots are
+/// pushed in id order, so the highest-numbered root comes first.
 ///
 /// # Errors
 ///
 /// Returns `Err(node)` with a node that is part of a cycle if the graph is not acyclic.
-///
-/// # Example
-///
-/// ```
-/// use ise_graph::{topological_order, NodeId};
-///
-/// let succs = vec![vec![NodeId::new(1)], vec![NodeId::new(2)], vec![]];
-/// let preds = vec![vec![], vec![NodeId::new(0)], vec![NodeId::new(1)]];
-/// let order = topological_order(&succs, &preds).unwrap();
-/// assert_eq!(order, vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)]);
-/// ```
-pub fn topological_order<S, P>(succs: &S, preds: &P) -> Result<Vec<NodeId>, NodeId>
-where
-    S: AdjacencyView + ?Sized,
-    P: AdjacencyView + ?Sized,
-{
-    let n = succs.node_count();
-    debug_assert_eq!(n, preds.node_count());
+pub(crate) fn topological_order(
+    succs: &CsrAdjacency,
+    preds: &CsrAdjacency,
+) -> Result<Vec<NodeId>, NodeId> {
+    let n = succs.num_nodes();
+    debug_assert_eq!(n, preds.num_nodes());
     let mut in_degree: Vec<usize> = (0..n)
-        .map(|i| preds.row_of(NodeId::from_index(i)).len())
+        .map(|i| preds.row(NodeId::from_index(i)).len())
         .collect();
     let mut ready: Vec<NodeId> = Vec::with_capacity(n);
     ready.extend(
@@ -78,7 +29,7 @@ where
     let mut order = Vec::with_capacity(n);
     while let Some(node) = ready.pop() {
         order.push(node);
-        for &succ in succs.row_of(node) {
+        for &succ in succs.row(node) {
             in_degree[succ.index()] -= 1;
             if in_degree[succ.index()] == 0 {
                 ready.push(succ);
@@ -136,10 +87,18 @@ mod tests {
         NodeId::from_index(i)
     }
 
+    /// Both CSR directions of an edge list over `len` vertices.
+    fn rows(len: usize, edges: &[(usize, usize)]) -> (CsrAdjacency, CsrAdjacency) {
+        let edges: Vec<_> = edges.iter().map(|&(a, b)| (n(a), n(b))).collect();
+        (
+            CsrAdjacency::forward(len, &edges),
+            CsrAdjacency::backward(len, &edges),
+        )
+    }
+
     #[test]
     fn order_covers_all_nodes_once() {
-        let succs = vec![vec![n(2)], vec![n(2)], vec![n(3), n(4)], vec![], vec![]];
-        let preds = vec![vec![], vec![], vec![n(0), n(1)], vec![n(2)], vec![n(2)]];
+        let (succs, preds) = rows(5, &[(0, 2), (1, 2), (2, 3), (2, 4)]);
         let order = topological_order(&succs, &preds).unwrap();
         assert_eq!(order.len(), 5);
         let mut sorted = order.clone();
@@ -149,23 +108,9 @@ mod tests {
 
     #[test]
     fn cycle_is_reported() {
-        let succs = vec![vec![n(1)], vec![n(0)]];
-        let preds = vec![vec![n(1)], vec![n(0)]];
+        let (succs, preds) = rows(2, &[(0, 1), (1, 0)]);
         let err = topological_order(&succs, &preds).unwrap_err();
         assert!(err == n(0) || err == n(1));
-    }
-
-    #[test]
-    fn csr_and_nested_views_agree() {
-        let edges = [(n(0), n(2)), (n(1), n(2)), (n(2), n(3)), (n(2), n(4))];
-        let succs_csr = CsrAdjacency::forward(5, &edges);
-        let preds_csr = CsrAdjacency::backward(5, &edges);
-        let succs = vec![vec![n(2)], vec![n(2)], vec![n(3), n(4)], vec![], vec![]];
-        let preds = vec![vec![], vec![], vec![n(0), n(1)], vec![n(2)], vec![n(2)]];
-        assert_eq!(
-            topological_order(&succs_csr, &preds_csr).unwrap(),
-            topological_order(&succs, &preds).unwrap()
-        );
     }
 
     fn dfg(ops: Vec<Operation>, edges: &[(usize, usize)]) -> Dfg {

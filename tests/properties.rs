@@ -11,9 +11,10 @@ use ise_dominators::{
     dominators, lengauer_tarjan, lengauer_tarjan_reduced, postdominators, ConeDominators, Forward,
     Reverse, TopoOrder,
 };
+use ise_enum::par::{parallel_cuts, ParConfig};
 use ise_enum::{
-    cone, exhaustive_cuts, incremental_cuts, Constraints, Cut, CutChecker, CutKey, CutRejection,
-    EngineOptions, EnumContext, Enumeration, PruningConfig,
+    basic_cuts, cone, exhaustive_cuts, incremental_cuts, Constraints, Cut, CutChecker, CutKey,
+    CutRejection, EngineOptions, EnumContext, Enumeration, PruningConfig,
 };
 use ise_graph::{DenseNodeSet, Dfg, NodeId, Operation, Reachability, RootedDfg};
 use ise_workloads::expr::compile_block;
@@ -167,7 +168,7 @@ fn forward_set_dominates(rooted: &RootedDfg, set: &DenseNodeSet, target: NodeId)
 /// Checks every dominator query the engine answers with the DAG pass against an
 /// independent oracle on one graph:
 ///
-/// * the context's dominator and postdominator trees equal `lengauer_tarjan`'s;
+/// * `dominators` and the context's postdominator tree equal `lengauer_tarjan`'s;
 /// * for each seed set × every target (artificial vertices and seed members
 ///   included), the cone completions equal the Lengauer–Tarjan chain of the reduced
 ///   graph element by element, order included;
@@ -184,12 +185,9 @@ fn check_dag_dominators(ctx: &EnumContext, seeds: &[Vec<NodeId>]) -> [usize; 4] 
     let name = rooted.dfg().name();
     let lt = lengauer_tarjan(&Forward(rooted));
     let ltp = lengauer_tarjan(&Reverse(rooted));
+    let dom = dominators(rooted);
     for v in rooted.node_ids() {
-        assert_eq!(
-            ctx.dominator_tree().idom(v),
-            lt.idom(v),
-            "`{name}` idom({v})"
-        );
+        assert_eq!(dom.idom(v), lt.idom(v), "`{name}` idom({v})");
         assert_eq!(
             ctx.postdominator_tree().idom(v),
             ltp.idom(v),
@@ -451,6 +449,139 @@ fn dag_dominators_match_their_oracles_on_every_workload_family() {
     );
 }
 
+/// `dfg` with vertex `v` renumbered `perm[v]`: the same operations, operand order,
+/// outputs and forbidden set, so edges may now run from a higher id to a lower one.
+fn relabel(dfg: &Dfg, perm: &[usize]) -> Dfg {
+    let map = |v: NodeId| NodeId::from_index(perm[v.index()]);
+    let mut nodes = vec![None; dfg.len()];
+    for v in dfg.node_ids() {
+        nodes[perm[v.index()]] = Some(dfg.node(v).clone());
+    }
+    // Each consumer's operands in their original order, so every predecessor row
+    // keeps its operand order.
+    let edges = dfg
+        .node_ids()
+        .flat_map(|v| dfg.preds(v).iter().map(move |&p| (map(p), map(v))))
+        .collect();
+    Dfg::from_nodes(
+        dfg.name(),
+        nodes.into_iter().map(Option::unwrap).collect(),
+        edges,
+        dfg.external_outputs().iter().map(|&v| map(v)),
+        dfg.forbidden().iter().map(map),
+    )
+    .expect("a relabelled DAG is a DAG")
+}
+
+/// Every cut body of `enumeration` as a sorted id list, each id passed through
+/// `map`, the lists sorted.
+fn mapped_bodies(enumeration: &Enumeration, map: impl Fn(NodeId) -> usize) -> Vec<Vec<usize>> {
+    let mut bodies: Vec<Vec<usize>> = enumeration
+        .cuts
+        .iter()
+        .map(|cut| {
+            let mut body: Vec<usize> = cut.body().iter().map(&map).collect();
+            body.sort_unstable();
+            body
+        })
+        .collect();
+    bodies.sort();
+    bodies
+}
+
+/// No test graph or corpus block numbers its vertices out of topological order, so
+/// this one does: graphs of every workload family, relabelled by seeded
+/// permutations. The augmented order must run every edge forward, source first and
+/// sink last, and every enumerator must find the original graph's cuts, mapped
+/// through the permutation.
+#[test]
+fn non_topological_ids_change_no_cut() {
+    let graphs = vec![
+        TreeDfgBuilder::new(3).build(),
+        TreeDfgBuilder::new(3)
+            .with_orientation(TreeOrientation::FanIn)
+            .build(),
+        random_dag(&RandomDagConfig::new(24).with_memory_ratio(0.15), 5),
+        generate_block(&MiBenchLikeConfig::new(28), 9).expect("mibench-like block builds"),
+        skewed_dag(&SkewedDagConfig::new(8, 3), 3),
+        compile_block(
+            "sad",
+            "d = a - b; m = d >> 31; abs = (d ^ m) - m; acc2 = acc + abs; out acc2;",
+        )
+        .expect("snippet compiles"),
+    ];
+    let constraints = Constraints::new(3, 2).unwrap();
+    let mut state = 0x0dd_1d5u64;
+    let mut backward_edges = 0;
+    for dfg in graphs {
+        let original = EnumContext::new(dfg.clone());
+        for _ in 0..3 {
+            // Fisher–Yates over a xorshift stream.
+            let mut perm: Vec<usize> = (0..dfg.len()).collect();
+            for i in (1..perm.len()).rev() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                perm.swap(i, (state % (i as u64 + 1)) as usize);
+            }
+            let rooted = RootedDfg::new(relabel(&dfg, &perm));
+            let name = rooted.dfg().name().to_string();
+            backward_edges += rooted.dfg().edges().filter(|(a, b)| a > b).count();
+
+            let order: Vec<NodeId> = rooted.topological_order().collect();
+            assert_eq!(order.len(), rooted.num_nodes(), "`{name}`");
+            assert_eq!(order[0], rooted.source(), "`{name}`");
+            assert_eq!(order[order.len() - 1], rooted.sink(), "`{name}`");
+            let mut rank = vec![usize::MAX; rooted.num_nodes()];
+            for (r, &v) in order.iter().enumerate() {
+                assert_eq!(rank[v.index()], usize::MAX, "`{name}`: {v} twice");
+                rank[v.index()] = r;
+            }
+            for v in rooted.node_ids() {
+                for &s in rooted.succs(v) {
+                    assert!(rank[v.index()] < rank[s.index()], "`{name}`: {v}->{s}");
+                }
+            }
+
+            let ctx = EnumContext::from_rooted(rooted);
+            let expect = |run: &Enumeration| mapped_bodies(run, |v| perm[v.index()]);
+            let found = |run: &Enumeration| mapped_bodies(run, |v| v.index());
+            for pruning in [PruningConfig::all(), PruningConfig::none()] {
+                assert_eq!(
+                    found(&incremental(&ctx, &constraints, &pruning)),
+                    expect(&incremental(&original, &constraints, &pruning)),
+                    "`{name}` incremental {pruning:?}"
+                );
+            }
+            let pruning = PruningConfig::all();
+            assert_eq!(
+                found(
+                    &parallel_cuts(&ctx, &constraints, &pruning, &ParConfig::new(4, 2), None)
+                        .enumeration
+                ),
+                expect(&incremental(&original, &constraints, &pruning)),
+                "`{name}` parallel"
+            );
+            assert_eq!(
+                found(&basic_cuts(&ctx, &constraints)),
+                expect(&basic_cuts(&original, &constraints)),
+                "`{name}` basic"
+            );
+            if dfg.len() <= 18 {
+                assert_eq!(
+                    found(&exhaustive_cuts(&ctx, &constraints, true)),
+                    expect(&exhaustive_cuts(&original, &constraints, true)),
+                    "`{name}` exhaustive"
+                );
+            }
+        }
+    }
+    assert!(
+        backward_edges > 0,
+        "no edge runs from a higher id to a lower one"
+    );
+}
+
 /// The technical input condition as a forward search, kept as the oracle for the
 /// backward cone walk of `Cut::io_condition_violation`: one whole-graph DFS forward
 /// from the source per input, never entering another input, succeeding when it steps
@@ -567,7 +698,7 @@ fn oracle_validate(
         }
         if let Some(limit) = constraints.max_depth() {
             let mut depth = vec![0u32; rooted.num_nodes()];
-            for &v in rooted.topological_order() {
+            for v in rooted.topological_order() {
                 if body.contains(v) {
                     for &s in rooted.succs(v).iter().filter(|&&s| body.contains(s)) {
                         depth[s.index()] = depth[s.index()].max(depth[v.index()] + 1);
@@ -854,9 +985,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The flat reachability matrices agree with per-pair DFS oracles on DAGs whose
-    /// rows span several words: `reaches`, `forbidden_between` (some forbidden vertex
-    /// strictly inside a path), `clean_reaches` (a path with none inside) and every
-    /// ancestors row.
+    /// rows span several words: `reaches`, `clean_reaches` (a path with no forbidden
+    /// vertex strictly inside) and every ancestors row.
     #[test]
     fn flat_reachability_matches_dfs_oracles(dfg in wide_dag_strategy()) {
         let rooted = RootedDfg::new(dfg);
@@ -879,14 +1009,9 @@ proptest! {
         let reachable: Vec<DenseNodeSet> = rooted.node_ids().map(|v| dfs(v, &|_| true)).collect();
         for v in rooted.node_ids() {
             let clean = dfs(v, &|s| !rooted.is_forbidden(s));
-            let mut tainted = rooted.node_set();
-            for f in reachable[v.index()].iter().filter(|&f| rooted.is_forbidden(f)) {
-                tainted.union_with(&reachable[f.index()]);
-            }
             for w in rooted.node_ids() {
                 prop_assert_eq!(reach.reaches(v, w), reachable[v.index()].contains(w), "{} -> {}", v, w);
                 prop_assert_eq!(reach.clean_reaches(v, w), clean.contains(w), "clean {} -> {}", v, w);
-                prop_assert_eq!(reach.forbidden_between(v, w), tainted.contains(w), "tainted {} -> {}", v, w);
                 prop_assert_eq!(reach.ancestors(w).contains(v), reachable[v.index()].contains(w));
             }
             let ancestors: Vec<NodeId> = reach.ancestors(v).iter().collect();
