@@ -28,7 +28,7 @@ use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use ise_graph::{InterfaceGraph, InterfaceLabel};
+use ise_graph::InterfaceGraph;
 
 /// The canonical code of an [`InterfaceGraph`]: equal codes ⇔ isomorphic graphs.
 ///
@@ -40,7 +40,15 @@ use ise_graph::{InterfaceGraph, InterfaceLabel};
 ///
 /// ```
 /// use ise_canon::CanonicalCode;
-/// use ise_graph::{DenseNodeSet, DfgBuilder, InterfaceGraph, Operation};
+/// use ise_enum::{Cut, EnumContext};
+/// use ise_graph::{DenseNodeSet, DfgBuilder, InterfaceGraph, NodeId, Operation};
+///
+/// // The code of the cut with body `[m, s]` of `ctx`'s block.
+/// let code = |ctx: &EnumContext, m: NodeId, s: NodeId| {
+///     let body = DenseNodeSet::from_nodes(ctx.rooted().num_nodes(), [m, s]);
+///     let cut = Cut::from_body(ctx, body);
+///     CanonicalCode::of(&InterfaceGraph::extract(ctx.dfg(), &cut))
+/// };
 ///
 /// // The same MAC expressed with different node orders gets the same code.
 /// let mut b = DfgBuilder::new("one");
@@ -49,9 +57,7 @@ use ise_graph::{InterfaceGraph, InterfaceLabel};
 /// let m = b.node(Operation::Mul, &[a, x]);
 /// let acc = b.input("acc");
 /// let s = b.node(Operation::Add, &[m, acc]);
-/// let one = b.build().unwrap();
-/// let body = DenseNodeSet::from_nodes(one.len(), [m, s]);
-/// let code_one = CanonicalCode::of(&InterfaceGraph::extract(&one, &body));
+/// let code_one = code(&EnumContext::new(b.build().unwrap()), m, s);
 ///
 /// let mut b = DfgBuilder::new("two");
 /// let acc = b.input("acc");
@@ -59,9 +65,7 @@ use ise_graph::{InterfaceGraph, InterfaceLabel};
 /// let a = b.input("a");
 /// let m = b.node(Operation::Mul, &[a, x]);
 /// let s = b.node(Operation::Add, &[m, acc]);
-/// let two = b.build().unwrap();
-/// let body = DenseNodeSet::from_nodes(two.len(), [m, s]);
-/// let code_two = CanonicalCode::of(&InterfaceGraph::extract(&two, &body));
+/// let code_two = code(&EnumContext::new(b.build().unwrap()), m, s);
 ///
 /// assert_eq!(code_one, code_two);
 /// ```
@@ -130,13 +134,11 @@ impl CanonicalCode {
         let mut consumers: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
         for v in 0..n {
             for (pos, &o) in graph.operands(v).iter().enumerate() {
-                consumers[o].push((pos as u32, v as u32));
+                consumers[o as usize].push((pos as u32, v as u32));
             }
         }
 
-        let mut colors: Vec<u32> = (0..n)
-            .map(|v| initial_key(graph.label(v), graph.is_output(v)))
-            .collect();
+        let mut colors: Vec<u32> = (0..n).map(|v| graph.key(v)).collect();
         rank_dense(&mut colors);
         refine(graph, &consumers, &mut colors);
 
@@ -182,13 +184,6 @@ pub(crate) fn digest_words(words: &[u32]) -> u64 {
     h ^ (h >> 33)
 }
 
-/// The initial color key of a node — delegated to [`InterfaceLabel::stable_key`],
-/// which is also the per-node word of the raw encoding, so the refinement's starting
-/// coloring and the memo key can never disagree.
-fn initial_key(label: InterfaceLabel, is_output: bool) -> u32 {
-    label.stable_key(is_output)
-}
-
 /// Re-ranks arbitrary color values into dense ranks `0..k`, preserving order.
 fn rank_dense(colors: &mut [u32]) {
     let mut distinct: Vec<u32> = colors.to_vec();
@@ -219,7 +214,12 @@ fn refine(graph: &InterfaceGraph, consumers: &[Vec<(u32, u32)>], colors: &mut [u
             let mut sig: Vec<u64> = Vec::with_capacity(3 + graph.operands(v).len());
             sig.push(u64::from(colors[v]));
             sig.push(u64::MAX); // separator: operand list follows, in operand order
-            sig.extend(graph.operands(v).iter().map(|&o| u64::from(colors[o])));
+            sig.extend(
+                graph
+                    .operands(v)
+                    .iter()
+                    .map(|&o| u64::from(colors[o as usize])),
+            );
             sig.push(u64::MAX); // separator: consumer multiset follows, sorted
             let mut cons: Vec<u64> = consumers[v]
                 .iter()
@@ -292,9 +292,9 @@ fn serialize(graph: &InterfaceGraph, colors: &[u32]) -> Vec<u32> {
     let mut code = Vec::with_capacity(1 + 3 * n);
     code.push(n as u32);
     for &v in &by_position {
-        code.push(initial_key(graph.label(v), graph.is_output(v)));
+        code.push(graph.key(v));
         code.push(graph.operands(v).len() as u32);
-        code.extend(graph.operands(v).iter().map(|&o| colors[o]));
+        code.extend(graph.operands(v).iter().map(|&o| colors[o as usize]));
     }
     code
 }
@@ -302,14 +302,18 @@ fn serialize(graph: &InterfaceGraph, colors: &[u32]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ise_enum::{Cut, EnumContext};
     use ise_graph::{DenseNodeSet, Dfg, DfgBuilder, NodeId, Operation};
 
     fn whole_body(dfg: &Dfg) -> DenseNodeSet {
         DenseNodeSet::from_nodes(dfg.len(), dfg.node_ids().filter(|&v| !dfg.is_forbidden(v)))
     }
 
+    /// The code of the cut of `dfg` whose body is `body`.
     fn code_of(dfg: &Dfg, body: &DenseNodeSet) -> CanonicalCode {
-        CanonicalCode::of(&InterfaceGraph::extract(dfg, body))
+        let ctx = EnumContext::new(dfg.clone());
+        let body = DenseNodeSet::from_nodes(ctx.rooted().num_nodes(), body.iter());
+        CanonicalCode::of(&InterfaceGraph::extract(dfg, &Cut::from_body(&ctx, body)))
     }
 
     #[test]
@@ -453,10 +457,7 @@ mod tests {
         let x = b.node(Operation::Not, &[a]);
         let dfg = b.build().unwrap();
         let empty = DenseNodeSet::new(dfg.len());
-        assert_eq!(
-            CanonicalCode::of(&InterfaceGraph::extract(&dfg, &empty)).as_words(),
-            &[0]
-        );
+        assert_eq!(code_of(&dfg, &empty).as_words(), &[0]);
         let single = DenseNodeSet::from_nodes(dfg.len(), [x]);
         let code = code_of(&dfg, &single);
         assert_eq!(code.as_words()[0], 2, "input + body node");

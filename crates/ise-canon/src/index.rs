@@ -1,13 +1,20 @@
 //! The pattern index: streaming cuts into canonical-form groups.
+//!
+//! Coding turns each cut into a [`CodedCut`] on one per-cut path: the cut's raw
+//! encoding ([`RawEncoder`], from the cut's own `I(S)`/`O(S)`), the
+//! [`InterfaceGraph`] view over those words, the canonical code, the ops summary
+//! and the merit. [`canonicalize_cuts`] takes that path for every cut;
+//! [`canonicalize_cuts_memo`] takes it only on a memo miss and otherwise copies
+//! the memo's answer into the same [`CodedCut`] shape.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use ise_enum::{estimate_merit, Cut};
-use ise_graph::{Dfg, LatencyModel, RawEncoder};
+use ise_graph::{Dfg, InterfaceGraph, LatencyModel, RawEncoder};
 
 use crate::canon::CanonicalCode;
-use crate::memo::{merit_key, CanonMemo};
+use crate::memo::{CanonMemo, Ports};
 
 /// One occurrence of a pattern: which block and which cut (by index into that
 /// block's enumeration order) realizes it.
@@ -78,18 +85,12 @@ pub struct CodedCut {
 /// work — safe to run on worker threads; feed the results to
 /// [`PatternIndex::add_coded_block`] in block order for deterministic grouping.
 pub fn canonicalize_cuts(dfg: &Dfg, cuts: &[Cut], config: &GroupConfig) -> Vec<CodedCut> {
+    let mut encoder = RawEncoder::new(dfg);
     cuts.iter()
         .map(|cut| {
-            let graph = cut.interface_graph(dfg);
-            let merit = estimate_merit(dfg, cut, &config.model, config.ports_in, config.ports_out);
-            CodedCut {
-                code: CanonicalCode::of(&graph),
-                size: cut.len(),
-                inputs: cut.inputs().len(),
-                outputs: cut.outputs().len(),
-                ops: graph.ops_summary().into(),
-                saved_cycles: merit.saved_cycles,
-            }
+            let mut raw = Vec::new();
+            encoder.encode(dfg, cut, &mut raw);
+            code_graph(dfg, cut, config, &InterfaceGraph::from_encoding(cut, raw))
         })
         .collect()
 }
@@ -98,14 +99,16 @@ pub fn canonicalize_cuts(dfg: &Dfg, cuts: &[Cut], config: &GroupConfig) -> Vec<C
 /// by tests), but the backtracking labeler runs only for raw graphs the memo has
 /// never seen.
 ///
-/// Per cut, the hot path is: encode the cut's interface graph into one reused
-/// buffer ([`RawEncoder`], no allocation after the first cut), look the encoding up
-/// in the memo, and on a hit copy the cached code and merit and share the cached
-/// ops summary (an `Arc` clone, no string allocation) — neither the
-/// [`ise_graph::InterfaceGraph`] nor the merit estimator's block-sized scratch is
-/// ever built. Merit is cached per `(ports_in, ports_out)` under the default
-/// latency model; a non-default model bypasses the merit cache (codes and ops
-/// still memoize) because the memo may be shared across configurations.
+/// Per cut, the hot path is: encode the cut's interface into one reused buffer
+/// ([`RawEncoder`], no allocation after the first cut), look the encoding up in
+/// the memo, and on a hit copy the cached code and merit and share the cached ops
+/// summary (an `Arc` clone, no string allocation) — neither the
+/// [`InterfaceGraph`] nor the merit estimator's block-sized scratch is ever built.
+/// A miss builds the graph from the words already encoded and codes it as
+/// [`canonicalize_cuts`] does. Merit is cached per exact `(ports_in, ports_out)`
+/// pair under the default latency model; a non-default model stores and reads no
+/// merit (codes and ops still memoize) because the memo may be shared across
+/// configurations.
 ///
 /// Caching merit by raw encoding is sound because equal encodings mean
 /// *identical* interface graphs: `estimate_merit` is a function of the graph's
@@ -119,61 +122,53 @@ pub fn canonicalize_cuts_memo(
 ) -> Vec<CodedCut> {
     let mut encoder = RawEncoder::new(dfg);
     let mut raw: Vec<u32> = Vec::new();
-    let cache_merit = config.model == LatencyModel::default();
-    let key = merit_key(config.ports_in, config.ports_out);
+    let ports: Option<Ports> =
+        (config.model == LatencyModel::default()).then_some((config.ports_in, config.ports_out));
     cuts.iter()
         .map(|cut| {
-            encoder.encode(dfg, cut.body(), &mut raw);
-            if let Some(hit) = memo.lookup(&raw, key) {
-                let saved_cycles = match hit.saved_cycles.filter(|_| cache_merit) {
-                    Some(saved) => saved,
-                    None => {
-                        let merit = estimate_merit(
-                            dfg,
-                            cut,
-                            &config.model,
-                            config.ports_in,
-                            config.ports_out,
-                        );
-                        if cache_merit {
-                            memo.record_merit(&raw, key, merit.saved_cycles);
+            encoder.encode(dfg, cut, &mut raw);
+            match memo.lookup(&raw, ports) {
+                Some(hit) => {
+                    let saved = hit.saved_cycles.unwrap_or_else(|| {
+                        let saved = saved_cycles(dfg, cut, config);
+                        if let Some(ports) = ports {
+                            memo.record_merit(&raw, ports, saved);
                         }
-                        merit.saved_cycles
-                    }
-                };
-                return CodedCut {
-                    code: hit.code,
-                    size: cut.len(),
-                    inputs: cut.inputs().len(),
-                    outputs: cut.outputs().len(),
-                    ops: hit.ops,
-                    saved_cycles,
-                };
-            }
-            let graph = cut.interface_graph(dfg);
-            debug_assert_eq!(
-                graph.raw_encoding(),
-                raw,
-                "RawEncoder must agree with InterfaceGraph::extract"
-            );
-            let merit = estimate_merit(dfg, cut, &config.model, config.ports_in, config.ports_out);
-            let code = CanonicalCode::of(&graph);
-            let ops: Arc<str> = graph.ops_summary().into();
-            // Under a non-default model the code and ops still memoize, but the
-            // merit is filed under a sentinel key no real port configuration
-            // maps to, so it can never be served to a default-model caller.
-            let stored_key = if cache_merit { key } else { u64::MAX };
-            memo.insert(&raw, &code, &ops, stored_key, merit.saved_cycles);
-            CodedCut {
-                code,
-                size: cut.len(),
-                inputs: cut.inputs().len(),
-                outputs: cut.outputs().len(),
-                ops,
-                saved_cycles: merit.saved_cycles,
+                        saved
+                    });
+                    coded_cut(cut, hit.code, hit.ops, saved)
+                }
+                None => {
+                    let graph = InterfaceGraph::from_encoding(cut, raw.clone());
+                    let coded = code_graph(dfg, cut, config, &graph);
+                    memo.insert(&raw, &coded.code, &coded.ops, ports, coded.saved_cycles);
+                    coded
+                }
             }
         })
         .collect()
+}
+
+/// Codes one cut from its pattern graph: the labeler, the ops summary and the merit.
+fn code_graph(dfg: &Dfg, cut: &Cut, config: &GroupConfig, graph: &InterfaceGraph) -> CodedCut {
+    let (code, saved) = (CanonicalCode::of(graph), saved_cycles(dfg, cut, config));
+    coded_cut(cut, code, graph.ops_summary().into(), saved)
+}
+
+/// The cycles one occurrence of `cut` saves under `config`.
+fn saved_cycles(dfg: &Dfg, cut: &Cut, config: &GroupConfig) -> u32 {
+    estimate_merit(dfg, cut, &config.model, config.ports_in, config.ports_out).saved_cycles
+}
+
+fn coded_cut(cut: &Cut, code: CanonicalCode, ops: Arc<str>, saved_cycles: u32) -> CodedCut {
+    CodedCut {
+        code,
+        size: cut.len(),
+        inputs: cut.inputs().len(),
+        outputs: cut.outputs().len(),
+        ops,
+        saved_cycles,
+    }
 }
 
 /// One canonical pattern: its structural facts plus every occurrence recorded so far.

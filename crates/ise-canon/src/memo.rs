@@ -7,10 +7,11 @@
 //! raw graph*, in three layers (DESIGN.md §6.4):
 //!
 //! 1. **Raw encoding.** [`ise_graph::RawEncoder`] serializes a cut's interface
-//!    graph into one reused `Vec<u32>` straight from `(dfg, body)` — labels,
-//!    operand wiring and output flags in local-id order. Equal encodings mean
-//!    *identical* (not merely isomorphic) interface graphs, so an exact-raw hit
-//!    skips graph construction, merit estimation and labeling entirely.
+//!    graph into one reused `Vec<u32>` from the cut's own body, `I(S)` and `O(S)`
+//!    — labels, operand wiring and output flags in local-id order. Equal
+//!    encodings mean *identical* (not merely isomorphic) interface graphs, so an
+//!    exact-raw hit skips graph construction, merit estimation and labeling
+//!    entirely; a miss builds the graph as a view over the same words.
 //! 2. **64-bit fingerprint pre-key.** Entries are bucketed by a cheap fingerprint
 //!    of the raw encoding. A fingerprint hit is always confirmed by a full
 //!    raw-encoding comparison before the cached code is returned, so a collision
@@ -22,7 +23,10 @@
 //!
 //! Memoization is observably pure: a hit returns exactly the `CodedCut` fields a
 //! cold computation would produce (pinned by proptest in `tests/properties.rs` and
-//! by byte-identical grouped JSON in `tests/grouping_pipeline.rs` and CI).
+//! by byte-identical grouped JSON in `tests/grouping_pipeline.rs` and CI). Each
+//! entry also caches merits, keyed by the exact `(ports_in, ports_out)` pair they
+//! were costed for and filed only under the default latency model, so no port pair
+//! or model is ever served another's saving.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -65,17 +69,33 @@ impl MemoStats {
 }
 
 /// One memoized raw graph: the confirmed key, the cached pattern facts, and any
-/// merit values computed so far (keyed by port configuration).
+/// merit values computed so far (keyed by port pair).
 #[derive(Debug)]
 struct MemoEntry {
     raw: Box<[u32]>,
     code: CanonicalCode,
     /// Shared with every `CodedCut` this entry answers: a hit clones the pointer.
     ops: Arc<str>,
-    /// `(merit key, saved_cycles)` pairs — see [`merit_key`]. Raw-equal graphs are
-    /// identical, so the cached merit is bit-identical to a recomputation; a
-    /// linear scan suffices because a memo sees one or two port configurations.
-    merits: Vec<(u64, u32)>,
+    /// `(ports, saved_cycles)` pairs, costed under the default latency model.
+    /// Raw-equal graphs are identical, so the cached merit is bit-identical to a
+    /// recomputation; a linear scan suffices because a memo sees one or two port
+    /// pairs.
+    merits: Vec<(Ports, u32)>,
+}
+
+impl MemoEntry {
+    fn merit(&self, ports: Ports) -> Option<u32> {
+        self.merits
+            .iter()
+            .find(|&&(p, _)| p == ports)
+            .map(|&(_, saved)| saved)
+    }
+
+    fn record_merit(&mut self, ports: Ports, saved_cycles: u32) {
+        if self.merit(ports).is_none() {
+            self.merits.push((ports, saved_cycles));
+        }
+    }
 }
 
 /// One lock stripe: fingerprint-keyed buckets plus the counters local to it.
@@ -87,13 +107,12 @@ struct Shard {
     labeler_runs: u64,
 }
 
-/// The packed merit-cache key for a `(ports_in, ports_out)` configuration.
-pub(crate) fn merit_key(ports_in: usize, ports_out: usize) -> u64 {
-    ((ports_in as u64) << 32) | ports_out as u64
-}
+/// The `(ports_in, ports_out)` pair a merit was costed for: the merit cache's key,
+/// compared whole.
+pub(crate) type Ports = (usize, usize);
 
 /// A cached lookup result: the pattern facts stored for a raw encoding, plus the
-/// cached merit for the requested port configuration when one was recorded.
+/// cached merit for the requested port pair when one was recorded.
 pub(crate) struct MemoHit {
     pub code: CanonicalCode,
     pub ops: Arc<str>,
@@ -203,9 +222,9 @@ impl CanonMemo {
         &self.shards[(fingerprint >> 32) as usize & (self.shards.len() - 1)]
     }
 
-    /// Looks up `raw`, returning the cached facts on a confirmed hit. `key` is
-    /// the [`merit_key`] whose cached saving to return (when recorded).
-    pub(crate) fn lookup(&self, raw: &[u32], key: u64) -> Option<MemoHit> {
+    /// Looks up `raw`, returning the cached facts on a confirmed hit, with the
+    /// cached saving for `ports` when one was recorded (none for `None`).
+    pub(crate) fn lookup(&self, raw: &[u32], ports: Option<Ports>) -> Option<MemoHit> {
         let fingerprint = (self.fingerprint)(raw);
         let mut guard = self.shard_for(fingerprint).lock().unwrap();
         let shard = &mut *guard;
@@ -219,23 +238,20 @@ impl CanonMemo {
         Some(MemoHit {
             code: entry.code.clone(),
             ops: Arc::clone(&entry.ops),
-            saved_cycles: entry
-                .merits
-                .iter()
-                .find(|&&(k, _)| k == key)
-                .map(|&(_, s)| s),
+            saved_cycles: ports.and_then(|ports| entry.merit(ports)),
         })
     }
 
     /// Records a freshly computed graph: one labeler run, the resulting code and
-    /// ops, and the merit for `key`. If another thread raced us to the same raw
-    /// encoding the earlier entry wins (the values are identical by construction).
+    /// ops, and the merit for `ports` (none for `None`). If another thread raced us
+    /// to the same raw encoding the earlier entry wins (the values are identical by
+    /// construction).
     pub(crate) fn insert(
         &self,
         raw: &[u32],
         code: &CanonicalCode,
         ops: &Arc<str>,
-        key: u64,
+        ports: Option<Ports>,
         saved_cycles: u32,
     ) {
         let fingerprint = (self.fingerprint)(raw);
@@ -243,26 +259,27 @@ impl CanonMemo {
         shard.labeler_runs += 1;
         self.obs.labeler_runs.incr();
         let bucket = shard.buckets.entry(fingerprint).or_default();
+        let merit = ports.map(|ports| (ports, saved_cycles));
         match bucket.iter_mut().find(|e| *e.raw == *raw) {
             Some(entry) => {
                 debug_assert_eq!(entry.code, *code, "raced entries must agree");
-                if !entry.merits.iter().any(|&(k, _)| k == key) {
-                    entry.merits.push((key, saved_cycles));
+                if let Some((ports, saved)) = merit {
+                    entry.record_merit(ports, saved);
                 }
             }
             None => bucket.push(MemoEntry {
                 raw: raw.into(),
                 code: code.clone(),
                 ops: Arc::clone(ops),
-                merits: vec![(key, saved_cycles)],
+                merits: merit.into_iter().collect(),
             }),
         }
     }
 
-    /// Records the merit for `key` on an existing entry (a raw hit whose port
-    /// configuration had not been costed yet). A no-op if the entry vanished —
-    /// the memo never grows an entry without its labeler run.
-    pub(crate) fn record_merit(&self, raw: &[u32], key: u64, saved_cycles: u32) {
+    /// Records the merit for `ports` on an existing entry (a raw hit whose port
+    /// pair had not been costed yet). A no-op if the entry vanished — the memo
+    /// never grows an entry without its labeler run.
+    pub(crate) fn record_merit(&self, raw: &[u32], ports: Ports, saved_cycles: u32) {
         let fingerprint = (self.fingerprint)(raw);
         let mut shard = self.shard_for(fingerprint).lock().unwrap();
         if let Some(entry) = shard
@@ -270,9 +287,7 @@ impl CanonMemo {
             .get_mut(&fingerprint)
             .and_then(|b| b.iter_mut().find(|e| *e.raw == *raw))
         {
-            if !entry.merits.iter().any(|&(k, _)| k == key) {
-                entry.merits.push((key, saved_cycles));
-            }
+            entry.record_merit(ports, saved_cycles);
         }
     }
 
@@ -306,7 +321,7 @@ mod tests {
     use crate::index::{canonicalize_cuts, canonicalize_cuts_memo, CodedCut, GroupConfig};
     use ise_enum::{enumerate_cuts, Constraints};
     use ise_graph::Dfg;
-    use ise_graph::{DfgBuilder, Operation, RawEncoder};
+    use ise_graph::{DfgBuilder, LatencyModel, Operation, RawEncoder};
 
     /// A block holding `macs` MAC datapaths plus one unique xor-shift tail.
     fn block(name: &str, macs: usize) -> (Dfg, Vec<ise_enum::Cut>) {
@@ -389,12 +404,11 @@ mod tests {
         let (dfg, cuts) = block("shared", 2);
         let cold = canonicalize_cuts_memo(&dfg, &cuts, &config, &memo);
         let warm = canonicalize_cuts_memo(&dfg, &cuts, &config, &memo);
-        let key = merit_key(config.ports_in, config.ports_out);
         let mut encoder = RawEncoder::new(&dfg);
         let mut raw = Vec::new();
         for ((cut, c), w) in cuts.iter().zip(&cold).zip(&warm) {
-            encoder.encode(&dfg, cut.body(), &mut raw);
-            let entry = memo.lookup(&raw, key).expect("every coded cut is stored");
+            encoder.encode(&dfg, cut, &mut raw);
+            let entry = memo.lookup(&raw, None).expect("every coded cut is stored");
             assert!(
                 Arc::ptr_eq(&w.ops, &entry.ops),
                 "a raw hit clones its entry's pointer"
@@ -456,6 +470,82 @@ mod tests {
                 .zip(&narrow)
                 .any(|(w, n)| w.saved_cycles != n.saved_cycles),
             "port pressure must change some merit, or this test checks nothing"
+        );
+    }
+
+    /// A chain of four multiplies: its whole-chain cut reads five inputs, so four
+    /// read ports cost it a transfer cycle that five do not.
+    fn wide_block() -> (Dfg, Vec<ise_enum::Cut>) {
+        let mut b = DfgBuilder::new("wide");
+        let mut acc = b.input("x0");
+        for i in 1..5 {
+            let x = b.input(format!("x{i}"));
+            acc = b.node(Operation::Mul, &[acc, x]);
+        }
+        b.mark_output(acc);
+        let dfg = b.build().unwrap();
+        let cuts = enumerate_cuts(&dfg, &Constraints::new(5, 2).unwrap()).unwrap();
+        (dfg, cuts.cuts)
+    }
+
+    fn saved(coded: &[CodedCut]) -> Vec<u32> {
+        coded.iter().map(|c| c.saved_cycles).collect()
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn port_pairs_that_would_pack_alike_keep_their_own_merits() {
+        // Packed as `(ports_in << 32) | ports_out`, (4, 2 + 2^32) and (5, 2) were
+        // one key, so whichever pair came first decided the other's merits.
+        let (dfg, cuts) = wide_block();
+        let five = GroupConfig::new(5, 2);
+        let four = GroupConfig::new(4, 2 + (1usize << 32));
+        let cold_four = saved(&canonicalize_cuts(&dfg, &cuts, &four));
+        let cold_five = saved(&canonicalize_cuts(&dfg, &cuts, &five));
+        assert_ne!(
+            cold_four, cold_five,
+            "the pairs must cost some cut differently"
+        );
+        let memo = CanonMemo::new();
+        for (config, cold) in [
+            (&five, &cold_five),
+            (&four, &cold_four),
+            (&five, &cold_five),
+        ] {
+            let warm = saved(&canonicalize_cuts_memo(&dfg, &cuts, config, &memo));
+            assert_eq!(
+                &warm,
+                cold,
+                "ports {:?}",
+                (config.ports_in, config.ports_out)
+            );
+        }
+    }
+
+    #[test]
+    fn a_non_default_model_caches_no_merit() {
+        let (dfg, cuts) = wide_block();
+        let default = GroupConfig::new(4, 2);
+        let slow = GroupConfig {
+            model: LatencyModel::default().with_muldiv_cycles(9),
+            ..default.clone()
+        };
+        let memo = CanonMemo::new();
+        let coded = canonicalize_cuts_memo(&dfg, &cuts, &slow, &memo);
+        assert_eq!(saved(&coded), saved(&canonicalize_cuts(&dfg, &cuts, &slow)));
+        let mut encoder = RawEncoder::new(&dfg);
+        let mut raw = Vec::new();
+        for cut in &cuts {
+            encoder.encode(&dfg, cut, &mut raw);
+            let hit = memo.lookup(&raw, Some((4, 2))).expect("codes memoize");
+            assert_eq!(
+                hit.saved_cycles, None,
+                "the slow model's merit is not filed"
+            );
+        }
+        assert_eq!(
+            saved(&canonicalize_cuts_memo(&dfg, &cuts, &default, &memo)),
+            saved(&canonicalize_cuts(&dfg, &cuts, &default))
         );
     }
 

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use ise_canon::CanonicalCode;
-use ise_enum::{incremental_cuts, Constraints, EngineOptions, EnumContext, PruningConfig};
+use ise_enum::{incremental_cuts, Constraints, Cut, EngineOptions, EnumContext, PruningConfig};
 use ise_graph::{
     DenseNodeSet, Dfg, DfgBuilder, InterfaceGraph, InterfaceLabel, Node, NodeId, Operation,
 };
@@ -79,8 +79,12 @@ fn random_permutation(n: usize, rng: &mut StdRng) -> Vec<usize> {
     perm
 }
 
-fn code_of_body(dfg: &Dfg, body: &DenseNodeSet) -> CanonicalCode {
-    CanonicalCode::of(&InterfaceGraph::extract(dfg, body))
+/// The pattern graph of the cut of `dfg` whose body is `body`; the cut derives its
+/// own interface.
+fn pattern_graph(dfg: &Dfg, body: &DenseNodeSet) -> InterfaceGraph {
+    let ctx = EnumContext::new(dfg.clone());
+    let body = DenseNodeSet::from_nodes(ctx.rooted().num_nodes(), body.iter());
+    InterfaceGraph::extract(dfg, &Cut::from_body(&ctx, body))
 }
 
 proptest! {
@@ -101,12 +105,12 @@ proptest! {
             // A few dozen cuts per family keep the sweep fast while covering many
             // shapes; enumeration order is deterministic.
             for cut in cuts.cuts.iter().take(48) {
-                let original = code_of_body(&dfg, cut.body());
+                let original = CanonicalCode::of(&InterfaceGraph::extract(&dfg, cut));
                 let mapped = DenseNodeSet::from_nodes(
                     permuted.len(),
                     cut.body().iter().map(|v| NodeId::from_index(perm[v.index()])),
                 );
-                let relabeled = code_of_body(&permuted, &mapped);
+                let relabeled = CanonicalCode::of(&pattern_graph(&permuted, &mapped));
                 prop_assert_eq!(
                     &original, &relabeled,
                     "code changed under relabeling on `{}`", dfg.name()
@@ -129,8 +133,8 @@ proptest! {
             } else {
                 shuffled_pattern(&a, &mut rng)
             };
-            let ga = InterfaceGraph::extract(&a.dfg, &a.body);
-            let gb = InterfaceGraph::extract(&b.dfg, &b.body);
+            let ga = pattern_graph(&a.dfg, &a.body);
+            let gb = pattern_graph(&b.dfg, &b.body);
             let codes_equal = CanonicalCode::of(&ga) == CanonicalCode::of(&gb);
             let isomorphic = brute_force_isomorphic(&ga, &gb);
             prop_assert_eq!(codes_equal, isomorphic, "codes must equal exactly on isomorphism");
@@ -208,7 +212,7 @@ fn brute_force_isomorphic(a: &InterfaceGraph, b: &InterfaceGraph) -> bool {
                 && a.operands(v)
                     .iter()
                     .zip(b.operands(w))
-                    .all(|(&x, &y)| perm[x] == y)
+                    .all(|(&x, &y)| perm[x as usize] == y as usize)
         })
     })
 }

@@ -1541,6 +1541,36 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_port_pair_answers_alike_whatever_was_asked_before() {
+        // x0 * x1 * x2 * x3 * x4: the whole chain reads five inputs, so four read
+        // ports cost it a transfer cycle that five do not.
+        let chain = "dfg chain\nnode 0 in @x0\nnode 1 in @x1\nnode 2 in @x2\n\
+                     node 3 in @x3\nnode 4 in @x4\nnode 5 mul\nnode 6 mul\nnode 7 mul\n\
+                     node 8 mul\nedge 0 5\nedge 1 5\nedge 5 6\nedge 2 6\nedge 6 7\n\
+                     edge 3 7\nedge 7 8\nedge 4 8\noutput 8\nend\n";
+        // Once packed into one merit key as `(ports_in << 32) | ports_out`.
+        let five = request(
+            "group",
+            chain,
+            r#"{"nin":5,"nout":2,"ports-in":5,"ports-out":2}"#,
+        );
+        let four = request(
+            "group",
+            chain,
+            r#"{"nin":5,"nout":2,"ports-in":4,"ports-out":4294967298}"#,
+        );
+        let fresh = result_of(&ServerState::new(8, None).handle_line(&four)).render();
+        let state = ServerState::new(8, None);
+        let five_first = result_of(&state.handle_line(&five)).render();
+        assert_ne!(
+            five_first, fresh,
+            "the pairs must cost the chain differently"
+        );
+        assert_eq!(result_of(&state.handle_line(&four)).render(), fresh);
+    }
+
+    #[test]
     fn per_block_select_matches_modes_and_caches() {
         let state = ServerState::new(8, None);
         let response = state.handle_line(&request(

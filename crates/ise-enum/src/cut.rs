@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use ise_graph::{CutLike, DenseNodeSet, Dfg, InterfaceGraph, NodeId};
+use ise_graph::{CutLike, DenseNodeSet, NodeId};
 
 use crate::config::Constraints;
 use crate::context::EnumContext;
@@ -34,7 +34,6 @@ use crate::context::EnumContext;
 /// assert_eq!(cut.inputs(), &[a, c]);
 /// assert_eq!(cut.outputs(), &[x]);
 /// assert!(cut.is_convex(&ctx));
-/// assert_eq!(cut.interface_graph(ctx.dfg()).num_body(), 2);
 /// # Ok(())
 /// # }
 /// ```
@@ -141,34 +140,6 @@ impl Cut {
         CutKey {
             words: self.body.words(),
         }
-    }
-
-    /// Exports the cut as its interface-labeled subgraph — the reporting-path hook
-    /// used by canonical-form grouping (`ise-canon`): operations, operand order and
-    /// input/output roles over local ids, independent of the host block's node ids.
-    ///
-    /// `dfg` is the block the cut was enumerated on (`EnumContext::dfg`); no
-    /// context is needed. The extraction re-derives the interface from the body on
-    /// the original graph; in debug builds it is asserted to agree with the cut's own
-    /// (sink-augmented) input/output derivation.
-    pub fn interface_graph(&self, dfg: &Dfg) -> InterfaceGraph {
-        let graph = InterfaceGraph::extract(dfg, &self.body);
-        debug_assert_eq!(
-            (0..graph.num_inputs())
-                .map(|i| graph.original(i))
-                .collect::<Vec<_>>(),
-            self.inputs,
-            "interface extraction must agree with the cut's input derivation"
-        );
-        debug_assert_eq!(
-            (graph.num_inputs()..graph.len())
-                .filter(|&v| graph.is_output(v))
-                .map(|v| graph.original(v))
-                .collect::<Vec<_>>(),
-            self.outputs,
-            "interface extraction must agree with the cut's output derivation"
-        );
-        graph
     }
 
     /// Whether the cut is convex (Definition 2): no path between two members leaves the
@@ -743,21 +714,6 @@ mod tests {
             cut.validate(&ctx, &connected, true),
             Err(CutRejection::Disconnected)
         );
-    }
-
-    #[test]
-    fn interface_graph_export_matches_the_cut_interface() {
-        let (ctx, [a, c, n, x, y, z, _]) = sample();
-        for body in [vec![n, x, y, z], vec![n, x], vec![x, y]] {
-            let cut = cut_of(&ctx, &body);
-            let g = cut.interface_graph(ctx.dfg());
-            assert_eq!(g.num_inputs(), cut.inputs().len());
-            assert_eq!(g.num_body(), cut.len());
-            assert_eq!(g.num_outputs(), cut.outputs().len());
-        }
-        // Externally visible members count as outputs through the sink on the cut
-        // side and through Oext on the interface side.
-        let _ = (a, c, z);
     }
 
     #[test]

@@ -4,21 +4,8 @@ use std::fmt::Write as _;
 
 use crate::bitset::DenseNodeSet;
 use crate::graph::Dfg;
+use crate::interface::CutLike;
 use crate::node::NodeId;
-
-/// A cut-shaped value that can be highlighted in a DOT rendering: a body set plus the
-/// derived input and output vertices.
-///
-/// `ise-enum`'s `Cut` implements this (that crate depends on this one, so the trait
-/// lives here); anything exposing the same three views can be highlighted too.
-pub trait CutLike {
-    /// The member vertices of the cut.
-    fn body_set(&self) -> &DenseNodeSet;
-    /// The input vertices `I(S)`.
-    fn input_nodes(&self) -> &[NodeId];
-    /// The output vertices `O(S)`.
-    fn output_nodes(&self) -> &[NodeId];
-}
 
 /// Rendering options for [`DotOptions::render`].
 ///
@@ -155,6 +142,7 @@ fn escape(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::builder::DfgBuilder;
+    use crate::interface::tests::TestCut;
     use crate::op::Operation;
 
     fn sample() -> (Dfg, Vec<NodeId>) {
@@ -213,33 +201,9 @@ mod tests {
 
     #[test]
     fn highlight_overlays_whole_cuts_and_accumulates() {
-        struct FakeCut {
-            body: DenseNodeSet,
-            inputs: Vec<NodeId>,
-            outputs: Vec<NodeId>,
-        }
-        impl CutLike for FakeCut {
-            fn body_set(&self) -> &DenseNodeSet {
-                &self.body
-            }
-            fn input_nodes(&self) -> &[NodeId] {
-                &self.inputs
-            }
-            fn output_nodes(&self) -> &[NodeId] {
-                &self.outputs
-            }
-        }
         let (dfg, nodes) = sample();
-        let first = FakeCut {
-            body: DenseNodeSet::from_nodes(dfg.len(), [nodes[2]]),
-            inputs: vec![nodes[1]],
-            outputs: vec![nodes[2]],
-        };
-        let second = FakeCut {
-            body: DenseNodeSet::from_nodes(dfg.len(), [nodes[1]]),
-            inputs: vec![nodes[0]],
-            outputs: vec![nodes[1]],
-        };
+        let first = TestCut::new(dfg.len(), &[nodes[2]], &[nodes[1]], &[nodes[2]]);
+        let second = TestCut::new(dfg.len(), &[nodes[1]], &[nodes[0]], &[nodes[1]]);
         let dot = DotOptions::new()
             .highlight(&first)
             .highlight(&second)

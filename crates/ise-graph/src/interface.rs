@@ -1,20 +1,40 @@
-//! Interface-labeled subgraph extraction: the structural "pattern" view of a cut.
+//! Interface-labeled pattern graphs: the structural "pattern" view of a cut.
 //!
 //! A candidate custom instruction is a set of body vertices plus its *interface*: the
-//! outside values it reads (inputs) and the values it exposes (outputs). Two cuts in
-//! different basic blocks describe the same instruction exactly when their
+//! outside values it reads (inputs `I(S)`) and the values it exposes (outputs `O(S)`).
+//! Two cuts in different basic blocks describe the same instruction exactly when their
 //! interface-labeled subgraphs are isomorphic — same operations, same operand wiring
 //! (order included), same input/output roles — regardless of the node ids the host
-//! blocks happen to use. [`InterfaceGraph::extract`] materializes that view: a small
-//! rooted DAG over local dense ids whose nodes carry an [`InterfaceLabel`] (the
-//! operation for body members, a single anonymous label for inputs) and an is-output
-//! flag, and whose edges preserve operand order. Canonical-form grouping (the
-//! `ise-canon` crate) computes codes on this representation.
+//! blocks happen to use.
+//!
+//! This module never derives an interface: a cut arrives as a [`CutLike`] that already
+//! carries its own `I(S)` and `O(S)` (`ise-enum`'s `Cut` derives them once, when the
+//! engine checks the candidate). [`RawEncoder`] numbers that interface and the body
+//! over local dense ids and serializes the result into a flat word stream, the *raw
+//! encoding*; [`InterfaceGraph`] is a read-only view over those words. Canonical-form
+//! grouping (the `ise-canon` crate) keys its memo on the raw encoding and computes
+//! canonical codes on the view.
 
 use crate::bitset::DenseNodeSet;
 use crate::graph::Dfg;
 use crate::node::NodeId;
 use crate::op::Operation;
+
+/// A cut-shaped value: a body set plus its input and output vertices.
+///
+/// `ise-enum`'s `Cut` implements this (that crate depends on this one, so the trait
+/// lives here). Pattern graphs ([`RawEncoder`], [`InterfaceGraph`]) and DOT
+/// highlighting (`DotOptions::highlight`) read a cut only through these three views.
+pub trait CutLike {
+    /// The member vertices of the cut.
+    fn body_set(&self) -> &DenseNodeSet;
+    /// The input vertices `I(S)`: the operand producers outside the body, sorted by
+    /// id.
+    fn input_nodes(&self) -> &[NodeId];
+    /// The output vertices `O(S)`: the members whose value is read outside the body
+    /// or is live out of the block, sorted by id.
+    fn output_nodes(&self) -> &[NodeId];
+}
 
 /// The label of an [`InterfaceGraph`] node.
 ///
@@ -34,9 +54,9 @@ impl InterfaceLabel {
     /// inputs first, then body operations in the fixed [`Operation::all`] order,
     /// with the output flag as the low bit.
     ///
-    /// This is both the initial coloring of the canonical-labeling refinement in
-    /// `ise-canon` and the per-node word of the [raw encoding](InterfaceGraph::raw_encoding)
-    /// — keeping the two in one place guarantees they can never disagree.
+    /// This is the per-node word of the [raw encoding](RawEncoder::encode), which
+    /// [`InterfaceGraph::key`] reads back and which is also the initial coloring of
+    /// the canonical-labeling refinement in `ise-canon`.
     pub fn stable_key(self, is_output: bool) -> u32 {
         let label_rank = match self {
             InterfaceLabel::Input => 0,
@@ -53,17 +73,40 @@ impl InterfaceLabel {
 }
 
 /// The interface-labeled subgraph of a cut: inputs plus body members over local dense
-/// ids, with operand order preserved.
+/// ids, with operand order preserved — a view over the cut's
+/// [raw encoding](RawEncoder::encode).
 ///
 /// Local ids are assigned input-nodes-first, each group in ascending original-id
 /// order; this initial numbering is arbitrary (canonical codes are invariant under
-/// it) but deterministic, which keeps extraction reproducible.
+/// it) but deterministic, which keeps extraction reproducible. The view holds the
+/// encoded words, the index at which each node's words start, and each node's
+/// original id; labels, output flags and operands are read from the words.
 ///
 /// # Example
 ///
 /// ```
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use ise_graph::{DenseNodeSet, DfgBuilder, InterfaceGraph, InterfaceLabel, Operation};
+/// use ise_graph::{
+///     CutLike, DenseNodeSet, DfgBuilder, InterfaceGraph, InterfaceLabel, NodeId, Operation,
+/// };
+///
+/// /// A cut that states its own interface.
+/// struct Mac {
+///     body: DenseNodeSet,
+///     inputs: Vec<NodeId>,
+///     outputs: Vec<NodeId>,
+/// }
+/// impl CutLike for Mac {
+///     fn body_set(&self) -> &DenseNodeSet {
+///         &self.body
+///     }
+///     fn input_nodes(&self) -> &[NodeId] {
+///         &self.inputs
+///     }
+///     fn output_nodes(&self) -> &[NodeId] {
+///         &self.outputs
+///     }
+/// }
 ///
 /// let mut b = DfgBuilder::new("mac");
 /// let a = b.input("a");
@@ -74,132 +117,125 @@ impl InterfaceLabel {
 /// b.mark_output(sum);
 /// let dfg = b.build()?;
 ///
-/// let body = DenseNodeSet::from_nodes(dfg.len(), [mul, sum]);
-/// let g = InterfaceGraph::extract(&dfg, &body);
+/// let cut = Mac {
+///     body: DenseNodeSet::from_nodes(dfg.len(), [mul, sum]),
+///     inputs: vec![a, x, acc],
+///     outputs: vec![sum],
+/// };
+/// let g = InterfaceGraph::extract(&dfg, &cut);
 /// assert_eq!(g.len(), 5); // 3 inputs + 2 body members
 /// assert_eq!(g.num_inputs(), 3);
 /// assert_eq!(g.label(g.len() - 1), InterfaceLabel::Op(Operation::Add));
 /// assert!(g.is_output(g.len() - 1));
+/// assert_eq!(g.operands(g.len() - 1), &[3, 2]); // add(mul, acc)
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InterfaceGraph {
-    labels: Vec<InterfaceLabel>,
-    is_output: Vec<bool>,
-    /// Operand lists of each node over local ids, in operand order. Input nodes have
-    /// no operands (their producers are outside the interface).
-    operands: Vec<Vec<usize>>,
+    /// The raw encoding, as [`RawEncoder::encode`] wrote it.
+    words: Vec<u32>,
+    /// Index in `words` of each node's key word.
+    starts: Vec<u32>,
     /// Original node id of each local node, for mapping results back to the block.
     original: Vec<NodeId>,
-    num_inputs: usize,
 }
 
 impl InterfaceGraph {
-    /// Extracts the interface-labeled subgraph of the cut whose body is `body`.
-    ///
-    /// Inputs are the operand producers of body members that are not body members
-    /// themselves; a body member is an output when some consumer lies outside the
-    /// body or the member is an external output of the block. This matches the
-    /// derivation of `ise-enum`'s `Cut::from_body` (whose sink edges encode external
-    /// visibility).
+    /// The pattern graph of `cut`, a cut of `dfg`: [`RawEncoder::encode`] through a
+    /// one-off encoder, then [`InterfaceGraph::from_encoding`].
     ///
     /// # Panics
     ///
-    /// Panics if `body` has a smaller capacity than the graph (bodies sized for the
-    /// augmented graph, two vertices larger, are accepted).
-    pub fn extract(dfg: &Dfg, body: &DenseNodeSet) -> Self {
-        assert!(
-            body.capacity() >= dfg.len(),
-            "body capacity {} below graph size {}",
-            body.capacity(),
-            dfg.len()
+    /// Panics as [`RawEncoder::encode`] does.
+    pub fn extract(dfg: &Dfg, cut: &impl CutLike) -> Self {
+        let mut words = Vec::new();
+        RawEncoder::new(dfg).encode(dfg, cut, &mut words);
+        InterfaceGraph::from_encoding(cut, words)
+    }
+
+    /// The view over `words`, which must be what [`RawEncoder::encode`] wrote for
+    /// `cut`; the words are kept, not copied or re-derived.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is not a well-formed encoding with one node per input and
+    /// body member of `cut`.
+    pub fn from_encoding(cut: &impl CutLike, words: Vec<u32>) -> Self {
+        let original: Vec<NodeId> = cut
+            .input_nodes()
+            .iter()
+            .copied()
+            .chain(cut.body_set().iter())
+            .collect();
+        assert_eq!(
+            (words[0] as usize, words[1] as usize),
+            (original.len(), cut.input_nodes().len()),
+            "the encoding must be the cut's"
         );
-        let members: Vec<NodeId> = dfg.node_ids().filter(|&v| body.contains(v)).collect();
-        let mut input_set = dfg.node_set();
-        for &v in &members {
-            for &p in dfg.preds(v) {
-                if !body.contains(p) {
-                    input_set.insert(p);
-                }
-            }
+        let mut starts = Vec::with_capacity(original.len());
+        let mut at = 2;
+        for _ in 0..original.len() {
+            starts.push(at as u32);
+            at += 2 + words[at + 1] as usize;
         }
-        let inputs = input_set.to_vec();
-        let num_inputs = inputs.len();
-
-        let mut local = vec![usize::MAX; dfg.len()];
-        let original: Vec<NodeId> = inputs.into_iter().chain(members).collect();
-        for (i, &v) in original.iter().enumerate() {
-            local[v.index()] = i;
-        }
-
-        let externally_visible =
-            DenseNodeSet::from_nodes(dfg.len(), dfg.external_outputs().iter().copied());
-        let mut labels = Vec::with_capacity(original.len());
-        let mut is_output = Vec::with_capacity(original.len());
-        let mut operands = Vec::with_capacity(original.len());
-        for (i, &v) in original.iter().enumerate() {
-            if i < num_inputs {
-                labels.push(InterfaceLabel::Input);
-                is_output.push(false);
-                operands.push(Vec::new());
-            } else {
-                labels.push(InterfaceLabel::Op(dfg.op(v)));
-                is_output.push(
-                    externally_visible.contains(v)
-                        || dfg.succs(v).iter().any(|s| !body.contains(*s)),
-                );
-                operands.push(dfg.preds(v).iter().map(|p| local[p.index()]).collect());
-            }
-        }
-
+        assert_eq!(at, words.len(), "the encoding must end after its last node");
         InterfaceGraph {
-            labels,
-            is_output,
-            operands,
+            words,
+            starts,
             original,
-            num_inputs,
         }
     }
 
     /// Total number of nodes (inputs + body members).
     pub fn len(&self) -> usize {
-        self.labels.len()
+        self.starts.len()
     }
 
     /// Whether the graph has no nodes (the body was empty and had no inputs).
     pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+        self.starts.is_empty()
     }
 
     /// Number of input nodes; they occupy local ids `0..num_inputs()`.
     pub fn num_inputs(&self) -> usize {
-        self.num_inputs
+        self.words[1] as usize
     }
 
     /// Number of body members.
     pub fn num_body(&self) -> usize {
-        self.labels.len() - self.num_inputs
+        self.len() - self.num_inputs()
     }
 
     /// Number of output-flagged body members.
     pub fn num_outputs(&self) -> usize {
-        self.is_output.iter().filter(|&&o| o).count()
+        (0..self.len()).filter(|&v| self.is_output(v)).count()
+    }
+
+    /// The [stable key](InterfaceLabel::stable_key) of local node `v`: its label
+    /// and output flag in one word.
+    pub fn key(&self, v: usize) -> u32 {
+        self.words[self.starts[v] as usize]
     }
 
     /// The label of local node `v`.
     pub fn label(&self, v: usize) -> InterfaceLabel {
-        self.labels[v]
+        match self.key(v) / 2 {
+            0 => InterfaceLabel::Input,
+            rank => InterfaceLabel::Op(Operation::all()[rank as usize - 1]),
+        }
     }
 
     /// Whether local node `v` is an output of the cut.
     pub fn is_output(&self, v: usize) -> bool {
-        self.is_output[v]
+        self.key(v) & 1 == 1
     }
 
-    /// The operands of local node `v` as local ids, in operand order.
-    pub fn operands(&self, v: usize) -> &[usize] {
-        &self.operands[v]
+    /// The operands of local node `v` as local ids, in operand order. Input nodes
+    /// have none (their producers are outside the interface).
+    pub fn operands(&self, v: usize) -> &[u32] {
+        let start = self.starts[v] as usize;
+        &self.words[start + 2..start + 2 + self.words[start + 1] as usize]
     }
 
     /// The original block node id of local node `v`.
@@ -207,55 +243,16 @@ impl InterfaceGraph {
         self.original[v]
     }
 
-    /// Appends the stable raw encoding of this graph to `out` (clearing it first).
-    ///
-    /// The encoding is a flat word stream over local ids:
-    ///
-    /// ```text
-    /// [ n, num_inputs,
-    ///   node 0: stable_key, arity, operand locals...,
-    ///   node 1: ...,
-    ///   ... ]
-    /// ```
-    ///
-    /// where `stable_key` is [`InterfaceLabel::stable_key`] (label + output flag).
-    /// Because local ids are themselves derived deterministically from the host
-    /// block (inputs first, each group ascending by original id), two cuts with
-    /// equal raw encodings have *identical* — not merely isomorphic — interface
-    /// graphs. The converse does not hold: isomorphic graphs may encode
-    /// differently, which is exactly the gap canonical codes close. The memo in
-    /// `ise-canon` keys on this encoding so the expensive labeler runs once per
-    /// distinct raw graph.
-    ///
-    /// Taking the buffer by `&mut` lets callers reuse one allocation across
-    /// thousands of cuts.
-    pub fn raw_encoding_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.push(self.len() as u32);
-        out.push(self.num_inputs as u32);
-        for v in 0..self.len() {
-            out.push(self.labels[v].stable_key(self.is_output[v]));
-            out.push(self.operands[v].len() as u32);
-            for &o in &self.operands[v] {
-                out.push(o as u32);
-            }
-        }
-    }
-
-    /// The [raw encoding](Self::raw_encoding_into) as a fresh vector.
-    pub fn raw_encoding(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.raw_encoding_into(&mut out);
-        out
+    /// The raw encoding this graph is a view over (see [`RawEncoder::encode`]).
+    pub fn raw_encoding(&self) -> &[u32] {
+        &self.words
     }
 
     /// The body operations as a sorted, counted summary string (for example
     /// `add+mul*2`) — a human-readable fingerprint for reports.
     pub fn ops_summary(&self) -> String {
-        let mut mnemonics: Vec<&'static str> = self
-            .labels
-            .iter()
-            .filter_map(|l| match l {
+        let mut mnemonics: Vec<&'static str> = (0..self.len())
+            .filter_map(|v| match self.label(v) {
                 InterfaceLabel::Input => None,
                 InterfaceLabel::Op(op) => Some(op.mnemonic()),
             })
@@ -279,28 +276,19 @@ impl InterfaceGraph {
     }
 }
 
-/// Reusable scratch state that writes the [raw encoding](InterfaceGraph::raw_encoding_into)
-/// of a cut straight from `(dfg, body)`, without materializing an [`InterfaceGraph`].
+/// Reusable scratch that writes the raw encoding of a cut: one local-id table sized
+/// for the block, reused across every cut of it. An encoder is bound to the `Dfg` it
+/// was created for.
 ///
-/// On the memo hit path the interface graph itself is never needed — only its raw
-/// encoding, to look up the cached canonical code. Building the graph allocates four
-/// vectors per cut; this encoder instead reuses one local-id table, one member list
-/// and one input set across every cut of a block, and precomputes the block's
-/// externally-visible set once. An encoder is bound to the `Dfg` it was created for.
-///
-/// The output is guaranteed byte-identical to
-/// `InterfaceGraph::extract(dfg, body).raw_encoding()` — both walk members in
-/// ascending id order, derive inputs as out-of-body operand producers, number
-/// locals inputs-first, and flag outputs identically (asserted in tests).
+/// On the memo hit path of `ise-canon` only the encoding is needed, to look up the
+/// cached canonical code; on a miss the same words become the [`InterfaceGraph`]
+/// ([`InterfaceGraph::from_encoding`]).
 #[derive(Debug)]
 pub struct RawEncoder {
     /// Local id of each original node, valid only for ids written during the
     /// current `encode` call (every id read was just written: operands are either
     /// members or inputs of the same cut).
     local: Vec<u32>,
-    members: Vec<NodeId>,
-    input_set: DenseNodeSet,
-    externally_visible: DenseNodeSet,
 }
 
 impl RawEncoder {
@@ -308,24 +296,37 @@ impl RawEncoder {
     pub fn new(dfg: &Dfg) -> Self {
         RawEncoder {
             local: vec![0; dfg.len()],
-            members: Vec::with_capacity(dfg.len()),
-            input_set: dfg.node_set(),
-            externally_visible: DenseNodeSet::from_nodes(
-                dfg.len(),
-                dfg.external_outputs().iter().copied(),
-            ),
         }
     }
 
-    /// Writes the raw encoding of the cut whose body is `body` into `out`
-    /// (clearing it first). `dfg` must be the graph this encoder was created for.
+    /// Writes the raw encoding of `cut` into `out` (clearing it first). `dfg` must be
+    /// the graph this encoder was created for.
+    ///
+    /// The encoding is a flat word stream over local ids:
+    ///
+    /// ```text
+    /// [ n, num_inputs,
+    ///   node 0: stable_key, arity, operand locals...,
+    ///   node 1: ...,
+    ///   ... ]
+    /// ```
+    ///
+    /// where `stable_key` is [`InterfaceLabel::stable_key`] (label + output flag).
+    /// Nodes are the cut's inputs, then its body members, each in ascending id
+    /// order; a member is flagged as an output iff it is one of the cut's
+    /// [`output_nodes`](CutLike::output_nodes). Because local ids are themselves
+    /// derived deterministically from the host block, two cuts with equal raw
+    /// encodings have *identical* — not merely isomorphic — interface graphs. The
+    /// converse does not hold: isomorphic graphs may encode differently, which is
+    /// exactly the gap canonical codes close. The memo in `ise-canon` keys on this
+    /// encoding so the expensive labeler runs once per distinct raw graph.
     ///
     /// # Panics
     ///
-    /// Panics if `body` has a smaller capacity than the graph (augmented bodies,
-    /// two vertices larger, are accepted — same contract as
-    /// [`InterfaceGraph::extract`]).
-    pub fn encode(&mut self, dfg: &Dfg, body: &DenseNodeSet, out: &mut Vec<u32>) {
+    /// Panics if the cut's body has a smaller capacity than the graph (bodies sized
+    /// for the augmented graph, two vertices larger, are accepted).
+    pub fn encode(&mut self, dfg: &Dfg, cut: &impl CutLike, out: &mut Vec<u32>) {
+        let body = cut.body_set();
         assert!(
             body.capacity() >= dfg.len(),
             "body capacity {} below graph size {}",
@@ -333,54 +334,71 @@ impl RawEncoder {
             dfg.len()
         );
         debug_assert_eq!(self.local.len(), dfg.len(), "encoder bound to another dfg");
-        self.members.clear();
-        self.members
-            .extend(dfg.node_ids().filter(|&v| body.contains(v)));
-        self.input_set.clear();
-        for &v in &self.members {
-            for &p in dfg.preds(v) {
-                if !body.contains(p) {
-                    self.input_set.insert(p);
-                }
-            }
-        }
-        let num_inputs = self.input_set.len();
-
-        let mut next = 0u32;
-        for v in self.input_set.iter() {
-            self.local[v.index()] = next;
-            next += 1;
-        }
-        for &v in &self.members {
-            self.local[v.index()] = next;
-            next += 1;
+        let inputs = cut.input_nodes();
+        for (v, local) in inputs.iter().copied().chain(body.iter()).zip(0u32..) {
+            self.local[v.index()] = local;
         }
 
         out.clear();
-        out.push((num_inputs + self.members.len()) as u32);
-        out.push(num_inputs as u32);
+        out.push((inputs.len() + body.len()) as u32);
+        out.push(inputs.len() as u32);
         let input_key = InterfaceLabel::Input.stable_key(false);
-        for _ in 0..num_inputs {
-            out.push(input_key);
-            out.push(0);
+        for _ in inputs {
+            out.extend([input_key, 0]);
         }
-        for &v in &self.members {
-            let is_output = self.externally_visible.contains(v)
-                || dfg.succs(v).iter().any(|s| !body.contains(*s));
+        let mut outputs = cut.output_nodes().iter().peekable();
+        for v in body.iter() {
+            let is_output = outputs.next_if_eq(&&v).is_some();
             out.push(InterfaceLabel::Op(dfg.op(v)).stable_key(is_output));
             let preds = dfg.preds(v);
             out.push(preds.len() as u32);
-            for &p in preds {
-                out.push(self.local[p.index()]);
-            }
+            out.extend(preds.iter().map(|p| self.local[p.index()]));
         }
+        debug_assert!(
+            outputs.next().is_none(),
+            "outputs must be body members, sorted by id"
+        );
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::builder::DfgBuilder;
+
+    /// A cut that states its interface outright: the test-local [`CutLike`].
+    pub(crate) struct TestCut {
+        pub(crate) body: DenseNodeSet,
+        pub(crate) inputs: Vec<NodeId>,
+        pub(crate) outputs: Vec<NodeId>,
+    }
+
+    impl TestCut {
+        pub(crate) fn new(
+            capacity: usize,
+            body: &[NodeId],
+            inputs: &[NodeId],
+            outputs: &[NodeId],
+        ) -> Self {
+            TestCut {
+                body: DenseNodeSet::from_nodes(capacity, body.iter().copied()),
+                inputs: inputs.to_vec(),
+                outputs: outputs.to_vec(),
+            }
+        }
+    }
+
+    impl CutLike for TestCut {
+        fn body_set(&self) -> &DenseNodeSet {
+            &self.body
+        }
+        fn input_nodes(&self) -> &[NodeId] {
+            &self.inputs
+        }
+        fn output_nodes(&self) -> &[NodeId] {
+            &self.outputs
+        }
+    }
 
     /// a, c inputs; n = a + c; x = n << 1; y = n - c; z = x ^ y
     fn sample() -> (Dfg, [NodeId; 6]) {
@@ -395,10 +413,10 @@ mod tests {
     }
 
     #[test]
-    fn extraction_derives_interface_and_preserves_operand_order() {
+    fn extraction_numbers_the_interface_and_preserves_operand_order() {
         let (dfg, [a, c, n, x, y, z]) = sample();
-        let body = DenseNodeSet::from_nodes(dfg.len(), [n, x, y, z]);
-        let g = InterfaceGraph::extract(&dfg, &body);
+        let cut = TestCut::new(dfg.len(), &[n, x, y, z], &[a, c], &[z]);
+        let g = InterfaceGraph::extract(&dfg, &cut);
         assert_eq!(g.len(), 6);
         assert_eq!(g.num_inputs(), 2);
         assert_eq!(g.num_body(), 4);
@@ -411,50 +429,44 @@ mod tests {
         // Body members in ascending original id; operand order preserved.
         let local_n = 2;
         assert_eq!(g.original(local_n), n);
+        assert_eq!(g.label(local_n), InterfaceLabel::Op(Operation::Add));
         assert_eq!(g.operands(local_n), &[0, 1], "n = add(a, c)");
         let local_y = 4;
         assert_eq!(g.original(local_y), y);
-        assert_eq!(g.operands(local_y), &[local_n, 1], "y = sub(n, c)");
-        // z is the only sink, so the only output.
+        assert_eq!(g.operands(local_y), &[local_n as u32, 1], "y = sub(n, c)");
+        // z is the cut's only output.
         assert!(g.is_output(5));
         assert!(!g.is_output(local_n));
     }
 
     #[test]
-    fn internal_fanout_and_external_visibility_flag_outputs() {
-        let (dfg, [_, _, n, x, _, _]) = sample();
-        let body = DenseNodeSet::from_nodes(dfg.len(), [n, x]);
-        let g = InterfaceGraph::extract(&dfg, &body);
+    fn output_flags_are_the_cuts_outputs() {
+        let (dfg, [a, c, n, x, _, _]) = sample();
         // n feeds y outside the body, x feeds z outside: both are outputs.
+        let cut = TestCut::new(dfg.len(), &[n, x], &[a, c], &[n, x]);
+        let g = InterfaceGraph::extract(&dfg, &cut);
         assert_eq!(g.num_outputs(), 2);
-
-        // A marked external output with all consumers inside is still an output.
-        let mut b = DfgBuilder::new("liveout");
-        let a = b.input("a");
-        let m = b.node(Operation::Not, &[a]);
-        let w = b.node(Operation::Add, &[m, a]);
-        b.mark_output(m);
-        b.mark_output(w);
-        let dfg = b.build().unwrap();
-        let body = DenseNodeSet::from_nodes(dfg.len(), [m, w]);
-        let g = InterfaceGraph::extract(&dfg, &body);
-        assert_eq!(g.num_outputs(), 2, "live-out m needs a write port");
+        assert!(g.is_output(2) && g.is_output(3));
+        assert_eq!(
+            g.key(2),
+            InterfaceLabel::Op(Operation::Add).stable_key(true)
+        );
     }
 
     #[test]
     fn bodies_sized_for_the_augmented_graph_are_accepted() {
-        let (dfg, [_, _, n, x, _, _]) = sample();
-        let body = DenseNodeSet::from_nodes(dfg.len() + 2, [n, x]);
-        let g = InterfaceGraph::extract(&dfg, &body);
+        let (dfg, [a, c, n, x, _, _]) = sample();
+        let cut = TestCut::new(dfg.len() + 2, &[n, x], &[a, c], &[n, x]);
+        let g = InterfaceGraph::extract(&dfg, &cut);
         assert_eq!(g.num_body(), 2);
     }
 
     #[test]
     fn raw_encoding_reflects_labels_wiring_and_flags() {
-        let (dfg, [_, _, n, x, y, z]) = sample();
-        let body = DenseNodeSet::from_nodes(dfg.len(), [n, x, y, z]);
-        let g = InterfaceGraph::extract(&dfg, &body);
-        let raw = g.raw_encoding();
+        let (dfg, [a, c, n, x, y, z]) = sample();
+        let cut = TestCut::new(dfg.len(), &[n, x, y, z], &[a, c], &[z]);
+        let mut raw = vec![99; 3];
+        RawEncoder::new(&dfg).encode(&dfg, &cut, &mut raw);
         assert_eq!(raw[0], 6, "six local nodes");
         assert_eq!(raw[1], 2, "two inputs");
         // Two inputs: key 0, arity 0 each.
@@ -462,31 +474,26 @@ mod tests {
         // n = add(a, c): non-output op, operands [0, 1].
         assert_eq!(raw[6], InterfaceLabel::Op(Operation::Add).stable_key(false));
         assert_eq!(&raw[7..10], &[2, 0, 1]);
+        // The graph is a view over exactly these words.
+        let g = InterfaceGraph::from_encoding(&cut, raw.clone());
+        assert_eq!(g.raw_encoding(), raw);
         // Flipping an output flag changes the encoding.
-        let smaller = DenseNodeSet::from_nodes(dfg.len(), [n, x]);
-        let g2 = InterfaceGraph::extract(&dfg, &smaller);
-        assert_ne!(g.raw_encoding(), g2.raw_encoding());
-        // The reusable buffer form agrees with the fresh-vector form.
-        let mut buf = vec![99; 3];
-        g.raw_encoding_into(&mut buf);
-        assert_eq!(buf, raw);
+        let smaller = TestCut::new(dfg.len(), &[n, x], &[a, c], &[n, x]);
+        assert_ne!(
+            g.raw_encoding(),
+            InterfaceGraph::extract(&dfg, &smaller).raw_encoding()
+        );
     }
 
     #[test]
-    fn raw_encoder_matches_extract_across_cuts() {
-        let (dfg, [_, _, n, x, y, z]) = sample();
-        let mut enc = RawEncoder::new(&dfg);
-        let mut buf = Vec::new();
-        for body in [
-            DenseNodeSet::from_nodes(dfg.len(), [n, x, y, z]),
-            DenseNodeSet::from_nodes(dfg.len(), [n, x]),
-            DenseNodeSet::from_nodes(dfg.len(), [y]),
-            DenseNodeSet::from_nodes(dfg.len() + 2, [x, z]), // augmented capacity
-        ] {
-            enc.encode(&dfg, &body, &mut buf);
-            let via_graph = InterfaceGraph::extract(&dfg, &body).raw_encoding();
-            assert_eq!(buf, via_graph, "encoder must mirror extract exactly");
-        }
+    #[should_panic(expected = "the encoding must be the cut's")]
+    fn a_foreign_encoding_is_rejected() {
+        let (dfg, [a, c, n, x, y, z]) = sample();
+        let whole = TestCut::new(dfg.len(), &[n, x, y, z], &[a, c], &[z]);
+        let mut raw = Vec::new();
+        RawEncoder::new(&dfg).encode(&dfg, &whole, &mut raw);
+        let part = TestCut::new(dfg.len(), &[n, x], &[a, c], &[n, x]);
+        let _ = InterfaceGraph::from_encoding(&part, raw);
     }
 
     #[test]
@@ -497,8 +504,8 @@ mod tests {
         let m2 = b.node(Operation::Mul, &[m1, a]);
         let s = b.node(Operation::Add, &[m1, m2]);
         let dfg = b.build().unwrap();
-        let body = DenseNodeSet::from_nodes(dfg.len(), [m1, m2, s]);
-        let g = InterfaceGraph::extract(&dfg, &body);
+        let cut = TestCut::new(dfg.len(), &[m1, m2, s], &[a], &[s]);
+        let g = InterfaceGraph::extract(&dfg, &cut);
         assert_eq!(g.ops_summary(), "add+mul*2");
         assert!(!g.is_empty());
     }

@@ -23,9 +23,10 @@
 //! * [`CsrAdjacency`] — the flat compressed-sparse-row storage behind both graphs'
 //!   `preds()`/`succs()` rows: one edge arena plus an offset table per direction, so
 //!   the enumeration hot paths walk contiguous memory instead of per-row allocations.
-//! * [`InterfaceGraph`] — the interface-labeled subgraph of a cut (operations,
-//!   operand order, input/output roles over local ids), the representation on which
-//!   canonical-form grouping (`ise-canon`) recognizes recurring candidates.
+//! * [`InterfaceGraph`] — the interface-labeled subgraph of a [`CutLike`] cut
+//!   (operations, operand order, input/output roles over local ids), a view over the
+//!   raw words [`RawEncoder`] writes from the cut's own interface; canonical-form
+//!   grouping (`ise-canon`) recognizes recurring candidates on it.
 //!
 //! # Example
 //!
@@ -73,10 +74,10 @@ mod topo;
 pub use bitset::{DenseNodeSet, NodeRow};
 pub use builder::DfgBuilder;
 pub use csr::CsrAdjacency;
-pub use dot::{CutLike, DotOptions};
+pub use dot::DotOptions;
 pub use error::GraphError;
 pub use graph::Dfg;
-pub use interface::{InterfaceGraph, InterfaceLabel, RawEncoder};
+pub use interface::{CutLike, InterfaceGraph, InterfaceLabel, RawEncoder};
 pub use node::{Node, NodeId};
 pub use op::{LatencyModel, Operation, OperationClass};
 pub use reach::Reachability;

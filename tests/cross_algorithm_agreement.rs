@@ -4,6 +4,7 @@
 //! generator in the workspace.
 
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 use ise_enum::{
     baseline_cuts, basic_cuts, exhaustive_cuts, incremental_cuts, Constraints, Cut, CutKey,
@@ -70,53 +71,83 @@ fn small_contexts() -> Vec<(String, EnumContext)> {
     out
 }
 
-/// The rows of [`incremental_and_basic_match_the_oracle`], as (Nin, Nout).
-const ORACLE_ROWS: [(usize, usize); 4] = [(2, 1), (4, 2), (3, 2), (3, 3)];
+/// The rows of the oracle grid, as (Nin, Nout).
+const ORACLE_ROWS: [(usize, usize); 6] = [(2, 1), (4, 2), (3, 2), (3, 3), (5, 2), (2, 4)];
 
-/// The cuts of `oracle` (enumerated at Nin=4, Nout=3, the widest row) that a row's
-/// ports admit: validity under tighter ports is validity at the widest ports plus
-/// the two port counts.
-fn within_ports(oracle: &Enumeration, nin: usize, nout: usize) -> Vec<CutKey<'_>> {
-    let mut keys: Vec<CutKey<'_>> = oracle
+/// The rows that also run with every pruning off, free and connected-only.
+const UNPRUNED_ROWS: [(usize, usize); 3] = [(2, 1), (3, 2), (4, 2)];
+
+/// Whether a row skips a context. Nout=3 nests `PICK-OUTPUT` three deep and Nin=5
+/// picks five inputs; on the largest context either row's engine runs alone take
+/// seconds in a debug build.
+fn skips(ctx: &EnumContext, nin: usize, nout: usize) -> bool {
+    (nout == 3 || nin == 5) && ctx.candidate_outputs().len() > 19
+}
+
+/// Every small context whose exhaustive oracle is tractable, with that oracle
+/// enumerated once at the widest row (Nin=5, Nout=4) and shared by every test that
+/// compares against it: each row filters it ([`admitted`]).
+fn oracle_contexts() -> &'static [(String, EnumContext, Enumeration)] {
+    static ORACLES: OnceLock<Vec<(String, EnumContext, Enumeration)>> = OnceLock::new();
+    ORACLES.get_or_init(|| {
+        let widest = Constraints::new(5, 4).unwrap();
+        small_contexts()
+            .into_iter()
+            .filter(|(_, ctx)| ctx.candidate_outputs().len() <= 22)
+            .map(|(name, ctx)| {
+                let oracle = exhaustive_cuts(&ctx, &widest, true);
+                (name, ctx, oracle)
+            })
+            .collect()
+    })
+}
+
+/// The cuts of `oracle` (enumerated at the widest row) that `constraints` admit:
+/// validity under tighter ports is validity at the widest ports plus the two port
+/// counts, and connected-only validity is that plus connectedness (Definition 4).
+fn admitted<'a>(
+    ctx: &EnumContext,
+    oracle: &'a Enumeration,
+    constraints: &Constraints,
+) -> Vec<CutKey<'a>> {
+    let mut keys: Vec<CutKey<'a>> = oracle
         .cuts
         .iter()
-        .filter(|cut| cut.inputs().len() <= nin && cut.outputs().len() <= nout)
+        .filter(|cut| {
+            cut.inputs().len() <= constraints.max_inputs()
+                && cut.outputs().len() <= constraints.max_outputs()
+                && (!constraints.is_connected_only() || cut.is_connected(ctx))
+        })
         .map(Cut::key)
         .collect();
     keys.sort();
     keys
 }
 
+fn pruning_from_mask(mask: u8) -> PruningConfig {
+    PruningConfig {
+        output_output: mask & 0x01 != 0,
+        connectedness: mask & 0x02 != 0,
+        build_s: mask & 0x04 != 0,
+        output_input: mask & 0x08 != 0,
+        input_input: mask & 0x10 != 0,
+        dominator_input: mask & 0x20 != 0,
+    }
+}
+
 #[test]
 fn incremental_and_basic_match_the_oracle() {
-    for (name, ctx) in small_contexts() {
-        if ctx.candidate_outputs().len() > 22 {
-            continue; // keep the exhaustive oracle tractable
-        }
-        // One Θ(2^k) oracle per context, at the widest row; each row filters it.
-        let widest = exhaustive_cuts(&ctx, &Constraints::new(4, 3).unwrap(), true);
+    for (name, ctx, widest) in oracle_contexts() {
         for (nin, nout) in ORACLE_ROWS {
-            // Nout=3 nests `PICK-OUTPUT` three deep, so its skip of undominated outputs
-            // runs under a non-empty input set at every level. The row skips the
-            // largest context, whose engine runs alone take seconds in a debug build.
-            if nout == 3 && ctx.candidate_outputs().len() > 19 {
+            if skips(ctx, nin, nout) {
                 continue;
             }
             let constraints = Constraints::new(nin, nout).unwrap();
-            let oracle = within_ports(&widest, nin, nout);
-            if name == "mibench-0" {
-                // The filtering is the direct oracle: shown once, on every row.
-                let direct = exhaustive_cuts(&ctx, &constraints, true);
-                assert_eq!(
-                    keys(&direct.cuts),
-                    oracle,
-                    "filtered vs direct oracle on {name}, Nin={nin}, Nout={nout}"
-                );
-            }
-            let incremental = incremental(&ctx, &constraints, &PruningConfig::all());
-            let basic = basic_cuts(&ctx, &constraints);
+            let oracle = admitted(ctx, widest, &constraints);
+            let pruned = incremental(ctx, &constraints, &PruningConfig::all());
+            let basic = basic_cuts(ctx, &constraints);
             assert_eq!(
-                keys(&incremental.cuts),
+                keys(&pruned.cuts),
                 oracle,
                 "incremental vs oracle on {name}, Nin={nin}, Nout={nout}"
             );
@@ -128,19 +159,90 @@ fn incremental_and_basic_match_the_oracle() {
             if nout == 3 && name == "mibench-0" {
                 // Without the output prunings a candidate output may be a chosen input
                 // or an ancestor of a chosen output; the skip must still be exact.
-                let unpruned = incremental_cuts(
-                    &ctx,
-                    &constraints,
-                    &PruningConfig::none(),
-                    &EngineOptions::default(),
-                    None,
-                );
+                let unpruned = incremental(ctx, &constraints, &PruningConfig::none());
                 assert_eq!(
                     keys(&unpruned.cuts),
                     oracle,
                     "unpruned incremental vs oracle on {name}, Nin={nin}, Nout={nout}"
                 );
             }
+        }
+    }
+}
+
+/// Filtering the widest oracle is the direct oracle: shown on one context, on
+/// every row, and connected-only on one row.
+#[test]
+fn filtered_oracles_equal_direct_ones() {
+    let (name, ctx, widest) = oracle_contexts()
+        .iter()
+        .find(|(name, _, _)| name == "mibench-0")
+        .expect("the grid holds mibench-0");
+    let rows = ORACLE_ROWS.map(|(nin, nout)| Constraints::new(nin, nout).unwrap());
+    let connected = Constraints::new(4, 2).unwrap().connected_only(true);
+    for constraints in rows.into_iter().chain([connected]) {
+        let direct = exhaustive_cuts(ctx, &constraints, true);
+        assert_eq!(
+            keys(&direct.cuts),
+            admitted(ctx, widest, &constraints),
+            "filtered vs direct oracle on {name}, {constraints:?}"
+        );
+    }
+}
+
+/// Connected-only runs with every pruning on (the connectedness pruning included)
+/// find exactly the oracle's connected cuts on every context and row; the unpruned
+/// rows also match with every pruning off, free and connected-only.
+#[test]
+fn connected_only_and_unpruned_runs_match_the_oracle() {
+    for (name, ctx, widest) in oracle_contexts() {
+        for (nin, nout) in ORACLE_ROWS {
+            if skips(ctx, nin, nout) {
+                continue;
+            }
+            let free = Constraints::new(nin, nout).unwrap();
+            let connected = free.clone().connected_only(true);
+            let run = incremental(ctx, &connected, &PruningConfig::all());
+            assert_eq!(
+                keys(&run.cuts),
+                admitted(ctx, widest, &connected),
+                "connected-only vs oracle on {name}, Nin={nin}, Nout={nout}"
+            );
+            if !UNPRUNED_ROWS.contains(&(nin, nout)) || ctx.candidate_outputs().len() > 19 {
+                continue;
+            }
+            for constraints in [free, connected] {
+                let run = incremental(ctx, &constraints, &PruningConfig::none());
+                assert_eq!(
+                    keys(&run.cuts),
+                    admitted(ctx, widest, &constraints),
+                    "unpruned vs oracle on {name}, Nin={nin}, Nout={nout}, connected={}",
+                    constraints.is_connected_only()
+                );
+            }
+        }
+    }
+}
+
+/// All 64 combinations of the six prunings, free and connected-only, on one
+/// MiBench-like block: each finds exactly the oracle's cuts.
+#[test]
+fn every_pruning_mask_matches_the_oracle_on_a_mibench_block() {
+    let (_, ctx, widest) = oracle_contexts()
+        .iter()
+        .find(|(name, _, _)| name == "mibench-0")
+        .expect("the grid holds mibench-0");
+    let free = Constraints::new(2, 2).unwrap();
+    for constraints in [free.clone(), free.connected_only(true)] {
+        let oracle = admitted(ctx, widest, &constraints);
+        for mask in 0u8..64 {
+            let run = incremental(ctx, &constraints, &pruning_from_mask(mask));
+            assert_eq!(
+                keys(&run.cuts),
+                oracle,
+                "pruning mask {mask:#08b}, connected={}",
+                constraints.is_connected_only()
+            );
         }
     }
 }
