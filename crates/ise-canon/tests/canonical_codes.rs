@@ -68,7 +68,7 @@ fn permute_dfg(dfg: &Dfg, perm: &[usize]) -> Dfg {
         .iter()
         .map(|f| NodeId::from_index(perm[f.index()]))
         .collect();
-    Dfg::from_nodes("permuted", nodes, edges, outputs, forbidden).expect("permutation is valid")
+    Dfg::from_nodes("permuted", nodes, &edges, outputs, forbidden).expect("permutation is valid")
 }
 
 fn random_permutation(n: usize, rng: &mut StdRng) -> Vec<usize> {

@@ -503,6 +503,53 @@ fn deeply_nested_request_gets_an_in_band_error_and_the_daemon_keeps_serving() {
     daemon.shutdown();
 }
 
+/// Regression for a lone carriage return in free text: the parser used to accept
+/// `meta k a\rb` and `@a\rb`, which the writer cannot serialize, so deriving the
+/// request's key panicked and a stdin daemon exited 101. Both are now rejected in
+/// band at their line; the daemon then answers `stats` and exits 0 at the end of
+/// its input.
+#[test]
+fn lone_carriage_return_in_free_text_is_rejected_in_band_on_stdin() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ise"))
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ise serve");
+    let meta = "dfg x\nmeta k a\rb\nnode 0 in\nnode 1 not\nedge 0 1\nend\n";
+    let name = "dfg y\nnode 0 in @a\rb\nnode 1 not\nedge 0 1\nend\n";
+    {
+        let mut stdin = child.stdin.take().expect("daemon stdin");
+        writeln!(stdin, "{}", request("enumerate", meta, "")).expect("send a request");
+        writeln!(stdin, "{}", request("enumerate", name, "")).expect("send a request");
+        writeln!(stdin, "{{\"op\":\"stats\"}}").expect("send stats");
+    }
+    let status = wait_with_timeout(&mut child, Duration::from_secs(30));
+    let mut stdout = String::new();
+    child
+        .stdout
+        .take()
+        .expect("daemon stdout")
+        .read_to_string(&mut stdout)
+        .expect("read the answers");
+    assert!(
+        status.success(),
+        "daemon must exit 0, got {status:?}:\n{stdout}"
+    );
+    let answers: Vec<&str> = stdout.lines().collect();
+    assert_eq!(answers.len(), 3, "{stdout}");
+    for (answer, what) in answers.iter().zip(["meta value", "node name"]) {
+        assert!(answer.starts_with("{\"ok\":false"), "{answer}");
+        assert!(
+            answer.contains(&format!("line 2: a carriage return inside a {what}")),
+            "{answer}"
+        );
+    }
+    assert!(answers[2].starts_with("{\"ok\":true"), "{}", answers[2]);
+    assert_eq!(server_counter(answers[2], "errors"), 2, "{}", answers[2]);
+}
+
 /// The retired `split-threshold` request flag is answered in-band, and the daemon
 /// answers the next request on the same connection.
 #[test]

@@ -112,7 +112,7 @@ pub fn load_corpus_path(path: impl AsRef<Path>) -> Result<Vec<CorpusBlock>, Corp
 /// files on up to `threads` scoped workers.
 ///
 /// The workers claim whole files through a shared cursor, and the parsed files are
-/// then merged in file order, checking block names across files as they go. So the
+/// then merged in file order, and block names are checked across files. So the
 /// blocks, their order, and the error returned (the first one in file order, with
 /// the same text) are exactly those of [`load_corpus_path`], for every `threads`.
 /// With `threads <= 1`, or a single file, nothing is spawned.
@@ -285,7 +285,12 @@ fn parse_text(file: &Path, text: &str) -> ParsedFile {
 
 /// Concatenates the parsed `files` in order, returning the first error in file
 /// order: a file's own error, or a block name that an earlier file defined.
-/// Stops at the first error, so a lazy `parsed` is read no further.
+/// Stops reading a lazy `parsed` at the first file that failed.
+///
+/// The parser rejects duplicate names within one file; the same invariant holds
+/// across the files of a directory, so block names key the corpus. That check runs
+/// once over the concatenated blocks, with the names borrowed from them: a
+/// duplicate sits in a file before any file that failed, so it is the first error.
 ///
 /// `texts` holds the bytes that were parsed, for the files a caller kept; a
 /// duplicate's line is looked up there, and in a file read again only past them.
@@ -296,24 +301,41 @@ fn merge_files(
     parsed: impl IntoIterator<Item = ParsedFile>,
 ) -> Result<Vec<CorpusBlock>, CorpusError> {
     let mut blocks: Vec<CorpusBlock> = Vec::new();
-    // Each block name, mapped to the index in `files` of the file defining it.
-    let mut first_file: HashMap<String, usize> = HashMap::new();
-    for (index, (file, file_blocks)) in files.iter().zip(parsed).enumerate() {
-        // The parser rejects duplicate names within one file; enforce the same
-        // invariant across the files of a directory, so block names key the corpus.
-        for block in file_blocks? {
+    // The index in `blocks` where each file's blocks end.
+    let mut ends: Vec<usize> = Vec::with_capacity(files.len());
+    let mut failed = None;
+    for file_blocks in parsed {
+        match file_blocks {
+            Ok(file_blocks) => blocks.extend(file_blocks),
+            Err(error) => {
+                failed = Some(error);
+                break;
+            }
+        }
+        ends.push(blocks.len());
+    }
+    if ends.len() > 1 {
+        // Each block name, mapped to the index in `files` of the file defining it.
+        let mut first_file: HashMap<&str, usize> = HashMap::with_capacity(blocks.len());
+        let mut index = 0;
+        for (at, block) in blocks.iter().enumerate() {
+            while ends[index] <= at {
+                index += 1;
+            }
             let name = block.dfg.name();
             if let Some(&first) = first_file.get(name) {
                 return Err(duplicate_block(
-                    file,
+                    &files[index],
                     texts.get(index).map(String::as_str),
                     name,
                     &files[first],
                 ));
             }
-            first_file.insert(name.to_string(), index);
-            blocks.push(block);
+            first_file.insert(name, index);
         }
+    }
+    if let Some(error) = failed {
+        return Err(error);
     }
     if blocks.is_empty() {
         return Err(CorpusError::Empty {

@@ -10,8 +10,9 @@
 //!
 //! # Format
 //!
-//! A file holds one or more blocks. Blank lines are skipped and lines whose first
-//! non-blank character is `#` are comments. Each block is:
+//! A file holds one or more blocks. Lines end at `\n` (or `\r\n`), and words are
+//! separated by any [`char::is_whitespace`] character. Blank lines are skipped and
+//! lines whose first non-blank character is `#` are comments. Each block is:
 //!
 //! ```text
 //! dfg <name>                # opens a block; <name> is a whitespace-free token
@@ -27,7 +28,9 @@
 //! `load`, ...). Memory and call operations are forbidden by definition and need no
 //! `forbid` line; `forbid` exists for user-imposed restrictions. Every directive that
 //! references a node id must appear after that node's `node` line, so errors carry
-//! exact line numbers. See `docs/GUIDE.md` for the full grammar and a worked example.
+//! exact line numbers. A `meta` value or `@` name may not contain a `\r` (other
+//! than trailing whitespace): the writer could not put it back on one line. See
+//! `docs/GUIDE.md` for the full grammar and a worked example.
 //!
 //! # Example
 //!

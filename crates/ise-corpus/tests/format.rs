@@ -1,5 +1,8 @@
 //! Format-level integration tests: the parse ∘ write = id property over generated
-//! corpora, and the malformed-input rejection table.
+//! corpora, the malformed-input rejection table, and the agreement of the one-pass
+//! parser with the line parser it replaced (`line_parser`, a test oracle).
+
+mod line_parser;
 
 use proptest::prelude::*;
 
@@ -216,11 +219,24 @@ fn malformed_inputs_are_rejected_with_precise_errors() {
             3,
             K::TrailingInput("now".into()),
         ),
+        (
+            "a lone carriage return inside a meta value",
+            "dfg x\nmeta k a\rb\nnode 0 in\nnode 1 not\nedge 0 1\nend\n",
+            2,
+            K::CarriageReturn("meta value"),
+        ),
+        (
+            "a lone carriage return inside a node name",
+            "dfg x\nnode 0 in @a\rb\nend\n",
+            2,
+            K::CarriageReturn("node name"),
+        ),
     ];
     for (what, text, line, kind) in cases {
         let err = parse_corpus(text).expect_err(what);
         assert_eq!(err.line, *line, "{what}: wrong line ({err})");
         assert_eq!(&err.kind, kind, "{what}: wrong kind ({err})");
+        line_parser::assert_agrees(text);
     }
 
     // Graph-level failures surface as `Graph` at the `end` line: a self loop and an
@@ -259,4 +275,79 @@ end
     assert_eq!(blocks.len(), 1);
     assert_eq!(blocks[0].dfg.len(), 2);
     assert_eq!(blocks[0].meta, vec![("family".into(), "test".into())]);
+}
+
+#[test]
+fn the_one_pass_parser_agrees_with_the_line_parser_on_the_committed_corpus() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus");
+    let mut files = 0;
+    for entry in std::fs::read_dir(dir).expect("the committed corpus is readable") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().is_some_and(|ext| ext == "dfg") {
+            let text = std::fs::read_to_string(&path).expect("corpus file is readable");
+            assert!(parse_corpus(&text).is_ok(), "{path:?}");
+            line_parser::assert_agrees(&text);
+            files += 1;
+        }
+    }
+    assert!(files > 0);
+}
+
+#[test]
+fn the_one_pass_parser_agrees_with_the_line_parser_on_2000_generated_blocks() {
+    let blocks: Vec<CorpusBlock> = (0..2000u64)
+        .map(|i| CorpusBlock {
+            dfg: generate_block(&MiBenchLikeConfig::new(12 + (i % 21) as usize), i)
+                .expect("generator output is always valid"),
+            meta: vec![("seed".into(), i.to_string())],
+        })
+        .collect();
+    let text = write_corpus(&blocks);
+    assert_eq!(parse_corpus(&text).expect("parses").len(), 2000);
+    line_parser::assert_agrees(&text);
+}
+
+/// Inputs at the edges of the lexical rules: whitespace of every kind between
+/// words, line endings, and ids at the limits of `usize::from_str`.
+#[test]
+fn the_one_pass_parser_agrees_with_the_line_parser_on_lexical_edge_cases() {
+    let cases = [
+        "dfg x\r\nnode 0 in\r\nnode 1 not\r\nedge 0 1\r\nend\r\n",
+        "dfg x\nnode 0 in\nend\r",
+        "dfg x\nnode 0 in\nend",
+        "\u{feff}dfg x\nnode 0 in\nend\n",
+        "\u{a0}dfg\u{a0}x\u{2028}\nnode\u{3000}0\u{85}in\u{a0}@\u{a0}a b\u{a0}\nend\u{200a}\n",
+        "dfg x\n\tnode\x0b0\x0cin\n  end  \n",
+        "dfg x\nnode +0 in\nnode 0001 not\nedge +0 1\nend\n",
+        "dfg x\nnode -0 in\nend\n",
+        "dfg x\nnode + in\nend\n",
+        "dfg x\nnode 18446744073709551616 in\nend\n",
+        "dfg x\nnode 0 in\nedge 0 18446744073709551615\nend\n",
+        "dfg x\nnode 0 in @\nnode 1 not @  \u{e9}t\u{e9} \nedge 0 1\nend\n",
+        "dfg x\nnode 0 in@a\nend\n",
+        "dfg x\nnode 0 in\rfoo\nend\n",
+        "dfg x\nmeta k\rv\nnode 0 in @\ra\nend\n",
+        "dfg x\nmeta k v\r\r\nnode 0 in @a \r\nend\n",
+        "dfg x\nmeta\u{a0}k\u{a0}\u{a0}two  words\u{a0}\nnode 0 in\nend\n",
+        "dfg x\nmeta k a\rb\nnode 0 frob\nend\n",
+        "dfg x\nmeta k a\rb\n",
+        "dfg x\nnode 0 in #not a comment\nend\n",
+        "  # comment\n#\ndfg x\nnode 0 in\nend\n",
+        "dfg x y\n",
+        "dfg\u{a0}\n",
+        "end\n",
+        "meta\n",
+        "frob\n",
+        "dfg x\nedge\nend\n",
+        "dfg x\nnode 0 in\nedge 0\nend\n",
+        "dfg x\nnode 0 in\noutput\nend\n",
+        "dfg x\nnode 0 in\nforbid 0 0\nend\n",
+        "dfg x\nnode 0 in\nnode 1 in\nedge 0 1\nend\n",
+        "dfg a\nnode 0 in\nend\ndfg b\nnode 0 in\nend\ndfg a\nend\n",
+        "",
+        "\n\n\n",
+    ];
+    for text in cases {
+        line_parser::assert_agrees(text);
+    }
 }

@@ -558,6 +558,30 @@ mod tests {
     }
 
     #[test]
+    fn connectedness_pruning_keeps_an_output_that_one_chosen_input_reaches() {
+        // x = b + a and y = a + c share only the input a, so the cut {x, y} with
+        // inputs {a, b, c} is connected. Whichever output is picked first, one of
+        // its inputs does not reach the other output: the pruning may drop the
+        // second output only when no chosen input reaches it, not when some input
+        // misses it.
+        let mut b = DfgBuilder::new("shared-input");
+        let a = b.input("a");
+        let bb = b.input("b");
+        let c = b.input("c");
+        let x = b.node(Operation::Add, &[bb, a]);
+        let y = b.node(Operation::Add, &[a, c]);
+        let ctx = EnumContext::new(b.build().unwrap());
+        let constraints = Constraints::new(3, 2).unwrap().connected_only(true);
+        let fast = incremental(&ctx, &constraints, &PruningConfig::all());
+        assert!(fast
+            .cuts
+            .iter()
+            .any(|cut| cut.contains(x) && cut.contains(y)));
+        let oracle = exhaustive_cuts(&ctx, &constraints, true);
+        assert_eq!(keys(&fast), keys(&oracle));
+    }
+
+    #[test]
     fn search_budget_truncates_the_search() {
         let ctx = figure1();
         let constraints = Constraints::new(4, 2).unwrap();

@@ -251,9 +251,12 @@ impl DenseNodeSet {
         Iter::new(&self.words)
     }
 
-    /// Returns the members as a sorted vector, convenient for deterministic output.
+    /// Returns the members as a sorted vector of exactly their number, convenient for
+    /// deterministic output.
     pub fn to_vec(&self) -> Vec<NodeId> {
-        self.iter().collect()
+        let mut nodes = Vec::with_capacity(self.len());
+        nodes.extend(self.iter());
+        nodes
     }
 }
 

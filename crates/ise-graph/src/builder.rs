@@ -122,7 +122,7 @@ impl DfgBuilder {
         Dfg::from_parts(
             self.name,
             self.nodes,
-            self.edges,
+            &self.edges,
             self.outputs,
             self.forbidden,
         )

@@ -71,14 +71,16 @@ impl Dfg {
         forbidden: impl IntoIterator<Item = NodeId>,
     ) -> Result<Self, GraphError> {
         let nodes: Vec<Node> = ops.into_iter().map(Node::new).collect();
-        Self::from_parts(name.into(), nodes, edges, outputs, forbidden)
+        Self::from_parts(name.into(), nodes, &edges, outputs, forbidden)
     }
 
     /// Builds a graph from full node payloads (operation plus optional symbolic name)
     /// instead of bare operations — the constructor used by deserializers such as the
     /// `ise-corpus` `.dfg` parser, which must preserve `@` names across a round trip.
     ///
-    /// Validation is identical to [`Dfg::from_edges`].
+    /// Validation is identical to [`Dfg::from_edges`]. The edge list is only read, so
+    /// a parser can reuse one buffer across blocks, and every array the graph derives
+    /// from it is sized exactly.
     ///
     /// # Errors
     ///
@@ -94,7 +96,7 @@ impl Dfg {
     ///     Node::new(Operation::Input).with_name("a"),
     ///     Node::new(Operation::Not),
     /// ];
-    /// let dfg = Dfg::from_nodes("neg", nodes, vec![(NodeId::new(0), NodeId::new(1))], [], [])?;
+    /// let dfg = Dfg::from_nodes("neg", nodes, &[(NodeId::new(0), NodeId::new(1))], [], [])?;
     /// assert_eq!(dfg.node(NodeId::new(0)).name(), Some("a"));
     /// # Ok(())
     /// # }
@@ -102,7 +104,7 @@ impl Dfg {
     pub fn from_nodes(
         name: impl Into<String>,
         nodes: Vec<Node>,
-        edges: Vec<(NodeId, NodeId)>,
+        edges: &[(NodeId, NodeId)],
         outputs: impl IntoIterator<Item = NodeId>,
         forbidden: impl IntoIterator<Item = NodeId>,
     ) -> Result<Self, GraphError> {
@@ -112,7 +114,7 @@ impl Dfg {
     pub(crate) fn from_parts(
         name: String,
         nodes: Vec<Node>,
-        edges: Vec<(NodeId, NodeId)>,
+        edges: &[(NodeId, NodeId)],
         outputs: impl IntoIterator<Item = NodeId>,
         forbidden: impl IntoIterator<Item = NodeId>,
     ) -> Result<Self, GraphError> {
@@ -128,7 +130,7 @@ impl Dfg {
             }
         };
 
-        for &(from, to) in &edges {
+        for &(from, to) in edges {
             check(from)?;
             check(to)?;
             if from == to {
@@ -137,8 +139,8 @@ impl Dfg {
         }
         // Flatten both directions into CSR arenas; the stable grouping keeps each
         // predecessor row in edge-list order, which is the operand order contract.
-        let succs = CsrAdjacency::forward(n, &edges);
-        let preds = CsrAdjacency::backward(n, &edges);
+        let succs = CsrAdjacency::forward(n, edges);
+        let preds = CsrAdjacency::backward(n, edges);
 
         let topo = topological_order(&succs, &preds).map_err(|node| GraphError::Cycle { node })?;
 
@@ -153,10 +155,10 @@ impl Dfg {
         // Iext is, per §3 of the paper, the set of root vertices: every vertex without
         // predecessors (live-in values and constants alike) is produced outside the
         // computation of the block.
-        let external_inputs: Vec<NodeId> = (0..n)
-            .map(NodeId::from_index)
-            .filter(|&id| preds.row(id).is_empty())
-            .collect();
+        let is_root = |&id: &NodeId| preds.row(id).is_empty();
+        let roots = (0..n).map(NodeId::from_index).filter(is_root);
+        let mut external_inputs = Vec::with_capacity(roots.clone().count());
+        external_inputs.extend(roots);
 
         let mut output_set = DenseNodeSet::new(n);
         for id in outputs {

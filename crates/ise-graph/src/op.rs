@@ -168,10 +168,30 @@ impl Operation {
     /// assert_eq!(Operation::from_mnemonic("frobnicate"), None);
     /// ```
     pub fn from_mnemonic(mnemonic: &str) -> Option<Operation> {
-        Operation::all()
-            .iter()
-            .copied()
-            .find(|op| op.mnemonic() == mnemonic)
+        use Operation::*;
+        Some(match mnemonic {
+            "in" => Input,
+            "const" => Const,
+            "add" => Add,
+            "sub" => Sub,
+            "and" => And,
+            "or" => Or,
+            "xor" => Xor,
+            "not" => Not,
+            "shl" => Shl,
+            "shr" => Shr,
+            "sar" => Sar,
+            "mul" => Mul,
+            "div" => Div,
+            "rem" => Rem,
+            "cmp" => Cmp,
+            "select" => Select,
+            "ext" => Extend,
+            "load" => Load,
+            "store" => Store,
+            "call" => Call,
+            _ => return None,
+        })
     }
 
     /// All concrete operations, useful for workload generators.

@@ -4,6 +4,9 @@
 //! insertions (a fixed xorshift stream, so every run checks the same mutants).
 //!
 //! * `parse_corpus` never panics, and every error names a line inside its input.
+//!   It agrees with the line parser it replaced (`line_parser`, a test oracle
+//!   shared with `ise-corpus`'s format tests), and every block it accepts
+//!   serializes again through `canonical_bytes`.
 //! * `ServerState::handle_line` never panics and answers every mutant in band:
 //!   a JSON object whose `ok` is `true` (a normal answer) or `false` with an
 //!   `error` string. One state answers every mutant, and afterwards answers the
@@ -16,13 +19,17 @@ use ise_bench::json::Json;
 use ise_cli::serve::ServerState;
 use ise_corpus::parse_corpus;
 
+#[path = "../crates/ise-corpus/tests/line_parser/mod.rs"]
+mod line_parser;
+
 /// Mutants drawn per `.dfg` file and per request line.
-const DFG_MUTANTS: usize = 200;
+const DFG_MUTANTS: usize = 400;
 const REQUEST_MUTANTS: usize = 400;
 
-/// Fragments an insertion may splice in: directive words, separators, numbers at
-/// and past the integer limits, JSON punctuation and a multi-byte character.
-const FRAGMENTS: [&[u8]; 16] = [
+/// Fragments an insertion may splice in: directive words, separators (a lone
+/// carriage return and a non-ASCII space among them), numbers at and past the
+/// integer limits, JSON punctuation and a multi-byte character.
+const FRAGMENTS: [&[u8]; 18] = [
     b"node ",
     b"edge ",
     b"end\n",
@@ -31,6 +38,8 @@ const FRAGMENTS: [&[u8]; 16] = [
     b"meta k v\n",
     b"\n",
     b" ",
+    b"\r",
+    "\u{a0}".as_bytes(),
     b"-1",
     b"18446744073709551616",
     b"4294967296",
@@ -97,8 +106,15 @@ fn mutated_corpus_files_parse_or_fail_on_a_line_inside_the_input() {
             let outcome = catch_unwind(|| parse_corpus(&text)).unwrap_or_else(|_| {
                 panic!("parse_corpus panicked on a mutant of {path:?}:\n{text}")
             });
-            match outcome {
-                Ok(_) => parsed += 1,
+            match &outcome {
+                Ok(blocks) => {
+                    parsed += 1;
+                    for block in blocks {
+                        catch_unwind(|| block.canonical_bytes()).unwrap_or_else(|_| {
+                            panic!("an accepted block does not serialize, in:\n{text}")
+                        });
+                    }
+                }
                 Err(err) => {
                     rejected += 1;
                     let lines = text.lines().count();
@@ -108,6 +124,7 @@ fn mutated_corpus_files_parse_or_fail_on_a_line_inside_the_input() {
                     );
                 }
             }
+            line_parser::assert_agrees(&text);
         }
     }
     assert!(

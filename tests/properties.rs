@@ -459,14 +459,14 @@ fn relabel(dfg: &Dfg, perm: &[usize]) -> Dfg {
     }
     // Each consumer's operands in their original order, so every predecessor row
     // keeps its operand order.
-    let edges = dfg
+    let edges: Vec<(NodeId, NodeId)> = dfg
         .node_ids()
         .flat_map(|v| dfg.preds(v).iter().map(move |&p| (map(p), map(v))))
         .collect();
     Dfg::from_nodes(
         dfg.name(),
         nodes.into_iter().map(Option::unwrap).collect(),
-        edges,
+        &edges,
         dfg.external_outputs().iter().map(|&v| map(v)),
         dfg.forbidden().iter().map(map),
     )
