@@ -289,7 +289,7 @@ fn parse_text(file: &Path, text: &str) -> ParsedFile {
 ///
 /// The parser rejects duplicate names within one file; the same invariant holds
 /// across the files of a directory, so block names key the corpus. That check runs
-/// once over the concatenated blocks, with the names borrowed from them: a
+/// once, after the files parsed, with the names borrowed from their blocks: a
 /// duplicate sits in a file before any file that failed, so it is the first error.
 ///
 /// `texts` holds the bytes that were parsed, for the files a caller kept; a
@@ -300,42 +300,42 @@ fn merge_files(
     texts: &[String],
     parsed: impl IntoIterator<Item = ParsedFile>,
 ) -> Result<Vec<CorpusBlock>, CorpusError> {
-    let mut blocks: Vec<CorpusBlock> = Vec::new();
-    // The index in `blocks` where each file's blocks end.
-    let mut ends: Vec<usize> = Vec::with_capacity(files.len());
+    let mut per_file: Vec<Vec<CorpusBlock>> = Vec::with_capacity(files.len());
     let mut failed = None;
     for file_blocks in parsed {
         match file_blocks {
-            Ok(file_blocks) => blocks.extend(file_blocks),
+            Ok(file_blocks) => per_file.push(file_blocks),
             Err(error) => {
                 failed = Some(error);
                 break;
             }
         }
-        ends.push(blocks.len());
     }
-    if ends.len() > 1 {
+    let count = per_file.iter().map(Vec::len).sum();
+    if per_file.len() > 1 {
         // Each block name, mapped to the index in `files` of the file defining it.
-        let mut first_file: HashMap<&str, usize> = HashMap::with_capacity(blocks.len());
-        let mut index = 0;
-        for (at, block) in blocks.iter().enumerate() {
-            while ends[index] <= at {
-                index += 1;
+        let mut first_file: HashMap<&str, usize> = HashMap::with_capacity(count);
+        for (index, file_blocks) in per_file.iter().enumerate() {
+            for block in file_blocks {
+                let name = block.dfg.name();
+                if let Some(&first) = first_file.get(name) {
+                    return Err(duplicate_block(
+                        &files[index],
+                        texts.get(index).map(String::as_str),
+                        name,
+                        &files[first],
+                    ));
+                }
+                first_file.insert(name, index);
             }
-            let name = block.dfg.name();
-            if let Some(&first) = first_file.get(name) {
-                return Err(duplicate_block(
-                    &files[index],
-                    texts.get(index).map(String::as_str),
-                    name,
-                    &files[first],
-                ));
-            }
-            first_file.insert(name, index);
         }
     }
     if let Some(error) = failed {
         return Err(error);
+    }
+    let mut blocks = Vec::with_capacity(count);
+    for file_blocks in per_file {
+        blocks.extend(file_blocks);
     }
     if blocks.is_empty() {
         return Err(CorpusError::Empty {

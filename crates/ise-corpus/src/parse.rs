@@ -137,21 +137,14 @@ impl Error for ParseError {}
 pub fn parse_corpus(text: &str) -> Result<Vec<CorpusBlock>, ParseError> {
     Parser {
         text,
-        pos: 0,
         line: 1,
-        open: None,
-        names: HashSet::new(),
-        meta: Vec::new(),
-        nodes: Vec::new(),
-        edges: Vec::new(),
-        outputs: Vec::new(),
-        forbidden: Vec::new(),
-        blocks: Vec::new(),
+        ..Parser::default()
     }
     .run()
 }
 
 /// The cursor over one input, and the directives of the open block.
+#[derive(Default)]
 struct Parser<'a> {
     text: &'a str,
     /// Byte offset of the cursor, always on a char boundary.
