@@ -24,9 +24,10 @@
 //! `{"ok":true,"op":...,"key":"<hex>","cached":bool,"elapsed_ms":N,"result":{...}}`;
 //! failures answer `{"ok":false,"error":"..."}` and the daemon keeps serving. The
 //! HTTP shim returns the identical envelope as the response body (status 200 for
-//! `ok:true`, 400 otherwise). Over TCP, a request line or HTTP body longer than
-//! [`MAX_REQUEST_BYTES`] is answered with that error envelope (HTTP status 413)
-//! before it is read in full, and the connection is closed.
+//! `ok:true`, 400 otherwise). A request whose bytes are not UTF-8 is one more
+//! such failure, on every transport. Over TCP, a request line or HTTP body longer
+//! than [`MAX_REQUEST_BYTES`] is answered with that error envelope (HTTP status
+//! 413) before it is read in full, and the connection is closed.
 //!
 //! **Caching.** Every evaluated request is keyed by a stable content hash
 //! ([`crate::cache::content_hash`]) over semantic inputs only: the canonical `.dfg`
@@ -70,18 +71,22 @@
 //! only in the envelope. CI's serve smoke strips the envelope fields and `cmp`s
 //! cold vs warm bytes — and the concurrent replay against a serial one.
 //!
-//! **Shutdown.** SIGTERM and SIGINT set a flag polled by every serve loop (the
-//! handler itself only stores an `AtomicBool`), as does the `shutdown` op. The
-//! accept loop stops accepting, every connection thread finishes its in-flight
-//! request (responses are written before the flag is re-checked), the threads are
-//! joined and the process exits with status 0 — what CI's smoke asserts after
-//! `kill -TERM` under load.
+//! **Shutdown.** A stop is the `shutdown` op or SIGTERM/SIGINT (the handler only
+//! stores an `AtomicBool`, which one watcher thread looks at every 50 ms). Over
+//! TCP the accept loop blocks in `accept`, and a stop wakes it with one connection
+//! to the listener's own address. The loop then shuts the read half of every live
+//! connection: idle readers see EOF at once, while a request already in flight
+//! finishes and writes its whole response (responses are written before the flag
+//! is re-checked). The threads are joined and the process exits with status 0 —
+//! what CI's smoke asserts after `kill -TERM` under load. Nothing on the
+//! connection path sleeps or polls. The stdin loop reads both flags after each
+//! request and every 100 ms while idle.
 
 use std::io::{self, BufRead, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use ise_bench::json::Json;
@@ -103,8 +108,8 @@ use crate::{group, CliError, Flags};
 pub const DEFAULT_CACHE_CAP: usize = 256;
 
 /// Default bound on concurrent TCP connections (`--max-connections`). Beyond it
-/// the accept loop simply stops accepting until a connection finishes — pending
-/// clients queue in the kernel backlog instead of being refused.
+/// the accept loop waits for a connection to finish before it accepts again —
+/// pending clients queue in the kernel backlog instead of being refused.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 64;
 
 /// Largest request the TCP transports accept, in bytes: one JSON-protocol line, one
@@ -134,9 +139,10 @@ fn request_too_large(what: &'static str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, RequestTooLarge(what))
 }
 
-/// Signal handling for graceful shutdown: SIGTERM/SIGINT set a flag the serve
-/// loops poll. The single `unsafe` block of the workspace lives here — one audited
-/// libc `signal` binding; the handler body is async-signal-safe (one atomic store).
+/// Signal handling for graceful shutdown: SIGTERM/SIGINT set a flag that the stdin
+/// loop and the TCP transport's signal watcher read. The single `unsafe` block of
+/// the workspace lives here — one audited libc `signal` binding; the handler body
+/// is async-signal-safe (one atomic store).
 #[cfg(unix)]
 #[allow(unsafe_code)]
 mod sig {
@@ -475,6 +481,12 @@ impl ServerState {
         self.counters.requests.incr();
         self.counters.errors.incr();
         format!("{{\"ok\":false,\"error\":{}}}", Json::str(message).render())
+    }
+
+    /// The in-band error for a request whose bytes are not UTF-8; every transport
+    /// answers it and keeps serving.
+    fn not_utf8(&self, error: std::str::Utf8Error) -> String {
+        self.error_response(&format!("request is not valid UTF-8: {error}"))
     }
 
     /// Logs a connection-level I/O failure and bumps the `connection_errors`
@@ -968,13 +980,25 @@ fn flags_from_json(
 
 /// The stdin/stdout serve loop: a reader thread feeds a channel so the main loop
 /// can poll the shutdown flag every 100ms even while no request arrives. EOF on
-/// stdin ends the loop (the channel disconnects).
+/// stdin ends the loop (the channel disconnects). Lines travel as bytes, so a line
+/// that is not UTF-8 is answered in band instead of ending the input.
 fn serve_stdin(state: &ServerState) -> Result<(), CliError> {
-    let (sender, receiver) = mpsc::channel::<String>();
+    let (sender, receiver) = mpsc::channel::<Vec<u8>>();
     std::thread::spawn(move || {
-        let stdin = io::stdin();
-        for line in stdin.lock().lines() {
-            let Ok(line) = line else { break };
+        let mut stdin = io::stdin().lock();
+        loop {
+            let mut line = Vec::new();
+            match stdin.read_until(b'\n', &mut line) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
+            }
+            // The terminator goes as `BufRead::lines` drops it: `\n`, then one `\r`.
+            if line.ends_with(b"\n") {
+                line.pop();
+                if line.ends_with(b"\r") {
+                    line.pop();
+                }
+            }
             if sender.send(line).is_err() {
                 break;
             }
@@ -987,10 +1011,11 @@ fn serve_stdin(state: &ServerState) -> Result<(), CliError> {
         }
         match receiver.recv_timeout(Duration::from_millis(100)) {
             Ok(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let response = state.handle_line(&line);
+                let response = match std::str::from_utf8(&line) {
+                    Ok(text) if text.trim().is_empty() => continue,
+                    Ok(text) => state.handle_line(text),
+                    Err(error) => state.not_utf8(error),
+                };
                 let mut out = stdout.lock();
                 writeln!(out, "{response}")
                     .and_then(|()| out.flush())
@@ -1008,81 +1033,200 @@ fn serve_stdin(state: &ServerState) -> Result<(), CliError> {
     }
 }
 
-/// The TCP serve loop: a non-blocking accept loop (so SIGTERM is noticed within
-/// ~50ms even while idle) handing each accepted connection to its own thread
-/// over the shared state, up to `max_connections` at once — beyond the bound the
-/// loop pauses accepting and pending clients wait in the kernel backlog. On
-/// SIGTERM or a `shutdown` op the loop stops accepting and **drains**: every
-/// connection thread finishes its in-flight request (its response is written
-/// before the thread re-checks the flag) and is joined before the daemon exits 0.
-/// The bound address is announced on stdout so callers binding port 0 learn the
-/// port.
+/// Whether the daemon is stopping: SIGTERM/SIGINT arrived, or a `shutdown` op was
+/// acknowledged.
+fn stopping(state: &ServerState) -> bool {
+    sig::terminated() || state.shutdown_requested()
+}
+
+/// How often the signal watcher reads the flag the SIGTERM/SIGINT handler sets —
+/// the one periodic wait the TCP transport keeps.
+const SIGNAL_POLL: Duration = Duration::from_millis(50);
+
+/// The longest a failed `accept` (out of descriptors, typically) waits for a
+/// connection to finish before it retries, so a lasting failure cannot spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+
+/// How long a stop tries to connect to its own listener. The wake-up only matters
+/// while the accept loop blocks in `accept` with nothing queued, where it connects
+/// at once; the bound keeps a full backlog from holding a stopping thread.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// The TCP transport's shared control: the count of live connections behind
+/// `--max-connections`, and the wake-up that unblocks the accept loop on a stop.
+struct Gate {
+    live: Mutex<usize>,
+    /// Notified when a connection ends and when the daemon stops.
+    changed: Condvar,
+    /// Where a stop connects to wake the loop out of `accept`.
+    wake: SocketAddr,
+    woken: AtomicBool,
+}
+
+impl Gate {
+    fn new(listening: SocketAddr) -> Gate {
+        Gate {
+            live: Mutex::new(0),
+            changed: Condvar::new(),
+            wake: wake_address(listening),
+            woken: AtomicBool::new(false),
+        }
+    }
+
+    /// Blocks until fewer than `max` connections are live; `false` once the
+    /// daemon is stopping.
+    fn wait_for_slot(&self, state: &ServerState, max: usize) -> bool {
+        let mut live = self.live.lock().expect("connection count lock");
+        while *live >= max && !stopping(state) {
+            live = self.changed.wait(live).expect("connection count lock");
+        }
+        !stopping(state)
+    }
+
+    /// Waits until a connection ends or the daemon stops, at most `timeout`.
+    fn wait_for_change(&self, timeout: Duration) {
+        let live = self.live.lock().expect("connection count lock");
+        let _ = self.changed.wait_timeout(live, timeout);
+    }
+
+    /// Takes a connection slot; it is freed when the returned guard drops.
+    fn enter(self: &Arc<Gate>) -> Slot {
+        *self.live.lock().expect("connection count lock") += 1;
+        Slot(Arc::clone(self))
+    }
+
+    /// Wakes the accept loop after the stop flag is set: a waiter for a slot through
+    /// the condition variable, a loop blocked in `accept` by one connection to the
+    /// listener (made once, whoever stops first).
+    fn stop(&self) {
+        {
+            // Holding the lock orders this notify after a waiter's flag check.
+            let _live = self.live.lock();
+            self.changed.notify_all();
+        }
+        if !self.woken.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.wake, WAKE_TIMEOUT);
+        }
+    }
+}
+
+/// One live connection's slot in the [`Gate`]. Dropping it, also while its thread
+/// unwinds from a panic, frees the slot.
+struct Slot(Arc<Gate>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        // The count is valid after every update, so a poisoned lock still holds it.
+        *self.0.live.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
+        self.0.changed.notify_all();
+    }
+}
+
+/// The address a stop connects to: the listener's own, with an unspecified IP
+/// (`0.0.0.0`, `[::]`) replaced by loopback of the same family.
+fn wake_address(mut listening: SocketAddr) -> SocketAddr {
+    if listening.ip().is_unspecified() {
+        listening.set_ip(match listening {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    listening
+}
+
+/// Turns SIGTERM/SIGINT into a stop of the TCP transport: the handler can only
+/// store an atomic, so this thread reads it every [`SIGNAL_POLL`] and wakes the
+/// accept loop. It returns once the daemon stops for any reason; [`serve_tcp`]
+/// unparks it on the way out.
+fn watch_signals(state: &ServerState, gate: &Gate) {
+    while !stopping(state) {
+        std::thread::park_timeout(SIGNAL_POLL);
+    }
+    gate.stop();
+}
+
+/// The TCP serve loop: it blocks in `accept` and hands each connection to its own
+/// thread over the shared state, up to `max_connections` at once. At the bound it
+/// waits on the [`Gate`] until a connection ends, and pending clients wait in the
+/// kernel backlog. A stop (SIGTERM, or a `shutdown` op) wakes it, and it
+/// **drains**: it shuts the read half of every live connection, so idle readers
+/// see EOF at once while an in-flight request still writes its whole response,
+/// and it joins every thread before the daemon exits 0. The bound address is
+/// announced on stdout so callers binding port 0 learn the port.
 fn serve_tcp(state: &Arc<ServerState>, addr: &str, max_connections: usize) -> Result<(), CliError> {
-    let listener = TcpListener::bind(addr).map_err(|source| CliError::Io {
+    let io_error = |source: io::Error| CliError::Io {
         path: addr.to_string(),
         source,
-    })?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|source| CliError::Io {
-            path: addr.to_string(),
-            source,
-        })?;
-    if let Ok(local) = listener.local_addr() {
-        crate::emit("-", &format!("listening on {local}\n"))?;
-    }
-    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !(sig::terminated() || state.shutdown_requested()) {
-        workers.retain(|worker| !worker.is_finished());
-        if workers.len() >= max_connections {
-            std::thread::sleep(Duration::from_millis(10));
+    };
+    let listener = TcpListener::bind(addr).map_err(io_error)?;
+    let local = listener.local_addr().map_err(io_error)?;
+    crate::emit("-", &format!("listening on {local}\n"))?;
+    let gate = Arc::new(Gate::new(local));
+    let watcher = {
+        let (state, gate) = (Arc::clone(state), Arc::clone(&gate));
+        std::thread::spawn(move || watch_signals(&state, &gate))
+    };
+    // Each connection's thread owns its stream; the loop keeps a weak handle to
+    // drain it, so a finished connection's socket closes as its thread ends.
+    let mut live: Vec<(std::thread::JoinHandle<()>, Weak<TcpStream>)> = Vec::new();
+    while gate.wait_for_slot(state, max_connections) {
+        let accepted = listener.accept();
+        if stopping(state) {
+            // The wake-up connection, or a client that raced the stop: dropped.
+            break;
+        }
+        let Ok((stream, peer)) = accepted else {
+            gate.wait_for_change(ACCEPT_BACKOFF);
             continue;
-        }
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let state = Arc::clone(state);
-                workers.push(std::thread::spawn(move || {
-                    let peer = peer.to_string();
-                    if let Err(error) = serve_connection(&state, stream) {
-                        state.note_connection_error(&peer, &error);
-                    }
-                }));
+        };
+        live.retain(|(worker, _)| !worker.is_finished());
+        let stream = Arc::new(stream);
+        let drain = Arc::downgrade(&stream);
+        let slot = gate.enter();
+        let (state, gate) = (Arc::clone(state), Arc::clone(&gate));
+        let worker = std::thread::spawn(move || {
+            let _slot = slot;
+            if let Err(error) = serve_connection(&state, &stream) {
+                state.note_connection_error(&peer.to_string(), &error);
             }
-            Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(50));
+            // The worker that answered a `shutdown` op wakes the loop at once.
+            if stopping(&state) {
+                gate.stop();
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(50)),
-        }
+        });
+        live.push((worker, drain));
     }
-    // Graceful drain: connection threads notice the flag at their next poll and
-    // return once their in-flight response is written.
-    for worker in workers {
+    for stream in live.iter().filter_map(|(_, stream)| stream.upgrade()) {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+    for (worker, _) in live {
         let _ = worker.join();
     }
+    watcher.thread().unpark();
+    let _ = watcher.join();
     Ok(())
 }
 
 /// Serves one TCP connection, sniffing the transport from its first line: an
 /// HTTP method selects the HTTP/1.1 shim, anything else (in practice a `{`) is
-/// line-delimited JSON. Reads poll with a 100ms timeout so a SIGTERM during an
-/// idle connection still shuts the daemon down promptly. A request over
+/// line-delimited JSON. Reads block until the client sends, closes, or the drain
+/// of a stopping daemon shuts the read half. A request over
 /// [`MAX_REQUEST_BYTES`] gets the in-band error envelope (status 413 over HTTP),
 /// and the connection is closed without reading the rest of it.
-fn serve_connection(state: &ServerState, mut stream: TcpStream) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
+fn serve_connection(state: &ServerState, mut stream: &TcpStream) -> io::Result<()> {
     // Each response is one small write the client latency-chains on; Nagle
     // would hold it for the previous segment's (possibly delayed) ACK.
     let _ = stream.set_nodelay(true);
-    let mut reader = io::BufReader::new(stream.try_clone()?);
-    let mut first = String::new();
+    let mut reader = io::BufReader::new(stream);
+    let mut first = Vec::new();
     let mut http = false;
-    let served = match read_line_polled(state, &mut reader, &mut first) {
-        Ok(0) => return Ok(()),
-        Ok(_) if is_http_request_line(&first) => {
+    let served = match read_line(state, &mut reader, &mut first) {
+        Ok(false) => return Ok(()),
+        Ok(true) if is_http_request_line(&first) => {
             http = true;
-            serve_http(state, &mut stream, &mut reader, first)
+            serve_http(state, stream, &mut reader, first)
         }
-        Ok(_) => serve_json(state, &mut stream, &mut reader, first),
+        Ok(true) => serve_json(state, stream, &mut reader, first),
         Err(error) => Err(error),
     };
     match served {
@@ -1094,135 +1238,78 @@ fn serve_connection(state: &ServerState, mut stream: TcpStream) -> io::Result<()
                 payload + "\n"
             };
             stream.write_all(reply.as_bytes())?;
-            stream.shutdown(std::net::Shutdown::Write)
+            stream.shutdown(Shutdown::Write)
         }
         other => other,
     }
 }
 
 /// Whether a connection's first line looks like an HTTP request line.
-fn is_http_request_line(line: &str) -> bool {
+fn is_http_request_line(line: &[u8]) -> bool {
     ["POST ", "GET ", "HEAD ", "PUT ", "DELETE ", "OPTIONS "]
         .iter()
-        .any(|method| line.starts_with(method))
+        .any(|method| line.starts_with(method.as_bytes()))
 }
 
-/// Retries `read` through the connection's read timeouts: `Ok(Some(n))` once a
-/// read returns `n` bytes (0 at EOF), `Ok(None)` when a read timed out and the
-/// daemon is shutting down. Both polled readers poll through here, so a shutdown
-/// flag is honoured while blocked on a quiet peer.
-fn poll_read(
-    state: &ServerState,
-    mut read: impl FnMut() -> io::Result<usize>,
-) -> io::Result<Option<usize>> {
-    loop {
-        match read() {
-            Err(error)
-                if error.kind() == io::ErrorKind::WouldBlock
-                    || error.kind() == io::ErrorKind::TimedOut =>
-            {
-                if sig::terminated() || state.shutdown_requested() {
-                    return Ok(None);
-                }
-            }
-            read => return read.map(Some),
-        }
-    }
-}
-
-/// Reads one line through [`poll_read`]. Returns `Ok(0)` on a clean end (EOF
-/// between lines, or shutdown while idle); a peer that disconnects **mid-line** is
-/// an error — the caller surfaces it as a connection error rather than silently
-/// dropping the partial request. A line longer than [`MAX_REQUEST_BYTES`] stops
-/// growing at the cap and fails with [`RequestTooLarge`].
-fn read_line_polled(
+/// Reads one line's bytes, newline included, into the empty `line`: `Ok(true)`
+/// once it holds a whole line, `Ok(false)` at a clean end. A clean end is EOF
+/// between lines, or any EOF once the daemon is stopping — the drain shuts the
+/// read half of every connection, so a client caught mid-request is no
+/// connection error. Any other peer that disconnects **mid-line** is an error —
+/// the caller surfaces it as a connection error rather than silently dropping
+/// the partial request. A line longer than [`MAX_REQUEST_BYTES`] stops growing at
+/// the cap and fails with [`RequestTooLarge`]. UTF-8 is checked by the caller,
+/// once per whole line.
+fn read_line(
     state: &ServerState,
     reader: &mut impl BufRead,
-    line: &mut String,
-) -> io::Result<usize> {
-    loop {
-        // One byte of room past the cap tells an over-long line from one that fits.
-        let room = (MAX_REQUEST_BYTES + 1).saturating_sub(line.len());
-        if room == 0 {
-            return Err(request_too_large("request line"));
-        }
-        match poll_read(state, || {
-            Read::take(&mut *reader, room as u64).read_line(line)
-        })? {
-            None => return Ok(0),
-            Some(0) if line.is_empty() => return Ok(0),
-            Some(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    format!("connection closed mid-line after {} bytes", line.len()),
-                ));
-            }
-            Some(_) if line.ends_with('\n') => return Ok(line.len()),
-            // EOF with a partial line: the next read returns 0 with a non-empty
-            // buffer and reports the mid-line disconnect above. A read that
-            // stopped at the cap fails at the top of the loop.
-            Some(_) => {}
-        }
+    line: &mut Vec<u8>,
+) -> io::Result<bool> {
+    // One byte of room past the cap tells an over-long line from one that fits.
+    reader
+        .by_ref()
+        .take(MAX_REQUEST_BYTES as u64 + 1)
+        .read_until(b'\n', line)?;
+    if line.ends_with(b"\n") {
+        return Ok(true);
     }
-}
-
-/// Reads exactly `buf.len()` bytes through [`poll_read`]. An EOF before the
-/// buffer fills is a mid-request disconnect and reported as an error, as is a
-/// shutdown before it fills.
-fn read_exact_polled(
-    state: &ServerState,
-    reader: &mut impl BufRead,
-    buf: &mut [u8],
-) -> io::Result<()> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match poll_read(state, || reader.read(&mut buf[filled..]))? {
-            Some(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    format!(
-                        "connection closed mid-body after {filled} of {} bytes",
-                        buf.len()
-                    ),
-                ));
-            }
-            Some(read) => filled += read,
-            None => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "shutdown while reading a request body",
-                ));
-            }
-        }
+    if line.len() > MAX_REQUEST_BYTES {
+        return Err(request_too_large("request line"));
     }
-    Ok(())
+    if line.is_empty() || stopping(state) {
+        return Ok(false);
+    }
+    Err(io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        format!("connection closed mid-line after {} bytes", line.len()),
+    ))
 }
 
 /// The line-delimited JSON loop: one request per line, one response line per
 /// request. `line` already holds the connection's first request line.
 fn serve_json(
     state: &ServerState,
-    stream: &mut TcpStream,
+    mut stream: &TcpStream,
     reader: &mut impl BufRead,
-    mut line: String,
+    mut line: Vec<u8>,
 ) -> io::Result<()> {
     loop {
-        if !line.trim().is_empty() {
-            let mut response = state.handle_line(line.trim_end());
+        let response = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => None,
+            Ok(text) => Some(state.handle_line(text.trim_end())),
+            Err(error) => Some(state.not_utf8(error)),
+        };
+        if let Some(mut response) = response {
             response.push('\n');
             // One write per response: a formatted write would emit the payload
             // and the newline as separate segments.
             stream.write_all(response.as_bytes())?;
-            stream.flush()?;
-            if state.shutdown_requested() {
-                return Ok(());
-            }
         }
-        if sig::terminated() {
+        if stopping(state) {
             return Ok(());
         }
         line.clear();
-        if read_line_polled(state, reader, &mut line)? == 0 {
+        if !read_line(state, reader, &mut line)? {
             return Ok(());
         }
     }
@@ -1233,16 +1320,19 @@ fn serve_json(
 /// the path) and `GET /v1/stats` onto the same handlers as the JSON protocol —
 /// the response body is the identical envelope. No chunked encoding, no TLS, no
 /// dependencies: request bodies are delimited by `Content-Length`, responses
-/// always carry one.
+/// always carry one. A request line, header or body that is not UTF-8 is answered
+/// 400 once the whole request is read, so the connection stays in step.
 fn serve_http(
     state: &ServerState,
-    stream: &mut TcpStream,
+    mut stream: &TcpStream,
     reader: &mut impl BufRead,
-    mut request_line: String,
+    mut request_line: Vec<u8>,
 ) -> io::Result<()> {
     loop {
+        let mut not_utf8 = std::str::from_utf8(&request_line).err();
         let (method, path) = {
-            let mut parts = request_line.split_whitespace();
+            let line = String::from_utf8_lossy(&request_line);
+            let mut parts = line.split_whitespace();
             (
                 parts.next().unwrap_or("").to_string(),
                 parts.next().unwrap_or("").to_string(),
@@ -1252,20 +1342,27 @@ fn serve_http(
         // (keep-alive override) matter; everything else is skipped.
         let mut content_length = 0usize;
         let mut close = false;
-        let mut header = String::new();
+        let mut header = Vec::new();
         loop {
             header.clear();
-            if read_line_polled(state, reader, &mut header)? == 0 {
+            if !read_line(state, reader, &mut header)? {
+                if stopping(state) {
+                    return Ok(());
+                }
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "connection closed inside HTTP headers",
                 ));
             }
-            let header = header.trim_end();
-            if header.is_empty() {
+            if let Err(error) = std::str::from_utf8(&header) {
+                not_utf8.get_or_insert(error);
+            }
+            let line = String::from_utf8_lossy(&header);
+            let line = line.trim_end();
+            if line.is_empty() {
                 break;
             }
-            if let Some((name, value)) = header.split_once(':') {
+            if let Some((name, value)) = line.split_once(':') {
                 let value = value.trim();
                 if name.eq_ignore_ascii_case("content-length") {
                     content_length = value.parse().map_err(|_| {
@@ -1283,19 +1380,39 @@ fn serve_http(
         if content_length > MAX_REQUEST_BYTES {
             return Err(request_too_large("request body"));
         }
-        let mut body = vec![0u8; content_length];
-        read_exact_polled(state, reader, &mut body)?;
-        let body = String::from_utf8_lossy(&body).into_owned();
+        let mut body = Vec::with_capacity(content_length);
+        reader
+            .by_ref()
+            .take(content_length as u64)
+            .read_to_end(&mut body)?;
+        if body.len() < content_length {
+            if stopping(state) {
+                return Ok(());
+            }
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!(
+                    "connection closed mid-body after {} of {content_length} bytes",
+                    body.len()
+                ),
+            ));
+        }
+        let body = String::from_utf8(body).unwrap_or_else(|error| {
+            not_utf8.get_or_insert(error.utf8_error());
+            String::new()
+        });
 
-        let (status, content_type, payload) = http_reply(state, &method, &path, &body);
+        let (status, content_type, payload) = match not_utf8 {
+            Some(error) => ("400 Bad Request", CONTENT_JSON, state.not_utf8(error)),
+            None => http_reply(state, &method, &path, &body),
+        };
         let response = http_response(status, content_type, &payload, close);
         stream.write_all(response.as_bytes())?;
-        stream.flush()?;
-        if close || state.shutdown_requested() || sig::terminated() {
+        if close || stopping(state) {
             return Ok(());
         }
         request_line.clear();
-        if read_line_polled(state, reader, &mut request_line)? == 0 {
+        if !read_line(state, reader, &mut request_line)? {
             return Ok(());
         }
     }
@@ -1942,14 +2059,27 @@ mod tests {
             "GET /v1/stats HTTP/1.1\r\n",
             "DELETE /x HTTP/1.1\r\n",
         ] {
-            assert!(is_http_request_line(http), "{http}");
+            assert!(is_http_request_line(http.as_bytes()), "{http}");
         }
         for json in [
             "{\"op\":\"stats\"}\n",
             " {\"op\":\"stats\"}\n",
             "not json\n",
         ] {
-            assert!(!is_http_request_line(json), "{json}");
+            assert!(!is_http_request_line(json.as_bytes()), "{json}");
+        }
+    }
+
+    #[test]
+    fn a_stop_wakes_an_unspecified_listener_through_loopback() {
+        for (listening, wake) in [
+            ("0.0.0.0:7878", "127.0.0.1:7878"),
+            ("[::]:7878", "[::1]:7878"),
+            ("192.0.2.1:7878", "192.0.2.1:7878"),
+            ("[::1]:0", "[::1]:0"),
+        ] {
+            let listening: SocketAddr = listening.parse().expect("an address");
+            assert_eq!(wake_address(listening).to_string(), wake, "{listening}");
         }
     }
 

@@ -790,3 +790,214 @@ fn inline_and_file_sources_of_one_block_share_a_key() {
     assert_eq!(cached(&from_file), Some(true), "{from_file}");
     daemon.shutdown();
 }
+
+/// Reads one response line, or `None` if the connection ends first.
+fn read_response(reader: &mut impl BufRead) -> Option<String> {
+    let mut response = String::new();
+    match reader.read_line(&mut response) {
+        Ok(0) | Err(_) => None,
+        Ok(_) => Some(response.trim_end().to_string()),
+    }
+}
+
+/// Regression for requests split inside a UTF-8 character: the bytes up to and
+/// including the first byte of `é`, a 300 ms pause, then the rest. A read that
+/// timed out mid-character used to lose its bytes, so the rest failed as invalid
+/// UTF-8 and the connection closed unanswered.
+#[test]
+fn a_request_split_inside_a_utf8_character_is_answered() {
+    let block = "dfg accent\nmeta k café\nnode 0 in @a\nnode 1 in @b\nnode 2 add\n\
+                 edge 0 2\nedge 1 2\noutput 2\nend\n";
+    let line = request("enumerate", block, "\"budget\":5000") + "\n";
+    let split = line.find('é').expect("the accented byte") + 1;
+    let daemon = Daemon::spawn(&[]);
+    let mut stream = daemon.connect();
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    stream
+        .write_all(&line.as_bytes()[..split])
+        .expect("send the head");
+    thread::sleep(Duration::from_millis(300));
+    stream
+        .write_all(&line.as_bytes()[split..])
+        .expect("send the tail");
+    let response = read_response(&mut reader).expect("the split request is answered");
+    assert!(response.starts_with("{\"ok\":true"), "{response}");
+    daemon.shutdown();
+}
+
+/// A JSON-protocol line holding a byte that is not UTF-8 gets an in-band error,
+/// and the same connection answers the next request.
+#[test]
+fn invalid_utf8_over_tcp_is_answered_in_band_and_the_connection_kept() {
+    let daemon = Daemon::spawn(&[]);
+    let mut stream = daemon.connect();
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    stream
+        .write_all(b"{\"op\":\"stats\",\"note\":\"\xff\"}\n")
+        .expect("send the invalid line");
+    let rejected = read_response(&mut reader).expect("the invalid line is answered");
+    assert!(rejected.starts_with("{\"ok\":false"), "{rejected}");
+    assert!(rejected.contains("not valid UTF-8"), "{rejected}");
+    writeln!(stream, "{{\"op\":\"stats\"}}").expect("send stats");
+    let stats = read_response(&mut reader).expect("stats is answered");
+    assert_eq!(server_counter(&stats, "errors"), 1, "{stats}");
+    assert_eq!(server_counter(&stats, "connection_errors"), 0, "{stats}");
+    daemon.shutdown();
+}
+
+/// Over HTTP, a header or a body that is not UTF-8 gets 400 with the in-band
+/// envelope, and the keep-alive connection answers the next request.
+#[test]
+fn invalid_utf8_over_http_gets_400_and_the_connection_kept() {
+    let daemon = Daemon::spawn(&[]);
+    let mut stream = daemon.connect();
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    // A node name's first letter replaced by a byte that is not UTF-8.
+    let mut bad_body = request("enumerate", &tiny_block(11), "\"budget\":5000").into_bytes();
+    let at = bad_body
+        .windows(2)
+        .position(|pair| pair == b"@a")
+        .expect("a node name")
+        + 1;
+    bad_body[at] = 0xff;
+    let bad_header = b"GET /v1/stats HTTP/1.1\r\nX-Note: caf\xe9\r\n\r\n".to_vec();
+    let mut with_bad_body = format!(
+        "POST /v1/enumerate HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        bad_body.len()
+    )
+    .into_bytes();
+    with_bad_body.extend_from_slice(&bad_body);
+    for request in [bad_header, with_bad_body] {
+        stream
+            .write_all(&request)
+            .expect("send the invalid request");
+        let (status, body) = read_http_response(&mut reader);
+        assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
+        assert!(body.starts_with("{\"ok\":false"), "{body}");
+        assert!(body.contains("not valid UTF-8"), "{body}");
+    }
+    stream
+        .write_all(b"GET /v1/stats HTTP/1.1\r\n\r\n")
+        .expect("send stats");
+    let (status, stats) = read_http_response(&mut reader);
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert_eq!(server_counter(&stats, "errors"), 2, "{stats}");
+    daemon.shutdown();
+}
+
+/// On stdin, a line that is not UTF-8 is answered in band and the requests after
+/// it are still served; the reader used to stop at it and the daemon exited 0
+/// with the rest of its input unanswered.
+#[test]
+fn invalid_utf8_on_stdin_is_answered_in_band_and_later_requests_served() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ise"))
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ise serve");
+    {
+        let mut stdin = child.stdin.take().expect("daemon stdin");
+        stdin
+            .write_all(b"{\"op\":\"stats\",\"note\":\"\xff\"}\n{\"op\":\"stats\"}\n")
+            .expect("send the requests");
+    }
+    let status = wait_with_timeout(&mut child, Duration::from_secs(30));
+    let mut stdout = String::new();
+    child
+        .stdout
+        .take()
+        .expect("daemon stdout")
+        .read_to_string(&mut stdout)
+        .expect("read the answers");
+    assert!(status.success(), "daemon must exit 0, got {status:?}");
+    let answers: Vec<&str> = stdout.lines().collect();
+    assert_eq!(answers.len(), 2, "{stdout}");
+    assert!(answers[0].starts_with("{\"ok\":false"), "{}", answers[0]);
+    assert!(answers[0].contains("not valid UTF-8"), "{}", answers[0]);
+    assert_eq!(server_counter(answers[1], "errors"), 1, "{}", answers[1]);
+}
+
+/// A new connection to an idle daemon is answered without waiting out an accept
+/// poll: 20 sequential fresh-connection `stats` requests, each after a pseudo-random
+/// 0–30 ms pause, have a median round trip under 10 ms. A 50 ms accept poll puts
+/// the median near 25 ms.
+#[test]
+fn fresh_connections_to_an_idle_daemon_are_answered_at_once() {
+    let daemon = Daemon::spawn(&[]);
+    let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+    let mut round_trips: Vec<Duration> = (0..20)
+        .map(|_| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            thread::sleep(Duration::from_millis((seed >> 33) % 31));
+            let start = Instant::now();
+            let stats = daemon.roundtrip("{\"op\":\"stats\"}");
+            assert!(stats.starts_with("{\"ok\":true"), "{stats}");
+            start.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median fresh-connection round trip {median:?}: {round_trips:?}"
+    );
+    daemon.shutdown();
+}
+
+/// `--max-connections 1`: while client A holds the one slot, client B connects
+/// (the kernel backlog holds it; nothing is refused) but gets no answer within
+/// 300 ms; once A disconnects, B is answered.
+#[test]
+fn max_connections_holds_extra_clients_until_a_slot_frees() {
+    let daemon = Daemon::spawn(&["--max-connections", "1"]);
+    let mut a = daemon.connect();
+    let mut a_reader = BufReader::new(a.try_clone().expect("clone stream"));
+    writeln!(a, "{{\"op\":\"stats\"}}").expect("A sends");
+    assert!(read_response(&mut a_reader).is_some(), "A is answered");
+
+    let mut b = daemon.connect();
+    writeln!(b, "{{\"op\":\"stats\"}}").expect("B sends");
+    b.set_read_timeout(Some(Duration::from_millis(300)))
+        .expect("set read timeout");
+    let mut b_reader = BufReader::new(b.try_clone().expect("clone stream"));
+    let mut early = String::new();
+    let waited = b_reader.read_line(&mut early);
+    assert!(
+        waited.is_err() && early.is_empty(),
+        "B must wait while A holds the slot, got {waited:?}: {early}"
+    );
+
+    drop((a, a_reader));
+    b.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set read timeout");
+    let answer = read_response(&mut b_reader).expect("B is answered once A leaves");
+    assert!(answer.starts_with("{\"ok\":true"), "{answer}");
+    drop((b, b_reader));
+    let stderr = daemon.shutdown();
+    assert!(!stderr.contains("connection"), "{stderr}");
+}
+
+/// A stop drains every connection: an idle keep-alive connection and one holding
+/// half a request line end at once, neither counts as a connection error, and the
+/// daemon exits 0.
+#[test]
+fn shutdown_drains_idle_and_half_sent_connections_cleanly() {
+    let daemon = Daemon::spawn(&[]);
+    let idle = daemon.connect();
+    let mut half = daemon.connect();
+    half.write_all(b"{\"op\":\"st").expect("send half a line");
+    // Both connections are being served before the stop.
+    let stats = daemon.roundtrip("{\"op\":\"stats\"}");
+    assert!(stats.starts_with("{\"ok\":true"), "{stats}");
+    let stderr = daemon.shutdown();
+    assert!(!stderr.contains("connection"), "{stderr}");
+    for mut stream in [idle, half] {
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).expect("EOF after the drain");
+        assert!(rest.is_empty(), "{rest:?}");
+    }
+}
