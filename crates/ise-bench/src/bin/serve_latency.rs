@@ -1,28 +1,34 @@
 //! Experiment E9 (DESIGN.md): `ise serve` cold-vs-warm latency and cache hit rates.
 //!
 //! Spawns the built `ise` binary as `ise serve` over stdin/stdout pipes, replays one
-//! `enumerate` request per committed corpus block twice, and measures the client-side
+//! `enumerate` request per committed corpus block, and measures the client-side
 //! round-trip latency of each request. The first pass is cold (every request computes
-//! and populates the content-addressed cache), the second is warm (every request is a
-//! string lookup); the bench asserts that every warm response carries `cached:true`
-//! and that its `result` payload is **byte-identical** to the cold one. A final
-//! `stats` request collects the daemon's hit/miss counters and a `shutdown` request
-//! checks graceful exit.
+//! and populates the content-addressed cache); the warm passes that follow replay
+//! the same requests, each a string lookup. The bench asserts that every warm
+//! response carries `cached:true` and that its `result` payload is
+//! **byte-identical** to the cold one. A final `stats` request collects the
+//! daemon's hit/miss counters and a `shutdown` request checks graceful exit.
 //!
 //! A second phase measures the **concurrent** daemon over TCP: a fresh
 //! `ise serve --listen 127.0.0.1:0` is warmed once, then its warm throughput is
 //! measured from 1 client and from `clients` (default 4) parallel clients, each
-//! replaying the whole request list over its own connection. On a multi-core host
-//! the multi-client warm throughput must be at least 2x the single-connection
-//! throughput (warm requests are lock-then-string-lookup, so they scale with
-//! connections); on a single-CPU container the numbers are recorded without the
-//! assertion — the artifact's `tcp.cpus` field says which world produced it.
+//! replaying the whole request list `rounds` times over its own connection.
 //!
-//! The stdout report is CSV (one row per block with cold/warm latency and speedup);
-//! the committed `BENCH_serve.json` artifact (schema v2) records the same rows plus
-//! corpus-level aggregates and the TCP throughput phase. In full mode the bench
-//! asserts the aggregate warm speedup is at least 100x — the headline number the
-//! cache exists to deliver.
+//! Every gated quantity is timed as [`SAMPLES`] interleaved samples: each sample
+//! round runs one warm pass, one 1-client TCP phase and one multi-client TCP
+//! phase, and the gates read the medians. In full mode the median warm pass must
+//! be at least 100x faster than the cold pass — the headline number the cache
+//! exists to deliver — and, on a multi-core host, the median multi-client warm
+//! throughput at least 2x the median single-connection throughput (warm requests
+//! are lock-then-string-lookup, so they scale with connections); on a single-CPU
+//! container the numbers are recorded without that assertion — the artifact's
+//! `tcp.cpus` field says which world produced it.
+//!
+//! The stdout report is CSV (one row per block with its cold latency, its median
+//! warm latency and their ratio) followed by `#` lines with the medians and every
+//! sample; the committed `BENCH_serve.json` artifact (schema v3) records the same
+//! rows, the corpus-level aggregates and the TCP phase, each median beside all of
+//! its samples.
 //!
 //! Options (key=value): `corpus` (default `corpus`), `budget` (default 100000 search
 //! nodes per block, 20000 in smoke mode; 0 = unbounded), `nin`/`nout` (default 4/2),
@@ -41,6 +47,10 @@ use std::time::{Duration, Instant};
 use ise_bench::json::Json;
 use ise_bench::{Options, PAPER_NIN, PAPER_NOUT};
 use ise_corpus::load_corpus_path;
+
+/// Interleaved timed samples of each gated quantity: the warm pass, and the
+/// 1-client and multi-client TCP throughput. The gates read their medians.
+const SAMPLES: usize = 5;
 
 /// The daemon under test: a child `ise serve` process spoken to over pipes.
 struct Server {
@@ -211,6 +221,27 @@ fn envelope(response: &str) -> Json {
     doc
 }
 
+/// The median of `samples` (the mean of the middle two for an even count).
+fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 0 {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    } else {
+        sorted[mid]
+    }
+}
+
+/// `numerator / denominator`, or 0 for a zero denominator.
+fn ratio(numerator: f64, denominator: f64) -> f64 {
+    if denominator > 0.0 {
+        numerator / denominator
+    } else {
+        0.0
+    }
+}
+
 fn default_bin() -> String {
     let exe = std::env::current_exe().expect("current executable path");
     let dir = exe.parent().expect("executable directory");
@@ -274,42 +305,69 @@ fn main() {
         );
         cold.push((response, elapsed_ms));
     }
+    let cold_total: f64 = cold.iter().map(|(_, ms)| ms).sum();
 
-    // Warm pass: identical requests, every answer replayed from the response cache.
+    // A fresh concurrent daemon for the TCP phase, warmed once.
+    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+    let tcp = TcpServer::spawn(&bin);
+    {
+        let mut stream = tcp.connect();
+        let mut reader = BufReader::new(stream.try_clone().expect("stream clone"));
+        for request in &requests {
+            writeln!(stream, "{request}").expect("warmup request written");
+            let mut response = String::new();
+            reader
+                .read_line(&mut response)
+                .expect("warmup response read");
+            envelope(response.trim_end());
+        }
+    }
+
+    // Interleaved samples: each round times one warm pass over stdin (every
+    // answer replayed from the response cache), then the warm requests/second
+    // of one TCP connection and of `clients` parallel ones. The gates read the
+    // medians, so one disturbed sample on a shared host cannot decide them.
+    let mut warm_ms: Vec<Vec<f64>> = vec![Vec::new(); requests.len()];
+    let (mut warm_totals, mut single_samples, mut multi_samples) = (vec![], vec![], vec![]);
+    for _ in 0..SAMPLES {
+        let mut total = 0.0;
+        for (index, request) in requests.iter().enumerate() {
+            let (response, elapsed_ms) = server.roundtrip(request);
+            let doc = envelope(&response);
+            assert_eq!(
+                doc.get("cached").and_then(Json::as_bool),
+                Some(true),
+                "a warm pass must hit the cache"
+            );
+            assert_eq!(
+                payload_of(&cold[index].0),
+                payload_of(&response),
+                "block {}: warm payload must be byte-identical to cold",
+                blocks[index].dfg.name()
+            );
+            warm_ms[index].push(elapsed_ms);
+            total += elapsed_ms;
+        }
+        warm_totals.push(total);
+        single_samples.push(warm_throughput(&tcp, &requests, 1, rounds));
+        multi_samples.push(warm_throughput(&tcp, &requests, clients, rounds));
+    }
+    tcp.shutdown();
+
     println!("block,nodes,cuts,cold_ms,warm_ms,speedup");
     let mut rows = Vec::new();
-    let mut cold_total = 0.0f64;
-    let mut warm_total = 0.0f64;
-    for (index, request) in requests.iter().enumerate() {
-        let (response, warm_ms) = server.roundtrip(request);
-        let doc = envelope(&response);
-        assert_eq!(
-            doc.get("cached").and_then(Json::as_bool),
-            Some(true),
-            "second pass must hit the cache"
-        );
-        let (cold_response, cold_ms) = &cold[index];
-        assert_eq!(
-            payload_of(cold_response),
-            payload_of(&response),
-            "block {}: warm payload must be byte-identical to cold",
-            blocks[index].dfg.name()
-        );
+    for (index, (cold_response, cold_ms)) in cold.iter().enumerate() {
+        let doc = envelope(cold_response);
         let cuts = doc
             .get("result")
             .and_then(|r| r.get("aggregate"))
             .and_then(|a| a.get("total_cuts"))
             .and_then(Json::as_u64)
             .expect("enumerate result reports a cut count");
-        let speedup = if warm_ms > 0.0 {
-            cold_ms / warm_ms
-        } else {
-            0.0
-        };
-        cold_total += cold_ms;
-        warm_total += warm_ms;
+        let warm = median(&warm_ms[index]);
+        let speedup = ratio(*cold_ms, warm);
         println!(
-            "{},{},{cuts},{cold_ms:.3},{warm_ms:.3},{speedup:.0}",
+            "{},{},{cuts},{cold_ms:.3},{warm:.3},{speedup:.0}",
             blocks[index].dfg.name(),
             blocks[index].dfg.len(),
         );
@@ -324,7 +382,7 @@ fn main() {
                     .map_or(Json::Null, Json::str),
             ),
             ("cold_ms", Json::num(*cold_ms)),
-            ("warm_ms", Json::num(warm_ms)),
+            ("warm_ms", Json::num(warm)),
             ("speedup", Json::num(speedup)),
         ]));
     }
@@ -344,58 +402,44 @@ fn main() {
     let hit_rate = response_hits as f64 / (response_hits + response_misses) as f64;
     server.shutdown();
 
-    let warm_speedup = if warm_total > 0.0 {
-        cold_total / warm_total
-    } else {
-        0.0
+    let warm_total = median(&warm_totals);
+    let warm_speedup = ratio(cold_total, warm_total);
+    let (single_rps, multi_rps) = (median(&single_samples), median(&multi_samples));
+    let tcp_speedup = ratio(multi_rps, single_rps);
+    let listed = |samples: &[f64]| {
+        let shown: Vec<String> = samples.iter().map(|v| format!("{v:.1}")).collect();
+        shown.join(" ")
     };
     println!(
-        "# {} blocks: cold {cold_total:.1} ms, warm {warm_total:.1} ms \
-         ({warm_speedup:.0}x), response hit rate {:.2}",
+        "# {} blocks: cold {cold_total:.1} ms, warm {warm_total:.1} ms median \
+         ({warm_speedup:.0}x), response hit rate {hit_rate:.2}",
         blocks.len(),
-        hit_rate,
+    );
+    println!("# warm pass samples (ms): {}", listed(&warm_totals));
+    println!(
+        "# tcp warm throughput medians: 1 client {single_rps:.0} req/s, {clients} clients \
+         {multi_rps:.0} req/s ({tcp_speedup:.2}x aggregate, {cpus} cpus)"
+    );
+    println!(
+        "# tcp 1-client samples (req/s): {}",
+        listed(&single_samples)
+    );
+    println!(
+        "# tcp {clients}-client samples (req/s): {}",
+        listed(&multi_samples)
     );
     assert_eq!(
         response_hits,
-        blocks.len() as u64,
+        (SAMPLES * blocks.len()) as u64,
         "every warm request hits the response cache"
     );
     if !smoke {
         assert!(
             warm_speedup >= 100.0,
-            "warm pass must be at least 100x faster than cold (got {warm_speedup:.0}x)"
+            "the median warm pass must be at least 100x faster than cold \
+             (got {warm_speedup:.0}x)"
         );
     }
-
-    // TCP throughput phase: warm a fresh concurrent daemon once, then measure
-    // warm requests/second from 1 connection and from `clients` parallel
-    // connections.
-    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    let tcp = TcpServer::spawn(&bin);
-    {
-        let mut stream = tcp.connect();
-        let mut reader = BufReader::new(stream.try_clone().expect("stream clone"));
-        for request in &requests {
-            writeln!(stream, "{request}").expect("warmup request written");
-            let mut response = String::new();
-            reader
-                .read_line(&mut response)
-                .expect("warmup response read");
-            envelope(response.trim_end());
-        }
-    }
-    let single_rps = warm_throughput(&tcp, &requests, 1, rounds);
-    let multi_rps = warm_throughput(&tcp, &requests, clients, rounds);
-    tcp.shutdown();
-    let tcp_speedup = if single_rps > 0.0 {
-        multi_rps / single_rps
-    } else {
-        0.0
-    };
-    println!(
-        "# tcp warm throughput: 1 client {single_rps:.0} req/s, {clients} clients \
-         {multi_rps:.0} req/s ({tcp_speedup:.2}x aggregate, {cpus} cpus)"
-    );
     // Warm requests are lock-then-lookup, so parallel connections scale on real
     // cores; a 1-CPU container interleaves them and the ratio hovers around 1x —
     // record the numbers, skip the assertion (the artifact's `cpus` field keeps
@@ -403,14 +447,15 @@ fn main() {
     if !smoke && cpus > 1 {
         assert!(
             tcp_speedup >= 2.0,
-            "{clients} warm clients must outrun one connection by >= 2x on {cpus} cpus \
-             (got {tcp_speedup:.2}x)"
+            "{clients} warm clients must outrun one connection by >= 2x in the \
+             medians on {cpus} cpus (got {tcp_speedup:.2}x)"
         );
     }
 
     if out_path != "-" {
+        let samples = |values: &[f64]| Json::Array(values.iter().map(|&v| Json::num(v)).collect());
         let doc = Json::object([
-            ("schema", Json::str("ise-bench/serve/v2")),
+            ("schema", Json::str("ise-bench/serve/v3")),
             ("meta", ise_bench::bench_meta("disabled")),
             ("corpus", Json::str(corpus)),
             ("nin", Json::uint(nin)),
@@ -424,6 +469,7 @@ fn main() {
                 },
             ),
             ("smoke", Json::bool(smoke)),
+            ("samples", Json::uint(SAMPLES)),
             ("rows", Json::Array(rows)),
             (
                 "aggregate",
@@ -431,6 +477,7 @@ fn main() {
                     ("blocks", Json::uint(blocks.len())),
                     ("cold_ms_total", Json::num(cold_total)),
                     ("warm_ms_total", Json::num(warm_total)),
+                    ("warm_ms_total_samples", samples(&warm_totals)),
                     ("warm_speedup", Json::num(warm_speedup)),
                     ("response_hits", Json::UInt(response_hits)),
                     ("response_misses", Json::UInt(response_misses)),
@@ -445,7 +492,9 @@ fn main() {
                     ("rounds", Json::uint(rounds)),
                     ("cpus", Json::uint(cpus)),
                     ("single_client_rps", Json::num(single_rps)),
+                    ("single_client_rps_samples", samples(&single_samples)),
                     ("multi_client_rps", Json::num(multi_rps)),
+                    ("multi_client_rps_samples", samples(&multi_samples)),
                     ("multi_client_speedup", Json::num(tcp_speedup)),
                 ]),
             ),

@@ -1,6 +1,6 @@
 //! Content-addressed result caching for the `ise serve` daemon.
 //!
-//! Four pieces, all dependency-free (DESIGN.md §7):
+//! Three pieces, all dependency-free (DESIGN.md §7):
 //!
 //! * [`content_hash`] — a stable 128-bit hex digest over a list of byte strings,
 //!   computed with two independent FNV-1a accumulators; [`ContentHasher`] is its
@@ -12,14 +12,16 @@
 //! * [`LruCache`] — a bounded, least-recently-used map from hex keys to values,
 //!   with hit/miss/eviction counters. The bound is a hard invariant: the cache
 //!   never holds more than `cap` entries (property-tested in `tests/serve.rs`).
-//! * [`ResponseCache`] — an [`LruCache`] over rendered response payloads, backed by
-//!   an optional on-disk directory (`--cache-dir`) so a restarted daemon answers
-//!   warm. Disk I/O is strictly best-effort: a read or write failure degrades to a
-//!   miss, never to a request error.
-//! * [`SingleFlight`] — request coalescing for the concurrent daemon: N threads
-//!   missing the cache on the *same* key elect exactly one leader to compute while
-//!   the rest block on the leader's published outcome, so a thundering herd of
-//!   identical cold requests triggers exactly one `run_batch_obs` (DESIGN.md §7.4).
+//!   The daemon's response cache holds one `Arc<OnceLock<String>>` cell per key:
+//!   [`LruCache::get_or_insert_with`] hands every request its key's cell, the first
+//!   request to initialize the cell computes the payload, and concurrent requests
+//!   for the same key wait on that cell instead of computing (DESIGN.md §7.4).
+//! * `read_payload` and `write_payload` — the optional `--cache-dir` tier, one
+//!   `<key>.json` file per response payload, so a restarted daemon answers warm.
+//!   A file holds the payload's content hash beside it, is written under a
+//!   temporary name and renamed into place, and is checked on every read; a file
+//!   that fails the check is a miss and is removed. Disk I/O is best-effort: a
+//!   failure degrades to a miss, never to a request error.
 //!
 //! Cache *keys* are derived from semantic request content only — canonical `.dfg`
 //! bytes ([`ise_corpus::CorpusBlock::canonical_bytes`]) plus the flag tokens of
@@ -27,12 +29,13 @@
 //! wall-clock time, thread counts or file paths. Cache *values* are fully rendered
 //! deterministic payloads, so a hit is a string lookup and the cold and warm bytes
 //! are identical by construction — which is also what makes coalescing sound: a
-//! follower returning the leader's bytes is indistinguishable from recomputing.
+//! request answered from another request's computation is indistinguishable from
+//! one that recomputed.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
 
 /// Stable 128-bit content hash of `parts`, as 32 lowercase hex characters: a
 /// [`ContentHasher`] fed every part in order.
@@ -129,12 +132,10 @@ impl ContentHasher {
 /// Hit/miss accounting of one cache, reported by the daemon's `stats` op.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from memory.
+    /// Lookups that found an entry.
     pub hits: u64,
-    /// Lookups answered by neither memory nor disk.
+    /// Lookups that found no entry.
     pub misses: u64,
-    /// Lookups missed in memory but recovered from the disk directory.
-    pub disk_hits: u64,
     /// Entries inserted.
     pub puts: u64,
     /// Entries dropped to keep the cache within its capacity.
@@ -153,7 +154,6 @@ impl CacheStats {
         };
         gauge("hits", self.hits);
         gauge("misses", self.misses);
-        gauge("disk_hits", self.disk_hits);
         gauge("puts", self.puts);
         gauge("evictions", self.evictions);
     }
@@ -226,6 +226,21 @@ impl<V> LruCache<V> {
         }
     }
 
+    /// Returns a copy of `key`'s entry, marking it most recently used, or inserts
+    /// `make()` for it (counted as a miss and a put) and returns a copy of that.
+    /// With capacity 0 nothing is kept, so every call makes a fresh value.
+    pub fn get_or_insert_with(&mut self, key: &str, make: impl FnOnce() -> V) -> V
+    where
+        V: Clone,
+    {
+        if let Some(value) = self.get(key) {
+            return value.clone();
+        }
+        let value = make();
+        self.put(key, value.clone());
+        value
+    }
+
     /// Publishes this cache's counters ([`CacheStats::publish`]) and its
     /// `ise_cache_entries`/`ise_cache_cap` gauges under the label `cache`.
     pub fn publish(&self, rec: &dyn ise_obs::Recorder, cache: &str) {
@@ -267,237 +282,59 @@ impl<V> LruCache<V> {
     }
 }
 
-/// The daemon's response cache: a bounded in-memory [`LruCache`] over rendered
-/// payload strings, optionally backed by a directory of `<key>.json` files.
+/// Where [`write_payload`] stores `key`'s payload in `dir`.
+fn payload_path(dir: &Path, key: &str) -> PathBuf {
+    dir.join(format!("{key}.json"))
+}
+
+/// The payload [`write_payload`] stored for `key` in `dir`, or `None`.
 ///
-/// Disk reads re-populate memory (and count as [`CacheStats::disk_hits`]); disk
-/// writes happen on every insert. All disk I/O is best-effort — an unreadable or
-/// unwritable cache directory silently degrades the daemon to memory-only caching,
-/// because caching must never turn a computable request into an error.
-#[derive(Debug)]
-pub struct ResponseCache {
-    memory: LruCache<String>,
-    dir: Option<PathBuf>,
+/// A file is its payload's [`content_hash`], a newline, then the payload. A file
+/// that cannot be read, or whose payload does not match its hash (a truncated or
+/// corrupt file, or one written by an older daemon), is removed and read as a
+/// miss, so the caller recomputes and rewrites it.
+pub(crate) fn read_payload(dir: &Path, key: &str) -> Option<String> {
+    let path = payload_path(dir, key);
+    let verified = match std::fs::read_to_string(&path) {
+        Err(error) if error.kind() == io::ErrorKind::NotFound => return None,
+        Err(_) => None,
+        Ok(text) => text
+            .split_once('\n')
+            .filter(|&(hash, payload)| hash == content_hash(&[payload]))
+            .map(|(_, payload)| payload.to_string()),
+    };
+    if verified.is_none() {
+        let _ = std::fs::remove_file(&path);
+    }
+    verified
 }
 
-impl ResponseCache {
-    /// A cache holding at most `cap` payloads in memory, mirrored to `dir` when
-    /// given (the directory is created eagerly, best-effort).
-    pub fn new(cap: usize, dir: Option<PathBuf>) -> Self {
-        if let Some(dir) = &dir {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        ResponseCache {
-            memory: LruCache::new(cap),
-            dir,
-        }
-    }
-
-    /// The accounting so far (disk hits included).
-    pub fn stats(&self) -> CacheStats {
-        self.memory.stats()
-    }
-
-    /// The in-memory capacity this cache was created with.
-    pub fn cap(&self) -> usize {
-        self.memory.cap()
-    }
-
-    /// Number of payloads currently in memory.
-    pub fn len(&self) -> usize {
-        self.memory.len()
-    }
-
-    /// Whether the in-memory cache holds no payloads.
-    pub fn is_empty(&self) -> bool {
-        self.memory.is_empty()
-    }
-
-    /// Publishes the in-memory cache's gauges ([`LruCache::publish`]).
-    pub fn publish(&self, rec: &dyn ise_obs::Recorder, cache: &str) {
-        self.memory.publish(rec, cache);
-    }
-
-    /// Looks up `key` in memory without touching the hit/miss counters or the
-    /// recency order. The single-flight re-check hook: a flight leader probes
-    /// once more before computing (a racing leader may have filled the cache as
-    /// its flight retired), and that probe must not distort the accounting the
-    /// per-request `get` already did.
-    pub fn peek(&self, key: &str) -> Option<String> {
-        self.memory.map.get(key).cloned()
-    }
-
-    /// Looks up `key` in memory, then on disk. A disk hit is promoted into memory.
-    pub fn get(&mut self, key: &str) -> Option<String> {
-        if let Some(hit) = self.memory.get(key) {
-            return Some(hit.clone());
-        }
-        let path = self.dir.as_ref()?.join(format!("{key}.json"));
-        let payload = std::fs::read_to_string(path).ok()?;
-        self.memory.stats.disk_hits += 1;
-        self.memory.put(key, payload.clone());
-        Some(payload)
-    }
-
-    /// Stores `key -> payload` in memory and, when configured, on disk.
-    pub fn put(&mut self, key: &str, payload: &str) {
-        self.memory.put(key, payload.to_string());
-        if let Some(dir) = &self.dir {
-            let _ = std::fs::write(dir.join(format!("{key}.json")), payload);
-        }
-    }
-}
-
-/// Counters of one [`SingleFlight`], reported by the daemon's `stats` op.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FlightStats {
-    /// Times a caller became the leader of a new flight (one per distinct
-    /// in-flight key — the number of computations that actually ran).
-    pub leaders: u64,
-    /// Times a caller joined an existing flight and waited for its leader's
-    /// outcome instead of computing — the work the coalescing saved.
-    pub coalesced: u64,
-}
-
-impl FlightStats {
-    /// Publishes this snapshot into a metrics registry as gauges
-    /// (`ise_flight_leaders`, `ise_flight_coalesced`).
-    pub fn publish(&self, rec: &dyn ise_obs::Recorder) {
-        rec.set_gauge("ise_flight_leaders", self.leaders);
-        rec.set_gauge("ise_flight_coalesced", self.coalesced);
-    }
-}
-
-/// One in-flight computation: the slot followers block on until the leader
-/// publishes. `outcome` is `None` while the computation runs.
-#[derive(Debug, Default)]
-struct FlightSlot {
-    outcome: Mutex<Option<Result<String, String>>>,
-    ready: Condvar,
-}
-
-/// The caller's role in a flight, returned by [`SingleFlight::join`].
-pub enum Flight<'a> {
-    /// This caller must compute and then [`FlightGuard::publish`] the outcome.
-    Leader(FlightGuard<'a>),
-    /// Another caller was already computing this key; this is its published
-    /// outcome (`Ok(payload)` or `Err(error message)`).
-    Coalesced(Result<String, String>),
-}
-
-/// The leader's obligation token: publishes the outcome to every waiting
-/// follower and retires the flight. Dropping the guard without publishing
-/// (a panic on the compute path) publishes an error so followers never hang.
-pub struct FlightGuard<'a> {
-    flights: &'a SingleFlight,
-    key: String,
-    slot: Arc<FlightSlot>,
-    published: bool,
-}
-
-impl FlightGuard<'_> {
-    /// Publishes the computation's outcome, waking every coalesced follower, and
-    /// removes the flight so later requests for the key start fresh (they will
-    /// hit the response cache the leader filled before publishing).
-    pub fn publish(mut self, outcome: Result<String, String>) {
-        self.resolve(outcome);
-    }
-
-    fn resolve(&mut self, outcome: Result<String, String>) {
-        if self.published {
-            return;
-        }
-        self.published = true;
-        // Retire the flight *before* waking followers: a new request arriving now
-        // starts its own flight (or hits the cache) instead of reading a slot that
-        // is about to be dropped by the last follower.
-        self.flights
-            .flights
-            .lock()
-            .expect("flight map lock")
-            .remove(&self.key);
-        let mut published = self.slot.outcome.lock().expect("flight slot lock");
-        *published = Some(outcome);
-        self.slot.ready.notify_all();
-    }
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        self.resolve(Err("the computation leading this flight failed".to_string()));
-    }
-}
-
-/// Coalesces concurrent computations of the same cache key: the first caller to
-/// [`SingleFlight::join`] a key becomes the **leader** (and must compute, fill the
-/// cache, and [`FlightGuard::publish`]), every concurrent caller for the same key
-/// becomes a **follower** and blocks until the leader publishes. Keys are
-/// content hashes, so two requests share a flight exactly when their stripped
-/// responses would be byte-identical anyway — coalescing is observably pure.
-///
-/// # Example
-///
-/// ```
-/// use ise_cli::cache::{Flight, SingleFlight};
-///
-/// let flights = SingleFlight::default();
-/// let Flight::Leader(guard) = flights.join("key") else {
-///     panic!("first join leads");
-/// };
-/// guard.publish(Ok("payload".to_string()));
-/// assert_eq!(flights.stats().leaders, 1);
-/// ```
-#[derive(Debug, Default)]
-pub struct SingleFlight {
-    flights: Mutex<HashMap<String, Arc<FlightSlot>>>,
-    leaders: AtomicU64,
-    coalesced: AtomicU64,
-}
-
-impl SingleFlight {
-    /// Joins the flight for `key`: the first concurrent caller leads (and must
-    /// publish through the returned guard), the rest block here until the leader
-    /// publishes and receive its outcome.
-    pub fn join(&self, key: &str) -> Flight<'_> {
-        let slot = {
-            let mut flights = self.flights.lock().expect("flight map lock");
-            match flights.get(key) {
-                Some(slot) => Arc::clone(slot),
-                None => {
-                    let slot = Arc::new(FlightSlot::default());
-                    flights.insert(key.to_string(), Arc::clone(&slot));
-                    self.leaders.fetch_add(1, Ordering::Relaxed);
-                    return Flight::Leader(FlightGuard {
-                        flights: self,
-                        key: key.to_string(),
-                        slot,
-                        published: false,
-                    });
-                }
-            }
-        };
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
-        let mut outcome = slot.outcome.lock().expect("flight slot lock");
-        while outcome.is_none() {
-            outcome = slot
-                .ready
-                .wait(outcome)
-                .expect("flight leader never poisons the slot");
-        }
-        Flight::Coalesced(outcome.clone().expect("loop exits only once published"))
-    }
-
-    /// The accounting so far.
-    pub fn stats(&self) -> FlightStats {
-        FlightStats {
-            leaders: self.leaders.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-        }
+/// Stores `payload` for `key` in `dir`, best-effort. The file is written under a
+/// name unique to this process and call, then renamed to `<key>.json`, so a
+/// reader finds either the old file, no file or the whole new one; a failed
+/// write removes its temporary file. Nothing is synced to disk: a file that a
+/// crash of the machine damages fails the check in [`read_payload`] and is
+/// recomputed.
+pub(crate) fn write_payload(dir: &Path, key: &str, payload: &str) {
+    static WRITES: AtomicU64 = AtomicU64::new(0);
+    let temp = dir.join(format!(
+        ".{key}.{}.{}.tmp",
+        std::process::id(),
+        WRITES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let text = format!("{}\n{payload}", content_hash(&[payload]));
+    let written =
+        std::fs::write(&temp, text).and_then(|()| std::fs::rename(&temp, payload_path(dir, key)));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&temp);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, Barrier, Mutex, OnceLock};
+    use std::time::Duration;
+
     use super::*;
 
     #[test]
@@ -589,104 +426,138 @@ mod tests {
         );
     }
 
+    /// A response cache as the daemon holds it: one once-cell per key.
+    type Cells = Mutex<LruCache<Arc<OnceLock<String>>>>;
+
+    fn cell(cells: &Cells, key: &str) -> Arc<OnceLock<String>> {
+        cells.lock().unwrap().get_or_insert_with(key, Arc::default)
+    }
+
     #[test]
-    fn response_cache_round_trips_through_disk() {
+    fn get_or_insert_with_makes_once_per_key() {
+        let mut cache = LruCache::new(2);
+        assert_eq!(cache.get_or_insert_with("a", || 1), 1);
+        assert_eq!(cache.get_or_insert_with("a", || 2), 1, "a is kept");
+        assert_eq!(cache.get_or_insert_with("b", || 3), 3);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.puts), (1, 2, 2));
+    }
+
+    #[test]
+    fn a_follower_of_a_panicking_initializer_is_answered() {
+        let cells = Cells::new(LruCache::new(4));
+        let leader_cell = cell(&cells, "k");
+        let (entered, released) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| {
+                leader_cell.get_or_init(|| {
+                    entered.wait();
+                    released.wait();
+                    panic!("the computation failed");
+                });
+            });
+            entered.wait();
+            let follower_cell = cell(&cells, "k");
+            assert!(
+                Arc::ptr_eq(&leader_cell, &follower_cell),
+                "one cell per key"
+            );
+            let follower =
+                scope.spawn(move || follower_cell.get_or_init(|| "payload".to_string()).clone());
+            // Whether the follower blocks on the cell before the panic or reaches
+            // it after, it must be answered; the pause makes blocking the likely
+            // case, since no API shows that a thread waits on a `OnceLock`.
+            std::thread::sleep(Duration::from_millis(50));
+            released.wait();
+            assert!(
+                leader.join().is_err(),
+                "the leader's panic reaches its caller"
+            );
+            assert_eq!(follower.join().unwrap(), "payload");
+        });
+        assert!(!cells.is_poisoned(), "no lock is held while a cell fills");
+        assert_eq!(cell(&cells, "k").get().map(String::as_str), Some("payload"));
+    }
+
+    #[test]
+    fn distinct_keys_compute_independently() {
+        let cells = Cells::new(LruCache::new(4));
+        let (a, b) = (cell(&cells, "a"), cell(&cells, "b"));
+        let (entered, released) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|scope| {
+            let slow = scope.spawn(|| {
+                a.get_or_init(|| {
+                    entered.wait();
+                    released.wait();
+                    "ra".to_string()
+                })
+                .clone()
+            });
+            entered.wait();
+            // `a` is still computing; `b` neither waits for it nor shares its cell.
+            assert_eq!(b.get_or_init(|| "rb".to_string()), "rb");
+            released.wait();
+            assert_eq!(slow.join().unwrap(), "ra");
+        });
+        let stats = cells.lock().unwrap().stats();
+        assert_eq!((stats.hits, stats.misses, stats.puts), (0, 2, 2));
+    }
+
+    #[test]
+    fn zero_capacity_answers_concurrent_requests_by_computing_each() {
+        const CLIENTS: usize = 4;
+        let cells = Cells::new(LruCache::new(0));
+        let runs = AtomicU64::new(0);
+        let barrier = Barrier::new(CLIENTS);
+        std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        cell(&cells, "k")
+                            .get_or_init(|| {
+                                runs.fetch_add(1, Ordering::Relaxed);
+                                "payload".to_string()
+                            })
+                            .clone()
+                    })
+                })
+                .collect();
+            for client in clients {
+                assert_eq!(client.join().unwrap(), "payload");
+            }
+        });
+        assert_eq!(runs.into_inner(), CLIENTS as u64, "cap 0 coalesces nothing");
+        assert!(cells.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn payload_files_round_trip_and_damaged_ones_are_removed() {
         let dir = std::env::temp_dir().join(format!("ise-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        {
-            let mut cache = ResponseCache::new(4, Some(dir.clone()));
-            cache.put("k1", "{\"x\":1}");
-            assert_eq!(cache.get("k1").as_deref(), Some("{\"x\":1}"));
-        }
-        // A fresh (restarted) cache recovers the payload from disk.
-        let mut cache = ResponseCache::new(4, Some(dir.clone()));
-        assert!(cache.is_empty());
-        assert_eq!(cache.get("k1").as_deref(), Some("{\"x\":1}"));
-        assert_eq!(cache.stats().disk_hits, 1);
-        assert_eq!(cache.len(), 1, "disk hit promoted into memory");
-        assert_eq!(cache.get("absent"), None);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn response_cache_without_dir_is_memory_only() {
-        let mut cache = ResponseCache::new(1, None);
-        cache.put("a", "1");
-        cache.put("b", "2");
-        assert_eq!(cache.get("a"), None, "evicted, and no disk to recover from");
-        assert_eq!(cache.get("b").as_deref(), Some("2"));
-    }
-
-    #[test]
-    fn single_flight_coalesces_concurrent_joins() {
-        let flights = Arc::new(SingleFlight::default());
-        let Flight::Leader(guard) = flights.join("k") else {
-            panic!("first join must lead");
-        };
-        let followers: Vec<_> = (0..4)
-            .map(|_| {
-                let flights = Arc::clone(&flights);
-                std::thread::spawn(move || match flights.join("k") {
-                    Flight::Coalesced(outcome) => outcome,
-                    Flight::Leader(_) => panic!("joined while a leader was in flight"),
-                })
-            })
+        std::fs::create_dir_all(&dir).unwrap();
+        assert_eq!(read_payload(&dir, "k1"), None, "nothing stored yet");
+        write_payload(&dir, "k1", "{\"x\":1}");
+        assert_eq!(read_payload(&dir, "k1").as_deref(), Some("{\"x\":1}"));
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
             .collect();
-        // Wait until every follower is registered on the flight before publishing.
-        while flights.stats().coalesced < 4 {
-            std::thread::yield_now();
-        }
-        guard.publish(Ok("payload".to_string()));
-        for follower in followers {
-            assert_eq!(follower.join().unwrap(), Ok("payload".to_string()));
-        }
-        let stats = flights.stats();
-        assert_eq!(stats.leaders, 1, "one computation for five joins");
-        assert_eq!(stats.coalesced, 4);
-        // The flight retired: the next join leads a fresh computation.
-        assert!(matches!(flights.join("k"), Flight::Leader(_)));
-        assert_eq!(flights.stats().leaders, 2);
-    }
+        assert_eq!(names, ["k1.json"], "the temporary file was renamed");
 
-    #[test]
-    fn distinct_keys_fly_independently() {
-        let flights = SingleFlight::default();
-        let Flight::Leader(a) = flights.join("a") else {
-            panic!("a leads");
-        };
-        let Flight::Leader(b) = flights.join("b") else {
-            panic!("b leads too — different key, different flight");
-        };
-        a.publish(Ok("ra".to_string()));
-        b.publish(Err("eb".to_string()));
+        let path = dir.join("k1.json");
+        let whole = std::fs::read(&path).unwrap();
+        for damaged in [&whole[..whole.len() - 1], b"{\"x\":1}", &[0xff, b'\n']] {
+            std::fs::write(&path, damaged).unwrap();
+            assert_eq!(read_payload(&dir, "k1"), None, "{damaged:?}");
+            assert!(!path.exists(), "a damaged file is removed");
+        }
+        write_payload(&dir.join("missing"), "k2", "2");
         assert_eq!(
-            flights.stats(),
-            FlightStats {
-                leaders: 2,
-                coalesced: 0
-            }
+            read_payload(&dir, "k2"),
+            None,
+            "a failed write stores nothing"
         );
-    }
-
-    #[test]
-    fn dropped_leader_publishes_an_error_instead_of_hanging_followers() {
-        let flights = Arc::new(SingleFlight::default());
-        let guard = match flights.join("k") {
-            Flight::Leader(guard) => guard,
-            Flight::Coalesced(_) => panic!("first join must lead"),
-        };
-        let follower = {
-            let flights = Arc::clone(&flights);
-            std::thread::spawn(move || match flights.join("k") {
-                Flight::Coalesced(outcome) => outcome,
-                Flight::Leader(_) => panic!("joined while a leader was in flight"),
-            })
-        };
-        while flights.stats().coalesced < 1 {
-            std::thread::yield_now();
-        }
-        drop(guard); // the leader's computation panicked / bailed without publishing
-        let outcome = follower.join().unwrap();
-        assert!(outcome.is_err(), "followers must see an error, not hang");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -149,7 +149,8 @@ counters (requests, cache, memo, engine, pool). `serve --trace-out`
 writes a Chrome trace-event profile at graceful shutdown.
 Results are cached by a content hash of the canonical block bytes and
 the semantic flags; --cache-cap bounds each in-memory cache (0
-disables) and --cache-dir persists responses across restarts.
+disables caching, and with it coalescing) and --cache-dir persists
+responses across restarts.
 --compute-delay-ms is a test seam delaying every cold computation.
 SIGTERM shuts the daemon down gracefully: in-flight requests finish,
 then the process exits with status 0.";

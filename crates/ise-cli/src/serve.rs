@@ -35,10 +35,11 @@
 //! formatting-only variants of a block share a key), the engine flag tokens
 //! ([`ise_enum::Constraints::cache_token`], [`ise_enum::PruningConfig::cache_token`],
 //! budget and fan-out threshold) and the op-specific flags. Results are
-//! held in a bounded in-memory LRU ([`crate::cache::ResponseCache`]) backed by an
-//! optional `--cache-dir` directory that survives restarts. Below the response
-//! cache, per-block `Enumeration`s and canonical codings are cached under their own
-//! content keys, so an `enumerate` followed by a `group` over the same corpus
+//! held in a bounded in-memory LRU of once-cells, one per key, backed by an
+//! optional `--cache-dir` directory that survives restarts
+//! (`cache::read_payload`, `cache::write_payload`). Below the
+//! response cache, per-block `Enumeration`s and canonical codings are cached
+//! under their own content keys, so an `enumerate` followed by a `group` over the same corpus
 //! re-enumerates nothing. Beneath all three sits a shared [`ise_canon::CanonMemo`]:
 //! the canonical labeler runs once per distinct raw interface graph over the
 //! daemon's whole lifetime. Before any key is derived, a source cache keeps each
@@ -53,14 +54,19 @@
 //! **Concurrency.** `--listen` accepts up to `--max-connections` concurrent
 //! connections, each on its own thread; all threads share one [`ServerState`]
 //! whose caches live behind mutexes and whose counters are atomics. Concurrent
-//! *cold* requests for the same content key are **coalesced**
-//! ([`crate::cache::SingleFlight`]): one thread computes, every concurrent
-//! duplicate blocks on the published outcome — N clients asking for the same cold
-//! block trigger exactly one `run_batch_obs`. Coalesced responses report
-//! `"cached":true` (they were answered without computing) and are counted by the
-//! `coalesced` counter in the `stats` op. Byte-identity is preserved under any
-//! interleaving because every payload is a pure function of its content key — the
-//! concurrency stress harness (`tests/serve_concurrent.rs` and
+//! *cold* requests for the same content key are **coalesced**: a request takes the
+//! response lock once, to find its key's `OnceLock` cell or insert an empty one,
+//! and answers from the cell outside every lock. A filled cell is a hit; otherwise
+//! the first request to initialize the cell reads the `--cache-dir` file or
+//! computes (and writes the file), and every concurrent duplicate waits on the
+//! same cell — N clients asking for the same cold block trigger exactly one
+//! `run_batch_obs`. A panicking initializer leaves the cell empty for a waiting
+//! request to fill. Coalesced responses report `"cached":true` (they were
+//! answered without computing) and are counted by the `coalesced` counter in the
+//! `stats` op. With `--cache-cap 0` no cell is kept, so nothing coalesces, and a
+//! cell evicted while it is still being filled may be computed once more.
+//! Byte-identity is preserved under any interleaving because every payload is a
+//! pure function of its content key — the concurrency stress harness (`tests/serve_concurrent.rs` and
 //! `crates/ise-cli/tests/serve_daemon.rs`) replays mixed workloads from many
 //! clients and compares stripped responses against a serial replay.
 //!
@@ -97,8 +103,7 @@ use ise_obs::{Counter, MetricsRegistry, Recorder};
 
 use crate::batch::{run_batch_obs, BatchConfig, BlockOutcome};
 use crate::cache::{
-    content_hash, CacheStats, ContentHasher, Flight, FlightStats, LruCache, ResponseCache,
-    SingleFlight,
+    content_hash, read_payload, write_payload, CacheStats, ContentHasher, LruCache,
 };
 use crate::job::{job_flags, Job, Op};
 use crate::report::written;
@@ -235,7 +240,8 @@ pub fn run_serve_command(args: &[String]) -> Result<(), CliError> {
 
 /// Daemon-level request accounting, reported as the `server` object of the
 /// `stats` op. Every protocol line that evaluates (or fails) counts exactly one
-/// of `hits` (answered without computing: response cache or a coalesced flight),
+/// of `hits` (answered without computing: a filled response cell, a `--cache-dir`
+/// file, or another request's computation, which also counts as `coalesced`),
 /// `misses` (this request ran the computation) or `errors` (`ok:false`), so
 /// `hits + misses + errors == requests` is an invariant the concurrency stress
 /// harness asserts. `stats` and `shutdown` lines are control traffic and are
@@ -250,6 +256,9 @@ struct ServeCounters {
     hits: Counter,
     misses: Counter,
     errors: Counter,
+    coalesced: Counter,
+    /// Response payloads read back from `--cache-dir`, reported under `responses`.
+    disk_hits: Counter,
     connection_errors: Counter,
 }
 
@@ -260,19 +269,24 @@ impl ServeCounters {
             hits: rec.counter("ise_serve_hits_total"),
             misses: rec.counter("ise_serve_misses_total"),
             errors: rec.counter("ise_serve_errors_total"),
+            coalesced: rec.counter("ise_serve_coalesced_total"),
+            disk_hits: rec.counter("ise_serve_disk_hits_total"),
             connection_errors: rec.counter("ise_serve_connection_errors_total"),
         }
     }
 }
 
-/// One daemon's shared state: caches, single-flight table, counters and the
-/// shutdown latch. Every cache lives behind its own mutex and every counter is
-/// atomic, so [`ServerState::handle_line`] takes `&self` and one state serves
+/// One daemon's shared state: caches, counters and the shutdown latch. Every
+/// cache lives behind its own mutex and every counter is atomic, so [`ServerState::handle_line`] takes `&self` and one state serves
 /// any number of connection threads ([`ServerState`] is `Sync`). The serve loops
 /// only move lines in and out — so tests drive the daemon in-process without
 /// sockets, or concurrently over `Arc<ServerState>`.
 pub struct ServerState {
-    responses: Mutex<ResponseCache>,
+    /// One cell per response key, filled once by the first request that
+    /// initializes it; concurrent requests for the key wait on the same cell.
+    responses: Mutex<LruCache<Arc<OnceLock<String>>>>,
+    /// Where response payloads persist across restarts (`--cache-dir`).
+    cache_dir: Option<PathBuf>,
     /// Each request source parsed once, keyed by the request's `block` string and
     /// answered only while its bytes are unchanged (see [`resolve`]).
     sources: SourceCache,
@@ -284,9 +298,6 @@ pub struct ServerState {
     /// labeled in any earlier request skip the canonical labeler. Already
     /// lock-striped internally — no outer mutex needed.
     memo: CanonMemo,
-    /// Coalesces concurrent cold computations of one response key: N clients
-    /// asking for the same cold block trigger exactly one `run_batch_obs`.
-    flights: SingleFlight,
     counters: ServeCounters,
     /// The daemon's metrics registry: request/engine/pool counters, request
     /// spans and cache/memo gauges, rendered by `GET /v1/metrics` (Prometheus)
@@ -321,9 +332,9 @@ enum Reply {
 /// series, beside `error`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Answer {
-    /// From the response cache.
+    /// From the response cache or its `--cache-dir` file.
     Hit,
-    /// From a concurrent request's computation (single-flight).
+    /// From a concurrent request's computation.
     Coalesced,
     /// Computed for this request.
     Miss,
@@ -342,18 +353,22 @@ impl Answer {
 impl ServerState {
     /// A fresh state whose four caches (responses, request sources, per-block
     /// enumerations, per-block codings) each hold at most `cap` entries;
-    /// `cache_dir` persists response payloads across restarts.
+    /// `cache_dir` persists response payloads across restarts (created here,
+    /// best-effort).
     pub fn new(cap: usize, cache_dir: Option<PathBuf>) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
         let mut memo = CanonMemo::new();
         memo.set_recorder(registry.as_ref());
+        if let Some(dir) = &cache_dir {
+            let _ = std::fs::create_dir_all(dir);
+        }
         ServerState {
-            responses: Mutex::new(ResponseCache::new(cap, cache_dir)),
+            responses: Mutex::new(LruCache::new(cap)),
+            cache_dir,
             sources: Mutex::new(LruCache::new(cap)),
             enumerations: Mutex::new(LruCache::new(cap)),
             codings: Mutex::new(LruCache::new(cap)),
             memo,
-            flights: SingleFlight::default(),
             counters: ServeCounters::new(registry.as_ref()),
             registry,
             compute_delay: None,
@@ -381,11 +396,6 @@ impl ServerState {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// The response cache's counters (test observability).
-    pub fn response_stats(&self) -> CacheStats {
-        self.responses.lock().expect("response cache lock").stats()
-    }
-
     /// The source cache's counters (test observability).
     pub fn source_stats(&self) -> CacheStats {
         self.sources.lock().expect("source cache lock").stats()
@@ -407,11 +417,6 @@ impl ServerState {
     /// The canonicalization memo's counters (test observability).
     pub fn memo_stats(&self) -> MemoStats {
         self.memo.stats()
-    }
-
-    /// The single-flight counters (test observability).
-    pub fn flight_stats(&self) -> FlightStats {
-        self.flights.stats()
     }
 
     /// Handles one protocol line and returns the response line (without the
@@ -451,6 +456,9 @@ impl ServerState {
                     self.counters.hits.incr();
                 } else {
                     self.counters.misses.incr();
+                }
+                if answer == Answer::Coalesced {
+                    self.counters.coalesced.incr();
                 }
                 // `elapsed_us` exists because warm hits routinely finish in well
                 // under a millisecond, where `elapsed_ms` truncates to 0; both
@@ -514,46 +522,29 @@ impl ServerState {
         }
     }
 
-    /// The shared evaluate path: answer a resolved request from the response
-    /// cache, a coalesced flight, or compute-and-fill.
+    /// The shared evaluate path: one lookup under the response lock finds the
+    /// key's cell or inserts an empty one, and the request is answered from the
+    /// cell outside every lock. A filled cell is a hit. Otherwise the request
+    /// initializes the cell ([`ServerState::load_or_compute`]), or waits for the
+    /// request already initializing it and answers its payload, byte-identical to
+    /// what this request would compute.
     fn evaluate(&self, resolved: Resolved) -> Result<Reply, CliError> {
-        let key = &resolved.key;
-        let hit = self.responses.lock().expect("response cache lock").get(key);
-        let (answer, payload) = match hit {
-            Some(payload) => (Answer::Hit, payload),
-            None => match self.flights.join(key) {
-                // Another thread computed this key while we waited: its published
-                // payload is byte-identical to what we would compute, so answer it
-                // as a cache hit — the computation never ran for this request.
-                Flight::Coalesced(Ok(payload)) => (Answer::Coalesced, payload),
-                Flight::Coalesced(Err(message)) => return Err(CliError::Usage(message)),
-                Flight::Leader(lead) => {
-                    // Between our cache miss and winning the flight, a previous
-                    // leader may have finished: re-check (without re-counting — the
-                    // miss above already counted this request) before computing.
-                    let peeked = self
-                        .responses
-                        .lock()
-                        .expect("response cache lock")
-                        .peek(key);
-                    let (answer, payload) = match peeked {
-                        Some(payload) => (Answer::Hit, payload),
-                        None => {
-                            let payload = self.compute(&resolved);
-                            // Fill the cache *before* publishing, so a request
-                            // arriving as the flight retires finds the payload
-                            // where it looks first.
-                            self.responses
-                                .lock()
-                                .expect("response cache lock")
-                                .put(key, &payload);
-                            (Answer::Miss, payload)
-                        }
-                    };
-                    lead.publish(Ok(payload.clone()));
-                    (answer, payload)
-                }
-            },
+        let cell = self
+            .responses
+            .lock()
+            .expect("response cache lock")
+            .get_or_insert_with(&resolved.key, Arc::default);
+        let (answer, payload) = match cell.get() {
+            Some(payload) => (Answer::Hit, payload.clone()),
+            None => {
+                let mut answer = Answer::Coalesced;
+                let payload = cell.get_or_init(|| {
+                    let (from_disk, payload) = self.load_or_compute(&resolved);
+                    answer = if from_disk { Answer::Hit } else { Answer::Miss };
+                    payload
+                });
+                (answer, payload.clone())
+            }
         };
         Ok(Reply::Evaluated {
             op: resolved.job.op.command(),
@@ -561,6 +552,22 @@ impl ServerState {
             answer,
             payload,
         })
+    }
+
+    /// A response cell's initializer: the payload of a verified `--cache-dir`
+    /// file (`true`), or a fresh computation, stored there for a restarted daemon
+    /// (`false`).
+    fn load_or_compute(&self, resolved: &Resolved) -> (bool, String) {
+        let dir = self.cache_dir.as_deref();
+        if let Some(payload) = dir.and_then(|dir| read_payload(dir, &resolved.key)) {
+            self.counters.disk_hits.incr();
+            return (true, payload);
+        }
+        let payload = self.compute(resolved);
+        if let Some(dir) = dir {
+            write_payload(dir, &resolved.key, &payload);
+        }
+        (false, payload)
     }
 
     fn compute(&self, resolved: &Resolved) -> String {
@@ -597,7 +604,7 @@ impl ServerState {
     /// cache lock is held per lookup/insert, never across `run_batch_obs` — two
     /// threads may race to compute the same block, in which case both compute the
     /// identical value and the second insert overwrites with the same bytes
-    /// (response-level single-flight makes this race rare in practice).
+    /// (response-level coalescing makes this race rare in practice).
     fn outcomes_with_cache(
         &self,
         blocks: &[CorpusBlock],
@@ -700,34 +707,8 @@ impl ServerState {
     }
 
     fn stats_response(&self) -> String {
-        let cache = |stats: CacheStats, len: usize, cap: usize| {
-            Json::object([
-                ("hits", Json::UInt(stats.hits)),
-                ("misses", Json::UInt(stats.misses)),
-                ("disk_hits", Json::UInt(stats.disk_hits)),
-                ("puts", Json::UInt(stats.puts)),
-                ("evictions", Json::UInt(stats.evictions)),
-                ("entries", Json::uint(len)),
-                ("cap", Json::uint(cap)),
-            ])
-        };
-        let (response_stats, response_len, response_cap) = {
-            let responses = self.responses.lock().expect("response cache lock");
-            (responses.stats(), responses.len(), responses.cap())
-        };
-        let (source_stats, source_len, source_cap) = {
-            let sources = self.sources.lock().expect("source cache lock");
-            (sources.stats(), sources.len(), sources.cap())
-        };
-        let (enum_stats, enum_len, enum_cap) = {
-            let enumerations = self.enumerations.lock().expect("enumeration cache lock");
-            (enumerations.stats(), enumerations.len(), enumerations.cap())
-        };
-        let (coding_stats, coding_len, coding_cap) = {
-            let codings = self.codings.lock().expect("coding cache lock");
-            (codings.stats(), codings.len(), codings.cap())
-        };
-        let flights = self.flights.stats();
+        let mut responses = cache_json(&self.responses);
+        responses.insert(2, ("disk_hits", Json::UInt(self.counters.disk_hits.get())));
         self.publish_gauges();
         let obs = Json::object(
             self.registry
@@ -743,21 +724,17 @@ impl ServerState {
                     ("hits", Json::UInt(self.counters.hits.get())),
                     ("misses", Json::UInt(self.counters.misses.get())),
                     ("errors", Json::UInt(self.counters.errors.get())),
-                    ("coalesced", Json::UInt(flights.coalesced)),
-                    ("flights_led", Json::UInt(flights.leaders)),
+                    ("coalesced", Json::UInt(self.counters.coalesced.get())),
                     (
                         "connection_errors",
                         Json::UInt(self.counters.connection_errors.get()),
                     ),
                 ]),
             ),
-            (
-                "responses",
-                cache(response_stats, response_len, response_cap),
-            ),
-            ("sources", cache(source_stats, source_len, source_cap)),
-            ("enumerations", cache(enum_stats, enum_len, enum_cap)),
-            ("codings", cache(coding_stats, coding_len, coding_cap)),
+            ("responses", Json::object(responses)),
+            ("sources", Json::object(cache_json(&self.sources))),
+            ("enumerations", Json::object(cache_json(&self.enumerations))),
+            ("codings", Json::object(cache_json(&self.codings))),
             ("memo", group::memo_stats_json(&self.memo.stats())),
             // The registry's flat counter/gauge snapshot — the same series
             // `GET /v1/metrics` exposes, here for JSON-protocol clients. Volatile
@@ -771,7 +748,7 @@ impl ServerState {
         )
     }
 
-    /// Pushes the mutex-guarded cache/memo/flight snapshots into the registry as
+    /// Pushes the mutex-guarded cache and memo snapshots into the registry as
     /// gauges, so a scrape (or the `stats` op) sees current values next to the
     /// always-live atomic counters.
     fn publish_gauges(&self) {
@@ -785,17 +762,30 @@ impl ServerState {
             .publish(rec, "enumerations");
         self.codings.lock().expect(lock).publish(rec, "codings");
         self.memo_stats().publish(rec);
-        self.flight_stats().publish(rec);
     }
 
     /// The `GET /v1/metrics` body: the registry rendered as Prometheus text
     /// exposition (version 0.0.4), covering the server counters, engine and pool
-    /// counters/histograms, and the cache/memo/flight gauges published at scrape
+    /// counters/histograms, and the cache and memo gauges published at scrape
     /// time.
     fn metrics_response(&self) -> String {
         self.publish_gauges();
         self.registry.render_prometheus()
     }
+}
+
+/// One cache's counters and size, as the `stats` op reports them.
+fn cache_json<V>(cache: &Mutex<LruCache<V>>) -> Vec<(&'static str, Json)> {
+    let cache = cache.lock().expect("cache lock");
+    let stats = cache.stats();
+    vec![
+        ("hits", Json::UInt(stats.hits)),
+        ("misses", Json::UInt(stats.misses)),
+        ("puts", Json::UInt(stats.puts)),
+        ("evictions", Json::UInt(stats.evictions)),
+        ("entries", Json::uint(cache.len())),
+        ("cap", Json::uint(cache.cap())),
+    ]
 }
 
 /// A request resolved: its job, its source, how many of the source's blocks the
@@ -2100,7 +2090,10 @@ mod tests {
             "{warm}"
         );
         assert_eq!(result_of(&cold).render(), result_of(&warm).render());
-        assert_eq!(restarted.response_stats().disk_hits, 1);
+        let stats = Json::parse(&restarted.stats_response()).unwrap();
+        let responses = stats.get("result").and_then(|r| r.get("responses"));
+        let disk_hits = responses.and_then(|r| r.get("disk_hits"));
+        assert_eq!(disk_hits.and_then(Json::as_u64), Some(1), "{stats:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

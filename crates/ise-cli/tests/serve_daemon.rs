@@ -791,6 +791,45 @@ fn inline_and_file_sources_of_one_block_share_a_key() {
     daemon.shutdown();
 }
 
+/// A truncated `--cache-dir` file, as a daemon killed mid-write or a full disk
+/// can leave, is a miss: the daemon recomputes, answers `cached:false` with the
+/// right payload and rewrites the file whole, and the next daemon over the same
+/// directory answers from it.
+#[test]
+fn a_truncated_cache_file_is_recomputed_and_rewritten() {
+    let work = Workdir::with("disk", &[]);
+    let cache_dir = work.path("cache");
+    let ask = request("enumerate", &tiny_block(0), "\"budget\":5000");
+    let with_cache_dir = || Daemon::spawn(&["--cache-dir", &cache_dir]);
+
+    let daemon = with_cache_dir();
+    let cold = daemon.roundtrip(&ask);
+    daemon.shutdown();
+    assert_eq!(cached(&cold), Some(false), "{cold}");
+    let key = Json::parse(&cold).expect("response is JSON");
+    let key = key.get("key").and_then(Json::as_str).expect("key");
+    let file = std::path::Path::new(&cache_dir).join(format!("{key}.json"));
+    let whole = std::fs::read(&file).expect("the daemon wrote the payload file");
+    std::fs::write(&file, &whole[..whole.len() / 2]).expect("truncate the file");
+
+    let daemon = with_cache_dir();
+    let recomputed = daemon.roundtrip(&ask);
+    daemon.shutdown();
+    assert_eq!(
+        (cached(&recomputed), stripped(&recomputed)),
+        (Some(false), stripped(&cold))
+    );
+    assert_eq!(std::fs::read(&file).ok(), Some(whole), "rewritten whole");
+
+    let daemon = with_cache_dir();
+    let warm = daemon.roundtrip(&ask);
+    daemon.shutdown();
+    assert_eq!(
+        (cached(&warm), stripped(&warm)),
+        (Some(true), stripped(&cold))
+    );
+}
+
 /// Reads one response line, or `None` if the connection ends first.
 fn read_response(reader: &mut impl BufRead) -> Option<String> {
     let mut response = String::new();
