@@ -22,7 +22,7 @@ use std::path::PathBuf;
 
 use ise_bench::json::Json;
 use ise_bench::small_blocks::{write_blocks, FILES, MAX_VERTICES, MIN_VERTICES, SEED};
-use ise_bench::{bench_meta, timed, Options};
+use ise_bench::{bench_meta, median, timed, Options};
 use ise_corpus::load_corpus_path;
 use ise_enum::EnumContext;
 use ise_graph::Dfg;
@@ -37,16 +37,6 @@ const SMOKE_SIZES: &[usize] = &[1000, 4000];
 /// Largest-size throughput, as a share of the smallest size's, below which full
 /// mode fails.
 const MIN_THROUGHPUT_RATIO: f64 = 0.5;
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    let mid = samples.len() / 2;
-    if samples.len() % 2 == 0 {
-        (samples[mid - 1] + samples[mid]) / 2.0
-    } else {
-        samples[mid]
-    }
-}
 
 fn main() {
     let opts = Options::from_env();
@@ -82,8 +72,8 @@ fn main() {
             .unzip();
         std::fs::remove_dir_all(&dir).unwrap_or_else(|e| panic!("cannot remove {dir:?}: {e}"));
         let per_second = |seconds: f64| count as f64 / seconds.max(f64::MIN_POSITIVE);
-        let load_s = median(load_samples);
-        let context_s = median(context_samples);
+        let load_s = median(&load_samples);
+        let context_s = median(&context_samples);
         let blocks_per_s = per_second(load_s);
         let contexts_per_s = per_second(context_s);
         println!(

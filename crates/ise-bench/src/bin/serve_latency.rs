@@ -45,7 +45,7 @@ use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use ise_bench::json::Json;
-use ise_bench::{Options, PAPER_NIN, PAPER_NOUT};
+use ise_bench::{median, Options, PAPER_NIN, PAPER_NOUT};
 use ise_corpus::load_corpus_path;
 
 /// Interleaved timed samples of each gated quantity: the warm pass, and the
@@ -219,18 +219,6 @@ fn envelope(response: &str) -> Json {
         "request failed: {response}"
     );
     doc
-}
-
-/// The median of `samples` (the mean of the middle two for an even count).
-fn median(samples: &[f64]) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let mid = sorted.len() / 2;
-    if sorted.len() % 2 == 0 {
-        (sorted[mid - 1] + sorted[mid]) / 2.0
-    } else {
-        sorted[mid]
-    }
 }
 
 /// `numerator / denominator`, or 0 for a zero denominator.

@@ -53,6 +53,26 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (value, start.elapsed())
 }
 
+/// The median of `samples`: the middle value, or the mean of the middle two for an
+/// even count.
+///
+/// # Example
+///
+/// ```
+/// assert_eq!(ise_bench::median(&[3.0, 1.0, 2.0]), 2.0);
+/// assert_eq!(ise_bench::median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
+/// ```
+pub fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 0 {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    } else {
+        sorted[mid]
+    }
+}
+
 /// The provenance block embedded in every `BENCH_*.json` artifact: the host's CPU
 /// count (so scaling numbers can be read in context) and the recorder state the
 /// measurement ran under (`"disabled"` unless the bin explicitly records —
