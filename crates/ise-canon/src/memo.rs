@@ -31,7 +31,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use ise_obs::{Counter, Recorder};
+use ise_obs::{Counter, MetricsRegistry};
 
 use crate::canon::{digest_words, CanonicalCode};
 
@@ -60,7 +60,7 @@ impl MemoStats {
     /// (`ise_memo_raw_hits`, `ise_memo_fingerprint_hits`, `ise_memo_labeler_runs`,
     /// `ise_memo_entries`) — the daemon calls this before rendering
     /// `GET /v1/metrics` so the memo surfaces through the shared registry.
-    pub fn publish(&self, rec: &dyn Recorder) {
+    pub fn publish(&self, rec: &MetricsRegistry) {
         rec.set_gauge("ise_memo_raw_hits", self.raw_hits);
         rec.set_gauge("ise_memo_fingerprint_hits", self.fingerprint_hits);
         rec.set_gauge("ise_memo_labeler_runs", self.labeler_runs);
@@ -155,14 +155,14 @@ pub(crate) struct MemoHit {
 pub struct CanonMemo {
     shards: Box<[Mutex<Shard>]>,
     fingerprint: fn(&[u32]) -> u64,
-    obs: MemoCounters,
+    /// Set by [`CanonMemo::set_recorder`]; an untraced memo counts only in its
+    /// shards, with no shared atomics on the lookup path.
+    obs: Option<MemoCounters>,
 }
 
-/// Live mirror counters into a metrics registry, incremented at the same sites
-/// as the shard-local totals. Disabled (single null-check per event) until
-/// [`CanonMemo::set_recorder`] arms them; [`CanonMemo::stats`] stays the source
-/// of truth either way.
-#[derive(Debug, Default)]
+/// Mirror counters in a metrics registry, incremented at the same sites as the
+/// shard-local totals; [`CanonMemo::stats`] stays the source of truth.
+#[derive(Debug)]
 struct MemoCounters {
     raw_hits: Counter,
     fingerprint_hits: Counter,
@@ -199,7 +199,7 @@ impl CanonMemo {
         CanonMemo {
             shards: (0..count).map(|_| Mutex::default()).collect(),
             fingerprint,
-            obs: MemoCounters::default(),
+            obs: None,
         }
     }
 
@@ -207,12 +207,12 @@ impl CanonMemo {
     /// `ise_memo_fingerprint_hits_total`, `ise_memo_labeler_runs_total`) in the
     /// given registry, incremented alongside the shard-local totals. Recording
     /// never changes lookup results; call before sharing the memo across threads.
-    pub fn set_recorder(&mut self, rec: &dyn Recorder) {
-        self.obs = MemoCounters {
+    pub fn set_recorder(&mut self, rec: &MetricsRegistry) {
+        self.obs = Some(MemoCounters {
             raw_hits: rec.counter("ise_memo_raw_hits_total"),
             fingerprint_hits: rec.counter("ise_memo_fingerprint_hits_total"),
             labeler_runs: rec.counter("ise_memo_labeler_runs_total"),
-        };
+        });
     }
 
     fn shard_for(&self, fingerprint: u64) -> &Mutex<Shard> {
@@ -231,10 +231,14 @@ impl CanonMemo {
         // An absent bucket is a fingerprint miss and counts nowhere.
         let entries = shard.buckets.get(&fingerprint)?;
         shard.fingerprint_hits += 1;
-        self.obs.fingerprint_hits.incr();
+        if let Some(obs) = &self.obs {
+            obs.fingerprint_hits.incr();
+        }
         let entry = entries.iter().find(|e| *e.raw == *raw)?;
         shard.raw_hits += 1;
-        self.obs.raw_hits.incr();
+        if let Some(obs) = &self.obs {
+            obs.raw_hits.incr();
+        }
         Some(MemoHit {
             code: entry.code.clone(),
             ops: Arc::clone(&entry.ops),
@@ -257,7 +261,9 @@ impl CanonMemo {
         let fingerprint = (self.fingerprint)(raw);
         let mut shard = self.shard_for(fingerprint).lock().unwrap();
         shard.labeler_runs += 1;
-        self.obs.labeler_runs.incr();
+        if let Some(obs) = &self.obs {
+            obs.labeler_runs.incr();
+        }
         let bucket = shard.buckets.entry(fingerprint).or_default();
         let merit = ports.map(|ports| (ports, saved_cycles));
         match bucket.iter_mut().find(|e| *e.raw == *raw) {

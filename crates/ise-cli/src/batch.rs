@@ -35,7 +35,7 @@ use ise_enum::{
     PruningConfig, Selection,
 };
 use ise_graph::{Dfg, LatencyModel};
-use ise_obs::Recorder;
+use ise_obs::MetricsRegistry;
 
 /// Blocks with at least this many vertices fan out into first-output tasks by
 /// default (`--par-threshold` overrides).
@@ -249,18 +249,18 @@ type WorkItem = (usize, Option<TaskSpec>);
 /// deterministic, so the outcomes (sorted by block index) are
 /// identical for every thread count; only the wall times differ.
 ///
-/// An optional [`Recorder`] observes the run: per-block and per-task spans, the
-/// seeded item count and phase timings land in the recorder, and worker threads are
-/// named `worker-N` for trace grouping. Recording never changes any outcome — the plan and
-/// the merge are untouched — so runs with and without a recorder
-/// report identical counts.
+/// An optional [`MetricsRegistry`] observes the run: per-block and per-task spans,
+/// the seeded item count and phase timings land in the registry, and worker threads
+/// are named `worker-N` for trace grouping. Recording never changes any outcome — the
+/// plan and the merge are untouched — so runs with and without a registry report
+/// identical counts.
 ///
 /// This holds every block's cut list until the batch returns; commands that
 /// render less reduce each block as it finishes with [`run_batch`].
 pub fn run_batch_obs(
     blocks: &[CorpusBlock],
     config: &BatchConfig,
-    rec: Option<&dyn Recorder>,
+    rec: Option<&MetricsRegistry>,
 ) -> Vec<BlockOutcome> {
     run_batch(blocks, config, rec, |_, outcome| outcome)
 }
@@ -276,7 +276,7 @@ pub fn run_batch_obs(
 pub fn run_batch<R, F>(
     blocks: &[CorpusBlock],
     config: &BatchConfig,
-    rec: Option<&dyn Recorder>,
+    rec: Option<&MetricsRegistry>,
     reduce: F,
 ) -> Vec<R>
 where
@@ -334,7 +334,7 @@ struct Batch<'a, F> {
     plans: &'a [BlockPlan],
     slots: &'a [BlockSlot],
     config: &'a BatchConfig,
-    rec: Option<&'a dyn Recorder>,
+    rec: Option<&'a MetricsRegistry>,
     reduce: &'a F,
 }
 

@@ -148,7 +148,7 @@ impl CacheStats {
     /// `ise_cache_hits{cache="responses"}`) — the daemon routes each of its
     /// caches' counters through the shared registry this way before rendering
     /// `GET /v1/metrics`.
-    pub fn publish(&self, rec: &dyn ise_obs::Recorder, cache: &str) {
+    pub fn publish(&self, rec: &ise_obs::MetricsRegistry, cache: &str) {
         let gauge = |field: &str, value: u64| {
             rec.set_gauge(&format!("ise_cache_{field}{{cache=\"{cache}\"}}"), value);
         };
@@ -243,7 +243,7 @@ impl<V> LruCache<V> {
 
     /// Publishes this cache's counters ([`CacheStats::publish`]) and its
     /// `ise_cache_entries`/`ise_cache_cap` gauges under the label `cache`.
-    pub fn publish(&self, rec: &dyn ise_obs::Recorder, cache: &str) {
+    pub fn publish(&self, rec: &ise_obs::MetricsRegistry, cache: &str) {
         self.stats.publish(rec, cache);
         rec.set_gauge(
             &format!("ise_cache_entries{{cache=\"{cache}\"}}"),
@@ -280,6 +280,39 @@ impl<V> LruCache<V> {
             self.recency.push(k);
         }
     }
+}
+
+/// Creates the `--cache-dir` directory, best-effort, and removes the temporary
+/// files of [`write_payload`] calls that never reached their rename (a daemon
+/// killed in between); `<key>.json` payload files stay. A second daemon started
+/// on a live daemon's directory may remove a temporary file that daemon is still
+/// writing; that write is then lost, which costs only a later recomputation,
+/// since the writer already answered from memory.
+pub(crate) fn prepare_dir(dir: &Path) {
+    let _ = std::fs::create_dir_all(dir);
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        if entry.file_name().to_str().is_some_and(is_temporary) {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
+}
+
+/// Whether `name` is a [`write_payload`] temporary file name,
+/// `.<key>.<pid>.<n>.tmp`.
+fn is_temporary(name: &str) -> bool {
+    let Some(inner) = name
+        .strip_prefix('.')
+        .and_then(|rest| rest.strip_suffix(".tmp"))
+    else {
+        return false;
+    };
+    let digits = |part: &str| !part.is_empty() && part.bytes().all(|b| b.is_ascii_digit());
+    let hex = |part: &str| part.len() == 32 && part.bytes().all(|b| b.is_ascii_hexdigit());
+    let parts: Vec<&str> = inner.split('.').collect();
+    matches!(parts[..], [key, pid, n] if hex(key) && digits(pid) && digits(n))
 }
 
 /// Where [`write_payload`] stores `key`'s payload in `dir`.

@@ -25,7 +25,7 @@ use ise_corpus::CorpusBlock;
 use ise_enum::par::run_items;
 use ise_enum::Cut;
 use ise_graph::Dfg;
-use ise_obs::Recorder;
+use ise_obs::MetricsRegistry;
 
 /// Canonicalizes one block's cuts, through `memo` when one is given — the one
 /// per-block coding entry point of the CLI (the batch workers, [`group_outcomes`]
@@ -63,7 +63,7 @@ pub fn code_cuts(
 pub fn group_batch(
     blocks: &[CorpusBlock],
     config: &BatchConfig,
-    rec: Option<&dyn Recorder>,
+    rec: Option<&MetricsRegistry>,
     group_config: &GroupConfig,
     memo: Option<&CanonMemo>,
 ) -> (PatternIndex, Vec<BlockOutcome>) {

@@ -279,7 +279,7 @@ fn run_job_command(
 
     let trace_out = flags.get("trace-out");
     let registry = obs::registry_for(trace_out, progress);
-    let rec = registry.as_deref().map(|r| r as &dyn ise_obs::Recorder);
+    let rec = registry.as_deref();
     let blocks = load_blocks(&job, rec)?;
     let config = job.batch_config();
     let mut memo =
@@ -427,16 +427,11 @@ fn run_dot_report(
 /// exactly those of a one-thread load.
 fn load_blocks(
     job: &Job,
-    rec: Option<&dyn ise_obs::Recorder>,
+    rec: Option<&ise_obs::MetricsRegistry>,
 ) -> Result<Vec<ise_corpus::CorpusBlock>, CliError> {
-    let span = match rec {
-        Some(rec) => rec.span_begin("corpus", "load"),
-        None => ise_obs::SpanToken::NONE,
-    };
+    let span = rec.map(|rec| rec.span_begin("corpus", "load"));
     let loaded = load_corpus(&job.corpus, job.threads);
-    if let Some(rec) = rec {
-        rec.span_end(span);
-    }
+    drop(span);
     let mut blocks = loaded?;
     if let Some(limit) = job.limit {
         blocks.truncate(limit);

@@ -109,10 +109,8 @@ mod tests {
 
     #[test]
     fn write_trace_produces_a_loadable_file() {
-        use ise_obs::Recorder;
         let registry = MetricsRegistry::new();
-        let token = registry.span_begin("test", "span");
-        registry.span_end(token);
+        drop(registry.span_begin("test", "span"));
         let path = std::env::temp_dir().join(format!("ise-obs-trace-{}.json", std::process::id()));
         write_trace(path.to_str().unwrap(), &registry).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();

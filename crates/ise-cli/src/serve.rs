@@ -99,11 +99,11 @@ use ise_bench::json::Json;
 use ise_canon::{CanonMemo, CodedCut, GroupConfig, MemoStats, PatternIndex};
 use ise_corpus::{parse_corpus, read_corpus, CorpusBlock, CorpusText};
 use ise_enum::Enumeration;
-use ise_obs::{Counter, MetricsRegistry, Recorder};
+use ise_obs::{Counter, MetricsRegistry};
 
 use crate::batch::{run_batch_obs, BatchConfig, BlockOutcome};
 use crate::cache::{
-    content_hash, read_payload, write_payload, CacheStats, ContentHasher, LruCache,
+    content_hash, prepare_dir, read_payload, write_payload, CacheStats, ContentHasher, LruCache,
 };
 use crate::job::{job_flags, Job, Op};
 use crate::report::written;
@@ -123,25 +123,37 @@ pub const DEFAULT_MAX_CONNECTIONS: usize = 64;
 /// or broken client can no longer make the daemon allocate without bound.
 pub const MAX_REQUEST_BYTES: usize = 8 << 20;
 
-/// Marks the I/O error a transport returns for a request over
-/// [`MAX_REQUEST_BYTES`]; [`serve_connection`] answers it and closes the connection.
+/// Marks the I/O error a transport returns for a request whose end it cannot
+/// find: one over [`MAX_REQUEST_BYTES`], or an HTTP request whose
+/// `Content-Length` does not parse. [`serve_connection`] answers it in band, with
+/// `status` over HTTP, and closes the connection, which can no longer stay in
+/// step.
 #[derive(Debug)]
-struct RequestTooLarge(&'static str);
+struct RejectedRequest {
+    status: &'static str,
+    message: String,
+}
 
-impl std::fmt::Display for RequestTooLarge {
+impl std::fmt::Display for RejectedRequest {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} exceeds the {MAX_REQUEST_BYTES}-byte request limit",
-            self.0
-        )
+        f.write_str(&self.message)
     }
 }
 
-impl std::error::Error for RequestTooLarge {}
+impl std::error::Error for RejectedRequest {}
 
-fn request_too_large(what: &'static str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, RequestTooLarge(what))
+fn rejected(status: &'static str, message: String) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        RejectedRequest { status, message },
+    )
+}
+
+fn request_too_large(what: &str) -> io::Error {
+    rejected(
+        "413 Payload Too Large",
+        format!("{what} exceeds the {MAX_REQUEST_BYTES}-byte request limit"),
+    )
 }
 
 /// Signal handling for graceful shutdown: SIGTERM/SIGINT set a flag that the stdin
@@ -263,7 +275,7 @@ struct ServeCounters {
 }
 
 impl ServeCounters {
-    fn new(rec: &dyn Recorder) -> Self {
+    fn new(rec: &MetricsRegistry) -> Self {
         ServeCounters {
             requests: rec.counter("ise_serve_requests_total"),
             hits: rec.counter("ise_serve_hits_total"),
@@ -290,8 +302,10 @@ pub struct ServerState {
     /// Each request source parsed once, keyed by the request's `block` string and
     /// answered only while its bytes are unchanged (see [`resolve`]).
     sources: SourceCache,
-    enumerations: Mutex<LruCache<(Enumeration, usize)>>,
-    codings: Mutex<LruCache<Vec<CodedCut>>>,
+    /// Per-block enumerations and codings. Values are shared, so a hit clones
+    /// a pointer under the lock and any owned copy is made outside it.
+    enumerations: Mutex<LruCache<Arc<(Enumeration, usize)>>>,
+    codings: Mutex<LruCache<Arc<Vec<CodedCut>>>>,
     /// Raw-encoding → canonical-code memo shared by every coding the daemon
     /// performs. It sits *beneath* the codings LRU: even when a coding key is
     /// evicted or a new port configuration misses the LRU, patterns already
@@ -354,13 +368,13 @@ impl ServerState {
     /// A fresh state whose four caches (responses, request sources, per-block
     /// enumerations, per-block codings) each hold at most `cap` entries;
     /// `cache_dir` persists response payloads across restarts (created here,
-    /// best-effort).
+    /// best-effort, and cleared of temporary files that a killed daemon left).
     pub fn new(cap: usize, cache_dir: Option<PathBuf>) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
         let mut memo = CanonMemo::new();
         memo.set_recorder(registry.as_ref());
         if let Some(dir) = &cache_dir {
-            let _ = std::fs::create_dir_all(dir);
+            prepare_dir(dir);
         }
         ServerState {
             responses: Mutex::new(LruCache::new(cap)),
@@ -442,7 +456,7 @@ impl ServerState {
         let span = self.registry.span_begin("serve", "request");
         let mut op = "unknown";
         let outcome = request(&mut op);
-        self.registry.span_end(span);
+        drop(span);
         let (response, label) = match outcome {
             Ok(Reply::Evaluated {
                 op,
@@ -625,16 +639,17 @@ impl ServerState {
                 .lock()
                 .expect("enumeration cache lock")
                 .get(&keys[i])
-                .cloned();
-            if let Some((enumeration, tasks)) = cached {
+                .map(Arc::clone);
+            if let Some(cached) = cached {
+                let (enumeration, tasks) = &*cached;
                 // The batch's own constructor rebuilds the outcome; the selection
                 // (when requested) is recomputed, a cheap deterministic function
                 // of the cuts.
                 slots[i] = Some(BlockOutcome::new(
                     i,
                     block,
-                    tasks,
-                    enumeration,
+                    *tasks,
+                    enumeration.clone(),
                     config.select.as_ref(),
                 ));
             } else {
@@ -645,10 +660,11 @@ impl ServerState {
             let misses: Vec<CorpusBlock> = missed.iter().map(|&i| blocks[i].clone()).collect();
             let fresh = run_batch_obs(&misses, config, Some(self.registry.as_ref()));
             for (&i, mut outcome) in missed.iter().zip(fresh) {
+                let kept = Arc::new((outcome.enumeration.clone(), outcome.tasks));
                 self.enumerations
                     .lock()
                     .expect("enumeration cache lock")
-                    .put(&keys[i], (outcome.enumeration.clone(), outcome.tasks));
+                    .put(&keys[i], kept);
                 outcome.index = i;
                 outcome.elapsed = Duration::ZERO;
                 slots[i] = Some(outcome);
@@ -684,24 +700,21 @@ impl ServerState {
                 .lock()
                 .expect("coding cache lock")
                 .get(&key)
-                .cloned();
-            let coded = match cached {
-                Some(hit) => hit,
-                None => {
-                    let coded = group::code_cuts(
-                        &blocks[i].dfg,
-                        &outcome.enumeration.cuts,
-                        config,
-                        Some(&self.memo),
-                    );
-                    self.codings
-                        .lock()
-                        .expect("coding cache lock")
-                        .put(&key, coded.clone());
-                    coded
-                }
-            };
-            index.add_coded_block(coded, blocks[i].weight());
+                .map(Arc::clone);
+            let coded = cached.unwrap_or_else(|| {
+                let coded = Arc::new(group::code_cuts(
+                    &blocks[i].dfg,
+                    &outcome.enumeration.cuts,
+                    config,
+                    Some(&self.memo),
+                ));
+                self.codings
+                    .lock()
+                    .expect("coding cache lock")
+                    .put(&key, Arc::clone(&coded));
+                coded
+            });
+            index.add_coded_block(Vec::clone(&coded), blocks[i].weight());
         }
         index
     }
@@ -752,7 +765,7 @@ impl ServerState {
     /// gauges, so a scrape (or the `stats` op) sees current values next to the
     /// always-live atomic counters.
     fn publish_gauges(&self) {
-        let rec: &dyn Recorder = self.registry.as_ref();
+        let rec = self.registry.as_ref();
         let lock = "cache lock";
         self.responses.lock().expect(lock).publish(rec, "responses");
         self.sources.lock().expect(lock).publish(rec, "sources");
@@ -1201,8 +1214,9 @@ fn serve_tcp(state: &Arc<ServerState>, addr: &str, max_connections: usize) -> Re
 /// HTTP method selects the HTTP/1.1 shim, anything else (in practice a `{`) is
 /// line-delimited JSON. Reads block until the client sends, closes, or the drain
 /// of a stopping daemon shuts the read half. A request over
-/// [`MAX_REQUEST_BYTES`] gets the in-band error envelope (status 413 over HTTP),
-/// and the connection is closed without reading the rest of it.
+/// [`MAX_REQUEST_BYTES`], or an HTTP request whose `Content-Length` does not
+/// parse, gets the in-band error envelope (status 413 or 400 over HTTP), and the
+/// connection is closed without reading the rest of it.
 fn serve_connection(state: &ServerState, mut stream: &TcpStream) -> io::Result<()> {
     // Each response is one small write the client latency-chains on; Nagle
     // would hold it for the previous segment's (possibly delayed) ACK.
@@ -1219,19 +1233,23 @@ fn serve_connection(state: &ServerState, mut stream: &TcpStream) -> io::Result<(
         Ok(true) => serve_json(state, stream, &mut reader, first),
         Err(error) => Err(error),
     };
-    match served {
-        Err(error) if error.get_ref().is_some_and(|e| e.is::<RequestTooLarge>()) => {
-            let payload = state.error_response(&error.to_string());
-            let reply = if http {
-                http_response("413 Payload Too Large", CONTENT_JSON, &payload, true)
-            } else {
-                payload + "\n"
-            };
-            stream.write_all(reply.as_bytes())?;
-            stream.shutdown(Shutdown::Write)
-        }
-        other => other,
-    }
+    let rejected = match &served {
+        Err(error) => error
+            .get_ref()
+            .and_then(|e| e.downcast_ref::<RejectedRequest>()),
+        Ok(()) => None,
+    };
+    let Some(rejected) = rejected else {
+        return served;
+    };
+    let payload = state.error_response(&rejected.message);
+    let reply = if http {
+        http_response(rejected.status, CONTENT_JSON, &payload, true)
+    } else {
+        payload + "\n"
+    };
+    stream.write_all(reply.as_bytes())?;
+    stream.shutdown(Shutdown::Write)
 }
 
 /// Whether a connection's first line looks like an HTTP request line.
@@ -1248,7 +1266,7 @@ fn is_http_request_line(line: &[u8]) -> bool {
 /// connection error. Any other peer that disconnects **mid-line** is an error —
 /// the caller surfaces it as a connection error rather than silently dropping
 /// the partial request. A line longer than [`MAX_REQUEST_BYTES`] stops growing at
-/// the cap and fails with [`RequestTooLarge`]. UTF-8 is checked by the caller,
+/// the cap and fails with [`RejectedRequest`]. UTF-8 is checked by the caller,
 /// once per whole line.
 fn read_line(
     state: &ServerState,
@@ -1356,10 +1374,7 @@ fn serve_http(
                 let value = value.trim();
                 if name.eq_ignore_ascii_case("content-length") {
                     content_length = value.parse().map_err(|_| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("bad Content-Length `{value}`"),
-                        )
+                        rejected("400 Bad Request", format!("bad Content-Length `{value}`"))
                     })?;
                 } else if name.eq_ignore_ascii_case("connection") {
                     close = value.eq_ignore_ascii_case("close");

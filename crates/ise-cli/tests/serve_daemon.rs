@@ -448,6 +448,27 @@ fn oversized_content_length_gets_413_and_the_daemon_keeps_serving() {
     daemon.shutdown();
 }
 
+/// A `Content-Length` that does not parse leaves the body boundary unknown: the
+/// request gets 400 with the in-band envelope, counted under `errors`, the
+/// connection closes, and a fresh connection is answered.
+#[test]
+fn malformed_content_length_gets_400_and_a_fresh_connection_is_answered() {
+    let daemon = Daemon::spawn(&[]);
+    let mut stream = daemon.connect();
+    stream
+        .write_all(b"POST /v1/enumerate HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}")
+        .expect("send the request");
+    let (status, body) = read_http_response(&mut BufReader::new(stream));
+    assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
+    assert!(body.starts_with("{\"ok\":false"), "{body}");
+    assert!(body.contains("bad Content-Length `abc`"), "{body}");
+
+    let stats = daemon.roundtrip("{\"op\":\"stats\"}");
+    assert_eq!(server_counter(&stats, "errors"), 1, "{stats}");
+    assert_eq!(server_counter(&stats, "connection_errors"), 0, "{stats}");
+    daemon.shutdown();
+}
+
 /// Regression for unbounded line growth: a JSON-protocol line past the cap with no
 /// newline is answered in-band, and the daemon keeps serving other clients.
 #[test]
@@ -822,6 +843,36 @@ fn a_truncated_cache_file_is_recomputed_and_rewritten() {
     assert_eq!(std::fs::read(&file).ok(), Some(whole), "rewritten whole");
 
     let daemon = with_cache_dir();
+    let warm = daemon.roundtrip(&ask);
+    daemon.shutdown();
+    assert_eq!(
+        (cached(&warm), stripped(&warm)),
+        (Some(true), stripped(&cold))
+    );
+}
+
+/// A daemon killed between writing a payload's temporary file and renaming it
+/// leaves `.<key>.<pid>.<n>.tmp` behind; the next daemon on the directory removes
+/// it and keeps answering from the `<key>.json` payload files.
+#[test]
+fn a_stale_temporary_file_is_removed_and_payload_files_kept() {
+    let work = Workdir::with("stale", &[]);
+    let cache_dir = work.path("cache");
+    let ask = request("enumerate", &tiny_block(1), "\"budget\":5000");
+    let daemon = Daemon::spawn(&["--cache-dir", &cache_dir]);
+    let cold = daemon.roundtrip(&ask);
+    daemon.shutdown();
+    let key = Json::parse(&cold).expect("response is JSON");
+    let key = key.get("key").and_then(Json::as_str).expect("key");
+    let dir = std::path::Path::new(&cache_dir);
+    let payload = dir.join(format!("{key}.json"));
+    let stale = dir.join(format!(".{key}.4194304.0.tmp"));
+    std::fs::write(&stale, "half a write").expect("plant a temporary file");
+    let whole = std::fs::read(&payload).expect("the daemon wrote the payload file");
+
+    let daemon = Daemon::spawn(&["--cache-dir", &cache_dir]);
+    assert!(!stale.exists(), "the stale temporary file is removed");
+    assert_eq!(std::fs::read(&payload).ok(), Some(whole), "payload kept");
     let warm = daemon.roundtrip(&ask);
     daemon.shutdown();
     assert_eq!(

@@ -35,7 +35,7 @@
 //! contract at compile time.
 
 use ise_graph::{DenseNodeSet, NodeId};
-use ise_obs::Recorder;
+use ise_obs::MetricsRegistry;
 
 use crate::config::Constraints;
 use crate::context::EnumContext;
@@ -129,30 +129,26 @@ pub trait Enumerator {
 /// Runs `enumerator` over `ctx` with the given [`EngineOptions`], collecting the
 /// [`Enumeration`].
 ///
-/// An optional [`Recorder`] receives per-phase timings, search-progress counters, and
-/// a span covering the whole run. Observability is strictly write-only: the recorder
-/// never influences the search, so the result is byte-for-byte the one a run without
-/// a recorder produces.
+/// An optional [`MetricsRegistry`] receives per-phase timings, search-progress
+/// counters, and a span covering the whole run. Observability is strictly write-only:
+/// the registry never influences the search, so the result is byte-for-byte the one a
+/// run without a registry produces.
 pub fn run<E: Enumerator + ?Sized>(
     enumerator: &mut E,
     ctx: &EnumContext,
     constraints: &Constraints,
     options: &EngineOptions,
-    rec: Option<&dyn Recorder>,
+    rec: Option<&MetricsRegistry>,
 ) -> Enumeration {
     let mut state = SearchState::new(ctx, constraints, options);
     if let Some(rec) = rec {
         state.set_recorder(rec);
     }
-    let span = match rec {
-        Some(rec) => rec.span_begin("engine", enumerator.name()),
-        None => ise_obs::SpanToken::NONE,
-    };
+    let _span = rec.map(|rec| rec.span_begin("engine", enumerator.name()));
     enumerator.search(&mut state);
     let enumeration = state.finish();
     if let Some(rec) = rec {
         publish_block_counters(rec, &enumeration.stats);
-        rec.span_end(span);
     }
     enumeration
 }
@@ -161,7 +157,7 @@ pub fn run<E: Enumerator + ?Sized>(
 /// `ise_engine_duplicates_total`: once per block, from its final statistics —
 /// [`run`]'s for a whole run, `par::merge_tasks`'s for a fanned-out block — so a
 /// cut that several tasks find counts once.
-pub(crate) fn publish_block_counters(rec: &dyn Recorder, stats: &EnumStats) {
+pub(crate) fn publish_block_counters(rec: &MetricsRegistry, stats: &EnumStats) {
     rec.add("ise_engine_valid_cuts_total", stats.valid_cuts as u64);
     rec.add(
         "ise_engine_duplicates_total",
@@ -217,7 +213,7 @@ pub struct SearchState<'a> {
     cuts: Vec<Cut>,
     stats: EnumStats,
     // --- observability (write-only; never influences the search) ---
-    rec: Option<&'a dyn Recorder>,
+    rec: Option<&'a MetricsRegistry>,
     clock: PhaseClock,
     /// Vertices the enumerator's cone dominator passes met, flushed as
     /// `ise_engine_cone_vertices_total`.
@@ -257,18 +253,14 @@ impl<'a> SearchState<'a> {
         }
     }
 
-    /// Attaches a recorder: per-phase self-time attribution arms immediately
-    /// when the recorder is live, and the accumulated counters flush when the
-    /// run finishes. A disabled recorder (`enabled() == false`, e.g.
-    /// [`ise_obs::NoopRecorder`]) keeps the phase clock disarmed so every
-    /// transition stays a single predictable branch — the ≤1% disabled-path
-    /// bound asserted by the `obs_overhead` bench. Recording is write-only —
-    /// it never changes what the search explores or reports.
-    pub fn set_recorder(&mut self, rec: &'a dyn Recorder) {
+    /// Attaches a registry: per-phase self-time attribution arms immediately,
+    /// and the accumulated counters flush when the run finishes. Without one the
+    /// phase clock stays disarmed, so every transition is a single predictable
+    /// branch. Recording is write-only — it never changes what the search
+    /// explores or reports.
+    pub fn set_recorder(&mut self, rec: &'a MetricsRegistry) {
         self.rec = Some(rec);
-        if rec.enabled() {
-            self.clock.enable();
-        }
+        self.clock.enable();
     }
 
     /// Switches the phase clock (no-op without a recorder); see

@@ -40,7 +40,7 @@ use std::ops::Range;
 
 use ise_dominators::ConeDominators;
 use ise_graph::{DenseNodeSet, NodeId};
-use ise_obs::Recorder;
+use ise_obs::MetricsRegistry;
 
 use crate::config::{Constraints, PruningConfig};
 use crate::context::EnumContext;
@@ -52,9 +52,9 @@ use crate::result::Enumeration;
 ///
 /// `options` carries the search budget — past [`EngineOptions::max_search_nodes`]
 /// recursion steps the run stops exploring and reports the cuts found so far;
-/// [`EngineOptions::default`] is the unbounded run. An optional [`Recorder`]
-/// receives the engine's per-phase timings and progress counters; recording never
-/// changes the result.
+/// [`EngineOptions::default`] is the unbounded run. An optional
+/// [`MetricsRegistry`] receives the engine's per-phase timings and progress
+/// counters; recording never changes the result.
 ///
 /// # Example
 ///
@@ -87,7 +87,7 @@ pub fn incremental_cuts(
     constraints: &Constraints,
     pruning: &PruningConfig,
     options: &EngineOptions,
-    rec: Option<&dyn Recorder>,
+    rec: Option<&MetricsRegistry>,
 ) -> Enumeration {
     let mut enumerator = IncrementalEnumerator::new(ctx, pruning);
     engine::run(&mut enumerator, ctx, constraints, options, rec)

@@ -6,10 +6,10 @@
 //! whichever phase is current: entering a phase charges the elapsed interval
 //! to the previous one, so nested phases never double-count.
 //!
-//! Disabled-path cost is the whole design: when no recorder is attached the
+//! Disabled-path cost is the whole design: when no registry is attached the
 //! clock stays disabled and every [`PhaseClock::enter`] / [`PhaseClock::restore`]
 //! reduces to a single predictable branch. Accumulated nanoseconds live in a
-//! plain array and are flushed to the [`ise_obs::Recorder`] once per run (or
+//! plain array and are flushed to the [`ise_obs::MetricsRegistry`] once per run (or
 //! per parallel task), never per event.
 
 use std::time::Instant;
@@ -55,7 +55,7 @@ pub(crate) mod phase {
 }
 
 /// A self-time stopwatch over the engine phases. Created disabled (the common
-/// case); [`PhaseClock::enable`] arms it when a recorder is attached.
+/// case); [`PhaseClock::enable`] arms it when a registry is attached.
 pub(crate) struct PhaseClock {
     enabled: bool,
     current: u8,

@@ -43,7 +43,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use ise_obs::Recorder;
+use ise_obs::MetricsRegistry;
 
 use crate::config::{Constraints, PruningConfig};
 use crate::context::EnumContext;
@@ -142,9 +142,10 @@ pub fn initial_tasks(candidate_count: usize, tasks: usize) -> Vec<TaskSpec> {
 /// Feed the enumerations of a completed decomposition, sorted by [`TaskId`], to
 /// [`merge_tasks`].
 ///
-/// An optional [`Recorder`] receives the task's lifecycle: a per-task span (named
-/// after the [`TaskId`], so Chrome-trace timelines nest tasks under their worker
-/// threads), the engine's per-phase timings, and the task counter and node histogram.
+/// An optional [`MetricsRegistry`] receives the task's lifecycle: a per-task span
+/// (named after the [`TaskId`], so Chrome-trace timelines nest tasks under their
+/// worker threads), the engine's per-phase timings, and the task counter and node
+/// histogram.
 /// Recording never changes the task's output.
 pub fn run_task(
     ctx: &EnumContext,
@@ -152,12 +153,9 @@ pub fn run_task(
     pruning: &PruningConfig,
     options: &EngineOptions,
     spec: &TaskSpec,
-    rec: Option<&dyn Recorder>,
+    rec: Option<&MetricsRegistry>,
 ) -> Enumeration {
-    let span = match rec {
-        Some(rec) if rec.enabled() => rec.span_begin("task", &format!("task {}", spec.id.0)),
-        _ => ise_obs::SpanToken::NONE,
-    };
+    let _span = rec.map(|rec| rec.span_begin("task", &format!("task {}", spec.id.0)));
     let mut enumerator = IncrementalEnumerator::with_root_range(ctx, pruning, spec.roots.clone());
     let mut state = SearchState::new(ctx, constraints, options);
     if let Some(rec) = rec {
@@ -168,7 +166,6 @@ pub fn run_task(
     if let Some(rec) = rec {
         rec.add("ise_pool_tasks_total", 1);
         rec.observe("ise_pool_task_nodes", enumeration.stats.search_nodes as u64);
-        rec.span_end(span);
     }
     enumeration
 }
@@ -181,7 +178,7 @@ pub fn run_task(
 /// list, and never more workers than items. The schedule never sequences results:
 /// whichever worker ran an item, its result lands at the item's index.
 ///
-/// With a [`Recorder`], worker threads are named `worker-N` and
+/// With a [`MetricsRegistry`], worker threads are named `worker-N` and
 /// `ise_pool_seeded_total` counts the items. Recording never affects scheduling.
 ///
 /// # Example
@@ -193,7 +190,7 @@ pub fn run_task(
 pub fn run_items<T, R, F>(
     items: &[T],
     threads: usize,
-    rec: Option<&dyn Recorder>,
+    rec: Option<&MetricsRegistry>,
     work: F,
 ) -> Vec<R>
 where
@@ -251,19 +248,16 @@ where
 /// rendered byte does. The rejection tallies count per task (see the module docs);
 /// each dropped cut adds one to `rejected_duplicate`.
 ///
-/// With a [`Recorder`] the merge runs under a `merge` span, its time lands in the
-/// `ise_merge_shard_ns` histogram (one observation per merge), and the merged
+/// With a [`MetricsRegistry`] the merge runs under a `merge` span, its time lands in
+/// the `ise_merge_shard_ns` histogram (one observation per merge), and the merged
 /// block's `ise_engine_valid_cuts_total` and `ise_engine_duplicates_total` are
 /// published. Recording never changes the merged result.
 pub fn merge_tasks(
     ctx: &EnumContext,
     tasks: Vec<Enumeration>,
-    rec: Option<&dyn Recorder>,
+    rec: Option<&MetricsRegistry>,
 ) -> Enumeration {
-    let span = match rec {
-        Some(rec) => rec.span_begin("merge", "merge_tasks"),
-        None => ise_obs::SpanToken::NONE,
-    };
+    let _span = rec.map(|rec| rec.span_begin("merge", "merge_tasks"));
     let start = rec.map(|_| Instant::now());
     let mut stats = EnumStats::new();
     let mut seen = CutKeySet::new(ctx.rooted().num_nodes().div_ceil(64));
@@ -282,7 +276,6 @@ pub fn merge_tasks(
     if let (Some(rec), Some(start)) = (rec, start) {
         rec.observe("ise_merge_shard_ns", start.elapsed().as_nanos() as u64);
         publish_block_counters(rec, &stats);
-        rec.span_end(span);
     }
     Enumeration { cuts, stats }
 }
@@ -304,9 +297,9 @@ pub struct ParRun {
 /// (the cut list and every counter except the per-task rejection tallies); neither
 /// thread count nor scheduling order ever changes it.
 ///
-/// With a [`Recorder`], worker threads are named in trace output, every task runs
-/// under its own span ([`run_task`]), the seeded tasks are counted, and the merge
-/// is timed. Recording never changes the result — the
+/// With a [`MetricsRegistry`], worker threads are named in trace output, every task
+/// runs under its own span ([`run_task`]), the seeded tasks are counted, and the
+/// merge is timed. Recording never changes the result — the
 /// obs-identity integration test pins byte equality against recording-off runs.
 ///
 /// # Example
@@ -341,7 +334,7 @@ pub fn parallel_cuts(
     constraints: &Constraints,
     pruning: &PruningConfig,
     config: &ParConfig,
-    rec: Option<&dyn Recorder>,
+    rec: Option<&MetricsRegistry>,
 ) -> ParRun {
     let candidates = ctx.candidate_outputs().len();
     let tasks = config.tasks.clamp(1, candidates.max(1));

@@ -1,20 +1,16 @@
 //! Unified observability for the ISE reproduction stack.
 //!
-//! This crate provides the [`Recorder`] trait — the single instrumentation
-//! surface used by the enumeration engine, the task scheduler, the
-//! canonicalization memo, the serve caches, and the daemon — together with
-//! two implementations:
+//! [`MetricsRegistry`] is the one recorder used by the enumeration engine, the
+//! task scheduler, the canonicalization memo, the serve caches and the daemon:
+//! named counters, gauges, power-of-two bucketed histograms, monotonic span
+//! timers feeding a bounded Chrome-trace event buffer, and renderers for
+//! Prometheus text exposition ([`MetricsRegistry::render_prometheus`]) and
+//! Chrome trace-event JSON ([`MetricsRegistry::render_chrome_trace`]).
 //!
-//! * [`NoopRecorder`]: every method is a no-op. Call sites hold an
-//!   `Option<&dyn Recorder>` (one branch when disabled) or a pre-registered
-//!   [`Counter`] handle (one null check when disabled), so the disabled path
-//!   costs at most a predictable branch per event. The `obs_overhead` bench
-//!   asserts the end-to-end cost stays within 1% of an uninstrumented run.
-//! * [`MetricsRegistry`]: lock-striped named counters, gauges, power-of-two
-//!   bucketed histograms, monotonic span timers feeding a bounded
-//!   Chrome-trace event buffer, and renderers for Prometheus text exposition
-//!   ([`MetricsRegistry::render_prometheus`]) and Chrome trace-event JSON
-//!   ([`MetricsRegistry::render_chrome_trace`]).
+//! Recording is off when there is no registry: call sites take an
+//! `Option<&MetricsRegistry>` and `None` costs one branch per hook. Hot loops
+//! hold a [`Counter`] handle registered once, and a [`Span`] ends when it is
+//! dropped.
 //!
 //! Design rules enforced throughout the workspace:
 //!
@@ -22,22 +18,16 @@
 //!   recorded here may influence enumeration order, cache keys, or any byte of
 //!   result payloads. The integration test `tests/obs_identity.rs` pins this.
 //! * Hot paths never format strings or take locks: they hold [`Counter`]
-//!   handles (a single relaxed `fetch_add` when enabled) and flush bulk
-//!   statistics once per task/run boundary.
+//!   handles (a single relaxed `fetch_add`) and flush bulk statistics once per
+//!   task/run boundary.
 //! * Metric names follow Prometheus conventions; labels are embedded in the
 //!   registered name (e.g. `ise_engine_phase_ns_total{phase="dedup"}`) and
 //!   the renderer groups series by the base name before the `{`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
-
-/// Number of independent counter-map shards in a [`MetricsRegistry`].
-///
-/// Registration (name -> atomic) is striped so concurrent workers registering
-/// handles do not serialize on one map; increments never touch the maps.
-const COUNTER_SHARDS: usize = 16;
 
 /// Maximum number of buffered trace events before new spans are counted but
 /// dropped from the timeline (the drop count is exported as a counter).
@@ -50,131 +40,72 @@ const HIST_BUCKETS: usize = 64;
 // Counter handles
 // ---------------------------------------------------------------------------
 
-/// A cheap, cloneable handle to a named monotonic counter.
-///
-/// A disabled handle (from [`Counter::disabled`] or any [`NoopRecorder`])
-/// carries no allocation; `add`/`incr` reduce to a single `None` check.
-/// An enabled handle performs one relaxed `fetch_add` per event.
-#[derive(Clone, Debug, Default)]
-pub struct Counter(Option<Arc<AtomicU64>>);
+/// A cheap, cloneable handle to a named monotonic counter of a
+/// [`MetricsRegistry`]: one relaxed `fetch_add` per event.
+#[derive(Clone, Debug)]
+pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// A handle that ignores every increment. This is the `Default`.
-    pub fn disabled() -> Self {
-        Counter(None)
-    }
-
-    /// Wrap a shared atomic cell as a live counter handle.
-    pub fn from_cell(cell: Arc<AtomicU64>) -> Self {
-        Counter(Some(cell))
-    }
-
-    /// True when increments on this handle are discarded.
-    pub fn is_disabled(&self) -> bool {
-        self.0.is_none()
-    }
-
-    /// Add `n` to the counter (no-op when disabled).
+    /// Add `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        if let Some(cell) = &self.0 {
-            cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Add one to the counter (no-op when disabled).
+    /// Add one to the counter.
     #[inline]
     pub fn incr(&self) {
         self.add(1);
     }
 
-    /// Current value (0 when disabled).
+    /// Current value.
     pub fn get(&self) -> u64 {
-        match &self.0 {
-            Some(cell) => cell.load(Ordering::Relaxed),
-            None => 0,
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Spans
+// ---------------------------------------------------------------------------
+
+/// A timed span opened by [`MetricsRegistry::span_begin`]. It ends exactly
+/// once, when dropped: the span ledger counts the exit and the trace buffer
+/// receives a complete event.
+#[must_use = "a span ends when it is dropped"]
+pub struct Span<'a> {
+    registry: &'a MetricsRegistry,
+    cat: &'static str,
+    name: String,
+    start: Instant,
+    tid: u32,
+}
+
+impl Drop for Span<'_> {
+    fn drop(&mut self) {
+        let registry = self.registry;
+        registry.spans_exited.fetch_add(1, Ordering::Relaxed);
+        let start_us = self.start.duration_since(registry.epoch).as_micros() as u64;
+        let dur_us = self.start.elapsed().as_micros() as u64;
+        // Every push leaves the buffer valid, so a poisoned lock is recovered
+        // rather than panicking inside a drop.
+        let mut trace = registry
+            .trace
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if trace.len() >= TRACE_CAPACITY {
+            drop(trace);
+            registry.trace_dropped.fetch_add(1, Ordering::Relaxed);
+            return;
         }
+        trace.push(TraceEvent {
+            name: std::mem::take(&mut self.name),
+            cat: self.cat,
+            start_us,
+            dur_us,
+            tid: self.tid,
+        });
     }
 }
-
-// ---------------------------------------------------------------------------
-// Span tokens
-// ---------------------------------------------------------------------------
-
-/// Opaque handle returned by [`Recorder::span_begin`] and consumed by
-/// [`Recorder::span_end`]. The zero token is inert ("no span open").
-#[derive(Clone, Copy, Debug, Eq, PartialEq)]
-pub struct SpanToken(u64);
-
-impl SpanToken {
-    /// The inert token: ending it is a no-op.
-    pub const NONE: SpanToken = SpanToken(0);
-}
-
-// ---------------------------------------------------------------------------
-// Recorder trait + no-op implementation
-// ---------------------------------------------------------------------------
-
-/// The instrumentation surface threaded through every subsystem.
-///
-/// All methods default to no-ops so implementations opt into exactly the
-/// signals they care about, and so call sites can be written once against
-/// `&dyn Recorder` regardless of whether recording is live.
-pub trait Recorder: Send + Sync {
-    /// True when this recorder actually persists events. Call sites may use
-    /// this to skip building expensive event descriptions.
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Register (or look up) a named counter and return a cheap handle for
-    /// hot-path increments.
-    fn counter(&self, name: &str) -> Counter {
-        let _ = name;
-        Counter::disabled()
-    }
-
-    /// One-shot add to a named counter (cold paths; hot paths should hold a
-    /// [`Counter`] handle instead).
-    fn add(&self, name: &str, n: u64) {
-        let _ = (name, n);
-    }
-
-    /// Record one observation into a named power-of-two bucketed histogram.
-    fn observe(&self, name: &str, value: u64) {
-        let _ = (name, value);
-    }
-
-    /// Set a named gauge to an absolute value (last write wins).
-    fn set_gauge(&self, name: &str, value: u64) {
-        let _ = (name, value);
-    }
-
-    /// Open a timed span in category `cat`. The returned token must be passed
-    /// to [`Recorder::span_end`] exactly once; dropping it leaks the span (the
-    /// enter/exit ledger makes that visible).
-    fn span_begin(&self, cat: &str, name: &str) -> SpanToken {
-        let _ = (cat, name);
-        SpanToken::NONE
-    }
-
-    /// Close a span opened by [`Recorder::span_begin`].
-    fn span_end(&self, token: SpanToken) {
-        let _ = token;
-    }
-
-    /// Name the calling thread in trace output (e.g. `worker-3`).
-    fn set_thread_name(&self, name: &str) {
-        let _ = name;
-    }
-}
-
-/// A recorder that drops every event. Used when no `--trace-out`,
-/// `--progress`, or daemon metrics endpoint is active.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {}
 
 // ---------------------------------------------------------------------------
 // Histogram
@@ -216,7 +147,7 @@ impl Histogram {
 /// A completed span destined for the Chrome trace-event JSON output.
 struct TraceEvent {
     name: String,
-    cat: String,
+    cat: &'static str,
     /// Microseconds since the registry epoch.
     start_us: u64,
     /// Span duration in microseconds.
@@ -224,36 +155,22 @@ struct TraceEvent {
     tid: u32,
 }
 
-/// A span that has begun but not yet ended; lives in the pending slab.
-struct PendingSpan {
-    name: String,
-    cat: String,
-    start: Instant,
-    tid: u32,
-}
-
-/// Slab of in-flight spans, indexed by `SpanToken - 1`.
-#[derive(Default)]
-struct PendingSpans {
-    slots: Vec<Option<PendingSpan>>,
-    free: Vec<usize>,
-}
-
 // ---------------------------------------------------------------------------
 // MetricsRegistry
 // ---------------------------------------------------------------------------
 
-/// The live recorder: lock-striped counters, gauges, histograms, span timers,
-/// and a bounded trace buffer, with Prometheus and Chrome-trace renderers.
+/// The recorder: counters, gauges, histograms, span timers and a bounded
+/// trace buffer, with Prometheus and Chrome-trace renderers.
 ///
 /// One registry is shared (via `Arc`) across all threads of a run or across
 /// the whole daemon lifetime; rendering takes point-in-time snapshots and
-/// never blocks hot-path increments.
+/// never blocks hot-path increments: those go through held [`Counter`]
+/// handles, and only registration and [`MetricsRegistry::add`] take the
+/// counter map's lock.
 pub struct MetricsRegistry {
-    counters: Vec<Mutex<HashMap<String, Arc<AtomicU64>>>>,
+    counters: Mutex<HashMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<HashMap<String, u64>>,
     histograms: Mutex<HashMap<String, Histogram>>,
-    pending: Mutex<PendingSpans>,
     trace: Mutex<Vec<TraceEvent>>,
     trace_dropped: AtomicU64,
     spans_entered: AtomicU64,
@@ -279,12 +196,9 @@ impl MetricsRegistry {
     /// Create an empty registry; the creation instant becomes the trace epoch.
     pub fn new() -> Self {
         MetricsRegistry {
-            counters: (0..COUNTER_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            counters: Mutex::new(HashMap::new()),
             gauges: Mutex::new(HashMap::new()),
             histograms: Mutex::new(HashMap::new()),
-            pending: Mutex::new(PendingSpans::default()),
             trace: Mutex::new(Vec::new()),
             trace_dropped: AtomicU64::new(0),
             spans_entered: AtomicU64::new(0),
@@ -294,19 +208,64 @@ impl MetricsRegistry {
         }
     }
 
-    fn shard_for(&self, name: &str) -> &Mutex<HashMap<String, Arc<AtomicU64>>> {
-        // FNV-1a over the name bytes; only registration hits this path.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in name.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    /// The cell of counter `name`, registered on first use: the name is
+    /// copied only then.
+    fn cell(&self, name: &str) -> Arc<AtomicU64> {
+        let mut counters = self.counters.lock().expect("counter map poisoned");
+        if let Some(cell) = counters.get(name) {
+            return Arc::clone(cell);
         }
-        &self.counters[(h as usize) % COUNTER_SHARDS]
+        Arc::clone(counters.entry(name.to_string()).or_default())
     }
 
-    fn cell(&self, name: &str) -> Arc<AtomicU64> {
-        let mut shard = self.shard_for(name).lock().expect("counter shard poisoned");
-        Arc::clone(shard.entry(name.to_string()).or_default())
+    /// Register (or look up) a named counter and return a cheap handle for
+    /// hot-path increments.
+    pub fn counter(&self, name: &str) -> Counter {
+        Counter(self.cell(name))
+    }
+
+    /// One-shot add to a named counter (cold paths and per-run flushes; hot
+    /// paths hold a [`Counter`] handle instead).
+    pub fn add(&self, name: &str, n: u64) {
+        self.cell(name).fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Record one observation into a named power-of-two bucketed histogram.
+    pub fn observe(&self, name: &str, value: u64) {
+        let mut map = self.histograms.lock().expect("histogram map poisoned");
+        match map.get_mut(name) {
+            Some(hist) => hist.observe(value),
+            None => map
+                .entry(name.to_string())
+                .or_insert_with(Histogram::new)
+                .observe(value),
+        }
+    }
+
+    /// Set a named gauge to an absolute value (last write wins).
+    pub fn set_gauge(&self, name: &str, value: u64) {
+        let mut map = self.gauges.lock().expect("gauge map poisoned");
+        map.insert(name.to_string(), value);
+    }
+
+    /// Open a timed span named `name` in category `cat`; it ends when the
+    /// returned [`Span`] is dropped.
+    pub fn span_begin(&self, cat: &'static str, name: &str) -> Span<'_> {
+        self.spans_entered.fetch_add(1, Ordering::Relaxed);
+        Span {
+            registry: self,
+            cat,
+            name: name.to_string(),
+            start: Instant::now(),
+            tid: self.tid(),
+        }
+    }
+
+    /// Name the calling thread in trace output (e.g. `worker-3`).
+    pub fn set_thread_name(&self, name: &str) {
+        let tid = self.tid();
+        let mut table = self.threads.lock().expect("thread table poisoned");
+        table.names.insert(tid, name.to_string());
     }
 
     /// Stable small trace tid for the calling thread, assigned on first use.
@@ -334,8 +293,8 @@ impl MetricsRegistry {
 
     /// Current value of a named counter (0 if never registered).
     pub fn counter_value(&self, name: &str) -> u64 {
-        let shard = self.shard_for(name).lock().expect("counter shard poisoned");
-        shard.get(name).map_or(0, |c| c.load(Ordering::Relaxed))
+        let counters = self.counters.lock().expect("counter map poisoned");
+        counters.get(name).map_or(0, |c| c.load(Ordering::Relaxed))
     }
 
     /// Flat, sorted `(sanitized_name, value)` snapshot of all counters and
@@ -343,13 +302,13 @@ impl MetricsRegistry {
     /// `stats` op). Label punctuation is folded into `_` so keys contain no
     /// braces or quotes.
     pub fn snapshot(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = Vec::new();
-        for shard in &self.counters {
-            let shard = shard.lock().expect("counter shard poisoned");
-            for (name, cell) in shard.iter() {
-                out.push((sanitize_key(name), cell.load(Ordering::Relaxed)));
-            }
-        }
+        let mut out: Vec<(String, u64)> = {
+            let counters = self.counters.lock().expect("counter map poisoned");
+            counters
+                .iter()
+                .map(|(name, cell)| (sanitize_key(name), cell.load(Ordering::Relaxed)))
+                .collect()
+        };
         let gauges = self.gauges.lock().expect("gauge map poisoned");
         for (name, value) in gauges.iter() {
             out.push((sanitize_key(name), *value));
@@ -365,13 +324,12 @@ impl MetricsRegistry {
     /// exposition format (version 0.0.4). Series sharing a base name (the
     /// part before any `{`) are grouped under one `# TYPE` line.
     pub fn render_prometheus(&self) -> String {
-        let mut counters: Vec<(String, u64)> = Vec::new();
-        for shard in &self.counters {
-            let shard = shard.lock().expect("counter shard poisoned");
-            for (name, cell) in shard.iter() {
-                counters.push((name.clone(), cell.load(Ordering::Relaxed)));
-            }
-        }
+        let mut counters: Vec<(String, u64)> = {
+            let map = self.counters.lock().expect("counter map poisoned");
+            map.iter()
+                .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
+                .collect()
+        };
         counters.push((
             "ise_obs_spans_entered_total".to_string(),
             self.spans_entered(),
@@ -511,7 +469,7 @@ impl MetricsRegistry {
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}}}",
                 escape_json(&ev.name),
-                escape_json(&ev.cat),
+                escape_json(ev.cat),
                 ev.start_us,
                 ev.dur_us,
                 ev.tid
@@ -519,97 +477,6 @@ impl MetricsRegistry {
         }
         out.push_str("]}");
         out
-    }
-}
-
-impl Recorder for MetricsRegistry {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn counter(&self, name: &str) -> Counter {
-        Counter::from_cell(self.cell(name))
-    }
-
-    fn add(&self, name: &str, n: u64) {
-        self.cell(name).fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn observe(&self, name: &str, value: u64) {
-        let mut map = self.histograms.lock().expect("histogram map poisoned");
-        match map.get_mut(name) {
-            Some(hist) => hist.observe(value),
-            None => map
-                .entry(name.to_string())
-                .or_insert_with(Histogram::new)
-                .observe(value),
-        }
-    }
-
-    fn set_gauge(&self, name: &str, value: u64) {
-        let mut map = self.gauges.lock().expect("gauge map poisoned");
-        map.insert(name.to_string(), value);
-    }
-
-    fn span_begin(&self, cat: &str, name: &str) -> SpanToken {
-        self.spans_entered.fetch_add(1, Ordering::Relaxed);
-        let span = PendingSpan {
-            name: name.to_string(),
-            cat: cat.to_string(),
-            start: Instant::now(),
-            tid: self.tid(),
-        };
-        let mut pending = self.pending.lock().expect("pending spans poisoned");
-        let idx = match pending.free.pop() {
-            Some(idx) => {
-                pending.slots[idx] = Some(span);
-                idx
-            }
-            None => {
-                pending.slots.push(Some(span));
-                pending.slots.len() - 1
-            }
-        };
-        SpanToken(idx as u64 + 1)
-    }
-
-    fn span_end(&self, token: SpanToken) {
-        if token == SpanToken::NONE {
-            return;
-        }
-        let idx = (token.0 - 1) as usize;
-        let span = {
-            let mut pending = self.pending.lock().expect("pending spans poisoned");
-            let span = pending.slots.get_mut(idx).and_then(Option::take);
-            if span.is_some() {
-                pending.free.push(idx);
-            }
-            span
-        };
-        let Some(span) = span else { return };
-        self.spans_exited.fetch_add(1, Ordering::Relaxed);
-        let end = Instant::now();
-        let start_us = span.start.duration_since(self.epoch).as_micros() as u64;
-        let dur_us = end.duration_since(span.start).as_micros() as u64;
-        let mut trace = self.trace.lock().expect("trace buffer poisoned");
-        if trace.len() >= TRACE_CAPACITY {
-            drop(trace);
-            self.trace_dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        trace.push(TraceEvent {
-            name: span.name,
-            cat: span.cat,
-            start_us,
-            dur_us,
-            tid: span.tid,
-        });
-    }
-
-    fn set_thread_name(&self, name: &str) {
-        let tid = self.tid();
-        let mut table = self.threads.lock().expect("thread table poisoned");
-        table.names.insert(tid, name.to_string());
     }
 }
 
@@ -666,27 +533,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_counter_is_inert() {
-        let c = Counter::disabled();
-        c.incr();
-        c.add(41);
-        assert_eq!(c.get(), 0);
-        assert!(c.is_disabled());
-    }
-
-    #[test]
-    fn noop_recorder_returns_inert_handles() {
-        let rec = NoopRecorder;
-        assert!(!rec.enabled());
-        let c = rec.counter("anything");
-        c.add(7);
-        assert_eq!(c.get(), 0);
-        let token = rec.span_begin("cat", "name");
-        assert_eq!(token, SpanToken::NONE);
-        rec.span_end(token);
-    }
-
-    #[test]
     fn registry_counters_accumulate_and_share_cells() {
         let reg = MetricsRegistry::new();
         let a = reg.counter("ise_test_total");
@@ -704,18 +550,16 @@ mod tests {
         reg.set_thread_name("main");
         let outer = reg.span_begin("engine", "run");
         let inner = reg.span_begin("engine", "phase");
-        reg.span_end(inner);
-        reg.span_end(outer);
+        assert_eq!(reg.spans_exited(), 0, "a span ends only when dropped");
+        drop(inner);
+        drop(outer);
         assert_eq!(reg.spans_entered(), 2);
         assert_eq!(reg.spans_exited(), 2);
         let trace = reg.render_chrome_trace();
         assert!(trace.starts_with("{\"traceEvents\":["));
         assert!(trace.contains("\"ph\":\"X\""));
-        assert!(trace.contains("\"name\":\"phase\""));
+        assert!(trace.contains("\"name\":\"phase\",\"cat\":\"engine\""));
         assert!(trace.contains("\"thread_name\""));
-        // Double-end is harmless.
-        reg.span_end(outer);
-        assert_eq!(reg.spans_exited(), 2);
     }
 
     #[test]
@@ -808,9 +652,8 @@ mod tests {
                     reg.set_thread_name(&format!("worker-{i}"));
                     let c = reg.counter("ise_thread_events_total");
                     for _ in 0..100 {
-                        let t = reg.span_begin("pool", "task");
+                        let _span = reg.span_begin("pool", "task");
                         c.incr();
-                        reg.span_end(t);
                     }
                 })
             })
