@@ -1,4 +1,4 @@
-//! Shared harness utilities for the experiment binaries and Criterion benches.
+//! Shared harness utilities for the experiment binaries.
 //!
 //! Every figure of the paper's evaluation (see the per-experiment index in DESIGN.md)
 //! is regenerated by one binary under `src/bin/`:
@@ -10,8 +10,15 @@
 //! * `par_scaling` — intra-block task-parallel scaling on the worst tractable
 //!   committed corpus block (experiment E7, writes `BENCH_par_scaling.json`);
 //! * `ablation` — the §5.3 pruning techniques toggled one at a time;
-//! * `speedup` — candidate counts and the greedy-selection speedup model.
+//! * `speedup` — candidate counts and the greedy-selection speedup model;
+//! * `grouping` — canonical-form grouping and the coding memo (E8, writes
+//!   `BENCH_grouping.json`);
+//! * `serve_latency` — `ise serve` cold-vs-warm latency (E9, writes
+//!   `BENCH_serve.json`);
+//! * `obs_overhead` — what recording costs the engine (writes `BENCH_obs.json`);
+//! * `corpus_load` — corpus ingest throughput (E10, writes `BENCH_corpus.json`).
 //!
+//! `json_check` validates those artifacts with the workspace's own parser.
 //! [`small_blocks`] generates the many-small-block corpus that `corpus_load` (E10)
 //! and `ise-cli`'s `peak_rss` example (E11) measure.
 //!
@@ -28,7 +35,7 @@ pub mod small_blocks;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use ise_enum::{Constraints, EnumContext, Enumeration};
+use ise_enum::EnumContext;
 use ise_graph::Dfg;
 use ise_workloads::tree::TreeDfgBuilder;
 use ise_workloads::{suite, SizeCluster, SuiteBlock};
@@ -202,19 +209,9 @@ pub fn figure5_workload(
     workload
 }
 
-/// The paper's standard constraint set (`Nin = 4`, `Nout = 2`).
-pub fn paper_constraints() -> Constraints {
-    Constraints::new(PAPER_NIN, PAPER_NOUT).expect("the paper's constraints are non-zero")
-}
-
 /// Builds the enumeration context for a block, timing the (shared) precomputation.
 pub fn build_context(dfg: &Dfg) -> (EnumContext, Duration) {
     timed(|| EnumContext::new(dfg.clone()))
-}
-
-/// Formats an enumeration outcome for CSV output: cut count and search nodes.
-pub fn summarize(result: &Enumeration) -> String {
-    format!("{},{}", result.stats.valid_cuts, result.stats.search_nodes)
 }
 
 #[cfg(test)]
@@ -261,14 +258,7 @@ mod tests {
     }
 
     #[test]
-    fn paper_constraints_match_the_evaluation_setup() {
-        let c = paper_constraints();
-        assert_eq!(c.max_inputs(), 4);
-        assert_eq!(c.max_outputs(), 2);
-    }
-
-    #[test]
-    fn context_and_summary_helpers_work() {
+    fn context_helper_works() {
         // No size cap: the single block must survive the filter whatever size the
         // generator draws for it.
         let w = figure5_workload(1, usize::MAX, 3, &[]);
@@ -276,7 +266,5 @@ mod tests {
         let (ctx, elapsed) = build_context(dfg);
         assert_eq!(ctx.rooted().original_len(), dfg.len());
         assert!(elapsed.as_secs() < 10);
-        let empty = Enumeration::default();
-        assert_eq!(summarize(&empty), "0,0");
     }
 }

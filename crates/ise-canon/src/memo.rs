@@ -56,14 +56,11 @@ pub struct MemoStats {
 }
 
 impl MemoStats {
-    /// Publishes this snapshot into a metrics registry as gauges
-    /// (`ise_memo_raw_hits`, `ise_memo_fingerprint_hits`, `ise_memo_labeler_runs`,
-    /// `ise_memo_entries`) — the daemon calls this before rendering
-    /// `GET /v1/metrics` so the memo surfaces through the shared registry.
+    /// Publishes the entry count into a metrics registry as the
+    /// `ise_memo_entries` gauge — the daemon calls this before rendering
+    /// `GET /v1/metrics`. The hit and labeler counts need no gauge: the live
+    /// `_total` counters of [`CanonMemo::set_recorder`] already export them.
     pub fn publish(&self, rec: &MetricsRegistry) {
-        rec.set_gauge("ise_memo_raw_hits", self.raw_hits);
-        rec.set_gauge("ise_memo_fingerprint_hits", self.fingerprint_hits);
-        rec.set_gauge("ise_memo_labeler_runs", self.labeler_runs);
         rec.set_gauge("ise_memo_entries", self.entries);
     }
 }

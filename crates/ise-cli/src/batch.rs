@@ -632,8 +632,8 @@ mod tests {
         );
     }
 
-    /// Thread count must not change results — only wall time (acceptance criterion:
-    /// identical aggregate counts for N=1 and N=8) — including when blocks fan out.
+    /// Thread count must not change results — only wall time (identical aggregate
+    /// counts for N=1 and N=8) — including when blocks fan out.
     #[test]
     fn thread_count_does_not_change_results() {
         let blocks = small_corpus();

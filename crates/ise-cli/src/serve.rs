@@ -25,9 +25,10 @@
 //! failures answer `{"ok":false,"error":"..."}` and the daemon keeps serving. The
 //! HTTP shim returns the identical envelope as the response body (status 200 for
 //! `ok:true`, 400 otherwise). A request whose bytes are not UTF-8 is one more
-//! such failure, on every transport. Over TCP, a request line or HTTP body longer
-//! than [`MAX_REQUEST_BYTES`] is answered with that error envelope (HTTP status
-//! 413) before it is read in full, and the connection is closed.
+//! such failure, on every transport. A request line or HTTP body longer than
+//! [`MAX_REQUEST_BYTES`] is answered with that error envelope (HTTP status 413)
+//! before it is read in full. Over TCP the connection is then closed; on stdin the
+//! rest of the line is skipped unbuffered and the next line is served.
 //!
 //! **Caching.** Every evaluated request is keyed by a stable content hash
 //! ([`crate::cache::content_hash`]) over semantic inputs only: the canonical `.dfg`
@@ -117,10 +118,11 @@ pub const DEFAULT_CACHE_CAP: usize = 256;
 /// pending clients queue in the kernel backlog instead of being refused.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 64;
 
-/// Largest request the TCP transports accept, in bytes: one JSON-protocol line, one
-/// HTTP header line, or one HTTP body. The largest committed corpus block is about
-/// 31 KB, so inline blocks keep two orders of magnitude of headroom, while a hostile
-/// or broken client can no longer make the daemon allocate without bound.
+/// Largest request the daemon accepts, in bytes: one JSON-protocol line (on stdin
+/// or TCP), one HTTP header line, or one HTTP body. The largest committed corpus
+/// block is about 31 KB, so inline blocks keep two orders of magnitude of headroom,
+/// while a hostile or broken client can no longer make the daemon allocate without
+/// bound.
 pub const MAX_REQUEST_BYTES: usize = 8 << 20;
 
 /// Marks the I/O error a transport returns for a request whose end it cannot
@@ -330,16 +332,12 @@ const _: fn() = || {
     assert_sync::<ServerState>();
 };
 
-enum Reply {
-    /// An evaluated request: the deterministic payload plus the envelope facts.
-    Evaluated {
-        op: &'static str,
-        key: String,
-        answer: Answer,
-        payload: String,
-    },
-    /// A control response emitted verbatim (`stats`, `shutdown`).
-    Bare(String),
+/// An evaluated request: the deterministic payload plus the envelope facts.
+struct Reply {
+    op: &'static str,
+    key: String,
+    answer: Answer,
+    payload: String,
 }
 
 /// How an evaluated request was answered; the `outcome` label of its latency
@@ -437,28 +435,51 @@ impl ServerState {
     /// trailing newline). Never panics on malformed input — every failure becomes
     /// an `{"ok":false,...}` response. Safe to call from many threads at once;
     /// concurrent duplicate cold requests coalesce onto one computation.
+    ///
+    /// The control ops (`stats`, `shutdown`) are answered verbatim, like
+    /// `GET /v1/stats`: outside any request span, the `server` counters and the
+    /// latency histogram, so a `stats` answer reads a balanced span ledger.
     pub fn handle_line(&self, line: &str) -> String {
-        self.respond(|op| self.dispatch(line, op))
+        let started = Instant::now();
+        let request =
+            Json::parse(line).map_err(|e| CliError::Usage(format!("request is not JSON: {e}")));
+        match request.as_ref().ok().and_then(|r| r.get("op")?.as_str()) {
+            Some("stats") => return self.stats_response(),
+            Some("shutdown") => {
+                self.shutdown.store(true, Ordering::SeqCst);
+                return "{\"ok\":true,\"op\":\"shutdown\"}".to_string();
+            }
+            _ => {}
+        }
+        self.respond(started, |label| {
+            let request = request?;
+            let op = request
+                .get("op")
+                .and_then(Json::as_str)
+                .ok_or_else(|| CliError::Usage("request needs a string `op` field".into()))?;
+            *label = op_label(op);
+            self.evaluate(resolve(op, &request, &self.sources)?)
+        })
     }
 
     /// Runs one request inside a `serve`/`request` span and renders its response:
-    /// the envelope around an evaluated payload, a control response verbatim, or
-    /// a counted in-band error. Both transports answer every request through here.
+    /// the envelope around an evaluated payload, or a counted in-band error. Both
+    /// transports answer every evaluated request through here.
     ///
     /// The request sets its `op` label once it knows it (`unknown` until then);
     /// every evaluated or failed request is observed once in
-    /// `ise_serve_request_us{op,outcome}`.
+    /// `ise_serve_request_us{op,outcome}`, timed from `started`.
     fn respond(
         &self,
+        started: Instant,
         request: impl FnOnce(&mut &'static str) -> Result<Reply, CliError>,
     ) -> String {
-        let started = Instant::now();
         let span = self.registry.span_begin("serve", "request");
         let mut op = "unknown";
         let outcome = request(&mut op);
         drop(span);
         let (response, label) = match outcome {
-            Ok(Reply::Evaluated {
+            Ok(Reply {
                 op,
                 key,
                 answer,
@@ -486,7 +507,6 @@ impl ServerState {
                 );
                 (response, answer.label())
             }
-            Ok(Reply::Bare(text)) => return text,
             Err(error) => (self.error_response(&error.to_string()), "error"),
         };
         self.registry.observe(
@@ -518,24 +538,6 @@ impl ServerState {
         eprintln!("ise serve: connection {peer}: {error}");
     }
 
-    fn dispatch(&self, line: &str, label: &mut &'static str) -> Result<Reply, CliError> {
-        let request =
-            Json::parse(line).map_err(|e| CliError::Usage(format!("request is not JSON: {e}")))?;
-        let op = request
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or_else(|| CliError::Usage("request needs a string `op` field".into()))?;
-        *label = op_label(op);
-        match op {
-            "stats" => Ok(Reply::Bare(self.stats_response())),
-            "shutdown" => {
-                self.shutdown.store(true, Ordering::SeqCst);
-                Ok(Reply::Bare("{\"ok\":true,\"op\":\"shutdown\"}".to_string()))
-            }
-            _ => self.evaluate(resolve(op, &request, &self.sources)?),
-        }
-    }
-
     /// The shared evaluate path: one lookup under the response lock finds the
     /// key's cell or inserts an empty one, and the request is answered from the
     /// cell outside every lock. A filled cell is a hit. Otherwise the request
@@ -560,7 +562,7 @@ impl ServerState {
                 (answer, payload.clone())
             }
         };
-        Ok(Reply::Evaluated {
+        Ok(Reply {
             op: resolved.job.op.command(),
             key: resolved.key,
             answer,
@@ -984,25 +986,41 @@ fn flags_from_json(
 /// The stdin/stdout serve loop: a reader thread feeds a channel so the main loop
 /// can poll the shutdown flag every 100ms even while no request arrives. EOF on
 /// stdin ends the loop (the channel disconnects). Lines travel as bytes, so a line
-/// that is not UTF-8 is answered in band instead of ending the input.
+/// that is not UTF-8 is answered in band instead of ending the input. A line
+/// longer than [`MAX_REQUEST_BYTES`] is answered with the request-limit error; the
+/// reader skips the rest of it unbuffered and goes on with the next line.
 fn serve_stdin(state: &ServerState) -> Result<(), CliError> {
-    let (sender, receiver) = mpsc::channel::<Vec<u8>>();
+    let (sender, receiver) = mpsc::channel::<io::Result<Vec<u8>>>();
     std::thread::spawn(move || {
         let mut stdin = io::stdin().lock();
         loop {
             let mut line = Vec::new();
-            match stdin.read_until(b'\n', &mut line) {
+            // One byte of room past the cap tells an over-long line from one that fits.
+            match stdin
+                .by_ref()
+                .take(MAX_REQUEST_BYTES as u64 + 1)
+                .read_until(b'\n', &mut line)
+            {
                 Ok(0) | Err(_) => break,
                 Ok(_) => {}
             }
-            // The terminator goes as `BufRead::lines` drops it: `\n`, then one `\r`.
-            if line.ends_with(b"\n") {
+            let request = if line.ends_with(b"\n") {
+                // The terminator goes as `BufRead::lines` drops it: `\n`, then one `\r`.
                 line.pop();
                 if line.ends_with(b"\r") {
                     line.pop();
                 }
-            }
-            if sender.send(line).is_err() {
+                Ok(line)
+            } else if line.len() > MAX_REQUEST_BYTES {
+                drop(line);
+                if skip_line(&mut stdin).is_err() {
+                    break;
+                }
+                Err(request_too_large("request line"))
+            } else {
+                Ok(line)
+            };
+            if sender.send(request).is_err() {
                 break;
             }
         }
@@ -1014,10 +1032,11 @@ fn serve_stdin(state: &ServerState) -> Result<(), CliError> {
         }
         match receiver.recv_timeout(Duration::from_millis(100)) {
             Ok(line) => {
-                let response = match std::str::from_utf8(&line) {
-                    Ok(text) if text.trim().is_empty() => continue,
-                    Ok(text) => state.handle_line(text),
-                    Err(error) => state.not_utf8(error),
+                let response = match line.as_deref().map(std::str::from_utf8) {
+                    Ok(Ok(text)) if text.trim().is_empty() => continue,
+                    Ok(Ok(text)) => state.handle_line(text),
+                    Ok(Err(error)) => state.not_utf8(error),
+                    Err(too_long) => state.error_response(&too_long.to_string()),
                 };
                 let mut out = stdout.lock();
                 writeln!(out, "{response}")
@@ -1032,6 +1051,25 @@ fn serve_stdin(state: &ServerState) -> Result<(), CliError> {
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(()),
+        }
+    }
+}
+
+/// Consumes `reader` through the next newline, or to EOF, without buffering the
+/// bytes it skips.
+fn skip_line(reader: &mut impl BufRead) -> io::Result<()> {
+    loop {
+        let available = match reader.fill_buf() {
+            Err(error) if error.kind() == io::ErrorKind::Interrupted => continue,
+            available => available?,
+        };
+        let (done, used) = match available.iter().position(|&byte| byte == b'\n') {
+            Some(end) => (true, end + 1),
+            None => (available.is_empty(), available.len()),
+        };
+        reader.consume(used);
+        if done {
+            return Ok(());
         }
     }
 }
@@ -1454,7 +1492,7 @@ fn http_reply(
         ("GET", "/v1/metrics") => ("200 OK", CONTENT_PROMETHEUS, state.metrics_response()),
         ("POST", "/v1/enumerate" | "/v1/group" | "/v1/select") => {
             let op = path.rsplit('/').next().expect("path has segments");
-            let response = state.respond(|label| {
+            let response = state.respond(Instant::now(), |label| {
                 *label = op_label(op);
                 // An empty body, like any body that is no object with a string
                 // `block`, fails validation in-band.
@@ -1865,12 +1903,19 @@ mod tests {
         ] {
             assert!(body.contains(series), "missing `{series}`:\n{body}");
         }
+        // Each memo count is exported once, as its live `_total` counter.
+        for count in ["raw_hits", "fingerprint_hits", "labeler_runs"] {
+            let name = format!("ise_memo_{count}");
+            assert!(body.contains(&format!("\n{name}_total ")), "{body}");
+            assert!(!body.contains(&format!("\n{name} ")), "{body}");
+        }
     }
 
     #[test]
     fn stats_op_reports_the_registry_snapshot() {
         let state = ServerState::new(8, None);
         let _ = state.handle_line(&request("enumerate", INLINE, r#"{"nin":3,"nout":1}"#));
+        let _ = state.handle_line("not json");
         let stats = state.handle_line(r#"{"op":"stats"}"#);
         let obs = Json::parse(&stats)
             .unwrap()
@@ -1880,7 +1925,7 @@ mod tests {
             .expect("stats op reports the obs snapshot");
         assert_eq!(
             obs.get("ise_serve_requests_total").and_then(Json::as_u64),
-            Some(1),
+            Some(2),
             "{stats}"
         );
         assert!(
@@ -1889,11 +1934,15 @@ mod tests {
                 .is_some_and(|runs| runs >= 1),
             "{stats}"
         );
-        // The request span ledger balances even with dispatch errors in between.
-        let _ = state.handle_line("not json");
+        // The request span ledger balances even with a dispatch error in between,
+        // and the stats op reads it balanced: it answers outside any request span,
+        // as `GET /v1/metrics` does.
+        let entered = obs.get("obs_spans_entered").and_then(Json::as_u64);
+        assert!(entered.is_some_and(|n| n >= 2), "{stats}");
         assert_eq!(
-            state.registry().spans_entered(),
-            state.registry().spans_exited()
+            obs.get("obs_spans_exited").and_then(Json::as_u64),
+            entered,
+            "{stats}"
         );
     }
 

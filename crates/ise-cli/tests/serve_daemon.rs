@@ -105,6 +105,37 @@ fn wait_with_timeout(child: &mut Child, timeout: Duration) -> std::process::Exit
     }
 }
 
+/// Feeds `input` to an `ise serve` daemon on stdin, asserts it exits 0 at the end
+/// of its input, and returns what it wrote to stdout.
+fn stdin_session(input: &[u8]) -> String {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ise"))
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ise serve");
+    child
+        .stdin
+        .take()
+        .expect("daemon stdin")
+        .write_all(input)
+        .expect("send the requests");
+    let status = wait_with_timeout(&mut child, Duration::from_secs(30));
+    let mut stdout = String::new();
+    child
+        .stdout
+        .take()
+        .expect("daemon stdout")
+        .read_to_string(&mut stdout)
+        .expect("read the answers");
+    assert!(
+        status.success(),
+        "daemon must exit 0, got {status:?}:\n{stdout}"
+    );
+    stdout
+}
+
 /// Builds one request line with an inline block.
 fn request(op: &str, block: &str, flags: &str) -> String {
     format!(
@@ -531,33 +562,14 @@ fn deeply_nested_request_gets_an_in_band_error_and_the_daemon_keeps_serving() {
 /// its input.
 #[test]
 fn lone_carriage_return_in_free_text_is_rejected_in_band_on_stdin() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_ise"))
-        .arg("serve")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn ise serve");
     let meta = "dfg x\nmeta k a\rb\nnode 0 in\nnode 1 not\nedge 0 1\nend\n";
     let name = "dfg y\nnode 0 in @a\rb\nnode 1 not\nedge 0 1\nend\n";
-    {
-        let mut stdin = child.stdin.take().expect("daemon stdin");
-        writeln!(stdin, "{}", request("enumerate", meta, "")).expect("send a request");
-        writeln!(stdin, "{}", request("enumerate", name, "")).expect("send a request");
-        writeln!(stdin, "{{\"op\":\"stats\"}}").expect("send stats");
-    }
-    let status = wait_with_timeout(&mut child, Duration::from_secs(30));
-    let mut stdout = String::new();
-    child
-        .stdout
-        .take()
-        .expect("daemon stdout")
-        .read_to_string(&mut stdout)
-        .expect("read the answers");
-    assert!(
-        status.success(),
-        "daemon must exit 0, got {status:?}:\n{stdout}"
+    let input = format!(
+        "{}\n{}\n{{\"op\":\"stats\"}}\n",
+        request("enumerate", meta, ""),
+        request("enumerate", name, "")
     );
+    let stdout = stdin_session(input.as_bytes());
     let answers: Vec<&str> = stdout.lines().collect();
     assert_eq!(answers.len(), 3, "{stdout}");
     for (answer, what) in answers.iter().zip(["meta value", "node name"]) {
@@ -980,32 +992,26 @@ fn invalid_utf8_over_http_gets_400_and_the_connection_kept() {
 /// with the rest of its input unanswered.
 #[test]
 fn invalid_utf8_on_stdin_is_answered_in_band_and_later_requests_served() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_ise"))
-        .arg("serve")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn ise serve");
-    {
-        let mut stdin = child.stdin.take().expect("daemon stdin");
-        stdin
-            .write_all(b"{\"op\":\"stats\",\"note\":\"\xff\"}\n{\"op\":\"stats\"}\n")
-            .expect("send the requests");
-    }
-    let status = wait_with_timeout(&mut child, Duration::from_secs(30));
-    let mut stdout = String::new();
-    child
-        .stdout
-        .take()
-        .expect("daemon stdout")
-        .read_to_string(&mut stdout)
-        .expect("read the answers");
-    assert!(status.success(), "daemon must exit 0, got {status:?}");
+    let stdout = stdin_session(b"{\"op\":\"stats\",\"note\":\"\xff\"}\n{\"op\":\"stats\"}\n");
     let answers: Vec<&str> = stdout.lines().collect();
     assert_eq!(answers.len(), 2, "{stdout}");
     assert!(answers[0].starts_with("{\"ok\":false"), "{}", answers[0]);
     assert!(answers[0].contains("not valid UTF-8"), "{}", answers[0]);
+    assert_eq!(server_counter(answers[1], "errors"), 1, "{}", answers[1]);
+}
+
+/// On stdin, a line past the request cap is answered with the request-limit error
+/// and the line after it is still served; the reader used to buffer any line
+/// whole, so one line without a newline grew the daemon without bound.
+#[test]
+fn over_long_stdin_line_is_answered_in_band_and_later_requests_served() {
+    let mut input = vec![b'x'; MAX_REQUEST_BYTES + 1];
+    input.extend_from_slice(b"\n{\"op\":\"stats\"}\n");
+    let stdout = stdin_session(&input);
+    let answers: Vec<&str> = stdout.lines().collect();
+    assert_eq!(answers.len(), 2, "{stdout}");
+    assert!(answers[0].starts_with("{\"ok\":false"), "{}", answers[0]);
+    assert!(answers[0].contains("request limit"), "{}", answers[0]);
     assert_eq!(server_counter(answers[1], "errors"), 1, "{}", answers[1]);
 }
 

@@ -6,7 +6,7 @@
 //! * `ise group` finds patterns recurring in *distinct* blocks;
 //! * grouping output is byte-identical for any thread count (wall times aside),
 //!   with canonicalization memoized or not, and with one shared memo serving
-//!   every thread count in sequence (the ISSUE 7 purity criterion);
+//!   every thread count in sequence (the memo must be observably pure);
 //! * `ise select --global` saves at least as many corpus-wide cycles as the sum of
 //!   the per-block greedy selections under the same constraints;
 //! * the `ise group` command, which codes each block on its batch worker and drops
