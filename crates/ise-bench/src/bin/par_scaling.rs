@@ -16,8 +16,9 @@
 //! the real numbers are recorded as-is.
 //!
 //! Options (key=value): `corpus` (default `corpus`), `block` (name substring,
-//! default = the largest block), `nin`/`nout` (default 4/2), `budget` (per task,
-//! default 0 = unbounded; the identity assertion only runs unbudgeted), `tasks`
+//! default = the largest block), `nin`/`nout` (default 4/2), `budget` (for the
+//! whole block, split evenly over the tasks in the fanned-out rows; default 0 =
+//! unbounded; the identity assertion only runs unbudgeted), `tasks`
 //! (default 16), `threads` (comma list, default `1,2,4`), `out`
 //! (default `BENCH_par_scaling.json`, `-` disables).
 
@@ -138,7 +139,8 @@ fn main() {
         let (run, elapsed) = timed(|| parallel_cuts(&ctx, &constraints, &pruning, &config, None));
         let par = &run.enumeration;
         // The merged result must be byte-identical to the serial run; a budgeted run
-        // truncates per task, so only unbudgeted runs assert (and record) identity.
+        // truncates each task at its share, so only unbudgeted runs assert (and
+        // record) identity.
         let identical = budget.is_none();
         if identical {
             assert_eq!(

@@ -168,14 +168,6 @@ impl Json {
         }
     }
 
-    /// The key/value pairs, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Object(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-
     /// Renders the value as compact JSON.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -671,7 +663,7 @@ mod tests {
         let flags = doc.get("flags").unwrap();
         assert_eq!(flags.get("nin").and_then(Json::as_u64), Some(4));
         assert_eq!(flags.get("x").and_then(Json::as_f64), Some(-1.5));
-        assert_eq!(flags.as_object().map(<[_]>::len), Some(2));
+        assert!(matches!(flags, Json::Object(pairs) if pairs.len() == 2));
         let blocks = doc.get("blocks").and_then(Json::as_array).unwrap();
         assert_eq!(blocks.len(), 2);
         assert_eq!(doc.get("op").and_then(Json::as_u64), None, "type mismatch");

@@ -147,11 +147,6 @@ impl CanonicalCode {
         CanonicalCode::from_words(best.expect("the search visits at least one discrete leaf"))
     }
 
-    /// The raw serialized words of the code.
-    pub fn as_words(&self) -> &[u32] {
-        &self.words
-    }
-
     /// The 64-bit digest of the code (FNV-1a with a finalizer), precomputed at
     /// construction, for compact display. Grouping itself always compares full
     /// codes, never digests.
@@ -457,10 +452,10 @@ mod tests {
         let x = b.node(Operation::Not, &[a]);
         let dfg = b.build().unwrap();
         let empty = DenseNodeSet::new(dfg.len());
-        assert_eq!(code_of(&dfg, &empty).as_words(), &[0]);
+        assert_eq!(*code_of(&dfg, &empty).words, [0]);
         let single = DenseNodeSet::from_nodes(dfg.len(), [x]);
         let code = code_of(&dfg, &single);
-        assert_eq!(code.as_words()[0], 2, "input + body node");
+        assert_eq!(code.words[0], 2, "input + body node");
         assert_eq!(code.hex().len(), 16);
         assert_ne!(code.hash64(), 0);
         let _ = NodeId::new(0);

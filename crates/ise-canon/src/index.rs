@@ -26,12 +26,11 @@ pub struct Occurrence {
     pub cut: usize,
 }
 
-/// Merit settings shared by grouping and global selection: the latency model and the
-/// register-file ports assumed for operand transfer (see `ise_enum::estimate_merit`).
+/// Merit settings shared by grouping and global selection: the register-file ports
+/// assumed for operand transfer (see `ise_enum::estimate_merit`). Savings are costed
+/// under the one [`LatencyModel`].
 #[derive(Clone, Debug)]
 pub struct GroupConfig {
-    /// The latency model used to estimate per-occurrence savings.
-    pub model: LatencyModel,
     /// Register-file read ports available per cycle.
     pub ports_in: usize,
     /// Register-file write ports available per cycle.
@@ -39,10 +38,9 @@ pub struct GroupConfig {
 }
 
 impl GroupConfig {
-    /// Creates a configuration with the given port counts and the default model.
+    /// Creates a configuration with the given port counts.
     pub fn new(ports_in: usize, ports_out: usize) -> Self {
         GroupConfig {
-            model: LatencyModel::default(),
             ports_in,
             ports_out,
         }
@@ -106,9 +104,7 @@ pub fn canonicalize_cuts(dfg: &Dfg, cuts: &[Cut], config: &GroupConfig) -> Vec<C
 /// [`InterfaceGraph`] nor the merit estimator's block-sized scratch is ever built.
 /// A miss builds the graph from the words already encoded and codes it as
 /// [`canonicalize_cuts`] does. Merit is cached per exact `(ports_in, ports_out)`
-/// pair under the default latency model; a non-default model stores and reads no
-/// merit (codes and ops still memoize) because the memo may be shared across
-/// configurations.
+/// pair, because the memo may be shared across port configurations.
 ///
 /// Caching merit by raw encoding is sound because equal encodings mean
 /// *identical* interface graphs: `estimate_merit` is a function of the graph's
@@ -122,8 +118,7 @@ pub fn canonicalize_cuts_memo(
 ) -> Vec<CodedCut> {
     let mut encoder = RawEncoder::new(dfg);
     let mut raw: Vec<u32> = Vec::new();
-    let ports: Option<Ports> =
-        (config.model == LatencyModel::default()).then_some((config.ports_in, config.ports_out));
+    let ports: Ports = (config.ports_in, config.ports_out);
     cuts.iter()
         .map(|cut| {
             encoder.encode(dfg, cut, &mut raw);
@@ -131,9 +126,7 @@ pub fn canonicalize_cuts_memo(
                 Some(hit) => {
                     let saved = hit.saved_cycles.unwrap_or_else(|| {
                         let saved = saved_cycles(dfg, cut, config);
-                        if let Some(ports) = ports {
-                            memo.record_merit(&raw, ports, saved);
-                        }
+                        memo.record_merit(&raw, ports, saved);
                         saved
                     });
                     coded_cut(cut, hit.code, hit.ops, saved)
@@ -157,7 +150,14 @@ fn code_graph(dfg: &Dfg, cut: &Cut, config: &GroupConfig, graph: &InterfaceGraph
 
 /// The cycles one occurrence of `cut` saves under `config`.
 fn saved_cycles(dfg: &Dfg, cut: &Cut, config: &GroupConfig) -> u32 {
-    estimate_merit(dfg, cut, &config.model, config.ports_in, config.ports_out).saved_cycles
+    estimate_merit(
+        dfg,
+        cut,
+        &LatencyModel::default(),
+        config.ports_in,
+        config.ports_out,
+    )
+    .saved_cycles
 }
 
 fn coded_cut(cut: &Cut, code: CanonicalCode, ops: Arc<str>, saved_cycles: u32) -> CodedCut {
@@ -289,11 +289,6 @@ impl PatternIndex {
             block_weights: Vec::new(),
             total_cuts: 0,
         }
-    }
-
-    /// The merit settings of this index.
-    pub fn config(&self) -> &GroupConfig {
-        &self.config
     }
 
     /// Canonicalizes and records every cut of the next block; returns the block's

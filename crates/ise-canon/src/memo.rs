@@ -25,8 +25,7 @@
 //! cold computation would produce (pinned by proptest in `tests/properties.rs` and
 //! by byte-identical grouped JSON in `tests/grouping_pipeline.rs` and CI). Each
 //! entry also caches merits, keyed by the exact `(ports_in, ports_out)` pair they
-//! were costed for and filed only under the default latency model, so no port pair
-//! or model is ever served another's saving.
+//! were costed for, so no port pair is ever served another's saving.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -73,7 +72,7 @@ struct MemoEntry {
     code: CanonicalCode,
     /// Shared with every `CodedCut` this entry answers: a hit clones the pointer.
     ops: Arc<str>,
-    /// `(ports, saved_cycles)` pairs, costed under the default latency model.
+    /// `(ports, saved_cycles)` pairs.
     /// Raw-equal graphs are identical, so the cached merit is bit-identical to a
     /// recomputation; a linear scan suffices because a memo sees one or two port
     /// pairs.
@@ -182,11 +181,6 @@ impl CanonMemo {
         CanonMemo::with_fingerprinter(Self::DEFAULT_SHARDS, digest_words)
     }
 
-    /// An empty memo with `shards` lock stripes (rounded up to a power of two).
-    pub fn with_shards(shards: usize) -> Self {
-        CanonMemo::with_fingerprinter(shards, digest_words)
-    }
-
     /// An empty memo with an explicit fingerprint function — the test seam that
     /// makes fingerprint collisions reproducible (pass a constant function and
     /// every raw encoding shares one bucket). Correctness never depends on the
@@ -220,8 +214,8 @@ impl CanonMemo {
     }
 
     /// Looks up `raw`, returning the cached facts on a confirmed hit, with the
-    /// cached saving for `ports` when one was recorded (none for `None`).
-    pub(crate) fn lookup(&self, raw: &[u32], ports: Option<Ports>) -> Option<MemoHit> {
+    /// cached saving for `ports` when one was recorded.
+    pub(crate) fn lookup(&self, raw: &[u32], ports: Ports) -> Option<MemoHit> {
         let fingerprint = (self.fingerprint)(raw);
         let mut guard = self.shard_for(fingerprint).lock().unwrap();
         let shard = &mut *guard;
@@ -239,12 +233,12 @@ impl CanonMemo {
         Some(MemoHit {
             code: entry.code.clone(),
             ops: Arc::clone(&entry.ops),
-            saved_cycles: ports.and_then(|ports| entry.merit(ports)),
+            saved_cycles: entry.merit(ports),
         })
     }
 
     /// Records a freshly computed graph: one labeler run, the resulting code and
-    /// ops, and the merit for `ports` (none for `None`). If another thread raced us
+    /// ops, and the merit for `ports`. If another thread raced us
     /// to the same raw encoding the earlier entry wins (the values are identical by
     /// construction).
     pub(crate) fn insert(
@@ -252,7 +246,7 @@ impl CanonMemo {
         raw: &[u32],
         code: &CanonicalCode,
         ops: &Arc<str>,
-        ports: Option<Ports>,
+        ports: Ports,
         saved_cycles: u32,
     ) {
         let fingerprint = (self.fingerprint)(raw);
@@ -262,19 +256,16 @@ impl CanonMemo {
             obs.labeler_runs.incr();
         }
         let bucket = shard.buckets.entry(fingerprint).or_default();
-        let merit = ports.map(|ports| (ports, saved_cycles));
         match bucket.iter_mut().find(|e| *e.raw == *raw) {
             Some(entry) => {
                 debug_assert_eq!(entry.code, *code, "raced entries must agree");
-                if let Some((ports, saved)) = merit {
-                    entry.record_merit(ports, saved);
-                }
+                entry.record_merit(ports, saved_cycles);
             }
             None => bucket.push(MemoEntry {
                 raw: raw.into(),
                 code: code.clone(),
                 ops: Arc::clone(ops),
-                merits: merit.into_iter().collect(),
+                merits: vec![(ports, saved_cycles)],
             }),
         }
     }
@@ -324,7 +315,7 @@ mod tests {
     use crate::index::{canonicalize_cuts, canonicalize_cuts_memo, CodedCut, GroupConfig};
     use ise_enum::{enumerate_cuts, Constraints};
     use ise_graph::Dfg;
-    use ise_graph::{DfgBuilder, LatencyModel, Operation, RawEncoder};
+    use ise_graph::{DfgBuilder, Operation, RawEncoder};
 
     /// A block holding `macs` MAC datapaths plus one unique xor-shift tail.
     fn block(name: &str, macs: usize) -> (Dfg, Vec<ise_enum::Cut>) {
@@ -382,7 +373,7 @@ mod tests {
     #[test]
     fn second_sweep_never_runs_the_labeler() {
         let config = GroupConfig::new(3, 1);
-        let memo = CanonMemo::with_shards(4);
+        let memo = CanonMemo::with_fingerprinter(4, digest_words);
         let (dfg, cuts) = block("warm", 2);
         let cold = canonicalize_cuts_memo(&dfg, &cuts, &config, &memo);
         let runs_after_cold = memo.stats().labeler_runs;
@@ -411,7 +402,9 @@ mod tests {
         let mut raw = Vec::new();
         for ((cut, c), w) in cuts.iter().zip(&cold).zip(&warm) {
             encoder.encode(&dfg, cut, &mut raw);
-            let entry = memo.lookup(&raw, None).expect("every coded cut is stored");
+            let entry = memo
+                .lookup(&raw, (3, 1))
+                .expect("every coded cut is stored");
             assert!(
                 Arc::ptr_eq(&w.ops, &entry.ops),
                 "a raw hit clones its entry's pointer"
@@ -526,33 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn a_non_default_model_caches_no_merit() {
-        let (dfg, cuts) = wide_block();
-        let default = GroupConfig::new(4, 2);
-        let slow = GroupConfig {
-            model: LatencyModel::default().with_muldiv_cycles(9),
-            ..default.clone()
-        };
-        let memo = CanonMemo::new();
-        let coded = canonicalize_cuts_memo(&dfg, &cuts, &slow, &memo);
-        assert_eq!(saved(&coded), saved(&canonicalize_cuts(&dfg, &cuts, &slow)));
-        let mut encoder = RawEncoder::new(&dfg);
-        let mut raw = Vec::new();
-        for cut in &cuts {
-            encoder.encode(&dfg, cut, &mut raw);
-            let hit = memo.lookup(&raw, Some((4, 2))).expect("codes memoize");
-            assert_eq!(
-                hit.saved_cycles, None,
-                "the slow model's merit is not filed"
-            );
-        }
-        assert_eq!(
-            saved(&canonicalize_cuts_memo(&dfg, &cuts, &default, &memo)),
-            saved(&canonicalize_cuts(&dfg, &cuts, &default))
-        );
-    }
-
-    #[test]
     fn sharing_one_memo_across_threads_is_deterministic() {
         let config = GroupConfig::new(3, 1);
         let blocks: Vec<_> = (0..4).map(|i| block(&format!("t{i}"), 1 + i % 2)).collect();
@@ -560,7 +526,7 @@ mod tests {
             .iter()
             .map(|(dfg, cuts)| canonicalize_cuts(dfg, cuts, &config))
             .collect();
-        let memo = CanonMemo::with_shards(2);
+        let memo = CanonMemo::with_fingerprinter(2, digest_words);
         let parallel: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = blocks
                 .iter()

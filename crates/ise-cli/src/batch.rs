@@ -29,7 +29,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ise_corpus::CorpusBlock;
-use ise_enum::par::{initial_tasks, merge_tasks, run_items, run_task, TaskId, TaskSpec};
+use ise_enum::par::{
+    initial_tasks, merge_tasks, run_items, run_task, task_options, TaskId, TaskSpec,
+};
 use ise_enum::{
     incremental_cuts, select_ises, Constraints, DedupMode, EngineOptions, EnumContext, Enumeration,
     PruningConfig, Selection,
@@ -224,14 +226,12 @@ fn plan_block(dfg: &Dfg, config: &BatchConfig) -> BlockPlan {
         // `initial_tasks` already drops).
         specs.clear();
     }
+    let block = EngineOptions {
+        max_search_nodes: config.budget,
+    };
     BlockPlan {
         specs,
-        options: EngineOptions {
-            // The block budget is split evenly across the tasks so a fanned-out
-            // sweep costs what a whole-block sweep would; deterministic in the plan
-            // alone.
-            max_search_nodes: config.budget.map(|b| b.div_ceil(tasks).max(1)),
-        },
+        options: task_options(&block, tasks),
     }
 }
 

@@ -23,8 +23,8 @@ use ise_canon::{
 };
 use ise_corpus::CorpusBlock;
 use ise_enum::par::run_items;
-use ise_enum::Cut;
-use ise_graph::Dfg;
+use ise_enum::{block_speedup, Cut};
+use ise_graph::{Dfg, LatencyModel};
 use ise_obs::MetricsRegistry;
 
 /// Canonicalizes one block's cuts, through `memo` when one is given — the one
@@ -325,15 +325,19 @@ pub fn group_markdown(
 /// Returns the JSON document, the markdown companion, and the selection itself (for
 /// tests and callers that keep processing). The JSON is `GlobalReport::write_json`'s
 /// document parsed back into a tree, so the writer alone defines its bytes.
+///
+/// `_config` is not read: the pattern savings are already in `index`, and block
+/// software cycles use the one [`LatencyModel`]. The parameter stays
+/// because the benchmark's traced child passes it.
 pub fn global_select_report_with_index(
     index: &PatternIndex,
     blocks: &[CorpusBlock],
     outcomes: &[BlockOutcome],
     meta: &RunMeta,
-    config: &GroupConfig,
+    _config: &GroupConfig,
     max_patterns: usize,
 ) -> (Json, String, GlobalSelection) {
-    let report = GlobalReport::new(index, blocks, outcomes, config, max_patterns);
+    let report = GlobalReport::new(index, blocks, outcomes, max_patterns);
     let json = tree_of(|out| report.write_json(out, meta));
     let markdown = report.markdown(meta);
     (json, markdown, report.selection)
@@ -345,7 +349,7 @@ pub(crate) struct GlobalReport<'a> {
     index: &'a PatternIndex,
     outcomes: &'a [BlockOutcome],
     max_patterns: usize,
-    /// Each block's software cycles under the grouping's latency model.
+    /// Each block's software cycles under the latency model.
     software: Vec<u64>,
     selection: GlobalSelection,
 }
@@ -356,7 +360,6 @@ impl<'a> GlobalReport<'a> {
         index: &'a PatternIndex,
         blocks: &[CorpusBlock],
         outcomes: &'a [BlockOutcome],
-        config: &GroupConfig,
         max_patterns: usize,
     ) -> Self {
         let views: Vec<&[Cut]> = outcomes
@@ -364,7 +367,7 @@ impl<'a> GlobalReport<'a> {
             .map(|o| o.enumeration.cuts.as_slice())
             .collect();
         let selection = select_ises_global(index, &views, max_patterns);
-        let model = &config.model;
+        let model = LatencyModel::default();
         let software = blocks
             .iter()
             .map(|b| {
@@ -490,17 +493,6 @@ impl<'a> GlobalReport<'a> {
             .expect("writing to a String cannot fail");
         }
         out
-    }
-}
-
-/// Estimated block speedup: software cycles over the cycles remaining after the
-/// saving (mirroring `ise_enum::Selection::block_speedup`, including its saturated
-/// everything-saved case).
-fn block_speedup(software_cycles: u64, saved_cycles: u64) -> f64 {
-    if software_cycles > saved_cycles {
-        software_cycles as f64 / (software_cycles - saved_cycles) as f64
-    } else {
-        software_cycles.max(1) as f64
     }
 }
 

@@ -213,13 +213,9 @@ impl Job {
         let index = || index.expect("group and select --global build a pattern index");
         match self.op {
             Op::Enumerate | Op::Select => Report::Blocks(outcomes),
-            Op::SelectGlobal => Report::Global(GlobalReport::new(
-                index(),
-                blocks,
-                outcomes,
-                &self.group_config(),
-                self.max_instr,
-            )),
+            Op::SelectGlobal => {
+                Report::Global(GlobalReport::new(index(), blocks, outcomes, self.max_instr))
+            }
             Op::Group => Report::Group(index(), outcomes),
         }
     }

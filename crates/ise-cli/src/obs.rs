@@ -28,8 +28,8 @@ pub fn write_trace(path: &str, registry: &MetricsRegistry) -> Result<(), CliErro
 }
 
 /// A background thread printing `--progress` heartbeat lines on stderr every
-/// ~500ms while a batch runs. [`Heartbeat::stop`] (or drop) joins it; a final
-/// line is printed on stop so short runs still report once.
+/// ~500ms while a batch runs. [`Heartbeat::stop`] (or drop) wakes and joins it at
+/// once; a final line is printed on stop so short runs still report once.
 pub struct Heartbeat {
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
@@ -42,8 +42,10 @@ impl Heartbeat {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
+            // `finish` unparks the thread, so a stop never waits out the interval;
+            // a spurious wake-up only prints a line early.
             while !stop_flag.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(500));
+                std::thread::park_timeout(Duration::from_millis(500));
                 if stop_flag.load(Ordering::Relaxed) {
                     break;
                 }
@@ -65,6 +67,7 @@ impl Heartbeat {
     fn finish(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(handle) = self.handle.take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
     }
@@ -105,6 +108,19 @@ mod tests {
         assert!(Heartbeat::start(Some(Arc::clone(&registry)), false).is_none());
         let hb = Heartbeat::start(Some(registry), true).expect("progress heartbeat");
         hb.stop();
+    }
+
+    #[test]
+    fn stop_does_not_wait_out_the_interval() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let hb = Heartbeat::start(Some(registry), true).expect("progress heartbeat");
+        // Stop while the thread waits out its interval, the case a sleeping
+        // heartbeat made late; an earlier stop finds the unpark token instead.
+        std::thread::sleep(Duration::from_millis(20));
+        let start = std::time::Instant::now();
+        hb.stop();
+        let waited = start.elapsed();
+        assert!(waited < Duration::from_millis(100), "stop took {waited:?}");
     }
 
     #[test]

@@ -123,7 +123,6 @@ struct Level {
 /// [`ConeDominators::push`] runs a fresh pass. Levels are read through
 /// [`ConeDominators::chain`] and [`ConeDominators::reached`] and discarded in LIFO
 /// order; the buffers keep their capacity, so a warmed-up workspace allocates nothing.
-/// [`ConeDominators::completions`] is the one-shot form (push, chain, pop).
 ///
 /// # Example
 ///
@@ -150,12 +149,12 @@ struct Level {
 /// let mut ws = ConeDominators::new();
 /// let mut out = Vec::new();
 /// let g = Forward(&rooted);
-/// ws.completions(&g, &order, reach.ancestors(m), &seed, m, &excluded, &mut out);
+/// ws.push(&g, &order, reach.ancestors(m), &seed, m);
+/// ws.chain(&order, &excluded, &mut out);
 /// assert_eq!(out, vec![v, a]);
+/// assert!(ws.reached(&order, v));
 ///
 /// // Growing the seed by v re-sweeps only v's descendants: m is cut off.
-/// ws.push(&g, &order, reach.ancestors(m), &seed, m);
-/// assert!(ws.reached(&order, v));
 /// seed.insert(v);
 /// ws.push_grown(&g, &order, reach.ancestors(m), reach.descendants(v), &seed, v);
 /// assert!(!ws.reached(&order, m));
@@ -375,37 +374,6 @@ impl ConeDominators {
         }
     }
 
-    /// The Dubrova completions of `seed` for `target` (§5.2): the vertices `u` such
-    /// that `seed ∪ {u}` blocks every root-to-`target` path, i.e. the strict dominators
-    /// of `target` once `seed` is deleted from the graph. They are written to `out`
-    /// (cleared first) nearest first — the order of the immediate-dominator chain —
-    /// skipping members of `excluded` (typically the artificial source and sink).
-    /// `out` stays empty when the seed alone cuts `target` off, or when `target` is
-    /// itself in `seed`.
-    ///
-    /// The one-shot form of [`ConeDominators::push`], [`ConeDominators::chain`] and
-    /// [`ConeDominators::pop`]; `cone` is as for `push`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seed` contains the root or any buffer was sized for a different
-    /// graph.
-    #[allow(clippy::too_many_arguments)]
-    pub fn completions<G: FlowGraph>(
-        &mut self,
-        graph: &G,
-        order: &TopoOrder,
-        cone: NodeRow<'_>,
-        seed: &DenseNodeSet,
-        target: NodeId,
-        excluded: &DenseNodeSet,
-        out: &mut Vec<NodeId>,
-    ) {
-        self.push(graph, order, cone, seed, target);
-        self.chain(order, excluded, out);
-        self.pop();
-    }
-
     /// The whole-graph pass behind [`dag_dominators`]: the dominator tree of the
     /// acyclic `graph`, in this workspace.
     fn tree<G: FlowGraph>(&mut self, graph: &G, order: &TopoOrder) -> DominatorTree {
@@ -560,6 +528,23 @@ mod tests {
     use crate::lt::{lengauer_tarjan, lengauer_tarjan_reduced};
     use ise_graph::{Dfg, DfgBuilder, Operation, Reachability};
 
+    /// One cone pass read as its Dubrova completions: push, chain, pop.
+    #[allow(clippy::too_many_arguments)]
+    fn completions<G: FlowGraph>(
+        ws: &mut ConeDominators,
+        graph: &G,
+        order: &TopoOrder,
+        cone: NodeRow<'_>,
+        seed: &DenseNodeSet,
+        target: NodeId,
+        excluded: &DenseNodeSet,
+        out: &mut Vec<NodeId>,
+    ) {
+        ws.push(graph, order, cone, seed, target);
+        ws.chain(order, excluded, out);
+        ws.pop();
+    }
+
     /// The Figure 1 graph of the paper: roots A, B, C; N = f(A,B); X = f(N,B);
     /// Y = f(N,C).
     fn figure1() -> (RootedDfg, [NodeId; 6]) {
@@ -702,7 +687,8 @@ mod tests {
 
         // Empty seed: the only single-vertex dominator of X is the excluded source.
         let empty = r.node_set();
-        ws.completions(
+        completions(
+            &mut ws,
             &g,
             &order,
             reach.ancestors(x),
@@ -716,7 +702,8 @@ mod tests {
         // Seed {B}: X is reached only through A -> N, nearest first.
         let mut seed = r.node_set();
         seed.insert(b);
-        ws.completions(
+        completions(
+            &mut ws,
             &g,
             &order,
             reach.ancestors(x),
@@ -729,7 +716,8 @@ mod tests {
 
         // Seed {A, B} cuts X off entirely.
         seed.insert(a);
-        ws.completions(
+        completions(
+            &mut ws,
             &g,
             &order,
             reach.ancestors(x),
@@ -741,7 +729,8 @@ mod tests {
         assert!(out.is_empty());
 
         // A target inside the seed has no completions.
-        ws.completions(
+        completions(
+            &mut ws,
             &g,
             &order,
             reach.ancestors(a),
@@ -774,7 +763,9 @@ mod tests {
                 }
                 for target in rooted.node_ids() {
                     let cone = reach.ancestors(target);
-                    ws.completions(&g, &order, cone, &seed, target, &excluded, &mut out);
+                    completions(
+                        &mut ws, &g, &order, cone, &seed, target, &excluded, &mut out,
+                    );
                     assert_eq!(
                         out,
                         lt_chain(&rooted, &seed, target, &excluded),
@@ -881,7 +872,8 @@ mod tests {
         let reach = Reachability::compute(&r);
         let mut seed = r.node_set();
         seed.insert(r.source());
-        ConeDominators::new().completions(
+        completions(
+            &mut ConeDominators::new(),
             &Forward(&r),
             &TopoOrder::forward(&r),
             reach.ancestors(x),

@@ -91,12 +91,6 @@ impl DominatorTree {
         }
     }
 
-    /// The root of the tree (the artificial source for dominators, the sink for
-    /// postdominators).
-    pub fn root(&self) -> NodeId {
-        self.root
-    }
-
     /// The immediate dominator of `node`, or `None` for the root and for vertices
     /// unreachable from the root.
     ///
@@ -134,11 +128,6 @@ impl DominatorTree {
         enter_a <= enter_b && enter_b < exit_a
     }
 
-    /// Whether `a` strictly dominates `b` (`a != b` and `a` dominates `b`).
-    pub fn strictly_dominates(&self, a: NodeId, b: NodeId) -> bool {
-        a != b && self.dominates(a, b)
-    }
-
     /// Iterates over the strict dominators of `node`, from its immediate dominator up to
     /// the root. Empty for the root and for unreachable vertices.
     ///
@@ -150,17 +139,6 @@ impl DominatorTree {
             tree: self,
             current: self.idom[node.index()],
         }
-    }
-
-    /// Number of vertices of the underlying graph (the index space of the tree).
-    pub fn len(&self) -> usize {
-        self.idom.len()
-    }
-
-    /// Whether the tree covers no vertices. Always `false` for trees built from a
-    /// non-empty graph.
-    pub fn is_empty(&self) -> bool {
-        self.idom.is_empty()
     }
 }
 
@@ -206,12 +184,9 @@ mod tests {
     #[test]
     fn idom_accessors() {
         let t = sample();
-        assert_eq!(t.root(), n(0));
         assert_eq!(t.idom(n(3)), Some(n(1)));
         assert_eq!(t.idom(n(0)), None);
         assert_eq!(t.idom(n(5)), None);
-        assert_eq!(t.len(), 6);
-        assert!(!t.is_empty());
     }
 
     #[test]
@@ -243,13 +218,6 @@ mod tests {
         assert!(!t.dominates(n(5), n(5)));
         assert!(!t.dominates(n(0), n(5)));
         assert!(!t.dominates(n(5), n(0)));
-    }
-
-    #[test]
-    fn strict_domination_excludes_self() {
-        let t = sample();
-        assert!(t.strictly_dominates(n(1), n(3)));
-        assert!(!t.strictly_dominates(n(3), n(3)));
     }
 
     #[test]

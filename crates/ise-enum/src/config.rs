@@ -93,7 +93,8 @@ impl Constraints {
     }
 
     /// A stable serialization of every constraint field, for content-addressed cache
-    /// keys (see [`crate::EngineOptions::cache_token`] for the contract).
+    /// keys (`ise serve` builds its keys from it). The format is load-bearing:
+    /// changing it invalidates every persisted cache entry.
     ///
     /// # Example
     ///
@@ -234,7 +235,7 @@ impl PruningConfig {
     }
 
     /// A stable serialization of the enabled techniques, for content-addressed cache
-    /// keys (see [`crate::EngineOptions::cache_token`] for the contract). Prunings
+    /// keys, under the same contract as [`Constraints::cache_token`]. Prunings
     /// never change which cuts are valid, but they do change the search statistics a
     /// budgeted run reports — so they belong in any key over reported results.
     ///

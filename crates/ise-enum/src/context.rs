@@ -1,12 +1,13 @@
 //! Shared precomputed analysis context for the enumeration algorithms.
 
 use ise_dominators::{postdominators, ConeDominators, DominatorTree, Forward, TopoOrder};
-use ise_graph::{depths_from_roots, DenseNodeSet, Dfg, NodeId, Reachability, RootedDfg};
+use ise_graph::{DenseNodeSet, Dfg, NodeId, Reachability, RootedDfg};
 
 /// Precomputed analyses shared by every enumeration algorithm (§5.4 of the paper),
 /// only those the algorithms read: the augmented graph, pairwise reachability with
-/// its forbidden-free (clean) form, the topological rank of every vertex, the
-/// postdominator tree, and operation depths.
+/// its forbidden-free (clean) form, the topological rank of every vertex, and the
+/// postdominator tree. Depth limits need no per-vertex table: the engine measures
+/// each candidate body's own depth ([`Cut::depth`](crate::Cut::depth)).
 ///
 /// Every pass runs over the one topological order the [`Dfg`] computed when it was
 /// built ([`RootedDfg::topological_order`] wraps it in the source and the sink);
@@ -50,8 +51,6 @@ pub struct EnumContext {
     /// Non-forbidden original vertices, i.e. every vertex that could be part of a cut
     /// and therefore a candidate output.
     candidate_outputs: Vec<NodeId>,
-    /// Longest-path depth of every vertex from the roots of the original graph.
-    depth: Vec<u32>,
 }
 
 impl EnumContext {
@@ -77,8 +76,6 @@ impl EnumContext {
                 .filter(|&v| !rooted.is_forbidden(v)),
         );
 
-        let depth = depths_from_roots(rooted.dfg());
-
         EnumContext {
             rooted,
             reach,
@@ -86,7 +83,6 @@ impl EnumContext {
             postdom,
             artificial,
             candidate_outputs,
-            depth,
         }
     }
 
@@ -131,15 +127,6 @@ impl EnumContext {
         // `F` ∪ `Iext` among original vertices, which `Dfg::is_forbidden` captures
         // as "forbidden or root".
         dfg.node_ids().filter(|&v| !dfg.is_forbidden(v)).count()
-    }
-
-    /// Longest-path depth (in edges) of `node` from the roots of the original graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is the artificial source or sink.
-    pub fn depth(&self, node: NodeId) -> u32 {
-        self.depth[node.index()]
     }
 
     /// Pushes onto `ws` the cone dominator pass of `target` with `seed` removed
@@ -311,15 +298,6 @@ mod tests {
             EnumContext::candidate_output_count(ctx.dfg()),
             ctx.candidate_outputs().len()
         );
-    }
-
-    #[test]
-    fn depths_follow_the_original_graph() {
-        let (ctx, [a, _, n, x, st]) = sample();
-        assert_eq!(ctx.depth(a), 0);
-        assert_eq!(ctx.depth(n), 1);
-        assert_eq!(ctx.depth(x), 2);
-        assert_eq!(ctx.depth(st), 3);
     }
 
     #[test]

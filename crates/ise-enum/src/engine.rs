@@ -70,46 +70,9 @@ impl DedupMode {
 /// module.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineOptions {
-    /// Search budget in recursion steps (`None` = unbounded). In task-parallel runs
-    /// the budget applies *per task*.
+    /// Search budget in recursion steps (`None` = unbounded). A task-parallel run
+    /// splits it evenly over its tasks ([`crate::par::task_options`]).
     pub max_search_nodes: Option<usize>,
-}
-
-impl EngineOptions {
-    /// A stable, unambiguous serialization of every field, for content-addressed
-    /// cache keys: two runs whose options produce the same token report the same
-    /// enumeration on the same graph (given equal constraints and prunings).
-    ///
-    /// The token is part of the `ise serve` cache-key derivation (DESIGN.md §7), so
-    /// its format is load-bearing: changing it invalidates every persisted cache
-    /// entry — which is exactly the safe failure mode when a new field changes what
-    /// the engine computes. The `strategy=incremental` and `dedup=dedup-first`
-    /// segments name the one body strategy and the one de-duplication order the
-    /// engine has; they stay in the token so existing keys and cache files remain
-    /// valid.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use ise_enum::EngineOptions;
-    ///
-    /// let defaults = EngineOptions::default();
-    /// assert_eq!(
-    ///     defaults.cache_token(),
-    ///     "budget=none;strategy=incremental;dedup=dedup-first"
-    /// );
-    /// let budgeted = EngineOptions {
-    ///     max_search_nodes: Some(1_000_000),
-    /// };
-    /// assert_ne!(budgeted.cache_token(), EngineOptions::default().cache_token());
-    /// ```
-    pub fn cache_token(&self) -> String {
-        let budget = match self.max_search_nodes {
-            None => "none".to_string(),
-            Some(limit) => limit.to_string(),
-        };
-        format!("budget={budget};strategy=incremental;dedup=dedup-first")
-    }
 }
 
 /// A search algorithm that enumerates cuts through a [`SearchState`].
@@ -324,11 +287,6 @@ impl<'a> SearchState<'a> {
         self.constraints
     }
 
-    /// Read access to the statistics accumulated so far.
-    pub fn stats(&self) -> &EnumStats {
-        &self.stats
-    }
-
     /// Mutable access to the statistics, for algorithm-specific pruning counters.
     pub fn stats_mut(&mut self) -> &mut EnumStats {
         &mut self.stats
@@ -373,12 +331,6 @@ impl<'a> SearchState<'a> {
     /// The current cut body `S`.
     pub fn body(&self) -> &DenseNodeSet {
         &self.body
-    }
-
-    /// Whether the maintained body currently contains a forbidden vertex (the `O(1)`
-    /// form of §5.3's "pruning while building S").
-    pub fn body_has_forbidden(&self) -> bool {
-        self.forbidden_in_body > 0
     }
 
     /// Whether the chosen input set blocks every source path to `target` (condition 1
@@ -761,11 +713,11 @@ mod tests {
         state.push_output(z);
         // No inputs chosen: the closure reaches the forbidden external inputs, which
         // enter the body as truncation boundaries.
-        assert!(state.body_has_forbidden());
+        assert!(state.forbidden_in_body > 0);
         state.push_input(a);
         state.push_input(c);
         expect(&state, &[a, c], &[z]);
-        assert!(!state.body_has_forbidden());
+        assert_eq!(state.forbidden_in_body, 0);
 
         // Adding n as input retracts n (and nothing else reaches z only through n —
         // x and y survive via their own support).
@@ -785,7 +737,7 @@ mod tests {
         state.pop_input();
         state.pop_output();
         assert!(state.body().is_empty());
-        assert!(!state.body_has_forbidden());
+        assert_eq!(state.forbidden_in_body, 0);
     }
 
     #[test]
@@ -809,7 +761,7 @@ mod tests {
         assert!(!state.body().contains(m));
         assert!(!state.body().contains(a));
         assert!(state.body().contains(p) && state.body().contains(q));
-        assert!(!state.body_has_forbidden(), "a and the source retracted");
+        assert_eq!(state.forbidden_in_body, 0, "a and the source retracted");
         state.pop_input();
         assert!(state.body().contains(a), "undo restores the cascade");
         state.pop_output();
@@ -849,6 +801,6 @@ mod tests {
         assert!(state.try_enter());
         assert!(!state.try_enter(), "third step exceeds the budget");
         assert!(state.out_of_budget());
-        assert_eq!(state.stats().search_nodes, 2);
+        assert_eq!(state.stats.search_nodes, 2);
     }
 }

@@ -10,8 +10,8 @@
 //!
 //! * [`incremental_cuts`] — the incremental algorithm of §5.2/Figure 3 with the pruning
 //!   techniques of §5.3; polynomial `O(n^(Nin+Nout+1))` and the engine meant for real
-//!   basic blocks. Its [`EngineOptions`] carry the search budget and the
-//!   de-duplication mode, and an optional recorder observes the run.
+//!   basic blocks. Its [`EngineOptions`] carry the search budget, and an
+//!   optional recorder observes the run.
 //!   [`enumerate_cuts`] is the one-call convenience wrapper around it.
 //! * [`basic_cuts`] — the basic algorithm of §5.1/Figure 2, used as a readable
 //!   reference implementation and cross-check.
@@ -93,7 +93,7 @@ pub use exhaustive::{exhaustive_cuts, ExhaustiveEnumerator, MAX_EXHAUSTIVE_CANDI
 pub use incremental::{incremental_cuts, IncrementalEnumerator};
 pub use merit::{estimate_merit, Merit};
 pub use result::Enumeration;
-pub use selection::{select_ises, Selection};
+pub use selection::{block_speedup, select_ises, Selection};
 pub use stats::{EnumStats, TaskLoadSummary};
 
 use ise_graph::{Dfg, GraphError};

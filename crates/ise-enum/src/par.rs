@@ -30,9 +30,10 @@
 //! `rejected_disconnected` and `rejected_depth` can exceed the serial run's, and
 //! `rejected_duplicate` falls short of it by the number of extra rejections
 //! (structural ones, which have no tally, included; see [`EnumStats`]).
-//! With a per-task search budget the result is still deterministic in the task
-//! count, just not equal to the serially budgeted run; batch drivers must therefore
-//! derive the task count from the block and flags alone, never from the machine.
+//! A search budget is split evenly over the tasks ([`task_options`]); the result
+//! is then still deterministic in the task count, just not equal to the serially
+//! budgeted run, so batch drivers must derive the task count from the block and
+//! flags alone, never from the machine.
 //!
 //! [`parallel_cuts`] bundles fan-out → run → merge behind one call; batch drivers
 //! that mix several blocks' tasks in one list (the `ise` CLI) drive
@@ -63,7 +64,8 @@ pub struct ParConfig {
     /// Worker threads executing the tasks. Never affects the result, only the wall
     /// time.
     pub threads: usize,
-    /// Engine settings shared by every task; `max_search_nodes` applies per task.
+    /// Engine settings of the whole run; its `max_search_nodes` is split over the
+    /// tasks ([`task_options`]).
     pub options: EngineOptions,
 }
 
@@ -120,6 +122,29 @@ pub fn task_ranges(candidate_count: usize, tasks: usize) -> Vec<Range<usize>> {
         .map(|i| (i * candidate_count / tasks)..((i + 1) * candidate_count / tasks))
         .filter(|range| !range.is_empty())
         .collect()
+}
+
+/// The engine options each of `tasks` first-output tasks of one block runs with:
+/// the block's search budget split evenly over the tasks (rounded up, at least one
+/// node), so a fanned-out block costs about what its whole-block sweep would, and
+/// the split depends on the task count alone.
+///
+/// # Example
+///
+/// ```
+/// use ise_enum::par::task_options;
+/// use ise_enum::EngineOptions;
+///
+/// let block = EngineOptions { max_search_nodes: Some(100) };
+/// assert_eq!(task_options(&block, 16).max_search_nodes, Some(7));
+/// assert_eq!(task_options(&EngineOptions::default(), 16).max_search_nodes, None);
+/// ```
+pub fn task_options(block: &EngineOptions, tasks: usize) -> EngineOptions {
+    EngineOptions {
+        max_search_nodes: block
+            .max_search_nodes
+            .map(|budget| budget.div_ceil(tasks.max(1)).max(1)),
+    }
 }
 
 /// The task specs of a decomposition into `tasks` contiguous root ranges: one spec
@@ -351,8 +376,9 @@ pub fn parallel_cuts(
         };
     }
     // Specs come in TaskId order, and `run_items` returns results in item order.
+    let options = task_options(&config.options, specs.len());
     let outputs = run_items(&specs, config.threads, rec, |spec| {
-        run_task(ctx, constraints, pruning, &config.options, spec, rec)
+        run_task(ctx, constraints, pruning, &options, spec, rec)
     });
     let task_nodes = outputs.iter().map(|out| out.stats.search_nodes).collect();
     ParRun {
@@ -583,6 +609,35 @@ mod tests {
         assert!(outputs.iter().all(|o| o.stats.search_nodes > 0));
         let merged = merge_tasks(&ctx, outputs, None);
         assert_identical(&merged, &bundled, "manual stages");
+    }
+
+    /// The budget covers the whole fanned-out run, as it covers a serial one.
+    #[test]
+    fn a_budget_bounds_the_search_nodes_of_all_tasks_together() {
+        let mut b = DfgBuilder::new("mesh");
+        let mut values = vec![b.input("a"), b.input("c")];
+        for i in 0..12 {
+            let (p, q) = (values[i], values[i + 1]);
+            values.push(b.node(Operation::Add, &[p, q]));
+        }
+        let ctx = EnumContext::new(b.build().unwrap());
+        let constraints = Constraints::new(3, 2).unwrap();
+        let tasks = 4;
+        let budget = 40;
+        let unbudgeted = par(&ctx, &constraints, &ParConfig::new(tasks, 1));
+        assert_eq!(unbudgeted.task_nodes.len(), tasks);
+        assert!(
+            unbudgeted.task_nodes.iter().all(|&n| n > budget),
+            "every task must be able to spend the whole budget"
+        );
+        let mut config = ParConfig::new(tasks, 1);
+        config.options.max_search_nodes = Some(budget);
+        let budgeted = par(&ctx, &constraints, &config);
+        let spent: usize = budgeted.task_nodes.iter().sum();
+        assert!(
+            spent <= budget + tasks,
+            "{spent} search nodes for a budget of {budget}"
+        );
     }
 
     #[test]

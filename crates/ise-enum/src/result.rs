@@ -38,36 +38,4 @@ impl Enumeration {
     pub fn len(&self) -> usize {
         self.cuts.len()
     }
-
-    /// Sorts the cuts into a canonical order (by their packed body key, [`Cut::key`])
-    /// so that results of different algorithms can be compared directly.
-    pub fn canonicalize(&mut self) {
-        self.cuts.sort_by(|a, b| a.key().cmp(&b.key()));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::Constraints;
-    use crate::context::EnumContext;
-    use crate::exhaustive::exhaustive_cuts;
-    use ise_graph::{DfgBuilder, Operation};
-
-    #[test]
-    fn canonicalize_orders_by_key() {
-        let mut b = DfgBuilder::new("bb");
-        let a = b.input("a");
-        let x = b.node(Operation::Not, &[a]);
-        let _y = b.node(Operation::Add, &[x, a]);
-        let ctx = EnumContext::new(b.build().unwrap());
-        let mut result = exhaustive_cuts(&ctx, &Constraints::new(2, 2).unwrap(), true);
-        assert!(!result.is_empty());
-        assert_eq!(result.len(), result.cuts.len());
-        result.canonicalize();
-        let keys: Vec<_> = result.cuts.iter().map(Cut::key).collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted);
-    }
 }

@@ -25,15 +25,32 @@ pub struct Selection {
 }
 
 impl Selection {
-    /// Estimated speedup of the basic block with the chosen custom instructions.
+    /// Estimated speedup of the basic block with the chosen custom instructions
+    /// ([`block_speedup`] of its software cycles and total saving).
     pub fn block_speedup(&self) -> f64 {
-        let after = self
-            .block_software_cycles
-            .saturating_sub(self.total_saved_cycles);
-        if after == 0 {
-            return f64::from(self.block_software_cycles.max(1));
-        }
-        f64::from(self.block_software_cycles) / f64::from(after)
+        block_speedup(
+            self.block_software_cycles.into(),
+            self.total_saved_cycles.into(),
+        )
+    }
+}
+
+/// Estimated speedup of a block that takes `software_cycles` in software once
+/// `saved_cycles` of them are saved: the software cycles over the cycles left. A
+/// saving that leaves no cycle saturates at `software_cycles` (at least 1).
+///
+/// # Example
+///
+/// ```
+/// use ise_enum::block_speedup;
+///
+/// assert_eq!(block_speedup(12, 4), 1.5);
+/// assert_eq!(block_speedup(12, 12), 12.0);
+/// ```
+pub fn block_speedup(software_cycles: u64, saved_cycles: u64) -> f64 {
+    match software_cycles.checked_sub(saved_cycles) {
+        Some(after) if after > 0 => software_cycles as f64 / after as f64,
+        _ => software_cycles.max(1) as f64,
     }
 }
 
@@ -161,6 +178,23 @@ mod tests {
         assert!(selection.chosen.len() >= 2);
         assert!(selection.total_saved_cycles >= 2);
         assert!(selection.block_speedup() > 1.0);
+    }
+
+    #[test]
+    fn speedup_saturates_when_everything_is_saved() {
+        assert_eq!(block_speedup(10, 10), 10.0);
+        assert_eq!(
+            block_speedup(10, 25),
+            10.0,
+            "an over-estimate saturates too"
+        );
+        assert_eq!(block_speedup(0, 0), 1.0);
+        let selection = Selection {
+            chosen: Vec::new(),
+            total_saved_cycles: 7,
+            block_software_cycles: 7,
+        };
+        assert_eq!(selection.block_speedup(), 7.0);
     }
 
     #[test]

@@ -44,15 +44,6 @@ impl DenseNodeSet {
         }
     }
 
-    /// Creates a set containing every index in `0..capacity`.
-    pub fn full(capacity: usize) -> Self {
-        let mut s = Self::new(capacity);
-        for i in 0..capacity {
-            s.insert(NodeId::from_index(i));
-        }
-        s
-    }
-
     /// Creates a set with the given capacity containing the provided nodes.
     ///
     /// # Panics
@@ -157,56 +148,6 @@ impl DenseNodeSet {
         }
     }
 
-    /// In-place intersection with `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn intersect_with(&mut self, other: &DenseNodeSet) {
-        assert_eq!(
-            self.capacity, other.capacity,
-            "capacity mismatch in intersection"
-        );
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
-    /// In-place difference (`self \ other`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn difference_with(&mut self, other: &DenseNodeSet) {
-        assert_eq!(
-            self.capacity, other.capacity,
-            "capacity mismatch in difference"
-        );
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
-    }
-
-    /// Removes every member of `other` from `self`, returning how many elements were
-    /// actually removed. Word-level `self \ other`, the counting twin of
-    /// [`DenseNodeSet::difference_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn remove_all(&mut self, other: &DenseNodeSet) -> usize {
-        assert_eq!(
-            self.capacity, other.capacity,
-            "capacity mismatch in remove_all"
-        );
-        let mut removed = 0;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            removed += (*a & b).count_ones() as usize;
-            *a &= !b;
-        }
-        removed
-    }
-
     /// The raw 64-bit words backing the set, low indices first.
     ///
     /// Two sets of the same capacity are equal iff their words are equal, so the word
@@ -228,22 +169,6 @@ impl DenseNodeSet {
             "capacity mismatch in is_disjoint"
         );
         self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
-    }
-
-    /// Whether every element of `self` is also in `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn is_subset(&self, other: &DenseNodeSet) -> bool {
-        assert_eq!(
-            self.capacity, other.capacity,
-            "capacity mismatch in is_subset"
-        );
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(a, b)| a & !b == 0)
     }
 
     /// Iterates over the members in increasing index order.
@@ -468,28 +393,9 @@ mod tests {
         u.union_with(&b);
         assert_eq!(u.to_vec(), vec![n(1), n(2), n(3), n(70), n(99)]);
 
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.to_vec(), vec![n(2), n(70)]);
-
-        let mut d = a.clone();
-        d.difference_with(&b);
-        assert_eq!(d.to_vec(), vec![n(1), n(3)]);
-
-        assert!(i.is_subset(&a));
-        assert!(i.is_subset(&b));
-        assert!(!a.is_subset(&b));
+        let d = DenseNodeSet::from_nodes(100, [n(1), n(3)]);
         assert!(d.is_disjoint(&b));
         assert!(!a.is_disjoint(&b));
-    }
-
-    #[test]
-    fn remove_all_counts_removed_members() {
-        let mut a = DenseNodeSet::from_nodes(100, [n(1), n(2), n(3), n(70)]);
-        let b = DenseNodeSet::from_nodes(100, [n(2), n(70), n(99)]);
-        assert_eq!(a.remove_all(&b), 2);
-        assert_eq!(a.to_vec(), vec![n(1), n(3)]);
-        assert_eq!(a.remove_all(&b), 0);
     }
 
     #[test]
@@ -510,8 +416,8 @@ mod tests {
     }
 
     #[test]
-    fn full_and_clear() {
-        let mut s = DenseNodeSet::full(70);
+    fn clear_keeps_the_capacity() {
+        let mut s: DenseNodeSet = (0..70).map(n).collect();
         assert_eq!(s.len(), 70);
         s.clear();
         assert!(s.is_empty());

@@ -46,16 +46,6 @@ impl DfgBuilder {
         }
     }
 
-    /// Number of nodes added so far.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether no nodes have been added yet.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Adds an external input (live-in value) and returns its id.
     pub fn input(&mut self, name: impl Into<String>) -> NodeId {
         self.push(Node::new(Operation::Input).with_name(name))
@@ -142,14 +132,14 @@ mod tests {
     #[test]
     fn builder_constructs_valid_graph() {
         let mut b = DfgBuilder::new("bb");
-        assert!(b.is_empty());
+        assert!(b.nodes.is_empty());
         let a = b.input("a");
         let c = b.constant("4");
         let s = b.named_node(Operation::Shl, &[a, c], Some("a<<4"));
         let l = b.node(Operation::Load, &[s]);
         let r = b.node(Operation::Add, &[l, a]);
         b.mark_output(r);
-        assert_eq!(b.len(), 5);
+        assert_eq!(b.nodes.len(), 5);
         let g = b.build().unwrap();
         assert_eq!(g.name(), "bb");
         assert_eq!(g.node(s).name(), Some("a<<4"));
@@ -192,7 +182,6 @@ mod tests {
     #[test]
     fn default_builder_is_empty() {
         let b = DfgBuilder::default();
-        assert!(b.is_empty());
-        assert_eq!(b.len(), 0);
+        assert!(b.nodes.is_empty());
     }
 }

@@ -49,20 +49,6 @@ impl DotOptions {
         self
     }
 
-    /// Highlights the inputs of a cut (grey fill, as in Figure 1 of the paper).
-    #[must_use]
-    pub fn with_inputs(mut self, inputs: DenseNodeSet) -> Self {
-        self.inputs = Some(inputs);
-        self
-    }
-
-    /// Highlights the outputs of a cut (double border, as in Figure 1 of the paper).
-    #[must_use]
-    pub fn with_outputs(mut self, outputs: DenseNodeSet) -> Self {
-        self.outputs = Some(outputs);
-        self
-    }
-
     /// Highlights a whole cut at once: body shaded, inputs filled, outputs
     /// double-bordered. May be called repeatedly to overlay several cuts (for example
     /// every selected ISE of a block); the highlight sets accumulate.
@@ -182,11 +168,12 @@ mod tests {
         let cut = DenseNodeSet::from_nodes(dfg.len(), [nodes[2]]);
         let inputs = DenseNodeSet::from_nodes(dfg.len(), [nodes[1], nodes[0]]);
         let outputs = DenseNodeSet::from_nodes(dfg.len(), [nodes[2]]);
-        let dot = DotOptions::new()
-            .with_cut(cut)
-            .with_inputs(inputs)
-            .with_outputs(outputs)
-            .render(&dfg);
+        let dot = DotOptions {
+            cut: Some(cut),
+            inputs: Some(inputs),
+            outputs: Some(outputs),
+        }
+        .render(&dfg);
         let out_line = dot
             .lines()
             .find(|l| l.trim_start().starts_with(&format!("{} [", nodes[2])))

@@ -296,11 +296,6 @@ impl Dfg {
             .enumerate()
             .flat_map(|(i, outs)| outs.iter().map(move |&to| (NodeId::from_index(i), to)))
     }
-
-    /// Creates an empty set sized for this graph's nodes.
-    pub fn node_set(&self) -> DenseNodeSet {
-        DenseNodeSet::new(self.len())
-    }
 }
 
 #[cfg(test)]
@@ -356,7 +351,6 @@ mod tests {
         assert_eq!(g.node(n(4)).op(), Operation::Mul);
         assert_eq!(g.node_ids().count(), 6);
         assert_eq!(g.edges().count(), 6);
-        assert_eq!(g.node_set().capacity(), 6);
     }
 
     #[test]

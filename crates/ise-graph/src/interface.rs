@@ -137,8 +137,6 @@ pub struct InterfaceGraph {
     words: Vec<u32>,
     /// Index in `words` of each node's key word.
     starts: Vec<u32>,
-    /// Original node id of each local node, for mapping results back to the block.
-    original: Vec<NodeId>,
 }
 
 impl InterfaceGraph {
@@ -162,29 +160,21 @@ impl InterfaceGraph {
     /// Panics if `words` is not a well-formed encoding with one node per input and
     /// body member of `cut`.
     pub fn from_encoding(cut: &impl CutLike, words: Vec<u32>) -> Self {
-        let original: Vec<NodeId> = cut
-            .input_nodes()
-            .iter()
-            .copied()
-            .chain(cut.body_set().iter())
-            .collect();
+        let inputs = cut.input_nodes().len();
+        let nodes = inputs + cut.body_set().len();
         assert_eq!(
             (words[0] as usize, words[1] as usize),
-            (original.len(), cut.input_nodes().len()),
+            (nodes, inputs),
             "the encoding must be the cut's"
         );
-        let mut starts = Vec::with_capacity(original.len());
+        let mut starts = Vec::with_capacity(nodes);
         let mut at = 2;
-        for _ in 0..original.len() {
+        for _ in 0..nodes {
             starts.push(at as u32);
             at += 2 + words[at + 1] as usize;
         }
         assert_eq!(at, words.len(), "the encoding must end after its last node");
-        InterfaceGraph {
-            words,
-            starts,
-            original,
-        }
+        InterfaceGraph { words, starts }
     }
 
     /// Total number of nodes (inputs + body members).
@@ -200,16 +190,6 @@ impl InterfaceGraph {
     /// Number of input nodes; they occupy local ids `0..num_inputs()`.
     pub fn num_inputs(&self) -> usize {
         self.words[1] as usize
-    }
-
-    /// Number of body members.
-    pub fn num_body(&self) -> usize {
-        self.len() - self.num_inputs()
-    }
-
-    /// Number of output-flagged body members.
-    pub fn num_outputs(&self) -> usize {
-        (0..self.len()).filter(|&v| self.is_output(v)).count()
     }
 
     /// The [stable key](InterfaceLabel::stable_key) of local node `v`: its label
@@ -236,16 +216,6 @@ impl InterfaceGraph {
     pub fn operands(&self, v: usize) -> &[u32] {
         let start = self.starts[v] as usize;
         &self.words[start + 2..start + 2 + self.words[start + 1] as usize]
-    }
-
-    /// The original block node id of local node `v`.
-    pub fn original(&self, v: usize) -> NodeId {
-        self.original[v]
-    }
-
-    /// The raw encoding this graph is a view over (see [`RawEncoder::encode`]).
-    pub fn raw_encoding(&self) -> &[u32] {
-        &self.words
     }
 
     /// The body operations as a sorted, counted summary string (for example
@@ -419,24 +389,18 @@ pub(crate) mod tests {
         let g = InterfaceGraph::extract(&dfg, &cut);
         assert_eq!(g.len(), 6);
         assert_eq!(g.num_inputs(), 2);
-        assert_eq!(g.num_body(), 4);
-        assert_eq!(g.num_outputs(), 1);
         // Inputs first, ascending original id.
-        assert_eq!(g.original(0), a);
-        assert_eq!(g.original(1), c);
         assert_eq!(g.label(0), InterfaceLabel::Input);
         assert!(g.operands(0).is_empty());
         // Body members in ascending original id; operand order preserved.
         let local_n = 2;
-        assert_eq!(g.original(local_n), n);
         assert_eq!(g.label(local_n), InterfaceLabel::Op(Operation::Add));
         assert_eq!(g.operands(local_n), &[0, 1], "n = add(a, c)");
         let local_y = 4;
-        assert_eq!(g.original(local_y), y);
+        assert_eq!(g.label(local_y), InterfaceLabel::Op(Operation::Sub));
         assert_eq!(g.operands(local_y), &[local_n as u32, 1], "y = sub(n, c)");
         // z is the cut's only output.
-        assert!(g.is_output(5));
-        assert!(!g.is_output(local_n));
+        assert_eq!((0..6).filter(|&v| g.is_output(v)).collect::<Vec<_>>(), [5]);
     }
 
     #[test]
@@ -445,7 +409,6 @@ pub(crate) mod tests {
         // n feeds y outside the body, x feeds z outside: both are outputs.
         let cut = TestCut::new(dfg.len(), &[n, x], &[a, c], &[n, x]);
         let g = InterfaceGraph::extract(&dfg, &cut);
-        assert_eq!(g.num_outputs(), 2);
         assert!(g.is_output(2) && g.is_output(3));
         assert_eq!(
             g.key(2),
@@ -458,7 +421,7 @@ pub(crate) mod tests {
         let (dfg, [a, c, n, x, _, _]) = sample();
         let cut = TestCut::new(dfg.len() + 2, &[n, x], &[a, c], &[n, x]);
         let g = InterfaceGraph::extract(&dfg, &cut);
-        assert_eq!(g.num_body(), 2);
+        assert_eq!(g.len() - g.num_inputs(), 2);
     }
 
     #[test]
@@ -476,13 +439,10 @@ pub(crate) mod tests {
         assert_eq!(&raw[7..10], &[2, 0, 1]);
         // The graph is a view over exactly these words.
         let g = InterfaceGraph::from_encoding(&cut, raw.clone());
-        assert_eq!(g.raw_encoding(), raw);
+        assert_eq!(g.words, raw);
         // Flipping an output flag changes the encoding.
         let smaller = TestCut::new(dfg.len(), &[n, x], &[a, c], &[n, x]);
-        assert_ne!(
-            g.raw_encoding(),
-            InterfaceGraph::extract(&dfg, &smaller).raw_encoding()
-        );
+        assert_ne!(g.words, InterfaceGraph::extract(&dfg, &smaller).words);
     }
 
     #[test]

@@ -82,4 +82,3 @@ pub use node::{Node, NodeId};
 pub use op::{LatencyModel, Operation, OperationClass};
 pub use reach::Reachability;
 pub use rooted::RootedDfg;
-pub use topo::depths_from_roots;

@@ -45,12 +45,6 @@ impl NodeId {
     pub const fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Returns the raw `u32` value of this node id.
-    #[inline]
-    pub const fn raw(self) -> u32 {
-        self.0
-    }
 }
 
 impl fmt::Debug for NodeId {
@@ -129,7 +123,6 @@ mod tests {
     fn node_id_roundtrip() {
         let id = NodeId::from_index(42);
         assert_eq!(id.index(), 42);
-        assert_eq!(id.raw(), 42);
         assert_eq!(usize::from(id), 42);
         assert_eq!(NodeId::new(42), id);
     }

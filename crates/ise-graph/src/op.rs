@@ -113,11 +113,6 @@ impl Operation {
         self.class() == OperationClass::Memory
     }
 
-    /// Whether this operation is a pseudo-source (external input or constant).
-    pub fn is_source(self) -> bool {
-        self.class() == OperationClass::Source
-    }
-
     /// Whether this operation is usually disallowed inside a custom functional unit:
     /// memory accesses and opaque calls.
     pub fn is_default_forbidden(self) -> bool {
@@ -216,9 +211,9 @@ impl fmt::Display for Operation {
 /// on the base pipeline; `hardware_delay` is its normalized propagation delay when
 /// implemented inside a custom functional unit (in fractions of a processor cycle), so
 /// that the critical path of a cut measured in `hardware_delay` units, rounded up,
-/// approximates the latency in cycles of the resulting custom instruction. The default
-/// numbers follow the commonly used models in the ISE literature (single-cycle ALU,
-/// multi-cycle multiply/divide, memory excluded from the datapath).
+/// approximates the latency in cycles of the resulting custom instruction. The numbers
+/// are fixed and follow the commonly used models in the ISE literature (single-cycle
+/// ALU, multi-cycle multiply/divide, memory excluded from the datapath).
 ///
 /// # Example
 ///
@@ -229,53 +224,19 @@ impl fmt::Display for Operation {
 /// assert!(model.software_cycles(Operation::Mul) > model.software_cycles(Operation::Add));
 /// assert!(model.hardware_delay(Operation::Add) < 1.0);
 /// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct LatencyModel {
-    alu_sw: u32,
-    shift_sw: u32,
-    muldiv_sw: u32,
-    predicate_sw: u32,
-    memory_sw: u32,
-    opaque_sw: u32,
-    alu_hw: f64,
-    shift_hw: f64,
-    muldiv_hw: f64,
-    predicate_hw: f64,
-}
-
-impl Default for LatencyModel {
-    fn default() -> Self {
-        LatencyModel {
-            alu_sw: 1,
-            shift_sw: 1,
-            muldiv_sw: 3,
-            predicate_sw: 1,
-            memory_sw: 2,
-            opaque_sw: 4,
-            alu_hw: 0.30,
-            shift_hw: 0.20,
-            muldiv_hw: 1.60,
-            predicate_hw: 0.25,
-        }
-    }
-}
+#[derive(Clone, Debug, Default)]
+#[non_exhaustive]
+pub struct LatencyModel;
 
 impl LatencyModel {
-    /// Creates the default latency model.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Software latency of `op` in processor cycles on the base pipeline.
     pub fn software_cycles(&self, op: Operation) -> u32 {
         match op.class() {
             OperationClass::Source => 0,
-            OperationClass::Alu => self.alu_sw,
-            OperationClass::Shift => self.shift_sw,
-            OperationClass::MulDiv => self.muldiv_sw,
-            OperationClass::Predicate => self.predicate_sw,
-            OperationClass::Memory => self.memory_sw,
-            OperationClass::Opaque => self.opaque_sw,
+            OperationClass::Alu | OperationClass::Shift | OperationClass::Predicate => 1,
+            OperationClass::MulDiv => 3,
+            OperationClass::Memory => 2,
+            OperationClass::Opaque => 4,
         }
     }
 
@@ -288,26 +249,12 @@ impl LatencyModel {
     pub fn hardware_delay(&self, op: Operation) -> f64 {
         match op.class() {
             OperationClass::Source => 0.0,
-            OperationClass::Alu => self.alu_hw,
-            OperationClass::Shift => self.shift_hw,
-            OperationClass::MulDiv => self.muldiv_hw,
-            OperationClass::Predicate => self.predicate_hw,
+            OperationClass::Alu => 0.30,
+            OperationClass::Shift => 0.20,
+            OperationClass::MulDiv => 1.60,
+            OperationClass::Predicate => 0.25,
             OperationClass::Memory | OperationClass::Opaque => f64::INFINITY,
         }
-    }
-
-    /// Overrides the software latency of multi-cycle arithmetic.
-    #[must_use]
-    pub fn with_muldiv_cycles(mut self, cycles: u32) -> Self {
-        self.muldiv_sw = cycles;
-        self
-    }
-
-    /// Overrides the software latency of memory operations.
-    #[must_use]
-    pub fn with_memory_cycles(mut self, cycles: u32) -> Self {
-        self.memory_sw = cycles;
-        self
     }
 }
 
@@ -328,13 +275,13 @@ mod tests {
                     assert!(op.is_default_forbidden());
                 }
                 Operation::Input | Operation::Const => {
-                    assert!(op.is_source());
+                    assert_eq!(op.class(), OperationClass::Source);
                     assert!(!op.is_default_forbidden());
                 }
                 _ => {
                     assert!(!op.is_memory());
                     assert!(!op.is_default_forbidden());
-                    assert!(!op.is_source());
+                    assert_ne!(op.class(), OperationClass::Source);
                 }
             }
         }
@@ -365,9 +312,9 @@ mod tests {
 
     #[test]
     fn default_latency_model_is_sane() {
-        let m = LatencyModel::default();
+        let m = LatencyModel;
         for &op in Operation::all() {
-            if op.is_source() {
+            if op.class() == OperationClass::Source {
                 assert_eq!(m.software_cycles(op), 0);
             } else {
                 assert!(m.software_cycles(op) >= 1);
@@ -377,14 +324,5 @@ mod tests {
             }
         }
         assert!(m.hardware_delay(Operation::Load).is_infinite());
-    }
-
-    #[test]
-    fn latency_model_overrides() {
-        let m = LatencyModel::new()
-            .with_muldiv_cycles(5)
-            .with_memory_cycles(10);
-        assert_eq!(m.software_cycles(Operation::Mul), 5);
-        assert_eq!(m.software_cycles(Operation::Store), 10);
     }
 }

@@ -1,7 +1,6 @@
-//! Topological ordering and depth computation over CSR adjacency rows.
+//! Topological ordering over CSR adjacency rows.
 
 use crate::csr::CsrAdjacency;
-use crate::graph::Dfg;
 use crate::node::NodeId;
 
 /// Computes a topological order (producers before consumers) of a DAG given as
@@ -48,40 +47,9 @@ pub(crate) fn topological_order(
     }
 }
 
-/// Computes, for every node of `dfg`, the length (in edges) of the longest path from
-/// any root (node without predecessors) to that node. Roots have depth 0.
-///
-/// This is the "depth" limit used by accelerators such as Configurable Compute
-/// Accelerators (§5.3, output–input pruning). One pass over the graph's own
-/// topological order.
-///
-/// # Example
-///
-/// ```
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use ise_graph::{depths_from_roots, Dfg, NodeId, Operation};
-///
-/// let ops = vec![Operation::Input, Operation::Not, Operation::Not];
-/// let edges = vec![(NodeId::new(0), NodeId::new(1)), (NodeId::new(1), NodeId::new(2))];
-/// let dfg = Dfg::from_edges("chain", ops, edges, [], [])?;
-/// assert_eq!(depths_from_roots(&dfg), vec![0, 1, 2]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn depths_from_roots(dfg: &Dfg) -> Vec<u32> {
-    let mut depth = vec![0u32; dfg.len()];
-    for &node in dfg.topological_order() {
-        for &succ in dfg.succs(node) {
-            depth[succ.index()] = depth[succ.index()].max(depth[node.index()] + 1);
-        }
-    }
-    depth
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::Operation;
 
     fn n(i: usize) -> NodeId {
         NodeId::from_index(i)
@@ -111,30 +79,5 @@ mod tests {
         let (succs, preds) = rows(2, &[(0, 1), (1, 0)]);
         let err = topological_order(&succs, &preds).unwrap_err();
         assert!(err == n(0) || err == n(1));
-    }
-
-    fn dfg(ops: Vec<Operation>, edges: &[(usize, usize)]) -> Dfg {
-        let edges = edges.iter().map(|&(a, b)| (n(a), n(b))).collect();
-        Dfg::from_edges("depths", ops, edges, [], []).unwrap()
-    }
-
-    #[test]
-    fn depths_follow_longest_path() {
-        // 0 -> 1 -> 3, 0 -> 2 -> 3, 2 -> 4 -> 3  (longest path to 3 has 3 edges)
-        let ops = vec![
-            Operation::Input,
-            Operation::Not,
-            Operation::Not,
-            Operation::Add,
-            Operation::Not,
-        ];
-        let g = dfg(ops, &[(0, 1), (0, 2), (1, 3), (2, 3), (4, 3), (2, 4)]);
-        assert_eq!(depths_from_roots(&g), vec![0, 1, 1, 3, 2]);
-    }
-
-    #[test]
-    fn isolated_nodes_have_depth_zero() {
-        let g = dfg(vec![Operation::Input, Operation::Input], &[]);
-        assert_eq!(depths_from_roots(&g), vec![0, 0]);
     }
 }

@@ -65,12 +65,16 @@ impl SizeCluster {
 pub struct MiBenchLikeConfig {
     size: usize,
     memory_ratio: f64,
-    muldiv_ratio: f64,
-    live_in_fraction: f64,
-    live_out_count: usize,
 }
 
 impl MiBenchLikeConfig {
+    /// Fraction of multi-cycle operations.
+    const MULDIV_RATIO: f64 = 0.06;
+    /// Fraction of the vertices that are live-in values.
+    const LIVE_IN_FRACTION: f64 = 0.12;
+    /// Values marked live-out besides the natural sinks.
+    const LIVE_OUTS: usize = 2;
+
     /// Creates a configuration for a block with exactly `size` vertices (live-ins
     /// included) and the default embedded-kernel operation mix: 18 % memory
     /// operations, 6 % multiplications, roughly one live-in per eight operations and
@@ -85,42 +89,13 @@ impl MiBenchLikeConfig {
         MiBenchLikeConfig {
             size,
             memory_ratio: 0.18,
-            muldiv_ratio: 0.06,
-            live_in_fraction: 0.12,
-            live_out_count: 2,
         }
-    }
-
-    /// The total number of vertices of generated blocks.
-    pub fn size(&self) -> usize {
-        self.size
     }
 
     /// Sets the fraction of memory operations.
     #[must_use]
     pub fn with_memory_ratio(mut self, ratio: f64) -> Self {
         self.memory_ratio = ratio.clamp(0.0, 0.9);
-        self
-    }
-
-    /// Sets the fraction of multi-cycle operations.
-    #[must_use]
-    pub fn with_muldiv_ratio(mut self, ratio: f64) -> Self {
-        self.muldiv_ratio = ratio.clamp(0.0, 0.9);
-        self
-    }
-
-    /// Sets the fraction of vertices that are live-in values.
-    #[must_use]
-    pub fn with_live_in_fraction(mut self, fraction: f64) -> Self {
-        self.live_in_fraction = fraction.clamp(0.02, 0.9);
-        self
-    }
-
-    /// Sets how many additional values are marked live-out of the block.
-    #[must_use]
-    pub fn with_live_out_count(mut self, count: usize) -> Self {
-        self.live_out_count = count;
         self
     }
 }
@@ -135,8 +110,8 @@ pub fn generate_block(config: &MiBenchLikeConfig, seed: u64) -> Result<Dfg, Grap
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let mut builder = DfgBuilder::new(format!("mibench-like-{}-{seed}", config.size));
 
-    let live_ins =
-        ((config.size as f64 * config.live_in_fraction).round() as usize).clamp(2, config.size - 2);
+    let live_ins = ((config.size as f64 * MiBenchLikeConfig::LIVE_IN_FRACTION).round() as usize)
+        .clamp(2, config.size - 2);
     let ops = config.size - live_ins;
 
     let mut values: Vec<NodeId> = (0..live_ins)
@@ -161,7 +136,7 @@ pub fn generate_block(config: &MiBenchLikeConfig, seed: u64) -> Result<Dfg, Grap
     }
 
     // A few additional live-out values besides the natural sinks.
-    for _ in 0..config.live_out_count {
+    for _ in 0..MiBenchLikeConfig::LIVE_OUTS {
         let v = pick_value(&mut rng, &values);
         builder.mark_output(v);
     }
@@ -177,7 +152,7 @@ fn pick_operation(rng: &mut StdRng, config: &MiBenchLikeConfig) -> Operation {
             Operation::Store
         };
     }
-    if roll < config.memory_ratio + config.muldiv_ratio {
+    if roll < config.memory_ratio + MiBenchLikeConfig::MULDIV_RATIO {
         return if rng.gen_bool(0.85) {
             Operation::Mul
         } else {
@@ -334,12 +309,8 @@ mod tests {
 
     #[test]
     fn knobs_are_clamped() {
-        let cfg = MiBenchLikeConfig::new(50)
-            .with_memory_ratio(2.0)
-            .with_muldiv_ratio(-1.0)
-            .with_live_in_fraction(0.0)
-            .with_live_out_count(1);
-        assert_eq!(cfg.size(), 50);
+        let cfg = MiBenchLikeConfig::new(50).with_memory_ratio(2.0);
+        assert_eq!(cfg.memory_ratio, 0.9);
         let dfg = generate_block(&cfg, 5).unwrap();
         assert_eq!(dfg.len(), 50);
     }

@@ -12,8 +12,8 @@ use rand::{Rng, SeedableRng};
 /// Configuration of the layered random DAG generator.
 ///
 /// The generator creates `live_ins` external inputs, then `node_count` operation nodes
-/// arranged in layers of `layer_width` nodes. Each operation draws 1–`max_arity`
-/// operands uniformly from the previous `locality` layers (biased towards recent
+/// arranged in layers of `layer_width` nodes. Each operation draws one or two
+/// operands uniformly from the previous four layers (biased towards recent
 /// layers, which mimics the short def-use distances of real straight-line code), and
 /// becomes a memory operation with probability `memory_ratio`.
 ///
@@ -24,20 +24,24 @@ use rand::{Rng, SeedableRng};
 ///
 /// let cfg = RandomDagConfig::new(200).with_memory_ratio(0.2);
 /// let dfg = random_dag(&cfg, 42);
-/// assert_eq!(dfg.len(), 200 + cfg.live_ins());
+/// assert_eq!(dfg.len(), 200 + 8, "200 operations and the 8 default live-ins");
 /// ```
 #[derive(Clone, Debug)]
 pub struct RandomDagConfig {
     node_count: usize,
     live_ins: usize,
     layer_width: usize,
-    max_arity: usize,
-    locality: usize,
     memory_ratio: f64,
-    muldiv_ratio: f64,
 }
 
 impl RandomDagConfig {
+    /// Largest operand count of a generated operation.
+    const MAX_ARITY: usize = 2;
+    /// How many of the most recent layers operands are drawn from.
+    const LOCALITY: usize = 4;
+    /// Fraction of multi-cycle (multiply/divide) operations.
+    const MULDIV_RATIO: f64 = 0.08;
+
     /// Creates a configuration for a graph with `node_count` operation nodes and
     /// defaults resembling unrolled embedded kernels: 8 live-ins, layers of 8, binary
     /// operations, 10 % memory operations and 8 % multiplications.
@@ -54,21 +58,8 @@ impl RandomDagConfig {
             node_count,
             live_ins: 8,
             layer_width: 8,
-            max_arity: 2,
-            locality: 4,
             memory_ratio: 0.10,
-            muldiv_ratio: 0.08,
         }
-    }
-
-    /// Number of operation nodes (excluding live-ins).
-    pub fn node_count(&self) -> usize {
-        self.node_count
-    }
-
-    /// Number of external inputs.
-    pub fn live_ins(&self) -> usize {
-        self.live_ins
     }
 
     /// Sets the number of external inputs.
@@ -85,24 +76,10 @@ impl RandomDagConfig {
         self
     }
 
-    /// Sets the maximum operand count of generated operations.
-    #[must_use]
-    pub fn with_max_arity(mut self, arity: usize) -> Self {
-        self.max_arity = arity.clamp(1, 4);
-        self
-    }
-
     /// Sets the fraction of memory operations (which become forbidden vertices).
     #[must_use]
     pub fn with_memory_ratio(mut self, ratio: f64) -> Self {
         self.memory_ratio = ratio.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Sets the fraction of multi-cycle (multiply/divide) operations.
-    #[must_use]
-    pub fn with_muldiv_ratio(mut self, ratio: f64) -> Self {
-        self.muldiv_ratio = ratio.clamp(0.0, 1.0);
         self
     }
 }
@@ -126,11 +103,11 @@ pub fn random_dag(config: &RandomDagConfig, seed: u64) -> Dfg {
             let op = pick_operation(&mut rng, config);
             let arity = match op {
                 Operation::Load | Operation::Not | Operation::Extend => 1,
-                _ => 1 + rng.gen_range(0..config.max_arity.max(1)),
+                _ => 1 + rng.gen_range(0..RandomDagConfig::MAX_ARITY),
             };
             let mut operands = Vec::with_capacity(arity);
             for _ in 0..arity {
-                operands.push(pick_operand(&mut rng, &layers, config.locality));
+                operands.push(pick_operand(&mut rng, &layers, RandomDagConfig::LOCALITY));
             }
             operands.dedup();
             layer.push(builder.node(op, &operands));
@@ -161,7 +138,7 @@ fn pick_operation(rng: &mut StdRng, config: &RandomDagConfig) -> Operation {
             Operation::Store
         };
     }
-    if roll < config.memory_ratio + config.muldiv_ratio {
+    if roll < config.memory_ratio + RandomDagConfig::MULDIV_RATIO {
         return Operation::Mul;
     }
     const POOL: &[Operation] = &[
@@ -201,7 +178,7 @@ mod tests {
         let cfg = RandomDagConfig::new(150);
         let a = random_dag(&cfg, 7);
         let b = random_dag(&cfg, 7);
-        assert_eq!(a.len(), 150 + cfg.live_ins());
+        assert_eq!(a.len(), 150 + cfg.live_ins);
         assert_eq!(a.len(), b.len());
         assert_eq!(a.edge_count(), b.edge_count());
         let c = random_dag(&cfg, 8);
@@ -232,15 +209,11 @@ mod tests {
     fn builder_knobs_are_respected() {
         let cfg = RandomDagConfig::new(64)
             .with_live_ins(3)
-            .with_layer_width(4)
-            .with_max_arity(3)
-            .with_muldiv_ratio(0.0);
-        assert_eq!(cfg.live_ins(), 3);
-        assert_eq!(cfg.node_count(), 64);
+            .with_layer_width(4);
         let dfg = random_dag(&cfg, 11);
+        assert_eq!(dfg.len(), 64 + 3);
         assert_eq!(dfg.external_inputs().len(), 3);
-        assert!(dfg.node_ids().all(|id| dfg.preds(id).len() <= 3));
-        assert!(dfg.node_ids().all(|id| dfg.op(id) != Operation::Mul));
+        assert!(dfg.node_ids().all(|id| dfg.preds(id).len() <= 2));
     }
 
     #[test]

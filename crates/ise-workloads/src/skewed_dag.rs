@@ -17,11 +17,11 @@ use rand::{Rng, SeedableRng};
 
 /// Configuration of the skewed-DAG generator.
 ///
-/// The graph is `heavy_nodes` densely wired ALU operations (layers of
-/// `heavy_width`, operands drawn from *all* previous layers, no memory operations —
-/// so nothing is forbidden and the subtree under each root is large), followed by
-/// `chains` independent unary chains of `chain_depth` operations each. The heavy
-/// blob is built first, so its roots occupy the low candidate indices.
+/// The graph is 4 live-ins and `heavy_nodes` densely wired ALU operations (layers
+/// of 4, operands drawn from *all* previous layers, no memory operations — so
+/// nothing is forbidden and the subtree under each root is large), followed by
+/// `chains` independent unary chains of 2 operations each. The heavy blob is built
+/// first, so its roots occupy the low candidate indices.
 ///
 /// # Example
 ///
@@ -36,16 +36,20 @@ use rand::{Rng, SeedableRng};
 #[derive(Clone, Debug)]
 pub struct SkewedDagConfig {
     heavy_nodes: usize,
-    heavy_width: usize,
     chains: usize,
-    chain_depth: usize,
-    live_ins: usize,
 }
 
 impl SkewedDagConfig {
+    /// Operations per blob layer (lower = deeper, more expensive subtrees).
+    const HEAVY_WIDTH: usize = 4;
+    /// Operations per light chain.
+    const CHAIN_DEPTH: usize = 2;
+    /// External inputs the blob and the chains read.
+    const LIVE_INS: usize = 4;
+
     /// Creates a configuration with `heavy_nodes` operations in the dense blob and
-    /// `chains` light chains, with defaults chosen so the whole block crosses the
-    /// CLI's fan-out threshold: 4 live-ins, blob layers of 4, chains of depth 2.
+    /// `chains` light chains; the fixed shape (4 live-ins, blob layers of 4, chains of
+    /// depth 2) makes the whole block cross the CLI's fan-out threshold.
     ///
     /// # Panics
     ///
@@ -54,30 +58,13 @@ impl SkewedDagConfig {
         assert!(heavy_nodes > 0, "the dense blob needs at least one node");
         SkewedDagConfig {
             heavy_nodes,
-            heavy_width: 4,
             chains,
-            chain_depth: 2,
-            live_ins: 4,
         }
-    }
-
-    /// Sets the blob layer width (lower = deeper, more expensive subtrees).
-    #[must_use]
-    pub fn with_heavy_width(mut self, width: usize) -> Self {
-        self.heavy_width = width.max(1);
-        self
-    }
-
-    /// Sets the depth of each light chain.
-    #[must_use]
-    pub fn with_chain_depth(mut self, depth: usize) -> Self {
-        self.chain_depth = depth.max(1);
-        self
     }
 
     /// Total vertex count of the generated graph (live-ins included).
     pub fn total_nodes(&self) -> usize {
-        self.live_ins + self.heavy_nodes + self.chains * self.chain_depth
+        Self::LIVE_INS + self.heavy_nodes + self.chains * Self::CHAIN_DEPTH
     }
 }
 
@@ -89,7 +76,7 @@ pub fn skewed_dag(config: &SkewedDagConfig, seed: u64) -> Dfg {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut builder = DfgBuilder::new(format!("skewed-dag-{}-{seed}", config.total_nodes()));
 
-    let live_ins: Vec<NodeId> = (0..config.live_ins)
+    let live_ins: Vec<NodeId> = (0..SkewedDagConfig::LIVE_INS)
         .map(|i| builder.input(format!("in{i}")))
         .collect();
 
@@ -106,7 +93,7 @@ pub fn skewed_dag(config: &SkewedDagConfig, seed: u64) -> Dfg {
     let mut values: Vec<NodeId> = live_ins.clone();
     let mut produced = 0usize;
     while produced < config.heavy_nodes {
-        let width = config.heavy_width.min(config.heavy_nodes - produced);
+        let width = SkewedDagConfig::HEAVY_WIDTH.min(config.heavy_nodes - produced);
         let mut layer = Vec::with_capacity(width);
         for _ in 0..width {
             let op = BLOB_OPS[rng.gen_range(0..BLOB_OPS.len())];
@@ -130,7 +117,7 @@ pub fn skewed_dag(config: &SkewedDagConfig, seed: u64) -> Dfg {
     // count, so a count-balanced fan-out hands nearly all work to the blob ranges.
     for c in 0..config.chains {
         let mut value = live_ins[c % live_ins.len()];
-        for d in 0..config.chain_depth {
+        for d in 0..SkewedDagConfig::CHAIN_DEPTH {
             let op = if d % 2 == 0 {
                 Operation::Not
             } else {
@@ -163,7 +150,7 @@ mod tests {
 
     #[test]
     fn nothing_is_forbidden_and_chains_are_outputs() {
-        let cfg = SkewedDagConfig::new(16, 10).with_chain_depth(3);
+        let cfg = SkewedDagConfig::new(16, 10);
         let dfg = skewed_dag(&cfg, 1);
         assert!(dfg.forbidden().is_empty());
         // At least one output per chain plus the blob's (unconsumed blob values are

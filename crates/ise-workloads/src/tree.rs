@@ -42,7 +42,6 @@ pub enum TreeOrientation {
 pub struct TreeDfgBuilder {
     depth: u32,
     orientation: TreeOrientation,
-    operations: Vec<Operation>,
 }
 
 impl TreeDfgBuilder {
@@ -61,14 +60,6 @@ impl TreeDfgBuilder {
         TreeDfgBuilder {
             depth,
             orientation: TreeOrientation::FanOut,
-            operations: vec![
-                Operation::Add,
-                Operation::Xor,
-                Operation::Shl,
-                Operation::Not,
-                Operation::And,
-                Operation::Sub,
-            ],
         }
     }
 
@@ -78,33 +69,6 @@ impl TreeDfgBuilder {
     pub fn with_orientation(mut self, orientation: TreeOrientation) -> Self {
         self.orientation = orientation;
         self
-    }
-
-    /// Overrides the cycle of operations used for the tree vertices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `operations` is empty.
-    #[must_use]
-    pub fn with_operations(mut self, operations: Vec<Operation>) -> Self {
-        assert!(!operations.is_empty(), "at least one operation is required");
-        self.operations = operations;
-        self
-    }
-
-    /// The depth of the generated tree.
-    pub fn depth(&self) -> u32 {
-        self.depth
-    }
-
-    /// The orientation of the generated tree.
-    pub fn orientation(&self) -> TreeOrientation {
-        self.orientation
-    }
-
-    /// Number of vertices the generated graph will have (`2^(depth+1) - 1`).
-    pub fn node_count(&self) -> usize {
-        (1usize << (self.depth + 1)) - 1
     }
 
     /// Builds the tree-shaped data-flow graph.
@@ -119,12 +83,11 @@ impl TreeDfgBuilder {
         let mut builder = DfgBuilder::new(format!("tree-fanout-depth-{}", self.depth));
         let root = builder.input("in");
         let mut level: Vec<NodeId> = vec![root];
-        let mut op_index = 0usize;
         for _ in 0..self.depth {
             let mut next = Vec::with_capacity(level.len() * 2);
             for &parent in &level {
-                for _ in 0..2 {
-                    let op = self.unary_operation(&mut op_index);
+                // Two single-operand children per vertex.
+                for op in [Operation::Shl, Operation::Not] {
                     next.push(builder.node(op, &[parent]));
                 }
             }
@@ -142,11 +105,20 @@ impl TreeDfgBuilder {
         let mut level: Vec<NodeId> = (0..leaves)
             .map(|i| builder.input(format!("in{i}")))
             .collect();
-        let mut op_index = 0usize;
+        // The reduction vertices take these operations in turn.
+        let mut ops = [
+            Operation::Add,
+            Operation::Xor,
+            Operation::Shl,
+            Operation::Not,
+            Operation::And,
+            Operation::Sub,
+        ]
+        .into_iter()
+        .cycle();
         while level.len() > 1 {
             let mut next = Vec::with_capacity(level.len() / 2);
-            for pair in level.chunks(2) {
-                let op = self.binary_operation(&mut op_index);
+            for (pair, op) in level.chunks(2).zip(&mut ops) {
                 next.push(builder.node(op, pair));
             }
             level = next;
@@ -155,37 +127,6 @@ impl TreeDfgBuilder {
         builder
             .build()
             .expect("a complete reduction tree is always a valid DFG")
-    }
-
-    fn unary_operation(&self, op_index: &mut usize) -> Operation {
-        // Only single-operand operations make sense in the fan-out orientation.
-        const UNARY: &[Operation] = &[
-            Operation::Not,
-            Operation::Shl,
-            Operation::Shr,
-            Operation::Extend,
-        ];
-        let op = self
-            .operations
-            .iter()
-            .copied()
-            .filter(|op| {
-                matches!(
-                    op,
-                    Operation::Not | Operation::Shl | Operation::Shr | Operation::Extend
-                )
-            })
-            .cycle()
-            .nth(*op_index)
-            .unwrap_or(UNARY[*op_index % UNARY.len()]);
-        *op_index += 1;
-        op
-    }
-
-    fn binary_operation(&self, op_index: &mut usize) -> Operation {
-        let op = self.operations[*op_index % self.operations.len()];
-        *op_index += 1;
-        op
     }
 }
 
@@ -196,9 +137,8 @@ mod tests {
     #[test]
     fn fan_out_node_counts_match_formula() {
         for depth in 1..=7 {
-            let builder = TreeDfgBuilder::new(depth);
-            let dfg = builder.build();
-            assert_eq!(dfg.len(), builder.node_count(), "depth {depth}");
+            let dfg = TreeDfgBuilder::new(depth).build();
+            assert_eq!(dfg.len(), (1 << (depth + 1)) - 1, "depth {depth}");
             assert_eq!(dfg.external_inputs().len(), 1);
             assert_eq!(dfg.external_outputs().len(), 1 << depth);
         }
@@ -217,10 +157,10 @@ mod tests {
 
     #[test]
     fn fan_in_orientation_reduces_to_one_output() {
-        let builder = TreeDfgBuilder::new(4).with_orientation(TreeOrientation::FanIn);
-        let dfg = builder.build();
-        assert_eq!(builder.orientation(), TreeOrientation::FanIn);
-        assert_eq!(dfg.len(), builder.node_count());
+        let dfg = TreeDfgBuilder::new(4)
+            .with_orientation(TreeOrientation::FanIn)
+            .build();
+        assert_eq!(dfg.len(), 31);
         assert_eq!(dfg.external_inputs().len(), 16);
         assert_eq!(dfg.external_outputs().len(), 1);
         for id in dfg.node_ids() {
@@ -230,39 +170,8 @@ mod tests {
     }
 
     #[test]
-    fn paper_depths_cover_the_reported_range() {
-        // Depth 4..=7 gives 31..=255 nodes, matching the synthetic DFGs of §6.
-        assert_eq!(TreeDfgBuilder::new(4).node_count(), 31);
-        assert_eq!(TreeDfgBuilder::new(7).node_count(), 255);
-    }
-
-    #[test]
-    fn custom_operations_are_used_in_fan_in() {
-        let dfg = TreeDfgBuilder::new(2)
-            .with_orientation(TreeOrientation::FanIn)
-            .with_operations(vec![Operation::Mul])
-            .build();
-        let muls = dfg
-            .node_ids()
-            .filter(|&id| dfg.op(id) == Operation::Mul)
-            .count();
-        assert_eq!(muls, 3);
-    }
-
-    #[test]
-    fn depth_accessor_round_trips() {
-        assert_eq!(TreeDfgBuilder::new(6).depth(), 6);
-    }
-
-    #[test]
     #[should_panic(expected = "tree depth")]
     fn zero_depth_is_rejected() {
         let _ = TreeDfgBuilder::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one operation")]
-    fn empty_operation_set_is_rejected() {
-        let _ = TreeDfgBuilder::new(3).with_operations(vec![]);
     }
 }
