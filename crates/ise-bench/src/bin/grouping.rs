@@ -42,7 +42,6 @@ use ise_corpus::load_corpus_path;
 use ise_enum::{
     incremental_cuts, select_ises, Constraints, Cut, EngineOptions, EnumContext, PruningConfig,
 };
-use ise_graph::LatencyModel;
 
 fn main() {
     let opts = Options::from_env();
@@ -91,14 +90,7 @@ fn main() {
             "memoized coding must match the plain labeler on {}",
             block.dfg.name()
         );
-        let selection = select_ises(
-            &block.dfg,
-            &enumeration.cuts,
-            &LatencyModel::default(),
-            nin,
-            nout,
-            4,
-        );
+        let selection = select_ises(&block.dfg, &enumeration.cuts, nin, nout, 4);
         per_block_saved += u64::from(selection.total_saved_cycles);
         index.add_coded_block(coded, block.weight());
         let canon_seconds = canon_elapsed.as_secs_f64();

@@ -15,7 +15,6 @@ use ise_bench::{timed, Options};
 use ise_enum::{
     incremental_cuts, select_ises, Constraints, EngineOptions, EnumContext, PruningConfig,
 };
-use ise_graph::LatencyModel;
 use ise_workloads::suite;
 
 fn main() {
@@ -27,7 +26,6 @@ fn main() {
     let nout = opts.usize("nout", ise_bench::PAPER_NOUT);
     let instructions = opts.usize("instructions", 4);
     let constraints = Constraints::new(nin, nout).expect("non-zero I/O constraints");
-    let model = LatencyModel::default();
     let options = EngineOptions::default();
 
     println!("block,nodes,candidates,enumeration_seconds,selected,saved_cycles,block_speedup");
@@ -40,7 +38,7 @@ fn main() {
         let ctx = EnumContext::new(block.dfg.clone());
         let (result, elapsed) =
             timed(|| incremental_cuts(&ctx, &constraints, &PruningConfig::all(), &options, None));
-        let selection = select_ises(ctx.dfg(), &result.cuts, &model, nin, nout, instructions);
+        let selection = select_ises(ctx.dfg(), &result.cuts, nin, nout, instructions);
         let speedup = selection.block_speedup();
         best_speedup = best_speedup.max(speedup);
         total_selected += selection.chosen.len();

@@ -9,8 +9,9 @@
 //! [`Json::parse`] is the inverse: a strict recursive-descent parser over the same
 //! subset (numbers land in [`Json::UInt`] when they are non-negative integers and in
 //! [`Json::Num`] otherwise), used by the `ise serve` line protocol and by the
-//! `serve_latency` harness to inspect daemon responses. `parse ∘ render = id` for
-//! every value the emitter can produce (property-tested below).
+//! `json_check` and `scaling` binaries to read committed artifacts back.
+//! `parse ∘ render = id` for every value the emitter can produce (property-tested
+//! below).
 //!
 //! [`ObjectWriter`] streams one object to an `io::Write` a field at a time, in the
 //! bytes `render` gives the same tree, for reports too large to build whole.

@@ -13,8 +13,6 @@
 //! * `speedup` — candidate counts and the greedy-selection speedup model;
 //! * `grouping` — canonical-form grouping and the coding memo (E8, writes
 //!   `BENCH_grouping.json`);
-//! * `serve_latency` — `ise serve` cold-vs-warm latency (E9, writes
-//!   `BENCH_serve.json`);
 //! * `obs_overhead` — what recording costs the engine (writes `BENCH_obs.json`);
 //! * `corpus_load` — corpus ingest throughput (E10, writes `BENCH_corpus.json`).
 //!

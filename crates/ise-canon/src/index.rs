@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ise_enum::{estimate_merit, Cut};
-use ise_graph::{Dfg, InterfaceGraph, LatencyModel, RawEncoder};
+use ise_graph::{Dfg, InterfaceGraph, RawEncoder};
 
 use crate::canon::CanonicalCode;
 use crate::memo::{CanonMemo, Ports};
@@ -28,7 +28,7 @@ pub struct Occurrence {
 
 /// Merit settings shared by grouping and global selection: the register-file ports
 /// assumed for operand transfer (see `ise_enum::estimate_merit`). Savings are costed
-/// under the one [`LatencyModel`].
+/// under the fixed latency model of [`ise_graph::Operation`].
 #[derive(Clone, Debug)]
 pub struct GroupConfig {
     /// Register-file read ports available per cycle.
@@ -150,14 +150,7 @@ fn code_graph(dfg: &Dfg, cut: &Cut, config: &GroupConfig, graph: &InterfaceGraph
 
 /// The cycles one occurrence of `cut` saves under `config`.
 fn saved_cycles(dfg: &Dfg, cut: &Cut, config: &GroupConfig) -> u32 {
-    estimate_merit(
-        dfg,
-        cut,
-        &LatencyModel::default(),
-        config.ports_in,
-        config.ports_out,
-    )
-    .saved_cycles
+    estimate_merit(dfg, cut, config.ports_in, config.ports_out).saved_cycles
 }
 
 fn coded_cut(cut: &Cut, code: CanonicalCode, ops: Arc<str>, saved_cycles: u32) -> CodedCut {

@@ -245,7 +245,7 @@ mod tests {
     use crate::index::GroupConfig;
     use ise_enum::{enumerate_cuts, select_ises, Constraints};
     use ise_graph::Dfg;
-    use ise_graph::{DfgBuilder, LatencyModel, Operation};
+    use ise_graph::{DfgBuilder, Operation};
     use rand::{Rng, SeedableRng};
 
     /// The selection as two linear scans over every entry per iteration found it:
@@ -474,11 +474,7 @@ mod tests {
         let global = select_ises_global(&index, &views, 0);
         let per_block_total: u64 = blocks
             .iter()
-            .map(|(dfg, cuts)| {
-                u64::from(
-                    select_ises(dfg, cuts, &LatencyModel::default(), 2, 1, 4).total_saved_cycles,
-                )
-            })
+            .map(|(dfg, cuts)| u64::from(select_ises(dfg, cuts, 2, 1, 4).total_saved_cycles))
             .sum();
         assert!(
             global.total_saved_cycles >= per_block_total,

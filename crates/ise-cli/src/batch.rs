@@ -36,7 +36,7 @@ use ise_enum::{
     incremental_cuts, select_ises, Constraints, DedupMode, EngineOptions, EnumContext, Enumeration,
     PruningConfig, Selection,
 };
-use ise_graph::{Dfg, LatencyModel};
+use ise_graph::Dfg;
 use ise_obs::MetricsRegistry;
 
 /// Blocks with at least this many vertices fan out into first-output tasks by
@@ -156,7 +156,6 @@ impl BlockOutcome {
             select_ises(
                 &block.dfg,
                 &enumeration.cuts,
-                &LatencyModel::default(),
                 sel.ports_in,
                 sel.ports_out,
                 sel.max_instructions,

@@ -24,7 +24,7 @@ use ise_canon::{
 use ise_corpus::CorpusBlock;
 use ise_enum::par::run_items;
 use ise_enum::{block_speedup, Cut};
-use ise_graph::{Dfg, LatencyModel};
+use ise_graph::Dfg;
 use ise_obs::MetricsRegistry;
 
 /// Canonicalizes one block's cuts, through `memo` when one is given — the one
@@ -327,8 +327,8 @@ pub fn group_markdown(
 /// document parsed back into a tree, so the writer alone defines its bytes.
 ///
 /// `_config` is not read: the pattern savings are already in `index`, and block
-/// software cycles use the one [`LatencyModel`]. The parameter stays
-/// because the benchmark's traced child passes it.
+/// software cycles use the fixed latency model of [`ise_graph::Operation`]. The
+/// parameter stays because the benchmark's traced child passes it.
 pub fn global_select_report_with_index(
     index: &PatternIndex,
     blocks: &[CorpusBlock],
@@ -367,13 +367,12 @@ impl<'a> GlobalReport<'a> {
             .map(|o| o.enumeration.cuts.as_slice())
             .collect();
         let selection = select_ises_global(index, &views, max_patterns);
-        let model = LatencyModel::default();
         let software = blocks
             .iter()
             .map(|b| {
                 b.dfg
                     .node_ids()
-                    .map(|v| u64::from(model.software_cycles(b.dfg.op(v))))
+                    .map(|v| u64::from(b.dfg.op(v).software_cycles()))
                     .sum()
             })
             .collect();

@@ -389,7 +389,7 @@ fn run_dot_report(
     out: &str,
 ) -> Result<(), CliError> {
     use ise_enum::{incremental_cuts, select_ises, EngineOptions, EnumContext, PruningConfig};
-    use ise_graph::{DotOptions, LatencyModel};
+    use ise_graph::DotOptions;
 
     let Some(block) = blocks.iter().find(|b| b.dfg.name() == name) else {
         return Err(CliError::Usage(format!(
@@ -410,7 +410,6 @@ fn run_dot_report(
     let selection = select_ises(
         &block.dfg,
         &enumeration.cuts,
-        &LatencyModel::default(),
         job.ports_in,
         job.ports_out,
         job.max_instr,

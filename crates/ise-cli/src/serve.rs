@@ -127,9 +127,9 @@ pub const MAX_REQUEST_BYTES: usize = 8 << 20;
 
 /// Marks the I/O error a transport returns for a request whose end it cannot
 /// find: one over [`MAX_REQUEST_BYTES`], or an HTTP request whose
-/// `Content-Length` does not parse. [`serve_connection`] answers it in band, with
-/// `status` over HTTP, and closes the connection, which can no longer stay in
-/// step.
+/// `Content-Length` does not parse or that carries a `Transfer-Encoding`.
+/// [`serve_connection`] answers it in band, with `status` over HTTP, and closes
+/// the connection, which can no longer stay in step.
 #[derive(Debug)]
 struct RejectedRequest {
     status: &'static str,
@@ -1253,8 +1253,9 @@ fn serve_tcp(state: &Arc<ServerState>, addr: &str, max_connections: usize) -> Re
 /// line-delimited JSON. Reads block until the client sends, closes, or the drain
 /// of a stopping daemon shuts the read half. A request over
 /// [`MAX_REQUEST_BYTES`], or an HTTP request whose `Content-Length` does not
-/// parse, gets the in-band error envelope (status 413 or 400 over HTTP), and the
-/// connection is closed without reading the rest of it.
+/// parse or that carries a `Transfer-Encoding`, gets the in-band error envelope
+/// (status 413, 400 or 501 over HTTP), and the connection is closed without
+/// reading the rest of it.
 fn serve_connection(state: &ServerState, mut stream: &TcpStream) -> io::Result<()> {
     // Each response is one small write the client latency-chains on; Nagle
     // would hold it for the previous segment's (possibly delayed) ACK.
@@ -1366,8 +1367,12 @@ fn serve_json(
 /// the path) and `GET /v1/stats` onto the same handlers as the JSON protocol —
 /// the response body is the identical envelope. No chunked encoding, no TLS, no
 /// dependencies: request bodies are delimited by `Content-Length`, responses
-/// always carry one. A request line, header or body that is not UTF-8 is answered
-/// 400 once the whole request is read, so the connection stays in step.
+/// always carry one. A request with a `Transfer-Encoding` gets 501 and the
+/// connection closes, since its body cannot be delimited. A `HEAD` request is
+/// answered (405, with a body) and the connection closes, so a client that reads
+/// no body for it cannot fall out of step. A request line, header or body that is
+/// not UTF-8 is answered 400 once the whole request is read, so the connection
+/// stays in step.
 fn serve_http(
     state: &ServerState,
     mut stream: &TcpStream,
@@ -1384,10 +1389,11 @@ fn serve_http(
                 parts.next().unwrap_or("").to_string(),
             )
         };
-        // Headers: only Content-Length (body delimiter) and Connection: close
-        // (keep-alive override) matter; everything else is skipped.
+        // Headers: only Content-Length (body delimiter), Transfer-Encoding
+        // (refused) and Connection: close (keep-alive override) matter;
+        // everything else is skipped.
         let mut content_length = 0usize;
-        let mut close = false;
+        let mut close = method == "HEAD";
         let mut header = Vec::new();
         loop {
             header.clear();
@@ -1414,8 +1420,13 @@ fn serve_http(
                     content_length = value.parse().map_err(|_| {
                         rejected("400 Bad Request", format!("bad Content-Length `{value}`"))
                     })?;
+                } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                    return Err(rejected(
+                        "501 Not Implemented",
+                        format!("Transfer-Encoding `{value}` is not supported"),
+                    ));
                 } else if name.eq_ignore_ascii_case("connection") {
-                    close = value.eq_ignore_ascii_case("close");
+                    close |= value.eq_ignore_ascii_case("close");
                 }
             }
         }
@@ -1559,25 +1570,45 @@ mod tests {
         doc.get("result").expect("result present").clone()
     }
 
+    /// The small inline block, then every committed corpus block sent inline.
     #[test]
     fn enumerate_cold_then_warm_is_byte_identical() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus");
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("committed corpus")
+            .map(|entry| entry.expect("corpus entry").path())
+            .collect();
+        files.sort();
+        let mut requests = vec![request("enumerate", INLINE, r#"{"nin":3,"nout":1}"#)];
+        for path in &files {
+            let text = std::fs::read_to_string(path).expect("corpus file");
+            requests.push(request("enumerate", &text, r#"{"budget":5000}"#));
+        }
+        assert!(requests.len() > 20, "every committed block is sent");
+
         let state = ServerState::new(8, None);
-        let req = request("enumerate", INLINE, r#"{"nin":3,"nout":1}"#);
-        let cold = state.handle_line(&req);
-        let warm = state.handle_line(&req);
         let parse = |text: &str| Json::parse(text).unwrap();
-        assert_eq!(parse(&cold).get("cached"), Some(&Json::Bool(false)));
-        assert_eq!(parse(&warm).get("cached"), Some(&Json::Bool(true)));
-        assert_eq!(
-            result_of(&cold).render(),
-            result_of(&warm).render(),
-            "cold and warm payloads must be byte-identical"
-        );
-        assert_eq!(
-            parse(&cold).get("key"),
-            parse(&warm).get("key"),
-            "same request, same content key"
-        );
+        for req in &requests {
+            let cold = state.handle_line(req);
+            let warm = state.handle_line(req);
+            assert_eq!(parse(&cold).get("cached"), Some(&Json::Bool(false)));
+            assert_eq!(parse(&warm).get("cached"), Some(&Json::Bool(true)));
+            assert_eq!(
+                result_of(&cold).render(),
+                result_of(&warm).render(),
+                "cold and warm payloads must be byte-identical"
+            );
+            assert_eq!(
+                parse(&cold).get("key"),
+                parse(&warm).get("key"),
+                "same request, same content key"
+            );
+        }
+        let stats = parse(&state.handle_line(r#"{"op":"stats"}"#));
+        let server = stats.get("result").and_then(|r| r.get("server")).unwrap();
+        let counter = |field: &str| server.get(field).and_then(Json::as_u64).unwrap();
+        assert_eq!(counter("hits"), requests.len() as u64);
+        assert_eq!(counter("misses"), requests.len() as u64);
     }
 
     #[test]

@@ -500,6 +500,82 @@ fn malformed_content_length_gets_400_and_a_fresh_connection_is_answered() {
     daemon.shutdown();
 }
 
+/// Reads what a connection still sends until the daemon closes it; a read timeout
+/// fails the test rather than hanging it on a connection left open.
+fn rest_of_connection(mut reader: impl Read) -> Vec<u8> {
+    let mut rest = Vec::new();
+    // The bytes read before an error stay in `rest`; a reset after the close is
+    // no second response.
+    if let Err(error) = reader.read_to_end(&mut rest) {
+        use std::io::ErrorKind::{TimedOut, WouldBlock};
+        assert!(
+            !matches!(error.kind(), WouldBlock | TimedOut),
+            "the connection stayed open; received {:?}",
+            String::from_utf8_lossy(&rest)
+        );
+    }
+    rest
+}
+
+/// A chunked body has no `Content-Length` to delimit it, and reading its chunks
+/// as further requests answered one request twice. The request gets exactly one
+/// 501 with the in-band envelope, counted once under `errors`, the connection
+/// closes, and a fresh connection is answered.
+#[test]
+fn a_chunked_request_gets_one_501_and_a_fresh_connection_is_answered() {
+    let daemon = Daemon::spawn(&[]);
+    let mut stream = daemon.connect();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("set a read timeout");
+    let body = request("enumerate", &tiny_block(3), "\"budget\":5000");
+    write!(
+        stream,
+        "POST /v1/enumerate HTTP/1.1\r\nHost: localhost\r\nTransfer-Encoding: chunked\r\n\r\n\
+         {:x}\r\n{body}\r\n0\r\n\r\n",
+        body.len()
+    )
+    .expect("send the request");
+    let mut reader = BufReader::new(stream);
+    let (status, body) = read_http_response(&mut reader);
+    assert_eq!(status, "HTTP/1.1 501 Not Implemented", "{body}");
+    assert!(body.starts_with("{\"ok\":false"), "{body}");
+    assert!(body.contains("Transfer-Encoding"), "{body}");
+    let rest = rest_of_connection(reader);
+    assert!(
+        rest.is_empty(),
+        "one request, one response; then got {:?}",
+        String::from_utf8_lossy(&rest)
+    );
+
+    let stats = daemon.roundtrip("{\"op\":\"stats\"}");
+    assert_eq!(server_counter(&stats, "errors"), 1, "{stats}");
+    assert_eq!(server_counter(&stats, "connection_errors"), 0, "{stats}");
+    daemon.shutdown();
+}
+
+/// A client reads no body for a `HEAD` reply, so on a kept-alive connection the
+/// daemon's 405 body would be read as the next response: the daemon says
+/// `Connection: close` and closes after its one answer.
+#[test]
+fn a_head_request_is_answered_once_and_the_connection_closed() {
+    let daemon = Daemon::spawn(&[]);
+    let mut stream = daemon.connect();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("set a read timeout");
+    stream
+        .write_all(b"HEAD /v1/stats HTTP/1.1\r\nHost: localhost\r\n\r\n")
+        .expect("send the request");
+    let mut reader = BufReader::new(stream);
+    let mut status = String::new();
+    reader.read_line(&mut status).expect("status line");
+    assert_eq!(status.trim_end(), "HTTP/1.1 405 Method Not Allowed");
+    let rest = String::from_utf8(rest_of_connection(reader)).expect("utf8 response");
+    assert!(rest.contains("Connection: close\r\n"), "{rest}");
+    daemon.shutdown();
+}
+
 /// Regression for unbounded line growth: a JSON-protocol line past the cap with no
 /// newline is answered in-band, and the daemon keeps serving other clients.
 #[test]

@@ -10,7 +10,7 @@
 //! needed to transfer inputs and outputs beyond the register-file ports available in a
 //! single instruction.
 
-use ise_graph::{Dfg, LatencyModel, NodeId};
+use ise_graph::{Dfg, NodeId};
 
 use crate::cut::Cut;
 
@@ -35,16 +35,18 @@ impl Merit {
     }
 }
 
-/// Estimates the merit of `cut`, a cut of `dfg`, under `model`, assuming `ports_in` register-file read
-/// ports and `ports_out` write ports per cycle (extra operands cost one extra cycle per
-/// port group).
+/// Estimates the merit of `cut`, a cut of `dfg`, under the fixed latency model of
+/// [`Operation::software_cycles`](ise_graph::Operation::software_cycles) and
+/// [`Operation::hardware_delay`](ise_graph::Operation::hardware_delay), assuming
+/// `ports_in` register-file read ports and `ports_out` write ports per cycle (extra
+/// operands cost one extra cycle per port group).
 ///
 /// # Example
 ///
 /// ```
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// use ise_enum::{enumerate_cuts, estimate_merit, Constraints};
-/// use ise_graph::{DfgBuilder, LatencyModel, Operation};
+/// use ise_graph::{DfgBuilder, Operation};
 ///
 /// let mut b = DfgBuilder::new("mac");
 /// let a = b.input("a");
@@ -58,25 +60,15 @@ impl Merit {
 /// let best = cuts
 ///     .cuts
 ///     .iter()
-///     .map(|c| estimate_merit(&dfg, c, &LatencyModel::default(), 2, 1))
+///     .map(|c| estimate_merit(&dfg, c, 2, 1))
 ///     .max_by_key(|m| m.saved_cycles)
 ///     .expect("at least one candidate");
 /// assert!(best.software_cycles >= best.hardware_cycles);
 /// # Ok(())
 /// # }
 /// ```
-pub fn estimate_merit(
-    dfg: &Dfg,
-    cut: &Cut,
-    model: &LatencyModel,
-    ports_in: usize,
-    ports_out: usize,
-) -> Merit {
-    let software_cycles: u32 = cut
-        .body()
-        .iter()
-        .map(|v| model.software_cycles(dfg.op(v)))
-        .sum();
+pub fn estimate_merit(dfg: &Dfg, cut: &Cut, ports_in: usize, ports_out: usize) -> Merit {
+    let software_cycles: u32 = cut.body().iter().map(|v| dfg.op(v).software_cycles()).sum();
 
     // Critical path through the cut in hardware-delay units.
     let mut delay = vec![0.0f64; dfg.len()];
@@ -85,7 +77,7 @@ pub fn estimate_merit(
         if !cut.contains(v) {
             continue;
         }
-        let own = model.hardware_delay(dfg.op(v));
+        let own = dfg.op(v).hardware_delay();
         let arrival = dfg
             .preds(v)
             .iter()
@@ -149,7 +141,7 @@ mod tests {
     fn mac_cut_saves_cycles() {
         let (ctx, [_, _, _, mul, sum]) = mac_ctx();
         let cut = cut_of(&ctx, &[mul, sum]);
-        let merit = estimate_merit(ctx.dfg(), &cut, &LatencyModel::default(), 2, 1);
+        let merit = estimate_merit(ctx.dfg(), &cut, 2, 1);
         // Software: mul (3) + add (1) = 4 cycles; hardware: ceil(1.6 + 0.3) = 2 cycles
         // plus one extra cycle to read the third operand.
         assert_eq!(merit.software_cycles, 4);
@@ -162,7 +154,7 @@ mod tests {
     fn single_alu_node_never_wins() {
         let (ctx, [_, _, _, _, sum]) = mac_ctx();
         let cut = cut_of(&ctx, &[sum]);
-        let merit = estimate_merit(ctx.dfg(), &cut, &LatencyModel::default(), 2, 1);
+        let merit = estimate_merit(ctx.dfg(), &cut, 2, 1);
         assert_eq!(merit.software_cycles, 1);
         assert_eq!(merit.hardware_cycles, 1);
         assert_eq!(merit.saved_cycles, 0);
@@ -184,8 +176,8 @@ mod tests {
         let ctx = EnumContext::new(b.build().unwrap());
         let everything: Vec<NodeId> = l1.iter().chain(&l2).chain([&root]).copied().collect();
         let cut = cut_of(&ctx, &everything);
-        let merit2 = estimate_merit(ctx.dfg(), &cut, &LatencyModel::default(), 2, 1);
-        let merit8 = estimate_merit(ctx.dfg(), &cut, &LatencyModel::default(), 8, 1);
+        let merit2 = estimate_merit(ctx.dfg(), &cut, 2, 1);
+        let merit8 = estimate_merit(ctx.dfg(), &cut, 8, 1);
         assert!(
             merit8.hardware_cycles < merit2.hardware_cycles,
             "more ports means fewer transfer cycles"
@@ -198,7 +190,7 @@ mod tests {
         let (ctx, _) = mac_ctx();
         let all = exhaustive_cuts(&ctx, &Constraints::new(4, 2).unwrap(), true);
         for cut in &all.cuts {
-            let merit = estimate_merit(ctx.dfg(), cut, &LatencyModel::default(), 2, 1);
+            let merit = estimate_merit(ctx.dfg(), cut, 2, 1);
             assert!(merit.hardware_cycles >= 1);
             assert_eq!(
                 merit.saved_cycles,
@@ -211,7 +203,7 @@ mod tests {
     fn zero_ports_degenerate_case() {
         let (ctx, [_, _, _, mul, sum]) = mac_ctx();
         let cut = cut_of(&ctx, &[mul, sum]);
-        let merit = estimate_merit(ctx.dfg(), &cut, &LatencyModel::default(), 0, 0);
+        let merit = estimate_merit(ctx.dfg(), &cut, 0, 0);
         assert!(
             merit.hardware_cycles >= 4,
             "every operand transferred separately"

@@ -7,7 +7,7 @@
 //! the requested number of custom instructions is reached or no profitable candidate is
 //! left.
 
-use ise_graph::{DenseNodeSet, Dfg, LatencyModel};
+use ise_graph::{DenseNodeSet, Dfg};
 
 use crate::cut::Cut;
 use crate::merit::{estimate_merit, Merit};
@@ -66,7 +66,7 @@ pub fn block_speedup(software_cycles: u64, saved_cycles: u64) -> f64 {
 /// ```
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// use ise_enum::{enumerate_cuts, select_ises, Constraints};
-/// use ise_graph::{DfgBuilder, LatencyModel, Operation};
+/// use ise_graph::{DfgBuilder, Operation};
 ///
 /// let mut b = DfgBuilder::new("bb");
 /// let a = b.input("a");
@@ -78,7 +78,7 @@ pub fn block_speedup(software_cycles: u64, saved_cycles: u64) -> f64 {
 /// let dfg = b.build()?;
 ///
 /// let cuts = enumerate_cuts(&dfg, &Constraints::new(3, 1)?)?;
-/// let selection = select_ises(&dfg, &cuts.cuts, &LatencyModel::default(), 2, 1, 4);
+/// let selection = select_ises(&dfg, &cuts.cuts, 2, 1, 4);
 /// assert!(selection.chosen.len() <= 4);
 /// assert!(selection.block_speedup() >= 1.0);
 /// # Ok(())
@@ -87,20 +87,16 @@ pub fn block_speedup(software_cycles: u64, saved_cycles: u64) -> f64 {
 pub fn select_ises(
     dfg: &Dfg,
     candidates: &[Cut],
-    model: &LatencyModel,
     ports_in: usize,
     ports_out: usize,
     max_instructions: usize,
 ) -> Selection {
-    let block_software_cycles: u32 = dfg
-        .node_ids()
-        .map(|v| model.software_cycles(dfg.op(v)))
-        .sum();
+    let block_software_cycles: u32 = dfg.node_ids().map(|v| dfg.op(v).software_cycles()).sum();
 
     let mut scored: Vec<(usize, Merit)> = candidates
         .iter()
         .enumerate()
-        .map(|(i, cut)| (i, estimate_merit(dfg, cut, model, ports_in, ports_out)))
+        .map(|(i, cut)| (i, estimate_merit(dfg, cut, ports_in, ports_out)))
         .filter(|(_, m)| m.saved_cycles > 0)
         .collect();
     // Highest saving first; break ties towards smaller cuts (cheaper hardware).
@@ -159,14 +155,7 @@ mod tests {
     fn selects_non_overlapping_profitable_cuts() {
         let ctx = two_macs();
         let candidates = exhaustive_cuts(&ctx, &Constraints::new(3, 1).unwrap(), true);
-        let selection = select_ises(
-            ctx.dfg(),
-            &candidates.cuts,
-            &LatencyModel::default(),
-            2,
-            1,
-            8,
-        );
+        let selection = select_ises(ctx.dfg(), &candidates.cuts, 2, 1, 8);
         assert!(!selection.chosen.is_empty());
         // No two selected cuts share a vertex.
         for (i, (a, _)) in selection.chosen.iter().enumerate() {
@@ -201,21 +190,14 @@ mod tests {
     fn respects_the_instruction_budget() {
         let ctx = two_macs();
         let candidates = exhaustive_cuts(&ctx, &Constraints::new(3, 1).unwrap(), true);
-        let selection = select_ises(
-            ctx.dfg(),
-            &candidates.cuts,
-            &LatencyModel::default(),
-            2,
-            1,
-            1,
-        );
+        let selection = select_ises(ctx.dfg(), &candidates.cuts, 2, 1, 1);
         assert_eq!(selection.chosen.len(), 1);
     }
 
     #[test]
     fn empty_candidate_list_selects_nothing() {
         let ctx = two_macs();
-        let selection = select_ises(ctx.dfg(), &[], &LatencyModel::default(), 2, 1, 4);
+        let selection = select_ises(ctx.dfg(), &[], 2, 1, 4);
         assert!(selection.chosen.is_empty());
         assert_eq!(selection.total_saved_cycles, 0);
         assert!(selection.block_software_cycles > 0);

@@ -79,6 +79,6 @@ pub use error::GraphError;
 pub use graph::Dfg;
 pub use interface::{CutLike, InterfaceGraph, InterfaceLabel, RawEncoder};
 pub use node::{Node, NodeId};
-pub use op::{LatencyModel, Operation, OperationClass};
+pub use op::{Operation, OperationClass};
 pub use reach::Reachability;
 pub use rooted::RootedDfg;

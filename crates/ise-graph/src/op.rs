@@ -122,6 +122,50 @@ impl Operation {
         )
     }
 
+    /// Software latency of this operation in processor cycles on the base pipeline.
+    ///
+    /// With [`hardware_delay`](Self::hardware_delay) this is the latency model of the
+    /// speedup estimation of custom instructions. The numbers are fixed and follow the
+    /// commonly used models in the ISE literature (single-cycle ALU, multi-cycle
+    /// multiply/divide, memory excluded from the datapath).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ise_graph::Operation;
+    ///
+    /// assert!(Operation::Mul.software_cycles() > Operation::Add.software_cycles());
+    /// assert!(Operation::Add.hardware_delay() < 1.0);
+    /// ```
+    pub fn software_cycles(self) -> u32 {
+        match self.class() {
+            OperationClass::Source => 0,
+            OperationClass::Alu | OperationClass::Shift | OperationClass::Predicate => 1,
+            OperationClass::MulDiv => 3,
+            OperationClass::Memory => 2,
+            OperationClass::Opaque => 4,
+        }
+    }
+
+    /// Normalized hardware propagation delay of this operation inside a custom
+    /// functional unit, in fractions of a processor clock cycle, so that the critical
+    /// path of a cut measured in these units, rounded up, approximates the latency in
+    /// cycles of the resulting custom instruction.
+    ///
+    /// Memory and opaque operations cannot be implemented inside the functional unit;
+    /// they are reported with an effectively infinite delay so that accidentally
+    /// including them in a datapath estimate is visible.
+    pub fn hardware_delay(self) -> f64 {
+        match self.class() {
+            OperationClass::Source => 0.0,
+            OperationClass::Alu => 0.30,
+            OperationClass::Shift => 0.20,
+            OperationClass::MulDiv => 1.60,
+            OperationClass::Predicate => 0.25,
+            OperationClass::Memory | OperationClass::Opaque => f64::INFINITY,
+        }
+    }
+
     /// A short lower-case mnemonic, used in DOT dumps and debugging output.
     pub fn mnemonic(self) -> &'static str {
         use Operation::*;
@@ -205,59 +249,6 @@ impl fmt::Display for Operation {
     }
 }
 
-/// Latency model used by the speedup estimation of custom instructions.
-///
-/// `software_cycles` is the number of processor cycles the operation takes when executed
-/// on the base pipeline; `hardware_delay` is its normalized propagation delay when
-/// implemented inside a custom functional unit (in fractions of a processor cycle), so
-/// that the critical path of a cut measured in `hardware_delay` units, rounded up,
-/// approximates the latency in cycles of the resulting custom instruction. The numbers
-/// are fixed and follow the commonly used models in the ISE literature (single-cycle
-/// ALU, multi-cycle multiply/divide, memory excluded from the datapath).
-///
-/// # Example
-///
-/// ```
-/// use ise_graph::{LatencyModel, Operation};
-///
-/// let model = LatencyModel::default();
-/// assert!(model.software_cycles(Operation::Mul) > model.software_cycles(Operation::Add));
-/// assert!(model.hardware_delay(Operation::Add) < 1.0);
-/// ```
-#[derive(Clone, Debug, Default)]
-#[non_exhaustive]
-pub struct LatencyModel;
-
-impl LatencyModel {
-    /// Software latency of `op` in processor cycles on the base pipeline.
-    pub fn software_cycles(&self, op: Operation) -> u32 {
-        match op.class() {
-            OperationClass::Source => 0,
-            OperationClass::Alu | OperationClass::Shift | OperationClass::Predicate => 1,
-            OperationClass::MulDiv => 3,
-            OperationClass::Memory => 2,
-            OperationClass::Opaque => 4,
-        }
-    }
-
-    /// Normalized hardware propagation delay of `op` inside a custom functional unit,
-    /// in fractions of a processor clock cycle.
-    ///
-    /// Memory and opaque operations cannot be implemented inside the functional unit;
-    /// they are reported with an effectively infinite delay so that accidentally
-    /// including them in a datapath estimate is visible.
-    pub fn hardware_delay(&self, op: Operation) -> f64 {
-        match op.class() {
-            OperationClass::Source => 0.0,
-            OperationClass::Alu => 0.30,
-            OperationClass::Shift => 0.20,
-            OperationClass::MulDiv => 1.60,
-            OperationClass::Predicate => 0.25,
-            OperationClass::Memory | OperationClass::Opaque => f64::INFINITY,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,18 +302,17 @@ mod tests {
     }
 
     #[test]
-    fn default_latency_model_is_sane() {
-        let m = LatencyModel;
+    fn latency_model_is_sane() {
         for &op in Operation::all() {
             if op.class() == OperationClass::Source {
-                assert_eq!(m.software_cycles(op), 0);
+                assert_eq!(op.software_cycles(), 0);
             } else {
-                assert!(m.software_cycles(op) >= 1);
+                assert!(op.software_cycles() >= 1);
             }
             if !op.is_default_forbidden() {
-                assert!(m.hardware_delay(op).is_finite());
+                assert!(op.hardware_delay().is_finite());
             }
         }
-        assert!(m.hardware_delay(Operation::Load).is_infinite());
+        assert!(Operation::Load.hardware_delay().is_infinite());
     }
 }

@@ -8,14 +8,12 @@
 use ise_enum::{
     incremental_cuts, select_ises, Constraints, EngineOptions, EnumContext, PruningConfig,
 };
-use ise_graph::LatencyModel;
 use ise_workloads::suite;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let constraints = Constraints::new(4, 2)?;
     let pruning = PruningConfig::all();
     let options = EngineOptions::default();
-    let model = LatencyModel::default();
 
     // A small MiBench-like "application": 12 basic blocks, capped in size so the
     // example finishes quickly (use the ise-bench harness for full-scale runs).
@@ -30,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for block in &blocks {
         let ctx = EnumContext::new(block.dfg.clone());
         let result = incremental_cuts(&ctx, &constraints, &pruning, &options, None);
-        let selection = select_ises(ctx.dfg(), &result.cuts, &model, 4, 2, 4);
+        let selection = select_ises(ctx.dfg(), &result.cuts, 4, 2, 4);
         println!(
             "{:5}  {:5}  {:10}  {:8}  {:12}  {:6.2}x",
             block.id,

@@ -4,7 +4,7 @@
 //! Run with `cargo run --example quickstart`.
 
 use ise_enum::{enumerate_cuts, estimate_merit, Constraints, EnumContext};
-use ise_graph::{DotOptions, LatencyModel};
+use ise_graph::DotOptions;
 use ise_workloads::expr::compile_block;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,11 +37,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Rank the candidates with the latency-based merit model.
     let ctx = EnumContext::new(dfg.clone());
-    let model = LatencyModel::default();
     let mut ranked: Vec<_> = result
         .cuts
         .iter()
-        .map(|cut| (estimate_merit(ctx.dfg(), cut, &model, 4, 2), cut))
+        .map(|cut| (estimate_merit(ctx.dfg(), cut, 4, 2), cut))
         .collect();
     ranked.sort_by_key(|(merit, _)| std::cmp::Reverse(merit.saved_cycles));
 

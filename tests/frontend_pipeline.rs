@@ -3,7 +3,7 @@
 //! its public API only.
 
 use ise_enum::{enumerate_cuts, estimate_merit, select_ises, Constraints, EnumContext};
-use ise_graph::{DotOptions, LatencyModel, Operation};
+use ise_graph::{DotOptions, Operation};
 use ise_workloads::expr::compile_block;
 use ise_workloads::mibench_like::{generate_block, MiBenchLikeConfig};
 
@@ -19,11 +19,10 @@ fn sad_kernel_yields_a_profitable_multi_operation_instruction() {
     assert!(!result.cuts.is_empty());
 
     let ctx = EnumContext::new(dfg);
-    let model = LatencyModel::default();
     let best = result
         .cuts
         .iter()
-        .map(|cut| (cut, estimate_merit(ctx.dfg(), cut, &model, 4, 1)))
+        .map(|cut| (cut, estimate_merit(ctx.dfg(), cut, 4, 1)))
         .max_by_key(|(_, merit)| merit.saved_cycles)
         .expect("at least one candidate");
     assert!(
@@ -64,7 +63,7 @@ fn selection_on_a_generated_block_is_consistent() {
     let ctx = EnumContext::new(dfg.clone());
     let constraints = Constraints::new(4, 2).expect("valid constraints");
     let result = enumerate_cuts(&dfg, &constraints).expect("enumeration succeeds");
-    let selection = select_ises(ctx.dfg(), &result.cuts, &LatencyModel::default(), 4, 2, 8);
+    let selection = select_ises(ctx.dfg(), &result.cuts, 4, 2, 8);
     // Selected instructions never overlap and never exceed the requested count.
     assert!(selection.chosen.len() <= 8);
     for (i, (a, _)) in selection.chosen.iter().enumerate() {
