@@ -92,7 +92,7 @@ fn main() {
         );
         let selection = select_ises(&block.dfg, &enumeration.cuts, nin, nout, 4);
         per_block_saved += u64::from(selection.total_saved_cycles);
-        index.add_coded_block(coded, block.weight());
+        index.add_coded_block(&coded, block.weight());
         let canon_seconds = canon_elapsed.as_secs_f64();
         let memo_seconds = memo_elapsed.as_secs_f64();
         let per_second = |seconds: f64| {

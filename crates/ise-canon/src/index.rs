@@ -6,9 +6,14 @@
 //! and the merit. [`canonicalize_cuts`] takes that path for every cut;
 //! [`canonicalize_cuts_memo`] takes it only on a memo miss and otherwise copies
 //! the memo's answer into the same [`CodedCut`] shape.
+//!
+//! Building the index has two phases. Interning ([`PatternTable::intern`], safe on
+//! any number of threads) maps each coded cut to a provisional `u32` pattern id;
+//! adding a block ([`PatternIndex::add_interned_block`], in corpus order) turns
+//! provisional ids into first-seen entry numbers and records the occurrences.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ise_enum::{estimate_merit, Cut};
 use ise_graph::{Dfg, InterfaceGraph, RawEncoder};
@@ -17,13 +22,31 @@ use crate::canon::CanonicalCode;
 use crate::memo::{CanonMemo, Ports};
 
 /// One occurrence of a pattern: which block and which cut (by index into that
-/// block's enumeration order) realizes it.
+/// block's enumeration order) realizes it. Two `u32`s, since the index keeps one
+/// per cut of the corpus.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Occurrence {
+    block: u32,
+    cut: u32,
+}
+
+impl Occurrence {
+    fn new(block: usize, cut: usize) -> Self {
+        Occurrence {
+            block: u32::try_from(block).expect("a pattern index holds at most 2^32 blocks"),
+            cut: u32::try_from(cut).expect("a block has at most 2^32 cuts"),
+        }
+    }
+
     /// Index of the block in the order blocks were added to the index.
-    pub block: usize,
+    pub fn block(self) -> usize {
+        self.block as usize
+    }
+
     /// Index of the cut within the block's cut list.
-    pub cut: usize,
+    pub fn cut(self) -> usize {
+        self.cut as usize
+    }
 }
 
 /// Merit settings shared by grouping and global selection: the register-file ports
@@ -56,9 +79,9 @@ impl Default for GroupConfig {
 
 /// One cut reduced to its pattern facts: the canonical code plus everything the
 /// index aggregates. Produced by [`canonicalize_cuts`], consumed by
-/// [`PatternIndex::add_coded_block`] — the split exists so batch drivers can
-/// canonicalize blocks on worker threads and merge sequentially (deterministically)
-/// afterwards.
+/// [`PatternTable::intern`] and [`PatternIndex::add_coded_block`] — the split
+/// exists so batch drivers can canonicalize and intern blocks on worker threads and
+/// add them sequentially (deterministically) afterwards.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CodedCut {
     /// The canonical code of the cut's interface graph.
@@ -203,9 +226,9 @@ impl PatternEntry {
         let mut blocks = 0;
         let mut last = usize::MAX;
         for occ in &self.occurrences {
-            if occ.block != last {
+            if occ.block() != last {
                 blocks += 1;
-                last = occ.block;
+                last = occ.block();
             }
         }
         blocks
@@ -227,12 +250,93 @@ impl PatternEntry {
     }
 }
 
+/// Stripes of a [`PatternTable`]; a power of two, like the memo's default.
+const STRIPES: usize = 16;
+
+/// Low bits of a provisional id that name its stripe; the high bits are the
+/// pattern's index within that stripe.
+const STRIPE_BITS: u32 = STRIPES.trailing_zeros();
+
+/// The intern phase of index building: a lock-striped map from canonical code to
+/// a provisional `u32` pattern id, keeping the first interned cut's facts.
+///
+/// Workers intern their blocks' coded cuts concurrently and keep only the ids,
+/// so no block holds its `Vec<CodedCut>` longer than its own coding takes.
+/// Provisional ids depend on which thread interned a code first; the facts do
+/// not, because size, interface counts, ops summary and saved cycles are
+/// isomorphism invariants (the saving is debug-asserted on every hit).
+/// [`PatternIndex::add_interned_block`] renumbers ids into first-seen order.
+///
+/// Stripes are picked by the code's high digest bits, as [`CanonMemo`] picks its
+/// stripes by fingerprint bits.
+#[derive(Debug)]
+pub struct PatternTable {
+    stripes: Box<[Mutex<Stripe>]>,
+}
+
+/// One lock stripe: its codes' local ids and the first coded cut of each.
+#[derive(Debug, Default)]
+struct Stripe {
+    ids: HashMap<CanonicalCode, u32>,
+    /// The first coded cut interned under each code, by local id.
+    first: Vec<CodedCut>,
+}
+
+impl PatternTable {
+    fn new() -> Self {
+        PatternTable {
+            stripes: (0..STRIPES).map(|_| Mutex::default()).collect(),
+        }
+    }
+
+    /// Interns one block's coded cuts, returning each cut's provisional pattern
+    /// id in cut order. Safe to call from any number of threads at once.
+    pub fn intern(&self, coded: &[CodedCut]) -> Vec<u32> {
+        coded.iter().map(|cut| self.intern_cut(cut)).collect()
+    }
+
+    fn intern_cut(&self, cut: &CodedCut) -> u32 {
+        let s = (cut.code.hash64() >> 32) as usize & (STRIPES - 1);
+        let mut guard = self.stripes[s]
+            .lock()
+            .expect("an intern panicked while holding this stripe");
+        let stripe = &mut *guard;
+        let local = match stripe.ids.get(&cut.code) {
+            Some(&local) => {
+                debug_assert_eq!(
+                    stripe.first[local as usize].saved_cycles, cut.saved_cycles,
+                    "merit must be an isomorphism invariant"
+                );
+                local
+            }
+            None => {
+                let local = u32::try_from(stripe.first.len())
+                    .ok()
+                    .filter(|&local| local < 1 << (32 - STRIPE_BITS))
+                    .expect("a pattern table stripe holds at most 2^28 patterns");
+                stripe.ids.insert(cut.code.clone(), local);
+                stripe.first.push(cut.clone());
+                local
+            }
+        };
+        local << STRIPE_BITS | s as u32
+    }
+
+    /// The first coded cut interned under provisional id `id`.
+    fn first(&mut self, id: u32) -> &CodedCut {
+        let stripe = self.stripes[id as usize & (STRIPES - 1)]
+            .get_mut()
+            .expect("an intern panicked while holding this stripe");
+        &stripe.first[(id >> STRIPE_BITS) as usize]
+    }
+}
+
 /// Groups streamed cuts by canonical code, recording per-pattern occurrence lists
 /// and aggregate frequencies.
 ///
 /// Blocks are added in corpus order; entries are created in first-seen order, so the
 /// whole index is a deterministic function of the block sequence — independent of
-/// how many threads produced the per-block cut lists or codes.
+/// how many threads coded or interned the blocks, and in which order.
 ///
 /// # Example
 ///
@@ -263,10 +367,13 @@ impl PatternEntry {
 /// assert_eq!(mac.static_count(), 2);
 /// assert_eq!(mac.distinct_blocks(), 2);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PatternIndex {
     config: GroupConfig,
-    map: HashMap<CanonicalCode, usize>,
+    table: PatternTable,
+    /// The entry number of each provisional id, `u32::MAX` until the first block
+    /// holding it is added.
+    entry_of: Vec<u32>,
     entries: Vec<PatternEntry>,
     block_weights: Vec<f64>,
     total_cuts: usize,
@@ -277,7 +384,8 @@ impl PatternIndex {
     pub fn new(config: GroupConfig) -> Self {
         PatternIndex {
             config,
-            map: HashMap::new(),
+            table: PatternTable::new(),
+            entry_of: Vec::new(),
             entries: Vec::new(),
             block_weights: Vec::new(),
             total_cuts: 0,
@@ -288,39 +396,57 @@ impl PatternIndex {
     /// index. `weight` is the block's profile weight (1.0 without a profile).
     pub fn add_block(&mut self, dfg: &Dfg, cuts: &[Cut], weight: f64) -> usize {
         let coded = canonicalize_cuts(dfg, cuts, &self.config);
-        self.add_coded_block(coded, weight)
+        self.add_coded_block(&coded, weight)
     }
 
     /// Records a block whose cuts were canonicalized elsewhere (possibly on another
-    /// thread); returns the block's index. Blocks must be added in corpus order for
-    /// the index to be deterministic.
-    pub fn add_coded_block(&mut self, coded: Vec<CodedCut>, weight: f64) -> usize {
+    /// thread): interns them into [`PatternIndex::table`] and adds the ids. Returns
+    /// the block's index. Blocks must be added in corpus order for the index to be
+    /// deterministic.
+    pub fn add_coded_block(&mut self, coded: &[CodedCut], weight: f64) -> usize {
+        let ids = self.table.intern(coded);
+        self.add_interned_block(&ids, weight)
+    }
+
+    /// The table that workers intern coded blocks into before the blocks are
+    /// added with [`PatternIndex::add_interned_block`].
+    pub fn table(&self) -> &PatternTable {
+        &self.table
+    }
+
+    /// Records the next block from the provisional ids [`PatternIndex::table`]
+    /// gave its cuts, in cut order; returns the block's index. A provisional id
+    /// becomes the next entry number the first time a block holding it is added,
+    /// so adding blocks in corpus order yields first-seen order whatever order
+    /// they were interned in. Panics on an id that this index's table never gave.
+    pub fn add_interned_block(&mut self, ids: &[u32], weight: f64) -> usize {
         let block = self.block_weights.len();
         self.block_weights.push(weight);
-        for (cut_index, coded_cut) in coded.into_iter().enumerate() {
-            self.total_cuts += 1;
-            let entry_index = *self.map.entry(coded_cut.code.clone()).or_insert_with(|| {
+        self.total_cuts += ids.len();
+        for (cut, &id) in ids.iter().enumerate() {
+            let slot = id as usize;
+            if self.entry_of.get(slot).is_none_or(|&e| e == u32::MAX) {
+                // Looked up first: an id this table never gave panics here,
+                // before `entry_of` grows to it.
+                let first = self.table.first(id);
+                if slot >= self.entry_of.len() {
+                    self.entry_of.resize(slot + 1, u32::MAX);
+                }
+                self.entry_of[slot] =
+                    u32::try_from(self.entries.len()).expect("an index holds under 2^32 patterns");
                 self.entries.push(PatternEntry {
-                    code: coded_cut.code.clone(),
-                    size: coded_cut.size,
-                    inputs: coded_cut.inputs,
-                    outputs: coded_cut.outputs,
-                    ops: coded_cut.ops.to_string(),
-                    saved_cycles: coded_cut.saved_cycles,
+                    code: first.code.clone(),
+                    size: first.size,
+                    inputs: first.inputs,
+                    outputs: first.outputs,
+                    ops: first.ops.to_string(),
+                    saved_cycles: first.saved_cycles,
                     occurrences: Vec::new(),
                     weighted_count: 0.0,
                 });
-                self.entries.len() - 1
-            });
-            let entry = &mut self.entries[entry_index];
-            debug_assert_eq!(
-                entry.saved_cycles, coded_cut.saved_cycles,
-                "merit must be an isomorphism invariant"
-            );
-            entry.occurrences.push(Occurrence {
-                block,
-                cut: cut_index,
-            });
+            }
+            let entry = &mut self.entries[self.entry_of[slot] as usize];
+            entry.occurrences.push(Occurrence::new(block, cut));
             entry.weighted_count += weight;
         }
         block
@@ -415,7 +541,7 @@ mod tests {
         assert_eq!(mac.inputs, 3);
         assert_eq!(mac.outputs, 1);
         assert!(mac.saved_cycles > 0);
-        assert_eq!(mac.example().block, 0);
+        assert_eq!(mac.example().block(), 0);
         assert!((mac.weighted_count - 5.0).abs() < 1e-9, "1 + 1 + 3");
         assert_eq!(
             mac.potential_saved_cycles(),
@@ -455,7 +581,7 @@ mod tests {
             .collect();
         coded.reverse();
         let mut merged = PatternIndex::new(config);
-        for block in coded {
+        for block in &coded {
             merged.add_coded_block(block, 1.0);
         }
         assert_eq!(direct.len(), merged.len());
@@ -463,6 +589,64 @@ mod tests {
             assert_eq!(d.code, m.code);
             assert_eq!(d.occurrences, m.occurrences);
         }
+    }
+
+    #[test]
+    fn interning_on_two_threads_in_opposite_orders_equals_direct_adds() {
+        let blocks = [
+            mac_block("a", 2),
+            mac_block("b", 1),
+            mac_block("c", 3),
+            mac_block("d", 1),
+        ];
+        let weights = [1.0, 2.5, 0.5, 4.0];
+        let config = GroupConfig::new(2, 1);
+        let mut direct = PatternIndex::new(config.clone());
+        for ((dfg, cuts), &weight) in blocks.iter().zip(&weights) {
+            direct.add_block(dfg, cuts, weight);
+        }
+
+        let mut interned = PatternIndex::new(config.clone());
+        let table = interned.table();
+        let start = std::sync::Barrier::new(2);
+        let intern_all = |order: Vec<usize>| {
+            start.wait();
+            let mut ids = vec![Vec::new(); blocks.len()];
+            for b in order {
+                let (dfg, cuts) = &blocks[b];
+                ids[b] = table.intern(&canonicalize_cuts(dfg, cuts, &config));
+            }
+            ids
+        };
+        let (forward, backward) = std::thread::scope(|scope| {
+            let forward = scope.spawn(|| intern_all((0..blocks.len()).collect()));
+            let backward = scope.spawn(|| intern_all((0..blocks.len()).rev().collect()));
+            (forward.join().unwrap(), backward.join().unwrap())
+        });
+        assert_eq!(forward, backward, "one table gives one id per code");
+        for (ids, &weight) in forward.iter().zip(&weights) {
+            interned.add_interned_block(ids, weight);
+        }
+
+        assert_eq!(direct.len(), interned.len());
+        assert_eq!(direct.total_cuts(), interned.total_cuts());
+        assert_eq!(direct.num_blocks(), interned.num_blocks());
+        for (d, i) in direct.entries().iter().zip(interned.entries()) {
+            assert_eq!(d.code, i.code);
+            assert_eq!(
+                (d.size, d.inputs, d.outputs, &d.ops, d.saved_cycles),
+                (i.size, i.inputs, i.outputs, &i.ops, i.saved_cycles)
+            );
+            assert_eq!(d.occurrences, i.occurrences);
+            assert_eq!(d.weighted_count.to_bits(), i.weighted_count.to_bits());
+        }
+    }
+
+    #[test]
+    fn an_occurrence_is_two_u32s() {
+        assert_eq!(std::mem::size_of::<Occurrence>(), 8);
+        let occ = Occurrence::new(7, 11);
+        assert_eq!((occ.block(), occ.cut()), (7, 11));
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   isomorphic (argued in DESIGN.md §6).
 //! * [`PatternIndex`] — streams cuts from the engine/batch pipeline, de-duplicates
 //!   them by canonical code, and records per-pattern occurrence lists with static
-//!   and profile-weighted frequencies.
+//!   and profile-weighted frequencies. Its [`PatternTable`] interns coded cuts on
+//!   worker threads, so a block hands back `u32` pattern ids instead of its coded
+//!   cuts.
 //! * [`CanonMemo`] — a shared, lock-striped memo from raw interface-graph
 //!   encodings to canonical codes (fingerprint pre-key, confirmed by the full
 //!   encoding), so the labeler runs once per distinct raw graph instead of once
@@ -60,7 +62,7 @@ mod select;
 pub use canon::CanonicalCode;
 pub use index::{
     canonicalize_cuts, canonicalize_cuts_memo, CodedCut, GroupConfig, Occurrence, PatternEntry,
-    PatternIndex,
+    PatternIndex, PatternTable,
 };
 pub use memo::{CanonMemo, MemoStats};
 pub use select::{select_ises_global, GlobalChoice, GlobalSelection};

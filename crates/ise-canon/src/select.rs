@@ -130,7 +130,7 @@ pub fn select_ises_global(
         let (placed, overlay) = place(&entries[e].occurrences, block_cuts, &used);
         let weighted: f64 = placed
             .iter()
-            .map(|occ| index.block_weight(occ.block) * f64::from(entries[e].saved_cycles))
+            .map(|occ| index.block_weight(occ.block()) * f64::from(entries[e].saved_cycles))
             .sum();
         // Marginal benefits only shrink, so `weighted` is the exact current value.
         // Commit only if it still ranks above every other bound (with no other
@@ -156,7 +156,7 @@ pub fn select_ises_global(
         }
         let saved = placed.len() as u64 * u64::from(entries[e].saved_cycles);
         for occ in &placed {
-            selection.per_block_saved_cycles[occ.block] += u64::from(entries[e].saved_cycles);
+            selection.per_block_saved_cycles[occ.block()] += u64::from(entries[e].saved_cycles);
         }
         selection.total_saved_cycles += saved;
         selection.weighted_saved_cycles += weighted;
@@ -225,9 +225,9 @@ fn place(
     let mut placed = Vec::new();
     let mut overlay: BTreeMap<usize, DenseNodeSet> = BTreeMap::new();
     for &occ in occurrences {
-        let body = block_cuts[occ.block][occ.cut].body();
-        let set = overlay.entry(occ.block).or_insert_with(|| {
-            used[occ.block]
+        let body = block_cuts[occ.block()][occ.cut()].body();
+        let set = overlay.entry(occ.block()).or_insert_with(|| {
+            used[occ.block()]
                 .clone()
                 .unwrap_or_else(|| DenseNodeSet::new(body.capacity()))
         });
@@ -277,7 +277,7 @@ mod tests {
             let (placed, overlay) = place(&entries[e].occurrences, block_cuts, &used);
             let weighted: f64 = placed
                 .iter()
-                .map(|occ| index.block_weight(occ.block) * f64::from(entries[e].saved_cycles))
+                .map(|occ| index.block_weight(occ.block()) * f64::from(entries[e].saved_cycles))
                 .sum();
             let runner_up = (0..entries.len())
                 .filter(|&o| o != e && alive[o])
@@ -429,7 +429,7 @@ mod tests {
         // mul and the full MAC tie on per-occurrence saving; first-seen wins).
         assert_eq!(top.placed.len(), 6);
         assert_eq!(top.saved_cycles, 6 * u64::from(entry.saved_cycles));
-        let placed_blocks: Vec<usize> = top.placed.iter().map(|o| o.block).collect();
+        let placed_blocks: Vec<usize> = top.placed.iter().map(|o| o.block()).collect();
         assert!(placed_blocks.contains(&0) && placed_blocks.contains(&2));
         assert_eq!(
             selection.per_block_saved_cycles.iter().sum::<u64>(),
@@ -439,10 +439,10 @@ mod tests {
         for choice in &selection.chosen {
             for (i, a) in choice.placed.iter().enumerate() {
                 for b in &choice.placed[i + 1..] {
-                    if a.block == b.block {
-                        assert!(views[a.block][a.cut]
+                    if a.block() == b.block() {
+                        assert!(views[a.block()][a.cut()]
                             .body()
-                            .is_disjoint(views[b.block][b.cut].body()));
+                            .is_disjoint(views[b.block()][b.cut()].body()));
                     }
                 }
             }

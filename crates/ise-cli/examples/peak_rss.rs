@@ -9,9 +9,9 @@
 //! * `load` only loads the corpus (`load_corpus` on the commands' 2 threads) and
 //!   reports the resident set (`VmRSS`) right after: the floor every command pays
 //!   before enumerating;
-//! * `enumerate` and `group` run `ise enumerate|group --nin 2 --nout 1 --threads 2`
-//!   through `ise_cli::run`, exactly as the `ise` binary does, and report the
-//!   process's peak resident set (`VmHWM`).
+//! * `enumerate`, `group` and `select --global` run `ise enumerate|group|select
+//!   --global --nin 2 --nout 1 --threads 2` through `ise_cli::run`, exactly as the
+//!   `ise` binary does, and report the process's peak resident set (`VmHWM`).
 //!
 //! Each command row records the total cuts (read back from the command's JSON
 //! aggregate), the median peak over the repetitions, and the peak above the
@@ -51,8 +51,9 @@ const SMOKE_REPS: usize = 1;
 /// Worker threads of every measured command.
 const THREADS: usize = 2;
 
-/// The measured commands, each run with `--nin 2 --nout 1`.
-const COMMANDS: &[&str] = &["enumerate", "group"];
+/// The measured commands, each run with `--nin 2 --nout 1`; a row's `command` is
+/// its words joined by spaces.
+const COMMANDS: &[&[&str]] = &[&["enumerate"], &["group"], &["select", "--global"]];
 
 /// Prefix of the one line a child reports back on its standard output.
 const REPORT_PREFIX: &str = "peak_rss-child ";
@@ -140,7 +141,7 @@ fn main() -> ExitCode {
     println!("blocks,command,cuts,post_load_rss_mb,peak_rss_mb,peak_above_load_bytes_per_cut");
     let mut rows = Vec::new();
     // (blocks, command, peak above load per cut) of every row.
-    let mut per_cut_rows: Vec<(usize, &str, f64)> = Vec::new();
+    let mut per_cut_rows: Vec<(usize, String, f64)> = Vec::new();
     for &count in sizes {
         let dir = std::env::temp_dir().join(format!("ise-peak-rss-{}-{count}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -151,10 +152,11 @@ fn main() -> ExitCode {
                 .map(|_| measure("child-load", std::slice::from_ref(&corpus)))
                 .collect(),
         );
-        for &command in COMMANDS {
+        for &words in COMMANDS {
+            let command = words.join(" ");
             let out = dir.join("out.json");
-            let argv: Vec<String> = [
-                command,
+            let threads = THREADS.to_string();
+            let flags = [
                 "--corpus",
                 &corpus,
                 "--nin",
@@ -162,12 +164,11 @@ fn main() -> ExitCode {
                 "--nout",
                 "1",
                 "--threads",
-                &THREADS.to_string(),
+                &threads,
                 "--out",
                 out.to_str().expect("temp paths are UTF-8"),
-            ]
-            .map(str::to_string)
-            .to_vec();
+            ];
+            let argv: Vec<String> = words.iter().chain(&flags).map(|w| w.to_string()).collect();
             let samples: Vec<u64> = (0..reps).map(|_| measure("child-run", &argv)).collect();
             let text = std::fs::read_to_string(&out).expect("the command wrote its report");
             let cuts = Json::parse(&text)
@@ -183,10 +184,9 @@ fn main() -> ExitCode {
                 mb(load_kb),
                 mb(peak_kb)
             );
-            per_cut_rows.push((count, command, per_cut));
             rows.push(Json::object([
                 ("blocks", Json::uint(count)),
-                ("command", Json::str(command)),
+                ("command", Json::str(command.clone())),
                 ("cuts", Json::UInt(cuts)),
                 ("post_load_rss_mb", Json::num(mb(load_kb))),
                 ("peak_rss_mb", Json::num(mb(peak_kb))),
@@ -194,6 +194,7 @@ fn main() -> ExitCode {
                 ("peak_rss_mb_max", Json::num(mb(max))),
                 ("peak_above_load_bytes_per_cut", Json::num(per_cut)),
             ]));
+            per_cut_rows.push((count, command, per_cut));
         }
         std::fs::remove_dir_all(&dir).unwrap_or_else(|e| panic!("cannot remove {dir:?}: {e}"));
     }
@@ -219,11 +220,12 @@ fn main() -> ExitCode {
 
     if !smoke {
         // The gate: the peak above the load per cut must not grow with the corpus.
-        for &command in COMMANDS {
+        for words in COMMANDS {
+            let command = words.join(" ");
             let per_cut = |count: usize| {
                 per_cut_rows
                     .iter()
-                    .find(|&&(c, cmd, _)| c == count && cmd == command)
+                    .find(|(c, cmd, _)| *c == count && *cmd == command)
                     .map(|&(_, _, v)| v)
                     .expect("every size measures every command")
             };

@@ -2,15 +2,17 @@
 //! `ise select --global` mode.
 //!
 //! Both start from the batch enumeration and code every block's cut list with
-//! [`code_cuts`] (through [`ise_canon::canonicalize_cuts`] or its memoized twin).
-//! `ise group` uses [`group_batch`], which codes each block on the batch worker
-//! that finalized it and keeps only the coded cuts, so coding overlaps enumeration
-//! and the cut lists never pile up. `ise select --global` keeps every cut for
-//! placement anyway, so it codes after the batch with [`group_outcomes`]. Either
-//! way the coded blocks are merged into a [`PatternIndex`] strictly in corpus
-//! order, so the index is a deterministic function of the corpus and the
-//! enumeration flags: `--threads` never changes a byte of the JSON output (the CI
-//! grouping smoke diffs stripped runs at different thread counts).
+//! [`code_cuts`] (through [`ise_canon::canonicalize_cuts`] or its memoized twin),
+//! then intern the coded cuts into the index's [`ise_canon::PatternTable`] on the
+//! same worker, keeping one `u32` provisional pattern id per cut. `ise group` uses
+//! [`group_batch`], which codes each block on the batch worker that finalized it,
+//! so coding overlaps enumeration and the cut lists never pile up. `ise select
+//! --global` keeps every cut for placement anyway, so it codes after the batch
+//! with [`group_outcomes`]. Either way the blocks' ids are added to the
+//! [`PatternIndex`] strictly in corpus order, which renumbers them into
+//! first-seen order, so the index is a deterministic function of the corpus and
+//! the enumeration flags: `--threads` never changes a byte of the JSON output (the
+//! CI grouping smoke diffs stripped runs at different thread counts).
 
 use std::io::{self, Write};
 
@@ -23,7 +25,7 @@ use ise_canon::{
 };
 use ise_corpus::CorpusBlock;
 use ise_enum::par::run_items;
-use ise_enum::{block_speedup, Cut};
+use ise_enum::{block_software_cycles, block_speedup, Cut};
 use ise_graph::Dfg;
 use ise_obs::MetricsRegistry;
 
@@ -52,10 +54,11 @@ pub fn code_cuts(
 /// rendering.
 ///
 /// Each block is coded with [`code_cuts`] on the worker that finalized it, right
-/// after its enumeration, and reduced to its outcome without its cut list (the
-/// report renders counts alone) plus its coded cuts. After the workers join, the
-/// coded blocks are merged into the index in corpus order, each block's coded cuts
-/// freed as it is merged. Block profile weights come from the `weight` meta key
+/// after its enumeration, and its coded cuts are interned there, so the worker
+/// frees them itself and hands back only the block's outcome without its cut
+/// list (the report renders counts alone) plus one provisional pattern id per cut.
+/// After the workers join, the blocks' ids are added to the index in corpus
+/// order. Block profile weights come from the `weight` meta key
 /// ([`CorpusBlock::weight`]).
 ///
 /// The result equals [`crate::batch::run_batch_obs`] followed by
@@ -67,18 +70,21 @@ pub fn group_batch(
     group_config: &GroupConfig,
     memo: Option<&CanonMemo>,
 ) -> (PatternIndex, Vec<BlockOutcome>) {
-    // The merge waits for the join. Merging in order under a lock while the
-    // workers run (a reorder buffer) peaked higher when measured: coded cuts freed
-    // on a thread other than the one that allocated them fragment the heap.
-    let coded = run_batch(blocks, config, rec, |block, outcome| {
-        let coded = code_cuts(&block.dfg, &outcome.enumeration.cuts, group_config, memo);
-        (outcome.without_cuts(), coded)
-    });
     let mut index = PatternIndex::new(group_config.clone());
-    let outcomes = coded
+    let table = index.table();
+    let interned = run_batch(blocks, config, rec, |block, outcome| {
+        let ids = table.intern(&code_cuts(
+            &block.dfg,
+            &outcome.enumeration.cuts,
+            group_config,
+            memo,
+        ));
+        (outcome.without_cuts(), ids)
+    });
+    let outcomes = interned
         .into_iter()
-        .map(|(outcome, block_coded)| {
-            index.add_coded_block(block_coded, blocks[outcome.index].weight());
+        .map(|(outcome, ids)| {
+            index.add_interned_block(&ids, blocks[outcome.index].weight());
             outcome
         })
         .collect();
@@ -88,12 +94,12 @@ pub fn group_batch(
 /// Builds the pattern index over finished batch outcomes, which must still hold
 /// their cut lists (as [`crate::batch::run_batch_obs`] returns them).
 ///
-/// Canonicalization runs on up to `threads` workers (one block per task, through
-/// [`code_cuts`]); the merge into the index is sequential in block order, so the
-/// result is identical for every thread count and equals what [`group_batch`]
-/// builds. `ise select --global` uses this two-pass form: it keeps every cut for
-/// placement, so coding on the batch workers would save no memory, and coding
-/// afterwards keeps the enumeration's and the coding's peaks apart.
+/// Coding and interning run on up to `threads` workers (one block per task,
+/// through [`code_cuts`]); the blocks' ids are added to the index sequentially in
+/// block order, so the result is identical for every thread count and equals what
+/// [`group_batch`] builds. `ise select --global` uses this two-pass form: it keeps
+/// every cut for placement, so coding on the batch workers would save no memory,
+/// and coding afterwards keeps the enumeration's and the coding's peaks apart.
 pub fn group_outcomes(
     blocks: &[CorpusBlock],
     outcomes: &[BlockOutcome],
@@ -101,17 +107,18 @@ pub fn group_outcomes(
     threads: usize,
     memo: Option<&CanonMemo>,
 ) -> PatternIndex {
-    let coded = run_items(outcomes, threads, None, |outcome| {
-        code_cuts(
+    let mut index = PatternIndex::new(config.clone());
+    let table = index.table();
+    let interned = run_items(outcomes, threads, None, |outcome| {
+        table.intern(&code_cuts(
             &blocks[outcome.index].dfg,
             &outcome.enumeration.cuts,
             config,
             memo,
-        )
+        ))
     });
-    let mut index = PatternIndex::new(config.clone());
-    for (outcome, block_coded) in outcomes.iter().zip(coded) {
-        index.add_coded_block(block_coded, blocks[outcome.index].weight());
+    for (outcome, ids) in outcomes.iter().zip(interned) {
+        index.add_interned_block(&ids, blocks[outcome.index].weight());
     }
     index
 }
@@ -196,7 +203,7 @@ pub fn write_group_json(
                 ("blocks", Json::uint(entry.distinct_blocks())),
                 (
                     "example_block",
-                    Json::str(outcomes[entry.example().block].name.clone()),
+                    Json::str(outcomes[entry.example().block()].name.clone()),
                 ),
                 ("saved_cycles", Json::uint(entry.saved_cycles as usize)),
                 (
@@ -307,7 +314,7 @@ pub fn group_markdown(
             entry.ops,
             entry.static_count(),
             entry.distinct_blocks(),
-            outcomes[entry.example().block].name,
+            outcomes[entry.example().block()].name,
             entry.saved_cycles,
             entry.potential_saved_cycles(),
         )
@@ -349,7 +356,7 @@ pub(crate) struct GlobalReport<'a> {
     index: &'a PatternIndex,
     outcomes: &'a [BlockOutcome],
     max_patterns: usize,
-    /// Each block's software cycles under the latency model.
+    /// Each block's software cycles ([`block_software_cycles`]).
     software: Vec<u64>,
     selection: GlobalSelection,
 }
@@ -369,12 +376,7 @@ impl<'a> GlobalReport<'a> {
         let selection = select_ises_global(index, &views, max_patterns);
         let software = blocks
             .iter()
-            .map(|b| {
-                b.dfg
-                    .node_ids()
-                    .map(|v| u64::from(b.dfg.op(v).software_cycles()))
-                    .sum()
-            })
+            .map(|b| block_software_cycles(&b.dfg))
             .collect();
         GlobalReport {
             index,

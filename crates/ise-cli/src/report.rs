@@ -179,7 +179,7 @@ fn block_row(outcome: &BlockOutcome) -> Json {
                 ),
                 (
                     "block_software_cycles",
-                    Json::uint(selection.block_software_cycles as usize),
+                    Json::UInt(selection.block_software_cycles),
                 ),
                 ("block_speedup", Json::num(selection.block_speedup())),
             ]),

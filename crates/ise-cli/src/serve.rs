@@ -716,7 +716,7 @@ impl ServerState {
                     .put(&key, Arc::clone(&coded));
                 coded
             });
-            index.add_coded_block(Vec::clone(&coded), blocks[i].weight());
+            index.add_coded_block(&coded, blocks[i].weight());
         }
         index
     }
@@ -1254,19 +1254,20 @@ fn serve_tcp(state: &Arc<ServerState>, addr: &str, max_connections: usize) -> Re
 /// of a stopping daemon shuts the read half. A request over
 /// [`MAX_REQUEST_BYTES`], or an HTTP request whose `Content-Length` does not
 /// parse or that carries a `Transfer-Encoding`, gets the in-band error envelope
-/// (status 413, 400 or 501 over HTTP), and the connection is closed without
-/// reading the rest of it.
+/// (status 413, 400 or 501 over HTTP; headers only for a `HEAD`), and the
+/// connection is closed without reading the rest of it.
 fn serve_connection(state: &ServerState, mut stream: &TcpStream) -> io::Result<()> {
     // Each response is one small write the client latency-chains on; Nagle
     // would hold it for the previous segment's (possibly delayed) ACK.
     let _ = stream.set_nodelay(true);
     let mut reader = io::BufReader::new(stream);
     let mut first = Vec::new();
-    let mut http = false;
+    let (mut http, mut head) = (false, false);
     let served = match read_line(state, &mut reader, &mut first) {
         Ok(false) => return Ok(()),
         Ok(true) if is_http_request_line(&first) => {
             http = true;
+            head = first.starts_with(b"HEAD ");
             serve_http(state, stream, &mut reader, first)
         }
         Ok(true) => serve_json(state, stream, &mut reader, first),
@@ -1282,10 +1283,10 @@ fn serve_connection(state: &ServerState, mut stream: &TcpStream) -> io::Result<(
         return served;
     };
     let payload = state.error_response(&rejected.message);
-    let reply = if http {
-        http_response(rejected.status, CONTENT_JSON, &payload, true)
-    } else {
-        payload + "\n"
+    let reply = match (http, head) {
+        (true, true) => http_head_response(rejected.status),
+        (true, false) => http_response(rejected.status, CONTENT_JSON, &payload, true),
+        (false, _) => payload + "\n",
     };
     stream.write_all(reply.as_bytes())?;
     stream.shutdown(Shutdown::Write)
@@ -1369,10 +1370,9 @@ fn serve_json(
 /// dependencies: request bodies are delimited by `Content-Length`, responses
 /// always carry one. A request with a `Transfer-Encoding` gets 501 and the
 /// connection closes, since its body cannot be delimited. A `HEAD` request is
-/// answered (405, with a body) and the connection closes, so a client that reads
-/// no body for it cannot fall out of step. A request line, header or body that is
-/// not UTF-8 is answered 400 once the whole request is read, so the connection
-/// stays in step.
+/// answered 405 with headers only, and the connection closes. A request line,
+/// header or body that is not UTF-8 is answered 400 once the whole request is
+/// read, so the connection stays in step.
 fn serve_http(
     state: &ServerState,
     mut stream: &TcpStream,
@@ -1460,7 +1460,10 @@ fn serve_http(
             Some(error) => ("400 Bad Request", CONTENT_JSON, state.not_utf8(error)),
             None => http_reply(state, &method, &path, &body),
         };
-        let response = http_response(status, content_type, &payload, close);
+        let response = match method.as_str() {
+            "HEAD" => http_head_response(status),
+            _ => http_response(status, content_type, &payload, close),
+        };
         stream.write_all(response.as_bytes())?;
         if close || stopping(state) {
             return Ok(());
@@ -1480,6 +1483,13 @@ fn http_response(status: &str, content_type: &str, payload: &str, close: bool) -
         payload.len(),
         if close { "close" } else { "keep-alive" },
     )
+}
+
+/// The answer to a `HEAD` request: the status line and headers, no body bytes.
+/// It names the methods the daemon serves and leaves out Content-Length, which
+/// would have to give the length of a `GET`'s body; the connection closes.
+fn http_head_response(status: &str) -> String {
+    format!("HTTP/1.1 {status}\r\nAllow: GET, POST\r\nConnection: close\r\n\r\n")
 }
 
 /// The Content-Type of every JSON-bodied HTTP response.

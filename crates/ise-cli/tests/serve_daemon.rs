@@ -554,25 +554,43 @@ fn a_chunked_request_gets_one_501_and_a_fresh_connection_is_answered() {
     daemon.shutdown();
 }
 
-/// A client reads no body for a `HEAD` reply, so on a kept-alive connection the
-/// daemon's 405 body would be read as the next response: the daemon says
-/// `Connection: close` and closes after its one answer.
+/// A response to `HEAD` has no content: the daemon sends the status line and
+/// headers, nothing after them, says `Connection: close` and closes after its
+/// one answer. That holds for the 405 and for a `HEAD` refused while its headers
+/// are read.
 #[test]
 fn a_head_request_is_answered_once_and_the_connection_closed() {
     let daemon = Daemon::spawn(&[]);
-    let mut stream = daemon.connect();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .expect("set a read timeout");
-    stream
-        .write_all(b"HEAD /v1/stats HTTP/1.1\r\nHost: localhost\r\n\r\n")
-        .expect("send the request");
-    let mut reader = BufReader::new(stream);
-    let mut status = String::new();
-    reader.read_line(&mut status).expect("status line");
-    assert_eq!(status.trim_end(), "HTTP/1.1 405 Method Not Allowed");
-    let rest = String::from_utf8(rest_of_connection(reader)).expect("utf8 response");
-    assert!(rest.contains("Connection: close\r\n"), "{rest}");
+    for (request, want) in [
+        (
+            "HEAD /v1/stats HTTP/1.1\r\nHost: localhost\r\n\r\n",
+            "HTTP/1.1 405 Method Not Allowed",
+        ),
+        (
+            "HEAD /v1/stats HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+            "HTTP/1.1 501 Not Implemented",
+        ),
+    ] {
+        let mut stream = daemon.connect();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("set a read timeout");
+        stream
+            .write_all(request.as_bytes())
+            .expect("send the request");
+        let mut reader = BufReader::new(stream);
+        let mut status = String::new();
+        reader.read_line(&mut status).expect("status line");
+        assert_eq!(status.trim_end(), want);
+        let rest = String::from_utf8(rest_of_connection(reader)).expect("utf8 response");
+        assert!(rest.contains("Connection: close\r\n"), "{rest}");
+        let body = rest
+            .split_once("\r\n\r\n")
+            .map(|(_, body)| body)
+            .expect("the headers end with an empty line");
+        assert_eq!(body, "", "nothing follows the headers of {want}");
+        assert!(!rest.contains("Content-Length"), "{rest}");
+    }
     daemon.shutdown();
 }
 

@@ -93,7 +93,7 @@ pub use exhaustive::{exhaustive_cuts, ExhaustiveEnumerator, MAX_EXHAUSTIVE_CANDI
 pub use incremental::{incremental_cuts, IncrementalEnumerator};
 pub use merit::{estimate_merit, Merit};
 pub use result::Enumeration;
-pub use selection::{block_speedup, select_ises, Selection};
+pub use selection::{block_software_cycles, block_speedup, select_ises, Selection};
 pub use stats::{EnumStats, TaskLoadSummary};
 
 use ise_graph::{Dfg, GraphError};

@@ -20,19 +20,27 @@ pub struct Selection {
     pub chosen: Vec<(Cut, Merit)>,
     /// Total cycles saved per execution of the basic block.
     pub total_saved_cycles: u32,
-    /// Total software cycles of the whole basic block, for speedup estimates.
-    pub block_software_cycles: u32,
+    /// Total software cycles of the whole basic block ([`block_software_cycles`]),
+    /// for speedup estimates.
+    pub block_software_cycles: u64,
 }
 
 impl Selection {
     /// Estimated speedup of the basic block with the chosen custom instructions
     /// ([`block_speedup`] of its software cycles and total saving).
     pub fn block_speedup(&self) -> f64 {
-        block_speedup(
-            self.block_software_cycles.into(),
-            self.total_saved_cycles.into(),
-        )
+        block_speedup(self.block_software_cycles, self.total_saved_cycles.into())
     }
+}
+
+/// The cycles a block takes in software: [`Operation::software_cycles`] summed
+/// over its vertices. Per-block and corpus-level selection both report it.
+///
+/// [`Operation::software_cycles`]: ise_graph::Operation::software_cycles
+pub fn block_software_cycles(dfg: &Dfg) -> u64 {
+    dfg.node_ids()
+        .map(|v| u64::from(dfg.op(v).software_cycles()))
+        .sum()
 }
 
 /// Estimated speedup of a block that takes `software_cycles` in software once
@@ -91,8 +99,6 @@ pub fn select_ises(
     ports_out: usize,
     max_instructions: usize,
 ) -> Selection {
-    let block_software_cycles: u32 = dfg.node_ids().map(|v| dfg.op(v).software_cycles()).sum();
-
     let mut scored: Vec<(usize, Merit)> = candidates
         .iter()
         .enumerate()
@@ -112,7 +118,7 @@ pub fn select_ises(
     let mut selection = Selection {
         chosen: Vec::new(),
         total_saved_cycles: 0,
-        block_software_cycles,
+        block_software_cycles: block_software_cycles(dfg),
     };
     for (idx, merit) in scored {
         if selection.chosen.len() == max_instructions {

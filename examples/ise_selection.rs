@@ -23,8 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     println!("block  nodes  candidates  selected  saved-cycles  speedup");
-    let mut total_before = 0u32;
-    let mut total_after = 0u32;
+    let mut total_before = 0u64;
+    let mut total_after = 0u64;
     for block in &blocks {
         let ctx = EnumContext::new(block.dfg.clone());
         let result = incremental_cuts(&ctx, &constraints, &pruning, &options, None);
@@ -39,16 +39,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             selection.block_speedup()
         );
         total_before += selection.block_software_cycles;
-        total_after += selection.block_software_cycles
-            - selection
-                .total_saved_cycles
-                .min(selection.block_software_cycles);
+        total_after += selection
+            .block_software_cycles
+            .saturating_sub(selection.total_saved_cycles.into());
     }
     if total_after > 0 {
         println!(
             "\nwhole-application estimate: {total_before} cycles -> {total_after} cycles \
              ({:.2}x speedup from custom instructions)",
-            f64::from(total_before) / f64::from(total_after)
+            total_before as f64 / total_after as f64
         );
     }
     Ok(())
