@@ -9,8 +9,9 @@
 //! and finalizes the block.
 //!
 //! **Determinism.** The fan-out plan ([`BatchConfig::par_threshold`],
-//! [`MAX_TASKS_PER_BLOCK`]) and the per-task budget split are functions of the block
-//! and the configuration alone — never of the thread count — and the ordered task
+//! [`MAX_TASKS_PER_BLOCK`], then [`plan`], the planner `parallel_cuts` uses too)
+//! and its per-task budget split are functions of the block and the configuration
+//! alone — never of the thread count — and the ordered task
 //! merge is deterministic, so every count in the output is byte-identical for any
 //! `--threads` value. Unbudgeted fanned-out blocks reproduce the serial enumeration
 //! in its cut list and every counter a report renders (the contract of
@@ -29,9 +30,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ise_corpus::CorpusBlock;
-use ise_enum::par::{
-    initial_tasks, merge_tasks, run_items, run_task, task_options, TaskId, TaskSpec,
-};
+use ise_enum::par::{merge_tasks, plan, run_items, run_task, FanOut, TaskId, TaskSpec};
 use ise_enum::{
     incremental_cuts, select_ises, Constraints, DedupMode, EngineOptions, EnumContext, Enumeration,
     PruningConfig, Selection,
@@ -182,14 +181,6 @@ impl BlockOutcome {
     }
 }
 
-/// The per-block schedule. `specs` empty means the block runs whole on one worker
-/// (small blocks below the fan-out threshold, and degenerate fan-outs with at most
-/// one candidate).
-struct BlockPlan {
-    specs: Vec<TaskSpec>,
-    options: EngineOptions,
-}
-
 /// In-flight state of one block; the worker retiring the last task merges.
 struct BlockSlot {
     /// The context a fanned-out block's tasks share. The first task builds it, each
@@ -204,34 +195,20 @@ struct BlockSlot {
     outputs: Mutex<Vec<(TaskId, Enumeration)>>,
 }
 
-fn plan_block(dfg: &Dfg, config: &BatchConfig) -> BlockPlan {
-    // The engine's own context-free counter, so the plan's task ranges can never
-    // drift from the candidate list `run_task` slices.
-    let candidates = EnumContext::candidate_output_count(dfg);
-    let fan_out = dfg.len() >= config.par_threshold;
-    let tasks = if fan_out {
-        candidates.clamp(1, MAX_TASKS_PER_BLOCK)
+/// The block's fan-out: [`MAX_TASKS_PER_BLOCK`] first-output tasks for a block of
+/// at least [`BatchConfig::par_threshold`] vertices, else one whole run. The
+/// engine's own context-free counter sizes it, so its task ranges can never drift
+/// from the candidate list `run_task` slices.
+fn plan_block(dfg: &Dfg, config: &BatchConfig) -> FanOut {
+    let tasks = if dfg.len() >= config.par_threshold {
+        MAX_TASKS_PER_BLOCK
     } else {
         1
     };
-    let mut specs = if fan_out {
-        initial_tasks(candidates, tasks)
-    } else {
-        Vec::new()
-    };
-    if specs.len() == 1 {
-        // A single task is exactly the serial run; skip the task/merge machinery
-        // (this also covers candidate-starved blocks, whose degenerate extra ranges
-        // `initial_tasks` already drops).
-        specs.clear();
-    }
     let block = EngineOptions {
         max_search_nodes: config.budget,
     };
-    BlockPlan {
-        specs,
-        options: task_options(&block, tasks),
-    }
+    plan(EnumContext::candidate_output_count(dfg), tasks, &block)
 }
 
 /// One schedulable unit: a block index plus either a task of its fan-out or `None`
@@ -282,13 +259,13 @@ where
     R: Send,
     F: Fn(&CorpusBlock, BlockOutcome) -> R + Sync,
 {
-    let plans: Vec<BlockPlan> = blocks.iter().map(|b| plan_block(&b.dfg, config)).collect();
+    let plans: Vec<FanOut> = blocks.iter().map(|b| plan_block(&b.dfg, config)).collect();
     let slots: Vec<BlockSlot> = plans
         .iter()
         .map(|plan| BlockSlot {
             ctx: Mutex::new(None),
             started: OnceLock::new(),
-            pending: AtomicUsize::new(plan.specs.len().max(1)),
+            pending: AtomicUsize::new(plan.tasks.len().max(1)),
             outputs: Mutex::new(Vec::new()),
         })
         .collect();
@@ -296,10 +273,10 @@ where
         .iter()
         .enumerate()
         .flat_map(|(block, plan)| -> Vec<WorkItem> {
-            if plan.specs.is_empty() {
+            if plan.tasks.is_empty() {
                 vec![(block, None)]
             } else {
-                plan.specs
+                plan.tasks
                     .iter()
                     .map(|spec| (block, Some(spec.clone())))
                     .collect()
@@ -330,7 +307,7 @@ where
 /// Everything a worker reads while running items, borrowed for one batch.
 struct Batch<'a, F> {
     blocks: &'a [CorpusBlock],
-    plans: &'a [BlockPlan],
+    plans: &'a [FanOut],
     slots: &'a [BlockSlot],
     config: &'a BatchConfig,
     rec: Option<&'a MetricsRegistry>,

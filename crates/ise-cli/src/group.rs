@@ -1,9 +1,9 @@
 //! Corpus-wide grouping and global selection: the `ise group` subcommand and the
 //! `ise select --global` mode.
 //!
-//! Both start from the batch enumeration and code every block's cut list with
-//! [`code_cuts`] (through [`ise_canon::canonicalize_cuts`] or its memoized twin),
-//! then intern the coded cuts into the index's [`ise_canon::PatternTable`] on the
+//! Both start from the batch enumeration and code every block's cut list through
+//! a shared [`CanonMemo`] ([`ise_canon::canonicalize_cuts_memo`]), then intern the
+//! coded cuts into the index's [`ise_canon::PatternTable`] on the
 //! same worker, keeping one `u32` provisional pattern id per cut. `ise group` uses
 //! [`group_batch`], which codes each block on the batch worker that finalized it,
 //! so coding overlaps enumeration and the cut lists never pile up. `ise select
@@ -20,40 +20,18 @@ use crate::batch::{run_batch, BatchConfig, BlockOutcome};
 use crate::report::{tree_of, write_batch_json_with, RunMeta};
 use ise_bench::json::{Json, ObjectWriter};
 use ise_canon::{
-    canonicalize_cuts, canonicalize_cuts_memo, select_ises_global, CanonMemo, CodedCut,
-    GlobalSelection, GroupConfig, MemoStats, PatternIndex,
+    canonicalize_cuts_memo, select_ises_global, CanonMemo, GlobalSelection, GroupConfig, MemoStats,
+    PatternIndex,
 };
 use ise_corpus::CorpusBlock;
 use ise_enum::par::run_items;
 use ise_enum::{block_software_cycles, block_speedup, Cut};
-use ise_graph::Dfg;
 use ise_obs::MetricsRegistry;
-
-/// Canonicalizes one block's cuts, through `memo` when one is given — the one
-/// per-block coding entry point of the CLI (the batch workers, [`group_outcomes`]
-/// and the `ise serve` coding cache all call it). Coding and merit estimation read
-/// only the block's graph, so no `EnumContext` is built.
-///
-/// The memo is observably pure: the coded cuts are identical with and without
-/// one, at any thread count (pinned by `tests/grouping_pipeline.rs` and the CI
-/// grouping smoke); with one, the canonical labeler runs once per distinct raw
-/// interface graph corpus-wide instead of once per cut.
-pub fn code_cuts(
-    dfg: &Dfg,
-    cuts: &[Cut],
-    config: &GroupConfig,
-    memo: Option<&CanonMemo>,
-) -> Vec<CodedCut> {
-    match memo {
-        Some(memo) => canonicalize_cuts_memo(dfg, cuts, config, memo),
-        None => canonicalize_cuts(dfg, cuts, config),
-    }
-}
 
 /// Runs the batch and groups its cuts: what `ise group` computes before
 /// rendering.
 ///
-/// Each block is coded with [`code_cuts`] on the worker that finalized it, right
+/// Each block is coded through `memo` on the worker that finalized it, right
 /// after its enumeration, and its coded cuts are interned there, so the worker
 /// frees them itself and hands back only the block's outcome without its cut
 /// list (the report renders counts alone) plus one provisional pattern id per cut.
@@ -68,12 +46,12 @@ pub fn group_batch(
     config: &BatchConfig,
     rec: Option<&MetricsRegistry>,
     group_config: &GroupConfig,
-    memo: Option<&CanonMemo>,
+    memo: &CanonMemo,
 ) -> (PatternIndex, Vec<BlockOutcome>) {
     let mut index = PatternIndex::new(group_config.clone());
     let table = index.table();
     let interned = run_batch(blocks, config, rec, |block, outcome| {
-        let ids = table.intern(&code_cuts(
+        let ids = table.intern(&canonicalize_cuts_memo(
             &block.dfg,
             &outcome.enumeration.cuts,
             group_config,
@@ -94,12 +72,13 @@ pub fn group_batch(
 /// Builds the pattern index over finished batch outcomes, which must still hold
 /// their cut lists (as [`crate::batch::run_batch_obs`] returns them).
 ///
-/// Coding and interning run on up to `threads` workers (one block per task,
-/// through [`code_cuts`]); the blocks' ids are added to the index sequentially in
-/// block order, so the result is identical for every thread count and equals what
-/// [`group_batch`] builds. `ise select --global` uses this two-pass form: it keeps
-/// every cut for placement, so coding on the batch workers would save no memory,
-/// and coding afterwards keeps the enumeration's and the coding's peaks apart.
+/// Coding and interning run on up to `threads` workers (one block per task),
+/// through `memo`, or without one through a memo local to the call; the blocks'
+/// ids are added to the index sequentially in block order, so the result is
+/// identical for every thread count and equals what [`group_batch`] builds.
+/// `ise select --global` uses this two-pass form: it keeps every cut for
+/// placement, so coding on the batch workers would save no memory, and coding
+/// afterwards keeps the enumeration's and the coding's peaks apart.
 pub fn group_outcomes(
     blocks: &[CorpusBlock],
     outcomes: &[BlockOutcome],
@@ -107,10 +86,12 @@ pub fn group_outcomes(
     threads: usize,
     memo: Option<&CanonMemo>,
 ) -> PatternIndex {
+    let local = CanonMemo::new();
+    let memo = memo.unwrap_or(&local);
     let mut index = PatternIndex::new(config.clone());
     let table = index.table();
     let interned = run_items(outcomes, threads, None, |outcome| {
-        table.intern(&code_cuts(
+        table.intern(&canonicalize_cuts_memo(
             &blocks[outcome.index].dfg,
             &outcome.enumeration.cuts,
             config,
@@ -612,7 +593,13 @@ mod tests {
         let blocks = demo_blocks();
         let outcomes = outcomes(&blocks, 1);
         let config = GroupConfig::new(3, 1);
-        let plain = group_outcomes(&blocks, &outcomes, &config, 1, None);
+        // The plain coder is the oracle the memoized one must reproduce.
+        let mut plain = PatternIndex::new(config.clone());
+        for (outcome, block) in outcomes.iter().zip(&blocks) {
+            let coded =
+                ise_canon::canonicalize_cuts(&block.dfg, &outcome.enumeration.cuts, &config);
+            plain.add_coded_block(&coded, block.weight());
+        }
         let memo = CanonMemo::new();
         let memoized = group_outcomes(&blocks, &outcomes, &config, 1, Some(&memo));
         assert_eq!(

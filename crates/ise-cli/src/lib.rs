@@ -96,10 +96,9 @@ usage: ise <enumerate|select|group|report> [flags]
                 [--trace-out FILE|-] [--progress]
   ise select    (same flags as enumerate)
                 [--max-instr 4] [--ports-in N] [--ports-out N] [--global]
-                [--no-memo]
   ise group     (same flags as enumerate)
                 [--ports-in N] [--ports-out N] [--min-count 1] [--top 40|0=all]
-                [--no-memo] [--memo-stats]
+                [--memo-stats]
   ise report    --corpus PATH [--limit K]
                 [--dot BLOCK [--nin 4] [--nout 2] [--budget M]
                  [--max-instr 4] [--out FILE|-]]
@@ -127,15 +126,14 @@ the whole corpus by canonical code and reports each pattern's occurrence
 count and estimated corpus-wide saving; --min-count hides rarer patterns
 from the table, --top caps the markdown table. Canonicalization runs
 through a shared memo (the labeler runs once per distinct raw interface
-graph, not once per cut); --no-memo disables it — the reports are
-byte-identical either way — and --memo-stats adds the memo's hit/miss
+graph, not once per cut); --memo-stats adds the memo's hit/miss
 counters to the JSON meta and the markdown summary.
 `select --global` selects by corpus-wide benefit: one custom instruction
 is credited with all of its non-overlapping occurrences. In global mode
 --max-instr bounds the number of distinct instruction patterns for the
 whole corpus and defaults to 0 = unlimited (select while profitable).
-`report --dot BLOCK` prints the block as a Graphviz digraph with its
-greedily selected ISEs highlighted.
+`report --dot BLOCK` prints the block as a Graphviz digraph with the
+ISEs `select` selects for it highlighted.
 `serve` runs a persistent daemon answering line-delimited JSON requests
 ({\"op\":\"enumerate|select|group|stats|shutdown\",\"block\":...,\"flags\":{...}})
 on stdin/stdout or, with --listen ADDR, over TCP. Each accepted
@@ -243,11 +241,7 @@ fn run_job_command(
 ) -> Result<(), CliError> {
     let io = ["corpus", "out", "md", "trace-out"];
     let (cli_flags, cli_switches): (&[&str], &[&str]) = match command {
-        "select" => (&io, &["progress", "no-memo"]),
-        "group" => (
-            &[&io[..], &["top"]].concat(),
-            &["progress", "no-memo", "memo-stats"],
-        ),
+        "group" => (&[&io[..], &["top"]].concat(), &["progress", "memo-stats"]),
         _ => (&io, &["progress"]),
     };
     let flags = Flags::parse_with_switches(
@@ -257,20 +251,7 @@ fn run_job_command(
     )?;
     validate_out_targets(&flags)?;
     let job = Job::from_flags(command, &flags)?;
-    let no_memo = flags.bool("no-memo", false)?;
-    if job.op == Op::Select && no_memo {
-        return Err(CliError::Usage(
-            "`--no-memo` only applies to `select --global` (per-block selection \
-             does not canonicalize)"
-                .to_string(),
-        ));
-    }
     let show_memo_stats = flags.bool("memo-stats", false)?;
-    if show_memo_stats && no_memo {
-        return Err(CliError::Usage(
-            "`--memo-stats` needs the memo; drop `--no-memo`".to_string(),
-        ));
-    }
     let top = match flags.usize("top", 40)? {
         0 => usize::MAX, // 0 = unlimited, consistent with --budget / global --max-instr
         top => top,
@@ -282,10 +263,11 @@ fn run_job_command(
     let rec = registry.as_deref();
     let blocks = load_blocks(&job, rec)?;
     let config = job.batch_config();
-    let mut memo =
-        (matches!(job.op, Op::SelectGlobal | Op::Group) && !no_memo).then(CanonMemo::new);
-    if let (Some(memo), Some(registry)) = (memo.as_mut(), &registry) {
-        memo.set_recorder(registry.as_ref());
+    // The one coder of `group` and `select --global`; `enumerate` and per-block
+    // `select` never canonicalize, so they record no memo counters.
+    let mut memo = CanonMemo::new();
+    if let Some(rec) = rec.filter(|_| matches!(job.op, Op::SelectGlobal | Op::Group)) {
+        memo.set_recorder(rec);
     }
     let start = Instant::now();
     let heartbeat = obs::Heartbeat::start(registry.clone(), progress);
@@ -308,7 +290,7 @@ fn run_job_command(
                 &outcomes,
                 &job.group_config(),
                 job.threads,
-                memo.as_ref(),
+                Some(&memo),
             );
             (outcomes, Some(index))
         }
@@ -317,7 +299,7 @@ fn run_job_command(
         // cut body.
         Op::Group => {
             let (index, outcomes) =
-                group::group_batch(&blocks, &config, rec, &job.group_config(), memo.as_ref());
+                group::group_batch(&blocks, &config, rec, &job.group_config(), &memo);
             (outcomes, Some(index))
         }
     };
@@ -325,10 +307,7 @@ fn run_job_command(
         heartbeat.stop();
     }
     let meta = job.meta(start.elapsed());
-    let memo_stats = memo
-        .as_ref()
-        .filter(|_| show_memo_stats)
-        .map(CanonMemo::stats);
+    let memo_stats = show_memo_stats.then(|| memo.stats());
     let report = job.report(&blocks, &outcomes, index.as_ref());
     emit_with(&flags.string("out", "-"), |out| {
         job.write_json(out, &report, &meta, memo_stats.as_ref())?;
@@ -369,8 +348,8 @@ fn run_report_command(args: &[String]) -> Result<(), CliError> {
             }
         }
     }
-    // `report` has no `--threads` or `--global`: the job loads on one thread, and
-    // `--dot` selects per block.
+    // `report` has no `--threads`, `--par-threshold` or `--global`: the job loads
+    // and runs on one thread, and `--dot` selects per block at the default fan-out.
     let job = Job::from_flags("select", &flags)?;
     let blocks = load_blocks(&job, None)?;
     match flags.get("dot") {
@@ -380,41 +359,27 @@ fn run_report_command(args: &[String]) -> Result<(), CliError> {
 }
 
 /// The `ise report --dot <block>` escape hatch: render one block as a Graphviz
-/// digraph with its greedily selected ISEs highlighted, for visual inspection of
-/// grouped patterns and selected instructions.
+/// digraph with the ISEs `ise select` selects for it highlighted, for visual
+/// inspection of grouped patterns and selected instructions. The block runs
+/// through the batch runner, so it fans out and splits its budget exactly as it
+/// does under `ise select`.
 fn run_dot_report(
     job: &Job,
     blocks: &[ise_corpus::CorpusBlock],
     name: &str,
     out: &str,
 ) -> Result<(), CliError> {
-    use ise_enum::{incremental_cuts, select_ises, EngineOptions, EnumContext, PruningConfig};
-    use ise_graph::DotOptions;
-
     let Some(block) = blocks.iter().find(|b| b.dfg.name() == name) else {
         return Err(CliError::Usage(format!(
             "--dot: no block named `{name}` in the corpus"
         )));
     };
-    let ctx = EnumContext::new(block.dfg.clone());
-    let options = EngineOptions {
-        max_search_nodes: job.budget,
-    };
-    let enumeration = incremental_cuts(
-        &ctx,
-        &job.constraints,
-        &PruningConfig::all(),
-        &options,
-        None,
-    );
-    let selection = select_ises(
-        &block.dfg,
-        &enumeration.cuts,
-        job.ports_in,
-        job.ports_out,
-        job.max_instr,
-    );
-    let mut dot = DotOptions::new();
+    let outcomes = run_batch_obs(std::slice::from_ref(block), &job.batch_config(), None);
+    let selection = outcomes[0]
+        .selection
+        .as_ref()
+        .expect("a select job selects");
+    let mut dot = ise_graph::DotOptions::new();
     for (cut, _) in &selection.chosen {
         dot = dot.highlight(cut);
     }
@@ -563,7 +528,7 @@ mod tests {
                     &job.batch_config(),
                     None,
                     &job.group_config(),
-                    Some(&memo),
+                    &memo,
                 );
                 let stats = memo.stats();
                 for min_count in [1, 2] {
@@ -693,63 +658,41 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join(",")
         };
-        // Memo on (default) and off produce byte-identical reports, wall times aside.
+        // The memo is the one coder, and its counters are opt-in.
         let on = render("on", &[]);
-        let off = render("off", &["--no-memo"]);
-        assert_eq!(
-            strip(&on),
-            strip(&off),
-            "memoization must be observably pure"
-        );
         assert!(!on.contains(r#""memo""#), "stats are opt-in");
-        // --memo-stats surfaces the counters in the meta.
+        // --memo-stats surfaces the counters in the meta and changes nothing else.
         let stats = render("stats", &["--memo-stats"]);
         assert!(stats.contains(r#""memo":{"raw_hits":"#), "{stats}");
         assert!(stats.contains(r#""labeler_runs":"#), "{stats}");
-        // Conflicting and misplaced switches fail loudly.
-        let err = run(&argv(&[
-            "group",
-            "--corpus",
-            dir.to_str().unwrap(),
-            "--no-memo",
-            "--memo-stats",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("--memo-stats"), "{err}");
-        let err = run(&argv(&[
-            "select",
-            "--corpus",
-            dir.to_str().unwrap(),
-            "--no-memo",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("--no-memo"), "{err}");
-        // select --global accepts --no-memo and still matches the memoized run.
-        let g1 = dir.join("g1.json");
-        let g2 = dir.join("g2.json");
-        run(&argv(&[
-            "select",
-            "--corpus",
-            dir.to_str().unwrap(),
-            "--global",
-            "--out",
-            g1.to_str().unwrap(),
-        ]))
-        .unwrap();
-        run(&argv(&[
-            "select",
-            "--corpus",
-            dir.to_str().unwrap(),
-            "--global",
-            "--no-memo",
-            "--out",
-            g2.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert_eq!(
-            strip(&std::fs::read_to_string(&g1).unwrap()),
-            strip(&std::fs::read_to_string(&g2).unwrap())
-        );
+        let without_memo = |s: &str| {
+            let start = s.find(r#","memo":{"#).expect("a memo object");
+            let end = start + s[start..].find('}').expect("a flat memo object") + 1;
+            format!("{}{}", &s[..start], &s[end..])
+        };
+        assert_eq!(strip(&on), strip(&without_memo(&stats)));
+        // `--memo-stats` belongs to `group` alone, and the retired `--no-memo` is an
+        // unknown flag wherever it used to be accepted.
+        for command in [&["select", "--global"][..], &["select"], &["enumerate"]] {
+            let mut args = argv(command);
+            args.extend(argv(&["--corpus", dir.to_str().unwrap(), "--memo-stats"]));
+            let err = run(&args).unwrap_err();
+            assert!(
+                err.to_string().contains("unknown flag `--memo-stats`"),
+                "{err}"
+            );
+        }
+        for command in [&["group"][..], &["select", "--global"], &["select"]] {
+            let mut args = argv(command);
+            args.extend(argv(&["--corpus", dir.to_str().unwrap(), "--no-memo"]));
+            let err = run(&args).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{command:?}: {err}");
+            assert!(
+                err.to_string().contains("unknown flag `--no-memo`"),
+                "{err}"
+            );
+        }
+        assert!(!USAGE.contains("--no-memo"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -97,7 +97,9 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use ise_bench::json::Json;
-use ise_canon::{CanonMemo, CodedCut, GroupConfig, MemoStats, PatternIndex};
+use ise_canon::{
+    canonicalize_cuts_memo, CanonMemo, CodedCut, GroupConfig, MemoStats, PatternIndex,
+};
 use ise_corpus::{parse_corpus, read_corpus, CorpusBlock, CorpusText};
 use ise_enum::Enumeration;
 use ise_obs::{Counter, MetricsRegistry};
@@ -704,11 +706,11 @@ impl ServerState {
                 .get(&key)
                 .map(Arc::clone);
             let coded = cached.unwrap_or_else(|| {
-                let coded = Arc::new(group::code_cuts(
+                let coded = Arc::new(canonicalize_cuts_memo(
                     &blocks[i].dfg,
                     &outcome.enumeration.cuts,
                     config,
-                    Some(&self.memo),
+                    &self.memo,
                 ));
                 self.codings
                     .lock()

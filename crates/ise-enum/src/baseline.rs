@@ -24,7 +24,7 @@ use ise_graph::{DenseNodeSet, NodeId};
 
 use crate::config::Constraints;
 use crate::context::EnumContext;
-use crate::engine::{self, EngineOptions, Enumerator, SearchState};
+use crate::engine::{self, EngineOptions, SearchState};
 use crate::result::Enumeration;
 
 /// Enumerates all valid cuts by pruned exhaustive search over the binary in/out space.
@@ -61,13 +61,15 @@ pub fn baseline_cuts(
 ) -> Enumeration {
     let mut enumerator = BaselineEnumerator::new(ctx);
     let options = EngineOptions { max_search_nodes };
-    engine::run(&mut enumerator, ctx, constraints, &options, None)
+    engine::run("baseline", ctx, constraints, &options, None, |state| {
+        enumerator.recurse(state, 0)
+    })
 }
 
-/// The Atasu/Pozzi-style binary search as an [`Enumerator`] over the shared engine:
+/// The Atasu/Pozzi-style binary search over the shared engine:
 /// the cut under construction lives in the engine's body bit set (via the raw
 /// accessors), while the per-vertex decision markings stay here.
-pub struct BaselineEnumerator<'a> {
+struct BaselineEnumerator<'a> {
     ctx: &'a EnumContext,
     /// The original graph's topological order: producers first, as in the published
     /// algorithm.
@@ -86,7 +88,7 @@ pub struct BaselineEnumerator<'a> {
 
 impl<'a> BaselineEnumerator<'a> {
     /// Creates the enumerator for one analysis context.
-    pub fn new(ctx: &'a EnumContext) -> Self {
+    fn new(ctx: &'a EnumContext) -> Self {
         let n = ctx.rooted().num_nodes();
         BaselineEnumerator {
             ctx,
@@ -171,16 +173,6 @@ impl<'a> BaselineEnumerator<'a> {
                 self.is_input[p.index()] = false;
             }
         }
-    }
-}
-
-impl Enumerator for BaselineEnumerator<'_> {
-    fn name(&self) -> &'static str {
-        "baseline"
-    }
-
-    fn search(&mut self, state: &mut SearchState<'_>) {
-        self.recurse(state, 0);
     }
 }
 

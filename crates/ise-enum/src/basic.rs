@@ -24,7 +24,7 @@ use ise_graph::{DenseNodeSet, NodeId};
 use crate::cone::cone;
 use crate::config::Constraints;
 use crate::context::EnumContext;
-use crate::engine::{self, EngineOptions, Enumerator, SearchState};
+use crate::engine::{self, EngineOptions, SearchState};
 use crate::result::Enumeration;
 
 /// Enumerates all valid cuts with the basic polynomial algorithm of Figure 2.
@@ -49,17 +49,14 @@ use crate::result::Enumeration;
 /// ```
 pub fn basic_cuts(ctx: &EnumContext, constraints: &Constraints) -> Enumeration {
     let mut enumerator = BasicEnumerator::new(ctx);
-    engine::run(
-        &mut enumerator,
-        ctx,
-        constraints,
-        &EngineOptions::default(),
-        None,
-    )
+    let options = EngineOptions::default();
+    engine::run("basic", ctx, constraints, &options, None, |state| {
+        enumerator.search(state)
+    })
 }
 
-/// The Figure 2 search as an [`Enumerator`] over the shared engine.
-pub struct BasicEnumerator<'a> {
+/// The Figure 2 search over the shared engine.
+struct BasicEnumerator<'a> {
     ctx: &'a EnumContext,
     /// Cache of the generalized dominators (up to `Nin` vertices) of each output.
     dominators: HashMap<NodeId, Vec<Vec<NodeId>>>,
@@ -67,11 +64,17 @@ pub struct BasicEnumerator<'a> {
 
 impl<'a> BasicEnumerator<'a> {
     /// Creates the enumerator for one analysis context.
-    pub fn new(ctx: &'a EnumContext) -> Self {
+    fn new(ctx: &'a EnumContext) -> Self {
         BasicEnumerator {
             ctx,
             dominators: HashMap::new(),
         }
+    }
+
+    fn search(&mut self, state: &mut SearchState<'_>) {
+        let candidates = self.ctx.candidate_outputs();
+        let mut outputs = Vec::new();
+        self.choose_outputs(state, candidates, 0, &mut outputs);
     }
 
     /// Picks output combinations in increasing vertex order, skipping pairs related by
@@ -170,18 +173,6 @@ impl<'a> BasicEnumerator<'a> {
         outputs: &[NodeId],
     ) {
         state.report_deduped(cone(self.ctx.rooted(), inputs, outputs), true);
-    }
-}
-
-impl Enumerator for BasicEnumerator<'_> {
-    fn name(&self) -> &'static str {
-        "basic"
-    }
-
-    fn search(&mut self, state: &mut SearchState<'_>) {
-        let candidates = self.ctx.candidate_outputs();
-        let mut outputs = Vec::new();
-        self.choose_outputs(state, candidates, 0, &mut outputs);
     }
 }
 

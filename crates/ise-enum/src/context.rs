@@ -120,7 +120,7 @@ impl EnumContext {
 
     /// How many candidate outputs [`EnumContext::new`] would derive for `dfg`,
     /// without building the context. Batch schedulers use this to plan first-output
-    /// task ranges (`crate::par::task_ranges`) before the per-block context exists;
+    /// fan-outs ([`crate::par::plan`]) before the per-block context exists;
     /// it is guaranteed (and unit-tested) to equal `candidate_outputs().len()`.
     pub fn candidate_output_count(dfg: &Dfg) -> usize {
         // Mirrors the `candidate_outputs` filter: the rooted graph forbids exactly

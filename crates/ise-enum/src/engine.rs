@@ -1,14 +1,15 @@
 //! The shared search core driven by every enumeration algorithm.
 //!
-//! Every enumerator (`incremental`, `basic`, `baseline`, `exhaustive`) runs on one
+//! Every algorithm (`incremental`, `basic`, `baseline`, `exhaustive`) runs on one
 //! engine (see DESIGN.md for the design history):
 //!
 //! * [`SearchState`] — an arena-style state owning the dense bit sets (cut body,
 //!   inputs, outputs, cached forbidden set), the preallocated DFS/worklist scratch, the
 //!   packed-key de-duplication table and the undo stack. Algorithms borrow it for the
 //!   duration of one run and report candidates through it.
-//! * [`Enumerator`] — the trait the four algorithms implement; [`run`] wires an
-//!   enumerator to a fresh state and collects the [`Enumeration`].
+//! * [`run`] — wires one algorithm's search, a closure over a fresh state, to the
+//!   run's span and counters and collects the [`Enumeration`]. Each algorithm's
+//!   public entry point is its `*_cuts` function, which calls it.
 //! * **Incremental body maintenance** — the paper's §5.2 discipline: the body `S` is
 //!   extended when an output is picked (forward closure of new support) and retracted
 //!   when an input is picked (cascading support loss), with every mutation recorded on
@@ -66,49 +67,36 @@ impl DedupMode {
     }
 }
 
-/// Per-run engine settings, shared by [`run`], `incremental_cuts` and the `par`
+/// Per-run engine settings, shared by every `*_cuts` entry point and the `par`
 /// module.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineOptions {
     /// Search budget in recursion steps (`None` = unbounded). A task-parallel run
-    /// splits it evenly over its tasks ([`crate::par::task_options`]).
+    /// splits it evenly over its tasks ([`crate::par::plan`]).
     pub max_search_nodes: Option<usize>,
 }
 
-/// A search algorithm that enumerates cuts through a [`SearchState`].
-///
-/// Implementations own only their algorithm-specific state (recursion arguments,
-/// caches, auxiliary markings); everything shared — statistics, the search budget, the
-/// de-duplication table, candidate reporting and the incremental body machinery — lives
-/// in the state.
-pub trait Enumerator {
-    /// Short human-readable name, used in diagnostics and benchmarks.
-    fn name(&self) -> &'static str;
-
-    /// Runs the search, reporting every candidate through `state`.
-    fn search(&mut self, state: &mut SearchState<'_>);
-}
-
-/// Runs `enumerator` over `ctx` with the given [`EngineOptions`], collecting the
-/// [`Enumeration`].
+/// Runs `search` over a fresh [`SearchState`] for `ctx` with the given
+/// [`EngineOptions`], collecting the [`Enumeration`]; `name` names the run's span.
 ///
 /// An optional [`MetricsRegistry`] receives per-phase timings, search-progress
 /// counters, and a span covering the whole run. Observability is strictly write-only:
 /// the registry never influences the search, so the result is byte-for-byte the one a
 /// run without a registry produces.
-pub fn run<E: Enumerator + ?Sized>(
-    enumerator: &mut E,
+pub(crate) fn run(
+    name: &str,
     ctx: &EnumContext,
     constraints: &Constraints,
     options: &EngineOptions,
     rec: Option<&MetricsRegistry>,
+    search: impl FnOnce(&mut SearchState<'_>),
 ) -> Enumeration {
     let mut state = SearchState::new(ctx, constraints, options);
     if let Some(rec) = rec {
         state.set_recorder(rec);
     }
-    let _span = rec.map(|rec| rec.span_begin("engine", enumerator.name()));
-    enumerator.search(&mut state);
+    let _span = rec.map(|rec| rec.span_begin("engine", name));
+    search(&mut state);
     let enumeration = state.finish();
     if let Some(rec) = rec {
         publish_block_counters(rec, &enumeration.stats);
@@ -149,7 +137,7 @@ enum TrailEntry {
 /// bodies directly (the exhaustive oracle, the Atasu/Pozzi baseline) instead use the
 /// raw body accessors ([`SearchState::body_insert`], [`SearchState::body_remove`],
 /// [`SearchState::body_clear`]) and must not mix them with the transactional API.
-pub struct SearchState<'a> {
+pub(crate) struct SearchState<'a> {
     ctx: &'a EnumContext,
     constraints: &'a Constraints,
     max_search_nodes: Option<usize>,
@@ -275,11 +263,6 @@ impl<'a> SearchState<'a> {
     /// `ise_engine_cone_vertices_total` (observability only; no search counter).
     pub(crate) fn count_cone_vertices(&mut self, n: u64) {
         self.cone_vertices += n;
-    }
-
-    /// The shared analysis context of this run.
-    pub fn ctx(&self) -> &'a EnumContext {
-        self.ctx
     }
 
     /// The microarchitectural constraints of this run.

@@ -8,7 +8,7 @@
 
 use crate::config::Constraints;
 use crate::context::EnumContext;
-use crate::engine::{self, EngineOptions, Enumerator, SearchState};
+use crate::engine::{self, EngineOptions};
 use crate::result::Enumeration;
 
 /// Maximum number of candidate (non-forbidden) vertices accepted by
@@ -48,33 +48,11 @@ pub fn exhaustive_cuts(
     constraints: &Constraints,
     require_io_condition: bool,
 ) -> Enumeration {
-    let mut enumerator = ExhaustiveEnumerator {
-        require_io_condition,
-    };
-    engine::run(
-        &mut enumerator,
-        ctx,
-        constraints,
-        &EngineOptions::default(),
-        None,
-    )
-}
-
-/// The brute-force subset oracle as an [`Enumerator`] over the shared engine: each
-/// subset is staged in the engine's body bit set (via the raw accessors) and reported
-/// without de-duplication, since the subset walk visits every body exactly once.
-pub struct ExhaustiveEnumerator {
-    /// Whether validity includes the technical input condition of §3.
-    pub require_io_condition: bool,
-}
-
-impl Enumerator for ExhaustiveEnumerator {
-    fn name(&self) -> &'static str {
-        "exhaustive"
-    }
-
-    fn search(&mut self, state: &mut SearchState<'_>) {
-        let candidates = state.ctx().candidate_outputs();
+    let options = EngineOptions::default();
+    // Each subset is staged in the engine's body bit set (via the raw accessors) and
+    // reported without de-duplication, since the subset walk visits every body once.
+    engine::run("exhaustive", ctx, constraints, &options, None, |state| {
+        let candidates = ctx.candidate_outputs();
         assert!(
             candidates.len() <= MAX_EXHAUSTIVE_CANDIDATES,
             "exhaustive enumeration over {} candidate vertices is infeasible",
@@ -87,10 +65,10 @@ impl Enumerator for ExhaustiveEnumerator {
                     state.body_insert(node);
                 }
             }
-            state.report_current(self.require_io_condition);
+            state.report_current(require_io_condition);
         }
         state.body_clear();
-    }
+    })
 }
 
 #[cfg(test)]

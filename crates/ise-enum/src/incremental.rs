@@ -44,7 +44,7 @@ use ise_obs::MetricsRegistry;
 
 use crate::config::{Constraints, PruningConfig};
 use crate::context::EnumContext;
-use crate::engine::{self, EngineOptions, Enumerator, SearchState};
+use crate::engine::{self, EngineOptions, SearchState};
 use crate::obs::phase;
 use crate::result::Enumeration;
 
@@ -90,15 +90,17 @@ pub fn incremental_cuts(
     rec: Option<&MetricsRegistry>,
 ) -> Enumeration {
     let mut enumerator = IncrementalEnumerator::new(ctx, pruning);
-    engine::run(&mut enumerator, ctx, constraints, options, rec)
+    engine::run("incremental", ctx, constraints, options, rec, |state| {
+        enumerator.search(state)
+    })
 }
 
-/// The Figure 3 search as an [`Enumerator`] over the shared engine.
+/// The Figure 3 search over the shared engine.
 ///
 /// Owns only the algorithm-specific pieces: the pruning configuration, the reusable
 /// cone-dominator level stack behind the dominator completions, and pools of
 /// completion and open-set buffers (one per active recursion depth).
-pub struct IncrementalEnumerator<'a> {
+pub(crate) struct IncrementalEnumerator<'a> {
     ctx: &'a EnumContext,
     pruning: &'a PruningConfig,
     cone: ConeDominators,
@@ -114,7 +116,7 @@ pub struct IncrementalEnumerator<'a> {
 
 impl<'a> IncrementalEnumerator<'a> {
     /// Creates the enumerator for one analysis context.
-    pub fn new(ctx: &'a EnumContext, pruning: &'a PruningConfig) -> Self {
+    pub(crate) fn new(ctx: &'a EnumContext, pruning: &'a PruningConfig) -> Self {
         IncrementalEnumerator {
             ctx,
             pruning,
@@ -133,7 +135,7 @@ impl<'a> IncrementalEnumerator<'a> {
     /// # Panics
     ///
     /// Panics (on first use) if `range` is out of bounds for the candidate list.
-    pub fn with_root_range(
+    pub(crate) fn with_root_range(
         ctx: &'a EnumContext,
         pruning: &'a PruningConfig,
         range: Range<usize>,
@@ -141,6 +143,14 @@ impl<'a> IncrementalEnumerator<'a> {
         let mut enumerator = Self::new(ctx, pruning);
         enumerator.root_range = Some(range);
         enumerator
+    }
+
+    /// Runs the whole search (or, with a root range, its task) through `state`.
+    pub(crate) fn search(&mut self, state: &mut SearchState<'_>) {
+        let nin = state.constraints().max_inputs();
+        let nout = state.constraints().max_outputs();
+        self.pick_output(state, nin, nout);
+        state.count_cone_vertices(self.cone.take_vertices_met());
     }
 
     /// `PICK-OUTPUT` of Figure 3.
@@ -444,19 +454,6 @@ impl<'a> IncrementalEnumerator<'a> {
         if remaining_outputs > 0 {
             self.pick_output(state, remaining_inputs, remaining_outputs);
         }
-    }
-}
-
-impl Enumerator for IncrementalEnumerator<'_> {
-    fn name(&self) -> &'static str {
-        "incremental"
-    }
-
-    fn search(&mut self, state: &mut SearchState<'_>) {
-        let nin = state.constraints().max_inputs();
-        let nout = state.constraints().max_outputs();
-        self.pick_output(state, nin, nout);
-        state.count_cone_vertices(self.cone.take_vertices_met());
     }
 }
 

@@ -22,12 +22,12 @@
 //!   latency-based speedup model per cut and a greedy selector of non-overlapping
 //!   custom instructions (§1/§7 of the paper).
 //!
-//! All four algorithms drive the shared [`engine`]: an arena-style [`SearchState`]
-//! owning the incremental cut-body maintenance of §5.2 (extend on output pick, retract
-//! on input pick, undo on backtrack), the packed-key de-duplication table and the
-//! search budget, behind one [`Enumerator`] trait. See DESIGN.md for the design
-//! history, including the earlier rebuild-per-`CHECK-CUT` pipeline the engine
-//! replaced.
+//! Each algorithm has one entry point, its `*_cuts` function. All four drive one
+//! crate-private search engine: an arena-style search state owning the incremental
+//! cut-body maintenance of §5.2 (extend on output pick, retract on input pick, undo
+//! on backtrack), the packed-key de-duplication table and the search budget. See
+//! DESIGN.md for the design history, including the earlier rebuild-per-`CHECK-CUT`
+//! pipeline the engine replaced.
 //!
 //! For large blocks the [`par`] module splits the incremental search at the
 //! first-output level into a static fan-out of independent tasks — run by scoped
@@ -72,7 +72,7 @@ mod cone;
 mod config;
 mod context;
 mod cut;
-pub mod engine;
+mod engine;
 mod exhaustive;
 mod incremental;
 mod merit;
@@ -82,15 +82,15 @@ mod result;
 mod selection;
 mod stats;
 
-pub use baseline::{baseline_cuts, BaselineEnumerator};
-pub use basic::{basic_cuts, BasicEnumerator};
+pub use baseline::baseline_cuts;
+pub use basic::basic_cuts;
 pub use cone::cone;
 pub use config::{ConstraintError, Constraints, PruningConfig};
 pub use context::EnumContext;
 pub use cut::{Cut, CutChecker, CutKey, CutRejection};
-pub use engine::{DedupMode, EngineOptions, Enumerator, SearchState};
-pub use exhaustive::{exhaustive_cuts, ExhaustiveEnumerator, MAX_EXHAUSTIVE_CANDIDATES};
-pub use incremental::{incremental_cuts, IncrementalEnumerator};
+pub use engine::{DedupMode, EngineOptions};
+pub use exhaustive::{exhaustive_cuts, MAX_EXHAUSTIVE_CANDIDATES};
+pub use incremental::incremental_cuts;
 pub use merit::{estimate_merit, Merit};
 pub use result::Enumeration;
 pub use selection::{block_software_cycles, block_speedup, select_ises, Selection};

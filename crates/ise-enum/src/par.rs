@@ -9,7 +9,8 @@
 //! nodes the search visits, only whether a repeated candidate is re-counted (see
 //! DESIGN.md §1.3 for the argument). A subtree rooted at one first output is therefore
 //! an independent task, and a contiguous range of them is one task of the static
-//! fan-out ([`initial_tasks`]).
+//! fan-out. [`plan`] decides a block's fan-out, for [`parallel_cuts`] and for the
+//! `ise` CLI's batch runner alike.
 //!
 //! * **One shared list.** [`run_items`] runs a fixed list of items on scoped workers
 //!   that claim the next unclaimed item, last first, so a skewed block's tasks are
@@ -30,15 +31,14 @@
 //! `rejected_disconnected` and `rejected_depth` can exceed the serial run's, and
 //! `rejected_duplicate` falls short of it by the number of extra rejections
 //! (structural ones, which have no tally, included; see [`EnumStats`]).
-//! A search budget is split evenly over the tasks ([`task_options`]); the result
+//! A search budget is split evenly over the tasks ([`plan`]); the result
 //! is then still deterministic in the task count, just not equal to the serially
 //! budgeted run, so batch drivers must derive the task count from the block and
 //! flags alone, never from the machine.
 //!
-//! [`parallel_cuts`] bundles fan-out → run → merge behind one call; batch drivers
+//! [`parallel_cuts`] bundles plan → run → merge behind one call; batch drivers
 //! that mix several blocks' tasks in one list (the `ise` CLI) drive
-//! [`initial_tasks`], [`run_task`] and [`merge_tasks`] directly through
-//! [`run_items`].
+//! [`plan`], [`run_task`] and [`merge_tasks`] directly through [`run_items`].
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -65,7 +65,7 @@ pub struct ParConfig {
     /// time.
     pub threads: usize,
     /// Engine settings of the whole run; its `max_search_nodes` is split over the
-    /// tasks ([`task_options`]).
+    /// tasks ([`plan`]).
     pub options: EngineOptions,
 }
 
@@ -81,14 +81,14 @@ impl ParConfig {
 }
 
 /// Deterministic identity of one task: its index in the static fan-out of
-/// [`initial_tasks`]. Tasks cover contiguous root ranges in candidate order, so **id
+/// [`plan`]. Tasks cover contiguous root ranges in candidate order, so **id
 /// order is exactly the serial traversal order** — sorting task outputs by id is all
 /// the deterministic merge needs, no matter which worker ran what when.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(u32);
 
 /// One schedulable unit of the decomposition: a contiguous range of first-output
-/// roots. Produced by [`initial_tasks`]; pure data, freely sendable between workers.
+/// roots. Produced by [`plan`]; pure data, freely sendable between workers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaskSpec {
     id: TaskId,
@@ -102,62 +102,65 @@ impl TaskSpec {
     }
 }
 
-/// Splits `candidate_count` first-output candidates into at most `tasks` contiguous
-/// ranges covering `0..candidate_count` in order (the partition the merge expects).
-/// Ranges differ in length by at most one, and every returned range is **non-empty**:
-/// with more tasks than candidates the excess ranges are skipped rather than turned
-/// into degenerate scheduled tasks, so the returned vector may be shorter than
-/// `tasks` (and empty when `candidate_count` is zero).
-///
-/// # Example
-///
-/// ```
-/// let ranges = ise_enum::par::task_ranges(10, 4);
-/// assert_eq!(ranges, vec![0..2, 2..5, 5..7, 7..10]);
-/// assert_eq!(ise_enum::par::task_ranges(2, 4), vec![0..1, 1..2]);
-/// ```
-pub fn task_ranges(candidate_count: usize, tasks: usize) -> Vec<Range<usize>> {
-    let tasks = tasks.max(1);
-    (0..tasks)
-        .map(|i| (i * candidate_count / tasks)..((i + 1) * candidate_count / tasks))
-        .filter(|range| !range.is_empty())
-        .collect()
+/// How one block's search runs: whole, or as a static fan-out of first-output
+/// tasks. Produced by [`plan`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FanOut {
+    /// The tasks in [`TaskId`] order, covering the candidate list in contiguous,
+    /// non-empty ranges; empty when the block runs whole.
+    pub tasks: Vec<TaskSpec>,
+    /// The engine options of each task, or of the whole run.
+    pub options: EngineOptions,
 }
 
-/// The engine options each of `tasks` first-output tasks of one block runs with:
-/// the block's search budget split evenly over the tasks (rounded up, at least one
-/// node), so a fanned-out block costs about what its whole-block sweep would, and
-/// the split depends on the task count alone.
+/// Decides how a block with `candidate_count` first-output candidates runs when
+/// `tasks` tasks are asked for under the block's `options`. The one fan-out
+/// planner, behind [`parallel_cuts`] and the `ise` CLI's batch runner alike:
+///
+/// * the task count is clamped to the number of candidates (at least one);
+/// * a single task runs whole: no tasks, and the block's own options;
+/// * otherwise the candidates split into that many contiguous ranges, differing in
+///   length by at most one, and the block's search budget splits evenly over the
+///   tasks (rounded up, at least one node each), so a fanned-out block costs about
+///   what its whole-block sweep would and the split depends on the task count alone.
 ///
 /// # Example
 ///
 /// ```
-/// use ise_enum::par::task_options;
+/// use ise_enum::par::plan;
 /// use ise_enum::EngineOptions;
 ///
 /// let block = EngineOptions { max_search_nodes: Some(100) };
-/// assert_eq!(task_options(&block, 16).max_search_nodes, Some(7));
-/// assert_eq!(task_options(&EngineOptions::default(), 16).max_search_nodes, None);
+/// let fan_out = plan(10, 16, &block);
+/// assert_eq!(fan_out.tasks.len(), 10);
+/// assert_eq!(fan_out.options.max_search_nodes, Some(10));
+/// // Never more tasks than candidates, and one task runs whole.
+/// assert_eq!(plan(2, 16, &block).tasks.len(), 2);
+/// assert!(plan(1, 16, &block).tasks.is_empty());
+/// assert_eq!(plan(1, 16, &block).options, block);
 /// ```
-pub fn task_options(block: &EngineOptions, tasks: usize) -> EngineOptions {
-    EngineOptions {
-        max_search_nodes: block
-            .max_search_nodes
-            .map(|budget| budget.div_ceil(tasks.max(1)).max(1)),
+pub fn plan(candidate_count: usize, tasks: usize, options: &EngineOptions) -> FanOut {
+    let tasks = tasks.clamp(1, candidate_count.max(1));
+    if tasks == 1 {
+        return FanOut {
+            tasks: Vec::new(),
+            options: *options,
+        };
     }
-}
-
-/// The task specs of a decomposition into `tasks` contiguous root ranges: one spec
-/// per non-empty range of [`task_ranges`], with ids `0`, `1`, … in range order.
-pub fn initial_tasks(candidate_count: usize, tasks: usize) -> Vec<TaskSpec> {
-    task_ranges(candidate_count, tasks)
-        .into_iter()
-        .enumerate()
-        .map(|(i, roots)| TaskSpec {
-            id: TaskId(i as u32),
-            roots,
-        })
-        .collect()
+    // With at most as many tasks as candidates every range is non-empty.
+    FanOut {
+        tasks: (0..tasks)
+            .map(|i| TaskSpec {
+                id: TaskId(i as u32),
+                roots: (i * candidate_count / tasks)..((i + 1) * candidate_count / tasks),
+            })
+            .collect(),
+        options: EngineOptions {
+            max_search_nodes: options
+                .max_search_nodes
+                .map(|budget| budget.div_ceil(tasks).max(1)),
+        },
+    }
 }
 
 /// Runs one task of the decomposition: the serial engine over the subtrees rooted at
@@ -186,7 +189,7 @@ pub fn run_task(
     if let Some(rec) = rec {
         state.set_recorder(rec);
     }
-    crate::engine::Enumerator::search(&mut enumerator, &mut state);
+    enumerator.search(&mut state);
     let enumeration = state.finish();
     if let Some(rec) = rec {
         rec.add("ise_pool_tasks_total", 1);
@@ -361,24 +364,21 @@ pub fn parallel_cuts(
     config: &ParConfig,
     rec: Option<&MetricsRegistry>,
 ) -> ParRun {
-    let candidates = ctx.candidate_outputs().len();
-    let tasks = config.tasks.clamp(1, candidates.max(1));
-    let specs = initial_tasks(candidates, tasks);
-    if specs.len() <= 1 {
-        // Degenerate decompositions (no candidates, or a single task) are exactly the
-        // serial run; skip the scheduler and the merge.
+    let fan_out = plan(ctx.candidate_outputs().len(), config.tasks, &config.options);
+    if fan_out.tasks.is_empty() {
+        // A block that runs whole is exactly the serial run; skip the scheduler and
+        // the merge.
         let enumeration =
-            crate::incremental::incremental_cuts(ctx, constraints, pruning, &config.options, rec);
+            crate::incremental::incremental_cuts(ctx, constraints, pruning, &fan_out.options, rec);
         let nodes = enumeration.stats.search_nodes;
         return ParRun {
             enumeration,
             task_nodes: vec![nodes],
         };
     }
-    // Specs come in TaskId order, and `run_items` returns results in item order.
-    let options = task_options(&config.options, specs.len());
-    let outputs = run_items(&specs, config.threads, rec, |spec| {
-        run_task(ctx, constraints, pruning, &options, spec, rec)
+    // Tasks come in TaskId order, and `run_items` returns results in item order.
+    let outputs = run_items(&fan_out.tasks, config.threads, rec, |spec| {
+        run_task(ctx, constraints, pruning, &fan_out.options, spec, rec)
     });
     let task_nodes = outputs.iter().map(|out| out.stats.search_nodes).collect();
     ParRun {
@@ -460,29 +460,41 @@ mod tests {
     }
 
     #[test]
-    fn task_ranges_partition_the_candidates() {
-        for (n, tasks) in [(10, 3), (7, 7), (3, 5), (0, 2), (11, 1)] {
-            let ranges = task_ranges(n, tasks);
-            assert!(
-                ranges.len() <= tasks.max(1),
-                "never more ranges than requested tasks"
-            );
+    fn plan_partitions_the_candidates() {
+        let block = EngineOptions {
+            max_search_nodes: Some(100),
+        };
+        for (n, tasks) in [(10, 3), (7, 7), (3, 5), (0, 2), (11, 1), (1, 16), (40, 16)] {
+            let fan_out = plan(n, tasks, &block);
+            let count = tasks.clamp(1, n.max(1));
+            if count == 1 {
+                assert!(fan_out.tasks.is_empty(), "({n}, {tasks}) runs whole");
+                assert_eq!(fan_out.options, block, "({n}, {tasks}) keeps the budget");
+                continue;
+            }
+            assert_eq!(fan_out.tasks.len(), count, "({n}, {tasks})");
+            let budget = fan_out.options.max_search_nodes.unwrap();
+            assert!(budget * count >= 100 && budget * count < 100 + count);
             let mut next = 0;
-            for r in &ranges {
-                assert!(!r.is_empty(), "({n}, {tasks}): no empty ranges");
-                assert_eq!(r.start, next);
-                next = r.end;
+            for (i, task) in fan_out.tasks.iter().enumerate() {
+                assert_eq!(task.id, TaskId(i as u32));
+                assert!(!task.roots.is_empty(), "({n}, {tasks}): no empty ranges");
+                assert!(task.roots.len() <= n / count + 1);
+                assert_eq!(task.roots.start, next);
+                next = task.roots.end;
             }
             assert_eq!(next, n, "ranges must cover 0..{n}");
         }
-    }
-
-    #[test]
-    fn task_ranges_skip_degenerate_fanout() {
-        // More tasks than candidates: one non-empty range per candidate, no empties.
-        assert_eq!(task_ranges(3, 5), vec![0..1, 1..2, 2..3]);
-        assert_eq!(task_ranges(0, 4), vec![]);
-        assert_eq!(initial_tasks(2, 16).len(), 2);
+        assert_eq!(
+            plan(3, 5, &block)
+                .tasks
+                .iter()
+                .map(|t| t.roots.clone())
+                .collect::<Vec<_>>(),
+            vec![0..1, 1..2, 2..3]
+        );
+        let unbudgeted = plan(10, 4, &EngineOptions::default());
+        assert_eq!(unbudgeted.options.max_search_nodes, None);
     }
 
     #[test]
@@ -540,7 +552,8 @@ mod tests {
         let constraints = Constraints::new(4, 2).unwrap();
         let pruning = PruningConfig::all();
         let options = EngineOptions::default();
-        let specs = initial_tasks(ctx.candidate_outputs().len(), ctx.candidate_outputs().len());
+        let count = ctx.candidate_outputs().len();
+        let specs = plan(count, count, &options).tasks;
         assert!(specs.len() >= 2);
         let tasks: Vec<Enumeration> = specs
             .iter()
@@ -602,7 +615,8 @@ mod tests {
         let pruning = PruningConfig::all();
         let options = EngineOptions::default();
         let bundled = par(&ctx, &constraints, &ParConfig::new(3, 1)).enumeration;
-        let outputs: Vec<Enumeration> = initial_tasks(ctx.candidate_outputs().len(), 3)
+        let outputs: Vec<Enumeration> = plan(ctx.candidate_outputs().len(), 3, &options)
+            .tasks
             .iter()
             .map(|spec| run_task(&ctx, &constraints, &pruning, &options, spec, None))
             .collect();

@@ -1,12 +1,15 @@
 //! End-to-end checks of the corpus + batch subsystem against the committed
-//! `corpus/` directory: the files validate and round-trip, and the batch CLI
-//! reports exactly what direct engine runs report, for any thread count.
+//! `corpus/` directory: the files validate and round-trip, the batch CLI
+//! reports exactly what direct engine runs report, for any thread count, and
+//! `ise report --dot` highlights what `ise select` selects.
 
-use ise_repro::ise_cli::batch::{run_batch_obs, BatchConfig};
+use ise_repro::ise_cli::batch::{run_batch_obs, BatchConfig, SelectionConfig};
 use ise_repro::ise_corpus::{dfg_eq, load_corpus_path, parse_corpus, write_block, CorpusBlock};
 use ise_repro::ise_enum::{
-    incremental_cuts, Constraints, EngineOptions, EnumContext, EnumStats, PruningConfig,
+    incremental_cuts, select_ises, Constraints, EngineOptions, EnumContext, EnumStats,
+    PruningConfig,
 };
+use ise_repro::ise_graph::DotOptions;
 
 fn committed_corpus() -> Vec<CorpusBlock> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus");
@@ -145,4 +148,85 @@ fn invariant_stats(s: &EnumStats) -> [usize; 10] {
         s.pruned_connectedness,
         s.pruned_build_s,
     ]
+}
+
+/// `ise report --dot` highlights exactly the ISEs `ise select` selects, on a
+/// block that fans out and spends its whole budget. A serial whole-budget run
+/// selects differently there, so a `--dot` that enumerated on its own would fail.
+#[test]
+fn report_dot_highlights_what_select_selects_on_a_fanned_out_block() {
+    let name = "mibench-like-64-23799";
+    let budget = 100_000;
+    let block = committed_corpus()
+        .into_iter()
+        .find(|b| b.dfg.name() == name)
+        .expect("the committed corpus holds the block");
+    let select = SelectionConfig {
+        max_instructions: 4,
+        ports_in: 4,
+        ports_out: 2,
+    };
+    let config = BatchConfig {
+        budget: Some(budget),
+        select: Some(select.clone()),
+        ..BatchConfig::new(Constraints::new(4, 2).unwrap())
+    };
+    let outcome = run_batch_obs(std::slice::from_ref(&block), &config, None).remove(0);
+    assert!(outcome.tasks > 1, "{name} fans out");
+    let chosen = &outcome
+        .selection
+        .as_ref()
+        .expect("selection requested")
+        .chosen;
+    let mut expected = DotOptions::new();
+    for (cut, _) in chosen {
+        expected = expected.highlight(cut);
+    }
+
+    let serial = incremental_cuts(
+        &EnumContext::new(block.dfg.clone()),
+        &config.constraints,
+        &config.pruning,
+        &EngineOptions {
+            max_search_nodes: Some(budget),
+        },
+        None,
+    );
+    assert_eq!(serial.stats.search_nodes, budget, "{name} is budget-bound");
+    let serial_pick = select_ises(
+        &block.dfg,
+        &serial.cuts,
+        select.ports_in,
+        select.ports_out,
+        select.max_instructions,
+    );
+    let serial_keys: Vec<_> = serial_pick.chosen.iter().map(|(c, _)| c.key()).collect();
+    let batch_keys: Vec<_> = chosen.iter().map(|(c, _)| c.key()).collect();
+    assert_ne!(
+        serial_keys, batch_keys,
+        "the fixture must tell the batch's selection from a serial run's"
+    );
+
+    let dir = std::env::temp_dir().join(format!("ise-dot-select-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("block.dot");
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus");
+    let args: Vec<String> = [
+        "report",
+        "--corpus",
+        corpus,
+        "--dot",
+        name,
+        "--budget",
+        &budget.to_string(),
+        "--out",
+        out.to_str().unwrap(),
+    ]
+    .iter()
+    .map(ToString::to_string)
+    .collect();
+    ise_repro::ise_cli::run(&args).unwrap();
+    let dot = std::fs::read_to_string(&out).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(dot, expected.render(&block.dfg));
 }

@@ -5,19 +5,23 @@
 //!
 //! * `ise group` finds patterns recurring in *distinct* blocks;
 //! * grouping output is byte-identical for any thread count (wall times aside),
-//!   with canonicalization memoized or not, and with one shared memo serving
-//!   every thread count in sequence (the memo must be observably pure);
+//!   equals what the plain coder (`canonicalize_cuts`, the memo's oracle) groups,
+//!   and stays so with one shared memo serving every thread count in sequence
+//!   (the memo must be observably pure);
 //! * `ise select --global` saves at least as many corpus-wide cycles as the sum of
 //!   the per-block greedy selections under the same constraints;
 //! * the `ise group` command, which codes each block on its batch worker and drops
 //!   its cuts, and `ise select --global` print exactly what the two-pass library
-//!   composition renders.
+//!   composition renders, through the memo and through the plain coder.
 
 use std::time::Duration;
 
-use ise_repro::ise_canon::{select_ises_global, CanonMemo, GroupConfig};
+use ise_repro::ise_canon::{
+    canonicalize_cuts, select_ises_global, CanonMemo, GroupConfig, PatternIndex,
+};
 use ise_repro::ise_cli::batch::{
-    run_batch_obs, BatchConfig, SelectionConfig, DEFAULT_PAR_THRESHOLD, DEFAULT_SPLIT_THRESHOLD,
+    run_batch_obs, BatchConfig, BlockOutcome, SelectionConfig, DEFAULT_PAR_THRESHOLD,
+    DEFAULT_SPLIT_THRESHOLD,
 };
 use ise_repro::ise_cli::group::{
     global_select_report_with_index, group_json, group_markdown, group_outcomes,
@@ -40,6 +44,22 @@ fn config(threads: usize) -> BatchConfig {
         budget: Some(BUDGET),
         ..BatchConfig::new(Constraints::new(4, 2).unwrap())
     }
+}
+
+/// The pattern index of `outcomes` coded by the plain, unmemoized coder: the
+/// oracle the memoized coding of the commands must reproduce.
+fn plain_index(
+    blocks: &[CorpusBlock],
+    outcomes: &[BlockOutcome],
+    config: &GroupConfig,
+) -> PatternIndex {
+    let mut index = PatternIndex::new(config.clone());
+    for outcome in outcomes {
+        let block = &blocks[outcome.index];
+        let coded = canonicalize_cuts(&block.dfg, &outcome.enumeration.cuts, config);
+        index.add_coded_block(&coded, block.weight());
+    }
+    index
 }
 
 /// Acceptance: on the committed 20-block corpus at least one pattern recurs in
@@ -71,9 +91,9 @@ fn committed_corpus_has_cross_block_recurring_patterns() {
 }
 
 /// Acceptance: the grouping report is byte-identical for any `--threads` value
-/// once wall times are stripped — with canonicalization memoized or not, and
-/// with one *shared* memo serving every thread count in sequence (so later
-/// renders run entirely on warm memo hits yet produce the same bytes).
+/// once wall times are stripped — coded by the plain coder, by a memo local to
+/// each call, and by one *shared* memo serving every thread count in sequence
+/// (so later renders run entirely on warm memo hits yet produce the same bytes).
 #[test]
 fn grouping_report_is_thread_count_and_memo_invariant() {
     let blocks = committed_corpus();
@@ -89,10 +109,11 @@ fn grouping_report_is_thread_count_and_memo_invariant() {
         select: false,
         elapsed: Duration::ZERO,
     };
-    let render = |threads: usize, memo: Option<&CanonMemo>| {
+    let group_config = GroupConfig::default();
+    // Enumerates at `threads` and renders the index that `code` builds.
+    let render = |threads: usize, code: &dyn Fn(&[BlockOutcome]) -> PatternIndex| {
         let outcomes = run_batch_obs(&blocks, &config(threads), None);
-        let index = group_outcomes(&blocks, &outcomes, &GroupConfig::default(), threads, memo);
-        group_json(&index, &outcomes, &meta(threads), 1, None).render()
+        group_json(&code(&outcomes), &outcomes, &meta(threads), 1, None).render()
     };
     let strip = |s: &str| {
         s.split(',')
@@ -100,13 +121,20 @@ fn grouping_report_is_thread_count_and_memo_invariant() {
             .collect::<Vec<_>>()
             .join(",")
     };
-    let plain = strip(&render(1, None));
-    assert_eq!(plain, strip(&render(4, None)));
+    let plain = |outcomes: &[BlockOutcome]| plain_index(&blocks, outcomes, &group_config);
+    let reference = strip(&render(1, &plain));
+    assert_eq!(reference, strip(&render(4, &plain)));
+    let local =
+        |outcomes: &[BlockOutcome]| group_outcomes(&blocks, outcomes, &group_config, 4, None);
+    assert_eq!(reference, strip(&render(4, &local)), "call-local memo");
     let memo = CanonMemo::new();
     for threads in [1, 2, 4] {
+        let shared = |outcomes: &[BlockOutcome]| {
+            group_outcomes(&blocks, outcomes, &group_config, threads, Some(&memo))
+        };
         assert_eq!(
-            plain,
-            strip(&render(threads, Some(&memo))),
+            reference,
+            strip(&render(threads, &shared)),
             "memoized grouping at {threads} threads diverged"
         );
     }
@@ -189,8 +217,8 @@ fn small_block_corpus_dir(tag: &str, count: usize) -> std::path::PathBuf {
 /// `ise group` codes each block on its batch worker and drops its cuts, yet its
 /// stripped JSON and markdown, like those of `ise select --global`, must equal the
 /// two-pass library composition —
-/// `run_batch_obs`, then `group_outcomes`, then the renderer — byte for byte, with
-/// the memo on and off, at 1, 2 and 8 threads. The commands stream their JSON row
+/// `run_batch_obs`, then `group_outcomes` or the plain coder, then the renderer —
+/// byte for byte, at 1, 2 and 8 threads. The commands stream their JSON row
 /// by row, and `enumerate`, per-block `select` and `group --min-count` print
 /// exactly what the tree adapters (`batch_json`, `group_json`) render too.
 #[test]
@@ -247,8 +275,17 @@ fn commands_render_exactly_what_the_library_composition_renders() {
             elapsed: Duration::ZERO,
         };
         for memo_on in [true, false] {
-            let memo = memo_on.then(CanonMemo::new);
-            let index = group_outcomes(&blocks, &outcomes, &group_config, threads, memo.as_ref());
+            let index = if memo_on {
+                group_outcomes(
+                    &blocks,
+                    &outcomes,
+                    &group_config,
+                    threads,
+                    Some(&CanonMemo::new()),
+                )
+            } else {
+                plain_index(&blocks, &outcomes, &group_config)
+            };
             assert!(index.total_cuts() > index.len(), "patterns recur");
             let group_lib = (
                 group_json(&index, &outcomes, &meta(false), 1, None).render() + "\n",
@@ -278,10 +315,7 @@ fn commands_render_exactly_what_the_library_composition_renders() {
                     ),
                 ));
             }
-            for (mut command, lib) in runs {
-                if !memo_on {
-                    command.push("--no-memo");
-                }
+            for (command, lib) in runs {
                 let label = format!("{command:?} threads={threads} memo={memo_on}");
                 let (cli_json, cli_md) = cli(&command, &label);
                 assert!(cli_json.contains(r#""total_cuts":"#), "{label}");

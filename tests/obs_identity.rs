@@ -1,7 +1,7 @@
 //! The observability non-interference invariant, end to end: turning recording on
 //! (`--trace-out`, `--progress`, memo/pool instrumentation and all) must not change
-//! a single byte of the `--out` JSON — across thread counts, memoization modes and
-//! forced task fan-out on the committed `corpus/`. This is the test-pinned form of
+//! a single byte of the `--out` JSON — across thread counts, the memoized coding of
+//! `group` and `select --global`, and forced task fan-out on the committed `corpus/`. This is the test-pinned form of
 //! the DESIGN.md §8 contract that `ise-obs` only *observes*: the engine, pool,
 //! memo and reporting layers may count and time themselves, but never steer.
 //!
@@ -168,35 +168,25 @@ fn enumerate_json_is_byte_identical_with_recording_on() {
     );
 }
 
-/// `ise group`: the memo dimension — with and without `--no-memo`, recording on
-/// vs off must agree byte-for-byte, and memoization itself must not change the
-/// recorded run's payload.
+/// `ise group`: recording on vs off must agree byte-for-byte on the memoized
+/// coding path, memo counters and all. Memo purity itself is pinned by
+/// `tests/grouping_pipeline.rs`, against the plain coder.
 #[test]
-fn group_json_is_byte_identical_with_recording_on_and_memo_off() {
-    let mut payloads: Vec<String> = Vec::new();
-    for memo in [&[][..], &["--no-memo"][..]] {
-        let mut config = vec!["--threads", "2", "--par-threshold", "1"];
-        config.extend_from_slice(memo);
-        let off = run_to_json("group", &config);
+fn group_json_is_byte_identical_with_recording_on() {
+    let config = vec!["--threads", "2", "--par-threshold", "1"];
+    let off = run_to_json("group", &config);
 
-        let trace = scratch("group-trace.json");
-        let mut on_args = config.clone();
-        let trace_str = trace.to_str().expect("temp path is valid UTF-8");
-        on_args.extend(["--trace-out", trace_str]);
-        let on = run_to_json("group", &on_args);
-        check_trace(&trace);
+    let trace = scratch("group-trace.json");
+    let mut on_args = config.clone();
+    let trace_str = trace.to_str().expect("temp path is valid UTF-8");
+    on_args.extend(["--trace-out", trace_str]);
+    let on = run_to_json("group", &on_args);
+    check_trace(&trace);
 
-        assert_eq!(
-            strip_timing(&off),
-            strip_timing(&on),
-            "recording changed group --out bytes (memo={})",
-            memo.is_empty()
-        );
-        payloads.push(strip_timing(&on));
-    }
     assert_eq!(
-        payloads[0], payloads[1],
-        "memoization must be a pure cache: --no-memo may not change group output"
+        strip_timing(&off),
+        strip_timing(&on),
+        "recording changed group --out bytes"
     );
 }
 

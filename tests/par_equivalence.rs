@@ -4,8 +4,12 @@
 //! every §5.3 pruning combination, and several (tasks, threads) configurations. This
 //! is the end-to-end form of the DESIGN.md §1.3 argument that first-output subtrees
 //! are independent and that a merge over cut bodies alone restores the serial cut
-//! list. The rejection tallies count per task and are not compared.
+//! list. The rejection tallies count per task and are not compared. E7's driver
+//! (`parallel_cuts`) and the `ise` batch runner must also agree with each other
+//! exactly, budgeted runs included.
 
+use ise_repro::ise_cli::batch::{run_batch_obs, BatchConfig, MAX_TASKS_PER_BLOCK};
+use ise_repro::ise_corpus::load_corpus_path;
 use ise_repro::ise_enum::par::{parallel_cuts, ParConfig};
 use ise_repro::ise_enum::{
     incremental_cuts, Constraints, Cut, CutKey, EngineOptions, EnumContext, EnumStats, Enumeration,
@@ -190,4 +194,50 @@ fn static_fan_out_on_the_skewed_block_stays_exact() {
         invariant_stats(&serial.stats)
     );
     assert_eq!(keys(&run.enumeration), keys(&serial));
+}
+
+/// E7's driver and the product's plan, run and merge a block the same way: on
+/// every committed block at the golden budget, `parallel_cuts` with
+/// `MAX_TASKS_PER_BLOCK` tasks and the batch runner with every block fanned out
+/// give the same cut keys, the same counters and the same task count.
+#[test]
+fn parallel_cuts_matches_the_batch_runner_under_a_budget() {
+    let blocks = load_corpus_path(concat!(env!("CARGO_MANIFEST_DIR"), "/corpus"))
+        .expect("the committed corpus/ directory validates");
+    let budget = 100_000;
+    let config = BatchConfig {
+        budget: Some(budget),
+        par_threshold: 1,
+        threads: 2,
+        ..BatchConfig::new(Constraints::new(4, 2).unwrap())
+    };
+    let mut par_config = ParConfig::new(MAX_TASKS_PER_BLOCK, 2);
+    par_config.options.max_search_nodes = Some(budget);
+    let mut share_spent = 0;
+    for (block, outcome) in blocks.iter().zip(run_batch_obs(&blocks, &config, None)) {
+        let name = block.dfg.name();
+        let ctx = EnumContext::new(block.dfg.clone());
+        let run = parallel_cuts(
+            &ctx,
+            &config.constraints,
+            &config.pruning,
+            &par_config,
+            None,
+        );
+        assert_eq!(run.task_nodes.len(), outcome.tasks, "{name}: task count");
+        assert_eq!(run.enumeration.stats, outcome.enumeration.stats, "{name}");
+        assert_eq!(
+            keys(&run.enumeration),
+            keys(&outcome.enumeration),
+            "{name}: cuts"
+        );
+        let share = budget.div_ceil(outcome.tasks);
+        if outcome.tasks > 1 && run.task_nodes.iter().any(|&nodes| nodes >= share) {
+            share_spent += 1;
+        }
+    }
+    assert!(
+        share_spent > 0,
+        "some fanned-out task spends its budget share"
+    );
 }
